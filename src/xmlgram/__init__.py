@@ -18,7 +18,7 @@ from .analysis import (
     compute_sets,
 )
 from .ast import Clause, Grammar
-from .engine import IncompleteParse, Machine, ParseFailure, run
+from .engine import Compiled, IncompleteParse, Machine, ParseFailure, compile_grammar, run
 from .events import (
     Element,
     EndTag,
@@ -53,6 +53,7 @@ __all__ = [
     "AnalysisResult",
     "BoolVal",
     "Clause",
+    "Compiled",
     "ConflictReport",
     "Element",
     "EndTag",
@@ -84,6 +85,7 @@ __all__ = [
     "build_tree",
     "check_grammar",
     "check_ll1",
+    "compile_grammar",
     "compute_sets",
     "flatten_tree",
     "is_normal_form",

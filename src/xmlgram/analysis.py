@@ -39,7 +39,16 @@ from .ast import (
     Star,
     Text,
 )
-from .events import END_OF_INPUT, EndTagTok, TagTok, TextTok, Token, WildcardTok
+from .events import (
+    ANY_TOKEN,
+    END_OF_INPUT,
+    TEXT_TOKEN,
+    Token,
+    end_token,
+    is_end_token,
+    token_label,
+    token_sort_key,
+)
 
 
 class NotNormalForm(ValueError):
@@ -82,11 +91,11 @@ def seq_null(seq: BodySeq, nullable: Set[str]) -> bool:
 
 def first_of_item(item: Body, nullable: Set[str], first: Dict[str, Set[Token]]) -> Set[Token]:
     if isinstance(item, ElementSpec):
-        return {TagTok(item.tag)}
+        return {item.tag}
     if isinstance(item, Text):
-        return {TextTok()}
+        return {TEXT_TOKEN}
     if isinstance(item, Any):
-        return {WildcardTok()}
+        return {ANY_TOKEN}
     if isinstance(item, Call):
         return set(first.get(item.name, ()))
     if isinstance(item, Bind):
@@ -159,7 +168,7 @@ class _Analyzer:
         elif isinstance(item, Bind):
             self.walk_seq(item.body, after, after_clauses)
         elif isinstance(item, ElementSpec):
-            inside = {EndTagTok(item.tag)}
+            inside = {end_token(item.tag)}
             for _, body in item.guarded:
                 self.walk_seq(body, inside, ())
             self.walk_seq(item.else_body, inside, ())
@@ -215,7 +224,8 @@ class ConflictReport:
     definitions: Tuple[Clause, ...]
 
     def __str__(self) -> str:
-        return f"predict({self.clause}, {self.token}) has {len(self.definitions)} candidates"
+        token = token_label(self.token)
+        return f"predict({self.clause}, {token}) has {len(self.definitions)} candidates"
 
 
 @dataclass
@@ -227,21 +237,11 @@ class PredictTable:
         hit = self.entries.get((clause, token))
         if hit is not None:
             return hit
-        return self.entries.get((clause, WildcardTok()))
+        return self.entries.get((clause, ANY_TOKEN))
 
     def tokens(self) -> List[Token]:
         seen = {token for _, token in self.entries}
         return sorted(seen, key=token_sort_key)
-
-
-def token_sort_key(token: Token):
-    if isinstance(token, TagTok):
-        return (0, token.tag, 0)
-    if isinstance(token, EndTagTok):
-        return (0, token.tag, 1)
-    if isinstance(token, TextTok):
-        return (1, "", 0)
-    return (2, "", 0)
 
 
 def build_predict_table(grammar: Grammar, analysis: AnalysisResult) -> PredictTable:
@@ -261,12 +261,12 @@ def build_predict_table(grammar: Grammar, analysis: AnalysisResult) -> PredictTa
     for key in sorted(cells, key=lambda k: (k[0], token_sort_key(k[1]))):
         name, token = key
         candidates = list(cells[key])
-        if isinstance(token, (TagTok, TextTok)):
+        if token != ANY_TOKEN and not is_end_token(token):
             # A wildcard definition could consume this token as well, so a
             # default from a different definition makes the cell ambiguous.
             # (End-tag cells coexist with a default: ANY never consumes an
             # end tag — that is exactly how a wildcard repetition stops.)
-            for default in cells.get((name, WildcardTok()), ()):
+            for default in cells.get((name, ANY_TOKEN), ()):
                 if all(default is not c for c in candidates):
                     candidates.append(default)
         entries[key] = candidates[0]
@@ -299,7 +299,7 @@ def definition_index(grammar: Grammar, clause: Clause) -> int:
 def render_table_kv(grammar: Grammar, table: PredictTable) -> str:
     lines = []
     for (name, token), clause in table.entries.items():
-        lines.append(f"{name}\t{token}\t{definition_index(grammar, clause)}")
+        lines.append(f"{name}\t{token_label(token)}\t{definition_index(grammar, clause)}")
     return "\n".join(sorted(lines)) + ("\n" if lines else "")
 
 
@@ -310,7 +310,7 @@ def render_table_text(grammar: Grammar, table: PredictTable) -> str:
     cols = table.tokens()
     grid = [[""] * (len(cols) + 1)]
     for j, token in enumerate(cols):
-        grid[0][j + 1] = str(token)
+        grid[0][j + 1] = token_label(token)
     for name in rows:
         row = [name]
         for token in cols:

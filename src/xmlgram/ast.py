@@ -240,13 +240,6 @@ class Grammar:
     def definitions_of(self, name: str) -> Tuple[Clause, ...]:
         return tuple(c for c in self.clauses if c.name == name)
 
-    def clause_names(self) -> Tuple[str, ...]:
-        seen = []
-        for c in self.clauses:
-            if c.name not in seen:
-                seen.append(c.name)
-        return tuple(seen)
-
 
 # Constructor names used by the star rewrite and by the oracle's repetition
 # semantics; both sides must agree for differential testing.

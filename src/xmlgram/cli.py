@@ -17,121 +17,84 @@ import os
 import sys
 from typing import Optional, Tuple
 
-from .analysis import build_predict_table, check_ll1, compute_sets, render_table_kv, render_table_text
+from .analysis import PredictTable, render_table_kv, render_table_text
 from .ast import Grammar
-from .engine import Machine, ParseFailure
+from .engine import Compiled, Machine, ParseFailure, compile_grammar
 from .events import build_tree
 from .frontend import try_parse_grammar
-from .normalize import normalize_grammar
 from .oracle import Oracle
 from .pretty import pretty_grammar
 from .sax import SaxReader, XmlReadError
 from .values import render_json, render_term
-from .wellformed import check_grammar, lint_grammar
+from .wellformed import lint_grammar
 
 OK, LANGUAGE_ERROR, IO_ERROR = 0, 1, 2
 
 
-def _read_file(path: str) -> Optional[str]:
+def _compile(
+    path: str, start: Optional[str] = None
+) -> Tuple[Optional[Grammar], Optional[Compiled], int]:
+    """Read, parse and compile a grammar file, printing its diagnostics.  The
+    exit code is non-zero when the file cannot be read or parsed (the grammar
+    is then None) or the grammar has errors."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+            source = handle.read()
     except OSError as exc:
         print(f"error: cannot read {path}: {exc.strerror}", file=sys.stderr)
-        return None
-
-
-def _load_grammar(path: str) -> Tuple[Optional[Grammar], int]:
-    source = _read_file(path)
-    if source is None:
-        return None, IO_ERROR
+        return None, None, IO_ERROR
     grammar, diagnostics = try_parse_grammar(source)
     for diag in diagnostics:
         print(f"{path}:{diag}", file=sys.stderr)
     if grammar is None:
-        return None, LANGUAGE_ERROR
-    return grammar, OK
-
-
-def _check_pipeline(path: str, grammar: Grammar, start: Optional[str]) -> int:
-    """Well-formedness, normalization, and LL(1) checks; prints failures."""
-    errors = check_grammar(grammar)
-    for err in errors:
+        return None, None, LANGUAGE_ERROR
+    compiled = compile_grammar(grammar, start)
+    for err in compiled.errors:
         print(f"{path}: {err}", file=sys.stderr)
-    for warning in lint_grammar(grammar):
-        print(f"{path}: warning: {warning}", file=sys.stderr)
-    if errors:
-        return LANGUAGE_ERROR
-    if not grammar.clauses:
-        return OK
-    normal = normalize_grammar(grammar)
-    start_rule = start or grammar.clauses[0].name
-    analysis = compute_sets(normal, start_rule)
-    table = build_predict_table(normal, analysis)
-    ok, conflicts = check_ll1(table)
-    for conflict in conflicts:
+    return grammar, compiled, LANGUAGE_ERROR if compiled.errors else OK
+
+
+def _report_conflicts(path: str, table: PredictTable) -> int:
+    for conflict in table.conflicts:
         print(f"{path}: conflict: {conflict}", file=sys.stderr)
-    return OK if ok else LANGUAGE_ERROR
+    return LANGUAGE_ERROR if table.conflicts else OK
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    grammar, code = _load_grammar(args.grammar)
+    grammar, compiled, code = _compile(args.grammar, args.start)
     if grammar is None:
         return code
-    return _check_pipeline(args.grammar, grammar, args.start)
+    for warning in lint_grammar(grammar):
+        print(f"{args.grammar}: warning: {warning}", file=sys.stderr)
+    if code or compiled.table is None:
+        return code
+    return _report_conflicts(args.grammar, compiled.table)
 
 
 def cmd_tables(args: argparse.Namespace) -> int:
-    grammar, code = _load_grammar(args.grammar)
-    if grammar is None:
+    _, compiled, code = _compile(args.grammar, args.start)
+    if code or compiled.table is None:
         return code
-    errors = check_grammar(grammar)
-    for err in errors:
-        print(f"{args.grammar}: {err}", file=sys.stderr)
-    if errors:
-        return LANGUAGE_ERROR
-    if not grammar.clauses:
-        return OK
-    normal = normalize_grammar(grammar)
-    start_rule = args.start or grammar.clauses[0].name
-    analysis = compute_sets(normal, start_rule)
-    table = build_predict_table(normal, analysis)
-    if args.format == "kv":
-        sys.stdout.write(render_table_kv(normal, table))
-    else:
-        sys.stdout.write(render_table_text(normal, table))
-    ok, conflicts = check_ll1(table)
-    for conflict in conflicts:
-        print(f"{args.grammar}: conflict: {conflict}", file=sys.stderr)
-    return OK if ok else LANGUAGE_ERROR
+    render = render_table_kv if args.format == "kv" else render_table_text
+    sys.stdout.write(render(compiled.normal, compiled.table))
+    return _report_conflicts(args.grammar, compiled.table)
 
 
 def cmd_normalize(args: argparse.Namespace) -> int:
-    grammar, code = _load_grammar(args.grammar)
-    if grammar is None:
+    _, compiled, code = _compile(args.grammar)
+    if code:
         return code
-    errors = check_grammar(grammar)
-    for err in errors:
-        print(f"{args.grammar}: {err}", file=sys.stderr)
-    if errors:
-        return LANGUAGE_ERROR
-    sys.stdout.write(pretty_grammar(normalize_grammar(grammar)))
+    sys.stdout.write(pretty_grammar(compiled.normal))
     return OK
 
 
 def cmd_parse(args: argparse.Namespace) -> int:
-    grammar, code = _load_grammar(args.grammar)
-    if grammar is None:
+    grammar, compiled, code = _compile(args.grammar, args.start)
+    if code:
         return code
-    errors = check_grammar(grammar)
-    for err in errors:
-        print(f"{args.grammar}: {err}", file=sys.stderr)
-    if errors:
-        return LANGUAGE_ERROR
-    if not grammar.clauses:
+    if compiled.table is None:
         print(f"{args.grammar}: grammar has no rules", file=sys.stderr)
         return LANGUAGE_ERROR
-    start_rule = args.start or grammar.clauses[0].name
 
     try:
         doc_file = open(args.document, "r", encoding="utf-8")
@@ -143,20 +106,14 @@ def cmd_parse(args: argparse.Namespace) -> int:
         reader = SaxReader(doc_file, keep_whitespace=args.keep_whitespace)
         try:
             if args.oracle:
-                value = _parse_with_oracle(grammar, start_rule, reader)
+                value = _parse_with_oracle(grammar, compiled.start, reader)
                 if value is None:
                     print("parse failed: no derivation", file=sys.stderr)
                     return LANGUAGE_ERROR
             else:
-                normal = normalize_grammar(grammar)
-                analysis = compute_sets(normal, start_rule)
-                table = build_predict_table(normal, analysis)
-                ok, conflicts = check_ll1(table)
-                if not ok:
-                    for conflict in conflicts:
-                        print(f"{args.grammar}: conflict: {conflict}", file=sys.stderr)
+                if _report_conflicts(args.grammar, compiled.table):
                     return LANGUAGE_ERROR
-                value = Machine(table, start_rule, iter(reader)).run()
+                value = Machine(compiled.table, compiled.start, iter(reader)).run()
         except XmlReadError as exc:
             print(f"{args.document}: {exc}", file=sys.stderr)
             return LANGUAGE_ERROR

@@ -1,6 +1,8 @@
-"""The table-driven parsing machine.
+"""Grammar compilation and the table-driven parsing machine.
 
-The machine runs a program (a stack of grammar body items and machine
+``compile_grammar`` takes a parsed grammar through the well-formedness
+check, normalization, nullable/first/follow and the predict table.  The
+machine then runs a program (a stack of grammar body items and machine
 instructions) against a stream of SAX events, consulting the predict table
 whenever a rule call meets the next event's token.  Values are synthesized
 onto a value stack as parsing proceeds; when the machine halts the parse
@@ -22,31 +24,25 @@ produced by repetition removal always end up in this shape) instead leaves
 the continuation in the program behind an ``EnvRestore`` mark.  That keeps
 the dump bounded by element nesting rather than by sibling count, which is
 what makes long flat documents stream.
+
+``Machine.run`` is the one driver loop: the classic table-driven LL(1)
+driver (Aho, Lam, Sethi & Ullman, *Compilers*, section 4.4) with one branch
+per instruction kind.  An evaluation error in a guard, argument or action
+surfaces as a ``ParseFailure`` at the current event.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
-from .ast import (
-    Actions,
-    Any,
-    Bind,
-    Body,
-    BodySeq,
-    Call,
-    ElementSpec,
-    Empty,
-    Ok,
-    Or,
-    Star,
-    Text,
-)
-from .analysis import PredictTable
-from .evaluate import NonBooleanGuard, eval_actions, eval_expr, eval_guard
-from .events import EndTag, SaxEvent, StartTag, TextEvt, token_of_event
+from .analysis import PredictTable, build_predict_table, compute_sets
+from .ast import Actions, Any, Bind, BodySeq, Call, ElementSpec, Empty, Grammar, Ok, Text
+from .evaluate import EvalError, NonBooleanGuard, eval_actions, eval_expr, eval_guard
+from .events import EndTag, SaxEvent, StartTag, TextEvt, token_label, token_of_event
+from .normalize import normalize_grammar
 from .values import NULL, Env, StrVal, TupleVal, Value
+from .wellformed import WfError, check_grammar
 
 # Failure reasons
 NO_PREDICT_ENTRY = "NoPredictEntry"
@@ -58,6 +54,36 @@ MISSING_ATTRIBUTE = "MissingAttribute"
 BIND_ARITY_MISMATCH = "BindArityMismatch"
 CALL_ARITY = "CallArityMismatch"
 INCOMPLETE_PARSE = "IncompleteParse"
+EVAL_ERROR = "EvalError"
+
+
+class Compiled(NamedTuple):
+    """What ``compile_grammar`` produced.  With errors, only ``errors`` is
+    set; a grammar without rules has a normal form but no start or table."""
+
+    errors: List[WfError]
+    normal: Optional[Grammar]
+    start: Optional[str]
+    table: Optional[PredictTable]
+
+
+def compile_grammar(grammar: Grammar, start: Optional[str] = None) -> Compiled:
+    """Check, normalize and tabulate ``grammar`` for the machine.
+
+    ``start`` defaults to the first rule.  The table is built even when the
+    grammar is not LL(1); its ``conflicts`` list the ambiguous cells.
+    """
+    errors = check_grammar(grammar)
+    if errors:
+        return Compiled(errors, None, None, None)
+    normal = normalize_grammar(grammar)
+    if not grammar.clauses:
+        return Compiled([], normal, None, None)
+    start_rule = start or grammar.clauses[0].name
+    if not any(clause.name == start_rule for clause in normal.clauses):
+        return Compiled([WfError(start_rule, "start rule is not defined")], None, None, None)
+    table = build_predict_table(normal, compute_sets(normal, start_rule))
+    return Compiled([], normal, start_rule, table)
 
 
 class ParseFailure(Exception):
@@ -118,18 +144,6 @@ _PUSH_NULL = PushNull()
 _ADMIN_TYPES = frozenset({BindInstr, PopValue, PushNull, EnvRestore, Actions, Ok, Empty})
 
 
-def materialize(seq: BodySeq) -> List[object]:
-    """Program items for a body, in execution order."""
-    if not seq:
-        return [_PUSH_NULL]
-    items: List[object] = []
-    for i, item in enumerate(seq):
-        if i:
-            items.append(_POP)
-        items.append(item)
-    return items
-
-
 @dataclass
 class Frame:
     program: List[object]
@@ -152,17 +166,14 @@ class _EventSource:
             self._has_peeked = True
         return self._peeked
 
-    def take(self) -> Optional[SaxEvent]:
-        event = self.peek()
+    def take(self) -> None:
+        """Consume the event that ``peek`` returned; it must not be None."""
         self._has_peeked = False
-        self._peeked = None
-        if event is not None:
-            self.position += 1
-        return event
+        self.position += 1
 
 
 class Machine:
-    """One parse in progress; construct, then ``run()`` (or ``step()`` manually)."""
+    """One parse in progress; construct, then ``run()``."""
 
     def __init__(
         self,
@@ -180,42 +191,29 @@ class Machine:
         self.consuming = 0
         self.max_dump_depth = 0
         self.steps = 0
-        # handler plus "can this item consume an event" per item type
-        self._handlers = {
-            Call: (self._step_call, 1),
-            ElementSpec: (self._step_element, 1),
-            Actions: (self._step_actions, 0),
-            Empty: (self._step_empty, 0),
-            Any: (self._step_any, 1),
-            Ok: (self._step_ok, 0),
-            Text: (self._step_text, 1),
-            Bind: (self._step_bind, 1),
-            TagEnd: (self._step_tag_end, 1),
-            AnyEnd: (self._step_any_end, 1),
-            BindInstr: (self._step_bind_instr, 0),
-            PopValue: (self._step_pop, 0),
-            PushNull: (self._step_push_null, 0),
-            EnvRestore: (self._step_env_restore, 0),
-        }
         self._mat_cache: Dict[int, Tuple[BodySeq, List[object], int]] = {}
         self._enter(start_rule, args)
-
-    # -- plumbing -------------------------------------------------------------
 
     def fail(self, reason: str, message: str) -> ParseFailure:
         return ParseFailure(reason, message, self.events.position)
 
-    def _push(self, item: object) -> None:
-        self.program.append(item)
-        if type(item) not in _ADMIN_TYPES:
-            self.consuming += 1
+    def _unexpected(self, reason: str, expected: str, event: Optional[SaxEvent]) -> ParseFailure:
+        if event is None:
+            return self.fail(UNEXPECTED_END_OF_EVENTS, f"expected {expected}")
+        return self.fail(reason, f"expected {expected}, found {_describe(event)}")
 
     def _push_body(self, seq: BodySeq) -> None:
-        # Materialized programs are cached per body object; the id key is
-        # guarded by an identity check in case an id is ever reused.
+        # A body's items run in order with PopValue between them, and an
+        # empty body pushes null.  Materialized programs are cached per body
+        # object; the id key is guarded by an identity check in case an id
+        # is ever reused.
         entry = self._mat_cache.get(id(seq))
         if entry is None or entry[0] is not seq:
-            items = materialize(seq)
+            items: List[object] = [_PUSH_NULL]
+            if seq:
+                items = [seq[0]]
+                for item in seq[1:]:
+                    items += (_POP, item)
             items.reverse()
             delta = sum(1 for item in items if type(item) not in _ADMIN_TYPES)
             entry = (seq, items, delta)
@@ -223,15 +221,14 @@ class Machine:
         self.program.extend(entry[1])
         self.consuming += entry[2]
 
-    def _predict(self, name: str):
+    def _enter(self, name: str, args: Tuple[Value, ...]) -> None:
+        """Predict a clause of ``name`` on the next event and start its body."""
         token = token_of_event(self.events.peek())
         clause = self.table.lookup(name, token)
         if clause is None:
-            raise self.fail(NO_PREDICT_ENTRY, f"no prediction for rule {name} on {token}")
-        return clause
-
-    def _enter(self, name: str, args: Tuple[Value, ...]) -> None:
-        clause = self._predict(name)
+            raise self.fail(
+                NO_PREDICT_ENTRY, f"no prediction for rule {name} on {token_label(token)}"
+            )
         if len(clause.params) != len(args):
             raise self.fail(
                 CALL_ARITY,
@@ -239,7 +236,7 @@ class Machine:
             )
         callee_env: Env = dict(zip(clause.params, args)) if args else {}
         if self.consuming == 0:
-            self._push(EnvRestore(self.env))
+            self.program.append(EnvRestore(self.env))
         else:
             self.dump.append(Frame(self.program, self.env, self.consuming))
             if len(self.dump) > self.max_dump_depth:
@@ -249,38 +246,10 @@ class Machine:
         self._push_body(clause.body)
         self.env = callee_env
 
-    # -- transitions ------------------------------------------------------------
-
-    def step(self) -> bool:
-        """Perform one transition; False when the machine has halted."""
-        self.steps += 1
-        if not self.program:
-            if not self.dump:
-                return False
-            frame = self.dump.pop()
-            self.program = frame.program
-            self.env = frame.env
-            self.consuming = frame.consuming
-            return True
-        item = self.program.pop()
-        entry = self._handlers.get(type(item))
-        if entry is None:
-            raise MachineInvariantError(f"unexpected program item {item!r}")
-        handler, consumes = entry
-        self.consuming -= consumes
-        handler(item)
-        return True
-
-    def _step_call(self, item: Call) -> None:
-        args = tuple(eval_expr(a, self.env) for a in item.args)
-        self._enter(item.name, args)
-
-    def _step_element(self, el: ElementSpec) -> None:
+    def _element(self, el: ElementSpec) -> None:
         event = self.events.peek()
-        if event is None:
-            raise self.fail(UNEXPECTED_END_OF_EVENTS, f"expected <{el.tag}>")
         if not isinstance(event, StartTag) or event.tag != el.tag:
-            raise self.fail(TAG_MISMATCH, f"expected <{el.tag}>, found {_describe(event)}")
+            raise self._unexpected(TAG_MISMATCH, f"<{el.tag}>", event)
         extended = dict(self.env)
         for var, attr in el.attrs:
             if attr not in event.attrs:
@@ -290,170 +259,141 @@ class Machine:
             extended[var] = StrVal(event.attrs[attr])
         branch = el.else_body
         for guard, body in el.guarded:
-            try:
-                satisfied = eval_guard(guard, extended)
-            except NonBooleanGuard as exc:
-                raise self.fail(GUARD_NON_BOOLEAN, str(exc)) from exc
-            if satisfied:
+            if eval_guard(guard, extended):
                 branch = body
                 break
-        self._push(TagEnd(el.tag))
+        self.program.append(TagEnd(el.tag))
+        self.consuming += 1
         self._push_body(branch)
         self.env = extended
         self.events.take()
 
-    def _step_actions(self, item: Actions) -> None:
-        self.values.append(eval_actions(item.exprs, self.env))
-
-    def _step_empty(self, item: Empty) -> None:
+    def _any(self) -> None:
         event = self.events.peek()
-        if event is None or isinstance(event, EndTag):
-            self.values.append(NULL)
-            return
-        raise self.fail(UNEXPECTED_EVENT, f"expected no more content, found {_describe(event)}")
-
-    def _step_any(self, item: Any) -> None:
-        event = self.events.peek()
-        if event is None:
-            raise self.fail(UNEXPECTED_END_OF_EVENTS, "expected an element or text")
         if isinstance(event, TextEvt):
             self.events.take()
             self.values.append(NULL)
-            return
-        if isinstance(event, StartTag):
+        elif isinstance(event, StartTag):
             self.events.take()
-            self._push(AnyEnd(event.tag))
-            return
-        raise self.fail(UNEXPECTED_EVENT, f"expected an element or text, found {_describe(event)}")
+            self.program.append(AnyEnd(event.tag))
+            self.consuming += 1
+        else:
+            raise self._unexpected(UNEXPECTED_EVENT, "an element or text", event)
 
-    def _step_ok(self, item: Ok) -> None:
-        self.values.append(NULL)
-
-    def _step_text(self, item: Text) -> None:
+    def _any_end(self, item: AnyEnd) -> None:
         event = self.events.peek()
-        if event is None:
-            raise self.fail(UNEXPECTED_END_OF_EVENTS, "expected text")
-        if not isinstance(event, TextEvt):
-            raise self.fail(UNEXPECTED_EVENT, f"expected text, found {_describe(event)}")
-        self.events.take()
-        self.values.append(StrVal(event.text))
-
-    def _step_bind(self, item: Bind) -> None:
-        self._push(BindInstr(item.names))
-        self._push_body(item.body)
-
-    def _step_tag_end(self, item: TagEnd) -> None:
-        event = self.events.peek()
-        if event is None:
-            raise self.fail(UNEXPECTED_END_OF_EVENTS, f"expected </{item.tag}>")
-        if not isinstance(event, EndTag) or event.tag != item.tag:
-            raise self.fail(TAG_MISMATCH, f"expected </{item.tag}>, found {_describe(event)}")
-        self.events.take()
-
-    def _step_any_end(self, item: AnyEnd) -> None:
-        event = self.events.peek()
-        if event is None:
-            raise self.fail(UNEXPECTED_END_OF_EVENTS, f"expected </{item.tag}>")
-        if isinstance(event, TextEvt):
+        if isinstance(event, (TextEvt, StartTag)):
             self.events.take()
-            self._push(item)
+            self.program.append(item)
+            self.consuming += 1
+            if isinstance(event, StartTag):
+                self.program.append(AnyEnd(event.tag))
+                self.consuming += 1
             return
-        if isinstance(event, StartTag):
-            self.events.take()
-            self._push(item)
-            self._push(AnyEnd(event.tag))
-            return
-        if event.tag != item.tag:
-            raise self.fail(TAG_MISMATCH, f"expected </{item.tag}>, found {_describe(event)}")
+        if event is None or event.tag != item.tag:
+            raise self._unexpected(TAG_MISMATCH, f"</{item.tag}>", event)
         self.events.take()
         # The skipped subtree yields a single null once the outermost
         # AnyEnd closes; inner closings are still part of the skip.
-        if not (self.program and isinstance(self.program[-1], AnyEnd)):
+        if not (self.program and type(self.program[-1]) is AnyEnd):
             self.values.append(NULL)
 
-    def _step_bind_instr(self, item: BindInstr) -> None:
-        if not self.values:
-            raise MachineInvariantError("binding with empty value stack")
-        value = self.values[-1]
-        if len(item.names) == 1:
-            self.env = {**self.env, item.names[0]: value}
-            return
-        if isinstance(value, TupleVal) and len(value.items) == len(item.names):
-            self.env = {**self.env, **dict(zip(item.names, value.items))}
-            return
-        raise self.fail(
-            BIND_ARITY_MISMATCH,
-            f"cannot bind {len(item.names)} names to {type(value).__name__}",
-        )
-
-    def _step_pop(self, item: PopValue) -> None:
-        self.values.pop()
-
-    def _step_push_null(self, item: PushNull) -> None:
-        self.values.append(NULL)
-
-    def _step_env_restore(self, item: EnvRestore) -> None:
-        self.env = item.env
-
-    # -- driving ---------------------------------------------------------------
-
-    def run_stepwise(self) -> Value:
-        """Drive the machine one ``step()`` at a time (reference path)."""
-        while self.step():
-            pass
-        return self._finish()
-
     def run(self) -> Value:
-        """Drive the machine to completion.
+        """Drive the machine to completion and return the synthesized value.
 
-        Behaviorally identical to ``run_stepwise``; the frequent instruction
-        kinds are inlined here because a parse performs millions of
-        transitions on large documents.
+        This loop is the machine's only transition dispatch.  It tests the
+        item's type in a plain ``if``/``elif`` chain, frequent kinds first,
+        because a parse makes millions of transitions on large documents.
         """
         values = self.values
         dump = self.dump
+        events = self.events
         steps = 0
         program = self.program
-        while True:
-            if not program:
-                if not dump:
-                    break
-                frame = dump.pop()
-                program = self.program = frame.program
-                self.env = frame.env
-                self.consuming = frame.consuming
+        try:
+            while True:
+                if not program:
+                    if not dump:
+                        break
+                    frame = dump.pop()
+                    program = self.program = frame.program
+                    self.env = frame.env
+                    self.consuming = frame.consuming
+                    steps += 1
+                    continue
+                item = program.pop()
                 steps += 1
-                continue
-            item = program.pop()
-            steps += 1
-            kind = type(item)
-            if kind is PopValue:
-                values.pop()
-            elif kind is EnvRestore:
-                self.env = item.env
-            elif kind is BindInstr:
-                self._step_bind_instr(item)
-            elif kind is PushNull:
-                values.append(NULL)
-            elif kind is Actions:
-                exprs = item.exprs
-                if len(exprs) == 1:
-                    values.append(eval_expr(exprs[0], self.env))
+                kind = type(item)
+                if kind is PopValue:
+                    values.pop()
+                elif kind is EnvRestore:
+                    self.env = item.env
+                elif kind is Call:
+                    self.consuming -= 1
+                    env = self.env
+                    self._enter(item.name, tuple([eval_expr(a, env) for a in item.args]))
+                    program = self.program  # a call may switch to a fresh program
+                elif kind is BindInstr:
+                    if not values:
+                        raise MachineInvariantError("binding with empty value stack")
+                    names = item.names
+                    value = values[-1]
+                    if len(names) == 1:
+                        self.env = {**self.env, names[0]: value}
+                    elif isinstance(value, TupleVal) and len(value.items) == len(names):
+                        self.env = {**self.env, **dict(zip(names, value.items))}
+                    else:
+                        raise self.fail(
+                            BIND_ARITY_MISMATCH,
+                            f"cannot bind {len(names)} names to {type(value).__name__}",
+                        )
+                elif kind is Bind:
+                    self.consuming -= 1
+                    program.append(BindInstr(item.names))
+                    self._push_body(item.body)
+                elif kind is Actions:
+                    exprs = item.exprs
+                    if len(exprs) == 1:
+                        values.append(eval_expr(exprs[0], self.env))
+                    else:
+                        values.append(eval_actions(exprs, self.env))
+                elif kind is ElementSpec:
+                    self.consuming -= 1
+                    self._element(item)
+                elif kind is TagEnd:
+                    self.consuming -= 1
+                    event = events.peek()
+                    if not isinstance(event, EndTag) or event.tag != item.tag:
+                        raise self._unexpected(TAG_MISMATCH, f"</{item.tag}>", event)
+                    events.take()
+                elif kind is PushNull or kind is Ok:
+                    values.append(NULL)
+                elif kind is Text:
+                    self.consuming -= 1
+                    event = events.peek()
+                    if not isinstance(event, TextEvt):
+                        raise self._unexpected(UNEXPECTED_EVENT, "text", event)
+                    events.take()
+                    values.append(StrVal(event.text))
+                elif kind is Any:
+                    self.consuming -= 1
+                    self._any()
+                elif kind is AnyEnd:
+                    self.consuming -= 1
+                    self._any_end(item)
+                elif kind is Empty:
+                    event = events.peek()
+                    if event is not None and not isinstance(event, EndTag):
+                        raise self.fail(
+                            UNEXPECTED_EVENT,
+                            f"expected no more content, found {_describe(event)}",
+                        )
+                    values.append(NULL)
                 else:
-                    values.append(eval_actions(exprs, self.env))
-            elif kind is Ok:
-                values.append(NULL)
-            elif kind is TagEnd:
-                self.consuming -= 1
-                self._step_tag_end(item)
-            else:
-                entry = self._handlers.get(kind)
-                if entry is None:
                     raise MachineInvariantError(f"unexpected program item {item!r}")
-                handler, consumes = entry
-                self.consuming -= consumes
-                handler(item)
-                program = self.program  # calls may swap the active program
+        except EvalError as exc:
+            reason = GUARD_NON_BOOLEAN if isinstance(exc, NonBooleanGuard) else EVAL_ERROR
+            raise self.fail(reason, str(exc)) from exc
         self.steps += steps
         return self._finish()
 

@@ -3,7 +3,8 @@
 ``flatten_tree`` linearizes a tree into events (the bridge between the
 tree-based reference interpreter and the event-based engine); ``build_tree``
 is its inverse.  ``Token`` is the lookahead alphabet of the predict tables:
-start tags, end tags, text, and a wildcard for ``ANY`` patterns.
+start tags, end tags, text, and a wildcard for ``ANY`` patterns; the
+string forms of tokens are defined here.
 """
 
 from __future__ import annotations
@@ -46,62 +47,56 @@ class TextEvt:
 SaxEvent = Union[StartTag, EndTag, TextEvt]
 
 
-@dataclass(frozen=True)
-class TagTok:
-    tag: str
-
-    def __str__(self) -> str:
-        return self.tag
-
-
-@dataclass(frozen=True)
-class EndTagTok:
-    tag: str
-
-    def __str__(self) -> str:
-        return "/" + self.tag
-
-
-@dataclass(frozen=True)
-class TextTok:
-    def __str__(self) -> str:
-        return "TEXT"
-
-
-@dataclass(frozen=True)
-class WildcardTok:
-    def __str__(self) -> str:
-        return "ANY"
-
-
-Token = Union[TagTok, EndTagTok, TextTok, WildcardTok]
+# Lookahead tokens are strings that no XML name can take: a start tag is its
+# name, an end tag is "/" + name, text is "#text" and the ANY wildcard "*".
+Token = str
+TEXT_TOKEN = "#text"
+ANY_TOKEN = "*"
 
 # Reserved tag wrapped around every document so end-of-input is just another
 # end tag; '$' cannot occur in an XML name or a grammar identifier.
 END_SENTINEL = "$"
-END_OF_INPUT = EndTagTok(END_SENTINEL)
+END_OF_INPUT = "/" + END_SENTINEL
 
 
-_TEXT_TOK = TextTok()
-_TAG_TOKS: Dict[str, TagTok] = {}
-_END_TOKS: Dict[str, EndTagTok] = {}
+def end_token(tag: str) -> Token:
+    return "/" + tag
+
+
+def is_end_token(token: Token) -> bool:
+    return token[0] == "/"
 
 
 def token_of_event(event: SaxEvent | None) -> Token:
     """Lookahead token for the next event; exhausted input reads as /$ ."""
     if event is None:
         return END_OF_INPUT
-    if isinstance(event, StartTag):
-        tok = _TAG_TOKS.get(event.tag)
-        if tok is None:
-            tok = _TAG_TOKS[event.tag] = TagTok(event.tag)
-        return tok
-    if isinstance(event, EndTag):
-        tok = _END_TOKS.get(event.tag)
-        if tok is None:
-            tok = _END_TOKS[event.tag] = EndTagTok(event.tag)
-        return tok
-    return _TEXT_TOK
+    kind = type(event)
+    if kind is StartTag:
+        return event.tag
+    if kind is EndTag:
+        return "/" + event.tag
+    return TEXT_TOKEN
+
+
+def token_label(token: Token) -> str:
+    """How tables and messages print a token: text as TEXT, the wildcard as ANY."""
+    if token == TEXT_TOKEN:
+        return "TEXT"
+    if token == ANY_TOKEN:
+        return "ANY"
+    return token
+
+
+def token_sort_key(token: Token):
+    """Tags by name, each start tag before its end tag, then TEXT, then ANY."""
+    if token == TEXT_TOKEN:
+        return (1, "", 0)
+    if token == ANY_TOKEN:
+        return (2, "", 0)
+    if is_end_token(token):
+        return (0, token[1:], 1)
+    return (0, token, 0)
 
 
 def flatten_tree(tree: XmlTree) -> List[SaxEvent]:
@@ -152,9 +147,6 @@ def _build_one(event: SaxEvent, it: Iterator[SaxEvent]) -> Tuple[XmlTree, None]:
             return Element(event.tag, dict(event.attrs), tuple(children)), None
         child, _ = _build_one(nxt, it)
         children.append(child)
-
-
-_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"}
 
 
 def _escape(text: str, quote: bool = False) -> str:

@@ -62,9 +62,6 @@ from .ast import (
     VarRef,
 )
 
-GRAMMAR_FILE_EXTENSION = ".xg"
-
-
 @dataclass(frozen=True)
 class ParseDiagnostic:
     span: SourceSpan

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, Iterable, Tuple, Union
+from typing import Callable, Dict, Iterable, Tuple, Union
 
 
 @dataclass(frozen=True)
@@ -105,67 +105,71 @@ def env_restrict(env: Env, names: Iterable[str]) -> Env:
 
 
 def render_term(value: Value) -> str:
-    """Canonical textual form: ``Ctor(arg,...)``, ``[a,b]``, ``(a,b)``, ``null``.
+    """Canonical textual form: ``Ctor(arg,...)``, ``[a,b]``, ``(a,b)``, ``null``."""
+    return _render(value, _term_layout)
 
-    Iterative with an explicit work stack so arbitrarily deep terms render.
-    """
+
+def render_json(value: Value) -> str:
+    """JSON text: terms are ``{"args": [...], "ctor": ...}``, tuples are
+    ``{"tuple": [...]}``; the same text as ``json.dumps(..., sort_keys=True)``."""
+    return _render(value, _json_layout)
+
+
+# A layout gives a leaf value's text, or a compound value's opening text,
+# children, separator and closing text.
+Layout = Union[str, Tuple[str, Tuple["Value", ...], str, str]]
+
+
+def _term_layout(v: Value) -> Layout:
+    if isinstance(v, StrVal):
+        return json.dumps(v.value)
+    if isinstance(v, IntVal):
+        return str(v.value)
+    if isinstance(v, BoolVal):
+        return "true" if v.value else "false"
+    if isinstance(v, NullVal):
+        return "null"
+    if isinstance(v, TermVal):
+        return (v.ctor + "(", v.args, ",", ")") if v.args else v.ctor
+    if isinstance(v, ListVal):
+        return ("[", v.items, ",", "]")
+    if isinstance(v, TupleVal):
+        return ("(", v.items, ",", ")")
+    raise TypeError(f"not a value: {v!r}")
+
+
+def _json_layout(v: Value) -> Layout:
+    if isinstance(v, (StrVal, IntVal, BoolVal)):
+        return json.dumps(v.value)
+    if isinstance(v, NullVal):
+        return "null"
+    if isinstance(v, TermVal):
+        return ('{"args": [', v.args, ", ", '], "ctor": ' + json.dumps(v.ctor) + "}")
+    if isinstance(v, ListVal):
+        return ("[", v.items, ", ", "]")
+    if isinstance(v, TupleVal):
+        return ('{"tuple": [', v.items, ", ", "]}")
+    raise TypeError(f"not a value: {v!r}")
+
+
+def _render(value: Value, layout: Callable[[Value], Layout]) -> str:
+    """Iterative with an explicit work stack, so arbitrarily deep values render."""
     out = []
     stack: list = [value]
     while stack:
         v = stack.pop()
         if type(v) is str:
             out.append(v)
-        elif isinstance(v, StrVal):
-            out.append(json.dumps(v.value))
-        elif isinstance(v, IntVal):
-            out.append(str(v.value))
-        elif isinstance(v, BoolVal):
-            out.append("true" if v.value else "false")
-        elif isinstance(v, NullVal):
-            out.append("null")
-        elif isinstance(v, TermVal):
-            if not v.args:
-                out.append(v.ctor)
-            else:
-                out.append(v.ctor + "(")
-                _stack_args(stack, v.args, ")")
-        elif isinstance(v, ListVal):
-            out.append("[")
-            _stack_args(stack, v.items, "]")
-        elif isinstance(v, TupleVal):
-            out.append("(")
-            _stack_args(stack, v.items, ")")
-        else:
-            raise TypeError(f"not a value: {v!r}")
+            continue
+        shape = layout(v)
+        if type(shape) is str:
+            out.append(shape)
+            continue
+        opening, children, sep, closing = shape
+        out.append(opening)
+        stack.append(closing)
+        for i, child in enumerate(reversed(children)):
+            if i:
+                stack.append(sep)
+            stack.append(child)
     return "".join(out)
-
-
-def _stack_args(stack: list, args: Tuple[Value, ...], close: str) -> None:
-    stack.append(close)
-    for i, arg in enumerate(reversed(args)):
-        stack.append(arg)
-        if i != len(args) - 1:
-            stack.append(",")
-
-
-def to_jsonable(value: Value) -> object:
-    """JSON-friendly rendering: terms become {"ctor":..., "args":[...]}."""
-    if isinstance(value, StrVal):
-        return value.value
-    if isinstance(value, IntVal):
-        return value.value
-    if isinstance(value, BoolVal):
-        return value.value
-    if isinstance(value, NullVal):
-        return None
-    if isinstance(value, TermVal):
-        return {"ctor": value.ctor, "args": [to_jsonable(a) for a in value.args]}
-    if isinstance(value, ListVal):
-        return [to_jsonable(v) for v in value.items]
-    if isinstance(value, TupleVal):
-        return {"tuple": [to_jsonable(v) for v in value.items]}
-    raise TypeError(f"not a value: {value!r}")
-
-
-def render_json(value: Value) -> str:
-    return json.dumps(to_jsonable(value), sort_keys=True)

@@ -23,12 +23,10 @@ from xmlgram.analysis import build_predict_table, check_ll1, compute_sets
 from xmlgram.ast import Actions, Grammar
 from xmlgram.engine import Machine, ParseFailure
 from xmlgram.events import (
+    ANY_TOKEN,
+    TEXT_TOKEN,
     Element,
-    EndTagTok,
-    TagTok,
     TextNode,
-    TextTok,
-    WildcardTok,
     build_tree,
     flatten_tree,
 )
@@ -85,27 +83,27 @@ def test_criterion_1_table_reproduction():
     _, normal, _, table = _build(TEST_GRAMMAR, "A")
     star, alt = _fresh_names(normal)
     expected = {
-        ("A", TagTok("A")),
-        (star, TagTok("B")),
-        (star, TagTok("C")),
-        (star, EndTagTok("A")),
-        (alt, TagTok("B")),
-        (alt, TagTok("C")),
-        ("B", TagTok("B")),
-        ("C", TagTok("C")),
+        ("A", "A"),
+        (star, "B"),
+        (star, "C"),
+        (star, "/A"),
+        (alt, "B"),
+        (alt, "C"),
+        ("B", "B"),
+        ("C", "C"),
     }
     assert set(table.entries) == expected
     # cell contents, matched per row
-    assert table.entries[("A", TagTok("A"))] is normal.clauses[0]
-    cons_def = table.entries[(star, TagTok("B"))]
-    assert table.entries[(star, TagTok("C"))] is cons_def
+    assert table.entries[("A", "A")] is normal.clauses[0]
+    cons_def = table.entries[(star, "B")]
+    assert table.entries[(star, "C")] is cons_def
     assert cons_def.body[-1].exprs[0].ctor == "Cons"
-    nil_def = table.entries[(star, EndTagTok("A"))]
+    nil_def = table.entries[(star, "/A")]
     assert nil_def.body[0].exprs[0].ctor == "Nil"
-    assert table.entries[(alt, TagTok("B"))].body[0].name == "B"
-    assert table.entries[(alt, TagTok("C"))].body[0].name == "C"
-    assert table.entries[("B", TagTok("B"))].name == "B"
-    assert table.entries[("C", TagTok("C"))].name == "C"
+    assert table.entries[(alt, "B")].body[0].name == "B"
+    assert table.entries[(alt, "C")].body[0].name == "C"
+    assert table.entries[("B", "B")].name == "B"
+    assert table.entries[("C", "C")].name == "C"
     ok, conflicts = check_ll1(table)
     assert ok and conflicts == []
     assert time.monotonic() - t0 < 1.0
@@ -115,7 +113,7 @@ def test_criterion_1_table_reproduction():
 def test_criterion_2_predict_b():
     _, _, _, table = _build(TEST_GRAMMAR, "A")
     published = parse_grammar("@Grammar T B ::= <B n = name> OK </B> {n}. end").clauses[0]
-    assert table.entries[("B", TagTok("B"))] == published
+    assert table.entries[("B", "B")] == published
 
 
 @criterion(3, "normalizing the worked example reproduces the published normal form")
@@ -289,13 +287,13 @@ def test_criterion_6_first_sets():
         depth1, all_trees = _enumerate_trees(tags, attr_values)
         startable = _oracle_startable(normal, start, all_trees, depth1)
         first = analysis.first[start]
-        wildcard = WildcardTok() in first
+        wildcard = ANY_TOKEN in first
         for tag in tags:
-            analysis_says = wildcard or TagTok(tag) in first
+            analysis_says = wildcard or tag in first
             oracle_says = tag in startable
             if analysis_says != oracle_says:
                 mismatches.append((source, start, tag, analysis_says, oracle_says))
-        analysis_text = wildcard or TextTok() in first
+        analysis_text = wildcard or TEXT_TOKEN in first
         if analysis_text != ("TEXT" in startable):
             mismatches.append((source, start, "TEXT", analysis_text, "TEXT" in startable))
     assert mismatches == [], mismatches

@@ -15,7 +15,7 @@ from xmlgram.analysis import (
     render_table_text,
 )
 from xmlgram.ast import Any, Bind, Call, Empty, Grammar, Ok, Star, Text, Actions, IntLit
-from xmlgram.events import END_OF_INPUT, EndTagTok, TagTok, TextTok, WildcardTok
+from xmlgram.events import ANY_TOKEN, END_OF_INPUT, TEXT_TOKEN
 from xmlgram.frontend import parse_grammar
 from xmlgram.normalize import normalize_grammar
 
@@ -71,10 +71,10 @@ def test_sets_on_normalized_test_grammar(test_tables):
     alt = _alt_name(g)
     assert analysis.nullable[star] is True
     assert analysis.nullable["A"] is False
-    assert analysis.first[star] == {TagTok("B"), TagTok("C")}
-    assert analysis.first[alt] == {TagTok("B"), TagTok("C")}
-    assert analysis.first["B"] == {TagTok("B")}
-    assert analysis.follow[star] == {EndTagTok("A")}
+    assert analysis.first[star] == {"B", "C"}
+    assert analysis.first[alt] == {"B", "C"}
+    assert analysis.first["B"] == {"B"}
+    assert analysis.follow[star] == {"/A"}
     assert analysis.follow["A"] == {END_OF_INPUT}
 
 
@@ -88,21 +88,21 @@ def test_no_consuming_element_means_empty_first():
 def test_follow_includes_first_of_next_component():
     g = norm("@Grammar G S ::= N <T/> {1}. N ::= OK. end")
     analysis = compute_sets(g, "S")
-    assert TagTok("T") in analysis.follow["N"]
+    assert "T" in analysis.follow["N"]
 
 
 def test_follow_propagates_through_nullable_suffix():
     g = norm("@Grammar G S ::= <W> N M </W> {1}. N ::= OK. M ::= OK. end")
     analysis = compute_sets(g, "S")
     # M is nullable, so inside <W> the follow of N includes /W; likewise M.
-    assert EndTagTok("W") in analysis.follow["N"]
-    assert EndTagTok("W") in analysis.follow["M"]
+    assert "/W" in analysis.follow["N"]
+    assert "/W" in analysis.follow["M"]
 
 
 def test_undefined_clause_strict_and_lenient():
     g = norm("@Grammar G S ::= <T> Missing </T> {1}. end")
     analysis = compute_sets(g, "S")  # lenient: Missing never matches
-    assert analysis.first["S"] == {TagTok("T")}
+    assert analysis.first["S"] == {"T"}
     with pytest.raises(UndefinedClause):
         compute_sets(g, "S", strict=True)
     with pytest.raises(UndefinedClause):
@@ -123,27 +123,27 @@ def test_predict_table_matches_published_example(test_tables):
     star = _star_name(g)
     alt = _alt_name(g)
     expected_cells = {
-        ("A", TagTok("A")),
-        (star, TagTok("B")),
-        (star, TagTok("C")),
-        (star, EndTagTok("A")),
-        (alt, TagTok("B")),
-        (alt, TagTok("C")),
-        ("B", TagTok("B")),
-        ("C", TagTok("C")),
+        ("A", "A"),
+        (star, "B"),
+        (star, "C"),
+        (star, "/A"),
+        (alt, "B"),
+        (alt, "C"),
+        ("B", "B"),
+        ("C", "C"),
     }
     assert set(table.entries) == expected_cells
     ok, conflicts = check_ll1(table)
     assert ok and conflicts == []
     # the /A cell holds the Nil definition
-    nil_def = table.entries[(star, EndTagTok("A"))]
+    nil_def = table.entries[(star, "/A")]
     assert isinstance(nil_def.body[0], Actions)
     assert nil_def.body[0].exprs[0].ctor == "Nil"
 
 
 def test_predict_b_on_b_is_the_published_clause(test_tables):
     g, _, table = test_tables
-    entry = table.entries[("B", TagTok("B"))]
+    entry = table.entries[("B", "B")]
     published = parse_grammar("@Grammar T B ::= <B n = name> OK </B> {n}. end")
     assert entry == published.clauses[0]
 
@@ -156,10 +156,10 @@ def test_conflicting_definitions_are_reported():
     assert len(conflicts) == 1
     report = conflicts[0]
     assert report.clause == "X"
-    assert report.token == TagTok("A")
+    assert report.token == "A"
     assert len(report.definitions) == 2
     # first definition wins the cell, nothing is silently dropped
-    assert table.entries[("X", TagTok("A"))] is report.definitions[0]
+    assert table.entries[("X", "A")] is report.definitions[0]
 
 
 def test_empty_grammar_is_trivially_ll1():
@@ -181,11 +181,11 @@ def test_wildcard_default_entry():
     ok, _ = check_ll1(table)
     assert ok
     star = _star_name(g)
-    assert (star, WildcardTok()) in table.entries
+    assert (star, ANY_TOKEN) in table.entries
     # exact end-tag entry beats the wildcard default
-    assert table.lookup(star, EndTagTok("T")).body[0].exprs[0].ctor == "Nil"
-    assert table.lookup(star, TagTok("Anything")) is table.entries[(star, WildcardTok())]
-    assert table.lookup(star, TextTok()) is table.entries[(star, WildcardTok())]
+    assert table.lookup(star, "/T").body[0].exprs[0].ctor == "Nil"
+    assert table.lookup(star, "Anything") is table.entries[(star, ANY_TOKEN)]
+    assert table.lookup(star, TEXT_TOKEN) is table.entries[(star, ANY_TOKEN)]
 
 
 def test_two_wildcard_defaults_conflict():
@@ -193,13 +193,13 @@ def test_two_wildcard_defaults_conflict():
     table = build_predict_table(g, compute_sets(g, "X"))
     ok, conflicts = check_ll1(table)
     assert not ok
-    assert conflicts[0].token == WildcardTok()
+    assert conflicts[0].token == ANY_TOKEN
 
 
 def test_text_token_row():
     g = norm("@Grammar G S ::= <T> x = TEXT </T> {x}. end")
     analysis = compute_sets(g, "S")
-    assert analysis.first["S"] == {TagTok("T")}
+    assert analysis.first["S"] == {"T"}
     table = build_predict_table(g, analysis)
     assert check_ll1(table)[0]
 

@@ -170,3 +170,106 @@ def test_normalize_models_round_trip(files, capsys):
     out = capsys.readouterr().out
     reparsed = parse_grammar(out, allow_internal_names=True)
     assert pretty_grammar(reparsed) == out
+
+
+# A grammar whose predict table has TEXT and ANY columns next to tag columns.
+MIXED_GRAMMAR = """@Grammar Mixed
+  Doc ::= <Doc> ns = Note* <Tail> ANY* </Tail> </Doc> {ns}.
+  Note ::= <Note> p = Part </Note> {p}.
+  Part ::= t = TEXT {Text(t)} | <Skip> ANY </Skip> {Skipped}.
+end"""
+
+MIXED_TABLE_TEXT = (
+    "       Doc                                           Note                                                 Skip                            Tail                                                 /Tail    TEXT                  ANY\n"
+    "Doc    [v$5,ns] = <Doc> Doc$3 </Doc> { v$5 } { ns }\n"
+    "Doc$3                                                v$4 = (ns = Doc$1 <Tail> Doc$2 </Tail>) { v$4, ns }                                  v$4 = (ns = Doc$1 <Tail> Doc$2 </Tail>) { v$4, ns }\n"
+    "Doc$1                                                x = Note xs = Doc$1 { Cons(x, xs) }                                                  { Nil }\n"
+    "Doc$2                                                                                                                                                                                          { Nil }                        x = ANY xs = Doc$2 { Cons(x, xs) }\n"
+    "Note                                                 p = <Note> Part </Note> { p }\n"
+    "Part                                                                                                      <Skip> ANY </Skip> { Skipped }                                                                t = TEXT { Text(t) }\n"
+)
+
+MIXED_TABLE_KV = (
+    "Doc\tDoc\t0\n"
+    "Doc$1\tNote\t0\n"
+    "Doc$1\tTail\t1\n"
+    "Doc$2\t/Tail\t1\n"
+    "Doc$2\tANY\t0\n"
+    "Doc$3\tNote\t0\n"
+    "Doc$3\tTail\t0\n"
+    "Note\tNote\t0\n"
+    "Part\tSkip\t1\n"
+    "Part\tTEXT\t0\n"
+)
+
+
+@pytest.mark.parametrize("fmt, expected", [("text", MIXED_TABLE_TEXT), ("kv", MIXED_TABLE_KV)])
+def test_tables_golden_text_and_any_columns(files, capsys, fmt, expected):
+    path = files("mixed.xg", MIXED_GRAMMAR)
+    assert main(["tables", path, "--format", fmt]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_check_conflict_messages_golden(files, capsys):
+    path = files("conf.xg", "@Grammar G X ::= ANY {1}. X ::= ANY {2}. T ::= TEXT {1}. T ::= TEXT {2}. end")
+    assert main(["check", path]) == 1
+    assert capsys.readouterr().err == (
+        f"{path}: conflict: predict(T, TEXT) has 2 candidates\n"
+        f"{path}: conflict: predict(X, ANY) has 2 candidates\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "grammar, document, message",
+    [
+        (TEST_GRAMMAR, '<A><D/></A>', "NoPredictEntry at event 1: no prediction for rule A$1 on D"),
+        (MIXED_GRAMMAR, "<Doc>hello</Doc>", "NoPredictEntry at event 1: no prediction for rule Doc$3 on TEXT"),
+        (MIXED_GRAMMAR, "<Doc><Note></Note></Doc>", "NoPredictEntry at event 2: no prediction for rule Part on /Note"),
+    ],
+)
+def test_parse_no_predict_entry_message_golden(files, capsys, grammar, document, message):
+    g = files("g.xg", grammar)
+    d = files("doc.xml", document)
+    assert main(["parse", g, d]) == 1
+    assert capsys.readouterr().err == f"{d}: parse failed: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "grammar, document, message",
+    [
+        (
+            "@Grammar G R ::= <T a/> {a->iterate(e acc = 0 | acc)}. end",
+            '<T a="x"/>',
+            "EvalError at event 2: cannot iterate over StrVal(value='x')",
+        ),
+        (
+            "@Grammar G R ::= <T/> {addChild(1, 2)}. end",
+            "<T/>",
+            "EvalError at event 2: addChild expects a term and a value",
+        ),
+    ],
+)
+def test_parse_evaluation_error_is_a_parse_failure(files, capsys, grammar, document, message):
+    g = files("g.xg", grammar)
+    d = files("doc.xml", document)
+    assert main(["parse", g, d]) == 1
+    assert capsys.readouterr().err == f"{d}: parse failed: {message}\n"
+
+
+def test_parse_json_output_of_long_repetition(files, capsys):
+    n = 20_000
+    g = files("test.xg", TEST_GRAMMAR)
+    d = files("doc.xml", "<A>" + '<B name="x"/>' * n + "</A>")
+    assert main(["parse", g, d, "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert out.count('"Cons"') == n
+    assert out.startswith('{"args": ["x", {"args": ["x", ')
+    assert out.endswith('{"args": [], "ctor": "Nil"}' + '], "ctor": "Cons"}' * n + "\n")
+
+
+@pytest.mark.parametrize("command", ["check", "tables", "parse"])
+def test_undefined_start_rule_is_reported(files, capsys, command):
+    g = files("test.xg", TEST_GRAMMAR)
+    argv = [command, g] + ([files("doc.xml", "<A></A>")] if command == "parse" else [])
+    assert main(argv + ["--start", "Nope"]) == 1
+    assert capsys.readouterr().err == f"{g}: rule Nope: start rule is not defined\n"

@@ -27,7 +27,6 @@ from xmlgram.values import (
     env_restrict,
     render_json,
     render_term,
-    to_jsonable,
 )
 
 
@@ -174,7 +173,52 @@ def test_render_json():
         "ctor": "P",
         "args": ["s", [1], None, True],
     }
-    assert to_jsonable(TupleVal((IntVal(1), IntVal(2)))) == {"tuple": [1, 2]}
+    assert render_json(TupleVal((IntVal(1), IntVal(2)))) == '{"tuple": [1, 2]}'
+
+
+def _jsonable(value):
+    """Reference: the nested Python data that render_json's text encodes."""
+    if isinstance(value, (StrVal, IntVal, BoolVal)):
+        return value.value
+    if isinstance(value, NullVal):
+        return None
+    if isinstance(value, TermVal):
+        return {"ctor": value.ctor, "args": [_jsonable(a) for a in value.args]}
+    if isinstance(value, ListVal):
+        return [_jsonable(v) for v in value.items]
+    return {"tuple": [_jsonable(v) for v in value.items]}
+
+
+values = st.recursive(
+    st.one_of(
+        st.builds(StrVal, st.text(max_size=4)),
+        st.builds(IntVal, st.integers()),
+        st.builds(BoolVal, st.booleans()),
+        st.just(NULL),
+    ),
+    lambda kids: st.one_of(
+        st.builds(
+            TermVal, st.sampled_from(["Nil", "Cons", "P", "é\"q"]), st.lists(kids, max_size=3).map(tuple)
+        ),
+        st.builds(ListVal, st.lists(kids, max_size=3).map(tuple)),
+        st.builds(TupleVal, st.lists(kids, min_size=2, max_size=3).map(tuple)),
+    ),
+    max_leaves=12,
+)
+
+
+@given(values)
+def test_render_json_text_equals_json_dumps(value):
+    assert render_json(value) == json.dumps(_jsonable(value), sort_keys=True)
+
+
+def test_render_json_deep_chain():
+    node = TermVal("Nil", ())
+    for i in range(30_000):
+        node = TermVal("Cons", (IntVal(i), node))
+    text = render_json(node)
+    assert text.startswith('{"args": [29999, {"args": [29998, ')
+    assert text.count('"ctor": "Cons"') == 30_000
 
 
 def _serializable(tree) -> bool:

@@ -68,6 +68,13 @@ def test_tag_mismatch(test_lang):
     assert exc.value.position == 0
 
 
+def test_no_predict_entry_at_end_of_input_names_the_sentinel(test_lang):
+    _, table = test_lang
+    with pytest.raises(ParseFailure) as exc:
+        run(table, "A", [])
+    assert str(exc.value) == "NoPredictEntry at event 0: no prediction for rule A on /$"
+
+
 def test_element_head_mismatch():
     _, table = make_table("@Grammar G R ::= <T> S </T> {1}. S ::= <S/> {2}. end", "R")
     with pytest.raises(ParseFailure) as exc:
@@ -154,20 +161,34 @@ def test_run_with_start_arguments():
     assert value == StrVal("given")
 
 
-def test_stepwise_equals_fast_run(test_lang):
-    _, table = test_lang
-    docs = ['<A></A>', '<A><B name="x"/></A>', '<A><C name="c"/><B name="b"/></A>']
+def test_every_instruction_kind_agrees_with_oracle():
+    # Calls with arguments, elements with guards, binds of pairs, actions,
+    # OK, EMPTY, TEXT, ANY over text and nested elements: every branch of
+    # the driver loop runs, and the value matches the reference interpreter.
+    source = """@Grammar G
+      R ::= <R> [a,b] = P("k") xs = Q* <E> EMPTY </E> </R> {Out(a, b, xs)}.
+      P(k) ::= <P v when v = k > t = TEXT else t = OK </P> {t, k}.
+      Q ::= <Q> ANY ANY </Q> {Skipped}.
+    end"""
+    grammar = parse_grammar(source)
+    _, table = make_table(source, "R")
+    docs = [
+        '<R><P v="k">hi</P><E/></R>',
+        '<R><P v="z"/><Q>x<W><V/>y</W></Q><Q><W/>z</Q><E/></R>',
+    ]
+    from xmlgram.events import build_tree
+
     for doc in docs:
-        fast = Machine(table, "A", read_events(doc)).run()
-        slow = Machine(table, "A", read_events(doc)).run_stepwise()
-        assert fast == slow
+        events = list(read_events(doc))
+        expected = Oracle(grammar, max_steps=100_000).accepts("R", build_tree(events)).value
+        assert expected is not None
+        assert Machine(table, "R", iter(events)).run() == expected
 
 
 def test_terminal_state_shape(test_lang):
     _, table = test_lang
     machine = Machine(table, "A", read_events("<A></A>"))
-    while machine.step():
-        pass
+    machine.run()
     assert machine.program == []
     assert machine.dump == []
     assert len(machine.values) == 1
@@ -178,15 +199,8 @@ def test_event_conservation(test_lang):
     _, table = test_lang
     events = list(read_events('<A><B name="x"/></A>'))
     machine = Machine(table, "A", iter(events))
-    consumed_before = 0
-    while True:
-        before = machine.events.position
-        if not machine.step():
-            break
-        after = machine.events.position
-        assert after - before in (0, 1)
-        consumed_before = after
-    assert consumed_before == len(events)
+    machine.run()
+    assert machine.events.position == len(events)
 
 
 def test_dump_depth_tracks_nesting_not_siblings(test_lang):
