@@ -19,7 +19,8 @@ from typing import Optional, Tuple
 
 from .analysis import PredictTable, render_table_kv, render_table_text
 from .ast import Grammar
-from .engine import Compiled, Machine, ParseFailure, compile_grammar
+from .engine import EVAL_ERROR, Compiled, Machine, ParseFailure, compile_grammar
+from .evaluate import EvalError
 from .events import build_tree
 from .frontend import try_parse_grammar
 from .oracle import Oracle
@@ -97,7 +98,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
         return LANGUAGE_ERROR
 
     try:
-        doc_file = open(args.document, "r", encoding="utf-8")
+        doc_file = open(args.document, "rb")
     except OSError as exc:
         print(f"error: cannot read {args.document}: {exc.strerror}", file=sys.stderr)
         return IO_ERROR
@@ -115,10 +116,13 @@ def cmd_parse(args: argparse.Namespace) -> int:
                     return LANGUAGE_ERROR
                 value = Machine(compiled.table, compiled.start, iter(reader)).run()
         except XmlReadError as exc:
-            print(f"{args.document}: {exc}", file=sys.stderr)
+            print(f"{args.document}:{exc}", file=sys.stderr)
             return LANGUAGE_ERROR
         except ParseFailure as exc:
             print(f"{args.document}: parse failed: {exc}", file=sys.stderr)
+            return LANGUAGE_ERROR
+        except EvalError as exc:  # only the oracle lets these out
+            print(f"{args.document}: parse failed: {EVAL_ERROR}: {exc}", file=sys.stderr)
             return LANGUAGE_ERROR
 
     print(render_json(value) if args.format == "json" else render_term(value))

@@ -150,9 +150,11 @@ def _build_one(event: SaxEvent, it: Iterator[SaxEvent]) -> Tuple[XmlTree, None]:
 
 
 def _escape(text: str, quote: bool = False) -> str:
-    out = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    # A reader normalises a literal \r (and, in attribute values, \t and \n)
+    # away; character references survive that normalisation.
+    out = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace("\r", "&#13;")
     if quote:
-        out = out.replace('"', "&quot;")
+        out = out.replace('"', "&quot;").replace("\t", "&#9;").replace("\n", "&#10;")
     return out
 
 

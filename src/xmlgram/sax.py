@@ -1,37 +1,47 @@
-"""Streaming tokenizer for a pragmatic XML subset.
+"""Streaming XML reader on CPython's bundled expat parser.
 
-Supported: elements, attributes with quoted values, character data, the
-five predefined entities (&amp; &lt; &gt; &quot; &apos;), comments
-(skipped), and an XML declaration (skipped).  DOCTYPE, CDATA, processing
-instructions, and namespace-prefixed names raise UnsupportedFeature;
-anything structurally broken raises MalformedXml with line/column.
+Supported: elements, attributes, character data, character and the five
+predefined entity references, comments (skipped) and an XML declaration
+(skipped).  DOCTYPE, CDATA, processing instructions and namespace-prefixed
+names raise UnsupportedFeature; anything expat rejects raises MalformedXml
+with the line and column expat reports.
 
-The reader pulls characters from its source in chunks and keeps only the
-window needed for the token at hand, so reader state stays bounded no
-matter how long the document is (``max_window`` records the high-water
-mark).  Whitespace-only text between elements is dropped unless
-``keep_whitespace`` is set; adjacent text runs separated by comments
-coalesce into one event.
+The source is a string or a file, read ``_CHUNK`` characters (text file) or
+bytes (binary file, whose declared encoding expat honours) at a time.  Each
+chunk is pushed through expat and its events are handed out before the next
+chunk is read, so reader state stays bounded by nesting depth and one chunk
+no matter how long the document is (``max_window`` records the largest
+chunk).  Whitespace-only text is dropped unless ``keep_whitespace`` is set;
+text runs separated by comments or chunk boundaries coalesce into one event.
+
+Where expat's rules are the XML 1.0 rules and differ from a bare tokenizer,
+they are kept and pinned in tests/test_sax.py: character references are
+decoded, attribute values normalise tabs and line ends to spaces, ``\\r\\n``
+in text reads as ``\\n``, a leading byte order mark is skipped; control
+characters, ``]]>`` in text, ``--`` inside a comment, a misplaced or empty
+XML declaration and attributes with no space between them are rejected.
 """
 
 from __future__ import annotations
 
 import io
 import re
-from typing import Iterator, List, Optional, Union
+from typing import IO, Iterator, List, Optional, Union
+from xml.parsers import expat
 
 from .events import EndTag, SaxEvent, StartTag, TextEvt
 
-_CHUNK = 1 << 16
+# Characters (or bytes) read and parsed per step.  Events are buffered per
+# chunk, so a larger chunk costs memory proportional to its size.
+_CHUNK = 1 << 13
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.\-]*")
-# A start tag: name, then raw attribute text (quotes may hide '>'), then /? >
-_STARTTAG_RE = re.compile(r"<([^\s<>/]+)((?:[^<>\"']|\"[^\"]*\"|'[^']*')*?)(/?)>")
-_ENDTAG_RE = re.compile(r"</([^\s<>]+)\s*>")
-_ATTR_RE = re.compile(r"\s*([^\s=/>]+)\s*=\s*(\"([^\"]*)\"|'([^']*)')")
-_ENTITY_RE = re.compile(r"&(#?[A-Za-z0-9]*);?")
 
-_ENTITIES = {"amp": "&", "lt": "<", "gt": ">", "quot": '"', "apos": "'"}
+# Our wording for expat errors that tests and users match on.
+_MESSAGES = {
+    expat.errors.codes[expat.errors.XML_ERROR_TAG_MISMATCH]: "mismatched end tag",
+    expat.errors.codes[expat.errors.XML_ERROR_NO_ELEMENTS]: "unexpected end of input",
+}
 
 
 class XmlReadError(Exception):
@@ -51,224 +61,106 @@ class UnsupportedFeature(XmlReadError):
 
 
 class SaxReader:
-    """Pull events one at a time from a string or text-file source."""
+    """Pull events one at a time from a string or file source."""
 
-    def __init__(self, source: Union[str, io.TextIOBase], keep_whitespace: bool = False):
+    def __init__(self, source: Union[str, IO], keep_whitespace: bool = False):
         if isinstance(source, str):
             source = io.StringIO(source)
         self._source = source
-        self.keep_whitespace = keep_whitespace
-        self._window = ""
-        self._eof = False
-        self._line = 1
-        self._col = 1
-        self._open: List[str] = []
-        self._queued: List[SaxEvent] = []
-        self._root_seen = False
-        self._done = False
-        self._at_start = True
         self.max_window = 0
+        self._parser = parser = expat.ParserCreate()
+        parser.buffer_text = True
+        self._events: List[SaxEvent] = []
+        emit = self._events.append
+        text: List[str] = []
+        names = set()
 
-    # -- window management ----------------------------------------------------
+        def error(message: str, cls=MalformedXml) -> XmlReadError:
+            return cls(message, parser.CurrentLineNumber, parser.CurrentColumnNumber + 1)
 
-    def _fill(self) -> bool:
-        """Grow the window by one chunk; False at end of input."""
-        if self._eof:
-            return False
-        chunk = self._source.read(_CHUNK)
-        if not chunk:
-            self._eof = True
-            return False
-        self._window += chunk
-        if len(self._window) > self.max_window:
-            self.max_window = len(self._window)
-        return True
+        def check_name(name: str) -> None:
+            if ":" in name:
+                raise error(f"namespace-prefixed name {name!r} is not supported", UnsupportedFeature)
+            if _NAME_RE.fullmatch(name) is None:
+                raise error(f"invalid name {name!r}")
+            names.add(name)
 
-    def _ensure(self, n: int) -> None:
-        while len(self._window) < n and self._fill():
-            pass
+        def flush() -> None:
+            joined = "".join(text)
+            text.clear()
+            if keep_whitespace or not joined.isspace():
+                emit(TextEvt(joined))
 
-    def _consume(self, n: int) -> str:
-        text = self._window[:n]
-        self._window = self._window[n:]
-        newlines = text.count("\n")
-        if newlines:
-            self._line += newlines
-            self._col = n - text.rfind("\n")
-        else:
-            self._col += n
-        return text
+        def start(tag: str, attrs: dict) -> None:
+            if text:
+                flush()
+            if tag not in names:
+                check_name(tag)
+            for name in attrs:
+                if name not in names:
+                    check_name(name)
+            emit(StartTag(tag, attrs))
 
-    def _error(self, message: str, cls=MalformedXml) -> XmlReadError:
-        return cls(message, self._line, self._col)
+        def end(tag: str) -> None:
+            if text:
+                flush()
+            emit(EndTag(tag))
 
-    def _find(self, needle: str) -> int:
-        """Index of needle in the window, filling as needed; -1 if input ends."""
-        while True:
-            idx = self._window.find(needle)
-            if idx >= 0:
-                return idx
-            if not self._fill():
-                return -1
+        def unsupported(what: str):
+            def handler(*_):
+                raise error(f"{what} are not supported", UnsupportedFeature)
 
-    def _match_filling(self, pattern: re.Pattern) -> Optional[re.Match]:
-        """Match at window start, refilling while the match could still grow."""
-        while True:
-            m = pattern.match(self._window)
-            if m is not None and (m.end() < len(self._window) or self._eof):
-                return m
-            if not self._fill():
-                return pattern.match(self._window)
+            return handler
 
-    # -- event production -------------------------------------------------------
+        parser.StartElementHandler = start
+        parser.EndElementHandler = end
+        parser.CharacterDataHandler = text.append
+        parser.StartDoctypeDeclHandler = unsupported("DOCTYPE declarations")
+        parser.StartCdataSectionHandler = unsupported("CDATA sections")
+        parser.ProcessingInstructionHandler = unsupported("processing instructions")
+        self._stream = self._read()
+
+    def _read(self) -> Iterator[SaxEvent]:
+        read, events = self._source.read, self._events
+        final = False
+        while not final:
+            chunk = read(_CHUNK)
+            final = not chunk
+            if len(chunk) > self.max_window:
+                self.max_window = len(chunk)
+            error = self._feed(chunk, final)
+            # Events before an error still reach the consumer first, so a
+            # grammar failure earlier in the document is reported as such.
+            yield from events
+            events.clear()
+            if error is not None:
+                raise error
+
+    def _feed(self, chunk: Union[str, bytes], final: bool) -> Optional[XmlReadError]:
+        """Push one chunk through expat; the error it ended with, if any."""
+        parser = self._parser
+        try:
+            parser.Parse(chunk, final)
+        except expat.ExpatError as exc:
+            message = _MESSAGES.get(exc.code) or expat.ErrorString(exc.code)
+            return MalformedXml(message, exc.lineno, exc.offset + 1)
+        except XmlReadError as exc:
+            return exc
+        except UnicodeEncodeError as exc:
+            # A lone surrogate in a string source: parse up to it, report it there.
+            return self._feed(chunk[: exc.start], False) or MalformedXml(
+                f"character {exc.object[exc.start]!r} cannot be encoded",
+                parser.CurrentLineNumber,
+                parser.CurrentColumnNumber + 1,
+            )
+        return None
 
     def __iter__(self) -> Iterator[SaxEvent]:
-        while True:
-            event = self.next_event()
-            if event is None:
-                return
-            yield event
+        return self._stream
 
     def next_event(self) -> Optional[SaxEvent]:
-        if self._queued:
-            return self._queued.pop(0)
-        if self._done:
-            return None
-        text_parts: List[str] = []
-        while True:
-            idx = self._find("<")
-            if idx < 0:
-                # Input exhausted: only trailing whitespace may remain.
-                tail = self._window
-                self._consume(len(self._window))
-                text_parts.append(tail)
-                trailing = "".join(text_parts)
-                if self._open:
-                    raise self._error(f"unexpected end of input inside <{self._open[-1]}>")
-                if trailing.strip():
-                    raise self._error("text outside of the root element")
-                if not self._root_seen:
-                    raise self._error("no root element")
-                self._done = True
-                return None
-            if idx:
-                text_parts.append(self._decode_text(self._consume(idx)))
-            event = self._markup(text_parts)
-            if event is not None:
-                return event
-
-    def _flush_text(self, text_parts: List[str]) -> Optional[SaxEvent]:
-        text = "".join(text_parts)
-        text_parts.clear()
-        if not text:
-            return None
-        if not text.strip() and not self.keep_whitespace:
-            return None
-        if not self._open:
-            if text.strip():
-                raise self._error("text outside of the root element")
-            return None
-        return TextEvt(text)
-
-    def _markup(self, text_parts: List[str]) -> Optional[SaxEvent]:
-        self._ensure(4)
-        window = self._window
-        if window.startswith("<!--"):
-            end = self._find("-->")
-            if end < 0:
-                raise self._error("unterminated comment")
-            self._consume(end + 3)
-            return None  # comments do not break a text run
-        if window.startswith("<![CDATA["):
-            raise self._error("CDATA sections are not supported", UnsupportedFeature)
-        if window.startswith("<!"):
-            raise self._error("DOCTYPE/markup declarations are not supported", UnsupportedFeature)
-        if window.startswith("<?"):
-            if self._at_start and (window.startswith("<?xml ") or window.startswith("<?xml?")):
-                end = self._find("?>")
-                if end < 0:
-                    raise self._error("unterminated XML declaration")
-                self._consume(end + 2)
-                self._at_start = False
-                return None
-            raise self._error("processing instructions are not supported", UnsupportedFeature)
-
-        pending = self._flush_text(text_parts)
-        if pending is not None:
-            return pending  # the tag stays in the window for the next call
-
-        self._at_start = False
-        if window.startswith("</"):
-            m = self._match_filling(_ENDTAG_RE)
-            if m is None:
-                raise self._error("malformed end tag")
-            tag = self._check_name(m.group(1))
-            if not self._open:
-                raise self._error(f"stray end tag </{tag}>")
-            if self._open[-1] != tag:
-                raise self._error(f"mismatched end tag </{tag}>, expected </{self._open[-1]}>")
-            self._consume(m.end())
-            self._open.pop()
-            return EndTag(tag)
-
-        m = self._match_filling(_STARTTAG_RE)
-        if m is None:
-            raise self._error("malformed start tag")
-        tag = self._check_name(m.group(1))
-        attrs = self._parse_attrs(m.group(2))
-        self_closing = m.group(3) == "/"
-        if self._root_seen and not self._open:
-            raise self._error("more than one root element")
-        self._consume(m.end())
-        self._root_seen = True
-        if self_closing:
-            self._queued.append(EndTag(tag))
-        else:
-            self._open.append(tag)
-        return StartTag(tag, attrs)
-
-    def _check_name(self, name: str) -> str:
-        if ":" in name:
-            raise self._error(f"namespace-prefixed name {name!r} is not supported", UnsupportedFeature)
-        if _NAME_RE.fullmatch(name) is None:
-            raise self._error(f"invalid name {name!r}")
-        return name
-
-    def _parse_attrs(self, raw: str) -> dict:
-        attrs = {}
-        pos = 0
-        while pos < len(raw):
-            m = _ATTR_RE.match(raw, pos)
-            if m is None:
-                if raw[pos:].strip():
-                    raise self._error(f"bad attribute syntax near {raw[pos:].strip()[:20]!r}")
-                break
-            name = self._check_name(m.group(1))
-            if name in attrs:
-                raise self._error(f"duplicate attribute {name!r}")
-            value = m.group(3) if m.group(3) is not None else m.group(4)
-            attrs[name] = self._decode_text(value)
-            pos = m.end()
-        return attrs
-
-    def _decode_text(self, text: str) -> str:
-        if "<" in text:
-            raise self._error("stray '<' in character data")
-        if "&" not in text:
-            return text
-
-        def repl(m: re.Match) -> str:
-            body = m.group(1)
-            if not m.group(0).endswith(";"):
-                raise self._error(f"unterminated entity reference {m.group(0)!r}")
-            if body in _ENTITIES:
-                return _ENTITIES[body]
-            raise self._error(f"unsupported entity &{body};")
-
-        return _ENTITY_RE.sub(repl, text)
+        return next(self._stream, None)
 
 
-def read_events(
-    source: Union[str, io.TextIOBase], keep_whitespace: bool = False
-) -> Iterator[SaxEvent]:
+def read_events(source: Union[str, IO], keep_whitespace: bool = False) -> Iterator[SaxEvent]:
     return iter(SaxReader(source, keep_whitespace=keep_whitespace))

@@ -1,8 +1,12 @@
 """Command-line interface: exit codes, formats, oracle agreement."""
 
+import contextlib
+import io
 import json
+import pathlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import MODELS_DOC, MODELS_GRAMMAR, TEST_GRAMMAR
 from xmlgram.cli import main
@@ -273,3 +277,39 @@ def test_undefined_start_rule_is_reported(files, capsys, command):
     argv = [command, g] + ([files("doc.xml", "<A></A>")] if command == "parse" else [])
     assert main(argv + ["--start", "Nope"]) == 1
     assert capsys.readouterr().err == f"{g}: rule Nope: start rule is not defined\n"
+
+
+@pytest.mark.parametrize("extra", [[], ["--oracle"]], ids=["engine", "oracle"])
+def test_parse_invalid_utf8_is_malformed_xml(files, tmp_path, capsys, extra):
+    g = files("test.xg", TEST_GRAMMAR)
+    d = tmp_path / "bad.xml"
+    d.write_bytes(b'<A><B name="\xff"/></A>')
+    assert main(["parse", g, str(d)] + extra) == 1
+    assert capsys.readouterr().err == f"{d}:1:13: not well-formed (invalid token)\n"
+
+
+def test_parse_oracle_evaluation_error_is_a_parse_failure(files, capsys):
+    g = files("g.xg", "@Grammar G R ::= <T/> {addChild(1, 2)}. end")
+    d = files("doc.xml", "<T/>")
+    assert main(["parse", g, d, "--oracle"]) == 1
+    assert capsys.readouterr().err == f"{d}: parse failed: EvalError: addChild expects a term and a value\n"
+
+
+SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
+SEQ_DOC = (SAMPLES / "seq.xml").read_bytes()
+# (position, bytes to cut there, bytes to insert there)
+edits = st.tuples(st.integers(0, len(SEQ_DOC)), st.integers(0, 3), st.binary(max_size=4))
+
+
+@settings(deadline=None)
+@given(st.lists(edits, min_size=1, max_size=4))
+def test_parse_never_tracebacks_on_mutated_bytes(tmp_path_factory, edit_list):
+    doc = bytearray(SEQ_DOC)
+    for pos, cut, insert in edit_list:
+        doc[pos : pos + cut] = insert
+    path = tmp_path_factory.getbasetemp() / "mutated.xml"
+    path.write_bytes(bytes(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["parse", str(SAMPLES / "seq.xg"), str(path)])
+    assert code in (0, 1, 2), err.getvalue()

@@ -85,18 +85,18 @@ def test_flatten_empty_element():
 
 trees = st.recursive(
     st.one_of(
-        st.builds(TextNode, st.text("abxy ", max_size=4)),
+        st.builds(TextNode, st.text("abxy \t\n\r", max_size=4)),
         st.builds(
             Element,
             st.sampled_from(["A", "B", "C"]),
-            st.dictionaries(st.sampled_from(["k", "m"]), st.text("ab<>&\"' ", max_size=4), max_size=2),
+            st.dictionaries(st.sampled_from(["k", "m"]), st.text("ab<>&\"' \t\n\r", max_size=4), max_size=2),
             st.just(()),
         ),
     ),
     lambda kids: st.builds(
         Element,
         st.sampled_from(["A", "B"]),
-        st.dictionaries(st.sampled_from(["k", "m"]), st.text("ab", max_size=3), max_size=1),
+        st.dictionaries(st.sampled_from(["k", "m"]), st.text("ab\t\n\r", max_size=3), max_size=1),
         st.lists(kids, max_size=3).map(tuple),
     ),
     max_leaves=8,

@@ -1,9 +1,9 @@
 """Streaming XML reader: supported subset, errors, streaming bounds."""
 
 import io
+import tracemalloc
 
 import pytest
-from hypothesis import given
 
 from xmlgram.events import (
     Element,
@@ -15,7 +15,7 @@ from xmlgram.events import (
     flatten_tree,
     serialize_tree,
 )
-from xmlgram.sax import MalformedXml, SaxReader, UnsupportedFeature, read_events
+from xmlgram.sax import _CHUNK, MalformedXml, SaxReader, UnsupportedFeature, XmlReadError, read_events
 
 
 def events(text: str, **kw) -> list:
@@ -110,7 +110,7 @@ def test_stray_lt_in_text():
 def test_bad_attribute_syntax():
     with pytest.raises(MalformedXml) as exc:
         events("<A k=v/>")
-    assert "attribute" in str(exc.value)
+    assert (exc.value.line, exc.value.column) == (1, 6)
 
 
 def test_duplicate_attribute():
@@ -169,7 +169,7 @@ _corpus = [
         {"a": "1", "b": "two"},
         (
             Element("Sec", {}, (TextNode("x & y < z"),)),
-            Element("Sec", {"t": 'q"q'}, (Element("Leaf", {}, ()),)),
+            Element("Sec", {"t": 'q"q', "w": "tab\tlf\ncr\r"}, (Element("Leaf", {}, ()),)),
             TextNode("tail"),
         ),
     ),
@@ -187,8 +187,41 @@ def test_reader_state_is_bounded_on_long_documents():
     reader = SaxReader(io.StringIO(doc))
     count = sum(1 for _ in reader)
     assert count == 2 * n + 2
-    # the window never holds more than a chunk plus one token
+    # no chunk handed to the parser is larger than the chunk size
     assert reader.max_window < (1 << 16) + 4096
+
+
+class _LazyDocument:
+    """A file-like source that generates <A><B i=.../>...</A> as it is read."""
+
+    def __init__(self, n: int):
+        self._parts = iter(["<A>"] + [f'<B i="{i}"/>' for i in range(n)] + ["</A>"])
+        self._pending = ""
+
+    def read(self, size: int) -> str:
+        while len(self._pending) < size:
+            part = next(self._parts, None)
+            if part is None:
+                break
+            self._pending += part
+        out, self._pending = self._pending[:size], self._pending[size:]
+        return out
+
+
+def test_reader_memory_does_not_grow_with_document_length():
+    peaks = []
+    for n in (10_000, 40_000):
+        reader = SaxReader(_LazyDocument(n))
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in reader)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert count == 2 * n + 2
+        assert reader.max_window == _CHUNK
+    # 4x the document (about 0.6 MB) leaves the peak within one chunk's events
+    assert peaks[1] < peaks[0] + 64 * 1024, peaks
 
 
 def test_incremental_pull():
@@ -211,3 +244,65 @@ def test_reader_accepts_file_objects(tmp_path):
 def test_build_tree_from_reader_round_trip():
     tree = _corpus[2]
     assert build_tree(read_events(serialize_tree(tree), keep_whitespace=True)) == tree
+
+
+def test_events_before_an_error_are_delivered_first():
+    reader = SaxReader("<A><B/><C></A>")
+    assert [reader.next_event() for _ in range(4)] == [
+        StartTag("A", {}),
+        StartTag("B", {}),
+        EndTag("B"),
+        StartTag("C", {}),
+    ]
+    with pytest.raises(MalformedXml):
+        reader.next_event()
+
+
+def test_text_coalesces_across_chunk_boundaries():
+    body = "x" * (3 * _CHUNK)
+    assert events(f"<A>{body}<!-- c -->{body}</A>") == [StartTag("A", {}), TextEvt(2 * body), EndTag("A")]
+
+
+# Where the expat reader departs from the earlier hand-written tokenizer, on
+# purpose: expat follows XML 1.0.  One row per difference; CHANGES.md lists
+# the same rows.  An outcome is the event list or (error class, line, column).
+READER_DECISIONS = [
+    ("<A>&#65;&#x42;</A>", [StartTag("A", {}), TextEvt("AB"), EndTag("A")], "character-references-decoded"),
+    ('<A k="a\nb\tc\rd"/>', [StartTag("A", {"k": "a b c d"}), EndTag("A")], "attribute-whitespace-normalised"),
+    ("<A>a\r\nb</A>", [StartTag("A", {}), TextEvt("a\nb"), EndTag("A")], "crlf-in-text-reads-as-lf"),
+    ("<A>\x01</A>", (MalformedXml, 1, 4), "control-character-rejected"),
+    ("<A>]]></A>", (MalformedXml, 1, 6), "cdata-end-in-text-rejected"),
+    ("<A><!-- a -- b --></A>", (MalformedXml, 1, 13), "double-hyphen-in-comment-rejected"),
+    ("\ufeff<A/>", [StartTag("A", {}), EndTag("A")], "leading-bom-accepted"),
+    (' <?xml version="1.0"?><A/>', (MalformedXml, 1, 2), "xml-declaration-after-whitespace-rejected"),
+    ("<?xml?><A/>", (MalformedXml, 1, 6), "empty-xml-declaration-rejected"),
+    ('<A k="1"m="2"/>', (MalformedXml, 1, 9), "attributes-without-space-rejected"),
+    ('<A/><?xml version="1.0"?>', (MalformedXml, 1, 5), "xml-declaration-after-root-malformed"),
+    ("<!DOCTYPE A><A/>", (UnsupportedFeature, 1, 12), "doctype-reported-at-its-end"),
+    (
+        '<?xml version="1.0" encoding="ISO-8859-1"?><A>\xe9</A>'.encode("latin-1"),
+        [StartTag("A", {}), TextEvt("\xe9"), EndTag("A")],
+        "bytes-honour-declared-encoding",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "source, outcome", [pytest.param(s, o, id=i) for s, o, i in READER_DECISIONS]
+)
+def test_reader_decisions_are_pinned(source, outcome):
+    if isinstance(source, bytes):
+        source = io.BytesIO(source)
+    if isinstance(outcome, list):
+        assert events(source) == outcome
+        return
+    cls, line, column = outcome
+    with pytest.raises(XmlReadError) as exc:
+        events(source)
+    assert (type(exc.value), exc.value.line, exc.value.column) == (cls, line, column)
+
+
+def test_unencodable_string_is_malformed_where_it_occurs():
+    with pytest.raises(MalformedXml) as exc:
+        events("<A>\n<B/>x\ud800</A>")
+    assert (exc.value.line, exc.value.column) == (2, 6)
