@@ -232,6 +232,8 @@ class ConflictReport:
 class PredictTable:
     entries: Dict[Tuple[str, Token], Clause]
     conflicts: List[ConflictReport] = field(default_factory=list)
+    # The engine's compiled form of the entries, built on first use.
+    program: Optional[object] = field(default=None, repr=False, compare=False)
 
     def lookup(self, clause: str, token: Token) -> Optional[Clause]:
         hit = self.entries.get((clause, token))

@@ -23,7 +23,7 @@ from .engine import EVAL_ERROR, Compiled, Machine, ParseFailure, compile_grammar
 from .evaluate import EvalError
 from .events import build_tree
 from .frontend import try_parse_grammar
-from .oracle import Oracle
+from .oracle import Oracle, OracleLimitExceeded
 from .pretty import pretty_grammar
 from .sax import SaxReader, XmlReadError
 from .values import render_json, render_term
@@ -123,6 +123,9 @@ def cmd_parse(args: argparse.Namespace) -> int:
             return LANGUAGE_ERROR
         except EvalError as exc:  # only the oracle lets these out
             print(f"{args.document}: parse failed: {EVAL_ERROR}: {exc}", file=sys.stderr)
+            return LANGUAGE_ERROR
+        except OracleLimitExceeded as exc:
+            print(f"{args.document}: parse failed: OracleLimitExceeded: {exc}", file=sys.stderr)
             return LANGUAGE_ERROR
 
     print(render_json(value) if args.format == "json" else render_term(value))

@@ -2,44 +2,56 @@
 
 ``compile_grammar`` takes a parsed grammar through the well-formedness
 check, normalization, nullable/first/follow and the predict table.  The
-machine then runs a program (a stack of grammar body items and machine
-instructions) against a stream of SAX events, consulting the predict table
-whenever a rule call meets the next event's token.  Values are synthesized
-onto a value stack as parsing proceeds; when the machine halts the parse
-result is the single remaining value.
+first machine on a table compiles it, once, into a ``Program``: one row per
+rule, mapping each lookahead token to a compiled clause ``(params, ops)``.
+Ops are small tuples ``(opcode, operands...)``, held in reverse execution
+order so that entering a clause is one ``extend`` of the machine's program
+stack; a call op holds the callee's row itself.  The machine pops ops
+against a stream of SAX events, and a call looks the next event's token up
+in its row.  Values are synthesized onto a value stack; when the machine
+halts the parse result is the single remaining value.
 
-Value discipline: every program item contributes exactly one value.  The
-items of a materialized body are interleaved with ``PopValue`` so that all
-but the last component's value is discarded, and an empty body materializes
-as ``PushNull``; ``OK``/``EMPTY`` push null.  This keeps bindings and the
-terminal state exact: a ``BindInstr`` always finds its body's value on top,
-and success leaves exactly one value.
+Value discipline: the ops of every body item leave exactly one value.  A
+``POP`` between the items of a sequence discards all but the last one's
+value, and an empty sequence pushes null.  The compiler leaves out a null
+that would only be popped (``OK``, an element with an empty body), and a
+``BIND`` followed by ``POP`` pops as it binds.  So a ``BIND`` always finds
+its body's value on top, and success leaves exactly one value.
+
+Chain resolution: where R's row holds a clause ``R ::= X.`` (no params or
+arguments, nothing else) under a concrete token, and X's row holds a clause
+without params under that token, R's row holds X's clause instead, so the
+chain costs no call at run time.  Chains of chains resolve alike; wildcard
+cells and parameterized chains stay ordinary calls.
 
 Environments grow monotonically inside a rule activation (attribute and
 binding names stay visible for the rest of the clause body) and are
 restored when the activation ends.  A call whose continuation still needs
-input saves it as a dump frame; a call in tail position modulo value
-plumbing (the continuation consumes no events — the recursive clauses
-produced by repetition removal always end up in this shape) instead leaves
-the continuation in the program behind an ``EnvRestore`` mark.  That keeps
-the dump bounded by element nesting rather than by sibling count, which is
-what makes long flat documents stream.
+input (an op that can consume an event follows it in its clause, counting
+an enclosing element's end tag) saves it as a dump frame.  A call in tail
+position modulo value plumbing (the recursive clauses produced by
+repetition removal always end up in this shape) instead leaves the
+continuation in the program behind an ``ENV_RESTORE`` op, or behind
+nothing when no op follows the call.  The compiler fixes this choice per
+call op.  That keeps the dump bounded by element nesting rather than by
+sibling count, which is what makes long flat documents stream.
 
 ``Machine.run`` is the one driver loop: the classic table-driven LL(1)
-driver (Aho, Lam, Sethi & Ullman, *Compilers*, section 4.4) with one branch
-per instruction kind.  An evaluation error in a guard, argument or action
-surfaces as a ``ParseFailure`` at the current event.
+driver (Aho, Lam, Sethi & Ullman, *Compilers*, section 4.4), one branch per
+opcode, the lookahead event in a local.  An evaluation error in a guard,
+argument or action surfaces as a ``ParseFailure`` at the current event.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-from .analysis import PredictTable, build_predict_table, compute_sets
-from .ast import Actions, Any, Bind, BodySeq, Call, ElementSpec, Empty, Grammar, Ok, Text
+from .analysis import NotNormalForm, PredictTable, build_predict_table, compute_sets
+from .ast import Actions, Any, Bind, BodySeq, Call, Clause, ElementSpec, Empty, Grammar, Ok
+from .ast import Text, VarRef
 from .evaluate import EvalError, NonBooleanGuard, eval_actions, eval_expr, eval_guard
-from .events import EndTag, SaxEvent, StartTag, TextEvt, token_label, token_of_event
+from .events import ANY_TOKEN, EndTag, SaxEvent, StartTag, TextEvt, Token, token_label
+from .events import token_of_event
 from .normalize import normalize_grammar
 from .values import NULL, Env, StrVal, TupleVal, Value
 from .wellformed import WfError, check_grammar
@@ -103,73 +115,114 @@ class MachineInvariantError(AssertionError):
     """The machine reached a state its invariants forbid; a bug, not input error."""
 
 
-# -- machine instructions ----------------------------------------------------
+# -- the compiled program -----------------------------------------------------
+
+# Opcodes, the first field of every op.  The operands of those that have any:
+#   (CALL, callee row, callee name, argument exprs, continuation mode)
+#   (START, tag, attrs, guarded branches, else branch), the branches only when
+#   guarded (each branch ends in the element's TAG_END), else ((), None)
+#   (BIND, names, pop the value too)  (ACTIONS, exprs)  (ENV_RESTORE, env)
+#   (TAG_END, tag)  (ANY_END, tag), pushed while ANY skips a subtree
+CALL, BIND, ACTIONS, START, TAG_END, ENV_RESTORE, POP, PUSH_NULL = range(8)
+TEXT, ANY, ANY_END, EMPTY = range(8, 12)
+# How a call keeps its continuation: in a dump frame, in the program behind
+# an ENV_RESTORE op, or in the program alone when no op follows the call.
+FRAME, TAIL, LAST = range(3)
+
+_CONSUMING = frozenset({CALL, START, TAG_END, TEXT, ANY})  # ops that can take an event
+_POP, _PUSH_NULL = (POP,), (PUSH_NULL,)
+_LEAF_OPS = {Text: (TEXT,), Any: (ANY,), Empty: (EMPTY,), Ok: _PUSH_NULL}
+
+Row = Dict[Token, Tuple[Tuple[str, ...], tuple]]
 
 
-@dataclass(frozen=True)
-class TagEnd:
-    tag: str
+class Program:
+    """A predict table compiled for the machine: ``rows[rule][token]`` is
+    the compiled clause ``(params, ops)`` that the table predicts."""
+
+    def __init__(self, table: PredictTable):
+        self.rows: Dict[str, Row] = {}
+        compiled: Dict[int, tuple] = {}  # by id of the table's clause objects
+        for (name, token), clause in table.entries.items():
+            if token != ANY_TOKEN:
+                clause = _resolve_chain(table, name, token, clause)
+            entry = compiled.get(id(clause))
+            if entry is None:
+                entry = compiled[id(clause)] = (clause.params, self._ops(clause.body, False))
+            self.row(name)[token] = entry
+
+    def row(self, name: str) -> Row:
+        return self.rows.setdefault(name, {})
+
+    def _ops(self, seq: BodySeq, then_consumes: bool) -> tuple:
+        """The ops of a body in reverse execution order.  ``then_consumes``
+        says whether ops that can consume an event run after the body."""
+        ops: List[tuple] = []
+        self._seq(seq, ops)
+        consumes = then_consumes
+        for i in range(len(ops) - 1, -1, -1):
+            op = ops[i]
+            if op[0] == CALL:
+                ops[i] = op + (FRAME if consumes else LAST if i == len(ops) - 1 else TAIL,)
+            consumes = consumes or op[0] in _CONSUMING
+        return tuple(reversed(ops))
+
+    def _seq(self, seq: BodySeq, ops: List[tuple]) -> None:
+        if not seq:
+            ops.append(_PUSH_NULL)
+        for i, item in enumerate(seq):
+            if i:
+                _discard_value(ops)
+            kind = type(item)
+            if kind is Call:
+                ops.append((CALL, self.row(item.name), item.name, item.args))
+            elif kind is Bind:
+                self._seq(item.body, ops)
+                ops.append((BIND, item.names, False))
+            elif kind is Actions:
+                ops.append((ACTIONS, item.exprs))
+            elif kind is ElementSpec and item.guarded:
+                end = ((TAG_END, item.tag),)
+                guarded = tuple((g, end + self._ops(body, True)) for g, body in item.guarded)
+                branch = end + self._ops(item.else_body, True)
+                ops.append((START, item.tag, item.attrs, guarded, branch))
+            elif kind is ElementSpec:
+                ops.append((START, item.tag, item.attrs, (), None))
+                self._seq(item.else_body, ops)
+                ops.append((TAG_END, item.tag))
+            elif kind in _LEAF_OPS:
+                ops.append(_LEAF_OPS[kind])
+            else:
+                raise NotNormalForm(f"{kind.__name__} node in supposedly normal grammar")
 
 
-@dataclass(frozen=True)
-class AnyEnd:
-    tag: str
+def _discard_value(ops: List[tuple]) -> None:
+    """Discard the value of the ops so far (end tags leave the value stack alone)."""
+    i = len(ops) - 1
+    while ops[i][0] == TAG_END:
+        i -= 1
+    if ops[i] is _PUSH_NULL:
+        del ops[i]
+    elif ops[i][0] == BIND:
+        ops[i] = (BIND, ops[i][1], True)
+    else:
+        ops.append(_POP)
 
 
-@dataclass(frozen=True)
-class BindInstr:
-    names: Tuple[str, ...]
+def _resolve_chain(table: PredictTable, name: str, token: Token, clause: Clause) -> Clause:
+    """Follow chain clauses ``R ::= X.`` through X's entry for ``token``."""
+    seen = {name}
+    while not clause.params and len(clause.body) == 1 and type(clause.body[0]) is Call:
+        call = clause.body[0]
+        target = table.entries.get((call.name, token))
+        if call.args or call.name in seen or target is None or target.params:
+            break
+        seen.add(call.name)
+        clause = target
+    return clause
 
 
-@dataclass(frozen=True)
-class PopValue:
-    pass
-
-
-@dataclass(frozen=True)
-class PushNull:
-    pass
-
-
-@dataclass(frozen=True)
-class EnvRestore:
-    env: Env
-
-
-_POP = PopValue()
-_PUSH_NULL = PushNull()
-
-# Items that can never consume an event; a pending program made only of
-# these lets a call reuse the current activation instead of a dump frame.
-_ADMIN_TYPES = frozenset({BindInstr, PopValue, PushNull, EnvRestore, Actions, Ok, Empty})
-
-
-@dataclass
-class Frame:
-    program: List[object]
-    env: Env
-    consuming: int
-
-
-class _EventSource:
-    """Single-consumer event cursor with one-event lookahead."""
-
-    def __init__(self, events: Iterable[SaxEvent]):
-        self._it: Iterator[SaxEvent] = iter(events)
-        self._peeked: Optional[SaxEvent] = None
-        self._has_peeked = False
-        self.position = 0
-
-    def peek(self) -> Optional[SaxEvent]:
-        if not self._has_peeked:
-            self._peeked = next(self._it, None)
-            self._has_peeked = True
-        return self._peeked
-
-    def take(self) -> None:
-        """Consume the event that ``peek`` returned; it must not be None."""
-        self._has_peeked = False
-        self.position += 1
+_UNREAD = object()  # the lookahead before the next event is read
 
 
 class Machine:
@@ -182,232 +235,179 @@ class Machine:
         events: Iterable[SaxEvent],
         args: Tuple[Value, ...] = (),
     ):
+        if table.program is None:
+            table.program = Program(table)
         self.table = table
-        self.events = _EventSource(events)
-        self.program: List[object] = []
-        self.env: Env = {}
+        self._events = iter(events)
+        self.lookahead: object = _UNREAD  # the next event, None at end of input
+        self.position = 0  # events consumed
         self.values: List[Value] = []
-        self.dump: List[Frame] = []
-        self.consuming = 0
+        self.dump: List[Tuple[List[tuple], Env]] = []
         self.max_dump_depth = 0
         self.steps = 0
-        self._mat_cache: Dict[int, Tuple[BodySeq, List[object], int]] = {}
-        self._enter(start_rule, args)
-
-    def fail(self, reason: str, message: str) -> ParseFailure:
-        return ParseFailure(reason, message, self.events.position)
-
-    def _unexpected(self, reason: str, expected: str, event: Optional[SaxEvent]) -> ParseFailure:
-        if event is None:
-            return self.fail(UNEXPECTED_END_OF_EVENTS, f"expected {expected}")
-        return self.fail(reason, f"expected {expected}, found {_describe(event)}")
-
-    def _push_body(self, seq: BodySeq) -> None:
-        # A body's items run in order with PopValue between them, and an
-        # empty body pushes null.  Materialized programs are cached per body
-        # object; the id key is guarded by an identity check in case an id
-        # is ever reused.
-        entry = self._mat_cache.get(id(seq))
-        if entry is None or entry[0] is not seq:
-            items: List[object] = [_PUSH_NULL]
-            if seq:
-                items = [seq[0]]
-                for item in seq[1:]:
-                    items += (_POP, item)
-            items.reverse()
-            delta = sum(1 for item in items if type(item) not in _ADMIN_TYPES)
-            entry = (seq, items, delta)
-            self._mat_cache[id(seq)] = entry
-        self.program.extend(entry[1])
-        self.consuming += entry[2]
-
-    def _enter(self, name: str, args: Tuple[Value, ...]) -> None:
-        """Predict a clause of ``name`` on the next event and start its body."""
-        token = token_of_event(self.events.peek())
-        clause = self.table.lookup(name, token)
-        if clause is None:
-            raise self.fail(
-                NO_PREDICT_ENTRY, f"no prediction for rule {name} on {token_label(token)}"
-            )
-        if len(clause.params) != len(args):
-            raise self.fail(
-                CALL_ARITY,
-                f"rule {name} takes {len(clause.params)} argument(s), got {len(args)}",
-            )
-        callee_env: Env = dict(zip(clause.params, args)) if args else {}
-        if self.consuming == 0:
-            self.program.append(EnvRestore(self.env))
-        else:
-            self.dump.append(Frame(self.program, self.env, self.consuming))
-            if len(self.dump) > self.max_dump_depth:
-                self.max_dump_depth = len(self.dump)
-            self.program = []
-            self.consuming = 0
-        self._push_body(clause.body)
-        self.env = callee_env
-
-    def _element(self, el: ElementSpec) -> None:
-        event = self.events.peek()
-        if not isinstance(event, StartTag) or event.tag != el.tag:
-            raise self._unexpected(TAG_MISMATCH, f"<{el.tag}>", event)
-        extended = dict(self.env)
-        for var, attr in el.attrs:
-            if attr not in event.attrs:
-                raise self.fail(
-                    MISSING_ATTRIBUTE, f"element <{el.tag}> lacks attribute {attr!r}"
-                )
-            extended[var] = StrVal(event.attrs[attr])
-        branch = el.else_body
-        for guard, body in el.guarded:
-            if eval_guard(guard, extended):
-                branch = body
-                break
-        self.program.append(TagEnd(el.tag))
-        self.consuming += 1
-        self._push_body(branch)
-        self.env = extended
-        self.events.take()
-
-    def _any(self) -> None:
-        event = self.events.peek()
-        if isinstance(event, TextEvt):
-            self.events.take()
-            self.values.append(NULL)
-        elif isinstance(event, StartTag):
-            self.events.take()
-            self.program.append(AnyEnd(event.tag))
-            self.consuming += 1
-        else:
-            raise self._unexpected(UNEXPECTED_EVENT, "an element or text", event)
-
-    def _any_end(self, item: AnyEnd) -> None:
-        event = self.events.peek()
-        if isinstance(event, (TextEvt, StartTag)):
-            self.events.take()
-            self.program.append(item)
-            self.consuming += 1
-            if isinstance(event, StartTag):
-                self.program.append(AnyEnd(event.tag))
-                self.consuming += 1
-            return
-        if event is None or event.tag != item.tag:
-            raise self._unexpected(TAG_MISMATCH, f"</{item.tag}>", event)
-        self.events.take()
-        # The skipped subtree yields a single null once the outermost
-        # AnyEnd closes; inner closings are still part of the skip.
-        if not (self.program and type(self.program[-1]) is AnyEnd):
-            self.values.append(NULL)
+        # The start rule is entered like any call, from an environment that
+        # holds the start arguments under names no grammar can bind.
+        self.env: Env = {f"${i}": value for i, value in enumerate(args)}
+        row = table.program.row(start_rule)
+        self.program: List[tuple] = [(CALL, row, start_rule, tuple(map(VarRef, self.env)), LAST)]
 
     def run(self) -> Value:
         """Drive the machine to completion and return the synthesized value.
 
         This loop is the machine's only transition dispatch.  It tests the
-        item's type in a plain ``if``/``elif`` chain, frequent kinds first,
+        opcode in a plain ``if``/``elif`` chain, frequent kinds first,
         because a parse makes millions of transitions on large documents.
+        The state lives in locals while the loop runs.
         """
-        values = self.values
-        dump = self.dump
-        events = self.events
-        steps = 0
-        program = self.program
+        program, env, values, dump = self.program, self.env, self.values, self.dump
+        events, event, position, unread = self._events, self.lookahead, self.position, _UNREAD
+        steps, depth = 0, self.max_dump_depth
         try:
             while True:
                 if not program:
                     if not dump:
                         break
-                    frame = dump.pop()
-                    program = self.program = frame.program
-                    self.env = frame.env
-                    self.consuming = frame.consuming
+                    program, env = dump.pop()
                     steps += 1
                     continue
                 item = program.pop()
                 steps += 1
-                kind = type(item)
-                if kind is PopValue:
-                    values.pop()
-                elif kind is EnvRestore:
-                    self.env = item.env
-                elif kind is Call:
-                    self.consuming -= 1
-                    env = self.env
-                    self._enter(item.name, tuple([eval_expr(a, env) for a in item.args]))
-                    program = self.program  # a call may switch to a fresh program
-                elif kind is BindInstr:
+                op = item[0]
+                if op == CALL:
+                    args = item[3]
+                    if args:
+                        args = tuple([eval_expr(a, env) for a in args])
+                    event = next(events, None) if event is unread else event
+                    token = event.tag if type(event) is StartTag else token_of_event(event)
+                    clause = item[1].get(token) or item[1].get(ANY_TOKEN)
+                    if clause is None:
+                        message = f"no prediction for rule {item[2]} on {token_label(token)}"
+                        raise ParseFailure(NO_PREDICT_ENTRY, message, position)
+                    params, body = clause
+                    if len(params) != len(args):
+                        message = f"rule {item[2]} takes {len(params)} argument(s), got {len(args)}"
+                        raise ParseFailure(CALL_ARITY, message, position)
+                    if item[4] == FRAME:
+                        dump.append((program, env))
+                        depth = max(depth, len(dump))
+                        program = list(body)
+                    else:
+                        if item[4] == TAIL:
+                            program.append((ENV_RESTORE, env))
+                        program.extend(body)
+                    env = dict(zip(params, args)) if args else {}
+                elif op == BIND:
                     if not values:
                         raise MachineInvariantError("binding with empty value stack")
-                    names = item.names
-                    value = values[-1]
+                    names = item[1]
+                    value = values.pop() if item[2] else values[-1]
                     if len(names) == 1:
-                        self.env = {**self.env, names[0]: value}
+                        env = {**env, names[0]: value}
                     elif isinstance(value, TupleVal) and len(value.items) == len(names):
-                        self.env = {**self.env, **dict(zip(names, value.items))}
+                        env = {**env, **dict(zip(names, value.items))}
                     else:
-                        raise self.fail(
-                            BIND_ARITY_MISMATCH,
-                            f"cannot bind {len(names)} names to {type(value).__name__}",
-                        )
-                elif kind is Bind:
-                    self.consuming -= 1
-                    program.append(BindInstr(item.names))
-                    self._push_body(item.body)
-                elif kind is Actions:
-                    exprs = item.exprs
+                        message = f"cannot bind {len(names)} names to {type(value).__name__}"
+                        raise ParseFailure(BIND_ARITY_MISMATCH, message, position)
+                elif op == ACTIONS:
+                    exprs = item[1]
                     if len(exprs) == 1:
-                        values.append(eval_expr(exprs[0], self.env))
+                        values.append(eval_expr(exprs[0], env))
                     else:
-                        values.append(eval_actions(exprs, self.env))
-                elif kind is ElementSpec:
-                    self.consuming -= 1
-                    self._element(item)
-                elif kind is TagEnd:
-                    self.consuming -= 1
-                    event = events.peek()
-                    if not isinstance(event, EndTag) or event.tag != item.tag:
-                        raise self._unexpected(TAG_MISMATCH, f"</{item.tag}>", event)
-                    events.take()
-                elif kind is PushNull or kind is Ok:
+                        values.append(eval_actions(exprs, env))
+                elif op == START:
+                    event = next(events, None) if event is unread else event
+                    tag = item[1]
+                    if type(event) is not StartTag or event.tag != tag:
+                        raise _unexpected(TAG_MISMATCH, f"<{tag}>", event, position)
+                    if item[2]:
+                        env = dict(env)
+                        for var, attr in item[2]:
+                            if attr not in event.attrs:
+                                message = f"element <{tag}> lacks attribute {attr!r}"
+                                raise ParseFailure(MISSING_ATTRIBUTE, message, position)
+                            env[var] = StrVal(event.attrs[attr])
+                    if item[3]:
+                        branch = item[4]
+                        for guard, ops in item[3]:
+                            if eval_guard(guard, env):
+                                branch = ops
+                                break
+                        program.extend(branch)
+                    position += 1
+                    event = unread
+                elif op == TAG_END:
+                    event = next(events, None) if event is unread else event
+                    if type(event) is not EndTag or event.tag != item[1]:
+                        raise _unexpected(TAG_MISMATCH, f"</{item[1]}>", event, position)
+                    position += 1
+                    event = unread
+                elif op == ENV_RESTORE:
+                    env = item[1]
+                elif op == POP:
+                    values.pop()
+                elif op == PUSH_NULL:
                     values.append(NULL)
-                elif kind is Text:
-                    self.consuming -= 1
-                    event = events.peek()
-                    if not isinstance(event, TextEvt):
-                        raise self._unexpected(UNEXPECTED_EVENT, "text", event)
-                    events.take()
+                elif op == TEXT:
+                    event = next(events, None) if event is unread else event
+                    if type(event) is not TextEvt:
+                        raise _unexpected(UNEXPECTED_EVENT, "text", event, position)
                     values.append(StrVal(event.text))
-                elif kind is Any:
-                    self.consuming -= 1
-                    self._any()
-                elif kind is AnyEnd:
-                    self.consuming -= 1
-                    self._any_end(item)
-                elif kind is Empty:
-                    event = events.peek()
-                    if event is not None and not isinstance(event, EndTag):
-                        raise self.fail(
-                            UNEXPECTED_EVENT,
-                            f"expected no more content, found {_describe(event)}",
-                        )
+                    position += 1
+                    event = unread
+                elif op == ANY:
+                    event = next(events, None) if event is unread else event
+                    if type(event) is TextEvt:
+                        values.append(NULL)
+                    elif type(event) is StartTag:
+                        program.append((ANY_END, event.tag))
+                    else:
+                        raise _unexpected(UNEXPECTED_EVENT, "an element or text", event, position)
+                    position += 1
+                    event = unread
+                elif op == ANY_END:
+                    event = next(events, None) if event is unread else event
+                    kind = type(event)
+                    if kind is TextEvt or kind is StartTag:
+                        program.append(item)
+                        if kind is StartTag:
+                            program.append((ANY_END, event.tag))
+                    elif event is None or event.tag != item[1]:
+                        raise _unexpected(TAG_MISMATCH, f"</{item[1]}>", event, position)
+                    elif not (program and program[-1][0] == ANY_END):
+                        # The skipped subtree yields a single null once the
+                        # outermost ANY_END closes; inner closings are still
+                        # part of the skip.
+                        values.append(NULL)
+                    position += 1
+                    event = unread
+                elif op == EMPTY:
+                    event = next(events, None) if event is unread else event
+                    if event is not None and type(event) is not EndTag:
+                        message = f"expected no more content, found {_describe(event)}"
+                        raise ParseFailure(UNEXPECTED_EVENT, message, position)
                     values.append(NULL)
                 else:
                     raise MachineInvariantError(f"unexpected program item {item!r}")
+            event = next(events, None) if event is unread else event
         except EvalError as exc:
             reason = GUARD_NON_BOOLEAN if isinstance(exc, NonBooleanGuard) else EVAL_ERROR
-            raise self.fail(reason, str(exc)) from exc
-        self.steps += steps
-        return self._finish()
+            raise ParseFailure(reason, str(exc), position) from exc
+        finally:
+            self.program, self.env, self.lookahead, self.position = program, env, event, position
+            self.steps += steps
+            self.max_dump_depth = depth
+        if event is not None:
+            message = f"parse finished with input remaining ({_describe(event)})"
+            raise IncompleteParse(message, position)
+        if len(values) != 1:
+            raise MachineInvariantError(f"terminal state with {len(values)} values on the stack")
+        return values[0]
 
-    def _finish(self) -> Value:
-        if self.events.peek() is not None:
-            raise IncompleteParse(
-                f"parse finished with input remaining ({_describe(self.events.peek())})",
-                self.events.position,
-            )
-        if len(self.values) != 1:
-            raise MachineInvariantError(
-                f"terminal state with {len(self.values)} values on the stack"
-            )
-        return self.values[0]
+
+def _unexpected(reason: str, expected: str, event, position: int) -> ParseFailure:
+    if event is None:
+        return ParseFailure(UNEXPECTED_END_OF_EVENTS, f"expected {expected}", position)
+    return ParseFailure(reason, f"expected {expected}, found {_describe(event)}", position)
 
 
 def _describe(event: Optional[SaxEvent]) -> str:

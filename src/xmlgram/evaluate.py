@@ -24,6 +24,7 @@ from .ast import (
     VarRef,
 )
 from . import ast
+from .wellformed import free_expr
 from .values import (
     NULL,
     BoolVal,
@@ -113,12 +114,36 @@ def list_elements(value: Value) -> List[Value]:
 def _eval_fold(expr: Fold, env: Env) -> Value:
     elements = list_elements(eval_expr(expr.over, env))
     acc = eval_expr(expr.init, env)
+    child = _appended_child(expr)
+    if child is not None:
+        # Each step appends a child that does not depend on the accumulator:
+        # collect the children and build the term once, not once per step.
+        children = []
+        for elem in elements:
+            children.append(eval_expr(child, {**env, expr.elem_var: elem}))
+            if not isinstance(acc, TermVal):  # where the first step would fail
+                raise EvalError("addChild expects a term and a value")
+        return TermVal(acc.ctor, acc.args + tuple(children)) if children else acc
     for elem in elements:
         step_env = dict(env)
         step_env[expr.elem_var] = elem
         step_env[expr.acc_var] = acc
         acc = eval_expr(expr.step, step_env)
     return acc
+
+
+def _appended_child(expr: Fold):
+    """``x`` when the fold's step is ``acc.add(x)`` and ``x`` does not read ``acc``."""
+    step = expr.step
+    if (
+        isinstance(step, Construct)
+        and step.ctor == ADD_CHILD
+        and len(step.args) == 2
+        and step.args[0] == VarRef(expr.acc_var)
+        and expr.acc_var not in free_expr(step.args[1])
+    ):
+        return step.args[1]
+    return None
 
 
 def eval_actions(exprs, env: Env) -> Value:

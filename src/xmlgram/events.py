@@ -10,7 +10,7 @@ string forms of tokens are defined here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Tuple, Union
+from typing import Dict, Iterable, List, Tuple, Union
 
 
 @dataclass(frozen=True)
@@ -117,36 +117,33 @@ def _flatten_into(tree: XmlTree, out: List[SaxEvent]) -> None:
 
 
 def build_tree(events: Iterable[SaxEvent]) -> XmlTree:
-    """Reconstruct the tree a well-nested event sequence came from."""
+    """Reconstruct the tree a well-nested event sequence came from.
+
+    Iterative, with the open elements on a stack, so any depth builds."""
     it = iter(events)
-    try:
-        first = next(it)
-    except StopIteration:
-        raise ValueError("empty event stream") from None
-    tree, _ = _build_one(first, it)
-    leftover = next(it, None)
-    if leftover is not None:
-        raise ValueError(f"trailing event after document: {leftover!r}")
-    return tree
-
-
-def _build_one(event: SaxEvent, it: Iterator[SaxEvent]) -> Tuple[XmlTree, None]:
-    if isinstance(event, TextEvt):
-        return TextNode(event.text), None
-    if isinstance(event, EndTag):
-        raise ValueError(f"unexpected end tag {event.tag}")
-    children: List[XmlTree] = []
-    while True:
-        try:
-            nxt = next(it)
-        except StopIteration:
-            raise ValueError(f"unterminated element {event.tag}") from None
-        if isinstance(nxt, EndTag):
-            if nxt.tag != event.tag:
-                raise ValueError(f"mismatched end tag /{nxt.tag} inside {event.tag}")
-            return Element(event.tag, dict(event.attrs), tuple(children)), None
-        child, _ = _build_one(nxt, it)
-        children.append(child)
+    open_elements: List[Tuple[StartTag, List[XmlTree]]] = []
+    for event in it:
+        if isinstance(event, StartTag):
+            open_elements.append((event, []))
+            continue
+        if isinstance(event, TextEvt):
+            node: XmlTree = TextNode(event.text)
+        elif not open_elements:
+            raise ValueError(f"unexpected end tag {event.tag}")
+        else:
+            start, children = open_elements.pop()
+            if event.tag != start.tag:
+                raise ValueError(f"mismatched end tag /{event.tag} inside {start.tag}")
+            node = Element(start.tag, dict(start.attrs), tuple(children))
+        if not open_elements:
+            leftover = next(it, None)
+            if leftover is not None:
+                raise ValueError(f"trailing event after document: {leftover!r}")
+            return node
+        open_elements[-1][1].append(node)
+    if open_elements:
+        raise ValueError(f"unterminated element {open_elements[-1][0].tag}")
+    raise ValueError("empty event stream")
 
 
 def _escape(text: str, quote: bool = False) -> str:

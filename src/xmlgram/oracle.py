@@ -63,7 +63,7 @@ Derivation = Tuple[Trees, Env, Value]
 
 
 class OracleLimitExceeded(Exception):
-    """The derivation search exceeded its step budget."""
+    """The derivation search exceeded its step budget or nesting depth."""
 
 
 @dataclass
@@ -116,13 +116,17 @@ class Oracle:
             c for c in self.grammar.definitions_of(start_rule) if len(c.params) == len(args)
         ]
         values: List[Value] = []
-        for clause in defs:
-            call_env = dict(zip(clause.params, args))
-            for remaining, _env, value in self._seq(clause.body, (doc,), call_env):
-                if remaining:
-                    continue
-                if value not in values:
-                    values.append(value)
+        try:
+            for clause in defs:
+                call_env = dict(zip(clause.params, args))
+                for remaining, _env, value in self._seq(clause.body, (doc,), call_env):
+                    if remaining:
+                        continue
+                    if value not in values:
+                        values.append(value)
+        except RecursionError:
+            # The search recurses once per nesting level of grammar and document.
+            raise OracleLimitExceeded("derivation nests deeper than the recursion limit") from None
         return OracleResult(values[0] if values else None, tuple(values))
 
     # -- derivation enumeration ------------------------------------------------

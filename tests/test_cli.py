@@ -295,6 +295,24 @@ def test_parse_oracle_evaluation_error_is_a_parse_failure(files, capsys):
     assert capsys.readouterr().err == f"{d}: parse failed: EvalError: addChild expects a term and a value\n"
 
 
+def test_parse_oracle_step_limit_is_a_parse_failure(files, capsys, monkeypatch):
+    monkeypatch.setenv("XMLGRAM_MAX_DERIVATIONS", "1")
+    g = files("test.xg", TEST_GRAMMAR)
+    d = files("doc.xml", '<A><B name="x"/></A>')
+    assert main(["parse", g, d, "--oracle"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"{d}: parse failed: OracleLimitExceeded: more than 1 derivation steps\n"
+
+
+def test_parse_oracle_deep_document_is_a_parse_failure(files, capsys):
+    g = files("g.xg", "@Grammar G R ::= <T> kids = R* </T> {Node(kids)}. end")
+    d = files("doc.xml", "<T>" * 1000 + "</T>" * 1000)
+    assert main(["parse", g, d, "--oracle"]) == 1
+    message = "OracleLimitExceeded: derivation nests deeper than the recursion limit"
+    assert capsys.readouterr().err == f"{d}: parse failed: {message}\n"
+    assert main(["parse", g, d]) == 0  # the engine streams it
+
+
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
 SEQ_DOC = (SAMPLES / "seq.xml").read_bytes()
 # (position, bytes to cut there, bytes to insert there)

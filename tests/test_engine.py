@@ -14,6 +14,7 @@ from xmlgram.engine import (
     IncompleteParse,
     Machine,
     ParseFailure,
+    Program,
     run,
 )
 from xmlgram.events import EndTag, StartTag, TextEvt, flatten_tree
@@ -192,7 +193,7 @@ def test_terminal_state_shape(test_lang):
     assert machine.program == []
     assert machine.dump == []
     assert len(machine.values) == 1
-    assert machine.events.peek() is None
+    assert machine.lookahead is None  # input exhausted
 
 
 def test_event_conservation(test_lang):
@@ -200,7 +201,7 @@ def test_event_conservation(test_lang):
     events = list(read_events('<A><B name="x"/></A>'))
     machine = Machine(table, "A", iter(events))
     machine.run()
-    assert machine.events.position == len(events)
+    assert machine.position == len(events)
 
 
 def test_dump_depth_tracks_nesting_not_siblings(test_lang):
@@ -239,3 +240,67 @@ def test_flattened_tree_and_reader_agree(test_lang):
     doc = '<A><B name="x"/><C name="y"/></A>'
     events = list(read_events(doc))
     assert run(table, "A", flatten_tree(build_tree(events))) == run(table, "A", iter(events))
+
+
+# (grammar, start, documents, cells that chain resolution shares, cells it
+# leaves as calls, a document the machine rejects and its failure)
+CHAINS = [
+    pytest.param(
+        "@Grammar G S ::= <S> v = N </S> {v}. N ::= X. X ::= <x/> {1}. X ::= {0}. end",
+        "S", ["<S><x/></S>", "<S></S>"],
+        [(("N", "x"), ("X", "x")), (("N", "/S"), ("X", "/S"))], [],
+        "<S><y/></S>", "NoPredictEntry at event 1: no prediction for rule N on y",
+        id="chain-to-nullable",
+    ),
+    pytest.param(
+        "@Grammar G S ::= <S> v = N </S> {v}. N ::= W. W ::= ANY. end",
+        "S", ["<S><q><r/></q></S>", "<S>t</S>"],
+        [], [(("N", "*"), ("W", "*"))],
+        "<S></S>", "UnexpectedEvent at event 1: expected an element or text, found </S>",
+        id="chain-to-wildcard-row",
+    ),
+    pytest.param(
+        "@Grammar G S ::= <S k> v = N(k) </S> {v}. N(a) ::= X(a). X(b) ::= <x/> {b}. end",
+        "S", ['<S k="1"><x/></S>'],
+        [], [(("N", "x"), ("X", "x"))],
+        '<S k="1"></S>', "NoPredictEntry at event 1: no prediction for rule N on /S",
+        id="parameterized-chain",
+    ),
+    pytest.param(
+        "@Grammar G S ::= <S> v = N </S> {v}. N ::= M. M ::= X. X ::= <x/> {1}. X ::= <y/> {2}. end",
+        "S", ["<S><x/></S>", "<S><y/></S>"],
+        [(("N", "x"), ("X", "x")), (("N", "y"), ("X", "y")), (("M", "y"), ("X", "y"))], [],
+        "<S><z/></S>", "NoPredictEntry at event 1: no prediction for rule N on z",
+        id="chain-of-chains",
+    ),
+    pytest.param(
+        TEST_GRAMMAR,
+        "A", ['<A><B name="x"/><C name="y"/></A>', "<A></A>"],
+        [(("A$2", "B"), ("B", "B")), (("A$2", "C"), ("C", "C"))], [],
+        "<A><D/></A>", "NoPredictEntry at event 1: no prediction for rule A$1 on D",
+        id="fresh-chain-from-normalization",
+    ),
+]
+
+
+@pytest.mark.parametrize("source, start, docs, shared, kept, bad_doc, failure", CHAINS)
+def test_chain_rules_resolve_and_agree_with_oracle(source, start, docs, shared, kept, bad_doc, failure):
+    from xmlgram.events import build_tree
+
+    grammar = parse_grammar(source)
+    _, table = make_table(source, start)
+    rows = Program(table).rows
+    for (rule, token), (target, target_token) in shared:
+        assert rows[rule][token] is rows[target][target_token]
+    for (rule, token), (target, target_token) in kept:
+        assert rows[rule][token] is not rows[target][target_token]
+    oracle = Oracle(grammar, max_steps=100_000)
+    for doc in docs:
+        events = list(read_events(doc))
+        expected = oracle.accepts(start, build_tree(events)).value
+        assert expected is not None and run(table, start, iter(events)) == expected
+    events = list(read_events(bad_doc))
+    assert not oracle.accepts(start, build_tree(events)).accepted
+    with pytest.raises(ParseFailure) as exc:
+        run(table, start, iter(events))
+    assert str(exc.value) == failure

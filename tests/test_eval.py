@@ -1,5 +1,7 @@
 """Expression evaluation: literals, constructors, folds, guards."""
 
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,6 +18,7 @@ from xmlgram.ast import (
     VarRef,
 )
 from xmlgram.evaluate import (
+    EvalError,
     NonBooleanGuard,
     NotAList,
     UnboundVariable,
@@ -115,6 +118,63 @@ def test_fold_over_cons_chain():
         eval_expr(fold, {"l": chain})
     fold2 = Fold("e", "a", Construct("Box", ()), Construct("addChild", (VarRef("a"), VarRef("e"))), VarRef("l"))
     assert eval_expr(fold2, {"l": chain}) == TermVal("Box", (IntVal(1), IntVal(2)))
+
+
+def _outcome(evaluate):
+    try:
+        return evaluate()
+    except EvalError as exc:
+        return type(exc), str(exc)
+
+
+fold_items = st.lists(
+    st.sampled_from([IntVal(1), StrVal("a"), NULL, TermVal("T", (IntVal(2),)), ListVal(())]),
+    max_size=8,
+)
+# Appended children that do and do not read the accumulator ``a``, or fail.
+fold_children = st.sampled_from(
+    [
+        VarRef("e"),
+        Construct("W", (VarRef("e"), VarRef("y"))),
+        ListLit((VarRef("e"), VarRef("e"))),
+        VarRef("a"),
+        Construct("W", (VarRef("a"),)),
+        VarRef("unbound"),
+        Fold("z", "w", IntLit(0), VarRef("w"), VarRef("e")),  # fails unless e is a list
+    ]
+)
+fold_inits = st.sampled_from([TermVal("P", ()), TermVal("P", (StrVal("x"),)), IntVal(3)])
+
+
+@given(fold_items, fold_children, fold_inits, st.booleans())
+def test_append_fold_equals_stepwise_evaluation(items, child, init, as_chain):
+    over = ListVal(tuple(items))
+    if as_chain:
+        over = TermVal("Nil", ())
+        for item in reversed(items):
+            over = TermVal("Cons", (item, over))
+    env = {"l": over, "i": init, "y": IntVal(7)}
+    step = Construct("addChild", (VarRef("a"), child))
+
+    def stepwise():
+        acc = init
+        for item in items:
+            acc = eval_expr(step, {**env, "e": item, "a": acc})
+        return acc
+
+    fold = Fold("e", "a", VarRef("i"), step, VarRef("l"))
+    assert _outcome(lambda: eval_expr(fold, env)) == _outcome(stepwise)
+
+
+def test_append_fold_is_linear():
+    # Copying the argument tuple on every step took seconds here.
+    n = 30_000
+    fold = Fold("e", "p", Construct("P", ()), Construct("addChild", (VarRef("p"), VarRef("e"))), VarRef("l"))
+    env = {"l": ListVal(tuple(IntVal(i) for i in range(n)))}
+    t0 = time.perf_counter()
+    value = eval_expr(fold, env)
+    assert time.perf_counter() - t0 < 0.5
+    assert value == TermVal("P", tuple(IntVal(i) for i in range(n)))
 
 
 def test_fold_over_non_list():
