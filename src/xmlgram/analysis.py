@@ -1,8 +1,14 @@
 """Nullability, first/follow sets, and predict-table construction.
 
 All three are computed over normal-form grammars (no alternation or
-repetition nodes; element branches are single calls or call-free).  The
-sets grow monotonically inside a fixpoint loop, so iteration terminates.
+repetition nodes; element branches are single calls or call-free) by the
+textbook construction (Aho, Lam, Sethi & Ullman, *Compilers*, section 4.4).
+Nullable and first grow in rounds, each revisiting only the clauses that
+call a rule the round before changed, so a chain of rules settles in time
+linear in its length whichever way round it is written.  Follow comes from
+one right-to-left walk per clause, which keeps the first set of the rest of
+the sequence, adds it to the follow set of each call and records where one
+rule's follow set flows into another's; a worklist closes those edges.
 
 End of input is modeled as the end tag of a reserved sentinel element
 conceptually wrapped around the document: the start rule's follow set seeds
@@ -21,7 +27,7 @@ cell are recorded as conflicts, never overwritten.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import AbstractSet, Dict, FrozenSet, Iterator, List, Mapping, Optional, Set, Tuple
 
 from .ast import (
     Actions,
@@ -49,6 +55,9 @@ from .events import (
     token_label,
     token_sort_key,
 )
+
+
+TokenSets = Mapping[str, AbstractSet[Token]]  # a token set per rule
 
 
 class NotNormalForm(ValueError):
@@ -89,7 +98,7 @@ def seq_null(seq: BodySeq, nullable: Set[str]) -> bool:
     return all(body_null(item, nullable) for item in seq)
 
 
-def first_of_item(item: Body, nullable: Set[str], first: Dict[str, Set[Token]]) -> Set[Token]:
+def first_of_item(item: Body, nullable: Set[str], first: TokenSets) -> Set[Token]:
     if isinstance(item, ElementSpec):
         return {item.tag}
     if isinstance(item, Text):
@@ -105,7 +114,7 @@ def first_of_item(item: Body, nullable: Set[str], first: Dict[str, Set[Token]]) 
     raise NotNormalForm(f"{type(item).__name__} node in supposedly normal grammar")
 
 
-def first_of_seq(seq: BodySeq, nullable: Set[str], first: Dict[str, Set[Token]]) -> Set[Token]:
+def first_of_seq(seq: BodySeq, nullable: Set[str], first: TokenSets) -> Set[Token]:
     out: Set[Token] = set()
     for item in seq:
         out |= first_of_item(item, nullable, first)
@@ -114,102 +123,108 @@ def first_of_seq(seq: BodySeq, nullable: Set[str], first: Dict[str, Set[Token]])
     return out
 
 
-class _Analyzer:
-    def __init__(self, grammar: Grammar, start_rule: str, strict: bool):
-        self.grammar = grammar
-        self.defined = {c.name for c in grammar.clauses}
-        self.strict = strict
-        self.nullable: Set[str] = set()
-        self.first: Dict[str, Set[Token]] = {c.name: set() for c in grammar.clauses}
-        self.follow: Dict[str, Set[Token]] = {c.name: set() for c in grammar.clauses}
-        if start_rule not in self.defined:
-            raise UndefinedClause(start_rule)
-        self.follow[start_rule].add(END_OF_INPUT)
-        self.changed = False
+def compute_sets(grammar: Grammar, start_rule: str) -> AnalysisResult:
+    """Least solution of the nullable/first/follow equations.  A call to
+    an undefined rule reads as never matching (empty first, not nullable)."""
+    names = dict.fromkeys(c.name for c in grammar.clauses)
+    if start_rule not in names:
+        raise UndefinedClause(start_rule)
+    clauses = grammar.clauses
+    callers: Dict[str, List[int]] = {}
+    for i, clause in enumerate(clauses):
+        for name in dict.fromkeys(_calls(clause.body)):
+            callers.setdefault(name, []).append(i)
+    nullable: Set[str] = set()
+    first: Dict[str, Set[Token]] = {n: set() for n in names}
+    # Each round revisits only the clauses that call a rule the last one changed.
+    todo = list(range(len(clauses)))
+    while todo:
+        changed: Set[int] = set()
+        for i in todo:
+            clause = clauses[i]
+            grew = clause.name not in nullable and seq_null(clause.body, nullable)
+            if grew:
+                nullable.add(clause.name)
+            bucket = first[clause.name]
+            before = len(bucket)
+            bucket |= first_of_seq(clause.body, nullable, first)
+            if grew or len(bucket) != before:
+                changed.update(callers.get(clause.name, ()))
+        todo = sorted(changed)
 
-    def _check_defined_calls(self) -> None:
-        def walk(seq: BodySeq) -> None:
-            for item in seq:
-                if isinstance(item, Call) and item.name not in self.defined:
-                    raise UndefinedClause(item.name)
-                if isinstance(item, Bind):
-                    walk(item.body)
-                elif isinstance(item, ElementSpec):
-                    for _, body in item.guarded:
-                        walk(body)
-                    walk(item.else_body)
+    follow: Dict[str, Set[Token]] = {n: set() for n in names}
+    follow[start_rule].add(END_OF_INPUT)
+    edges: Dict[str, Set[str]] = {n: set() for n in names}
+    for clause in grammar.clauses:
+        _walk_follow(clause.body, set(), clause.name, (nullable, first, follow, edges))
+    work = list(names)
+    while work:
+        name = work.pop()
+        tokens = follow[name]
+        for callee in edges.get(name, ()):
+            target = follow[callee]
+            if not tokens <= target:
+                target |= tokens
+                work.append(callee)
+    # Popping frees each working set as soon as its frozen copy exists.
+    return AnalysisResult(
+        nullable={n: n in nullable for n in names},
+        first={n: frozenset(first.pop(n)) for n in names},
+        follow={n: frozenset(follow.pop(n)) for n in names},
+    )
 
-        for clause in self.grammar.clauses:
-            walk(clause.body)
 
-    def _add_follow(self, name: str, tokens: Set[Token]) -> None:
-        bucket = self.follow.setdefault(name, set())
-        before = len(bucket)
-        bucket |= tokens
-        if len(bucket) != before:
-            self.changed = True
-
-    def walk_seq(self, seq: BodySeq, after: Set[Token], after_clauses: Tuple[str, ...]) -> None:
-        for i, item in enumerate(seq):
-            suffix = seq[i + 1 :]
-            tokens = first_of_seq(suffix, self.nullable, self.first)
-            clauses: Tuple[str, ...] = ()
-            if seq_null(suffix, self.nullable):
-                tokens = tokens | after
-                clauses = after_clauses
-            self.walk_item(item, tokens, clauses)
-
-    def walk_item(self, item: Body, after: Set[Token], after_clauses: Tuple[str, ...]) -> None:
+def _calls(seq: BodySeq) -> Iterator[str]:
+    """The rules called outside elements, whose first sets feed ``seq``'s."""
+    for item in seq:
         if isinstance(item, Call):
-            combined = set(after)
-            for c in after_clauses:
-                combined |= self.follow.get(c, set())
-            self._add_follow(item.name, combined)
+            yield item.name
         elif isinstance(item, Bind):
-            self.walk_seq(item.body, after, after_clauses)
+            yield from _calls(item.body)
+
+
+def _walk_follow(
+    seq: BodySeq, after: Set[Token], caller: Optional[str], sets
+) -> Tuple[Set[Token], bool]:
+    """One right-to-left pass over ``seq`` that adds to the follow set of
+    each call the first set of the rest of the sequence.
+
+    ``sets`` is ``(nullable, first, follow, edges)``.  ``after`` holds the
+    tokens that can come after ``seq``, and ``caller`` names the rule whose
+    follow set can too (None inside an element).  A call with a nullable
+    rest gets ``after`` and an edge from ``caller``: follow(caller) flows
+    into follow(callee).  Returns the first set and nullability of ``seq``.
+    """
+    nullable, first, follow, edges = sets
+    rest_first: Set[Token] = set()
+    rest_null = True
+    for item in reversed(seq):
+        if isinstance(item, Call):
+            tokens = follow.setdefault(item.name, set())
+            tokens |= rest_first
+            if rest_null:
+                tokens |= after
+                if caller is not None:
+                    edges[caller].add(item.name)
+            item_first, item_null = first.get(item.name, ()), item.name in nullable
+        elif isinstance(item, Bind):
+            if rest_null:
+                item_first, item_null = _walk_follow(item.body, rest_first | after, caller, sets)
+            else:
+                item_first, item_null = _walk_follow(item.body, rest_first, None, sets)
         elif isinstance(item, ElementSpec):
             inside = {end_token(item.tag)}
             for _, body in item.guarded:
-                self.walk_seq(body, inside, ())
-            self.walk_seq(item.else_body, inside, ())
-        elif isinstance(item, (Actions, Ok, Empty, Any, Text)):
-            pass
+                _walk_follow(body, inside, None, sets)
+            _walk_follow(item.else_body, inside, None, sets)
+            item_first, item_null = (item.tag,), False
         else:
-            raise NotNormalForm(f"{type(item).__name__} node in supposedly normal grammar")
-
-    def run(self) -> AnalysisResult:
-        if self.strict:
-            self._check_defined_calls()
-        while True:
-            self.changed = False
-            for clause in self.grammar.clauses:
-                if clause.name not in self.nullable and seq_null(clause.body, self.nullable):
-                    self.nullable.add(clause.name)
-                    self.changed = True
-                firsts = first_of_seq(clause.body, self.nullable, self.first)
-                bucket = self.first[clause.name]
-                before = len(bucket)
-                bucket |= firsts
-                if len(bucket) != before:
-                    self.changed = True
-                self.walk_seq(clause.body, set(), (clause.name,))
-            if not self.changed:
-                break
-        names = [c.name for c in self.grammar.clauses]
-        return AnalysisResult(
-            nullable={n: n in self.nullable for n in names},
-            first={n: frozenset(self.first[n]) for n in names},
-            follow={n: frozenset(self.follow[n]) for n in names},
-        )
-
-
-def compute_sets(grammar: Grammar, start_rule: str, *, strict: bool = False) -> AnalysisResult:
-    """Least fixpoint of the nullable/first/follow equations.
-
-    With ``strict`` set, a call to an undefined rule raises UndefinedClause;
-    by default such rules read as never-matching (empty first, non-null).
-    """
-    return _Analyzer(grammar, start_rule, strict).run()
+            item_first, item_null = first_of_item(item, nullable, first), body_null(item, nullable)
+        if item_null:
+            rest_first.update(item_first)
+        else:
+            rest_first, rest_null = set(item_first), False
+    return rest_first, rest_null
 
 
 # --------------------------------------------------------------------------
@@ -248,11 +263,10 @@ class PredictTable:
 
 def build_predict_table(grammar: Grammar, analysis: AnalysisResult) -> PredictTable:
     nullable = {n for n, flag in analysis.nullable.items() if flag}
-    first = {n: set(ts) for n, ts in analysis.first.items()}
     cells: Dict[Tuple[str, Token], List[Clause]] = {}
 
     for clause in grammar.clauses:
-        for token in first_of_seq(clause.body, nullable, first):
+        for token in first_of_seq(clause.body, nullable, analysis.first):
             cells.setdefault((clause.name, token), []).append(clause)
         if seq_null(clause.body, nullable):
             for token in analysis.follow[clause.name]:

@@ -235,6 +235,9 @@ class Machine:
         events: Iterable[SaxEvent],
         args: Tuple[Value, ...] = (),
     ):
+        if table.conflicts:
+            # On a conflicted table the machine can loop round a cycle of chain rules.
+            raise ValueError(f"the predict table is not LL(1): {table.conflicts[0]}")
         if table.program is None:
             table.program = Program(table)
         self.table = table

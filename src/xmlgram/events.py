@@ -100,20 +100,23 @@ def token_sort_key(token: Token):
 
 
 def flatten_tree(tree: XmlTree) -> List[SaxEvent]:
-    """Pre-order event linearization of a tree."""
+    """Pre-order event linearization of a tree.
+
+    Iterative: the stack holds the nodes still to visit and the end tags of
+    the open elements, so any depth flattens."""
     out: List[SaxEvent] = []
-    _flatten_into(tree, out)
+    stack: List[Union[XmlTree, EndTag]] = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Element):
+            out.append(StartTag(node.tag, dict(node.attrs)))
+            stack.append(EndTag(node.tag))
+            stack.extend(reversed(node.children))
+        elif isinstance(node, TextNode):
+            out.append(TextEvt(node.text))
+        else:
+            out.append(node)  # the end tag of an element whose children are done
     return out
-
-
-def _flatten_into(tree: XmlTree, out: List[SaxEvent]) -> None:
-    if isinstance(tree, TextNode):
-        out.append(TextEvt(tree.text))
-        return
-    out.append(StartTag(tree.tag, dict(tree.attrs)))
-    for child in tree.children:
-        _flatten_into(child, out)
-    out.append(EndTag(tree.tag))
 
 
 def build_tree(events: Iterable[SaxEvent]) -> XmlTree:
@@ -156,11 +159,23 @@ def _escape(text: str, quote: bool = False) -> str:
 
 
 def serialize_tree(tree: XmlTree) -> str:
-    """Render a tree as XML text that the streaming reader parses back."""
-    if isinstance(tree, TextNode):
-        return _escape(tree.text)
-    attrs = "".join(f' {k}="{_escape(v, quote=True)}"' for k, v in tree.attrs.items())
-    if not tree.children:
-        return f"<{tree.tag}{attrs}/>"
-    inner = "".join(serialize_tree(c) for c in tree.children)
-    return f"<{tree.tag}{attrs}>{inner}</{tree.tag}>"
+    """Render a tree as XML text that the streaming reader parses back.
+
+    Iterative like ``flatten_tree``; closing tags wait on the stack as text."""
+    parts: List[str] = []
+    stack: List[Union[XmlTree, str]] = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            parts.append(node)
+        elif isinstance(node, TextNode):
+            parts.append(_escape(node.text))
+        else:
+            attrs = "".join(f' {k}="{_escape(v, quote=True)}"' for k, v in node.attrs.items())
+            if node.children:
+                parts.append(f"<{node.tag}{attrs}>")
+                stack.append(f"</{node.tag}>")
+                stack.extend(reversed(node.children))
+            else:
+                parts.append(f"<{node.tag}{attrs}/>")
+    return "".join(parts)

@@ -25,14 +25,17 @@ exported the rewrite degenerates to a bare call.  Fresh rule names are
 ``<root>$k`` with a single counter per run, so output is deterministic;
 ``$`` cannot appear in user names.
 
-``normalize_grammar`` applies the rewrites in the order star, guards,
-disjunction, repeating until nothing changes, and asserts the normal-form
-predicate on the result.
+The three share one bottom-up walk over each clause body.
+``normalize_grammar`` applies them once each, in the order star, guards,
+disjunction, and asserts the normal-form predicate on the result.  One
+round suffices: star removal leaves no repetition, guard lifting leaves
+every element branch a single call or call-free, and disjunction lifting
+adds no repetition and leaves those branches alone.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .ast import (
     CONS,
@@ -89,27 +92,12 @@ def _var_refs(names) -> Tuple[VarRef, ...]:
     return tuple(VarRef(n) for n in names)
 
 
-def _lift_body(
-    seq: BodySeq, origin: str, exported: Tuple[str, ...], fresh: FreshNameSource, acc: List[Clause]
-) -> Call:
-    """Move a body into a fresh rule, preserving value and exports.
-
-    With no exports the new rule is the body itself.  Otherwise the rule
-    returns ``(value, exports...)`` via a synthesized binding of the body's
-    value, ready for ``_call_site`` to unpack.
-    """
-    params = tuple(sorted(free_vars_seq(seq)))
-    name = fresh.fresh(origin)
+def _returning(seq: BodySeq, exported: Tuple[str, ...], fresh: FreshNameSource) -> BodySeq:
+    """``seq``, or with exports a body returning ``(value, exports...)``."""
     if not exported:
-        acc.append(Clause(name, params, seq))
-    else:
-        result = fresh.internal_var("v")
-        body = (
-            Bind((result,), seq),
-            Actions(_var_refs((result,) + exported)),
-        )
-        acc.append(Clause(name, params, body))
-    return Call(name, _var_refs(params))
+        return seq
+    result = fresh.internal_var("v")
+    return (Bind((result,), seq), Actions(_var_refs((result,) + exported)))
 
 
 def _call_site(item: Body, exported: Tuple[str, ...], fresh: FreshNameSource) -> BodySeq:
@@ -122,29 +110,75 @@ def _call_site(item: Body, exported: Tuple[str, ...], fresh: FreshNameSource) ->
     if not exported:
         return (item,)
     result = fresh.internal_var("v")
-    return (
-        Bind((result,) + exported, (item,)),
-        Actions((VarRef(result),)),
-    )
+    return (Bind((result,) + exported, (item,)), Actions((VarRef(result),)))
+
+
+# --------------------------------------------------------------------------
+# The shared walk
+# --------------------------------------------------------------------------
+
+
+def _bodies(item: Body) -> Tuple[BodySeq, ...]:
+    """The body sequences directly inside a node, in source order."""
+    if isinstance(item, Or):
+        return (item.left, item.right)
+    if isinstance(item, (Bind, Star)):
+        return (item.body,)
+    if isinstance(item, ElementSpec):
+        return tuple(body for _, body in item.guarded) + (item.else_body,)
+    return ()
+
+
+def _rebuild(item: Body, f) -> Body:
+    """``item`` with ``f`` applied to each of its body sequences, in source order."""
+    if isinstance(item, Or):
+        return Or(f(item.left), f(item.right), span=item.span)
+    if isinstance(item, Bind):
+        return Bind(item.names, f(item.body), span=item.span)
+    if isinstance(item, Star):
+        return Star(f(item.body), span=item.span)
+    if isinstance(item, ElementSpec):
+        guarded = tuple((g, f(b)) for g, b in item.guarded)
+        return ElementSpec(item.tag, item.attrs, guarded, f(item.else_body), span=item.span)
+    return item
 
 
 def _contains(seq: BodySeq, kinds) -> bool:
-    for item in seq:
-        if isinstance(item, kinds):
-            return True
-        if isinstance(item, Or):
-            if _contains(item.left, kinds) or _contains(item.right, kinds):
-                return True
-        elif isinstance(item, (Bind, Star)):
-            if _contains(item.body, kinds):
-                return True
-        elif isinstance(item, ElementSpec):
-            for _, body in item.guarded:
-                if _contains(body, kinds):
-                    return True
-            if _contains(item.else_body, kinds):
-                return True
-    return False
+    return any(
+        isinstance(item, kinds) or any(_contains(body, kinds) for body in _bodies(item))
+        for item in seq
+    )
+
+
+class _Pass:
+    """One rewrite over a grammar.  ``rewrite_item(node, rewrite)`` returns
+    the items that replace a node whose body sequences are already
+    rewritten; it draws names from ``fresh`` and appends fresh clauses to
+    ``acc``, which follow the clause named ``origin`` in the output."""
+
+    def __init__(self, grammar: Grammar, rewrite_item):
+        self.fresh = FreshNameSource(grammar)
+        self.rewrite_item = rewrite_item
+        self.origin = ""
+        self.acc: List[Clause] = []
+
+    def seq(self, seq: BodySeq) -> BodySeq:
+        items: List[Body] = []
+        for item in seq:
+            items.extend(self.rewrite_item(_rebuild(item, self.seq), self))
+        return tuple(items)
+
+
+def _rewrite(grammar: Grammar, rewrite_item) -> Grammar:
+    """Rewrite every clause bottom-up; each clause is followed by the fresh
+    clauses its rewrite made."""
+    rewrite = _Pass(grammar, rewrite_item)
+    out: List[Clause] = []
+    for clause in grammar.clauses:
+        rewrite.origin, rewrite.acc = clause.name, []
+        out.append(Clause(clause.name, clause.params, rewrite.seq(clause.body), span=clause.span))
+        out.extend(rewrite.acc)
+    return Grammar(grammar.name, tuple(out))
 
 
 # --------------------------------------------------------------------------
@@ -154,57 +188,27 @@ def _contains(seq: BodySeq, kinds) -> bool:
 
 def remove_star(grammar: Grammar) -> Grammar:
     """Replace every repetition with a call to a fresh cons/nil rule pair."""
-    fresh = FreshNameSource(grammar)
-    out: List[Clause] = []
-    for clause in grammar.clauses:
-        new_clauses: List[Clause] = []
-        body = _remove_star_seq(clause.body, clause.name, fresh, new_clauses)
-        out.append(Clause(clause.name, clause.params, body, span=clause.span))
-        out.extend(new_clauses)
-    return Grammar(grammar.name, tuple(out))
+    return _rewrite(grammar, _remove_star_item)
 
 
-def _remove_star_seq(seq: BodySeq, origin: str, fresh, acc: List[Clause]) -> BodySeq:
-    items: List[Body] = []
-    for item in seq:
-        items.append(_remove_star_item(item, origin, fresh, acc))
-    return tuple(items)
-
-
-def _remove_star_item(item: Body, origin: str, fresh, acc: List[Clause]) -> Body:
-    if isinstance(item, Star):
-        body = _remove_star_seq(item.body, origin, fresh, acc)
-        params = tuple(sorted(free_vars_seq(body)))
-        name = fresh.fresh(origin)
-        avoid = set(params)
-        x = fresh.fresh_var("x", avoid)
-        xs = fresh.fresh_var("xs", avoid | {x})
-        args = _var_refs(params)
-        cons_body: BodySeq = (
-            Bind((x,), body),
-            Bind((xs,), (Call(name, args),)),
-            Actions((Construct(CONS, (VarRef(x), VarRef(xs))),)),
-        )
-        acc.append(Clause(name, params, cons_body))
-        acc.append(Clause(name, params, (Actions((Construct(NIL, ()),)),)))
-        return Call(name, args)
-    if isinstance(item, Or):
-        return Or(
-            _remove_star_seq(item.left, origin, fresh, acc),
-            _remove_star_seq(item.right, origin, fresh, acc),
-            span=item.span,
-        )
-    if isinstance(item, Bind):
-        return Bind(item.names, _remove_star_seq(item.body, origin, fresh, acc), span=item.span)
-    if isinstance(item, ElementSpec):
-        return ElementSpec(
-            item.tag,
-            item.attrs,
-            tuple((g, _remove_star_seq(b, origin, fresh, acc)) for g, b in item.guarded),
-            _remove_star_seq(item.else_body, origin, fresh, acc),
-            span=item.span,
-        )
-    return item
+def _remove_star_item(item: Body, rewrite: _Pass) -> BodySeq:
+    if not isinstance(item, Star):
+        return (item,)
+    fresh = rewrite.fresh
+    params = tuple(sorted(free_vars_seq(item.body)))
+    name = fresh.fresh(rewrite.origin)
+    avoid = set(params)
+    x = fresh.fresh_var("x", avoid)
+    xs = fresh.fresh_var("xs", avoid | {x})
+    args = _var_refs(params)
+    cons_body: BodySeq = (
+        Bind((x,), item.body),
+        Bind((xs,), (Call(name, args),)),
+        Actions((Construct(CONS, (VarRef(x), VarRef(xs))),)),
+    )
+    rewrite.acc.append(Clause(name, params, cons_body))
+    rewrite.acc.append(Clause(name, params, (Actions((Construct(NIL, ()),)),)))
+    return (Call(name, args),)
 
 
 # --------------------------------------------------------------------------
@@ -219,47 +223,11 @@ def _branch_is_normal(branch: BodySeq) -> bool:
 
 
 def lift_element_guards(grammar: Grammar) -> Grammar:
-    fresh = FreshNameSource(grammar)
-    out: List[Clause] = []
-    for clause in grammar.clauses:
-        new_clauses: List[Clause] = []
-        body = _lift_el_seq(clause.body, clause.name, fresh, new_clauses)
-        out.append(Clause(clause.name, clause.params, body, span=clause.span))
-        out.extend(new_clauses)
-    return Grammar(grammar.name, tuple(out))
+    return _rewrite(grammar, _lift_element_item)
 
 
-def _lift_el_seq(seq: BodySeq, origin: str, fresh, acc: List[Clause]) -> BodySeq:
-    items: List[Body] = []
-    for item in seq:
-        items.extend(_lift_el_item(item, origin, fresh, acc))
-    return tuple(items)
-
-
-def _lift_el_item(item: Body, origin: str, fresh, acc: List[Clause]) -> BodySeq:
-    if isinstance(item, Or):
-        return (
-            Or(
-                _lift_el_seq(item.left, origin, fresh, acc),
-                _lift_el_seq(item.right, origin, fresh, acc),
-                span=item.span,
-            ),
-        )
-    if isinstance(item, (Bind, Star)):
-        body = _lift_el_seq(item.body, origin, fresh, acc)
-        if isinstance(item, Bind):
-            return (Bind(item.names, body, span=item.span),)
-        return (Star(body, span=item.span),)
-    if not isinstance(item, ElementSpec):
-        return (item,)
-
-    guarded = tuple(
-        (g, _lift_el_seq(b, origin, fresh, acc)) for g, b in item.guarded
-    )
-    else_body = _lift_el_seq(item.else_body, origin, fresh, acc)
-    el = ElementSpec(item.tag, item.attrs, guarded, else_body, span=item.span)
-
-    if all(_branch_is_normal(b) for _, b in el.guarded) and _branch_is_normal(el.else_body):
+def _lift_element_item(el: Body, rewrite: _Pass) -> BodySeq:
+    if not isinstance(el, ElementSpec) or all(map(_branch_is_normal, _bodies(el))):
         return (el,)
 
     # A lone `names = Call(...)` branch hoists its binding onto the element
@@ -275,27 +243,20 @@ def _lift_el_item(item: Body, origin: str, fresh, acc: List[Clause]) -> BodySeq:
         hoisted = ElementSpec(el.tag, el.attrs, (), bind.body, span=el.span)
         return (Bind(bind.names, (hoisted,), span=bind.span),)
 
-    branches = [b for _, b in el.guarded] + [el.else_body]
-    exported = bound_vars_seq(branches[0])
-    for branch in branches[1:]:
-        exported &= bound_vars_seq(branch)
-    common = tuple(sorted(exported))
+    common = tuple(sorted(frozenset.intersection(*map(bound_vars_seq, _bodies(el)))))
+    fresh = rewrite.fresh
 
     def lift_branch(branch: BodySeq) -> BodySeq:
         # With exports, every branch must yield the same tuple shape, so
         # even already-normal branches get lifted.
         if not common and _branch_is_normal(branch):
             return branch
-        return (_lift_body(branch, origin, common, fresh, acc),)
+        params = tuple(sorted(free_vars_seq(branch)))
+        name = fresh.fresh(rewrite.origin)
+        rewrite.acc.append(Clause(name, params, _returning(branch, common, fresh)))
+        return (Call(name, _var_refs(params)),)
 
-    lifted = ElementSpec(
-        el.tag,
-        el.attrs,
-        tuple((g, lift_branch(b)) for g, b in el.guarded),
-        lift_branch(el.else_body),
-        span=el.span,
-    )
-    return _call_site(lifted, common, fresh)
+    return _call_site(_rebuild(el, lift_branch), common, fresh)
 
 
 # --------------------------------------------------------------------------
@@ -304,75 +265,31 @@ def _lift_el_item(item: Body, origin: str, fresh, acc: List[Clause]) -> BodySeq:
 
 
 def lift_disjunction(grammar: Grammar) -> Grammar:
-    fresh = FreshNameSource(grammar)
-    out: List[Clause] = []
-    pending: List[Clause] = list(grammar.clauses)
-    for clause in pending:
-        # A body that is exactly an alternation splits into one definition
-        # per alternative, with no fresh rule.
-        work = [clause]
-        split: List[Clause] = []
-        while work:
-            c = work.pop(0)
-            if len(c.body) == 1 and isinstance(c.body[0], Or):
-                node = c.body[0]
-                work.insert(0, Clause(c.name, c.params, node.right, span=c.span))
-                work.insert(0, Clause(c.name, c.params, node.left, span=c.span))
-            else:
-                split.append(c)
-        for c in split:
-            new_clauses: List[Clause] = []
-            body = _lift_or_seq(c.body, c.name, fresh, new_clauses)
-            out.append(Clause(c.name, c.params, body, span=c.span))
-            out.extend(new_clauses)
-    return Grammar(grammar.name, tuple(out))
-
-
-def _lift_or_seq(seq: BodySeq, origin: str, fresh, acc: List[Clause]) -> BodySeq:
-    items: List[Body] = []
-    for item in seq:
-        items.extend(_lift_or_item(item, origin, fresh, acc))
-    return tuple(items)
-
-
-def _lift_or_item(item: Body, origin: str, fresh, acc: List[Clause]) -> BodySeq:
-    if isinstance(item, Or):
-        left = _lift_or_seq(item.left, origin, fresh, acc)
-        right = _lift_or_seq(item.right, origin, fresh, acc)
-        bound = tuple(sorted(bound_vars_seq(left) & bound_vars_seq(right)))
-        free = tuple(sorted(free_vars_seq(left) | free_vars_seq(right)))
-        name = fresh.fresh(origin)
-        params = tuple(free)
-        if not bound:
-            acc.append(Clause(name, params, left))
-            acc.append(Clause(name, params, right))
+    # A body that is exactly an alternation splits into one definition per
+    # alternative, with no fresh rule; the other alternations are lifted.
+    split: List[Clause] = []
+    work = list(reversed(grammar.clauses))
+    while work:
+        c = work.pop()
+        if len(c.body) == 1 and isinstance(c.body[0], Or):
+            node = c.body[0]
+            work.append(Clause(c.name, c.params, node.right, span=c.span))
+            work.append(Clause(c.name, c.params, node.left, span=c.span))
         else:
-            for operand in (left, right):
-                result = fresh.internal_var("v")
-                acc.append(
-                    Clause(
-                        name,
-                        params,
-                        (Bind((result,), operand), Actions(_var_refs((result,) + bound))),
-                    )
-                )
-        call = Call(name, _var_refs(free), span=item.span)
-        return _call_site(call, bound, fresh)
-    if isinstance(item, Bind):
-        return (Bind(item.names, _lift_or_seq(item.body, origin, fresh, acc), span=item.span),)
-    if isinstance(item, Star):
-        return (Star(_lift_or_seq(item.body, origin, fresh, acc), span=item.span),)
-    if isinstance(item, ElementSpec):
-        return (
-            ElementSpec(
-                item.tag,
-                item.attrs,
-                tuple((g, _lift_or_seq(b, origin, fresh, acc)) for g, b in item.guarded),
-                _lift_or_seq(item.else_body, origin, fresh, acc),
-                span=item.span,
-            ),
-        )
-    return (item,)
+            split.append(c)
+    return _rewrite(Grammar(grammar.name, tuple(split)), _lift_or_item)
+
+
+def _lift_or_item(item: Body, rewrite: _Pass) -> BodySeq:
+    if not isinstance(item, Or):
+        return (item,)
+    fresh = rewrite.fresh
+    bound = tuple(sorted(bound_vars_seq(item.left) & bound_vars_seq(item.right)))
+    params = tuple(sorted(free_vars_seq(item.left) | free_vars_seq(item.right)))
+    name = fresh.fresh(rewrite.origin)
+    for operand in (item.left, item.right):
+        rewrite.acc.append(Clause(name, params, _returning(operand, bound, fresh)))
+    return _call_site(Call(name, _var_refs(params), span=item.span), bound, fresh)
 
 
 # --------------------------------------------------------------------------
@@ -381,37 +298,24 @@ def _lift_or_item(item: Body, origin: str, fresh, acc: List[Clause]) -> BodySeq:
 
 
 def is_normal_form(grammar: Grammar) -> bool:
-    for clause in grammar.clauses:
-        if not _seq_normal(clause.body):
-            return False
-    return True
+    return all(_seq_normal(clause.body) for clause in grammar.clauses)
 
 
 def _seq_normal(seq: BodySeq) -> bool:
     for item in seq:
         if isinstance(item, (Or, Star)):
             return False
-        if isinstance(item, Bind):
-            if not _seq_normal(item.body):
-                return False
-        elif isinstance(item, ElementSpec):
-            for _, body in item.guarded:
-                if not (_branch_is_normal(body) and _seq_normal(body)):
-                    return False
-            if not (_branch_is_normal(item.else_body) and _seq_normal(item.else_body)):
-                return False
+        if isinstance(item, ElementSpec) and not all(map(_branch_is_normal, _bodies(item))):
+            return False
+        if not all(map(_seq_normal, _bodies(item))):
+            return False
     return True
 
 
-def normalize_grammar(grammar: Grammar, max_rounds: int = 20) -> Grammar:
+def normalize_grammar(grammar: Grammar) -> Grammar:
     """Rewrite to normal form; the result has no Or or Star and all element
     branches are single calls or call-free."""
-    current = grammar
-    for _ in range(max_rounds):
-        step = lift_disjunction(lift_element_guards(remove_star(current)))
-        if step == current:
-            break
-        current = step
-    if not is_normal_form(current):
+    normal = lift_disjunction(lift_element_guards(remove_star(grammar)))
+    if not is_normal_form(normal):
         raise AssertionError("normalization did not reach normal form")
-    return current
+    return normal

@@ -53,7 +53,19 @@ def pretty_clause(clause: Clause) -> str:
 
 
 def pretty_seq(seq: BodySeq) -> str:
-    return " ".join(pretty_item(item) for item in seq)
+    texts = [pretty_item(item) for item in seq]
+    for i in range(len(texts) - 1):
+        # `S (A | B)` would parse back as the call S(A | B), so say `S()`.
+        if texts[i + 1].startswith("(") and _ends_in_bare_call(seq[i]):
+            texts[i] += "()"
+    return " ".join(texts)
+
+
+def _ends_in_bare_call(item: Body) -> bool:
+    """Does the item print as text ending in a call without arguments?"""
+    while isinstance(item, Bind) and len(item.body) == 1 and not isinstance(item.body[0], Or):
+        item = item.body[0]
+    return isinstance(item, Call) and not item.args
 
 
 def _pretty_operand(seq: BodySeq) -> str:

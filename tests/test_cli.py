@@ -176,6 +176,47 @@ def test_normalize_models_round_trip(files, capsys):
     assert pretty_grammar(reparsed) == out
 
 
+# One grammar for every rewrite path: a star inside an alternation inside an
+# element (Doc), guard lifting with exported bindings (Item), the lone
+# `x = Call` hoist (Leaf), a whole-body alternation split (Word), and a
+# nested alternation with common bindings (Pick).
+REWRITES_GRAMMAR = """@Grammar Rewrites
+  Doc ::= <Doc> v = (Item* | <None/> {Nil}) </Doc> {v}.
+  Item ::= <Item k when k = "pair" > a = Leaf b = Leaf else a = Leaf b = OK </Item> {Pair(a, b)}.
+  Leaf ::= <Leaf> w = Word </Leaf> {w}.
+  Word ::= t = TEXT {t} | <Br/> {"nl"}.
+  Pick ::= (c = Leaf {c} | (c = Item {c} | c = Doc {c})) {c}.
+end"""
+
+REWRITES_NORMALIZED = (
+    '@Grammar Rewrites\n'
+    '  Doc ::= [v$4,v] = <Doc> Doc$2 </Doc> { v$4 } { v }.\n'
+    '  Doc$2 ::= v$3 = v = Doc$3 { v$3, v }.\n'
+    '  Doc$3 ::= Doc$1.\n'
+    '  Doc$3 ::= <None/> { Nil }.\n'
+    '  Doc$1 ::= x = Item xs = Doc$1 { Cons(x, xs) }.\n'
+    '  Doc$1 ::= { Nil }.\n'
+    '  Item ::= [v$9,a,b] = <Item k when k = "pair" > Item$5 else Item$7 </Item> { v$9 } { Pair(a, b) }.\n'
+    '  Item$5 ::= v$6 = (a = Leaf b = Leaf) { v$6, a, b }.\n'
+    '  Item$7 ::= v$8 = (a = Leaf b = OK) { v$8, a, b }.\n'
+    '  Leaf ::= w = <Leaf> Word </Leaf> { w }.\n'
+    '  Word ::= t = TEXT { t }.\n'
+    '  Word ::= <Br/> { "nl" }.\n'
+    '  Pick ::= [v$11,c] = Pick$8 { v$11 } { c }.\n'
+    '  Pick$4 ::= v$5 = (c = Item { c }) { v$5, c }.\n'
+    '  Pick$4 ::= v$6 = (c = Doc { c }) { v$6, c }.\n'
+    '  Pick$8 ::= v$9 = (c = Leaf { c }) { v$9, c }.\n'
+    '  Pick$8 ::= v$10 = ([v$7,c] = Pick$4 { v$7 }) { v$10, c }.\n'
+    'end\n'
+)
+
+
+def test_normalize_golden_names_and_order(files, capsys):
+    path = files("rewrites.xg", REWRITES_GRAMMAR)
+    assert main(["normalize", path]) == 0
+    assert capsys.readouterr().out == REWRITES_NORMALIZED
+
+
 # A grammar whose predict table has TEXT and ANY columns next to tag columns.
 MIXED_GRAMMAR = """@Grammar Mixed
   Doc ::= <Doc> ns = Note* <Tail> ANY* </Tail> </Doc> {ns}.

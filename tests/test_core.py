@@ -14,6 +14,7 @@ from xmlgram.events import (
     flatten_tree,
     serialize_tree,
 )
+from xmlgram.sax import read_events
 from xmlgram.values import (
     NULL,
     BoolVal,
@@ -125,6 +126,20 @@ def test_serialize_escapes_attrs_and_text():
     text = serialize_tree(tree)
     assert '"' not in text.split("=", 1)[1].split(">", 1)[0].strip('"') or "&quot;" in text
     assert "&lt;" in text and "&amp;" in text
+
+
+def test_flatten_and_serialize_a_deep_chain():
+    # Compared as event lists and strings, because Element equality recurses.
+    tags = ["A" if i % 2 else "B" for i in range(3_000)]
+    tree = TextNode("x")
+    for tag in reversed(tags):
+        tree = Element(tag, {}, (tree,))
+    opening = [StartTag(tag, {}) for tag in tags]
+    closing = [EndTag(tag) for tag in reversed(tags)]
+    assert flatten_tree(tree) == opening + [TextEvt("x")] + closing
+    text = serialize_tree(tree)
+    assert text == "".join(f"<{t}>" for t in tags) + "x" + "".join(f"</{t}>" for t in reversed(tags))
+    assert list(read_events(text)) == flatten_tree(tree)
 
 
 # -- values -------------------------------------------------------------------

@@ -304,3 +304,19 @@ def test_chain_rules_resolve_and_agree_with_oracle(source, start, docs, shared, 
     with pytest.raises(ParseFailure) as exc:
         run(table, start, iter(events))
     assert str(exc.value) == failure
+
+
+def test_machine_refuses_a_conflicted_table():
+    # The chain clauses `R ::= X.` and `X ::= R.` form a cycle that a run on
+    # <a/> would go round forever; the machine refuses before reading an event.
+    g = normalize_grammar(parse_grammar("@Grammar G R ::= X. X ::= R. X ::= <a/> {1}. end"))
+    table = build_predict_table(g, compute_sets(g, "R"))
+
+    def events():
+        raise AssertionError("an event was read")
+        yield
+
+    with pytest.raises(ValueError, match=r"predict\(X, a\) has 2 candidates"):
+        Machine(table, "R", events())
+    with pytest.raises(ValueError, match=r"predict\(X, a\) has 2 candidates"):
+        run(table, "R", read_events("<a/>"))

@@ -209,6 +209,8 @@ ROUND_TRIP_SOURCES = [
     "@Grammar G R ::= (S T)* | EMPTY. S ::= ANY. T ::= {null}. end",
     "@Grammar G R ::= [a, b] = S { a : b, Seq{a, 1}, P(a).add(b) }. S ::= {1, 2}. end",
     '@Grammar G R(p) ::= S(p) { l->iterate(i a = Nil | Cons(i, a)) }. S(x) ::= { x = "y" }. end',
+    # a bare call before a group prints as S(), or it would read as S(...)
+    "@Grammar G R ::= S() (TEXT | ANY) x = S() (T | S)* {x}. S ::= OK. T ::= OK. end",
 ]
 
 
@@ -224,7 +226,7 @@ def test_pretty_print_round_trip(source):
 def test_round_trip_of_generated_grammars():
     from helpers import random_grammar
 
-    for seed in range(30):
+    for seed in range(400):
         g = random_grammar(seed)
         printed = pretty_grammar(g)
         assert parse_grammar(printed) == g, f"seed {seed}:\n{printed}"
