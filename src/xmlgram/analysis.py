@@ -88,7 +88,7 @@ def body_null(item: Body, nullable: Set[str]) -> bool:
     if isinstance(item, Bind):
         return seq_null(item.body, nullable)
     if isinstance(item, Or):
-        return seq_null(item.left, nullable) or seq_null(item.right, nullable)
+        return any(seq_null(branch, nullable) for branch in item.branches)
     if isinstance(item, Star):
         return True
     raise TypeError(f"not a body item: {item!r}")
@@ -249,12 +249,6 @@ class PredictTable:
     conflicts: List[ConflictReport] = field(default_factory=list)
     # The engine's compiled form of the entries, built on first use.
     program: Optional[object] = field(default=None, repr=False, compare=False)
-
-    def lookup(self, clause: str, token: Token) -> Optional[Clause]:
-        hit = self.entries.get((clause, token))
-        if hit is not None:
-            return hit
-        return self.entries.get((clause, ANY_TOKEN))
 
     def tokens(self) -> List[Token]:
         seen = {token for _, token in self.entries}

@@ -3,7 +3,7 @@
 A grammar is a list of clauses; a clause name may have several clauses
 (alternative definitions).  Clause bodies are flat sequences of body items;
 conjunction is juxtaposition, there is no explicit "and" node.  Wherever a
-single syntactic slot can hold a conjunction (an ``Or`` operand, a ``Bind``
+single syntactic slot can hold a conjunction (an ``Or`` branch, a ``Bind``
 or ``Star`` body, an element branch) the slot holds a ``BodySeq`` tuple.
 
 All nodes are frozen dataclasses.  Source spans are carried for diagnostics
@@ -133,10 +133,13 @@ Expr = Union[
 
 @dataclass(frozen=True)
 class Or:
-    """Disjunction of two body sequences."""
+    """Disjunction of two or more body sequences, tried in source order.
 
-    left: "BodySeq"
-    right: "BodySeq"
+    No branch is exactly one ``Or``: the parser splices ``a | (b | c)`` into
+    ``a | b | c``, so an alternation has one form however it is grouped.
+    """
+
+    branches: Tuple["BodySeq", ...]
     span: Optional[SourceSpan] = _span_field()
 
 
@@ -220,6 +223,17 @@ class ElementSpec:
 
 Body = Union[Or, Bind, Star, Empty, Any, Ok, Text, Call, Actions, ElementSpec]
 BodySeq = Tuple[Body, ...]
+
+
+def bodies(item: Body) -> Tuple[BodySeq, ...]:
+    """The body sequences directly inside a node, in source order."""
+    if isinstance(item, Or):
+        return item.branches
+    if isinstance(item, (Bind, Star)):
+        return (item.body,)
+    if isinstance(item, ElementSpec):
+        return tuple(body for _, body in item.guarded) + (item.else_body,)
+    return ()
 
 
 @dataclass(frozen=True)

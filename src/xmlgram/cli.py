@@ -44,6 +44,9 @@ def _compile(
     except OSError as exc:
         print(f"error: cannot read {path}: {exc.strerror}", file=sys.stderr)
         return None, None, IO_ERROR
+    except UnicodeDecodeError as exc:
+        print(f"{path}: error: invalid UTF-8 at byte {exc.start}", file=sys.stderr)
+        return None, None, LANGUAGE_ERROR
     grammar, diagnostics = try_parse_grammar(source)
     for diag in diagnostics:
         print(f"{path}:{diag}", file=sys.stderr)

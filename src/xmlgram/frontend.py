@@ -224,6 +224,12 @@ def tokenize(source: str, diagnostics: List[ParseDiagnostic]) -> List[_Tok]:
 # Tokens that may begin a body component.
 _ITEM_START = {"LT", "IDENT", "LBRACK", "LPAREN", "LBRACE", "OK", "ANY", "EMPTY", "TEXT"}
 
+# The deepest nesting of components (groups, elements, bindings) and
+# expressions the parser accepts.  The parser and every later stage recurse
+# once per level, so a grammar within the bound stays well inside Python's
+# recursion limit, and a deeper one is a diagnostic, not a RecursionError.
+MAX_NESTING = 100
+
 
 class _Parser:
     def __init__(self, toks: List[_Tok], diagnostics: List[ParseDiagnostic], allow_internal: bool):
@@ -231,6 +237,7 @@ class _Parser:
         self.pos = 0
         self.diagnostics = diagnostics
         self.allow_internal = allow_internal
+        self.depth = 0
 
     # -- token helpers ------------------------------------------------------
 
@@ -255,6 +262,13 @@ class _Parser:
         tok = tok or self.peek()
         self.diagnostics.append(ParseDiagnostic(tok.span, message))
         raise _Bail()
+
+    def nest(self) -> None:
+        """Enter one nesting level at the current token; the caller leaves
+        it with ``self.depth -= 1``."""
+        if self.depth == MAX_NESTING:
+            self.error(f"nesting deeper than {MAX_NESTING} levels")
+        self.depth += 1
 
     def expect(self, kind: str, what: str) -> _Tok:
         tok = self.accept(kind)
@@ -285,6 +299,7 @@ class _Parser:
             try:
                 clauses.append(self.parse_clause())
             except _Bail:
+                self.depth = 0
                 self.resync()
         if not self.at("EOF"):
             self.diagnostics.append(
@@ -321,16 +336,19 @@ class _Parser:
     # -- bodies ---------------------------------------------------------------
 
     def parse_alternation(self) -> BodySeq:
-        first = self.parse_sequence()
-        if not self.at("PIPE"):
-            return first
-        branches = [first]
+        """Sequences separated by ``|``.  A branch that is exactly one
+        parenthesised alternation splices its branches in, so ``a | (b | c)``
+        and ``a | b | c`` parse to the same node."""
+        branches = [self.parse_sequence()]
         while self.accept("PIPE"):
             branches.append(self.parse_sequence())
-        node = branches[-1]
-        for left in reversed(branches[:-1]):
-            node = (Or(left, node),)
-        return node
+        if len(branches) == 1:
+            return branches[0]
+        flat: List[BodySeq] = []
+        for branch in branches:
+            nested = len(branch) == 1 and isinstance(branch[0], Or)
+            flat.extend(branch[0].branches if nested else (branch,))
+        return (Or(tuple(flat)),)
 
     def parse_sequence(self) -> BodySeq:
         items: List[Body] = []
@@ -342,9 +360,12 @@ class _Parser:
         """One component, spliced into the surrounding sequence.
 
         Groups ``( ... )`` without a ``*`` flatten into the sequence; starred
-        groups become a single ``Star`` item.
+        groups become a single ``Star`` item.  Each component is one nesting
+        level.
         """
+        self.nest()
         seq = self.parse_primary()
+        self.depth -= 1
         if self.accept("STAR"):
             return (Star(seq),)
         return seq
@@ -477,10 +498,12 @@ class _Parser:
     # -- expressions ----------------------------------------------------------
 
     def parse_expr(self) -> Expr:
-        left = self.parse_compare()
+        self.nest()
+        expr = self.parse_compare()
         if self.accept("COLON"):
-            return ConsExpr(left, self.parse_expr())
-        return left
+            expr = ConsExpr(expr, self.parse_expr())
+        self.depth -= 1
+        return expr
 
     def parse_compare(self) -> Expr:
         left = self.parse_postfix_expr()
@@ -492,11 +515,14 @@ class _Parser:
 
     def parse_postfix_expr(self) -> Expr:
         expr = self.parse_atom()
+        depth = self.depth  # each method application nests the expression a level
         while True:
             if self.at("ARROW"):
+                self.nest()
                 self.next()
                 expr = self.parse_iterate(expr)
             elif self.at("DOT") and self.peek(1).kind == "IDENT":
+                self.nest()
                 self.next()
                 method = self.ident("method name")
                 if method.text != "add":
@@ -506,6 +532,7 @@ class _Parser:
                 self.expect("RPAREN", "')'")
                 expr = Construct("addChild", (expr, arg), span=method.span)
             else:
+                self.depth = depth
                 return expr
 
     def parse_iterate(self, over: Expr) -> Fold:

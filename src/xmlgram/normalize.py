@@ -10,13 +10,13 @@ Three rewrites bring a grammar into normal form:
   alternations, or repetitions, are left alone — the table construction
   never needs to look inside those);
 * ``lift_disjunction`` hoists every alternation to top level.  An
-  alternation that is an entire rule body simply splits into two
-  definitions of the same rule; anywhere else it becomes a call to a fresh
-  rule with one definition per operand.
+  alternation that is an entire rule body splits into one definition per
+  alternative of the same rule; anywhere else it becomes a call to one
+  fresh rule with one definition per alternative, however many there are.
 
 Lifted bodies keep their variable context by passing free variables as
 arguments.  When a lifted body binds variables that the surrounding scope
-can rely on (for an alternation, names bound by both operands; for an
+can rely on (for an alternation, names bound by every alternative; for an
 element, names bound by every branch), the fresh rule returns a tuple of
 the body's own value followed by those bindings; the call site unpacks the
 tuple and restores the value with a synthesized variable, so both the
@@ -52,8 +52,9 @@ from .ast import (
     Or,
     Star,
     VarRef,
+    bodies,
 )
-from .wellformed import bound_vars_seq, free_vars_seq
+from .wellformed import bound_vars, bound_vars_seq, free_vars, free_vars_seq
 
 
 class FreshNameSource:
@@ -118,21 +119,10 @@ def _call_site(item: Body, exported: Tuple[str, ...], fresh: FreshNameSource) ->
 # --------------------------------------------------------------------------
 
 
-def _bodies(item: Body) -> Tuple[BodySeq, ...]:
-    """The body sequences directly inside a node, in source order."""
-    if isinstance(item, Or):
-        return (item.left, item.right)
-    if isinstance(item, (Bind, Star)):
-        return (item.body,)
-    if isinstance(item, ElementSpec):
-        return tuple(body for _, body in item.guarded) + (item.else_body,)
-    return ()
-
-
 def _rebuild(item: Body, f) -> Body:
     """``item`` with ``f`` applied to each of its body sequences, in source order."""
     if isinstance(item, Or):
-        return Or(f(item.left), f(item.right), span=item.span)
+        return Or(tuple(map(f, item.branches)), span=item.span)
     if isinstance(item, Bind):
         return Bind(item.names, f(item.body), span=item.span)
     if isinstance(item, Star):
@@ -145,7 +135,7 @@ def _rebuild(item: Body, f) -> Body:
 
 def _contains(seq: BodySeq, kinds) -> bool:
     return any(
-        isinstance(item, kinds) or any(_contains(body, kinds) for body in _bodies(item))
+        isinstance(item, kinds) or any(_contains(body, kinds) for body in bodies(item))
         for item in seq
     )
 
@@ -227,7 +217,7 @@ def lift_element_guards(grammar: Grammar) -> Grammar:
 
 
 def _lift_element_item(el: Body, rewrite: _Pass) -> BodySeq:
-    if not isinstance(el, ElementSpec) or all(map(_branch_is_normal, _bodies(el))):
+    if not isinstance(el, ElementSpec) or all(map(_branch_is_normal, bodies(el))):
         return (el,)
 
     # A lone `names = Call(...)` branch hoists its binding onto the element
@@ -243,7 +233,7 @@ def _lift_element_item(el: Body, rewrite: _Pass) -> BodySeq:
         hoisted = ElementSpec(el.tag, el.attrs, (), bind.body, span=el.span)
         return (Bind(bind.names, (hoisted,), span=bind.span),)
 
-    common = tuple(sorted(frozenset.intersection(*map(bound_vars_seq, _bodies(el)))))
+    common = tuple(sorted(frozenset.intersection(*map(bound_vars_seq, bodies(el)))))
     fresh = rewrite.fresh
 
     def lift_branch(branch: BodySeq) -> BodySeq:
@@ -268,13 +258,9 @@ def lift_disjunction(grammar: Grammar) -> Grammar:
     # A body that is exactly an alternation splits into one definition per
     # alternative, with no fresh rule; the other alternations are lifted.
     split: List[Clause] = []
-    work = list(reversed(grammar.clauses))
-    while work:
-        c = work.pop()
+    for c in grammar.clauses:
         if len(c.body) == 1 and isinstance(c.body[0], Or):
-            node = c.body[0]
-            work.append(Clause(c.name, c.params, node.right, span=c.span))
-            work.append(Clause(c.name, c.params, node.left, span=c.span))
+            split.extend(Clause(c.name, c.params, b, span=c.span) for b in c.body[0].branches)
         else:
             split.append(c)
     return _rewrite(Grammar(grammar.name, tuple(split)), _lift_or_item)
@@ -284,11 +270,11 @@ def _lift_or_item(item: Body, rewrite: _Pass) -> BodySeq:
     if not isinstance(item, Or):
         return (item,)
     fresh = rewrite.fresh
-    bound = tuple(sorted(bound_vars_seq(item.left) & bound_vars_seq(item.right)))
-    params = tuple(sorted(free_vars_seq(item.left) | free_vars_seq(item.right)))
+    bound = tuple(sorted(bound_vars(item)))
+    params = tuple(sorted(free_vars(item)))
     name = fresh.fresh(rewrite.origin)
-    for operand in (item.left, item.right):
-        rewrite.acc.append(Clause(name, params, _returning(operand, bound, fresh)))
+    for branch in item.branches:
+        rewrite.acc.append(Clause(name, params, _returning(branch, bound, fresh)))
     return _call_site(Call(name, _var_refs(params), span=item.span), bound, fresh)
 
 
@@ -305,9 +291,9 @@ def _seq_normal(seq: BodySeq) -> bool:
     for item in seq:
         if isinstance(item, (Or, Star)):
             return False
-        if isinstance(item, ElementSpec) and not all(map(_branch_is_normal, _bodies(item))):
+        if isinstance(item, ElementSpec) and not all(map(_branch_is_normal, bodies(item))):
             return False
-        if not all(map(_seq_normal, _bodies(item))):
+        if not all(map(_seq_normal, bodies(item))):
             return False
     return True
 

@@ -81,14 +81,29 @@ class OracleResult:
 
 
 def tree_value(tree: XmlTree) -> Value:
-    """Encode a subtree as a value, for the any-as-tree reading."""
+    """Encode a subtree as a value, for the any-as-tree reading.
+
+    Iterative: each open element waits on the stack with the values of the
+    children encoded so far, so any depth encodes."""
     if isinstance(tree, TextNode):
         return StrVal(tree.text)
-    attrs = ListVal(
-        tuple(TermVal("$attr", (StrVal(k), StrVal(v))) for k, v in sorted(tree.attrs.items()))
-    )
-    children = ListVal(tuple(tree_value(c) for c in tree.children))
-    return TermVal("$element", (StrVal(tree.tag), attrs, children))
+    stack: List[Tuple[Element, List[Value]]] = [(tree, [])]
+    while True:
+        element, done = stack[-1]
+        if len(done) < len(element.children):
+            child = element.children[len(done)]
+            if isinstance(child, TextNode):
+                done.append(StrVal(child.text))
+            else:
+                stack.append((child, []))
+            continue
+        stack.pop()
+        pairs = sorted(element.attrs.items())
+        attrs = ListVal(tuple(TermVal("$attr", (StrVal(k), StrVal(v))) for k, v in pairs))
+        value = TermVal("$element", (StrVal(element.tag), attrs, ListVal(tuple(done))))
+        if not stack:
+            return value
+        stack[-1][1].append(value)
 
 
 class Oracle:
@@ -150,8 +165,8 @@ class Oracle:
     def _item(self, item: Body, trees: Trees, env: Env) -> Iterator[Derivation]:
         self._tick()
         if isinstance(item, Or):
-            yield from self._seq(item.left, trees, env)
-            yield from self._seq(item.right, trees, env)
+            for branch in item.branches:
+                yield from self._seq(branch, trees, env)
         elif isinstance(item, Bind):
             for trees1, env1, value in self._seq(item.body, trees, env):
                 bound = self._bind_names(item.names, value)

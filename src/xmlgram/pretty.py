@@ -83,10 +83,9 @@ def _pretty_star_operand(seq: BodySeq) -> str:
 
 
 def _pretty_alt(seq: BodySeq) -> str:
-    """Render a sequence, flattening a lone Or into `a | b` form."""
+    """Render a sequence, a lone Or in `a | b | c` form."""
     if len(seq) == 1 and isinstance(seq[0], Or):
-        node = seq[0]
-        return _pretty_alt(node.left) + " | " + _pretty_alt(node.right)
+        return " | ".join(map(pretty_seq, seq[0].branches))
     return pretty_seq(seq)
 
 

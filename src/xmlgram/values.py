@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Tuple, Union
+from typing import Callable, Dict, Tuple, Union
 
 
 @dataclass(frozen=True)
@@ -99,9 +99,6 @@ def env_merge(a: Env, b: Env) -> Env:
     merged.update(b)
     return merged
 
-
-def env_restrict(env: Env, names: Iterable[str]) -> Env:
-    return {n: v for n, v in env.items() if n in set(names)}
 
 
 def render_term(value: Value) -> str:

@@ -2,7 +2,7 @@
 
 A variable may be referenced only where every path to that point has bound
 it.  Binding is sequential and cumulative within a clause body; alternation
-exports only names bound by both branches; repetition exports nothing (it
+exports only names bound by every branch; repetition exports nothing (it
 may run zero times).  An element specification binds its declared attribute
 variables and whatever all of its branches bind, and those names stay
 visible for the rest of the clause body — this matches the runtime, where an
@@ -43,6 +43,7 @@ from .ast import (
     Star,
     Text,
     VarRef,
+    bodies,
 )
 
 
@@ -91,16 +92,12 @@ def expr_var_occurrences(expr: Expr) -> List[Tuple[str, Optional[SourceSpan]]]:
 def bound_vars(item: Body) -> FrozenSet[str]:
     """Names guaranteed to be available after the item succeeds."""
     if isinstance(item, Or):
-        return bound_vars_seq(item.left) & bound_vars_seq(item.right)
+        return frozenset.intersection(*map(bound_vars_seq, item.branches))
     if isinstance(item, Bind):
         return frozenset(item.names) | bound_vars_seq(item.body)
     if isinstance(item, ElementSpec):
         attrs = frozenset(var for var, _ in item.attrs)
-        branches = [body for _, body in item.guarded] + [item.else_body]
-        common = bound_vars_seq(branches[0])
-        for branch in branches[1:]:
-            common &= bound_vars_seq(branch)
-        return attrs | common
+        return attrs | frozenset.intersection(*map(bound_vars_seq, bodies(item)))
     # Star may iterate zero times, so nothing it binds can be relied on.
     return frozenset()
 
@@ -113,10 +110,8 @@ def bound_vars_seq(seq: BodySeq) -> FrozenSet[str]:
 
 
 def free_vars(item: Body) -> FrozenSet[str]:
-    if isinstance(item, Or):
-        return free_vars_seq(item.left) | free_vars_seq(item.right)
-    if isinstance(item, (Bind, Star)):
-        return free_vars_seq(item.body)
+    if isinstance(item, (Or, Bind, Star)):
+        return frozenset().union(*map(free_vars_seq, bodies(item)))
     if isinstance(item, Call):
         out: Set[str] = set()
         for arg in item.args:
@@ -189,15 +184,8 @@ def lint_grammar(grammar: Grammar) -> List[WfError]:
                         severity="warning",
                     )
                 )
-            elif isinstance(item, Or):
-                walk_seq(rule, item.left)
-                walk_seq(rule, item.right)
-            elif isinstance(item, (Bind, Star)):
-                walk_seq(rule, item.body)
-            elif isinstance(item, ElementSpec):
-                for _, body in item.guarded:
-                    walk_seq(rule, body)
-                walk_seq(rule, item.else_body)
+            for body in bodies(item):
+                walk_seq(rule, body)
 
     for clause in grammar.clauses:
         walk_seq(clause.name, clause.body)
@@ -217,11 +205,9 @@ class _Checker:
         return ctx
 
     def check_item(self, item: Body, ctx: Set[str]) -> None:
-        if isinstance(item, Or):
-            self.check_seq(item.left, set(ctx))
-            self.check_seq(item.right, set(ctx))
-        elif isinstance(item, (Bind, Star)):
-            self.check_seq(item.body, set(ctx))
+        if isinstance(item, (Or, Bind, Star)):
+            for body in bodies(item):
+                self.check_seq(body, set(ctx))
         elif isinstance(item, Call):
             expected = self.arities.get(item.name)
             if expected is not None and expected != len(item.args):

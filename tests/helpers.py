@@ -185,9 +185,9 @@ def _item_alpha(a: Body, b: Body, names, vars_map) -> bool:
     if type(a) is not type(b):
         return False
     if isinstance(a, Or):
-        left = _seq_alpha(a.left, b.left, names, dict(vars_map))
-        right = _seq_alpha(a.right, b.right, names, dict(vars_map))
-        return left and right
+        return len(a.branches) == len(b.branches) and all(
+            _seq_alpha(x, y, names, dict(vars_map)) for x, y in zip(a.branches, b.branches)
+        )
     if isinstance(a, Bind):
         if len(a.names) != len(b.names):
             return False
@@ -365,7 +365,7 @@ class GrammarGen:
             if not right:
                 right = (self.element(depth + 1, scope, budget),)
             consumes = all(any(_consumes(i) for i in s) for s in (left, right))
-            return Or(left, right), [], consumes
+            return Or((left, right)), [], consumes
         if kind == "any":
             return Any(), [], True
         if kind == "text":
@@ -421,7 +421,7 @@ def _consumes(item: Body) -> bool:
     if isinstance(item, Call):
         return True  # approximation; good enough to avoid most nullable stars
     if isinstance(item, Or):
-        return all(any(_consumes(i) for i in s) for s in (item.left, item.right))
+        return all(any(_consumes(i) for i in s) for s in item.branches)
     return False
 
 
@@ -508,7 +508,7 @@ def _sample_item(
             out.extend(_sample_seq(grammar, item.body, rng, budget, depth, max_depth))
         return out
     if isinstance(item, Or):
-        branch = rng.choice([item.left, item.right])
+        branch = rng.choice(item.branches)
         return _sample_seq(grammar, branch, rng, budget, depth, max_depth)
     if isinstance(item, Text):
         return [TextNode(rng.choice(TEXTS))]

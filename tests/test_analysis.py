@@ -17,10 +17,13 @@ from xmlgram.analysis import (
     render_table_text,
 )
 from xmlgram.ast import Any, Bind, Call, Empty, Grammar, Ok, Star, Text, Actions, IntLit
-from xmlgram.engine import compile_grammar
-from xmlgram.events import ANY_TOKEN, END_OF_INPUT, TEXT_TOKEN
+from xmlgram.engine import Machine, compile_grammar
+from xmlgram.events import ANY_TOKEN, END_OF_INPUT, TEXT_TOKEN, build_tree
 from xmlgram.frontend import parse_grammar
 from xmlgram.normalize import normalize_grammar
+from xmlgram.oracle import Oracle
+from xmlgram.sax import read_events
+from xmlgram.values import NULL, TermVal
 
 
 def norm(source: str) -> Grammar:
@@ -204,17 +207,25 @@ def compute_sets_empty():
 
 
 def test_wildcard_default_entry():
-    g = norm("@Grammar G S ::= <T> xs = ANY* </T> {xs}. end")
+    source = "@Grammar G S ::= <T> xs = ANY* </T> {xs}. end"
+    g = norm(source)
     analysis = compute_sets(g, "S")
     table = build_predict_table(g, analysis)
     ok, _ = check_ll1(table)
     assert ok
     star = _star_name(g)
     assert (star, ANY_TOKEN) in table.entries
-    # exact end-tag entry beats the wildcard default
-    assert table.lookup(star, "/T").body[0].exprs[0].ctor == "Nil"
-    assert table.lookup(star, "Anything") is table.entries[(star, ANY_TOKEN)]
-    assert table.lookup(star, TEXT_TOKEN) is table.entries[(star, ANY_TOKEN)]
+    assert table.entries[(star, "/T")].body[0].exprs[0].ctor == "Nil"
+    assert (star, "Anything") not in table.entries and (star, TEXT_TOKEN) not in table.entries
+    # The machine takes the exact end-tag entry over the wildcard default,
+    # and the default for a tag with no column and for text.
+    events = list(read_events("<T><Anything/>words<U>x</U></T>"))
+    expected = Oracle(parse_grammar(source)).accepts("S", build_tree(events)).value
+    chain = TermVal("Nil", ())
+    for _ in range(3):
+        chain = TermVal("Cons", (NULL, chain))
+    assert expected == chain
+    assert Machine(table, "S", iter(events)).run() == expected
 
 
 def test_two_wildcard_defaults_conflict():

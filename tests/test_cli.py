@@ -1,16 +1,19 @@
 """Command-line interface: exit codes, formats, oracle agreement."""
 
+import collections
 import contextlib
 import io
 import json
 import pathlib
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import MODELS_DOC, MODELS_GRAMMAR, TEST_GRAMMAR
 from xmlgram.cli import main
-from xmlgram.frontend import parse_grammar
+from xmlgram.engine import compile_grammar
+from xmlgram.frontend import MAX_NESTING, parse_grammar
 from xmlgram.pretty import pretty_grammar
 
 
@@ -44,6 +47,73 @@ def test_check_reports_syntax_errors(files, capsys):
     path = files("bad.xg", "@Grammar X A ::= <A/> end")
     assert main(["check", path]) == 1
     assert "expected" in capsys.readouterr().err
+
+
+def test_check_invalid_utf8_grammar_is_a_language_error(files, capsys):
+    path = files("bad.xg", "")
+    pathlib.Path(path).write_bytes(b'@Grammar G R ::= <a/> {"\xff"}. end')
+    assert main(["check", path]) == 1
+    assert capsys.readouterr().err == f"{path}: error: invalid UTF-8 at byte 24\n"
+
+
+def _nth_column(text: str, sub: str, n: int) -> int:
+    """1-based column of the n-th occurrence of ``sub`` in one-line ``text``."""
+    at = -1
+    for _ in range(n):
+        at = text.index(sub, at + 1)
+    return at + 1
+
+
+def _nested_elements(n: int) -> str:
+    return "".join(f"<e{i}>" for i in range(n)) + "".join(f"</e{i}>" for i in reversed(range(n)))
+
+
+# A rule body nesting n levels deep, the text of the token that opens a level,
+# and which occurrence of that text, counted from MAX_NESTING, is one level too deep.
+NESTINGS = {
+    "elements": (_nested_elements, "<e", 1),
+    "groups": (lambda n: "(" * (n - 1) + "<a/>" + ")" * (n - 1), "(", 1),
+    "constructors": (lambda n: "<a/> {" + "C(" * (n - 2) + "1" + ")" * (n - 2) + "}", "C(", 0),
+    "binds": (lambda n: "".join(f"x{i} = " for i in range(n - 1)) + "<a/>", "x", 1),
+    "methods": (lambda n: "<a/> {C" + ".add(1)" * (n - 3) + "}", "1", -2),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NESTINGS))
+def test_nesting_past_the_bound_is_a_diagnostic(files, capsys, kind):
+    body, opener, nth = NESTINGS[kind]
+    source = f"@Grammar G R ::= {body(10_000)}. end"
+    path = files("deep.xg", source)
+    assert main(["check", path]) == 1
+    column = _nth_column(source, opener, MAX_NESTING + nth)
+    # Resynchronizing at the next '.' may report more errors after this one.
+    first = capsys.readouterr().err.splitlines()[0]
+    assert first == f"{path}:1:{column}: error: nesting deeper than {MAX_NESTING} levels"
+
+
+@pytest.mark.parametrize("kind", sorted(NESTINGS))
+def test_nesting_at_the_bound_compiles_and_round_trips(files, capsys, kind):
+    body = NESTINGS[kind][0](MAX_NESTING)
+    path = files("deep.xg", f"@Grammar G R ::= {body} {{1}}. end")
+    for command in ("check", "normalize", "tables"):
+        assert main([command, path]) == 0, capsys.readouterr().err
+    grammar = parse_grammar(pathlib.Path(path).read_text())
+    assert parse_grammar(pretty_grammar(grammar)) == grammar
+
+
+def test_wide_alternation_compiles_in_linear_size(files, capsys):
+    k = 2000
+    alternation = " | ".join(f"<T{i}/> {{{i}}}" for i in range(k))
+    source = f"@Grammar G R ::= <a> x = ({alternation}) </a> {{x}}. end"
+    started = time.perf_counter()
+    compiled = compile_grammar(parse_grammar(source))
+    assert time.perf_counter() - started < 1.0
+    assert not compiled.errors and not compiled.table.conflicts
+    assert len(compiled.normal.clauses) <= k + 2
+    assert len(compiled.table.entries) <= 2 * k + 1
+    definitions = collections.Counter(c.name for c in compiled.normal.clauses)
+    assert sorted(definitions.values())[-2:] == [1, k]  # one fresh rule holds every branch
+    assert main(["check", files("wide.xg", source)]) == 0
 
 
 def test_check_reports_conflicts(files, capsys):
@@ -202,11 +272,10 @@ REWRITES_NORMALIZED = (
     '  Leaf ::= w = <Leaf> Word </Leaf> { w }.\n'
     '  Word ::= t = TEXT { t }.\n'
     '  Word ::= <Br/> { "nl" }.\n'
-    '  Pick ::= [v$11,c] = Pick$8 { v$11 } { c }.\n'
-    '  Pick$4 ::= v$5 = (c = Item { c }) { v$5, c }.\n'
-    '  Pick$4 ::= v$6 = (c = Doc { c }) { v$6, c }.\n'
-    '  Pick$8 ::= v$9 = (c = Leaf { c }) { v$9, c }.\n'
-    '  Pick$8 ::= v$10 = ([v$7,c] = Pick$4 { v$7 }) { v$10, c }.\n'
+    '  Pick ::= [v$8,c] = Pick$4 { v$8 } { c }.\n'
+    '  Pick$4 ::= v$5 = (c = Leaf { c }) { v$5, c }.\n'
+    '  Pick$4 ::= v$6 = (c = Item { c }) { v$6, c }.\n'
+    '  Pick$4 ::= v$7 = (c = Doc { c }) { v$7, c }.\n'
     'end\n'
 )
 
@@ -371,4 +440,31 @@ def test_parse_never_tracebacks_on_mutated_bytes(tmp_path_factory, edit_list):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["parse", str(SAMPLES / "seq.xg"), str(path)])
+    assert code in (0, 1, 2), err.getvalue()
+
+
+GRAMMARS = [(SAMPLES / name).read_bytes() for name in ("seq.xg", "models.xg")]
+# (position, bytes to cut there, bytes to insert there, times to repeat them)
+grammar_edits = st.tuples(
+    st.integers(0, max(map(len, GRAMMARS))),
+    st.integers(0, 3),
+    st.one_of(
+        st.sampled_from([b"(", b"<", b"|", b"{", b"<e>", b"C(", b"x = ", b")", b"."]),
+        st.binary(max_size=3),
+    ),
+    st.sampled_from([1, 2, 3, 400]),
+)
+
+
+@settings(deadline=None)
+@given(st.sampled_from(GRAMMARS), st.lists(grammar_edits, min_size=1, max_size=4))
+def test_check_never_tracebacks_on_mutated_grammars(tmp_path_factory, grammar, edit_list):
+    text = bytearray(grammar)
+    for pos, cut, insert, times in edit_list:
+        text[pos : pos + cut] = insert * times
+    path = tmp_path_factory.getbasetemp() / "mutated.xg"
+    path.write_bytes(bytes(text))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["check", str(path)])
     assert code in (0, 1, 2), err.getvalue()

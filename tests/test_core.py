@@ -25,7 +25,6 @@ from xmlgram.values import (
     TermVal,
     TupleVal,
     env_merge,
-    env_restrict,
     render_json,
     render_term,
 )
@@ -56,11 +55,6 @@ def test_env_merge_associative(a, b, c):
 def test_env_merge_empty_is_identity(env):
     assert env_merge(env, {}) == env
     assert env_merge({}, env) == env
-
-
-def test_env_restrict():
-    env = {"x": IntVal(1), "y": IntVal(2)}
-    assert env_restrict(env, ["x"]) == {"x": IntVal(1)}
 
 
 # -- flatten / rebuild --------------------------------------------------------

@@ -9,6 +9,7 @@ of them; the engine is its deterministic refinement).  The interpreter run
 on the normalized grammar must agree exactly as well.
 """
 
+import collections
 import random
 from dataclasses import dataclass
 from typing import Optional
@@ -185,3 +186,47 @@ def test_fixed_regression_grammars():
         for doc_text in docs:
             doc = build_tree(read_events(doc_text))
             assert check_pair(grammar, normal, table, start, doc) is not None
+
+
+def _leaf(i: int) -> str:
+    return f"<T{i}/> {{{i}}}"
+
+
+# k-way alternations in each position the rewrites treat differently:
+# (rule with ALT where the alternation goes, branch i, document taking branch i).
+KWAY_SHAPES = {
+    "whole_body": ("S ::= ALT.", _leaf, lambda i: f"<T{i}/>"),
+    "bind": ("S ::= <R> x = (ALT) </R> {Got(x)}.", _leaf, lambda i: f"<R><T{i}/></R>"),
+    "element": ("S ::= <R> ALT </R>.", _leaf, lambda i: f"<R><T{i}/></R>"),
+    "star": ("S ::= <R> xs = (ALT)* </R> {xs}.", _leaf, lambda i: f"<R><T{i}/><T0/><T{i}/></R>"),
+    # every branch binds a and x, odd ones also y, which is not exported
+    "common_bindings": (
+        "S ::= <R> v = (ALT) </R> {Res(v, a, x)}.",
+        lambda i: f"<T{i} a> x = TEXT </T{i}>{' y = <U/>' if i % 2 else ''} {{Br(a, {i})}}",
+        lambda i: f'<R><T{i} a="p{i}">w{i}</T{i}>' + ("<U/>" if i % 2 else "") + "</R>",
+    ),
+}
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+@pytest.mark.parametrize("shape", sorted(KWAY_SHAPES))
+def test_kway_alternation_matches_oracle(shape, k):
+    from xmlgram.events import build_tree
+    from xmlgram.sax import read_events
+
+    rule, branch, document = KWAY_SHAPES[shape]
+    alternation = " | ".join(branch(i) for i in range(k))
+    grammar = parse_grammar(f"@Grammar K {rule.replace('ALT', alternation)} end")
+    assert check_grammar(grammar) == []
+    normal = normalize_grammar(grammar)
+    # one rule, fresh or S itself, holds one clause per branch
+    assert max(collections.Counter(c.name for c in normal.clauses).values()) == k
+    table = build_predict_table(normal, compute_sets(normal, "S"))
+    assert check_ll1(table)[0]
+    accepted = [document(i) for i in range(k)]
+    rejected = ["<X/>", "<R><X/></R>", f"<R><T{k}/></R>"]
+    if shape != "star":
+        rejected.append("<R><T0/><T0/></R>")
+    for text in accepted + rejected:
+        doc = build_tree(read_events(text))
+        assert check_pair(grammar, normal, table, "S", doc) is (text in accepted), text

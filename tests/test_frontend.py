@@ -40,7 +40,7 @@ def test_test_grammar_structure():
         "A",
         (),
         (),
-        (Bind(("b",), (Star((Or((Call("B", ()),), (Call("C", ()),)),)),)),),
+        (Bind(("b",), (Star((Or(((Call("B", ()),), (Call("C", ()),))),)),)),),
     )
     assert a.body == (expected_element, Actions((VarRef("b"),)))
 
@@ -149,6 +149,19 @@ def test_keywords_and_literals():
     assert len(body) == 1 and isinstance(body[0], Or)
 
 
+@pytest.mark.parametrize("grouped", ["A | (B | C)", "(A | B) | C", "((A) | ((B | C)))"])
+def test_nested_alternation_flattens(grouped):
+    flat = parse_grammar("@Grammar G R ::= A | B | C. end")
+    assert flat.clauses[0].body == (Or(((Call("A"),), (Call("B"),), (Call("C"),))),)
+    assert parse_grammar(f"@Grammar G R ::= {grouped}. end") == flat
+
+
+def test_alternation_in_a_longer_branch_stays_nested():
+    g = parse_grammar("@Grammar G R ::= A | (B | C) D. end")
+    inner = Or(((Call("B"),), (Call("C"),)))
+    assert g.clauses[0].body == (Or(((Call("A"),), (inner, Call("D")))),)
+
+
 def test_guard_syntax():
     src = '@Grammar G R ::= <T k when k = "a" > OK when k <> "a" > ANY else TEXT </T>. end'
     g = parse_grammar(src)
@@ -209,6 +222,7 @@ ROUND_TRIP_SOURCES = [
     "@Grammar G R ::= (S T)* | EMPTY. S ::= ANY. T ::= {null}. end",
     "@Grammar G R ::= [a, b] = S { a : b, Seq{a, 1}, P(a).add(b) }. S ::= {1, 2}. end",
     '@Grammar G R(p) ::= S(p) { l->iterate(i a = Nil | Cons(i, a)) }. S(x) ::= { x = "y" }. end',
+    "@Grammar G R ::= A | (B | C) | (D | E) F | x = (A | B) {x}. end",
     # a bare call before a group prints as S(), or it would read as S(...)
     "@Grammar G R ::= S() (TEXT | ANY) x = S() (T | S)* {x}. S ::= OK. T ::= OK. end",
 ]

@@ -32,7 +32,7 @@ def _contains_kind(grammar: Grammar, kind) -> bool:
             if isinstance(item, kind):
                 return True
             if isinstance(item, Or):
-                if walk(item.left) or walk(item.right):
+                if any(walk(b) for b in item.branches):
                     return True
             elif isinstance(item, (Bind, Star)):
                 if walk(item.body):
@@ -65,14 +65,14 @@ def test_whole_body_alternation_splits_without_fresh_rules():
 
 
 def test_nested_alternation_under_binding():
-    # two lift steps produce two fresh rules; three leaf alternatives remain
+    # the nested alternation flattens, so one fresh rule holds all three leaves
     g = parse_grammar(
         "@Grammar G R ::= x = (P | (Q | S)) {x}. P ::= <P/>. Q ::= <Q/>. S ::= <S/>. end"
     )
     out = lift_disjunction(g)
     assert not _contains_kind(out, Or)
     fresh = [c for c in out.clauses if "$" in c.name]
-    assert len({c.name for c in fresh}) == 2
+    assert len({c.name for c in fresh}) == 1
     leaf_targets = {
         c.body[0].name for c in fresh if isinstance(c.body[0], Call) and "$" not in c.body[0].name
     }

@@ -38,7 +38,7 @@ def test_free_vars_sequential_binding():
 
 
 def test_free_vars_or_of_binders():
-    node = Or((Bind(("x",), (Call("X", ()),)),), (Bind(("y",), (Call("Y", ()),)),))
+    node = Or(((Bind(("x",), (Call("X", ()),)),), (Bind(("y",), (Call("Y", ()),)),)))
     assert free_vars(node) == set()
 
 
@@ -47,11 +47,13 @@ def test_bound_vars_of_bind():
 
 
 def test_bound_vars_or_is_intersection():
-    node = Or((Bind(("x",), (Call("X", ()),)),), (Bind(("y",), (Call("Y", ()),)),))
+    node = Or(((Bind(("x",), (Call("X", ()),)),), (Bind(("y",), (Call("Y", ()),)),)))
     assert bound_vars(node) == set()
     both = Or(
-        (Bind(("x",), (Call("X", ()),)),),
-        (Bind(("x",), (Call("Y", ()),)), Bind(("z",), (Call("Y", ()),))),
+        (
+            (Bind(("x",), (Call("X", ()),)),),
+            (Bind(("x",), (Call("Y", ()),)), Bind(("z",), (Call("Y", ()),))),
+        )
     )
     assert bound_vars(both) == {"x"}
 
