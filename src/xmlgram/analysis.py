@@ -295,21 +295,18 @@ def check_ll1(table: PredictTable) -> Tuple[bool, List[ConflictReport]]:
 # --------------------------------------------------------------------------
 
 
-def definition_index(grammar: Grammar, clause: Clause) -> int:
-    """Ordinal of a definition among same-named definitions, in grammar order."""
-    k = 0
-    for c in grammar.clauses:
-        if c is clause:
-            return k
-        if c.name == clause.name:
-            k += 1
-    raise ValueError(f"clause {clause.name} not in grammar")
-
-
 def render_table_kv(grammar: Grammar, table: PredictTable) -> str:
-    lines = []
-    for (name, token), clause in table.entries.items():
-        lines.append(f"{name}\t{token_label(token)}\t{definition_index(grammar, clause)}")
+    """One sorted ``rule<TAB>token<TAB>k`` line per cell, where the cell's
+    clause is the rule's k-th definition (from 0) in grammar order."""
+    index: Dict[int, int] = {}  # id(clause) -> k
+    count: Dict[str, int] = {}
+    for clause in grammar.clauses:
+        index[id(clause)] = count.get(clause.name, 0)
+        count[clause.name] = index[id(clause)] + 1
+    lines = [
+        f"{name}\t{token_label(token)}\t{index[id(clause)]}"
+        for (name, token), clause in table.entries.items()
+    ]
     return "\n".join(sorted(lines)) + ("\n" if lines else "")
 
 

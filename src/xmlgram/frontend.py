@@ -23,15 +23,20 @@ integer / ``true`` / ``false`` / ``null`` literals, comparison ``=`` / ``<>``,
 cons ``head : tail``, folds ``over->iterate(elem acc = init | step)``, and
 ``term.add(value)`` which appends a child to a term.
 
-Comments run from ``//`` to end of line.  Identifiers containing ``$`` are
-reserved for generated names and rejected unless ``allow_internal_names`` is
-set (the normalizer's output uses them).
+Comments run from ``//`` to end of line.  An identifier is a letter or ``_``
+followed by letters, digits, ``_`` and ``$``; an integer is an optional ``-``
+followed by decimal digits; a string is ``"..."``, where ``\\n`` and ``\\t``
+are a newline and a tab and a backslash before any other character stands for
+that character.  A string ends at its line: one still open there is an error.
+Identifiers containing ``$`` are reserved for generated names and rejected
+unless ``allow_internal_names`` is set (the normalizer's output uses them).
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, NoReturn, Optional, Tuple
 
 from .ast import (
     Actions,
@@ -106,123 +111,92 @@ _PUNCT = {
     ":": "COLON",
 }
 
+# One alternative per token class, tried in this order at each position.
+# Longer punctuation comes first, so "::=" wins over ":".
+_TOKEN = re.compile(
+    r"""
+      (?P<NEWLINE> \n )
+    | (?P<BLANK> [ \t\r]+ )
+    | (?P<COMMENT> //[^\n]* )
+    | (?P<MARKER> @[\w$]* )
+    | (?P<WORD> [^\W\d][\w$]* )
+    | (?P<INT> -?\d+ )
+    | (?P<STRING> " (?P<CHARS> (?: \\. | [^"\n] )* ) (?P<CLOSE> "? ) )
+    | (?P<PUNCT> %s )
+    | (?P<OTHER> . )
+    """
+    % "|".join(re.escape(text) for text in sorted(_PUNCT, key=len, reverse=True)),
+    re.VERBOSE,
+)
 
-@dataclass(frozen=True)
-class _Tok:
+_ESCAPE = re.compile(r"\\(.)")
+_ESCAPED = {"n": "\n", "t": "\t"}  # any other escaped character stands for itself
+
+
+class _Tok(NamedTuple):
     kind: str  # IDENT, INT, STRING, ATGRAMMAR, EOF, a keyword, or a _PUNCT name
     text: str
     span: SourceSpan
 
 
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
-
-
-def _is_ident_char(ch: str) -> bool:
-    return ch.isalnum() or ch in "_$"
-
-
 def tokenize(source: str, diagnostics: List[ParseDiagnostic]) -> List[_Tok]:
+    """The tokens of ``source``, ending in two EOF tokens so the parser can
+    look one token past the end."""
     toks: List[_Tok] = []
-    i, line, col = 0, 1, 1
-    n = len(source)
-
-    def span(length: int) -> SourceSpan:
-        return SourceSpan(line, col, length)
-
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i, line, col = i + 1, line + 1, 1
+    pos, line, line_start = 0, 1, 0
+    while pos < len(source):
+        m = _TOKEN.match(source, pos)
+        kind, text = m.lastgroup, m.group()
+        if kind == "WORD" and not (text[0].isalpha() or text[0] == "_"):
+            # [^\W\d] also matches numerals such as '½'; they start no word.
+            kind, text = "OTHER", text[0]
+        start, pos = pos, pos + len(text)
+        if kind == "BLANK" or kind == "COMMENT":
             continue
-        if ch in " \t\r":
-            i, col = i + 1, col + 1
+        if kind == "NEWLINE":
+            line, line_start = line + 1, pos
             continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if ch == "@":
-            j = i + 1
-            while j < n and _is_ident_char(source[j]):
-                j += 1
-            word = source[i:j]
-            if word == "@Grammar":
-                toks.append(_Tok("ATGRAMMAR", word, span(len(word))))
+        span = SourceSpan(line, start - line_start + 1, len(text))
+        if kind == "WORD":
+            toks.append(_Tok(text if text in _KEYWORDS else "IDENT", text, span))
+        elif kind == "PUNCT":
+            toks.append(_Tok(_PUNCT[text], text, span))
+        elif kind == "INT":
+            toks.append(_Tok("INT", text, span))
+        elif kind == "STRING":
+            if not m["CLOSE"]:
+                diagnostics.append(ParseDiagnostic(span, "unterminated string literal"))
+            text = _ESCAPE.sub(lambda e: _ESCAPED.get(e[1], e[1]), m["CHARS"])
+            toks.append(_Tok("STRING", text, span))
+        elif kind == "MARKER":
+            if text == "@Grammar":
+                toks.append(_Tok("ATGRAMMAR", text, span))
             else:
-                diagnostics.append(ParseDiagnostic(span(len(word)), f"unknown marker {word!r}"))
-            col += j - i
-            i = j
-            continue
-        if _is_ident_start(ch):
-            j = i + 1
-            while j < n and _is_ident_char(source[j]):
-                j += 1
-            word = source[i:j]
-            kind = word if word in _KEYWORDS else "IDENT"
-            toks.append(_Tok(kind, word, span(len(word))))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and source[i + 1].isdigit()):
-            j = i + 1
-            while j < n and source[j].isdigit():
-                j += 1
-            toks.append(_Tok("INT", source[i:j], span(j - i)))
-            col += j - i
-            i = j
-            continue
-        if ch == '"':
-            j = i + 1
-            buf: List[str] = []
-            terminated = False
-            while j < n:
-                c = source[j]
-                if c == '"':
-                    terminated = True
-                    j += 1
-                    break
-                if c == "\\" and j + 1 < n:
-                    nxt = source[j + 1]
-                    buf.append({"n": "\n", "t": "\t"}.get(nxt, nxt))
-                    j += 2
-                    continue
-                if c == "\n":
-                    break
-                buf.append(c)
-                j += 1
-            if not terminated:
-                diagnostics.append(ParseDiagnostic(span(j - i), "unterminated string literal"))
-            toks.append(_Tok("STRING", "".join(buf), span(j - i)))
-            col += j - i
-            i = j
-            continue
-        matched = None
-        for text in ("::=", "</", "/>", "<>", "->"):
-            if source.startswith(text, i):
-                matched = text
-                break
-        if matched is None and ch in _PUNCT:
-            matched = ch
-        if matched is not None:
-            toks.append(_Tok(_PUNCT[matched], matched, span(len(matched))))
-            i += len(matched)
-            col += len(matched)
-            continue
-        diagnostics.append(ParseDiagnostic(span(1), f"unknown character {ch!r}"))
-        i += 1
-        col += 1
-
-    toks.append(_Tok("EOF", "", SourceSpan(line, col, 0)))
-    return toks
+                diagnostics.append(ParseDiagnostic(span, f"unknown marker {text!r}"))
+        elif kind == "OTHER":
+            diagnostics.append(ParseDiagnostic(span, f"unknown character {text!r}"))
+    eof = _Tok("EOF", "", SourceSpan(line, pos - line_start + 1, 0))
+    return toks + [eof, eof]
 
 
 # --------------------------------------------------------------------------
 # Parser
 # --------------------------------------------------------------------------
 
+# Keywords that are a whole rule body component.
+_KEYWORD_BODIES = {"OK": Ok, "ANY": Any, "EMPTY": Empty, "TEXT": Text}
+
 # Tokens that may begin a body component.
-_ITEM_START = {"LT", "IDENT", "LBRACK", "LPAREN", "LBRACE", "OK", "ANY", "EMPTY", "TEXT"}
+_ITEM_START = {"LT", "IDENT", "LBRACK", "LPAREN", "LBRACE", *_KEYWORD_BODIES}
+
+# Tokens that are a whole literal expression.
+_LITERALS = {
+    "STRING": lambda tok: StrLit(tok.text, span=tok.span),
+    "INT": lambda tok: IntLit(int(tok.text), span=tok.span),
+    "true": lambda tok: BoolLit(True, span=tok.span),
+    "false": lambda tok: BoolLit(False, span=tok.span),
+    "null": lambda tok: NullLit(span=tok.span),
+}
 
 # The deepest nesting of components (groups, elements, bindings) and
 # expressions the parser accepts.  The parser and every later stage recurse
@@ -234,7 +208,7 @@ MAX_NESTING = 100
 class _Parser:
     def __init__(self, toks: List[_Tok], diagnostics: List[ParseDiagnostic], allow_internal: bool):
         self.toks = toks
-        self.pos = 0
+        self.pos = 0  # never past the first of the two EOF tokens
         self.diagnostics = diagnostics
         self.allow_internal = allow_internal
         self.depth = 0
@@ -242,26 +216,31 @@ class _Parser:
     # -- token helpers ------------------------------------------------------
 
     def peek(self, offset: int = 0) -> _Tok:
-        return self.toks[min(self.pos + offset, len(self.toks) - 1)]
+        return self.toks[self.pos + offset]
 
     def next(self) -> _Tok:
-        tok = self.peek()
+        tok = self.toks[self.pos]
         if tok.kind != "EOF":
             self.pos += 1
         return tok
 
     def at(self, kind: str) -> bool:
-        return self.peek().kind == kind
+        return self.toks[self.pos].kind == kind
 
     def accept(self, kind: str) -> Optional[_Tok]:
-        if self.at(kind):
-            return self.next()
-        return None
+        return self.next() if self.at(kind) else None
 
-    def error(self, message: str, tok: Optional[_Tok] = None) -> None:
-        tok = tok or self.peek()
+    def note(self, tok: _Tok, message: str) -> None:
+        """Report an error that does not stop the rule."""
         self.diagnostics.append(ParseDiagnostic(tok.span, message))
+
+    def error(self, message: str, tok: Optional[_Tok] = None) -> NoReturn:
+        self.note(tok or self.peek(), message)
         raise _Bail()
+
+    def unexpected(self, what: str) -> NoReturn:
+        got = self.peek()
+        self.error(f"expected {what}, found {got.text or got.kind!r}")
 
     def nest(self) -> None:
         """Enter one nesting level at the current token; the caller leaves
@@ -273,17 +252,36 @@ class _Parser:
     def expect(self, kind: str, what: str) -> _Tok:
         tok = self.accept(kind)
         if tok is None:
-            got = self.peek()
-            self.error(f"expected {what}, found {got.text or got.kind!r}")
+            self.unexpected(what)
         return tok
 
     def ident(self, what: str) -> _Tok:
         tok = self.expect("IDENT", what)
         if "$" in tok.text and not self.allow_internal:
-            self.diagnostics.append(
-                ParseDiagnostic(tok.span, f"identifier {tok.text!r} uses reserved character '$'")
-            )
+            self.note(tok, f"identifier {tok.text!r} uses reserved character '$'")
         return tok
+
+    def names(self, what: str, repeated: str, close: str, closing: str) -> Tuple[str, ...]:
+        """One or more comma-separated ``what`` identifiers, then ``close``;
+        a name given twice is the diagnostic ``repeated``."""
+        names: List[str] = []
+        while not names or self.accept("COMMA"):
+            tok = self.ident(what)
+            if tok.text in names:
+                self.note(tok, f"{repeated} {tok.text!r}")
+            names.append(tok.text)
+        self.expect(close, closing)
+        return tuple(names)
+
+    def exprs(self, close: str, what: str) -> Tuple[Expr, ...]:
+        """Zero or more comma-separated expressions, then ``close``."""
+        items: List[Expr] = []
+        if not self.at(close):
+            items.append(self.parse_expr())
+            while self.accept("COMMA"):
+                items.append(self.parse_expr())
+        self.expect(close, what)
+        return tuple(items)
 
     # -- grammar ------------------------------------------------------------
 
@@ -291,9 +289,7 @@ class _Parser:
         self.expect("ATGRAMMAR", "'@Grammar'")
         name = self.ident("grammar name")
         clauses: List[Clause] = []
-        while True:
-            if self.accept("end"):
-                break
+        while not self.accept("end"):
             if self.at("EOF"):
                 self.error("unterminated grammar: expected 'end'")
             try:
@@ -302,36 +298,40 @@ class _Parser:
                 self.depth = 0
                 self.resync()
         if not self.at("EOF"):
-            self.diagnostics.append(
-                ParseDiagnostic(self.peek().span, "trailing input after 'end'")
-            )
+            self.note(self.peek(), "trailing input after 'end'")
         return Grammar(name.text, tuple(clauses))
 
     def resync(self) -> None:
-        """Skip to the next rule terminator so later rules still get checked."""
+        """Skip past the '.' that ends the broken rule, so later rules still
+        get checked.  That is the next '.' followed by 'end', EOF or a rule
+        head; the '.' of a ``.add(...)`` call is not one."""
         while not self.at("EOF") and not self.at("end"):
-            if self.next().kind == "DOT":
+            if self.next().kind == "DOT" and self.at_rule_head():
                 return
+
+    def at_rule_head(self) -> bool:
+        """Whether ``Name ::=`` or ``Name(p, ...) ::=`` starts here."""
+        if self.toks[self.pos].kind != "IDENT":
+            return False
+        i = self.pos + 1
+        if self.toks[i].kind == "LPAREN":
+            i += 1
+            while self.toks[i].kind in ("IDENT", "COMMA"):
+                i += 1
+            if self.toks[i].kind != "RPAREN":
+                return False
+            i += 1
+        return self.toks[i].kind == "COLONEQ"
 
     def parse_clause(self) -> Clause:
         name = self.ident("rule name")
-        params: List[str] = []
-        if self.accept("LPAREN"):
-            if not self.at("RPAREN"):
-                while True:
-                    p = self.ident("parameter name")
-                    if p.text in params:
-                        self.diagnostics.append(
-                            ParseDiagnostic(p.span, f"duplicate parameter {p.text!r}")
-                        )
-                    params.append(p.text)
-                    if not self.accept("COMMA"):
-                        break
-            self.expect("RPAREN", "')'")
+        params: Tuple[str, ...] = ()
+        if self.accept("LPAREN") and not self.accept("RPAREN"):  # "()" has no names
+            params = self.names("parameter name", "duplicate parameter", "RPAREN", "')'")
         self.expect("COLONEQ", "'::='")
         body = self.parse_alternation()
         self.expect("DOT", "'.' at end of rule")
-        return Clause(name.text, tuple(params), body, span=name.span)
+        return Clause(name.text, params, body, span=name.span)
 
     # -- bodies ---------------------------------------------------------------
 
@@ -387,85 +387,42 @@ class _Parser:
             inner = self.parse_alternation()
             self.expect("RPAREN", "')'")
             return inner
-        if tok.kind == "OK":
+        if tok.kind in _KEYWORD_BODIES:
             self.next()
-            return (Ok(span=tok.span),)
-        if tok.kind == "ANY":
-            self.next()
-            return (Any(span=tok.span),)
-        if tok.kind == "EMPTY":
-            self.next()
-            return (Empty(span=tok.span),)
-        if tok.kind == "TEXT":
-            self.next()
-            return (Text(span=tok.span),)
-        self.error(f"expected a rule body component, found {tok.text or tok.kind!r}")
-        raise AssertionError
+            return (_KEYWORD_BODIES[tok.kind](span=tok.span),)
+        self.unexpected("a rule body component")
 
     def parse_bind(self) -> Bind:
-        names: List[str] = []
         start = self.peek()
         if self.accept("LBRACK"):
-            while True:
-                t = self.ident("binding name")
-                if t.text in names:
-                    self.diagnostics.append(
-                        ParseDiagnostic(t.span, f"duplicate binding name {t.text!r}")
-                    )
-                names.append(t.text)
-                if not self.accept("COMMA"):
-                    break
-            self.expect("RBRACK", "']'")
+            names = self.names("binding name", "duplicate binding name", "RBRACK", "']'")
         else:
-            names.append(self.ident("binding name").text)
+            names = (self.ident("binding name").text,)
         self.expect("EQ", "'='")
-        body = self.parse_bind_target()
-        return Bind(tuple(names), body, span=start.span)
-
-    def parse_bind_target(self) -> BodySeq:
-        tok = self.peek()
-        if tok.kind not in _ITEM_START:
-            self.error(f"expected a component after '=', found {tok.text or tok.kind!r}")
-        return self.parse_component()
+        if self.peek().kind not in _ITEM_START:
+            self.unexpected("a component after '='")
+        return Bind(names, self.parse_component(), span=start.span)
 
     def parse_call(self) -> Call:
         name = self.ident("rule name")
-        args: List[Expr] = []
-        if self.accept("LPAREN"):
-            if not self.at("RPAREN"):
-                while True:
-                    args.append(self.parse_expr())
-                    if not self.accept("COMMA"):
-                        break
-            self.expect("RPAREN", "')'")
-        return Call(name.text, tuple(args), span=name.span)
+        args = self.exprs("RPAREN", "')'") if self.accept("LPAREN") else ()
+        return Call(name.text, args, span=name.span)
 
     def parse_actions(self) -> Actions:
         start = self.expect("LBRACE", "'{'")
-        exprs: List[Expr] = []
-        if not self.at("RBRACE"):
-            while True:
-                exprs.append(self.parse_expr())
-                if not self.accept("COMMA"):
-                    break
-        self.expect("RBRACE", "'}'")
-        return Actions(tuple(exprs), span=start.span)
+        return Actions(self.exprs("RBRACE", "'}'"), span=start.span)
 
     def parse_element(self) -> ElementSpec:
         start = self.expect("LT", "'<'")
         tag = self.ident("element tag")
         attrs: List[Tuple[str, str]] = []
-        seen_vars: List[str] = []
         while self.at("IDENT"):
             var = self.ident("attribute name")
             attr_name = var.text
             if self.accept("EQ"):
                 attr_name = self.ident("attribute name").text
-            if var.text in seen_vars:
-                self.diagnostics.append(
-                    ParseDiagnostic(var.span, f"duplicate attribute variable {var.text!r}")
-                )
-            seen_vars.append(var.text)
+            if any(var.text == seen for seen, _ in attrs):
+                self.note(var, f"duplicate attribute variable {var.text!r}")
             attrs.append((var.text, attr_name))
 
         guarded: List[Tuple[Expr, BodySeq]] = []
@@ -486,12 +443,7 @@ class _Parser:
         self.expect("LTSLASH", "'</'")
         close = self.ident("closing tag")
         if close.text != tag.text:
-            self.diagnostics.append(
-                ParseDiagnostic(
-                    close.span,
-                    f"mismatched closing tag </{close.text}> for <{tag.text}>",
-                )
-            )
+            self.note(close, f"mismatched closing tag </{close.text}> for <{tag.text}>")
         self.expect("GT", "'>'")
         return ElementSpec(tag.text, tuple(attrs), tuple(guarded), else_body, span=start.span)
 
@@ -551,21 +503,9 @@ class _Parser:
 
     def parse_atom(self) -> Expr:
         tok = self.peek()
-        if tok.kind == "STRING":
+        if tok.kind in _LITERALS:
             self.next()
-            return StrLit(tok.text, span=tok.span)
-        if tok.kind == "INT":
-            self.next()
-            return IntLit(int(tok.text), span=tok.span)
-        if tok.kind == "true":
-            self.next()
-            return BoolLit(True, span=tok.span)
-        if tok.kind == "false":
-            self.next()
-            return BoolLit(False, span=tok.span)
-        if tok.kind == "null":
-            self.next()
-            return NullLit(span=tok.span)
+            return _LITERALS[tok.kind](tok)
         if tok.kind == "LPAREN":
             self.next()
             inner = self.parse_expr()
@@ -575,31 +515,16 @@ class _Parser:
             if tok.text == "Seq" and self.peek(1).kind == "LBRACE":
                 self.next()
                 self.next()
-                items: List[Expr] = []
-                if not self.at("RBRACE"):
-                    while True:
-                        items.append(self.parse_expr())
-                        if not self.accept("COMMA"):
-                            break
-                self.expect("RBRACE", "'}'")
-                return ListLit(tuple(items), span=tok.span)
+                return ListLit(self.exprs("RBRACE", "'}'"), span=tok.span)
             name = self.ident("name")
             if self.accept("LPAREN"):
-                args: List[Expr] = []
-                if not self.at("RPAREN"):
-                    while True:
-                        args.append(self.parse_expr())
-                        if not self.accept("COMMA"):
-                            break
-                self.expect("RPAREN", "')'")
-                return Construct(name.text, tuple(args), span=name.span)
+                return Construct(name.text, self.exprs("RPAREN", "')'"), span=name.span)
             # Bare names: uppercase initial means a zero-argument constructor
             # (the usual style for term names), lowercase a variable.
             if name.text[0].isupper():
                 return Construct(name.text, (), span=name.span)
             return VarRef(name.text, span=name.span)
-        self.error(f"expected an expression, found {tok.text or tok.kind!r}")
-        raise AssertionError
+        self.unexpected("an expression")
 
 
 class _Bail(Exception):

@@ -7,16 +7,29 @@ import pytest
 from helpers import TEST_GRAMMAR, TEST_GRAMMAR_NORMALIZED, alpha_eq_grammars
 from xmlgram.analysis import (
     NotNormalForm,
+    PredictTable,
     UndefinedClause,
     body_null,
     build_predict_table,
     check_ll1,
     compute_sets,
-    definition_index,
     render_table_kv,
     render_table_text,
 )
-from xmlgram.ast import Any, Bind, Call, Empty, Grammar, Ok, Star, Text, Actions, IntLit
+from xmlgram.ast import (
+    Actions,
+    Any,
+    Bind,
+    Call,
+    Clause,
+    ElementSpec,
+    Empty,
+    Grammar,
+    IntLit,
+    Ok,
+    Star,
+    Text,
+)
 from xmlgram.engine import Machine, compile_grammar
 from xmlgram.events import ANY_TOKEN, END_OF_INPUT, TEXT_TOKEN, build_tree
 from xmlgram.frontend import parse_grammar
@@ -249,8 +262,18 @@ def test_text_token_row():
 
 def test_definition_index_counts_per_name():
     g = norm("@Grammar G X ::= <A/> {1}. X ::= <B/> {2}. end")
-    assert definition_index(g, g.clauses[0]) == 0
-    assert definition_index(g, g.clauses[1]) == 1
+    table = build_predict_table(g, compute_sets(g, "X"))
+    assert render_table_kv(g, table) == "X\tA\t0\nX\tB\t1\n"
+
+
+def test_kv_rendering_is_linear_in_the_definitions():
+    k = 8000
+    clauses = tuple(Clause("R", (), (ElementSpec(f"T{i}", (), (), (Ok(),)),)) for i in range(k))
+    table = PredictTable({("R", f"T{i}"): clause for i, clause in enumerate(clauses)})
+    started = time.perf_counter()
+    kv = render_table_kv(Grammar("G", clauses), table)
+    assert time.perf_counter() - started < 0.5
+    assert kv.splitlines() == sorted(f"R\tT{i}\t{i}" for i in range(k))
 
 
 def test_kv_rendering_is_stable_and_sorted(test_tables):

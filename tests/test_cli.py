@@ -86,9 +86,9 @@ def test_nesting_past_the_bound_is_a_diagnostic(files, capsys, kind):
     path = files("deep.xg", source)
     assert main(["check", path]) == 1
     column = _nth_column(source, opener, MAX_NESTING + nth)
-    # Resynchronizing at the next '.' may report more errors after this one.
-    first = capsys.readouterr().err.splitlines()[0]
-    assert first == f"{path}:1:{column}: error: nesting deeper than {MAX_NESTING} levels"
+    assert capsys.readouterr().err.splitlines() == [
+        f"{path}:1:{column}: error: nesting deeper than {MAX_NESTING} levels"
+    ]
 
 
 @pytest.mark.parametrize("kind", sorted(NESTINGS))
@@ -99,6 +99,13 @@ def test_nesting_at_the_bound_compiles_and_round_trips(files, capsys, kind):
         assert main([command, path]) == 0, capsys.readouterr().err
     grammar = parse_grammar(pathlib.Path(path).read_text())
     assert parse_grammar(pretty_grammar(grammar)) == grammar
+
+
+@pytest.mark.parametrize("action", ["{²}", "{-²}", "{1²}"])
+def test_non_decimal_digit_is_an_unknown_character(files, capsys, action):
+    path = files("sup.xg", f"@Grammar G R ::= <a/> {action}. end")
+    assert main(["check", path]) == 1
+    assert "error: unknown character '²'" in capsys.readouterr().err
 
 
 def test_wide_alternation_compiles_in_linear_size(files, capsys):
@@ -449,7 +456,10 @@ grammar_edits = st.tuples(
     st.integers(0, max(map(len, GRAMMARS))),
     st.integers(0, 3),
     st.one_of(
-        st.sampled_from([b"(", b"<", b"|", b"{", b"<e>", b"C(", b"x = ", b")", b"."]),
+        st.sampled_from(
+            [b"(", b"<", b"|", b"{", b"<e>", b"C(", b"x = ", b")", b"."]
+            + [c.encode() for c in "²½Ⅷé٣"]
+        ),
         st.binary(max_size=3),
     ),
     st.sampled_from([1, 2, 3, 400]),

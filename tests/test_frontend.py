@@ -23,7 +23,7 @@ from xmlgram.ast import (
     Text,
     VarRef,
 )
-from xmlgram.frontend import GrammarParseError, parse_grammar, try_parse_grammar
+from xmlgram.frontend import GrammarParseError, parse_grammar, tokenize, try_parse_grammar
 from xmlgram.pretty import pretty_grammar
 
 
@@ -100,6 +100,19 @@ def test_resynchronization_reports_later_errors_too():
     assert g is None
     assert len(diagnostics) >= 2
     assert any("mismatched closing tag" in d.message for d in diagnostics)
+
+
+def test_resynchronization_skips_the_dots_of_method_calls():
+    source = (
+        "@Grammar G A ::= <a/> {C.add(1}.add(2).add(3)}. B ::= <b/> {C.add(x)}."
+        " T(x, y) ::= <t/> {x} ). end"
+    )
+    g, diagnostics = try_parse_grammar(source)
+    assert g is None
+    assert [str(d) for d in diagnostics] == [
+        "1:31: error: expected ')', found '}'",
+        "1:93: error: expected '.' at end of rule, found ')'",
+    ]
 
 
 def test_duplicate_parameters_rejected():
@@ -205,6 +218,87 @@ def test_cons_and_list_expressions():
 def test_comments_ignored():
     g = parse_grammar("@Grammar G // comment\n R ::= OK. // more\n end")
     assert len(g.clauses) == 1
+
+
+def test_eof_after_a_trailing_comment_is_at_the_end_of_the_line():
+    _, diagnostics = try_parse_grammar("@Grammar X A ::= OK. // a long comment here")
+    assert [str(d) for d in diagnostics] == ["1:44: error: unterminated grammar: expected 'end'"]
+
+
+def test_string_ends_at_its_line_even_after_a_backslash():
+    _, diagnostics = try_parse_grammar('@Grammar X\nA ::= <a/> {"x\\\ny"}.\nB ::= ; .\nend')
+    assert [str(d) for d in diagnostics] == [
+        "2:13: error: unterminated string literal",
+        "3:2: error: unterminated string literal",
+        "4:7: error: unknown character ';'",
+        "3:1: error: expected '}', found 'y'",
+    ]
+
+
+def test_integer_digits_are_decimal_digits():
+    g = parse_grammar("@Grammar G R ::= <a/> {٣}. end")
+    assert g.clauses[0].body[1] == Actions((IntLit(3),))
+
+
+# One source with every punctuation token, every keyword, the grammar marker
+# and an unknown one, a negative integer, every escape, an unterminated
+# string, CRLF line ends, non-ASCII identifiers and '$' names.
+GOLDEN_SOURCE = (
+    "@Grammar Gé // the grammar\r\n"
+    '  R(p, q$1) ::= <a x=y/> [u, v] = S* | (T) {u : v, p = q, p <> q, Seq{-12, "a\\n\\t\\"\\\\b"}}.\r\n'
+    '  S ::= EMPTY ANY TEXT OK </ > -> iterate when else true false null ñame_2 @Bogus ; "open\r\n'
+    "end\r\n"
+)
+
+# (kind, text, line, column, length) per token.
+GOLDEN_TOKENS = [
+    ("ATGRAMMAR", "@Grammar", 1, 1, 8), ("IDENT", "Gé", 1, 10, 2),
+    ("IDENT", "R", 2, 3, 1), ("LPAREN", "(", 2, 4, 1), ("IDENT", "p", 2, 5, 1),
+    ("COMMA", ",", 2, 6, 1), ("IDENT", "q$1", 2, 8, 3), ("RPAREN", ")", 2, 11, 1),
+    ("COLONEQ", "::=", 2, 13, 3), ("LT", "<", 2, 17, 1), ("IDENT", "a", 2, 18, 1),
+    ("IDENT", "x", 2, 20, 1), ("EQ", "=", 2, 21, 1), ("IDENT", "y", 2, 22, 1),
+    ("SLASHGT", "/>", 2, 23, 2), ("LBRACK", "[", 2, 26, 1), ("IDENT", "u", 2, 27, 1),
+    ("COMMA", ",", 2, 28, 1), ("IDENT", "v", 2, 30, 1), ("RBRACK", "]", 2, 31, 1),
+    ("EQ", "=", 2, 33, 1), ("IDENT", "S", 2, 35, 1), ("STAR", "*", 2, 36, 1),
+    ("PIPE", "|", 2, 38, 1), ("LPAREN", "(", 2, 40, 1), ("IDENT", "T", 2, 41, 1),
+    ("RPAREN", ")", 2, 42, 1), ("LBRACE", "{", 2, 44, 1), ("IDENT", "u", 2, 45, 1),
+    ("COLON", ":", 2, 47, 1), ("IDENT", "v", 2, 49, 1), ("COMMA", ",", 2, 50, 1),
+    ("IDENT", "p", 2, 52, 1), ("EQ", "=", 2, 54, 1), ("IDENT", "q", 2, 56, 1),
+    ("COMMA", ",", 2, 57, 1), ("IDENT", "p", 2, 59, 1), ("NEQ", "<>", 2, 61, 2),
+    ("IDENT", "q", 2, 64, 1), ("COMMA", ",", 2, 65, 1), ("IDENT", "Seq", 2, 67, 3),
+    ("LBRACE", "{", 2, 70, 1), ("INT", "-12", 2, 71, 3), ("COMMA", ",", 2, 74, 1),
+    ("STRING", 'a\n\t"\\b', 2, 76, 12), ("RBRACE", "}", 2, 88, 1), ("RBRACE", "}", 2, 89, 1),
+    ("DOT", ".", 2, 90, 1),
+    ("IDENT", "S", 3, 3, 1), ("COLONEQ", "::=", 3, 5, 3), ("EMPTY", "EMPTY", 3, 9, 5),
+    ("ANY", "ANY", 3, 15, 3), ("TEXT", "TEXT", 3, 19, 4), ("OK", "OK", 3, 24, 2),
+    ("LTSLASH", "</", 3, 27, 2), ("GT", ">", 3, 30, 1), ("ARROW", "->", 3, 32, 2),
+    ("IDENT", "iterate", 3, 35, 7), ("when", "when", 3, 43, 4), ("else", "else", 3, 48, 4),
+    ("true", "true", 3, 53, 4), ("false", "false", 3, 58, 5), ("null", "null", 3, 64, 4),
+    ("IDENT", "ñame_2", 3, 69, 6), ("STRING", "open\r", 3, 85, 6),
+    ("end", "end", 4, 1, 3),
+    # the parser looks one token ahead, so the list ends in two EOF tokens
+    ("EOF", "", 5, 1, 0), ("EOF", "", 5, 1, 0),
+]
+
+GOLDEN_LEXER_DIAGNOSTICS = [
+    "3:76: error: unknown marker '@Bogus'",
+    "3:83: error: unknown character ';'",
+    "3:85: error: unterminated string literal",
+]
+
+
+def test_token_stream_golden():
+    diagnostics = []
+    tokens = tokenize(GOLDEN_SOURCE, diagnostics)
+    assert [(t.kind, t.text, t.span.line, t.span.column, t.span.length) for t in tokens] == (
+        GOLDEN_TOKENS
+    )
+    assert [str(d) for d in diagnostics] == GOLDEN_LEXER_DIAGNOSTICS
+    _, diagnostics = try_parse_grammar(GOLDEN_SOURCE)
+    assert [str(d) for d in diagnostics] == GOLDEN_LEXER_DIAGNOSTICS + [
+        "2:8: error: identifier 'q$1' uses reserved character '$'",
+        "3:27: error: expected '.' at end of rule, found '</'",
+    ]
 
 
 def test_empty_body_clause():
