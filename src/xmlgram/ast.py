@@ -14,12 +14,13 @@ but never participate in equality, so structural comparison of two parses
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple, Union
+from typing import Iterator, NamedTuple, Optional, Tuple, Union
 
 
-@dataclass(frozen=True)
-class SourceSpan:
-    """1-based line/column position plus the length of the offending text."""
+class SourceSpan(NamedTuple):
+    """1-based line/column position plus the length of the offending text.
+
+    A tuple, not a dataclass: the lexer builds one per token."""
 
     line: int
     column: int
@@ -234,6 +235,17 @@ def bodies(item: Body) -> Tuple[BodySeq, ...]:
     if isinstance(item, ElementSpec):
         return tuple(body for _, body in item.guarded) + (item.else_body,)
     return ()
+
+
+def walk(seq: BodySeq) -> Iterator[Body]:
+    """Every item of ``seq`` and of the bodies nested in it, in source order
+    (each item before the items inside it)."""
+    stack = list(reversed(seq))
+    while stack:
+        item = stack.pop()
+        yield item
+        for body in reversed(bodies(item)):
+            stack.extend(reversed(body))
 
 
 @dataclass(frozen=True)

@@ -534,7 +534,7 @@ class _Bail(Exception):
 def try_parse_grammar(
     source: str, *, allow_internal_names: bool = False
 ) -> Tuple[Optional[Grammar], List[ParseDiagnostic]]:
-    """Parse; returns (grammar-or-None, diagnostics).
+    """Parse; returns (grammar-or-None, diagnostics in source order).
 
     The grammar is None exactly when an error-severity diagnostic was issued.
     """
@@ -546,6 +546,8 @@ def try_parse_grammar(
         grammar = parser.parse_grammar()
     except _Bail:
         pass
+    # The lexer reports before the parser runs; interleave the two by position.
+    diagnostics.sort(key=lambda d: (d.span.line, d.span.column))
     if any(d.severity == "error" for d in diagnostics):
         return None, diagnostics
     return grammar, diagnostics

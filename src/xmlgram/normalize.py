@@ -25,7 +25,9 @@ exported the rewrite degenerates to a bare call.  Fresh rule names are
 ``<root>$k`` with a single counter per run, so output is deterministic;
 ``$`` cannot appear in user names.
 
-The three share one bottom-up walk over each clause body.
+The three share one bottom-up walk over each clause body, and read a
+lifted body's parameters and exports from one ``wellformed.scope`` walk,
+the scoping rules the well-formedness check applies.
 ``normalize_grammar`` applies them once each, in the order star, guards,
 disjunction, and asserts the normal-form predicate on the result.  One
 round suffices: star removal leaves no repetition, guard lifting leaves
@@ -35,7 +37,7 @@ adds no repetition and leaves those branches alone.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import FrozenSet, List, Tuple
 
 from .ast import (
     CONS,
@@ -53,8 +55,9 @@ from .ast import (
     Star,
     VarRef,
     bodies,
+    walk,
 )
-from .wellformed import bound_vars, bound_vars_seq, free_vars, free_vars_seq
+from .wellformed import scope
 
 
 class FreshNameSource:
@@ -87,6 +90,14 @@ class FreshNameSource:
         """A variable no user scope can contain or collide with."""
         self.counter += 1
         return f"{base}${self.counter}"
+
+
+def _interface(seq: BodySeq) -> Tuple[Tuple[str, ...], FrozenSet[str]]:
+    """A lifted body's parameters (its free variables, sorted) and the names
+    it binds."""
+    uses: list = []
+    bound = scope(seq, frozenset(), uses)
+    return tuple(sorted({use.name for use in uses if isinstance(use, VarRef)})), bound
 
 
 def _var_refs(names) -> Tuple[VarRef, ...]:
@@ -131,13 +142,6 @@ def _rebuild(item: Body, f) -> Body:
         guarded = tuple((g, f(b)) for g, b in item.guarded)
         return ElementSpec(item.tag, item.attrs, guarded, f(item.else_body), span=item.span)
     return item
-
-
-def _contains(seq: BodySeq, kinds) -> bool:
-    return any(
-        isinstance(item, kinds) or any(_contains(body, kinds) for body in bodies(item))
-        for item in seq
-    )
 
 
 class _Pass:
@@ -185,7 +189,7 @@ def _remove_star_item(item: Body, rewrite: _Pass) -> BodySeq:
     if not isinstance(item, Star):
         return (item,)
     fresh = rewrite.fresh
-    params = tuple(sorted(free_vars_seq(item.body)))
+    params, _ = _interface(item.body)
     name = fresh.fresh(rewrite.origin)
     avoid = set(params)
     x = fresh.fresh_var("x", avoid)
@@ -209,7 +213,7 @@ def _remove_star_item(item: Body, rewrite: _Pass) -> BodySeq:
 def _branch_is_normal(branch: BodySeq) -> bool:
     if len(branch) == 1 and isinstance(branch[0], Call):
         return True
-    return not _contains(branch, (Call, Or, Star))
+    return not any(isinstance(item, (Call, Or, Star)) for item in walk(branch))
 
 
 def lift_element_guards(grammar: Grammar) -> Grammar:
@@ -233,15 +237,18 @@ def _lift_element_item(el: Body, rewrite: _Pass) -> BodySeq:
         hoisted = ElementSpec(el.tag, el.attrs, (), bind.body, span=el.span)
         return (Bind(bind.names, (hoisted,), span=bind.span),)
 
-    common = tuple(sorted(frozenset.intersection(*map(bound_vars_seq, bodies(el)))))
+    interfaces = [_interface(body) for body in bodies(el)]
+    common = tuple(sorted(frozenset.intersection(*(bound for _, bound in interfaces))))
+    # ``_rebuild`` visits the branches in ``bodies`` order.
+    branch_params = iter(params for params, _ in interfaces)
     fresh = rewrite.fresh
 
     def lift_branch(branch: BodySeq) -> BodySeq:
+        params = next(branch_params)
         # With exports, every branch must yield the same tuple shape, so
         # even already-normal branches get lifted.
         if not common and _branch_is_normal(branch):
             return branch
-        params = tuple(sorted(free_vars_seq(branch)))
         name = fresh.fresh(rewrite.origin)
         rewrite.acc.append(Clause(name, params, _returning(branch, common, fresh)))
         return (Call(name, _var_refs(params)),)
@@ -270,8 +277,8 @@ def _lift_or_item(item: Body, rewrite: _Pass) -> BodySeq:
     if not isinstance(item, Or):
         return (item,)
     fresh = rewrite.fresh
-    bound = tuple(sorted(bound_vars(item)))
-    params = tuple(sorted(free_vars(item)))
+    params, bound_set = _interface((item,))
+    bound = tuple(sorted(bound_set))
     name = fresh.fresh(rewrite.origin)
     for branch in item.branches:
         rewrite.acc.append(Clause(name, params, _returning(branch, bound, fresh)))
@@ -284,17 +291,12 @@ def _lift_or_item(item: Body, rewrite: _Pass) -> BodySeq:
 
 
 def is_normal_form(grammar: Grammar) -> bool:
-    return all(_seq_normal(clause.body) for clause in grammar.clauses)
-
-
-def _seq_normal(seq: BodySeq) -> bool:
-    for item in seq:
-        if isinstance(item, (Or, Star)):
-            return False
-        if isinstance(item, ElementSpec) and not all(map(_branch_is_normal, bodies(item))):
-            return False
-        if not all(map(_seq_normal, bodies(item))):
-            return False
+    for clause in grammar.clauses:
+        for item in walk(clause.body):
+            if isinstance(item, (Or, Star)):
+                return False
+            if isinstance(item, ElementSpec) and not all(map(_branch_is_normal, bodies(item))):
+                return False
     return True
 
 

@@ -12,9 +12,7 @@ shared with the engine:
 
 * a sequence's value is its last component's value (null when empty);
 * ``EMPTY`` only matches when no sibling trees remain;
-* ``ANY`` consumes one subtree and yields null (set ``any_as_tree`` to get
-  an encoded copy of the subtree instead, for study — the engine cannot do
-  this while streaming);
+* ``ANY`` consumes one subtree and yields null;
 * repetition yields a Cons/Nil chain, longest match enumerated first, and
   an iteration must consume input (a nullable repetition body would
   otherwise admit infinitely many derivations);
@@ -50,7 +48,7 @@ from .ast import (
 )
 from .evaluate import eval_actions, eval_expr, eval_guard
 from .events import Element, TextNode, XmlTree
-from .values import NULL, Env, ListVal, StrVal, TermVal, TupleVal, Value, env_merge
+from .values import NULL, Env, StrVal, TermVal, TupleVal, Value, env_merge
 
 DEFAULT_MAX_STEPS = 10_000
 
@@ -80,43 +78,10 @@ class OracleResult:
         return len(self.values) > 1
 
 
-def tree_value(tree: XmlTree) -> Value:
-    """Encode a subtree as a value, for the any-as-tree reading.
-
-    Iterative: each open element waits on the stack with the values of the
-    children encoded so far, so any depth encodes."""
-    if isinstance(tree, TextNode):
-        return StrVal(tree.text)
-    stack: List[Tuple[Element, List[Value]]] = [(tree, [])]
-    while True:
-        element, done = stack[-1]
-        if len(done) < len(element.children):
-            child = element.children[len(done)]
-            if isinstance(child, TextNode):
-                done.append(StrVal(child.text))
-            else:
-                stack.append((child, []))
-            continue
-        stack.pop()
-        pairs = sorted(element.attrs.items())
-        attrs = ListVal(tuple(TermVal("$attr", (StrVal(k), StrVal(v))) for k, v in pairs))
-        value = TermVal("$element", (StrVal(element.tag), attrs, ListVal(tuple(done))))
-        if not stack:
-            return value
-        stack[-1][1].append(value)
-
-
 class Oracle:
-    def __init__(
-        self,
-        grammar: Grammar,
-        *,
-        max_steps: int = DEFAULT_MAX_STEPS,
-        any_as_tree: bool = False,
-    ):
+    def __init__(self, grammar: Grammar, *, max_steps: int = DEFAULT_MAX_STEPS):
         self.grammar = grammar
         self.max_steps = max_steps
-        self.any_as_tree = any_as_tree
         self._steps = 0
         self._entries: dict = {}
 
@@ -180,8 +145,7 @@ class Oracle:
                 yield trees, env, NULL
         elif isinstance(item, Any):
             if trees:
-                value = tree_value(trees[0]) if self.any_as_tree else NULL
-                yield trees[1:], env, value
+                yield trees[1:], env, NULL
         elif isinstance(item, Ok):
             yield trees, env, NULL
         elif isinstance(item, Text):
@@ -272,11 +236,8 @@ def satisfy(
     env: Env,
     *,
     max_steps: int = DEFAULT_MAX_STEPS,
-    any_as_tree: bool = False,
 ) -> Iterator[Derivation]:
-    return Oracle(grammar, max_steps=max_steps, any_as_tree=any_as_tree).satisfy(
-        body, tuple(trees), env
-    )
+    return Oracle(grammar, max_steps=max_steps).satisfy(body, tuple(trees), env)
 
 
 def accepts(
@@ -285,6 +246,5 @@ def accepts(
     doc: XmlTree,
     *,
     max_steps: int = DEFAULT_MAX_STEPS,
-    any_as_tree: bool = False,
 ) -> OracleResult:
-    return Oracle(grammar, max_steps=max_steps, any_as_tree=any_as_tree).accepts(start_rule, doc)
+    return Oracle(grammar, max_steps=max_steps).accepts(start_rule, doc)

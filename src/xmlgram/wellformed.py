@@ -1,4 +1,4 @@
-"""Free/bound variable analysis and the well-formedness check.
+"""Variable scoping and the well-formedness check.
 
 A variable may be referenced only where every path to that point has bound
 it.  Binding is sequential and cumulative within a clause body; alternation
@@ -7,6 +7,12 @@ may run zero times).  An element specification binds its declared attribute
 variables and whatever all of its branches bind, and those names stay
 visible for the rest of the clause body — this matches the runtime, where an
 environment only resets at rule-call boundaries.
+
+``scope`` is the one implementation of these rules: a single walk that
+passes the names in scope down and returns the names bound after a body, and
+logs on the way every variable use out of scope and every rule call.  The
+check reads its errors from that log, and the normalizer reads a lifted
+body's parameters and exports from it.
 
 Besides variable scoping, ``check_grammar`` rejects arity inconsistencies
 (calls whose argument count disagrees with the callee, and same-named
@@ -18,32 +24,26 @@ simply never match anything, which can be deliberate in a grammar fragment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Set, Tuple
+from typing import FrozenSet, List, Optional, Union
 
 from .ast import (
     Actions,
-    Any,
     Bind,
-    Body,
     BodySeq,
     Call,
-    Clause,
     Compare,
     ConsExpr,
     Construct,
     ElementSpec,
-    Empty,
     Expr,
     Fold,
     Grammar,
     ListLit,
-    Ok,
     Or,
     SourceSpan,
     Star,
-    Text,
     VarRef,
-    bodies,
+    walk,
 )
 
 
@@ -62,84 +62,66 @@ class WfError:
         return f"rule {self.rule}: {self.message}{where}"
 
 
-# -- free and bound names ----------------------------------------------------
+# -- scope --------------------------------------------------------------------
 
 
 def free_expr(expr: Expr) -> FrozenSet[str]:
-    return frozenset(name for name, _ in expr_var_occurrences(expr))
+    return frozenset(ref.name for ref in expr_vars(expr))
 
 
-def expr_var_occurrences(expr: Expr) -> List[Tuple[str, Optional[SourceSpan]]]:
+def expr_vars(expr: Expr) -> List[VarRef]:
+    """The variable references an expression evaluates, in evaluation order."""
     if isinstance(expr, VarRef):
-        return [(expr.name, expr.span)]
+        return [expr]
     if isinstance(expr, (Construct, ListLit)):
-        out: List[Tuple[str, Optional[SourceSpan]]] = []
+        out: List[VarRef] = []
         for sub in expr.args if isinstance(expr, Construct) else expr.items:
-            out.extend(expr_var_occurrences(sub))
+            out.extend(expr_vars(sub))
         return out
     if isinstance(expr, ConsExpr):
-        return expr_var_occurrences(expr.head) + expr_var_occurrences(expr.tail)
+        return expr_vars(expr.head) + expr_vars(expr.tail)
     if isinstance(expr, Compare):
-        return expr_var_occurrences(expr.left) + expr_var_occurrences(expr.right)
+        return expr_vars(expr.left) + expr_vars(expr.right)
     if isinstance(expr, Fold):
-        out = expr_var_occurrences(expr.init) + expr_var_occurrences(expr.over)
+        out = expr_vars(expr.init) + expr_vars(expr.over)
         shadowed = {expr.elem_var, expr.acc_var}
-        out.extend((n, s) for n, s in expr_var_occurrences(expr.step) if n not in shadowed)
+        out.extend(ref for ref in expr_vars(expr.step) if ref.name not in shadowed)
         return out
     return []
 
 
-def bound_vars(item: Body) -> FrozenSet[str]:
-    """Names guaranteed to be available after the item succeeds."""
-    if isinstance(item, Or):
-        return frozenset.intersection(*map(bound_vars_seq, item.branches))
-    if isinstance(item, Bind):
-        return frozenset(item.names) | bound_vars_seq(item.body)
-    if isinstance(item, ElementSpec):
-        attrs = frozenset(var for var, _ in item.attrs)
-        return attrs | frozenset.intersection(*map(bound_vars_seq, bodies(item)))
-    # Star may iterate zero times, so nothing it binds can be relied on.
-    return frozenset()
+def scope(seq: BodySeq, ctx: FrozenSet[str], uses: List[Union[Call, VarRef]]) -> FrozenSet[str]:
+    """The names in scope after ``seq`` runs with ``ctx`` in scope.
 
+    Appends to ``uses``, in source order, each rule call and each variable
+    reference that is not in scope where it occurs; a call comes before the
+    references in its arguments."""
 
-def bound_vars_seq(seq: BodySeq) -> FrozenSet[str]:
-    names: Set[str] = set()
+    def refs(exprs, names) -> None:
+        uses.extend(ref for expr in exprs for ref in expr_vars(expr) if ref.name not in names)
+
     for item in seq:
-        names |= bound_vars(item)
-    return frozenset(names)
-
-
-def free_vars(item: Body) -> FrozenSet[str]:
-    if isinstance(item, (Or, Bind, Star)):
-        return frozenset().union(*map(free_vars_seq, bodies(item)))
-    if isinstance(item, Call):
-        out: Set[str] = set()
-        for arg in item.args:
-            out |= free_expr(arg)
-        return frozenset(out)
-    if isinstance(item, Actions):
-        out = set()
-        for expr in item.exprs:
-            out |= free_expr(expr)
-        return frozenset(out)
-    if isinstance(item, ElementSpec):
-        attrs = frozenset(var for var, _ in item.attrs)
-        out = set()
-        for guard, body in item.guarded:
-            out |= free_expr(guard)
-            out |= free_vars_seq(body)
-        out |= free_vars_seq(item.else_body)
-        return frozenset(out) - attrs
-    return frozenset()
-
-
-def free_vars_seq(seq: BodySeq) -> FrozenSet[str]:
-    free: Set[str] = set()
-    bound: Set[str] = set()
-    for item in seq:
-        free |= free_vars(item) - bound
-        bound |= bound_vars(item)
-    return frozenset(free)
+        if isinstance(item, Call):
+            uses.append(item)
+            refs(item.args, ctx)
+        elif isinstance(item, Actions):
+            refs(item.exprs, ctx)
+        elif isinstance(item, Bind):
+            ctx = scope(item.body, ctx, uses) | frozenset(item.names)
+        elif isinstance(item, Star):
+            # Star may iterate zero times, so nothing it binds can be relied on.
+            scope(item.body, ctx, uses)
+        elif isinstance(item, Or):
+            ctx = frozenset.intersection(*(scope(b, ctx, uses) for b in item.branches))
+        elif isinstance(item, ElementSpec):
+            inner = ctx | {var for var, _ in item.attrs}
+            bound = []
+            for guard, body in item.guarded:
+                refs((guard,), inner)
+                bound.append(scope(body, inner, uses))
+            bound.append(scope(item.else_body, inner, uses))
+            ctx = frozenset.intersection(*bound)
+    return ctx
 
 
 # -- the check ----------------------------------------------------------------
@@ -163,81 +145,41 @@ def check_grammar(grammar: Grammar) -> List[WfError]:
             arities[clause.name] = len(clause.params)
 
     for clause in grammar.clauses:
-        checker = _Checker(clause.name, arities, errors)
-        checker.check_seq(clause.body, set(clause.params))
+        uses: List[Union[Call, VarRef]] = []
+        scope(clause.body, frozenset(clause.params), uses)
+        for use in uses:
+            if isinstance(use, VarRef):
+                errors.append(
+                    WfError(
+                        clause.name,
+                        f"variable {use.name} may be unbound",
+                        span=use.span,
+                        variable=use.name,
+                    )
+                )
+            elif arities.get(use.name, len(use.args)) != len(use.args):
+                errors.append(
+                    WfError(
+                        clause.name,
+                        f"call to {use.name} with {len(use.args)} argument(s), "
+                        f"expected {arities[use.name]}",
+                        span=use.span,
+                    )
+                )
     return errors
 
 
 def lint_grammar(grammar: Grammar) -> List[WfError]:
     """Warnings: calls whose target has no definition (they never match)."""
     defined = {c.name for c in grammar.clauses}
-    warnings: List[WfError] = []
-
-    def walk_seq(rule: str, seq: BodySeq) -> None:
-        for item in seq:
-            if isinstance(item, Call) and item.name not in defined:
-                warnings.append(
-                    WfError(
-                        rule,
-                        f"call to undefined rule {item.name!r} (never matches)",
-                        span=item.span,
-                        severity="warning",
-                    )
-                )
-            for body in bodies(item):
-                walk_seq(rule, body)
-
-    for clause in grammar.clauses:
-        walk_seq(clause.name, clause.body)
-    return warnings
-
-
-class _Checker:
-    def __init__(self, rule: str, arities, errors: List[WfError]):
-        self.rule = rule
-        self.arities = arities
-        self.errors = errors
-
-    def check_seq(self, seq: BodySeq, ctx: Set[str]) -> Set[str]:
-        for item in seq:
-            self.check_item(item, ctx)
-            ctx = ctx | bound_vars(item)
-        return ctx
-
-    def check_item(self, item: Body, ctx: Set[str]) -> None:
-        if isinstance(item, (Or, Bind, Star)):
-            for body in bodies(item):
-                self.check_seq(body, set(ctx))
-        elif isinstance(item, Call):
-            expected = self.arities.get(item.name)
-            if expected is not None and expected != len(item.args):
-                self.errors.append(
-                    WfError(
-                        self.rule,
-                        f"call to {item.name} with {len(item.args)} argument(s), "
-                        f"expected {expected}",
-                        span=item.span,
-                    )
-                )
-            for arg in item.args:
-                self.check_expr(arg, ctx)
-        elif isinstance(item, Actions):
-            for expr in item.exprs:
-                self.check_expr(expr, ctx)
-        elif isinstance(item, ElementSpec):
-            inner = ctx | {var for var, _ in item.attrs}
-            for guard, body in item.guarded:
-                self.check_expr(guard, inner)
-                self.check_seq(body, set(inner))
-            self.check_seq(item.else_body, set(inner))
-        elif isinstance(item, (Empty, Any, Ok, Text)):
-            pass
-        else:
-            raise TypeError(f"not a body item: {item!r}")
-
-    def check_expr(self, expr: Expr, ctx: Set[str]) -> None:
-        for name, span in expr_var_occurrences(expr):
-            if name not in ctx:
-                self.errors.append(
-                    WfError(self.rule, f"variable {name} may be unbound", span=span, variable=name)
-                )
+    return [
+        WfError(
+            clause.name,
+            f"call to undefined rule {item.name!r} (never matches)",
+            span=item.span,
+            severity="warning",
+        )
+        for clause in grammar.clauses
+        for item in walk(clause.body)
+        if isinstance(item, Call) and item.name not in defined
+    ]

@@ -1,15 +1,13 @@
 """Reference interpreter: derivation enumeration over materialized trees."""
 
-import random
-
 import pytest
 
-from helpers import TEST_GRAMMAR, random_tree
+from helpers import TEST_GRAMMAR
 from xmlgram.ast import Any, Call, Empty, Grammar, Or, Clause, Actions, IntLit
 from xmlgram.events import Element, TextNode
 from xmlgram.frontend import parse_grammar
-from xmlgram.oracle import Oracle, OracleLimitExceeded, accepts, satisfy, tree_value
-from xmlgram.values import NULL, IntVal, ListVal, StrVal, TermVal, TupleVal
+from xmlgram.oracle import Oracle, OracleLimitExceeded, accepts, satisfy
+from xmlgram.values import NULL, IntVal, StrVal, TermVal, TupleVal
 
 
 def _g(source: str) -> Grammar:
@@ -28,48 +26,6 @@ def test_any_consumes_one_tree_yielding_null():
     trees = (Element("T", {}, ()), TextNode("x"))
     results = list(satisfy(g, (Any(),), trees, {}))
     assert results == [(trees[1:], {}, NULL)]
-
-
-def test_any_as_tree_flag_keeps_the_subtree():
-    g = _g("@Grammar G R ::= ANY. end")
-    tree = Element("T", {"a": "1"}, (TextNode("x"),))
-    results = list(satisfy(g, (Any(),), (tree,), {}, any_as_tree=True))
-    assert results == [((), {}, tree_value(tree))]
-    assert tree_value(tree).ctor == "$element"
-
-
-def _tree_value_reference(tree):
-    """The recursive definition ``tree_value`` implements."""
-    if isinstance(tree, TextNode):
-        return StrVal(tree.text)
-    pairs = sorted(tree.attrs.items())
-    attrs = ListVal(tuple(TermVal("$attr", (StrVal(k), StrVal(v))) for k, v in pairs))
-    children = ListVal(tuple(_tree_value_reference(c) for c in tree.children))
-    return TermVal("$element", (StrVal(tree.tag), attrs, children))
-
-
-def test_tree_value_matches_the_recursive_definition():
-    rng = random.Random(5)
-    for _ in range(200):
-        tree = random_tree(rng, max_depth=5)
-        assert tree_value(tree) == _tree_value_reference(tree)
-
-
-def test_any_as_tree_encodes_a_deep_chain():
-    depth = 3000
-    tree = TextNode("leaf")
-    for i in reversed(range(depth)):
-        tree = Element(f"E{i % 7}", {"n": str(i)}, (tree,))
-    g = _g("@Grammar G R ::= ANY. end")
-    [(remaining, _, value)] = list(satisfy(g, (Any(),), (tree,), {}, any_as_tree=True))
-    assert remaining == ()
-    # Walk the value level by level; == on it would recurse per level.
-    for i in range(depth):
-        tag, attrs, children = value.args
-        assert value.ctor == "$element" and tag == StrVal(f"E{i % 7}")
-        assert attrs == ListVal((TermVal("$attr", (StrVal("n"), StrVal(str(i)))),))
-        [value] = children.items
-    assert value == StrVal("leaf")
 
 
 def test_call_through_test_grammar():

@@ -8,7 +8,9 @@ from xmlgram.ast import (
     Bind,
     Call,
     Compare,
+    Construct,
     ElementSpec,
+    Fold,
     Grammar,
     Clause,
     Or,
@@ -18,53 +20,72 @@ from xmlgram.ast import (
 )
 from xmlgram.frontend import parse_grammar
 from xmlgram.oracle import Oracle, OracleLimitExceeded
-from xmlgram.wellformed import (
-    bound_vars,
-    bound_vars_seq,
-    check_grammar,
-    free_vars,
-    free_vars_seq,
-    lint_grammar,
-)
+from xmlgram.wellformed import check_grammar, lint_grammar, scope
+
+
+def _free(seq):
+    """Variables ``seq`` uses without binding them first, in source order."""
+    uses = []
+    scope(seq, frozenset(), uses)
+    return [use.name for use in uses if isinstance(use, VarRef)]
+
+
+def _bound(seq):
+    return scope(seq, frozenset(), [])
 
 
 def test_free_vars_of_call_args():
-    assert free_vars(Call("Z", (VarRef("x"),))) == {"x"}
+    call = Call("Z", (VarRef("x"),))
+    uses = []
+    assert scope((call,), frozenset(), uses) == frozenset()
+    assert uses == [call, VarRef("x")]
+    assert _free((call,)) == ["x"]
+    uses = []
+    assert scope((call,), frozenset({"x"}), uses) == {"x"}
+    assert uses == [call]
 
 
 def test_free_vars_sequential_binding():
     seq = (Bind(("x",), (Call("X", ()),)), Call("Z", (VarRef("x"),)))
-    assert free_vars_seq(seq) == set()
+    assert _free(seq) == []
+    assert _free(seq[::-1]) == ["x"]
 
 
 def test_free_vars_or_of_binders():
     node = Or(((Bind(("x",), (Call("X", ()),)),), (Bind(("y",), (Call("Y", ()),)),)))
-    assert free_vars(node) == set()
+    assert _free((node,)) == []
+    # a name bound by only one branch is not in scope after the alternation
+    assert _free((node, Actions((VarRef("x"), VarRef("y"))))) == ["x", "y"]
 
 
 def test_bound_vars_of_bind():
-    assert bound_vars(Bind(("x",), (Call("X", ()),))) == {"x"}
+    assert _bound((Bind(("x",), (Call("X", ()),)),)) == {"x"}
+    assert scope((Bind(("x",), (Call("X", ()),)),), frozenset({"p"}), []) == {"p", "x"}
 
 
 def test_bound_vars_or_is_intersection():
     node = Or(((Bind(("x",), (Call("X", ()),)),), (Bind(("y",), (Call("Y", ()),)),)))
-    assert bound_vars(node) == set()
+    assert _bound((node,)) == set()
     both = Or(
         (
             (Bind(("x",), (Call("X", ()),)),),
             (Bind(("x",), (Call("Y", ()),)), Bind(("z",), (Call("Y", ()),))),
         )
     )
-    assert bound_vars(both) == {"x"}
+    assert _bound((both,)) == {"x"}
+    assert scope((both,), frozenset({"p"}), []) == {"p", "x"}
 
 
 def test_bound_vars_star_is_empty():
-    assert bound_vars(Star((Bind(("x",), (Call("X", ()),)),))) == set()
+    star = Star((Bind(("x",), (Call("X", ()),)), Actions((VarRef("x"),))))
+    assert _bound((star,)) == set()
+    assert scope((star,), frozenset({"p"}), []) == {"p"}
+    assert _free((star,)) == []
 
 
 def test_bound_vars_element_attrs_and_branches():
     el = ElementSpec("T", (("n", "name"),), (), (Bind(("b",), (Call("X", ()),)),))
-    assert bound_vars(el) == {"n", "b"}
+    assert _bound((el,)) == {"n", "b"}
     guarded = ElementSpec(
         "T",
         (),
@@ -72,7 +93,40 @@ def test_bound_vars_element_attrs_and_branches():
         (Bind(("v",), (Call("X", ()),)),),
     )
     # branches bind different names: nothing common survives
-    assert bound_vars(guarded) == set()
+    assert _bound((guarded,)) == set()
+    # attrs are in scope in guards and branches, later bindings are not
+    uses_attr = ElementSpec(
+        "T",
+        (("n", "name"),),
+        ((Compare("=", VarRef("n"), VarRef("u")), (Bind(("u",), (Call("X", ()),)),)),),
+        (Actions((VarRef("n"), VarRef("m"))),),
+    )
+    assert _free((uses_attr,)) == ["u", "m"]
+
+
+def test_scope_respects_fold_shadowing():
+    fold = Fold("e", "a", VarRef("i"), Construct("Cons", (VarRef("e"), VarRef("a"))), VarRef("xs"))
+    assert _free((Actions((fold,)),)) == ["i", "xs"]
+
+
+def test_check_reports_in_walk_order():
+    # Arity errors and unbound uses interleave in source order; a call's
+    # arity error comes before the uses in its arguments.
+    g = parse_grammar(
+        "@Grammar G\n"
+        "  R ::= <a> S(y) S(y, y) </a> { z }.\n"
+        "  S(p) ::= <b/> T(p, p) {p}.\n"
+        "  T(q) ::= OK.\n"
+        "end"
+    )
+    assert [str(e) for e in check_grammar(g)] == [
+        "rule R: variable y may be unbound at 2:15",
+        "rule R: call to S with 2 argument(s), expected 1 at 2:18",
+        "rule R: variable y may be unbound at 2:20",
+        "rule R: variable y may be unbound at 2:23",
+        "rule R: variable z may be unbound at 2:33",
+        "rule S: call to T with 2 argument(s), expected 1 at 3:17",
+    ]
 
 
 def test_unbound_after_disjunction_is_reported():
