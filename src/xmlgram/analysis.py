@@ -1,8 +1,9 @@
 """Nullability, first/follow sets, and predict-table construction.
 
 All three are computed over normal-form grammars (no alternation or
-repetition nodes; element branches are single calls or call-free) by the
-textbook construction (Aho, Lam, Sethi & Ullman, *Compilers*, section 4.4).
+repetition nodes; an element branch may hold calls and nested elements,
+which are read in place) by the textbook construction (Aho, Lam, Sethi &
+Ullman, *Compilers*, section 4.4).
 Nullable and first grow in rounds, each revisiting only the clauses that
 call a rule the round before changed, so a chain of rules settles in time
 linear in its length whichever way round it is written.  Follow comes from

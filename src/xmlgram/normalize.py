@@ -1,38 +1,39 @@
 """Grammar normalization for table-driven parsing.
 
-Three rewrites bring a grammar into normal form:
+An LL(1) table only has to decide alternation and repetition, so the
+normal form has neither: no ``Or`` and no ``Star`` node anywhere.  Element
+branches stay in place whatever they hold; the machine runs them inline
+and the analysis reads through them.
 
-* ``remove_star`` replaces each repetition ``X*`` by a call to a fresh rule
-  with a cons-recursive definition and a Nil base case, so repetition values
-  become Cons/Nil chains;
-* ``lift_element_guards`` turns element branches into single rule calls
-  (branches that are already one call, or that contain no calls,
-  alternations, or repetitions, are left alone — the table construction
-  never needs to look inside those);
-* ``lift_disjunction`` hoists every alternation to top level.  An
-  alternation that is an entire rule body splits into one definition per
-  alternative of the same rule; anywhere else it becomes a call to one
-  fresh rule with one definition per alternative, however many there are.
+``normalize_grammar`` first splits each clause whose body is exactly an
+alternation into one definition per alternative, with no fresh rule.  Then
+one bottom-up walk over each clause body, which passes down the names in
+scope, rewrites what is left:
 
-Lifted bodies keep their variable context by passing free variables as
-arguments.  When a lifted body binds variables that the surrounding scope
-can rely on (for an alternation, names bound by every alternative; for an
-element, names bound by every branch), the fresh rule returns a tuple of
-the body's own value followed by those bindings; the call site unpacks the
-tuple and restores the value with a synthesized variable, so both the
-bindings and the value survive the rewrite exactly.  When nothing is
-exported the rewrite degenerates to a bare call.  Fresh rule names are
-``<root>$k`` with a single counter per run, so output is deterministic;
-``$`` cannot appear in user names.
+* a repetition ``X*`` becomes a call to a fresh rule with a cons-recursive
+  definition and a Nil base case, so repetition values become Cons/Nil
+  chains;
+* an alternation becomes a call to one fresh rule with one definition per
+  alternative, however many there are;
+* an element whose one branch is ``x = C`` for a call ``C`` becomes
+  ``x = <T> C </T>``, the published normal form of a bound call.
 
-The three share one bottom-up walk over each clause body, and read a
-lifted body's parameters and exports from one ``wellformed.scope`` walk,
-the scoping rules the well-formedness check applies.
-``normalize_grammar`` applies them once each, in the order star, guards,
-disjunction, and asserts the normal-form predicate on the result.  One
-round suffices: star removal leaves no repetition, guard lifting leaves
-every element branch a single call or call-free, and disjunction lifting
-adds no repetition and leaves those branches alone.
+A fresh rule takes the lifted body's free variables as parameters.  A
+repetition exports nothing: its iterations run in the environment of the
+repetition point.  An alternation exports the names every alternative
+binds, and each name in scope that some alternative may bind again, which
+it also takes as a parameter so that an alternative leaving the name alone
+passes it through.  With exports the fresh rule returns a tuple of the
+alternative's own value followed by the exported names; the call site
+unpacks the tuple and restores the value with a synthesized variable, so
+both the bindings and the value survive the rewrite exactly.  Without
+exports the rewrite is a bare call.  Fresh rule names are ``<root>$k`` with
+a single counter per run, so output is deterministic; ``$`` cannot appear
+in user names.
+
+A lifted body's parameters and the names it binds come from one
+``wellformed.scope`` walk, the scoping rules the well-formedness check
+applies.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from .ast import (
     Or,
     Star,
     VarRef,
-    bodies,
     walk,
 )
 from .wellformed import scope
@@ -92,12 +92,11 @@ class FreshNameSource:
         return f"{base}${self.counter}"
 
 
-def _interface(seq: BodySeq) -> Tuple[Tuple[str, ...], FrozenSet[str]]:
-    """A lifted body's parameters (its free variables, sorted) and the names
-    it binds."""
+def _interface(seqs) -> Tuple[FrozenSet[str], FrozenSet[str]]:
+    """The free variables of ``seqs`` and the names every one of them binds."""
     uses: list = []
-    bound = scope(seq, frozenset(), uses)
-    return tuple(sorted({use.name for use in uses if isinstance(use, VarRef)})), bound
+    bound = frozenset.intersection(*(scope(seq, frozenset(), uses) for seq in seqs))
+    return frozenset(use.name for use in uses if isinstance(use, VarRef)), bound
 
 
 def _var_refs(names) -> Tuple[VarRef, ...]:
@@ -112,177 +111,119 @@ def _returning(seq: BodySeq, exported: Tuple[str, ...], fresh: FreshNameSource) 
     return (Bind((result,), seq), Actions(_var_refs((result,) + exported)))
 
 
-def _call_site(item: Body, exported: Tuple[str, ...], fresh: FreshNameSource) -> BodySeq:
-    """Items replacing a lifted body at its original position.
-
-    ``item`` produces the fresh rule's ``(value, exports...)`` tuple (it is
-    the call itself, or an element whose branches are such calls); the
-    binding unpacks it and the trailing action restores the plain value.
-    """
+def _call_site(call: Call, exported: Tuple[str, ...], fresh: FreshNameSource) -> BodySeq:
+    """Items replacing a lifted body at its original position: the binding
+    unpacks the fresh rule's ``(value, exports...)`` tuple and the trailing
+    action restores the plain value."""
     if not exported:
-        return (item,)
+        return (call,)
     result = fresh.internal_var("v")
-    return (Bind((result,) + exported, (item,)), Actions((VarRef(result),)))
+    return (Bind((result,) + exported, (call,)), Actions((VarRef(result),)))
+
+
+def _may_bind(seqs) -> set:
+    """Every name a binding or an attribute of ``seqs`` can set."""
+    names = set()
+    for seq in seqs:
+        for item in walk(seq):
+            if isinstance(item, Bind):
+                names.update(item.names)
+            elif isinstance(item, ElementSpec):
+                names.update(var for var, _ in item.attrs)
+    return names
 
 
 # --------------------------------------------------------------------------
-# The shared walk
+# The rewrite
 # --------------------------------------------------------------------------
 
 
-def _rebuild(item: Body, f) -> Body:
-    """``item`` with ``f`` applied to each of its body sequences, in source order."""
-    if isinstance(item, Or):
-        return Or(tuple(map(f, item.branches)), span=item.span)
-    if isinstance(item, Bind):
-        return Bind(item.names, f(item.body), span=item.span)
-    if isinstance(item, Star):
-        return Star(f(item.body), span=item.span)
-    if isinstance(item, ElementSpec):
-        guarded = tuple((g, f(b)) for g, b in item.guarded)
-        return ElementSpec(item.tag, item.attrs, guarded, f(item.else_body), span=item.span)
-    return item
+class _Rewrite:
+    """The one walk.  ``item`` returns the items that replace a node and the
+    names in scope after them.  It rewrites the node's body sequences first
+    and draws names from ``fresh``.  The fresh clauses go to ``acc``, which
+    follows the clause named ``origin`` in the output; names and clauses of
+    a lifted node come before those of the nodes inside it."""
 
-
-class _Pass:
-    """One rewrite over a grammar.  ``rewrite_item(node, rewrite)`` returns
-    the items that replace a node whose body sequences are already
-    rewritten; it draws names from ``fresh`` and appends fresh clauses to
-    ``acc``, which follow the clause named ``origin`` in the output."""
-
-    def __init__(self, grammar: Grammar, rewrite_item):
+    def __init__(self, grammar: Grammar):
         self.fresh = FreshNameSource(grammar)
-        self.rewrite_item = rewrite_item
         self.origin = ""
         self.acc: List[Clause] = []
 
-    def seq(self, seq: BodySeq) -> BodySeq:
+    def seq(self, seq: BodySeq, ctx: FrozenSet[str]) -> Tuple[BodySeq, FrozenSet[str]]:
         items: List[Body] = []
         for item in seq:
-            items.extend(self.rewrite_item(_rebuild(item, self.seq), self))
-        return tuple(items)
+            new, ctx = self.item(item, ctx)
+            items.extend(new)
+        return tuple(items), ctx
+
+    def item(self, item: Body, ctx: FrozenSet[str]) -> Tuple[BodySeq, FrozenSet[str]]:
+        fresh = self.fresh
+        if isinstance(item, Bind):
+            body, ctx = self.seq(item.body, ctx)
+            return (Bind(item.names, body, span=item.span),), ctx | frozenset(item.names)
+
+        if isinstance(item, ElementSpec):
+            inner = ctx | {var for var, _ in item.attrs}
+            guarded, after = [], []
+            for guard, body in item.guarded:
+                body, bound = self.seq(body, inner)
+                guarded.append((guard, body))
+                after.append(bound)
+            else_body, bound = self.seq(item.else_body, inner)
+            after.append(bound)
+            ctx = frozenset.intersection(*after)
+            if not guarded and len(else_body) == 1 and isinstance(else_body[0], Bind):
+                bind = else_body[0]
+                if len(bind.body) == 1 and isinstance(bind.body[0], Call):
+                    hoisted = ElementSpec(item.tag, item.attrs, (), bind.body, span=item.span)
+                    return (Bind(bind.names, (hoisted,), span=bind.span),), ctx
+            el = ElementSpec(item.tag, item.attrs, tuple(guarded), else_body, span=item.span)
+            return (el,), ctx
+
+        if isinstance(item, Star):
+            name, at = fresh.fresh(self.origin), len(self.acc)
+            body, _ = self.seq(item.body, ctx)
+            params = tuple(sorted(_interface((body,))[0]))
+            x = fresh.fresh_var("x", params)
+            xs = fresh.fresh_var("xs", params + (x,))
+            args = _var_refs(params)
+            cons_body: BodySeq = (
+                Bind((x,), body),
+                Bind((xs,), (Call(name, args),)),
+                Actions((Construct(CONS, (VarRef(x), VarRef(xs))),)),
+            )
+            nil_body = (Actions((Construct(NIL, ()),)),)
+            self.acc[at:at] = [Clause(name, params, cons_body), Clause(name, params, nil_body)]
+            return (Call(name, args),), ctx
+
+        if isinstance(item, Or):
+            name, at = fresh.fresh(self.origin), len(self.acc)
+            branches = [self.seq(branch, ctx)[0] for branch in item.branches]
+            free, bound = _interface(branches)
+            rebound = ctx.intersection(_may_bind(branches)) if ctx else frozenset()
+            params = tuple(sorted(free | rebound))
+            exported = tuple(sorted(bound | rebound))
+            self.acc[at:at] = [
+                Clause(name, params, _returning(branch, exported, fresh)) for branch in branches
+            ]
+            call = Call(name, _var_refs(params), span=item.span)
+            return _call_site(call, exported, fresh), ctx | bound
+
+        return (item,), ctx
 
 
-def _rewrite(grammar: Grammar, rewrite_item) -> Grammar:
+def _rewrite(grammar: Grammar) -> Grammar:
     """Rewrite every clause bottom-up; each clause is followed by the fresh
     clauses its rewrite made."""
-    rewrite = _Pass(grammar, rewrite_item)
+    rewrite = _Rewrite(grammar)
     out: List[Clause] = []
     for clause in grammar.clauses:
         rewrite.origin, rewrite.acc = clause.name, []
-        out.append(Clause(clause.name, clause.params, rewrite.seq(clause.body), span=clause.span))
+        body, _ = rewrite.seq(clause.body, frozenset(clause.params))
+        out.append(Clause(clause.name, clause.params, body, span=clause.span))
         out.extend(rewrite.acc)
     return Grammar(grammar.name, tuple(out))
-
-
-# --------------------------------------------------------------------------
-# Star removal
-# --------------------------------------------------------------------------
-
-
-def remove_star(grammar: Grammar) -> Grammar:
-    """Replace every repetition with a call to a fresh cons/nil rule pair."""
-    return _rewrite(grammar, _remove_star_item)
-
-
-def _remove_star_item(item: Body, rewrite: _Pass) -> BodySeq:
-    if not isinstance(item, Star):
-        return (item,)
-    fresh = rewrite.fresh
-    params, _ = _interface(item.body)
-    name = fresh.fresh(rewrite.origin)
-    avoid = set(params)
-    x = fresh.fresh_var("x", avoid)
-    xs = fresh.fresh_var("xs", avoid | {x})
-    args = _var_refs(params)
-    cons_body: BodySeq = (
-        Bind((x,), item.body),
-        Bind((xs,), (Call(name, args),)),
-        Actions((Construct(CONS, (VarRef(x), VarRef(xs))),)),
-    )
-    rewrite.acc.append(Clause(name, params, cons_body))
-    rewrite.acc.append(Clause(name, params, (Actions((Construct(NIL, ()),)),)))
-    return (Call(name, args),)
-
-
-# --------------------------------------------------------------------------
-# Element branch lifting
-# --------------------------------------------------------------------------
-
-
-def _branch_is_normal(branch: BodySeq) -> bool:
-    if len(branch) == 1 and isinstance(branch[0], Call):
-        return True
-    return not any(isinstance(item, (Call, Or, Star)) for item in walk(branch))
-
-
-def lift_element_guards(grammar: Grammar) -> Grammar:
-    return _rewrite(grammar, _lift_element_item)
-
-
-def _lift_element_item(el: Body, rewrite: _Pass) -> BodySeq:
-    if not isinstance(el, ElementSpec) or all(map(_branch_is_normal, bodies(el))):
-        return (el,)
-
-    # A lone `names = Call(...)` branch hoists its binding onto the element
-    # instead of spending a fresh rule on an eta-expansion.
-    if (
-        not el.guarded
-        and len(el.else_body) == 1
-        and isinstance(el.else_body[0], Bind)
-        and len(el.else_body[0].body) == 1
-        and isinstance(el.else_body[0].body[0], Call)
-    ):
-        bind = el.else_body[0]
-        hoisted = ElementSpec(el.tag, el.attrs, (), bind.body, span=el.span)
-        return (Bind(bind.names, (hoisted,), span=bind.span),)
-
-    interfaces = [_interface(body) for body in bodies(el)]
-    common = tuple(sorted(frozenset.intersection(*(bound for _, bound in interfaces))))
-    # ``_rebuild`` visits the branches in ``bodies`` order.
-    branch_params = iter(params for params, _ in interfaces)
-    fresh = rewrite.fresh
-
-    def lift_branch(branch: BodySeq) -> BodySeq:
-        params = next(branch_params)
-        # With exports, every branch must yield the same tuple shape, so
-        # even already-normal branches get lifted.
-        if not common and _branch_is_normal(branch):
-            return branch
-        name = fresh.fresh(rewrite.origin)
-        rewrite.acc.append(Clause(name, params, _returning(branch, common, fresh)))
-        return (Call(name, _var_refs(params)),)
-
-    return _call_site(_rebuild(el, lift_branch), common, fresh)
-
-
-# --------------------------------------------------------------------------
-# Disjunction lifting
-# --------------------------------------------------------------------------
-
-
-def lift_disjunction(grammar: Grammar) -> Grammar:
-    # A body that is exactly an alternation splits into one definition per
-    # alternative, with no fresh rule; the other alternations are lifted.
-    split: List[Clause] = []
-    for c in grammar.clauses:
-        if len(c.body) == 1 and isinstance(c.body[0], Or):
-            split.extend(Clause(c.name, c.params, b, span=c.span) for b in c.body[0].branches)
-        else:
-            split.append(c)
-    return _rewrite(Grammar(grammar.name, tuple(split)), _lift_or_item)
-
-
-def _lift_or_item(item: Body, rewrite: _Pass) -> BodySeq:
-    if not isinstance(item, Or):
-        return (item,)
-    fresh = rewrite.fresh
-    params, bound_set = _interface((item,))
-    bound = tuple(sorted(bound_set))
-    name = fresh.fresh(rewrite.origin)
-    for branch in item.branches:
-        rewrite.acc.append(Clause(name, params, _returning(branch, bound, fresh)))
-    return _call_site(Call(name, _var_refs(params), span=item.span), bound, fresh)
 
 
 # --------------------------------------------------------------------------
@@ -291,19 +232,22 @@ def _lift_or_item(item: Body, rewrite: _Pass) -> BodySeq:
 
 
 def is_normal_form(grammar: Grammar) -> bool:
-    for clause in grammar.clauses:
-        for item in walk(clause.body):
-            if isinstance(item, (Or, Star)):
-                return False
-            if isinstance(item, ElementSpec) and not all(map(_branch_is_normal, bodies(item))):
-                return False
-    return True
+    """No alternation and no repetition anywhere."""
+    return not any(
+        isinstance(item, (Or, Star)) for clause in grammar.clauses for item in walk(clause.body)
+    )
 
 
 def normalize_grammar(grammar: Grammar) -> Grammar:
-    """Rewrite to normal form; the result has no Or or Star and all element
-    branches are single calls or call-free."""
-    normal = lift_disjunction(lift_element_guards(remove_star(grammar)))
+    """Rewrite to normal form: split whole-body alternations, then lift the
+    rest and every repetition in one walk."""
+    split: List[Clause] = []
+    for c in grammar.clauses:
+        if len(c.body) == 1 and isinstance(c.body[0], Or):
+            split.extend(Clause(c.name, c.params, b, span=c.span) for b in c.body[0].branches)
+        else:
+            split.append(c)
+    normal = _rewrite(Grammar(grammar.name, tuple(split)))
     if not is_normal_form(normal):
         raise AssertionError("normalization did not reach normal form")
     return normal

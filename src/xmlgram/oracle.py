@@ -16,6 +16,8 @@ shared with the engine:
 * repetition yields a Cons/Nil chain, longest match enumerated first, and
   an iteration must consume input (a nullable repetition body would
   otherwise admit infinitely many derivations);
+* the first true guard picks an element's branch, the else branch when
+  none holds;
 * element branches must consume every child of the element, and a declared
   attribute that is missing on the element makes the match fail;
 * a rule may re-enter itself at the same input position only a bounded
@@ -213,19 +215,9 @@ class Oracle:
         children = tuple(head.children)
         rest = trees[1:]
 
-        branches: List[BodySeq] = []
-        if el.guarded:
-            for guard, body in el.guarded:
-                if eval_guard(guard, inner):
-                    branches.append(body)
-            if not branches:
-                branches.append(el.else_body)
-        else:
-            branches.append(el.else_body)
-        for branch in branches:
-            for remaining, env_c, value in self._seq(branch, children, inner):
-                if remaining:
-                    continue
+        taken = (body for guard, body in el.guarded if eval_guard(guard, inner))
+        for remaining, env_c, value in self._seq(next(taken, el.else_body), children, inner):
+            if not remaining:
                 yield rest, env_c, value
 
 

@@ -266,11 +266,11 @@ def _expr_alpha(a: Expr, b: Expr, vars_map) -> bool:
 # --------------------------------------------------------------------------
 # Random grammars and documents for differential testing.
 #
-# Generated grammars are well formed by construction (references only to
-# bound names) and avoid the two places where the table-driven engine is a
-# deliberate refinement of the reference semantics: generated guards within
-# one element are mutually exclusive, and a wildcard-first definition never
-# competes with sibling definitions of the same rule.
+# Generated grammars are well formed by construction: references only to
+# bound names, and each rule has one arity that every call to it meets.
+# Binds sometimes reuse a name already in scope, and an element may have two
+# guards that both hold, which the engine and the reference interpreter
+# resolve alike (the first true guard wins).
 # --------------------------------------------------------------------------
 
 TAGS = ["Ta", "Tb", "Tc", "Td"]
@@ -283,22 +283,28 @@ class GrammarGen:
         self.rng = rng
         self.names = [f"R{i}" for i in range(n_rules)]
         self.var_counter = 0
+        # The start rule takes no arguments; others take one 30% of the time.
+        self.arity = {name: int(i > 0 and rng.random() < 0.3) for i, name in enumerate(self.names)}
 
     def fresh_var(self) -> str:
         self.var_counter += 1
         return f"u{self.var_counter}"
 
+    def bind_var(self, scope: List[str]) -> str:
+        """A fresh name, or now and then one already in scope."""
+        if scope and self.rng.random() < 0.2:
+            return self.rng.choice(scope)
+        return self.fresh_var()
+
     def grammar(self) -> Grammar:
         clauses = []
-        for i, name in enumerate(self.names):
+        for name in self.names:
             for _ in range(self.rng.choice([1, 1, 1, 2])):
-                clauses.append(self.clause(name, i))
+                clauses.append(self.clause(name))
         return Grammar("Gen", tuple(clauses))
 
-    def clause(self, name: str, index: int) -> Clause:
-        params: Tuple[str, ...] = ()
-        if index > 0 and self.rng.random() < 0.3:
-            params = (self.fresh_var(),)
+    def clause(self, name: str) -> Clause:
+        params = tuple(self.fresh_var() for _ in range(self.arity[name]))
         body, bound = self.seq(depth=0, scope=list(params), allow_or=True, budget=[6])
         # End with an action so every rule synthesizes something observable.
         body = body + (self.make_actions(list(params) + bound),)
@@ -343,19 +349,21 @@ class GrammarGen:
         if kind == "element":
             return self.element(depth, scope, budget), [], True
         if kind == "bind_element":
-            var = self.fresh_var()
+            var = self.bind_var(scope)
             el = self.element(depth, scope, budget)
             return Bind((var,), (el,)), [var], True
         if kind == "call":
             return self.call(scope), [], True
         if kind == "bind_call":
-            var = self.fresh_var()
+            var = self.bind_var(scope)
             return Bind((var,), (self.call(scope),)), [var], True
         if kind == "star":
             inner, _ = self.seq(depth + 1, scope, allow_or=False, budget=budget)
-            if not inner or not any(_consumes(i) for i in inner):
+            # A body that may consume nothing would make the oracle's repetition,
+            # whose iterations must consume, differ from its expansion.
+            if not any(_consumes(i, calls=False) for i in inner):
                 inner = (self.element(depth + 1, scope, budget),)
-            var = self.fresh_var()
+            var = self.bind_var(scope)
             return Bind((var,), (Star(inner),)), [var], False
         if kind == "or":
             left, _ = self.seq(depth + 1, scope, allow_or=False, budget=budget)
@@ -369,7 +377,7 @@ class GrammarGen:
         if kind == "any":
             return Any(), [], True
         if kind == "text":
-            var = self.fresh_var()
+            var = self.bind_var(scope)
             return Bind((var,), (Text(),)), [var], True
         if kind == "actions":
             return self.make_actions(scope), [], False
@@ -392,6 +400,10 @@ class GrammarGen:
             lit = StrLit(rng.choice(["on", "off"]))
             then_body, _ = self.seq(depth + 1, inner_scope, allow_or=False, budget=budget)
             guarded = ((Compare("=", VarRef(pivot), lit), then_body),)
+            if rng.random() < 0.3:
+                op, pivot = rng.choice(["=", "<>"]), rng.choice(attr_vars)
+                then_body, _ = self.seq(depth + 1, inner_scope, allow_or=False, budget=budget)
+                guarded += ((Compare(op, VarRef(pivot), StrLit("on")), then_body),)
             else_body, _ = self.seq(depth + 1, inner_scope, allow_or=False, budget=budget)
         elif depth >= 2 or rng.random() < 0.3:
             else_body = (Ok(),)
@@ -400,8 +412,12 @@ class GrammarGen:
         return ElementSpec(tag, tuple(attrs), guarded, else_body)
 
     def call(self, scope: List[str]) -> Call:
+        """A call with as many arguments as its rule has parameters, each a
+        name in scope (a literal when nothing is)."""
         name = self.rng.choice(self.names)
-        return Call(name, ())
+        if not scope:
+            return Call(name, (StrLit("k"),) * self.arity[name])
+        return Call(name, tuple(VarRef(self.rng.choice(scope)) for _ in range(self.arity[name])))
 
     def make_actions(self, scope: List[str]) -> Actions:
         rng = self.rng
@@ -413,15 +429,17 @@ class GrammarGen:
         return Actions(tuple(exprs))
 
 
-def _consumes(item: Body) -> bool:
+def _consumes(item: Body, calls: bool = True) -> bool:
+    """Whether ``item`` always consumes input, taking a call to do so when
+    ``calls`` is set (an approximation: the rule may be nullable)."""
     if isinstance(item, (ElementSpec, Text, Any)):
         return True
     if isinstance(item, Bind):
-        return any(_consumes(i) for i in item.body)
+        return any(_consumes(i, calls) for i in item.body)
     if isinstance(item, Call):
-        return True  # approximation; good enough to avoid most nullable stars
+        return calls
     if isinstance(item, Or):
-        return all(any(_consumes(i) for i in s) for s in item.branches)
+        return all(any(_consumes(i, calls) for i in s) for s in item.branches)
     return False
 
 

@@ -215,6 +215,15 @@ def test_parse_oracle_agrees_with_engine(files, capsys):
     assert engine_out == oracle_out
 
 
+def test_parse_oracle_takes_the_first_true_guard(files, capsys):
+    source = '@Grammar G R ::= <R k when k = "y" > {1} when k <> "n" > {2} else {3} </R>. end'
+    g = files("g.xg", source)
+    d = files("doc.xml", '<R k="y"/>')
+    for extra in ([], ["--oracle"]):
+        assert main(["parse", g, d, *extra]) == 0
+        assert capsys.readouterr() == ("1\n", "")
+
+
 def test_parse_rejects_wrong_document(files, capsys):
     g = files("test.xg", TEST_GRAMMAR)
     d = files("doc.xml", "<X/>")
@@ -254,35 +263,37 @@ def test_normalize_models_round_trip(files, capsys):
 
 
 # One grammar for every rewrite path: a star inside an alternation inside an
-# element (Doc), guard lifting with exported bindings (Item), the lone
-# `x = Call` hoist (Leaf), a whole-body alternation split (Word), and a
-# nested alternation with common bindings (Pick).
+# element (Doc), guarded branches with calls left in place (Item), the lone
+# `x = Call` hoist (Leaf), a whole-body alternation split (Word), a nested
+# alternation with common bindings (Pick), and an alternation that may bind
+# a name already in scope again (Redo).
 REWRITES_GRAMMAR = """@Grammar Rewrites
   Doc ::= <Doc> v = (Item* | <None/> {Nil}) </Doc> {v}.
   Item ::= <Item k when k = "pair" > a = Leaf b = Leaf else a = Leaf b = OK </Item> {Pair(a, b)}.
   Leaf ::= <Leaf> w = Word </Leaf> {w}.
   Word ::= t = TEXT {t} | <Br/> {"nl"}.
   Pick ::= (c = Leaf {c} | (c = Item {c} | c = Doc {c})) {c}.
+  Redo ::= <Redo> w = TEXT (w = Leaf | <Keep/>) </Redo> {w}.
 end"""
 
 REWRITES_NORMALIZED = (
     '@Grammar Rewrites\n'
-    '  Doc ::= [v$4,v] = <Doc> Doc$2 </Doc> { v$4 } { v }.\n'
-    '  Doc$2 ::= v$3 = v = Doc$3 { v$3, v }.\n'
-    '  Doc$3 ::= Doc$1.\n'
-    '  Doc$3 ::= <None/> { Nil }.\n'
-    '  Doc$1 ::= x = Item xs = Doc$1 { Cons(x, xs) }.\n'
-    '  Doc$1 ::= { Nil }.\n'
-    '  Item ::= [v$9,a,b] = <Item k when k = "pair" > Item$5 else Item$7 </Item> { v$9 } { Pair(a, b) }.\n'
-    '  Item$5 ::= v$6 = (a = Leaf b = Leaf) { v$6, a, b }.\n'
-    '  Item$7 ::= v$8 = (a = Leaf b = OK) { v$8, a, b }.\n'
+    '  Doc ::= v = <Doc> Doc$1 </Doc> { v }.\n'
+    '  Doc$1 ::= Doc$2.\n'
+    '  Doc$1 ::= <None/> { Nil }.\n'
+    '  Doc$2 ::= x = Item xs = Doc$2 { Cons(x, xs) }.\n'
+    '  Doc$2 ::= { Nil }.\n'
+    '  Item ::= <Item k when k = "pair" > a = Leaf b = Leaf else a = Leaf b = OK </Item> { Pair(a, b) }.\n'
     '  Leaf ::= w = <Leaf> Word </Leaf> { w }.\n'
     '  Word ::= t = TEXT { t }.\n'
     '  Word ::= <Br/> { "nl" }.\n'
-    '  Pick ::= [v$8,c] = Pick$4 { v$8 } { c }.\n'
-    '  Pick$4 ::= v$5 = (c = Leaf { c }) { v$5, c }.\n'
-    '  Pick$4 ::= v$6 = (c = Item { c }) { v$6, c }.\n'
-    '  Pick$4 ::= v$7 = (c = Doc { c }) { v$7, c }.\n'
+    '  Pick ::= [v$7,c] = Pick$3 { v$7 } { c }.\n'
+    '  Pick$3 ::= v$4 = (c = Leaf { c }) { v$4, c }.\n'
+    '  Pick$3 ::= v$5 = (c = Item { c }) { v$5, c }.\n'
+    '  Pick$3 ::= v$6 = (c = Doc { c }) { v$6, c }.\n'
+    '  Redo ::= <Redo> w = TEXT [v$11,w] = Redo$8(w) { v$11 } </Redo> { w }.\n'
+    '  Redo$8(w) ::= v$9 = w = Leaf { v$9, w }.\n'
+    '  Redo$8(w) ::= v$10 = <Keep/> { v$10, w }.\n'
     'end\n'
 )
 
@@ -301,13 +312,12 @@ MIXED_GRAMMAR = """@Grammar Mixed
 end"""
 
 MIXED_TABLE_TEXT = (
-    "       Doc                                           Note                                                 Skip                            Tail                                                 /Tail    TEXT                  ANY\n"
-    "Doc    [v$5,ns] = <Doc> Doc$3 </Doc> { v$5 } { ns }\n"
-    "Doc$3                                                v$4 = (ns = Doc$1 <Tail> Doc$2 </Tail>) { v$4, ns }                                  v$4 = (ns = Doc$1 <Tail> Doc$2 </Tail>) { v$4, ns }\n"
-    "Doc$1                                                x = Note xs = Doc$1 { Cons(x, xs) }                                                  { Nil }\n"
-    "Doc$2                                                                                                                                                                                          { Nil }                        x = ANY xs = Doc$2 { Cons(x, xs) }\n"
-    "Note                                                 p = <Note> Part </Note> { p }\n"
-    "Part                                                                                                      <Skip> ANY </Skip> { Skipped }                                                                t = TEXT { Text(t) }\n"
+    "       Doc                                                  Note                                 Skip                            Tail     /Tail    TEXT                  ANY\n"
+    "Doc    <Doc> ns = Doc$1 <Tail> Doc$2 </Tail> </Doc> { ns }\n"
+    "Doc$1                                                       x = Note xs = Doc$1 { Cons(x, xs) }                                  { Nil }\n"
+    "Doc$2                                                                                                                                     { Nil }                        x = ANY xs = Doc$2 { Cons(x, xs) }\n"
+    "Note                                                        p = <Note> Part </Note> { p }\n"
+    "Part                                                                                             <Skip> ANY </Skip> { Skipped }                    t = TEXT { Text(t) }\n"
 )
 
 MIXED_TABLE_KV = (
@@ -316,8 +326,6 @@ MIXED_TABLE_KV = (
     "Doc$1\tTail\t1\n"
     "Doc$2\t/Tail\t1\n"
     "Doc$2\tANY\t0\n"
-    "Doc$3\tNote\t0\n"
-    "Doc$3\tTail\t0\n"
     "Note\tNote\t0\n"
     "Part\tSkip\t1\n"
     "Part\tTEXT\t0\n"
@@ -344,7 +352,7 @@ def test_check_conflict_messages_golden(files, capsys):
     "grammar, document, message",
     [
         (TEST_GRAMMAR, '<A><D/></A>', "NoPredictEntry at event 1: no prediction for rule A$1 on D"),
-        (MIXED_GRAMMAR, "<Doc>hello</Doc>", "NoPredictEntry at event 1: no prediction for rule Doc$3 on TEXT"),
+        (MIXED_GRAMMAR, "<Doc>hello</Doc>", "NoPredictEntry at event 1: no prediction for rule Doc$1 on TEXT"),
         (MIXED_GRAMMAR, "<Doc><Note></Note></Doc>", "NoPredictEntry at event 2: no prediction for rule Part on /Note"),
     ],
 )

@@ -230,3 +230,46 @@ def test_kway_alternation_matches_oracle(shape, k):
     for text in accepted + rejected:
         doc = build_tree(read_events(text))
         assert check_pair(grammar, normal, table, "S", doc) is (text in accepted), text
+
+
+# A branch that binds a name already in scope again: the new value reaches
+# the rest of the body, on the engine as on the oracle.  Each case is
+# (source with start rule R, documents that take each branch).
+REBINDING_CASES = {
+    "guarded_element": (
+        '@Grammar G R ::= <R> x = TEXT <A k when k = "y" > x = B else OK </A> {x} </R>.'
+        " B ::= TEXT. end",
+        ['<R>outer<A k="y">inner</A></R>', '<R>outer<A k="n"></A></R>'],
+    ),
+    "element_with_calls": (
+        "@Grammar G R ::= <R> x = TEXT <A> x = B C </A> {x} </R>. B ::= TEXT. C ::= <C/>. end",
+        ["<R>outer<A>inner<C/></A></R>"],
+    ),
+    "alternation_of_elements": (
+        "@Grammar G R ::= <R> x = TEXT (<D> x = TEXT </D> | <C/>) {x} </R>. end",
+        ["<R>outer<D>inner</D></R>", "<R>outer<C/></R>"],
+    ),
+    "alternation_of_calls": (
+        "@Grammar G R ::= <R> x = TEXT (x = B | C) {x} </R>. B ::= <B> TEXT </B>. C ::= <C/>. end",
+        ["<R>outer<B>inner</B></R>", "<R>outer<C/></R>"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REBINDING_CASES))
+def test_rebinding_a_name_in_scope_matches_oracle(case):
+    from xmlgram.events import build_tree
+    from xmlgram.sax import read_events
+
+    source, docs = REBINDING_CASES[case]
+    grammar = parse_grammar(source)
+    assert check_grammar(grammar) == []
+    normal = normalize_grammar(grammar)
+    table = build_predict_table(normal, compute_sets(normal, "R"))
+    assert check_ll1(table)[0]
+    for text in docs:
+        doc = build_tree(read_events(text))
+        reference = oracle_outcome(grammar, "R", doc)
+        assert reference.accepted and len(reference.values) == 1, text
+        assert engine_outcome(table, "R", doc).value == reference.value, text
+        assert oracle_outcome(normal, "R", doc).values == reference.values, text

@@ -1,4 +1,4 @@
-"""Grammar rewriting: star removal, element-branch lifting, disjunction lifting."""
+"""Grammar rewriting: star removal, alternation lifting and the element bind hoist."""
 
 import random
 
@@ -14,13 +14,7 @@ from helpers import (
 )
 from xmlgram.ast import Bind, Call, ElementSpec, Grammar, Or, Star
 from xmlgram.frontend import parse_grammar
-from xmlgram.normalize import (
-    is_normal_form,
-    lift_disjunction,
-    lift_element_guards,
-    normalize_grammar,
-    remove_star,
-)
+from xmlgram.normalize import is_normal_form, normalize_grammar
 from xmlgram.oracle import Oracle, OracleLimitExceeded
 from xmlgram.wellformed import check_grammar
 from xmlgram.events import Element
@@ -47,18 +41,18 @@ def _contains_kind(grammar: Grammar, kind) -> bool:
 
 def test_lift_disjunction_removes_all_or_nodes():
     g = parse_grammar(TEST_GRAMMAR)
-    out = lift_disjunction(g)
+    out = normalize_grammar(g)
     assert not _contains_kind(out, Or)
 
 
 def test_lift_disjunction_on_or_free_grammar_is_identity():
     g = parse_grammar("@Grammar G R ::= <T/> {1}. S ::= R. end")
-    assert lift_disjunction(g) == g
+    assert normalize_grammar(g) == g
 
 
 def test_whole_body_alternation_splits_without_fresh_rules():
     g = parse_grammar("@Grammar G R ::= P | Q | S. P ::= <P/>. Q ::= <Q/>. S ::= <S/>. end")
-    out = lift_disjunction(g)
+    out = normalize_grammar(g)
     assert [c.name for c in out.clauses if c.name == "R"] == ["R", "R", "R"]
     assert len(out.clauses) == len(g.clauses) + 2
     assert not _contains_kind(out, Or)
@@ -69,7 +63,7 @@ def test_nested_alternation_under_binding():
     g = parse_grammar(
         "@Grammar G R ::= x = (P | (Q | S)) {x}. P ::= <P/>. Q ::= <Q/>. S ::= <S/>. end"
     )
-    out = lift_disjunction(g)
+    out = normalize_grammar(g)
     assert not _contains_kind(out, Or)
     fresh = [c for c in out.clauses if "$" in c.name]
     assert len({c.name for c in fresh}) == 1
@@ -81,18 +75,17 @@ def test_nested_alternation_under_binding():
 
 def test_remove_star_produces_cons_and_nil_definitions():
     g = parse_grammar(TEST_GRAMMAR)
-    out = remove_star(g)
+    out = normalize_grammar(g)
     assert not _contains_kind(out, Star)
-    fresh = [c for c in out.clauses if "$" in c.name]
-    assert len(fresh) == 2
-    cons_def, nil_def = fresh
+    # the repetition is lifted first, so its rule is A$1
+    cons_def, nil_def = [c for c in out.clauses if c.name == "A$1"]
     assert [type(i).__name__ for i in cons_def.body] == ["Bind", "Bind", "Actions"]
     assert nil_def.body[0].exprs[0].ctor == "Nil"
 
 
 def test_remove_star_is_identity_on_star_free():
-    g = parse_grammar("@Grammar G R ::= <T/> | S. S ::= {1}. end")
-    assert remove_star(g) == g
+    g = parse_grammar("@Grammar G R ::= <T/>. R ::= S. S ::= {1}. end")
+    assert normalize_grammar(g) == g
 
 
 def test_removed_star_consumes_repeated_children():
@@ -102,29 +95,19 @@ def test_removed_star_consumes_repeated_children():
     assert Oracle(out).accepts("R", doc).value is not None
 
 
-def test_lift_element_guards_leaves_single_calls_and_inert_bodies():
+def test_element_branches_with_calls_and_guards_stay_in_place():
     g = parse_grammar(
-        "@Grammar G R ::= <T> S </T> {1}. Q ::= <U a/> {a}. S ::= <V> <W/> </V> {2}. end"
+        '@Grammar G R ::= <T k when k = "a" > P Q else Q x = P {x} </T>.'
+        " S ::= <U a> y = W(a) <V> Q </V> </U> {y}. P ::= <P/>. Q ::= <Q/>. W(a) ::= <W/> {a}."
+        " end"
     )
-    assert lift_element_guards(g) == g
-
-
-def test_lift_element_guards_lifts_guarded_branches():
-    g = parse_grammar(
-        '@Grammar G R ::= <T k when k = "a" > P Q else Q P </T>. P ::= <P/>. Q ::= <Q/>. end'
-    )
-    out = lift_element_guards(g)
-    el = out.clauses[0].body[0]
-    assert isinstance(el, ElementSpec)
-    (guard, body), = el.guarded
-    assert len(body) == 1 and isinstance(body[0], Call)
-    assert len(el.else_body) == 1 and isinstance(el.else_body[0], Call)
-    assert len(out.clauses) == len(g.clauses) + 2
+    assert check_grammar(g) == []
+    assert normalize_grammar(g) == g
 
 
 def test_hoisted_binding_moves_out_of_element():
     g = parse_grammar("@Grammar G R ::= <T> x = S </T> {x}. S ::= <S/> {1}. end")
-    out = lift_element_guards(g)
+    out = normalize_grammar(g)
     first = out.clauses[0].body[0]
     assert isinstance(first, Bind) and first.names == ("x",)
     el = first.body[0]

@@ -113,14 +113,17 @@ def test_guard_selects_branch_and_else_fallback():
     assert accepts(g, "R", wrong).value is None  # guard commits to branch set
 
 
-def test_all_satisfied_guards_explored():
+def test_first_true_guard_wins():
     g = _g(
         "@Grammar G R ::= <T when true > P when true > Q else EMPTY </T>."
         " P ::= <P/> {1}. Q ::= <Q/> {2}. end"
     )
-    doc = Element("T", {}, (Element("Q", {}, ()),))
-    result = accepts(g, "R", doc)
-    assert result.value == IntVal(2)
+    assert accepts(g, "R", Element("T", {}, (Element("P", {}, ()),))).value == IntVal(1)
+    assert not accepts(g, "R", Element("T", {}, (Element("Q", {}, ()),))).accepted
+    # overlapping guards yield one value, not one per true guard
+    g = _g('@Grammar G R ::= <R k when k = "y" > {1} when k <> "n" > {2} else {3} </R>. end')
+    result = accepts(g, "R", Element("R", {"k": "y"}, ()))
+    assert result.values == (IntVal(1),) and not result.ambiguous
 
 
 def test_bindings_thread_into_later_components():
