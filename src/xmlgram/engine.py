@@ -11,6 +11,10 @@ against a stream of SAX events, and a call looks the next event's token up
 in its row.  Values are synthesized onto a value stack; when the machine
 halts the parse result is the single remaining value.
 
+Actions, guards and call arguments become shared closures ``env -> Value``.
+Fused ops (Proebsting's superoperators): an unguarded empty element's ``START``
+reads its end tag too, and it or a popping ``BIND`` runs the action after it.
+
 Value discipline: the ops of every body item leave exactly one value.  A
 ``POP`` between the items of a sequence discards all but the last one's
 value, and an empty sequence pushes null.  The compiler leaves out a null
@@ -49,7 +53,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 from .analysis import NotNormalForm, PredictTable, build_predict_table, compute_sets
 from .ast import Actions, Any, Bind, BodySeq, Call, Clause, ElementSpec, Empty, Grammar, Ok
 from .ast import Text, VarRef
-from .evaluate import EvalError, NonBooleanGuard, eval_actions, eval_expr, eval_guard
+from .evaluate import EvalError, NonBooleanGuard, compile_actions, compile_expr, truth
 from .events import ANY_TOKEN, EndTag, SaxEvent, StartTag, TextEvt, Token, token_label
 from .events import token_of_event
 from .normalize import normalize_grammar
@@ -118,11 +122,13 @@ class MachineInvariantError(AssertionError):
 # -- the compiled program -----------------------------------------------------
 
 # Opcodes, the first field of every op.  The operands of those that have any:
-#   (CALL, callee row, callee name, argument exprs, continuation mode)
+#   (CALL, callee row, callee name, argument closures, continuation mode)
 #   (START, tag, attrs, guarded branches, else branch), the branches only when
-#   guarded (each branch ends in the element's TAG_END), else ((), None)
-#   (BIND, names, pop the value too)  (ACTIONS, exprs)  (ENV_RESTORE, env)
-#   (TAG_END, tag)  (ANY_END, tag), pushed while ANY skips a subtree
+#   guarded (each branch ends in the element's TAG_END), else ((), None), or
+#   (None, action) when START reads the end tag too
+#   (BIND, names, pop the value too, action)  (ACTIONS, closure)
+#   (ENV_RESTORE, env)  (TAG_END, tag)  (ANY_END, tag), pushed while ANY skips
+# A fused action is a closure or None; its value is pushed after the op.
 CALL, BIND, ACTIONS, START, TAG_END, ENV_RESTORE, POP, PUSH_NULL = range(8)
 TEXT, ANY, ANY_END, EMPTY = range(8, 12)
 # How a call keeps its continuation: in a dump frame, in the program behind
@@ -142,23 +148,24 @@ class Program:
 
     def __init__(self, table: PredictTable):
         self.rows: Dict[str, Row] = {}
+        memo: dict = {}  # one closure per distinct expression, see ``compile_expr``
         compiled: Dict[int, tuple] = {}  # by id of the table's clause objects
         for (name, token), clause in table.entries.items():
             if token != ANY_TOKEN:
                 clause = _resolve_chain(table, name, token, clause)
             entry = compiled.get(id(clause))
             if entry is None:
-                entry = compiled[id(clause)] = (clause.params, self._ops(clause.body, False))
+                entry = compiled[id(clause)] = (clause.params, self._ops(clause.body, False, memo))
             self.row(name)[token] = entry
 
     def row(self, name: str) -> Row:
         return self.rows.setdefault(name, {})
 
-    def _ops(self, seq: BodySeq, then_consumes: bool) -> tuple:
+    def _ops(self, seq: BodySeq, then_consumes: bool, memo: dict) -> tuple:
         """The ops of a body in reverse execution order.  ``then_consumes``
         says whether ops that can consume an event run after the body."""
         ops: List[tuple] = []
-        self._seq(seq, ops)
+        self._seq(seq, ops, memo)
         consumes = then_consumes
         for i in range(len(ops) - 1, -1, -1):
             op = ops[i]
@@ -167,7 +174,7 @@ class Program:
             consumes = consumes or op[0] in _CONSUMING
         return tuple(reversed(ops))
 
-    def _seq(self, seq: BodySeq, ops: List[tuple]) -> None:
+    def _seq(self, seq: BodySeq, ops: List[tuple], memo: dict) -> None:
         if not seq:
             ops.append(_PUSH_NULL)
         for i, item in enumerate(seq):
@@ -175,20 +182,28 @@ class Program:
                 _discard_value(ops)
             kind = type(item)
             if kind is Call:
-                ops.append((CALL, self.row(item.name), item.name, item.args))
+                args = tuple([compile_expr(e, memo) for e in item.args])
+                ops.append((CALL, self.row(item.name), item.name, args))
             elif kind is Bind:
-                self._seq(item.body, ops)
-                ops.append((BIND, item.names, False))
+                self._seq(item.body, ops, memo)
+                ops.append((BIND, item.names, False, None))
             elif kind is Actions:
-                ops.append((ACTIONS, item.exprs))
+                last = ops[-1] if ops else _POP
+                if (last[0] == BIND or last[0] == START and last[3] is None) and last[-1] is None:
+                    ops[-1] = last[:-1] + (compile_actions(item.exprs, memo),)  # fused
+                else:
+                    ops.append((ACTIONS, compile_actions(item.exprs, memo)))
             elif kind is ElementSpec and item.guarded:
                 end = ((TAG_END, item.tag),)
-                guarded = tuple((g, end + self._ops(body, True)) for g, body in item.guarded)
-                branch = end + self._ops(item.else_body, True)
+                guarded = tuple(
+                    (compile_expr(g, memo), end + self._ops(body, True, memo))
+                    for g, body in item.guarded
+                )
+                branch = end + self._ops(item.else_body, True, memo)
                 ops.append((START, item.tag, item.attrs, guarded, branch))
             elif kind is ElementSpec:
                 ops.append((START, item.tag, item.attrs, (), None))
-                self._seq(item.else_body, ops)
+                self._seq(item.else_body, ops, memo)
                 ops.append((TAG_END, item.tag))
             elif kind in _LEAF_OPS:
                 ops.append(_LEAF_OPS[kind])
@@ -203,8 +218,10 @@ def _discard_value(ops: List[tuple]) -> None:
         i -= 1
     if ops[i] is _PUSH_NULL:
         del ops[i]
-    elif ops[i][0] == BIND:
-        ops[i] = (BIND, ops[i][1], True)
+        if 0 < i < len(ops) and ops[i - 1][0] == START and ops[i - 1][3] == ():
+            ops[i - 1 : i + 1] = [ops[i - 1][:3] + (None, None)]  # an empty element
+    elif ops[i][0] == BIND and ops[i][3] is None:
+        ops[i] = (BIND, ops[i][1], True, None)
     else:
         ops.append(_POP)
 
@@ -252,7 +269,8 @@ class Machine:
         # holds the start arguments under names no grammar can bind.
         self.env: Env = {f"${i}": value for i, value in enumerate(args)}
         row = table.program.row(start_rule)
-        self.program: List[tuple] = [(CALL, row, start_rule, tuple(map(VarRef, self.env)), LAST)]
+        args = tuple([compile_expr(VarRef(name), {}) for name in self.env])
+        self.program: List[tuple] = [(CALL, row, start_rule, args, LAST)]
 
     def run(self) -> Value:
         """Drive the machine to completion and return the synthesized value.
@@ -279,7 +297,7 @@ class Machine:
                 if op == CALL:
                     args = item[3]
                     if args:
-                        args = tuple([eval_expr(a, env) for a in args])
+                        args = tuple([f(env) for f in args])
                     event = next(events, None) if event is unread else event
                     token = event.tag if type(event) is StartTag else token_of_event(event)
                     clause = item[1].get(token) or item[1].get(ANY_TOKEN)
@@ -311,12 +329,10 @@ class Machine:
                     else:
                         message = f"cannot bind {len(names)} names to {type(value).__name__}"
                         raise ParseFailure(BIND_ARITY_MISMATCH, message, position)
+                    if item[3] is not None:
+                        values.append(item[3](env))
                 elif op == ACTIONS:
-                    exprs = item[1]
-                    if len(exprs) == 1:
-                        values.append(eval_expr(exprs[0], env))
-                    else:
-                        values.append(eval_actions(exprs, env))
+                    values.append(item[1](env))
                 elif op == START:
                     event = next(events, None) if event is unread else event
                     tag = item[1]
@@ -332,11 +348,18 @@ class Machine:
                     if item[3]:
                         branch = item[4]
                         for guard, ops in item[3]:
-                            if eval_guard(guard, env):
+                            if truth(guard(env)):
                                 branch = ops
                                 break
                         program.extend(branch)
                     position += 1
+                    if item[3] is None:  # the end tag too, then the fused action
+                        event = next(events, None)
+                        if type(event) is not EndTag or event.tag != tag:
+                            raise _unexpected(TAG_MISMATCH, f"</{tag}>", event, position)
+                        position += 1
+                        if item[4] is not None:
+                            values.append(item[4](env))
                     event = unread
                 elif op == TAG_END:
                     event = next(events, None) if event is unread else event

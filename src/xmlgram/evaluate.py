@@ -4,11 +4,14 @@ Evaluation is pure: the same expression in the same environment always
 yields the same value, and nothing is mutated.  ``addChild`` is the one
 built-in constructor form — it returns a copy of a term with one more
 argument appended, which is how fold steps grow container terms.
+
+``compile_expr`` turns an expression once into a closure ``env -> Value``
+for the machine; ``eval_expr`` is the reference evaluator the oracle uses.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import Callable, List, Tuple
 
 from .ast import (
     BoolLit,
@@ -76,18 +79,15 @@ def eval_expr(expr: Expr, env: Env) -> Value:
         return NULL
     if isinstance(expr, Construct):
         args = tuple(eval_expr(a, env) for a in expr.args)
-        if expr.ctor == ADD_CHILD:
-            if len(args) != 2 or not isinstance(args[0], TermVal):
-                raise EvalError("addChild expects a term and a value")
-            term = args[0]
-            return TermVal(term.ctor, term.args + (args[1],))
-        return TermVal(expr.ctor, args)
+        return _add_child(args) if expr.ctor == ADD_CHILD else TermVal(expr.ctor, args)
     if isinstance(expr, ListLit):
         return ListVal(tuple(eval_expr(i, env) for i in expr.items))
     if isinstance(expr, ConsExpr):
         return TermVal(ast.CONS, (eval_expr(expr.head, env), eval_expr(expr.tail, env)))
     if isinstance(expr, Fold):
-        return _eval_fold(expr, env)
+        appends, step = _fold_step(expr)
+        elements, acc = list_elements(eval_expr(expr.over, env)), eval_expr(expr.init, env)
+        return _fold(expr, elements, acc, env, appends, lambda e: eval_expr(step, e))
     if isinstance(expr, Compare):
         same = eval_expr(expr.left, env) == eval_expr(expr.right, env)
         return BoolVal(same if expr.op == "=" else not same)
@@ -111,29 +111,30 @@ def list_elements(value: Value) -> List[Value]:
     raise NotAList(f"cannot iterate over {value!r}")
 
 
-def _eval_fold(expr: Fold, env: Env) -> Value:
-    elements = list_elements(eval_expr(expr.over, env))
-    acc = eval_expr(expr.init, env)
-    child = _appended_child(expr)
-    if child is not None:
+def _add_child(args) -> Value:
+    if len(args) != 2 or not isinstance(args[0], TermVal):
+        raise EvalError("addChild expects a term and a value")
+    return TermVal(args[0].ctor, args[0].args + (args[1],))
+
+
+def _fold(expr: Fold, elements: List[Value], acc: Value, env: Env, appends: bool, step) -> Value:
+    """Fold ``elements`` into ``acc`` by calling ``step``, what ``_fold_step`` chose."""
+    if appends:
         # Each step appends a child that does not depend on the accumulator:
         # collect the children and build the term once, not once per step.
         children = []
         for elem in elements:
-            children.append(eval_expr(child, {**env, expr.elem_var: elem}))
+            children.append(step({**env, expr.elem_var: elem}))
             if not isinstance(acc, TermVal):  # where the first step would fail
                 raise EvalError("addChild expects a term and a value")
         return TermVal(acc.ctor, acc.args + tuple(children)) if children else acc
     for elem in elements:
-        step_env = dict(env)
-        step_env[expr.elem_var] = elem
-        step_env[expr.acc_var] = acc
-        acc = eval_expr(expr.step, step_env)
+        acc = step({**env, expr.elem_var: elem, expr.acc_var: acc})
     return acc
 
 
-def _appended_child(expr: Fold):
-    """``x`` when the fold's step is ``acc.add(x)`` and ``x`` does not read ``acc``."""
+def _fold_step(expr: Fold) -> Tuple[bool, Expr]:
+    """``(True, x)`` for a step ``acc.add(x)``, ``x`` free of ``acc``; else ``(False, step)``."""
     step = expr.step
     if (
         isinstance(step, Construct)
@@ -142,8 +143,8 @@ def _appended_child(expr: Fold):
         and step.args[0] == VarRef(expr.acc_var)
         and expr.acc_var not in free_expr(step.args[1])
     ):
-        return step.args[1]
-    return None
+        return True, step.args[1]
+    return False, step
 
 
 def eval_actions(exprs, env: Env) -> Value:
@@ -157,7 +158,59 @@ def eval_actions(exprs, env: Env) -> Value:
 
 
 def eval_guard(expr: Expr, env: Env) -> bool:
-    value = eval_expr(expr, env)
+    return truth(eval_expr(expr, env))
+
+
+def truth(value: Value) -> bool:
     if not isinstance(value, BoolVal):
         raise NonBooleanGuard(f"guard evaluated to non-boolean {value!r}")
     return value.value
+
+
+def compile_expr(expr: Expr, memo: dict) -> Callable[[Env], Value]:
+    """``expr`` as a closure that agrees with ``eval_expr``.  Equal expressions share
+    one closure in ``memo``, keyed by the node (a variable by its name: cheaper)."""
+    key = expr.name if type(expr) is VarRef else expr
+    compiled = memo.get(key)
+    if compiled is None:
+        compiled = memo[key] = _compile(expr, memo)
+    return compiled
+
+
+def _compile(expr: Expr, memo: dict) -> Callable[[Env], Value]:
+    kind = type(expr)
+    if kind is VarRef:  # on a miss, ``eval_expr`` raises ``UnboundVariable``
+        name = expr.name
+        return lambda env: env[name] if name in env else eval_expr(expr, env)
+    if kind is ConsExpr:  # the same term as ``Cons(head, tail)``
+        return compile_expr(Construct(ast.CONS, (expr.head, expr.tail)), memo)
+    if kind is Construct:
+        ctor, args = expr.ctor, tuple([compile_expr(e, memo) for e in expr.args])
+        if ctor == ADD_CHILD:
+            return lambda env: _add_child([f(env) for f in args])
+        if len(args) == 2:  # ``Cons`` and most terms: no list to build
+            first, second = args
+            return lambda env: TermVal(ctor, (first(env), second(env)))
+        return lambda env: TermVal(ctor, tuple([f(env) for f in args]))
+    if kind is ListLit:
+        items = tuple([compile_expr(e, memo) for e in expr.items])
+        return lambda env: ListVal(tuple([f(env) for f in items]))
+    if kind is Compare:
+        left, right = compile_expr(expr.left, memo), compile_expr(expr.right, memo)
+        equal = expr.op == "="
+        return lambda env: BoolVal((left(env) == right(env)) == equal)
+    if kind is Fold:
+        over, init = compile_expr(expr.over, memo), compile_expr(expr.init, memo)
+        appends, step = _fold_step(expr)
+        step = compile_expr(step, memo)
+        return lambda env: _fold(expr, list_elements(over(env)), init(env), env, appends, step)
+    value = eval_expr(expr, {})  # a literal; ``eval_expr`` rejects what is not an expression
+    return lambda env: value
+
+
+def compile_actions(exprs, memo: dict) -> Callable[[Env], Value]:
+    """The closure form of ``eval_actions``."""
+    if len(exprs) == 1:
+        return compile_expr(exprs[0], memo)
+    parts = tuple([compile_expr(e, memo) for e in exprs])
+    return lambda env: TupleVal(tuple([f(env) for f in parts])) if parts else NULL

@@ -7,8 +7,10 @@ repetition directly (no normalization required) and is deliberately naive —
 its job is to be obviously correct so the table-driven engine can be tested
 against it.
 
-A derivation yields ``(remaining_trees, env, value)``.  Notable semantics,
-shared with the engine:
+A derivation yields ``(position, env, value)``, where a position is an
+element and the index of its next child to match (the document itself is
+the one child of an element that stands for the input).  Notable
+semantics, shared with the engine:
 
 * a sequence's value is its last component's value (null when empty);
 * ``EMPTY`` only matches when no sibling trees remain;
@@ -59,7 +61,8 @@ DEFAULT_MAX_STEPS = 10_000
 MAX_REENTRY = 2
 
 Trees = Tuple[XmlTree, ...]
-Derivation = Tuple[Trees, Env, Value]
+Position = Tuple[Element, int]
+Derivation = Tuple[Position, Env, Value]
 
 
 class OracleLimitExceeded(Exception):
@@ -87,9 +90,11 @@ class Oracle:
         self._steps = 0
         self._entries: dict = {}
 
-    def satisfy(self, body: BodySeq, trees: Trees, env: Env) -> Iterator[Derivation]:
+    def satisfy(self, body: BodySeq, trees: Trees, env: Env) -> Iterator[Tuple[Trees, Env, Value]]:
         self._steps = 0
-        return self._seq(body, tuple(trees), dict(env))
+        top = Element("", {}, tuple(trees))  # whose children are the input
+        for (_, i), env1, value in self._seq(body, (top, 0), dict(env)):
+            yield top.children[i:], env1, value
 
     def accepts(self, start_rule: str, doc: XmlTree, args: Tuple[Value, ...] = ()) -> OracleResult:
         """Distinct values derivable for the document; first-found is canonical."""
@@ -98,11 +103,12 @@ class Oracle:
             c for c in self.grammar.definitions_of(start_rule) if len(c.params) == len(args)
         ]
         values: List[Value] = []
+        top = Element("", {}, (doc,))
         try:
             for clause in defs:
                 call_env = dict(zip(clause.params, args))
-                for remaining, _env, value in self._seq(clause.body, (doc,), call_env):
-                    if remaining:
+                for (_, i), _env, value in self._seq(clause.body, (top, 0), call_env):
+                    if i == 0:
                         continue
                     if value not in values:
                         values.append(value)
@@ -118,47 +124,50 @@ class Oracle:
         if self._steps > self.max_steps:
             raise OracleLimitExceeded(f"more than {self.max_steps} derivation steps")
 
-    def _seq(self, items: BodySeq, trees: Trees, env: Env) -> Iterator[Derivation]:
+    def _seq(self, items: BodySeq, at: Position, env: Env) -> Iterator[Derivation]:
         if not items:
-            yield trees, env, NULL
+            yield at, env, NULL
             return
         head, rest = items[0], items[1:]
-        for trees1, env1, value1 in self._item(head, trees, env):
+        for at1, env1, value1 in self._item(head, at, env):
             if not rest:
-                yield trees1, env1, value1
+                yield at1, env1, value1
             else:
-                yield from self._seq(rest, trees1, env1)
+                yield from self._seq(rest, at1, env1)
 
-    def _item(self, item: Body, trees: Trees, env: Env) -> Iterator[Derivation]:
+    def _item(self, item: Body, at: Position, env: Env) -> Iterator[Derivation]:
         self._tick()
+        parent, i = at
+        tree = parent.children[i] if i < len(parent.children) else None
         if isinstance(item, Or):
             for branch in item.branches:
-                yield from self._seq(branch, trees, env)
+                yield from self._seq(branch, at, env)
         elif isinstance(item, Bind):
-            for trees1, env1, value in self._seq(item.body, trees, env):
+            for at1, env1, value in self._seq(item.body, at, env):
                 bound = self._bind_names(item.names, value)
                 if bound is None:
                     continue
-                yield trees1, env_merge(env1, bound), value
+                yield at1, env_merge(env1, bound), value
         elif isinstance(item, Star):
-            yield from self._star(item.body, trees, env)
+            yield from self._star(item.body, at, env)
         elif isinstance(item, Empty):
-            if not trees:
-                yield trees, env, NULL
+            if tree is None:
+                yield at, env, NULL
         elif isinstance(item, Any):
-            if trees:
-                yield trees[1:], env, NULL
+            if tree is not None:
+                yield (parent, i + 1), env, NULL
         elif isinstance(item, Ok):
-            yield trees, env, NULL
+            yield at, env, NULL
         elif isinstance(item, Text):
-            if trees and isinstance(trees[0], TextNode):
-                yield trees[1:], env, StrVal(trees[0].text)
+            if isinstance(tree, TextNode):
+                yield (parent, i + 1), env, StrVal(tree.text)
         elif isinstance(item, Call):
-            yield from self._call(item, trees, env)
+            yield from self._call(item, at, env)
         elif isinstance(item, Actions):
-            yield trees, env, eval_actions(item.exprs, env)
+            yield at, env, eval_actions(item.exprs, env)
         elif isinstance(item, ElementSpec):
-            yield from self._element(item, trees, env)
+            if isinstance(tree, Element) and tree.tag == item.tag:
+                yield from self._element(item, tree, (parent, i + 1), env)
         else:
             raise TypeError(f"not a body item: {item!r}")
 
@@ -170,22 +179,22 @@ class Oracle:
             return dict(zip(names, value.items))
         return None
 
-    def _star(self, body: BodySeq, trees: Trees, env: Env) -> Iterator[Derivation]:
+    def _star(self, body: BodySeq, at: Position, env: Env) -> Iterator[Derivation]:
         # Iterations all run in the repetition-point environment and export
         # no bindings, mirroring the recursive-clause expansion the grammar
         # rewriter produces.
-        for trees1, _env1, value1 in self._seq(body, trees, env):
-            if len(trees1) == len(trees):
+        for at1, _env1, value1 in self._seq(body, at, env):
+            if at1[1] == at[1]:
                 continue
-            for trees2, _env2, chain in self._star(body, trees1, env):
-                yield trees2, env, TermVal(CONS, (value1, chain))
-        yield trees, env, TermVal(NIL, ())
+            for at2, _env2, chain in self._star(body, at1, env):
+                yield at2, env, TermVal(CONS, (value1, chain))
+        yield at, env, TermVal(NIL, ())
 
-    def _call(self, call: Call, trees: Trees, env: Env) -> Iterator[Derivation]:
-        # Identity of the remaining-trees tuple pins an input position: an
-        # unproductive cycle hands the same object back to the same rule,
-        # while any consumption (or a new sibling list) makes a fresh tuple.
-        key = (call.name, id(trees))
+    def _call(self, call: Call, at: Position, env: Env) -> Iterator[Derivation]:
+        # A position is its element's identity and an index: the element
+        # stays alive while this call holds ``at``, so no other element on
+        # the derivation path can share its id.
+        key = (call.name, id(at[0]), at[1])
         if self._entries.get(key, 0) >= MAX_REENTRY:
             return
         args = tuple(eval_expr(a, env) for a in call.args)
@@ -195,29 +204,23 @@ class Oracle:
                 if len(clause.params) != len(args):
                     continue
                 callee_env = dict(zip(clause.params, args))
-                for trees1, _callee_env, value in self._seq(clause.body, trees, callee_env):
-                    yield trees1, env, value
+                for at1, _callee_env, value in self._seq(clause.body, at, callee_env):
+                    yield at1, env, value
         finally:
             self._entries[key] -= 1
 
-    def _element(self, el: ElementSpec, trees: Trees, env: Env) -> Iterator[Derivation]:
-        if not trees:
-            return
-        head = trees[0]
-        if not isinstance(head, Element) or head.tag != el.tag:
-            return
+    def _element(
+        self, el: ElementSpec, head: Element, rest: Position, env: Env
+    ) -> Iterator[Derivation]:
         attr_env: Env = {}
         for var, attr in el.attrs:
             if attr not in head.attrs:
                 return
             attr_env[var] = StrVal(head.attrs[attr])
         inner = env_merge(env, attr_env)
-        children = tuple(head.children)
-        rest = trees[1:]
-
         taken = (body for guard, body in el.guarded if eval_guard(guard, inner))
-        for remaining, env_c, value in self._seq(next(taken, el.else_body), children, inner):
-            if not remaining:
+        for (_, i), env_c, value in self._seq(next(taken, el.else_body), (head, 0), inner):
+            if i == len(head.children):
                 yield rest, env_c, value
 
 

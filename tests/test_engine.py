@@ -1,8 +1,10 @@
 """The table-driven machine: transitions, failures, streaming bounds."""
 
+import pathlib
+
 import pytest
 
-from helpers import MODELS_GRAMMAR, TEST_GRAMMAR
+from helpers import MODELS_DOC, MODELS_GRAMMAR, TEST_GRAMMAR
 from xmlgram.analysis import build_predict_table, check_ll1, compute_sets
 from xmlgram.engine import (
     BIND_ARITY_MISMATCH,
@@ -320,3 +322,49 @@ def test_machine_refuses_a_conflicted_table():
         Machine(table, "R", events())
     with pytest.raises(ValueError, match=r"predict\(X, a\) has 2 candidates"):
         run(table, "R", read_events("<a/>"))
+
+
+SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
+
+
+@pytest.mark.parametrize("n", [0, 1, 10, 1000])
+def test_leaf_siblings_take_at_most_3_5_steps_per_event(n):
+    # A leaf element is one op with its action, and the cons rule's last
+    # bind carries its action: 7 steps per sibling, 2 events each.
+    _, table = make_table((SAMPLES / "seq.xg").read_text(), "A")
+    events = list(read_events("<A>" + '<B name="x"/>' * n + "</A>"))
+    machine = Machine(table, "A", iter(events))
+    machine.run()
+    assert machine.steps <= 3.5 * len(events) + 4
+
+
+def test_models_document_takes_at_most_4_3_steps_per_event():
+    _, table = make_table((SAMPLES / "models.xg").read_text(), "Package")
+    events = list(read_events(MODELS_DOC))
+    machine = Machine(table, "Package", iter(events))
+    machine.run()
+    assert machine.steps <= 4.3 * len(events)
+
+
+def test_program_shares_closures_of_equal_expressions():
+    source = """@Grammar G
+      S ::= <S> a = A b = B </S> {Pair(a, b)}.
+      A ::= <A> x = I* </A> {x}.
+      B ::= <B> x = I* </B> {x}.
+      I ::= <I n=name/> {n}.
+    end"""
+    _, table = make_table(source, "S")
+    rows = Program(table).rows
+
+    def last_closure(rule, token):
+        _, ops = rows[rule][token]
+        return ops[0][-1]  # ops run in reverse: ops[0] is the clause's last op
+
+    # {x} after each element, fused into its bind
+    assert last_closure("A", "A") is last_closure("B", "B")
+    # {Cons(x, xs)} of both repetition rules, fused into their binds
+    cons_rules = [rule for rule in rows if rule.startswith(("A$", "B$"))]
+    assert len(cons_rules) == 2
+    first, second = (last_closure(rule, "I") for rule in cons_rules)
+    assert first is second
+    assert last_closure("S", "S") is not first

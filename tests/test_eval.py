@@ -22,10 +22,13 @@ from xmlgram.evaluate import (
     NonBooleanGuard,
     NotAList,
     UnboundVariable,
+    compile_actions,
+    compile_expr,
     eval_actions,
     eval_expr,
     eval_guard,
     list_elements,
+    truth,
 )
 from xmlgram.values import (
     NULL,
@@ -249,3 +252,72 @@ def test_eval_depends_only_on_free_vars(expr, vx, vy, extra):
 def test_eval_is_deterministic(expr, vx, vy):
     env = {"x": vx, "y": vy}
     assert eval_expr(expr, env) == eval_expr(expr, env)
+
+
+# -- the compiled form agrees with the reference evaluator -------------------
+
+
+leaf_exprs = exprs | fold_children
+# One level of nesting, so errors raised inside arguments reach the outer node.
+ctors = st.sampled_from(["K", "addChild"])
+nested_exprs = (
+    leaf_exprs
+    | st.builds(lambda ctor, a, b: Construct(ctor, (a, b)), ctors, leaf_exprs, leaf_exprs)
+    | st.builds(lambda a, b: Compare("<>", a, b), leaf_exprs, leaf_exprs)
+)
+
+
+@given(nested_exprs, values, values, st.booleans())
+def test_compiled_expr_agrees_with_eval(expr, vx, vy, y_bound):
+    env = {"x": vx, "y": vy} if y_bound else {"x": vx, "e": vy}
+    compiled = compile_expr(expr, {})
+    assert _outcome(lambda: compiled(env)) == _outcome(lambda: eval_expr(expr, env))
+
+
+@given(fold_items, fold_children, fold_inits, st.booleans())
+def test_compiled_fold_agrees_with_eval(items, child, init, appends):
+    env = {"l": ListVal(tuple(items)), "i": init, "y": IntVal(7)}
+    step = Construct("addChild", (VarRef("a"), child)) if appends else child
+    fold = Fold("e", "a", VarRef("i"), step, VarRef("l"))
+    compiled = compile_expr(fold, {})
+    assert _outcome(lambda: compiled(env)) == _outcome(lambda: eval_expr(fold, env))
+
+
+@pytest.mark.parametrize(
+    "expr, env, error",
+    [
+        (VarRef("nope"), {}, UnboundVariable),
+        (Construct("addChild", (IntLit(1), IntLit(2))), {}, EvalError),
+        (Construct("addChild", (VarRef("t"),)), {"t": TermVal("T", ())}, EvalError),
+        (Fold("e", "a", NullLit(), VarRef("a"), VarRef("l")), {"l": IntVal(7)}, NotAList),
+    ],
+)
+def test_compiled_errors_match_eval(expr, env, error):
+    with pytest.raises(error) as compiled:
+        compile_expr(expr, {})(env)
+    with pytest.raises(error) as reference:
+        eval_expr(expr, env)
+    assert type(compiled.value) is type(reference.value)
+    assert str(compiled.value) == str(reference.value)
+
+
+def test_compiled_guard_and_actions_match_eval():
+    with pytest.raises(NonBooleanGuard) as compiled:
+        truth(compile_expr(IntLit(1), {})({}))
+    with pytest.raises(NonBooleanGuard) as reference:
+        eval_guard(IntLit(1), {})
+    assert str(compiled.value) == str(reference.value)
+    guard, env = Compare("<>", VarRef("n"), StrLit("a")), {"n": StrVal("b")}
+    assert truth(compile_expr(guard, {})(env)) is eval_guard(guard, env)
+    for exprs in ([], [IntLit(10)], [IntLit(10), VarRef("v")]):
+        env = {"v": NULL}
+        assert compile_actions(exprs, {})(env) == eval_actions(exprs, env)
+
+
+def test_equal_expressions_share_one_closure():
+    memo = {}
+    first = compile_expr(Construct("Cons", (VarRef("x"), VarRef("xs"))), memo)
+    again = compile_expr(Construct("Cons", (VarRef("x"), VarRef("xs"))), memo)
+    assert first is again
+    assert compile_expr(VarRef("x"), memo) is compile_expr(VarRef("x"), memo)
+    assert compile_expr(VarRef("x"), {}) is not compile_expr(VarRef("x"), memo)

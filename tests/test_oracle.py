@@ -160,3 +160,17 @@ def test_left_recursion_terminates():
     assert result.value is None  # nothing consumes the document
     results = list(satisfy(g, (Call("R", ()),), (), {}))
     assert {v for _, _, v in results} == {IntVal(1), IntVal(2)}
+
+
+def test_reentry_counts_per_sibling_list():
+    # The ends of different elements' children are different positions: the
+    # re-entry bound must not merge them, or the normal form's repetition
+    # rule, which calls R0 once more at each end, is cut too early.
+    from xmlgram.normalize import normalize_grammar
+    from xmlgram.sax import read_events
+    from xmlgram.events import build_tree
+
+    g = _g("@Grammar G R0 ::= <Ta> (R0 ANY)* </Ta> { null }. end")
+    doc = build_tree(list(read_events("<Ta><Ta><Ta/>hello</Ta>hello</Ta>")))
+    assert Oracle(g).accepts("R0", doc).accepted
+    assert Oracle(normalize_grammar(g)).accepts("R0", doc).accepted
