@@ -18,7 +18,7 @@ from .analysis import (
     compute_sets,
 )
 from .ast import Clause, Grammar
-from .engine import Compiled, IncompleteParse, Machine, ParseFailure, compile_grammar, run
+from .engine import Compiled, IncompleteParse, Machine, ParseFailure, compile_grammar
 from .events import (
     Element,
     EndTag,
@@ -26,8 +26,6 @@ from .events import (
     TextEvt,
     TextNode,
     build_tree,
-    flatten_tree,
-    serialize_tree,
 )
 from .frontend import GrammarParseError, ParseDiagnostic, parse_grammar, try_parse_grammar
 from .normalize import is_normal_form, normalize_grammar
@@ -87,7 +85,6 @@ __all__ = [
     "check_ll1",
     "compile_grammar",
     "compute_sets",
-    "flatten_tree",
     "is_normal_form",
     "lint_grammar",
     "normalize_grammar",
@@ -96,8 +93,6 @@ __all__ = [
     "read_events",
     "render_json",
     "render_term",
-    "run",
     "satisfy",
-    "serialize_tree",
     "try_parse_grammar",
 ]

@@ -444,13 +444,3 @@ def _describe(event: Optional[SaxEvent]) -> str:
     if isinstance(event, EndTag):
         return f"</{event.tag}>"
     return f"text {event.text!r}"
-
-
-def run(
-    table: PredictTable,
-    start_rule: str,
-    events: Iterable[SaxEvent],
-    args: Tuple[Value, ...] = (),
-) -> Value:
-    """Parse an event stream, returning the synthesized value."""
-    return Machine(table, start_rule, events, args).run()

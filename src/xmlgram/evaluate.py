@@ -39,6 +39,7 @@ from .values import (
     TermVal,
     TupleVal,
     Value,
+    render_term,
 )
 
 
@@ -108,7 +109,18 @@ def list_elements(value: Value) -> List[Value]:
         node = node.args[1]
     if isinstance(node, TermVal) and node.ctor == ast.NIL and not node.args:
         return items
-    raise NotAList(f"cannot iterate over {value!r}")
+    raise NotAList(f"cannot iterate over {_show(value)}")
+
+
+# How much of a value an error message shows.
+_SHOWN = 80
+
+
+def _show(value: Value) -> str:
+    """A value for an error message, in the user's notation and cut to one
+    short line (``repr`` would recurse down a long list)."""
+    text = render_term(value)
+    return text if len(text) <= _SHOWN else text[: _SHOWN - 1] + "…"
 
 
 def _add_child(args) -> Value:
@@ -163,7 +175,7 @@ def eval_guard(expr: Expr, env: Env) -> bool:
 
 def truth(value: Value) -> bool:
     if not isinstance(value, BoolVal):
-        raise NonBooleanGuard(f"guard evaluated to non-boolean {value!r}")
+        raise NonBooleanGuard(f"guard evaluated to non-boolean {_show(value)}")
     return value.value
 
 

@@ -1,10 +1,13 @@
 """XML trees, SAX events, and lookahead tokens.
 
-``flatten_tree`` linearizes a tree into events (the bridge between the
-tree-based reference interpreter and the event-based engine); ``build_tree``
-is its inverse.  ``Token`` is the lookahead alphabet of the predict tables:
-start tags, end tags, text, and a wildcard for ``ANY`` patterns; the
-string forms of tokens are defined here.
+``build_tree`` rebuilds the tree an event sequence came from, for the
+tree-based reference interpreter.  The event classes are slotted
+dataclasses, as the values are: the reader builds one per event, and a
+slotted class with a plain ``__init__`` is cheaper to build than a frozen
+one and keeps no ``__dict__``.  Events are immutable by convention; nothing
+assigns a field after construction.  ``Token`` is the lookahead alphabet of
+the predict tables: start tags, end tags, text, and a wildcard for ``ANY``
+patterns; the string forms of tokens are defined here.
 """
 
 from __future__ import annotations
@@ -28,18 +31,18 @@ class TextNode:
 XmlTree = Union[Element, TextNode]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StartTag:
     tag: str
     attrs: Dict[str, str] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class EndTag:
     tag: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TextEvt:
     text: str
 
@@ -99,26 +102,6 @@ def token_sort_key(token: Token):
     return (0, token, 0)
 
 
-def flatten_tree(tree: XmlTree) -> List[SaxEvent]:
-    """Pre-order event linearization of a tree.
-
-    Iterative: the stack holds the nodes still to visit and the end tags of
-    the open elements, so any depth flattens."""
-    out: List[SaxEvent] = []
-    stack: List[Union[XmlTree, EndTag]] = [tree]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Element):
-            out.append(StartTag(node.tag, dict(node.attrs)))
-            stack.append(EndTag(node.tag))
-            stack.extend(reversed(node.children))
-        elif isinstance(node, TextNode):
-            out.append(TextEvt(node.text))
-        else:
-            out.append(node)  # the end tag of an element whose children are done
-    return out
-
-
 def build_tree(events: Iterable[SaxEvent]) -> XmlTree:
     """Reconstruct the tree a well-nested event sequence came from.
 
@@ -147,35 +130,3 @@ def build_tree(events: Iterable[SaxEvent]) -> XmlTree:
     if open_elements:
         raise ValueError(f"unterminated element {open_elements[-1][0].tag}")
     raise ValueError("empty event stream")
-
-
-def _escape(text: str, quote: bool = False) -> str:
-    # A reader normalises a literal \r (and, in attribute values, \t and \n)
-    # away; character references survive that normalisation.
-    out = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace("\r", "&#13;")
-    if quote:
-        out = out.replace('"', "&quot;").replace("\t", "&#9;").replace("\n", "&#10;")
-    return out
-
-
-def serialize_tree(tree: XmlTree) -> str:
-    """Render a tree as XML text that the streaming reader parses back.
-
-    Iterative like ``flatten_tree``; closing tags wait on the stack as text."""
-    parts: List[str] = []
-    stack: List[Union[XmlTree, str]] = [tree]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, str):
-            parts.append(node)
-        elif isinstance(node, TextNode):
-            parts.append(_escape(node.text))
-        else:
-            attrs = "".join(f' {k}="{_escape(v, quote=True)}"' for k, v in node.attrs.items())
-            if node.children:
-                parts.append(f"<{node.tag}{attrs}>")
-                stack.append(f"</{node.tag}>")
-                stack.extend(reversed(node.children))
-            else:
-                parts.append(f"<{node.tag}{attrs}/>")
-    return "".join(parts)

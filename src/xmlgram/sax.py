@@ -158,9 +158,6 @@ class SaxReader:
     def __iter__(self) -> Iterator[SaxEvent]:
         return self._stream
 
-    def next_event(self) -> Optional[SaxEvent]:
-        return next(self._stream, None)
-
 
 def read_events(source: Union[str, IO], keep_whitespace: bool = False) -> Iterator[SaxEvent]:
     return iter(SaxReader(source, keep_whitespace=keep_whitespace))

@@ -1,8 +1,13 @@
 """Synthesized values and variable environments.
 
-Values are immutable and hashable, and equality is structural.  Wrapper
-classes (rather than raw ``str``/``int``) keep the kinds distinct:
-``BoolVal(True) != IntVal(1)`` even though ``True == 1`` in Python.
+Values are slotted dataclasses: a parse builds one or two per event, and a
+slotted class with a plain ``__init__`` builds in a third to a half of the
+time of a frozen one (which assigns each field through
+``object.__setattr__``) and keeps no ``__dict__``.  They are immutable by
+convention, like environments: nothing assigns a field after construction,
+so equal values hash alike and can sit in sets.  Equality is structural, and wrapper classes (rather than
+raw ``str``/``int``) keep the kinds distinct: ``BoolVal(True) != IntVal(1)``
+even though ``True == 1`` in Python.
 
 Environments are plain ``dict[str, Value]`` used immutably by convention:
 every extension builds a new dict (``env_merge``), nothing mutates in place.
@@ -10,32 +15,32 @@ every extension builds a new dict (``env_merge``), nothing mutates in place.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple, Union
+from json.encoder import encode_basestring_ascii as _quote
+from typing import Dict, List, Tuple, Union
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class StrVal:
     value: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class IntVal:
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class BoolVal:
     value: bool
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class NullVal:
     pass
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(slots=True, eq=False)
 class TermVal:
     ctor: str
     args: Tuple["Value", ...] = ()
@@ -68,12 +73,12 @@ class TermVal:
         return hash((self.ctor, len(self.args)))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ListVal:
     items: Tuple["Value", ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TupleVal:
     """Result of an action with more than one expression."""
 
@@ -100,73 +105,105 @@ def env_merge(a: Env, b: Env) -> Env:
     return merged
 
 
+# Both renderers walk the value with an explicit work stack, so arbitrarily
+# deep values render.  The stack holds the values still to render and the
+# text due between and after them (separators and closing brackets).  A
+# compound value emits its opening text, then falls through to push its
+# closing text and its items.  Strings are quoted by the C function that
+# ``json.dumps`` itself calls for a ``str``.
+
 
 def render_term(value: Value) -> str:
     """Canonical textual form: ``Ctor(arg,...)``, ``[a,b]``, ``(a,b)``, ``null``."""
-    return _render(value, _term_layout)
+    out: List[str] = []
+    emit = out.append
+    stack: list = [value]
+    push, pop = stack.append, stack.pop
+    while stack:
+        v = pop()
+        kind = type(v)
+        if kind is str:
+            emit(v)
+            continue
+        if kind is StrVal:
+            emit(_quote(v.value))
+            continue
+        if kind is TermVal:
+            items = v.args
+            if not items:
+                emit(v.ctor)
+                continue
+            emit(v.ctor + "(")
+            push(")")
+        elif kind is ListVal:
+            items = v.items
+            emit("[")
+            push("]")
+        elif kind is TupleVal:
+            items = v.items
+            emit("(")
+            push(")")
+        else:
+            emit(_leaf(v))
+            continue
+        if items:
+            i = len(items) - 1
+            while i:
+                push(items[i])
+                push(",")
+                i -= 1
+            push(items[0])
+    return "".join(out)
 
 
 def render_json(value: Value) -> str:
     """JSON text: terms are ``{"args": [...], "ctor": ...}``, tuples are
     ``{"tuple": [...]}``; the same text as ``json.dumps(..., sort_keys=True)``."""
-    return _render(value, _json_layout)
-
-
-# A layout gives a leaf value's text, or a compound value's opening text,
-# children, separator and closing text.
-Layout = Union[str, Tuple[str, Tuple["Value", ...], str, str]]
-
-
-def _term_layout(v: Value) -> Layout:
-    if isinstance(v, StrVal):
-        return json.dumps(v.value)
-    if isinstance(v, IntVal):
-        return str(v.value)
-    if isinstance(v, BoolVal):
-        return "true" if v.value else "false"
-    if isinstance(v, NullVal):
-        return "null"
-    if isinstance(v, TermVal):
-        return (v.ctor + "(", v.args, ",", ")") if v.args else v.ctor
-    if isinstance(v, ListVal):
-        return ("[", v.items, ",", "]")
-    if isinstance(v, TupleVal):
-        return ("(", v.items, ",", ")")
-    raise TypeError(f"not a value: {v!r}")
-
-
-def _json_layout(v: Value) -> Layout:
-    if isinstance(v, (StrVal, IntVal, BoolVal)):
-        return json.dumps(v.value)
-    if isinstance(v, NullVal):
-        return "null"
-    if isinstance(v, TermVal):
-        return ('{"args": [', v.args, ", ", '], "ctor": ' + json.dumps(v.ctor) + "}")
-    if isinstance(v, ListVal):
-        return ("[", v.items, ", ", "]")
-    if isinstance(v, TupleVal):
-        return ('{"tuple": [', v.items, ", ", "]}")
-    raise TypeError(f"not a value: {v!r}")
-
-
-def _render(value: Value, layout: Callable[[Value], Layout]) -> str:
-    """Iterative with an explicit work stack, so arbitrarily deep values render."""
-    out = []
+    out: List[str] = []
+    emit = out.append
     stack: list = [value]
+    push, pop = stack.append, stack.pop
     while stack:
-        v = stack.pop()
-        if type(v) is str:
-            out.append(v)
+        v = pop()
+        kind = type(v)
+        if kind is str:
+            emit(v)
             continue
-        shape = layout(v)
-        if type(shape) is str:
-            out.append(shape)
+        if kind is StrVal:
+            emit(_quote(v.value))
             continue
-        opening, children, sep, closing = shape
-        out.append(opening)
-        stack.append(closing)
-        for i, child in enumerate(reversed(children)):
-            if i:
-                stack.append(sep)
-            stack.append(child)
+        if kind is TermVal:
+            items = v.args
+            emit('{"args": [')
+            push('], "ctor": ' + _quote(v.ctor) + "}")
+        elif kind is ListVal:
+            items = v.items
+            emit("[")
+            push("]")
+        elif kind is TupleVal:
+            items = v.items
+            emit('{"tuple": [')
+            push("]}")
+        else:
+            emit(_leaf(v))
+            continue
+        if items:
+            i = len(items) - 1
+            while i:
+                push(items[i])
+                push(", ")
+                i -= 1
+            push(items[0])
     return "".join(out)
+
+
+def _leaf(v: Value) -> str:
+    """The text of an int, boolean or null, the same in both notations."""
+    kind = type(v)
+    if kind is IntVal:
+        return str(v.value)
+    if kind is BoolVal:
+        return "true" if v.value else "false"
+    if kind is NullVal:
+        return "null"
+    raise TypeError(f"not a value: {v!r}")

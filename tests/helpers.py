@@ -1,10 +1,12 @@
 """Shared fixtures: canonical grammar sources, alpha-equivalence on grammars,
-and seeded random generators for grammars and documents."""
+seeded random generators for grammars and documents, conversions between
+trees, events and XML text, and reference renderers for values."""
 
 from __future__ import annotations
 
+import json
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from xmlgram.ast import (
     Actions,
@@ -33,7 +35,11 @@ from xmlgram.ast import (
     Text,
     VarRef,
 )
-from xmlgram.events import Element, TextNode, XmlTree
+from xmlgram.analysis import PredictTable
+from xmlgram.engine import Machine
+from xmlgram.events import EndTag, Element, SaxEvent, StartTag, TextEvt, TextNode, XmlTree
+from xmlgram.sax import SaxReader
+from xmlgram.values import BoolVal, IntVal, ListVal, NullVal, StrVal, TermVal, TupleVal, Value
 
 # The worked example grammar: one rule with repetition over an alternation.
 TEST_GRAMMAR = """\
@@ -533,3 +539,111 @@ def _sample_item(
     if isinstance(item, Any):
         return [random_tree(rng, depth=2)]
     return []
+
+
+# --------------------------------------------------------------------------
+# Trees, events and XML text.  ``flatten_tree`` linearizes a tree into the
+# events a reader yields for it (``build_tree`` is its inverse), and
+# ``serialize_tree`` writes XML text that reads back to the same events.
+# Both are iterative, so any depth works.
+# --------------------------------------------------------------------------
+
+
+def flatten_tree(tree: XmlTree) -> List[SaxEvent]:
+    """Pre-order event linearization of a tree.  The stack holds the nodes
+    still to visit and the end tags of the open elements."""
+    out: List[SaxEvent] = []
+    stack: List[Union[XmlTree, EndTag]] = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Element):
+            out.append(StartTag(node.tag, dict(node.attrs)))
+            stack.append(EndTag(node.tag))
+            stack.extend(reversed(node.children))
+        elif isinstance(node, TextNode):
+            out.append(TextEvt(node.text))
+        else:
+            out.append(node)  # the end tag of an element whose children are done
+    return out
+
+
+def _escape(text: str, quote: bool = False) -> str:
+    # A reader normalises a literal \r (and, in attribute values, \t and \n)
+    # away; character references survive that normalisation.
+    out = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace("\r", "&#13;")
+    if quote:
+        out = out.replace('"', "&quot;").replace("\t", "&#9;").replace("\n", "&#10;")
+    return out
+
+
+def serialize_tree(tree: XmlTree) -> str:
+    """XML text for a tree; closing tags wait on the stack as text."""
+    parts: List[str] = []
+    stack: List[Union[XmlTree, str]] = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            parts.append(node)
+        elif isinstance(node, TextNode):
+            parts.append(_escape(node.text))
+        else:
+            attrs = "".join(f' {k}="{_escape(v, quote=True)}"' for k, v in node.attrs.items())
+            if node.children:
+                parts.append(f"<{node.tag}{attrs}>")
+                stack.append(f"</{node.tag}>")
+                stack.extend(reversed(node.children))
+            else:
+                parts.append(f"<{node.tag}{attrs}/>")
+    return "".join(parts)
+
+
+def run(
+    table: PredictTable, start_rule: str, events: Iterable[SaxEvent], args: Tuple[Value, ...] = ()
+) -> Value:
+    """Parse an event stream on the machine, returning the synthesized value."""
+    return Machine(table, start_rule, events, args).run()
+
+
+def next_event(reader: SaxReader) -> Optional[SaxEvent]:
+    """The reader's next event, or None once it is exhausted."""
+    return next(iter(reader), None)
+
+
+# --------------------------------------------------------------------------
+# Reference renderers: the recursive layout the iterative renderers in
+# ``xmlgram.values`` must match, for values shallow enough to recurse on.
+# --------------------------------------------------------------------------
+
+
+def plain(value: Value):
+    """The nested Python data that ``render_json``'s text encodes."""
+    if isinstance(value, (StrVal, IntVal, BoolVal)):
+        return value.value
+    if isinstance(value, NullVal):
+        return None
+    if isinstance(value, TermVal):
+        return {"ctor": value.ctor, "args": [plain(a) for a in value.args]}
+    if isinstance(value, ListVal):
+        return [plain(v) for v in value.items]
+    return {"tuple": [plain(v) for v in value.items]}
+
+
+def reference_render_term(value: Value) -> str:
+    """``Ctor(arg,...)``, ``[a,b]``, ``(a,b)``, ``null``; strings as JSON."""
+    if isinstance(value, StrVal):
+        return json.dumps(value.value)
+    if isinstance(value, IntVal):
+        return str(value.value)
+    if isinstance(value, BoolVal):
+        return "true" if value.value else "false"
+    if isinstance(value, NullVal):
+        return "null"
+    if isinstance(value, TermVal):
+        if not value.args:
+            return value.ctor
+        return value.ctor + "(" + ",".join(map(reference_render_term, value.args)) + ")"
+    if isinstance(value, ListVal):
+        return "[" + ",".join(map(reference_render_term, value.items)) + "]"
+    if isinstance(value, TupleVal):
+        return "(" + ",".join(map(reference_render_term, value.items)) + ")"
+    raise TypeError(f"not a value: {value!r}")

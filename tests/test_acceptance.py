@@ -15,6 +15,7 @@ from helpers import (
     TEST_GRAMMAR,
     TEST_GRAMMAR_NORMALIZED,
     alpha_eq_grammars,
+    flatten_tree,
     random_grammar,
     random_tree,
     sample_document,
@@ -28,7 +29,6 @@ from xmlgram.events import (
     Element,
     TextNode,
     build_tree,
-    flatten_tree,
 )
 from xmlgram.frontend import parse_grammar
 from xmlgram.normalize import is_normal_form, normalize_grammar

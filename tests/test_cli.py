@@ -369,7 +369,7 @@ def test_parse_no_predict_entry_message_golden(files, capsys, grammar, document,
         (
             "@Grammar G R ::= <T a/> {a->iterate(e acc = 0 | acc)}. end",
             '<T a="x"/>',
-            "EvalError at event 2: cannot iterate over StrVal(value='x')",
+            'EvalError at event 2: cannot iterate over "x"',
         ),
         (
             "@Grammar G R ::= <T/> {addChild(1, 2)}. end",
@@ -382,6 +382,17 @@ def test_parse_evaluation_error_is_a_parse_failure(files, capsys, grammar, docum
     g = files("g.xg", grammar)
     d = files("doc.xml", document)
     assert main(["parse", g, d]) == 1
+    assert capsys.readouterr().err == f"{d}: parse failed: {message}\n"
+
+
+def test_parse_evaluation_error_on_a_long_list_is_one_short_line(files, capsys):
+    # The message shows the value as render_term text cut short; repr would
+    # recurse down the 100,000 cells of the list and raise RecursionError.
+    g = files("g.xg", "@Grammar G A ::= <A> b = B* </A> { W(b)->iterate(e a = 0 | a) }. B ::= <B/> {Z}. end")
+    d = files("doc.xml", "<A>" + "<B/>" * 100_000 + "</A>")
+    assert main(["parse", g, d]) == 1
+    shown = "W(" + "Cons(Z," * 11 + "…"
+    message = f"EvalError at event 200002: cannot iterate over {shown}"
     assert capsys.readouterr().err == f"{d}: parse failed: {message}\n"
 
 

@@ -4,6 +4,7 @@ import json
 
 from hypothesis import given, strategies as st
 
+from helpers import flatten_tree, plain, reference_render_term, serialize_tree
 from xmlgram.events import (
     Element,
     EndTag,
@@ -11,8 +12,6 @@ from xmlgram.events import (
     TextEvt,
     TextNode,
     build_tree,
-    flatten_tree,
-    serialize_tree,
 )
 from xmlgram.sax import read_events
 from xmlgram.values import (
@@ -145,6 +144,39 @@ def test_value_kinds_are_distinct():
     assert StrVal("1") != IntVal(1)
 
 
+def test_equal_values_hash_alike_and_dedupe_in_a_set():
+    # Equal values must collapse as set members and dict keys, distinct kinds not.
+    def make():
+        return [
+            StrVal("a"), IntVal(1), BoolVal(True), NullVal(), TermVal("Nil", ()),
+            TermVal("P", (StrVal("a"), IntVal(1))), ListVal((IntVal(1),)), TupleVal((NULL, NULL)),
+        ]
+
+    for a, b in zip(make(), make()):
+        assert a == b and a is not b and hash(a) == hash(b)
+    assert len(set(make() + make())) == len(make())
+    assert len({BoolVal(True), IntVal(1), StrVal("1")}) == 3
+
+
+def test_events_compare_structurally():
+    assert StartTag("A", {"k": "v"}) == StartTag("A", {"k": "v"})
+    assert StartTag("A") == StartTag("A", {})
+    assert StartTag("A", {"k": "v"}) != StartTag("A", {"k": "w"})
+    assert EndTag("A") == EndTag("A") and EndTag("A") != EndTag("B")
+    assert TextEvt("x") == TextEvt("x") and TextEvt("x") != TextEvt("y")
+    assert StartTag("A") != EndTag("A") and TextEvt("A") != EndTag("A")
+
+
+def test_values_and_events_keep_no_instance_dict():
+    # Slotted classes: no per-instance __dict__, so each object is smaller.
+    instances = [
+        StrVal("a"), IntVal(1), BoolVal(True), NullVal(), TermVal("Nil", ()),
+        ListVal(()), TupleVal((NULL, NULL)), StartTag("A", {}), EndTag("A"), TextEvt("x"),
+    ]
+    for instance in instances:
+        assert not hasattr(instance, "__dict__"), type(instance).__name__
+
+
 def test_render_term_shapes():
     value = TermVal(
         "Cons", (StrVal("a"), TermVal("Cons", (StrVal("b"), TermVal("Nil", ()))))
@@ -185,22 +217,15 @@ def test_render_json():
     assert render_json(TupleVal((IntVal(1), IntVal(2)))) == '{"tuple": [1, 2]}'
 
 
-def _jsonable(value):
-    """Reference: the nested Python data that render_json's text encodes."""
-    if isinstance(value, (StrVal, IntVal, BoolVal)):
-        return value.value
-    if isinstance(value, NullVal):
-        return None
-    if isinstance(value, TermVal):
-        return {"ctor": value.ctor, "args": [_jsonable(a) for a in value.args]}
-    if isinstance(value, ListVal):
-        return [_jsonable(v) for v in value.items]
-    return {"tuple": [_jsonable(v) for v in value.items]}
-
+# Strings with non-ASCII, control and lone-surrogate characters, which the
+# renderers must quote exactly as json.dumps does.
+strings = st.text(st.characters(exclude_categories=()), max_size=4) | st.sampled_from(
+    ["", "\x00\x1f\x7f", "\ud800", "\udfff x", "é\u2028😀", '"\\/']
+)
 
 values = st.recursive(
     st.one_of(
-        st.builds(StrVal, st.text(max_size=4)),
+        st.builds(StrVal, strings),
         st.builds(IntVal, st.integers()),
         st.builds(BoolVal, st.booleans()),
         st.just(NULL),
@@ -218,7 +243,12 @@ values = st.recursive(
 
 @given(values)
 def test_render_json_text_equals_json_dumps(value):
-    assert render_json(value) == json.dumps(_jsonable(value), sort_keys=True)
+    assert render_json(value) == json.dumps(plain(value), sort_keys=True)
+
+
+@given(values)
+def test_render_term_equals_the_recursive_reference(value):
+    assert render_term(value) == reference_render_term(value)
 
 
 def test_render_json_deep_chain():

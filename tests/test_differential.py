@@ -16,10 +16,10 @@ from typing import Optional
 
 import pytest
 
-from helpers import random_grammar, random_tree, sample_document
+from helpers import flatten_tree, random_grammar, random_tree, sample_document
 from xmlgram.analysis import build_predict_table, check_ll1, compute_sets
 from xmlgram.engine import Machine, MachineInvariantError, ParseFailure
-from xmlgram.events import Element, flatten_tree
+from xmlgram.events import Element
 from xmlgram.frontend import parse_grammar
 from xmlgram.normalize import is_normal_form, normalize_grammar
 from xmlgram.oracle import Oracle, OracleLimitExceeded

@@ -4,7 +4,7 @@ import pathlib
 
 import pytest
 
-from helpers import MODELS_DOC, MODELS_GRAMMAR, TEST_GRAMMAR
+from helpers import MODELS_DOC, MODELS_GRAMMAR, TEST_GRAMMAR, flatten_tree, run
 from xmlgram.analysis import build_predict_table, check_ll1, compute_sets
 from xmlgram.engine import (
     BIND_ARITY_MISMATCH,
@@ -17,9 +17,8 @@ from xmlgram.engine import (
     Machine,
     ParseFailure,
     Program,
-    run,
 )
-from xmlgram.events import EndTag, StartTag, TextEvt, flatten_tree
+from xmlgram.events import EndTag, StartTag, TextEvt
 from xmlgram.frontend import parse_grammar
 from xmlgram.normalize import normalize_grammar
 from xmlgram.oracle import Oracle

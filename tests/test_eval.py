@@ -220,8 +220,22 @@ def test_guard_equality():
 
 
 def test_guard_non_boolean():
-    with pytest.raises(NonBooleanGuard):
+    with pytest.raises(NonBooleanGuard, match="^guard evaluated to non-boolean 1$"):
         eval_guard(IntLit(1), {})
+
+
+def test_error_messages_show_a_long_value_cut_short():
+    # repr would recurse down the list; the message renders it and cuts it.
+    chain = TermVal("Nil", ())
+    for _ in range(100_000):
+        chain = TermVal("Cons", (NULL, chain))
+    shown = ("Cons(null," * 8)[:79] + "…"
+    with pytest.raises(NonBooleanGuard) as guard:
+        eval_guard(VarRef("v"), {"v": chain})
+    assert str(guard.value) == f"guard evaluated to non-boolean {shown}"
+    with pytest.raises(NotAList) as fold:
+        eval_expr(Fold("e", "a", NullLit(), VarRef("a"), Construct("W", (VarRef("v"),))), {"v": chain})
+    assert str(fold.value) == "cannot iterate over " + ("W(" + "Cons(null," * 8)[:79] + "…"
 
 
 def test_compare_is_structural():

@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+from helpers import flatten_tree, next_event, serialize_tree
 from xmlgram.events import (
     Element,
     EndTag,
@@ -12,8 +13,6 @@ from xmlgram.events import (
     TextEvt,
     TextNode,
     build_tree,
-    flatten_tree,
-    serialize_tree,
 )
 from xmlgram.sax import _CHUNK, MalformedXml, SaxReader, UnsupportedFeature, XmlReadError, read_events
 
@@ -226,12 +225,12 @@ def test_reader_memory_does_not_grow_with_document_length():
 
 def test_incremental_pull():
     reader = SaxReader("<A><B/></A>")
-    assert reader.next_event() == StartTag("A", {})
-    assert reader.next_event() == StartTag("B", {})
-    assert reader.next_event() == EndTag("B")
-    assert reader.next_event() == EndTag("A")
-    assert reader.next_event() is None
-    assert reader.next_event() is None
+    assert next_event(reader) == StartTag("A", {})
+    assert next_event(reader) == StartTag("B", {})
+    assert next_event(reader) == EndTag("B")
+    assert next_event(reader) == EndTag("A")
+    assert next_event(reader) is None
+    assert next_event(reader) is None
 
 
 def test_reader_accepts_file_objects(tmp_path):
@@ -248,14 +247,14 @@ def test_build_tree_from_reader_round_trip():
 
 def test_events_before_an_error_are_delivered_first():
     reader = SaxReader("<A><B/><C></A>")
-    assert [reader.next_event() for _ in range(4)] == [
+    assert [next_event(reader) for _ in range(4)] == [
         StartTag("A", {}),
         StartTag("B", {}),
         EndTag("B"),
         StartTag("C", {}),
     ]
     with pytest.raises(MalformedXml):
-        reader.next_event()
+        next_event(reader)
 
 
 def test_text_coalesces_across_chunk_boundaries():
