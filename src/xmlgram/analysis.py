@@ -248,6 +248,7 @@ class ConflictReport:
 class PredictTable:
     entries: Dict[Tuple[str, Token], Clause]
     conflicts: List[ConflictReport] = field(default_factory=list)
+    loops: FrozenSet[str] = frozenset()  # the grammar's ``loops``
     # The engine's compiled form of the entries, built on first use.
     program: Optional[object] = field(default=None, repr=False, compare=False)
 
@@ -283,7 +284,7 @@ def build_predict_table(grammar: Grammar, analysis: AnalysisResult) -> PredictTa
         entries[key] = candidates[0]
         if len(candidates) > 1:
             conflicts.append(ConflictReport(name, token, tuple(candidates)))
-    return PredictTable(entries, conflicts)
+    return PredictTable(entries, conflicts, grammar.loops)
 
 
 def check_ll1(table: PredictTable) -> Tuple[bool, List[ConflictReport]]:

@@ -14,7 +14,7 @@ but never participate in equality, so structural comparison of two parses
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Optional, Tuple, Union
+from typing import FrozenSet, Iterator, NamedTuple, Optional, Tuple, Union
 
 
 class SourceSpan(NamedTuple):
@@ -260,8 +260,13 @@ class Clause:
 
 @dataclass(frozen=True)
 class Grammar:
+    """``loops`` names the rules that normalization lifted from a repetition
+    (see ``normalize``); the machine runs a call to one as a loop.  It is a
+    compilation hint, so it takes no part in equality."""
+
     name: str
     clauses: Tuple[Clause, ...]
+    loops: FrozenSet[str] = field(default=frozenset(), compare=False, repr=False)
 
     def definitions_of(self, name: str) -> Tuple[Clause, ...]:
         return tuple(c for c in self.clauses if c.name == name)

@@ -3,7 +3,8 @@
 ``compile_grammar`` takes a parsed grammar through the well-formedness
 check, normalization, nullable/first/follow and the predict table.  The
 first machine on a table compiles it, once, into a ``Program``: one row per
-rule, mapping each lookahead token to a compiled clause ``(params, ops)``.
+rule, mapping each lookahead token to a compiled clause ``(params, ops)``,
+or a loop row for a repetition rule (below).
 Ops are small tuples ``(opcode, operands...)``, held in reverse execution
 order so that entering a clause is one ``extend`` of the machine's program
 stack; a call op holds the callee's row itself.  The machine pops ops
@@ -26,19 +27,36 @@ Chain resolution: where R's row holds a clause ``R ::= X.`` (no params or
 arguments, nothing else) under a concrete token, and X's row holds a clause
 without params under that token, R's row holds X's clause instead, so the
 chain costs no call at run time.  Chains of chains resolve alike; wildcard
-cells and parameterized chains stay ordinary calls.
+cells, parameterized chains and chains to a repetition rule stay ordinary
+calls.
+
+Repetitions run as loops, another superoperator.  Normalization lifts each
+``X*`` into a cons-recursive rule and names it in ``Grammar.loops``; such a
+rule gets no row but a ``Loop``, whose loop row maps each token to the ops
+of one item ``X`` (chain-resolved like a row when ``X`` is one call
+without arguments) or to ``END``.  A ``LOOP`` op enters it like a call and
+pushes an accumulator list and a ``NEXT`` op.  ``NEXT`` moves the last
+item's value into the accumulator, predicts from the lookahead, and either
+pushes itself and the item's ops, or on ``END`` replaces the accumulator
+with the Cons/Nil chain of its items.  Each item runs in the loop's own
+environment, which is what the cons clause would pass on: normalization
+makes sure its item cannot rebind one of the rule's parameters.  So an
+item costs one step on top of its own ops, and the program does not grow
+with the number of siblings.
 
 Environments grow monotonically inside a rule activation (attribute and
 binding names stay visible for the rest of the clause body) and are
-restored when the activation ends.  A call whose continuation still needs
-input (an op that can consume an event follows it in its clause, counting
-an enclosing element's end tag) saves it as a dump frame.  A call in tail
-position modulo value plumbing (the recursive clauses produced by
-repetition removal always end up in this shape) instead leaves the
-continuation in the program behind an ``ENV_RESTORE`` op, or behind
-nothing when no op follows the call.  The compiler fixes this choice per
-call op.  That keeps the dump bounded by element nesting rather than by
-sibling count, which is what makes long flat documents stream.
+restored when the activation ends.  A call or loop whose continuation
+still needs input (an op that can consume an event follows it in its
+clause, counting an enclosing element's end tag) saves it as a dump frame.
+One in tail position modulo value plumbing, as in user-written recursion
+such as ``L ::= <a/> xs = L {xs}.``, instead leaves the continuation in the
+program behind an ``ENV_RESTORE`` op.  One that no op follows leaves it
+behind nothing, since what runs next sets its own environment: an
+``ENV_RESTORE``, a dump frame, or the ``NEXT`` of a loop whose item ends
+in the call.  The compiler fixes this choice per op.  That keeps the dump
+bounded by element nesting rather than by sibling count, which is what
+makes long flat documents stream.
 
 ``Machine.run`` is the one driver loop: the classic table-driven LL(1)
 driver (Aho, Lam, Sethi & Ullman, *Compilers*, section 4.4), one branch per
@@ -51,13 +69,14 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .analysis import NotNormalForm, PredictTable, build_predict_table, compute_sets
-from .ast import Actions, Any, Bind, BodySeq, Call, Clause, ElementSpec, Empty, Grammar, Ok
-from .ast import Text, VarRef
-from .evaluate import EvalError, NonBooleanGuard, compile_actions, compile_expr, truth
+from .ast import CONS, NIL, Actions, Any, Bind, BodySeq, Call, Clause, ElementSpec, Empty
+from .ast import Grammar, Ok, Text, VarRef
+from .evaluate import SHOWN, EvalError, NonBooleanGuard, compile_actions, compile_expr
+from .evaluate import shorten, truth
 from .events import ANY_TOKEN, EndTag, SaxEvent, StartTag, TextEvt, Token, token_label
 from .events import token_of_event
 from .normalize import normalize_grammar
-from .values import NULL, Env, StrVal, TupleVal, Value
+from .values import NULL, Env, StrVal, TermVal, TupleVal, Value
 from .wellformed import WfError, check_grammar
 
 # Failure reasons
@@ -123,6 +142,8 @@ class MachineInvariantError(AssertionError):
 
 # Opcodes, the first field of every op.  The operands of those that have any:
 #   (CALL, callee row, callee name, argument closures, continuation mode)
+#   (LOOP, callee Loop, callee name, argument closures, continuation mode)
+#   (NEXT, loop row, rule name, loop environment), pushed by LOOP
 #   (START, tag, attrs, guarded branches, else branch), the branches only when
 #   guarded (each branch ends in the element's TAG_END), else ((), None), or
 #   (None, action) when START reads the end tag too
@@ -130,36 +151,72 @@ class MachineInvariantError(AssertionError):
 #   (ENV_RESTORE, env)  (TAG_END, tag)  (ANY_END, tag), pushed while ANY skips
 # A fused action is a closure or None; its value is pushed after the op.
 CALL, BIND, ACTIONS, START, TAG_END, ENV_RESTORE, POP, PUSH_NULL = range(8)
-TEXT, ANY, ANY_END, EMPTY = range(8, 12)
+TEXT, ANY, ANY_END, EMPTY, LOOP, NEXT = range(8, 14)
 # How a call keeps its continuation: in a dump frame, in the program behind
 # an ENV_RESTORE op, or in the program alone when no op follows the call.
 FRAME, TAIL, LAST = range(3)
 
-_CONSUMING = frozenset({CALL, START, TAG_END, TEXT, ANY})  # ops that can take an event
+_CONSUMING = frozenset({CALL, LOOP, START, TAG_END, TEXT, ANY})  # ops that can take an event
 _POP, _PUSH_NULL = (POP,), (PUSH_NULL,)
 _LEAF_OPS = {Text: (TEXT,), Any: (ANY,), Empty: (EMPTY,), Ok: _PUSH_NULL}
+END = object()  # a loop row's entry where the repetition ends
 
 Row = Dict[Token, Tuple[Tuple[str, ...], tuple]]
 
 
+class Loop:
+    """A repetition rule compiled for the machine: its parameters, and a
+    loop row that maps each token to the ops of one item, or to ``END``."""
+
+    __slots__ = ("params", "row")
+
+    def __init__(self) -> None:
+        self.params: Tuple[str, ...] = ()
+        self.row: Dict[Token, object] = {}
+
+
 class Program:
     """A predict table compiled for the machine: ``rows[rule][token]`` is
-    the compiled clause ``(params, ops)`` that the table predicts."""
+    the compiled clause ``(params, ops)`` that the table predicts, and
+    ``loops[rule]`` the ``Loop`` of a rule that a repetition lifted, which
+    has no row."""
 
     def __init__(self, table: PredictTable):
         self.rows: Dict[str, Row] = {}
+        self.loops = {name: Loop() for name in table.loops}
         memo: dict = {}  # one closure per distinct expression, see ``compile_expr``
         compiled: Dict[int, tuple] = {}  # by id of the table's clause objects
+        items: Dict[str, Clause] = {}  # the item of each loop, as a clause
         for (name, token), clause in table.entries.items():
+            loop = self.loops.get(name)
+            if loop is not None:
+                loop.params = clause.params
+                if len(clause.body) == 1:  # the Nil clause
+                    loop.row[token] = END
+                    continue
+                item = items.get(name)
+                if item is None:  # the cons clause's ``x = item``
+                    item = items[name] = Clause(name, (), clause.body[0].body)
+                clause = item
             if token != ANY_TOKEN:
                 clause = _resolve_chain(table, name, token, clause)
             entry = compiled.get(id(clause))
             if entry is None:
                 entry = compiled[id(clause)] = (clause.params, self._ops(clause.body, False, memo))
-            self.row(name)[token] = entry
+            if loop is not None:
+                loop.row[token] = entry[1]
+            else:
+                self.row(name)[token] = entry
 
     def row(self, name: str) -> Row:
         return self.rows.setdefault(name, {})
+
+    def call(self, name: str, args: tuple) -> tuple:
+        """The op of a call, without its continuation mode."""
+        loop = self.loops.get(name)
+        if loop is not None:
+            return (LOOP, loop, name, args)
+        return (CALL, self.row(name), name, args)
 
     def _ops(self, seq: BodySeq, then_consumes: bool, memo: dict) -> tuple:
         """The ops of a body in reverse execution order.  ``then_consumes``
@@ -169,7 +226,7 @@ class Program:
         consumes = then_consumes
         for i in range(len(ops) - 1, -1, -1):
             op = ops[i]
-            if op[0] == CALL:
+            if op[0] in (CALL, LOOP):
                 ops[i] = op + (FRAME if consumes else LAST if i == len(ops) - 1 else TAIL,)
             consumes = consumes or op[0] in _CONSUMING
         return tuple(reversed(ops))
@@ -183,7 +240,7 @@ class Program:
             kind = type(item)
             if kind is Call:
                 args = tuple([compile_expr(e, memo) for e in item.args])
-                ops.append((CALL, self.row(item.name), item.name, args))
+                ops.append(self.call(item.name, args))
             elif kind is Bind:
                 self._seq(item.body, ops, memo)
                 ops.append((BIND, item.names, False, None))
@@ -234,6 +291,8 @@ def _resolve_chain(table: PredictTable, name: str, token: Token, clause: Clause)
         target = table.entries.get((call.name, token))
         if call.args or call.name in seen or target is None or target.params:
             break
+        if call.name in table.loops:  # a repetition runs as a loop
+            break
         seen.add(call.name)
         clause = target
     return clause
@@ -268,9 +327,8 @@ class Machine:
         # The start rule is entered like any call, from an environment that
         # holds the start arguments under names no grammar can bind.
         self.env: Env = {f"${i}": value for i, value in enumerate(args)}
-        row = table.program.row(start_rule)
         args = tuple([compile_expr(VarRef(name), {}) for name in self.env])
-        self.program: List[tuple] = [(CALL, row, start_rule, args, LAST)]
+        self.program: List[tuple] = [table.program.call(start_rule, args) + (LAST,)]
 
     def run(self) -> Value:
         """Drive the machine to completion and return the synthesized value.
@@ -294,45 +352,26 @@ class Machine:
                 item = program.pop()
                 steps += 1
                 op = item[0]
-                if op == CALL:
-                    args = item[3]
-                    if args:
-                        args = tuple([f(env) for f in args])
+                if op == NEXT:
+                    value = values[-1]
+                    if type(value) is not list:  # the last item's value, onto the accumulator
+                        values.pop()
+                        values[-1].append(value)
                     event = next(events, None) if event is unread else event
                     token = event.tag if type(event) is StartTag else token_of_event(event)
-                    clause = item[1].get(token) or item[1].get(ANY_TOKEN)
-                    if clause is None:
+                    ops = item[1].get(token) or item[1].get(ANY_TOKEN)
+                    if ops is None:
                         message = f"no prediction for rule {item[2]} on {token_label(token)}"
                         raise ParseFailure(NO_PREDICT_ENTRY, message, position)
-                    params, body = clause
-                    if len(params) != len(args):
-                        message = f"rule {item[2]} takes {len(params)} argument(s), got {len(args)}"
-                        raise ParseFailure(CALL_ARITY, message, position)
-                    if item[4] == FRAME:
-                        dump.append((program, env))
-                        depth = max(depth, len(dump))
-                        program = list(body)
+                    if ops is END:
+                        value = TermVal(NIL, ())
+                        for head in reversed(values[-1]):
+                            value = TermVal(CONS, (head, value))
+                        values[-1] = value
                     else:
-                        if item[4] == TAIL:
-                            program.append((ENV_RESTORE, env))
-                        program.extend(body)
-                    env = dict(zip(params, args)) if args else {}
-                elif op == BIND:
-                    if not values:
-                        raise MachineInvariantError("binding with empty value stack")
-                    names = item[1]
-                    value = values.pop() if item[2] else values[-1]
-                    if len(names) == 1:
-                        env = {**env, names[0]: value}
-                    elif isinstance(value, TupleVal) and len(value.items) == len(names):
-                        env = {**env, **dict(zip(names, value.items))}
-                    else:
-                        message = f"cannot bind {len(names)} names to {type(value).__name__}"
-                        raise ParseFailure(BIND_ARITY_MISMATCH, message, position)
-                    if item[3] is not None:
-                        values.append(item[3](env))
-                elif op == ACTIONS:
-                    values.append(item[1](env))
+                        program.append(item)
+                        program.extend(ops)
+                        env = item[3]
                 elif op == START:
                     event = next(events, None) if event is unread else event
                     tag = item[1]
@@ -367,6 +406,62 @@ class Machine:
                         raise _unexpected(TAG_MISMATCH, f"</{item[1]}>", event, position)
                     position += 1
                     event = unread
+                elif op == BIND:
+                    if not values:
+                        raise MachineInvariantError("binding with empty value stack")
+                    names = item[1]
+                    value = values.pop() if item[2] else values[-1]
+                    if len(names) == 1:
+                        env = {**env, names[0]: value}
+                    elif isinstance(value, TupleVal) and len(value.items) == len(names):
+                        env = {**env, **dict(zip(names, value.items))}
+                    else:
+                        message = f"cannot bind {len(names)} names to {type(value).__name__}"
+                        raise ParseFailure(BIND_ARITY_MISMATCH, message, position)
+                    if item[3] is not None:
+                        values.append(item[3](env))
+                elif op == LOOP:
+                    args = item[3]
+                    if args:
+                        args = tuple([f(env) for f in args])
+                    params = item[1].params
+                    if len(params) != len(args):
+                        message = f"rule {item[2]} takes {len(params)} argument(s), got {len(args)}"
+                        raise ParseFailure(CALL_ARITY, message, position)
+                    if item[4] == FRAME:
+                        dump.append((program, env))
+                        depth = max(depth, len(dump))
+                        program = []
+                    elif item[4] == TAIL:
+                        program.append((ENV_RESTORE, env))
+                    env = dict(zip(params, args)) if args else {}
+                    values.append([])  # the accumulator
+                    program.append((NEXT, item[1].row, item[2], env))
+                elif op == ACTIONS:
+                    values.append(item[1](env))
+                elif op == CALL:
+                    args = item[3]
+                    if args:
+                        args = tuple([f(env) for f in args])
+                    event = next(events, None) if event is unread else event
+                    token = event.tag if type(event) is StartTag else token_of_event(event)
+                    clause = item[1].get(token) or item[1].get(ANY_TOKEN)
+                    if clause is None:
+                        message = f"no prediction for rule {item[2]} on {token_label(token)}"
+                        raise ParseFailure(NO_PREDICT_ENTRY, message, position)
+                    params, body = clause
+                    if len(params) != len(args):
+                        message = f"rule {item[2]} takes {len(params)} argument(s), got {len(args)}"
+                        raise ParseFailure(CALL_ARITY, message, position)
+                    if item[4] == FRAME:
+                        dump.append((program, env))
+                        depth = max(depth, len(dump))
+                        program = list(body)
+                    else:
+                        if item[4] == TAIL:
+                            program.append((ENV_RESTORE, env))
+                        program.extend(body)
+                    env = dict(zip(params, args)) if args else {}
                 elif op == ENV_RESTORE:
                     env = item[1]
                 elif op == POP:
@@ -443,4 +538,4 @@ def _describe(event: Optional[SaxEvent]) -> str:
         return f"<{event.tag}>"
     if isinstance(event, EndTag):
         return f"</{event.tag}>"
-    return f"text {event.text!r}"
+    return f"text {shorten(repr(event.text[:SHOWN]))}"

@@ -34,7 +34,6 @@ from .values import (
     Env,
     IntVal,
     ListVal,
-    NullVal,
     StrVal,
     TermVal,
     TupleVal,
@@ -113,14 +112,18 @@ def list_elements(value: Value) -> List[Value]:
 
 
 # How much of a value an error message shows.
-_SHOWN = 80
+SHOWN = 80
+
+
+def shorten(text: str) -> str:
+    """``text`` cut to one short line for an error message."""
+    return text if len(text) <= SHOWN else text[: SHOWN - 1] + "…"
 
 
 def _show(value: Value) -> str:
     """A value for an error message, in the user's notation and cut to one
     short line (``repr`` would recurse down a long list)."""
-    text = render_term(value)
-    return text if len(text) <= _SHOWN else text[: _SHOWN - 1] + "…"
+    return shorten(render_term(value))
 
 
 def _add_child(args) -> Value:

@@ -11,8 +11,8 @@ one bottom-up walk over each clause body, which passes down the names in
 scope, rewrites what is left:
 
 * a repetition ``X*`` becomes a call to a fresh rule with a cons-recursive
-  definition and a Nil base case, so repetition values become Cons/Nil
-  chains;
+  definition ``x = X xs = R(params) {Cons(x, xs)}`` and a Nil base case
+  ``{Nil}``, so repetition values become Cons/Nil chains;
 * an alternation becomes a call to one fresh rule with one definition per
   alternative, however many there are;
 * an element whose one branch is ``x = C`` for a call ``C`` becomes
@@ -20,10 +20,16 @@ scope, rewrites what is left:
 
 A fresh rule takes the lifted body's free variables as parameters.  A
 repetition exports nothing: its iterations run in the environment of the
-repetition point.  An alternation exports the names every alternative
-binds, and each name in scope that some alternative may bind again, which
-it also takes as a parameter so that an alternative leaving the name alone
-passes it through.  With exports the fresh rule returns a tuple of the
+repetition point.  So a repetition body that can rebind one of its own
+parameters goes to a fresh rule of its own, called with the same
+arguments, where the new value stays local; otherwise the cons clause
+would pass it on to the next iteration.  The normal form names every rule
+a repetition lifted in ``Grammar.loops``, and each has exactly the two
+clauses above; the machine runs a call to one as a loop instead of a
+recursion.  An alternation exports the names every alternative binds, and
+each name in scope that some alternative may bind again, which it also
+takes as a parameter so that an alternative leaving the name alone passes
+it through.  With exports the fresh rule returns a tuple of the
 alternative's own value followed by the exported names; the call site
 unpacks the tuple and restores the value with a synthesized variable, so
 both the bindings and the value survive the rewrite exactly.  Without
@@ -149,6 +155,7 @@ class _Rewrite:
         self.fresh = FreshNameSource(grammar)
         self.origin = ""
         self.acc: List[Clause] = []
+        self.loops = set(grammar.loops)
 
     def seq(self, seq: BodySeq, ctx: FrozenSet[str]) -> Tuple[BodySeq, FrozenSet[str]]:
         items: List[Body] = []
@@ -185,16 +192,23 @@ class _Rewrite:
             name, at = fresh.fresh(self.origin), len(self.acc)
             body, _ = self.seq(item.body, ctx)
             params = tuple(sorted(_interface((body,))[0]))
+            args = _var_refs(params)
+            lifted = []  # a body that rebinds a name it reads, in a rule of its own
+            if not _may_bind((body,)).isdisjoint(params):
+                own = fresh.fresh(self.origin)
+                lifted.append(Clause(own, params, body))
+                body = (Call(own, args),)
             x = fresh.fresh_var("x", params)
             xs = fresh.fresh_var("xs", params + (x,))
-            args = _var_refs(params)
             cons_body: BodySeq = (
                 Bind((x,), body),
                 Bind((xs,), (Call(name, args),)),
                 Actions((Construct(CONS, (VarRef(x), VarRef(xs))),)),
             )
             nil_body = (Actions((Construct(NIL, ()),)),)
-            self.acc[at:at] = [Clause(name, params, cons_body), Clause(name, params, nil_body)]
+            clauses = [Clause(name, params, cons_body), Clause(name, params, nil_body)]
+            self.acc[at:at] = clauses + lifted
+            self.loops.add(name)
             return (Call(name, args),), ctx
 
         if isinstance(item, Or):
@@ -223,7 +237,7 @@ def _rewrite(grammar: Grammar) -> Grammar:
         body, _ = rewrite.seq(clause.body, frozenset(clause.params))
         out.append(Clause(clause.name, clause.params, body, span=clause.span))
         out.extend(rewrite.acc)
-    return Grammar(grammar.name, tuple(out))
+    return Grammar(grammar.name, tuple(out), frozenset(rewrite.loops))
 
 
 # --------------------------------------------------------------------------
@@ -247,7 +261,7 @@ def normalize_grammar(grammar: Grammar) -> Grammar:
             split.extend(Clause(c.name, c.params, b, span=c.span) for b in c.body[0].branches)
         else:
             split.append(c)
-    normal = _rewrite(Grammar(grammar.name, tuple(split)))
+    normal = _rewrite(Grammar(grammar.name, tuple(split), grammar.loops))
     if not is_normal_form(normal):
         raise AssertionError("normalization did not reach normal form")
     return normal

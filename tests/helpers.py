@@ -472,6 +472,22 @@ def _random_attrs(rng: random.Random) -> dict:
     return attrs
 
 
+def documents_for(grammar: Grammar, start: str, seed: int, n_sampled=4, n_random=3) -> list:
+    """Documents for a generated grammar: some sampled from the grammar, so
+    that many are accepted, and some random trees, so that many are not."""
+    rng = random.Random(seed * 31 + 7)
+    docs = []
+    for _ in range(n_sampled):
+        doc = sample_document(grammar, start, rng)
+        if doc is not None:
+            docs.append(doc)
+    for _ in range(n_random):
+        tree = random_tree(rng)
+        if isinstance(tree, Element):
+            docs.append(tree)
+    return docs
+
+
 class SampleFailed(Exception):
     pass
 

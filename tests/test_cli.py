@@ -10,7 +10,8 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import MODELS_DOC, MODELS_GRAMMAR, TEST_GRAMMAR
+from helpers import MODELS_DOC, MODELS_GRAMMAR, TEST_GRAMMAR, documents_for, random_grammar
+from helpers import serialize_tree
 from xmlgram.cli import main
 from xmlgram.engine import compile_grammar
 from xmlgram.frontend import MAX_NESTING, parse_grammar
@@ -396,6 +397,14 @@ def test_parse_evaluation_error_on_a_long_list_is_one_short_line(files, capsys):
     assert capsys.readouterr().err == f"{d}: parse failed: {message}\n"
 
 
+def test_parse_failure_on_long_text_is_one_short_line(files, capsys):
+    g = files("g.xg", "@Grammar G A ::= <A> <B/> </A> {1}. end")
+    d = files("doc.xml", "<A>" + "x" * 1_000_000 + "</A>")
+    assert main(["parse", g, d]) == 1
+    message = "TagMismatch at event 1: expected <B>, found text '" + "x" * 78 + "…"
+    assert capsys.readouterr().err == f"{d}: parse failed: {message}\n"
+
+
 def test_parse_json_output_of_long_repetition(files, capsys):
     n = 20_000
     g = files("test.xg", TEST_GRAMMAR)
@@ -496,4 +505,25 @@ def test_check_never_tracebacks_on_mutated_grammars(tmp_path_factory, grammar, e
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["check", str(path)])
+    assert code in (0, 1, 2), err.getvalue()
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(0, 2999),
+    st.integers(0, 6),
+    st.sampled_from(["whole", "half", "junk"]),
+    st.sampled_from([[], ["--oracle"]]),
+)
+def test_parse_never_tracebacks_on_generated_pairs(tmp_path_factory, seed, pick, cut, extra):
+    grammar = random_grammar(seed)
+    docs = [serialize_tree(doc) for doc in documents_for(grammar, grammar.clauses[0].name, seed)]
+    text = docs[pick % len(docs)] if docs else "<Ta/>"
+    text = {"whole": text, "half": text[: len(text) // 2], "junk": text + "<J/>"}[cut]
+    base = tmp_path_factory.getbasetemp()
+    (base / "generated.xg").write_text(pretty_grammar(grammar), encoding="utf-8")
+    (base / "generated.xml").write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["parse", str(base / "generated.xg"), str(base / "generated.xml")] + extra)
     assert code in (0, 1, 2), err.getvalue()

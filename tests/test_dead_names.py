@@ -1,4 +1,5 @@
-"""Every module-level name in the package is used somewhere or exported."""
+"""Every module-level name in the package is used somewhere or exported,
+and every name a module imports is used in it."""
 
 import ast
 from pathlib import Path
@@ -48,3 +49,22 @@ def test_every_module_level_name_is_used_or_exported():
             if not any(name in refs for j, refs in enumerate(references) if j != i):
                 dead.append(f"{module}: {name}")
     assert dead == []
+
+
+def _imported(node: ast.AST):
+    """Names an import statement binds (``from __future__`` binds none)."""
+    if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+        return [alias.asname or alias.name for alias in node.names]
+    if isinstance(node, ast.Import):
+        return [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+    return []
+
+
+def test_every_import_is_used():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = set().union(*(_referenced(stmt) for stmt in tree.body))
+        for node in ast.walk(tree):
+            unused.extend(f"{path.name}: {name}" for name in _imported(node) if name not in used)
+    assert unused == []

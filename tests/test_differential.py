@@ -10,16 +10,14 @@ on the normalized grammar must agree exactly as well.
 """
 
 import collections
-import random
 from dataclasses import dataclass
 from typing import Optional
 
 import pytest
 
-from helpers import flatten_tree, random_grammar, random_tree, sample_document
+from helpers import documents_for, flatten_tree, random_grammar
 from xmlgram.analysis import build_predict_table, check_ll1, compute_sets
 from xmlgram.engine import Machine, MachineInvariantError, ParseFailure
-from xmlgram.events import Element
 from xmlgram.frontend import parse_grammar
 from xmlgram.normalize import is_normal_form, normalize_grammar
 from xmlgram.oracle import Oracle, OracleLimitExceeded
@@ -65,20 +63,6 @@ def build_pipeline(seed):
     if not ok:
         return None
     return grammar, normal, table, start
-
-
-def documents_for(grammar, start, seed, n_sampled=4, n_random=3):
-    rng = random.Random(seed * 31 + 7)
-    docs = []
-    for _ in range(n_sampled):
-        doc = sample_document(grammar, start, rng)
-        if doc is not None:
-            docs.append(doc)
-    for _ in range(n_random):
-        tree = random_tree(rng)
-        if isinstance(tree, Element):
-            docs.append(tree)
-    return docs
 
 
 def check_pair(grammar, normal, table, start, doc) -> Optional[bool]:
@@ -233,8 +217,9 @@ def test_kway_alternation_matches_oracle(shape, k):
 
 
 # A branch that binds a name already in scope again: the new value reaches
-# the rest of the body, on the engine as on the oracle.  Each case is
-# (source with start rule R, documents that take each branch).
+# the rest of the body, on the engine as on the oracle, but not the next
+# iteration of a repetition.  Each case is (source with start rule R,
+# documents that take each branch).
 REBINDING_CASES = {
     "guarded_element": (
         '@Grammar G R ::= <R> x = TEXT <A k when k = "y" > x = B else OK </A> {x} </R>.'
@@ -252,6 +237,11 @@ REBINDING_CASES = {
     "alternation_of_calls": (
         "@Grammar G R ::= <R> x = TEXT (x = B | C) {x} </R>. B ::= <B> TEXT </B>. C ::= <C/>. end",
         ["<R>outer<B>inner</B></R>", "<R>outer<C/></R>"],
+    ),
+    # every iteration runs where the repetition is: each one reads the outer k
+    "repetition": (
+        "@Grammar G R ::= <R> k = TEXT xs = (<I/> p = {k} k = TEXT {p})* </R> {xs}. end",
+        ["<R>a<I/>b<I/>c<I/>d</R>", "<R>a</R>"],
     ),
 }
 
