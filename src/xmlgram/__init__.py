@@ -29,7 +29,7 @@ from .events import (
 )
 from .frontend import GrammarParseError, ParseDiagnostic, parse_grammar, try_parse_grammar
 from .normalize import is_normal_form, normalize_grammar
-from .oracle import Oracle, OracleResult, accepts, satisfy
+from .oracle import Oracle, OracleResult
 from .pretty import pretty_grammar
 from .sax import MalformedXml, SaxReader, UnsupportedFeature, read_events
 from .values import (
@@ -78,7 +78,6 @@ __all__ = [
     "UndefinedClause",
     "UnsupportedFeature",
     "WfError",
-    "accepts",
     "build_predict_table",
     "build_tree",
     "check_grammar",
@@ -93,6 +92,5 @@ __all__ = [
     "read_events",
     "render_json",
     "render_term",
-    "satisfy",
     "try_parse_grammar",
 ]

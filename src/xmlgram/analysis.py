@@ -1,6 +1,6 @@
-"""Nullability, first/follow sets, and predict-table construction.
+"""Nullability, first/follow sets, left recursion and the predict table.
 
-All three are computed over normal-form grammars (no alternation or
+All three sets are computed over normal-form grammars (no alternation or
 repetition nodes; an element branch may hold calls and nested elements,
 which are read in place) by the textbook construction (Aho, Lam, Sethi &
 Ullman, *Compilers*, section 4.4).
@@ -56,6 +56,7 @@ from .events import (
     token_label,
     token_sort_key,
 )
+from .wellformed import WfError
 
 
 TokenSets = Mapping[str, AbstractSet[Token]]  # a token set per rule
@@ -133,7 +134,7 @@ def compute_sets(grammar: Grammar, start_rule: str) -> AnalysisResult:
     clauses = grammar.clauses
     callers: Dict[str, List[int]] = {}
     for i, clause in enumerate(clauses):
-        for name in dict.fromkeys(_calls(clause.body)):
+        for name in dict.fromkeys(call.name for call in _calls(clause.body)):
             callers.setdefault(name, []).append(i)
     nullable: Set[str] = set()
     first: Dict[str, Set[Token]] = {n: set() for n in names}
@@ -175,13 +176,16 @@ def compute_sets(grammar: Grammar, start_rule: str) -> AnalysisResult:
     )
 
 
-def _calls(seq: BodySeq) -> Iterator[str]:
-    """The rules called outside elements, whose first sets feed ``seq``'s."""
+def _calls(seq: BodySeq, nullable: Optional[Set[str]] = None) -> Iterator[Call]:
+    """The calls outside elements, whose first sets feed ``seq``'s; given
+    ``nullable``, only those that can come before ``seq`` consumes input."""
     for item in seq:
         if isinstance(item, Call):
-            yield item.name
+            yield item
         elif isinstance(item, Bind):
-            yield from _calls(item.body)
+            yield from _calls(item.body, nullable)
+        if nullable is not None and not body_null(item, nullable):
+            return
 
 
 def _walk_follow(
@@ -226,6 +230,40 @@ def _walk_follow(
         else:
             rest_first, rest_null = set(item_first), False
     return rest_first, rest_null
+
+
+def left_recursion(grammar: Grammar, analysis: AnalysisResult) -> List[WfError]:
+    """An error for each call that closes a cycle of calls made before
+    consuming input (section 4.3.3), found by one iterative depth-first
+    search, under the user's rule (a fresh name's part before ``$``) and
+    the span of the call or of the ``*`` or ``|`` it was lifted from.  A
+    repetition body that can consume nothing closes such a cycle: its cons
+    rule calls itself right after the body."""
+    nullable = {n for n, flag in analysis.nullable.items() if flag}
+    edges: Dict[str, List[Call]] = {}
+    for clause in grammar.clauses:  # a rule that calls nothing first is on no cycle
+        for call in _calls(clause.body, nullable):
+            edges.setdefault(clause.name, []).append(call)
+    errors: Dict[WfError, None] = {}
+    on_path: Dict[str, bool] = {}  # False once a rule's calls are all searched
+    stack = [("", iter([Call(name) for name in edges]))]  # "" calls each of them
+    while stack:
+        name, calls = stack[-1]
+        call = next(calls, None)
+        if call is None:
+            on_path[name] = False
+            stack.pop()
+        elif call.name in edges and call.name not in on_path:
+            on_path[call.name] = True
+            stack.append((call.name, iter(edges[call.name])))
+        elif on_path.get(call.name):
+            if call.name == name and name in grammar.loops:
+                message = "repetition body can match without consuming input"
+            else:
+                callee = call.name.split("$", 1)[0]
+                message = f"left recursion: call to {callee} can recur before consuming input"
+            errors[WfError(name.split("$", 1)[0], message, call.span)] = None
+    return list(errors)
 
 
 # --------------------------------------------------------------------------

@@ -68,7 +68,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-from .analysis import NotNormalForm, PredictTable, build_predict_table, compute_sets
+from .analysis import NotNormalForm, PredictTable, build_predict_table, compute_sets, left_recursion
 from .ast import CONS, NIL, Actions, Any, Bind, BodySeq, Call, Clause, ElementSpec, Empty
 from .ast import Grammar, Ok, Text, VarRef
 from .evaluate import SHOWN, EvalError, NonBooleanGuard, compile_actions, compile_expr
@@ -105,8 +105,9 @@ class Compiled(NamedTuple):
 def compile_grammar(grammar: Grammar, start: Optional[str] = None) -> Compiled:
     """Check, normalize and tabulate ``grammar`` for the machine.
 
-    ``start`` defaults to the first rule.  The table is built even when the
-    grammar is not LL(1); its ``conflicts`` list the ambiguous cells.
+    ``start`` defaults to the first rule.  Left recursion is an error (see
+    ``analysis.left_recursion``).  The table is built even when the grammar
+    is not LL(1); its ``conflicts`` list the ambiguous cells.
     """
     errors = check_grammar(grammar)
     if errors:
@@ -117,8 +118,11 @@ def compile_grammar(grammar: Grammar, start: Optional[str] = None) -> Compiled:
     start_rule = start or grammar.clauses[0].name
     if not any(clause.name == start_rule for clause in normal.clauses):
         return Compiled([WfError(start_rule, "start rule is not defined")], None, None, None)
-    table = build_predict_table(normal, compute_sets(normal, start_rule))
-    return Compiled([], normal, start_rule, table)
+    analysis = compute_sets(normal, start_rule)
+    errors = left_recursion(normal, analysis)
+    if errors:
+        return Compiled(errors, None, None, None)
+    return Compiled([], normal, start_rule, build_predict_table(normal, analysis))
 
 
 class ParseFailure(Exception):
@@ -199,7 +203,7 @@ class Program:
                     item = items[name] = Clause(name, (), clause.body[0].body)
                 clause = item
             if token != ANY_TOKEN:
-                clause = _resolve_chain(table, name, token, clause)
+                clause = _resolve_chain(table, token, clause)
             entry = compiled.get(id(clause))
             if entry is None:
                 entry = compiled[id(clause)] = (clause.params, self._ops(clause.body, False, memo))
@@ -283,17 +287,16 @@ def _discard_value(ops: List[tuple]) -> None:
         ops.append(_POP)
 
 
-def _resolve_chain(table: PredictTable, name: str, token: Token, clause: Clause) -> Clause:
-    """Follow chain clauses ``R ::= X.`` through X's entry for ``token``."""
-    seen = {name}
+def _resolve_chain(table: PredictTable, token: Token, clause: Clause) -> Clause:
+    """Follow chain clauses ``R ::= X.`` through X's entry for ``token``; in
+    a table without conflicts they cannot cycle, since a cycle has no base."""
     while not clause.params and len(clause.body) == 1 and type(clause.body[0]) is Call:
         call = clause.body[0]
         target = table.entries.get((call.name, token))
-        if call.args or call.name in seen or target is None or target.params:
+        if call.args or target is None or target.params:
             break
         if call.name in table.loops:  # a repetition runs as a loop
             break
-        seen.add(call.name)
         clause = target
     return clause
 

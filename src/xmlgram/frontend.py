@@ -336,10 +336,11 @@ class _Parser:
     # -- bodies ---------------------------------------------------------------
 
     def parse_alternation(self) -> BodySeq:
-        """Sequences separated by ``|``.  A branch that is exactly one
-        parenthesised alternation splices its branches in, so ``a | (b | c)``
-        and ``a | b | c`` parse to the same node."""
+        """Sequences separated by ``|``, spanning the first ``|``.  A branch
+        that is exactly one parenthesised alternation splices its branches
+        in, so ``a | (b | c)`` and ``a | b | c`` parse to the same node."""
         branches = [self.parse_sequence()]
+        pipe = self.peek()
         while self.accept("PIPE"):
             branches.append(self.parse_sequence())
         if len(branches) == 1:
@@ -348,7 +349,9 @@ class _Parser:
         for branch in branches:
             nested = len(branch) == 1 and isinstance(branch[0], Or)
             flat.extend(branch[0].branches if nested else (branch,))
-        return (Or(tuple(flat)),)
+        first = branches[0]  # in ``(a | b) | c`` the first ``|`` is inside
+        span = first[0].span if len(first) == 1 and isinstance(first[0], Or) else pipe.span
+        return (Or(tuple(flat), span=span),)
 
     def parse_sequence(self) -> BodySeq:
         items: List[Body] = []
@@ -360,14 +363,15 @@ class _Parser:
         """One component, spliced into the surrounding sequence.
 
         Groups ``( ... )`` without a ``*`` flatten into the sequence; starred
-        groups become a single ``Star`` item.  Each component is one nesting
-        level.
+        groups become a single ``Star`` item spanning the ``*``.  Each
+        component is one nesting level.
         """
         self.nest()
         seq = self.parse_primary()
         self.depth -= 1
-        if self.accept("STAR"):
-            return (Star(seq),)
+        star = self.accept("STAR")
+        if star:
+            return (Star(seq, span=star.span),)
         return seq
 
     def parse_primary(self) -> BodySeq:

@@ -35,7 +35,8 @@ unpacks the tuple and restores the value with a synthesized variable, so
 both the bindings and the value survive the rewrite exactly.  Without
 exports the rewrite is a bare call.  Fresh rule names are ``<root>$k`` with
 a single counter per run, so output is deterministic; ``$`` cannot appear
-in user names.
+in user names.  Every call the rewrite makes carries the span of the ``*``
+or ``|`` it stands for, so a diagnostic about it points into the source.
 
 A lifted body's parameters and the names it binds come from one
 ``wellformed.scope`` walk, the scoping rules the well-formedness check
@@ -193,23 +194,24 @@ class _Rewrite:
             body, _ = self.seq(item.body, ctx)
             params = tuple(sorted(_interface((body,))[0]))
             args = _var_refs(params)
+            call = Call(name, args, span=item.span)
             lifted = []  # a body that rebinds a name it reads, in a rule of its own
             if not _may_bind((body,)).isdisjoint(params):
                 own = fresh.fresh(self.origin)
                 lifted.append(Clause(own, params, body))
-                body = (Call(own, args),)
+                body = (Call(own, args, span=item.span),)
             x = fresh.fresh_var("x", params)
             xs = fresh.fresh_var("xs", params + (x,))
             cons_body: BodySeq = (
                 Bind((x,), body),
-                Bind((xs,), (Call(name, args),)),
+                Bind((xs,), (call,)),
                 Actions((Construct(CONS, (VarRef(x), VarRef(xs))),)),
             )
             nil_body = (Actions((Construct(NIL, ()),)),)
             clauses = [Clause(name, params, cons_body), Clause(name, params, nil_body)]
             self.acc[at:at] = clauses + lifted
             self.loops.add(name)
-            return (Call(name, args),), ctx
+            return (call,), ctx
 
         if isinstance(item, Or):
             name, at = fresh.fresh(self.origin), len(self.acc)

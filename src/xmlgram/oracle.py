@@ -15,17 +15,17 @@ semantics, shared with the engine:
 * a sequence's value is its last component's value (null when empty);
 * ``EMPTY`` only matches when no sibling trees remain;
 * ``ANY`` consumes one subtree and yields null;
-* repetition yields a Cons/Nil chain, longest match enumerated first, and
-  an iteration must consume input (a nullable repetition body would
-  otherwise admit infinitely many derivations);
+* repetition yields a Cons/Nil chain, longest match enumerated first;
 * the first true guard picks an element's branch, the else branch when
   none holds;
 * element branches must consume every child of the element, and a declared
-  attribute that is missing on the element makes the match fail;
-* a rule may re-enter itself at the same input position only a bounded
-  number of times, so unproductive (left-)recursion terminates instead of
-  looping; derivations that would need deeper unproductive wrapping are not
-  enumerated.
+  attribute that is missing on the element makes the match fail.
+
+The search needs no cut: ``compile_grammar`` rejects left recursion, a
+repetition body that can consume nothing included, so each recursive call
+and each further iteration starts later in the input or inside an element.
+On an unchecked grammar it may recurse without end, and raises
+``OracleLimitExceeded`` at the recursion limit.
 """
 
 from __future__ import annotations
@@ -49,16 +49,13 @@ from .ast import (
     Or,
     Star,
     Text,
+    VarRef,
 )
 from .evaluate import eval_actions, eval_expr, eval_guard
 from .events import Element, TextNode, XmlTree
 from .values import NULL, Env, StrVal, TermVal, TupleVal, Value, env_merge
 
 DEFAULT_MAX_STEPS = 10_000
-
-# How often one rule may be re-entered at one input position on a single
-# derivation path before the search cuts the branch.
-MAX_REENTRY = 2
 
 Trees = Tuple[XmlTree, ...]
 Position = Tuple[Element, int]
@@ -88,33 +85,27 @@ class Oracle:
         self.grammar = grammar
         self.max_steps = max_steps
         self._steps = 0
-        self._entries: dict = {}
 
     def satisfy(self, body: BodySeq, trees: Trees, env: Env) -> Iterator[Tuple[Trees, Env, Value]]:
+        """Each derivation of ``body`` over a prefix of ``trees``, with the
+        trees it leaves over."""
         self._steps = 0
         top = Element("", {}, tuple(trees))  # whose children are the input
-        for (_, i), env1, value in self._seq(body, (top, 0), dict(env)):
-            yield top.children[i:], env1, value
+        try:
+            for (_, i), env1, value in self._seq(body, (top, 0), dict(env)):
+                yield top.children[i:], env1, value
+        except RecursionError:  # the search recurses per nesting level
+            raise OracleLimitExceeded("derivation nests deeper than the recursion limit") from None
 
     def accepts(self, start_rule: str, doc: XmlTree, args: Tuple[Value, ...] = ()) -> OracleResult:
-        """Distinct values derivable for the document; first-found is canonical."""
-        self._steps = 0
-        defs = [
-            c for c in self.grammar.definitions_of(start_rule) if len(c.params) == len(args)
-        ]
+        """Distinct values of the derivations of the whole document by a
+        call of the start rule with ``args``; the first found is canonical."""
+        env = {f"${i}": arg for i, arg in enumerate(args)}  # names for the call to read
+        call = Call(start_rule, tuple(map(VarRef, env)))
         values: List[Value] = []
-        top = Element("", {}, (doc,))
-        try:
-            for clause in defs:
-                call_env = dict(zip(clause.params, args))
-                for (_, i), _env, value in self._seq(clause.body, (top, 0), call_env):
-                    if i == 0:
-                        continue
-                    if value not in values:
-                        values.append(value)
-        except RecursionError:
-            # The search recurses once per nesting level of grammar and document.
-            raise OracleLimitExceeded("derivation nests deeper than the recursion limit") from None
+        for rest, _env, value in self.satisfy((call,), (doc,), env):
+            if not rest and value not in values:
+                values.append(value)
         return OracleResult(values[0] if values else None, tuple(values))
 
     # -- derivation enumeration ------------------------------------------------
@@ -145,9 +136,8 @@ class Oracle:
         elif isinstance(item, Bind):
             for at1, env1, value in self._seq(item.body, at, env):
                 bound = self._bind_names(item.names, value)
-                if bound is None:
-                    continue
-                yield at1, env_merge(env1, bound), value
+                if bound is not None:
+                    yield at1, env_merge(env1, bound), value
         elif isinstance(item, Star):
             yield from self._star(item.body, at, env)
         elif isinstance(item, Empty):
@@ -180,34 +170,19 @@ class Oracle:
         return None
 
     def _star(self, body: BodySeq, at: Position, env: Env) -> Iterator[Derivation]:
-        # Iterations all run in the repetition-point environment and export
-        # no bindings, mirroring the recursive-clause expansion the grammar
-        # rewriter produces.
+        # Iterations run in the repetition point's environment and export nothing.
         for at1, _env1, value1 in self._seq(body, at, env):
-            if at1[1] == at[1]:
-                continue
             for at2, _env2, chain in self._star(body, at1, env):
                 yield at2, env, TermVal(CONS, (value1, chain))
         yield at, env, TermVal(NIL, ())
 
     def _call(self, call: Call, at: Position, env: Env) -> Iterator[Derivation]:
-        # A position is its element's identity and an index: the element
-        # stays alive while this call holds ``at``, so no other element on
-        # the derivation path can share its id.
-        key = (call.name, id(at[0]), at[1])
-        if self._entries.get(key, 0) >= MAX_REENTRY:
-            return
         args = tuple(eval_expr(a, env) for a in call.args)
-        self._entries[key] = self._entries.get(key, 0) + 1
-        try:
-            for clause in self.grammar.definitions_of(call.name):
-                if len(clause.params) != len(args):
-                    continue
+        for clause in self.grammar.definitions_of(call.name):
+            if len(clause.params) == len(args):
                 callee_env = dict(zip(clause.params, args))
                 for at1, _callee_env, value in self._seq(clause.body, at, callee_env):
                     yield at1, env, value
-        finally:
-            self._entries[key] -= 1
 
     def _element(
         self, el: ElementSpec, head: Element, rest: Position, env: Env
@@ -223,23 +198,3 @@ class Oracle:
             if i == len(head.children):
                 yield rest, env_c, value
 
-
-def satisfy(
-    grammar: Grammar,
-    body: BodySeq,
-    trees,
-    env: Env,
-    *,
-    max_steps: int = DEFAULT_MAX_STEPS,
-) -> Iterator[Derivation]:
-    return Oracle(grammar, max_steps=max_steps).satisfy(body, tuple(trees), env)
-
-
-def accepts(
-    grammar: Grammar,
-    start_rule: str,
-    doc: XmlTree,
-    *,
-    max_steps: int = DEFAULT_MAX_STEPS,
-) -> OracleResult:
-    return Oracle(grammar, max_steps=max_steps).accepts(start_rule, doc)

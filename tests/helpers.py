@@ -274,6 +274,9 @@ def _expr_alpha(a: Expr, b: Expr, vars_map) -> bool:
 #
 # Generated grammars are well formed by construction: references only to
 # bound names, and each rule has one arity that every call to it meets.
+# They have no left recursion either: a call that can run before its clause
+# has consumed input only targets a later rule, and a repetition body always
+# consumes, so every grammar compiles.
 # Binds sometimes reuse a name already in scope, and an element may have two
 # guards that both hold, which the engine and the reference interpreter
 # resolve alike (the first true guard wins).
@@ -310,15 +313,18 @@ class GrammarGen:
         return Grammar("Gen", tuple(clauses))
 
     def clause(self, name: str) -> Clause:
+        self.later = self.names[self.names.index(name) + 1 :]
         params = tuple(self.fresh_var() for _ in range(self.arity[name]))
-        body, bound = self.seq(depth=0, scope=list(params), allow_or=True, budget=[6])
+        body, bound = self.seq(0, list(params), allow_or=True, budget=[6], leading=True)
         # End with an action so every rule synthesizes something observable.
         body = body + (self.make_actions(list(params) + bound),)
         return Clause(name, params, body)
 
     def seq(
-        self, depth: int, scope: List[str], allow_or: bool, budget: List[int]
+        self, depth: int, scope: List[str], allow_or: bool, budget: List[int], leading=False
     ) -> Tuple[BodySeq, List[str]]:
+        """``leading`` says that the clause may not have consumed input yet,
+        so a call may only target a later rule."""
         items: List[Body] = []
         bound: List[str] = []
         n = self.rng.choice([1, 1, 2])
@@ -328,11 +334,12 @@ class GrammarGen:
                 break
             budget[0] -= 1
             item, new_bound, consumes = self.item(
-                depth, scope + bound, allow_or, consumed_before, budget
+                depth, scope + bound, allow_or, consumed_before, budget, leading
             )
             items.append(item)
             bound.extend(new_bound)
             consumed_before = consumed_before or consumes
+            leading = leading and not _consumes(item, calls=False)
         return tuple(items), bound
 
     def item(
@@ -342,8 +349,10 @@ class GrammarGen:
         allow_or: bool,
         consumed_before: bool,
         budget: List[int],
+        leading: bool,
     ) -> Tuple[Body, List[str], bool]:
         rng = self.rng
+        targets = self.later if leading else self.names
         choices = ["element", "call", "bind_element", "actions", "ok", "text"]
         if depth < 2:
             choices += ["star", "bind_call"]
@@ -352,6 +361,8 @@ class GrammarGen:
         if consumed_before:
             choices.append("any")
         kind = rng.choice(choices)
+        if kind in ("call", "bind_call") and not targets:
+            kind = kind.replace("call", "element")
         if kind == "element":
             return self.element(depth, scope, budget), [], True
         if kind == "bind_element":
@@ -359,21 +370,21 @@ class GrammarGen:
             el = self.element(depth, scope, budget)
             return Bind((var,), (el,)), [var], True
         if kind == "call":
-            return self.call(scope), [], True
+            return self.call(scope, targets), [], True
         if kind == "bind_call":
             var = self.bind_var(scope)
-            return Bind((var,), (self.call(scope),)), [var], True
+            return Bind((var,), (self.call(scope, targets),)), [var], True
         if kind == "star":
-            inner, _ = self.seq(depth + 1, scope, allow_or=False, budget=budget)
-            # A body that may consume nothing would make the oracle's repetition,
-            # whose iterations must consume, differ from its expansion.
+            inner, _ = self.seq(depth + 1, scope, False, budget, leading)
+            # A body that may consume nothing is left recursion in the
+            # repetition's cons rule.
             if not any(_consumes(i, calls=False) for i in inner):
                 inner = (self.element(depth + 1, scope, budget),)
             var = self.bind_var(scope)
             return Bind((var,), (Star(inner),)), [var], False
         if kind == "or":
-            left, _ = self.seq(depth + 1, scope, allow_or=False, budget=budget)
-            right, _ = self.seq(depth + 1, scope, allow_or=False, budget=budget)
+            left, _ = self.seq(depth + 1, scope, False, budget, leading)
+            right, _ = self.seq(depth + 1, scope, False, budget, leading)
             if not left:
                 left = (Ok(),)
             if not right:
@@ -417,10 +428,10 @@ class GrammarGen:
             else_body, _ = self.seq(depth + 1, inner_scope, allow_or=False, budget=budget)
         return ElementSpec(tag, tuple(attrs), guarded, else_body)
 
-    def call(self, scope: List[str]) -> Call:
-        """A call with as many arguments as its rule has parameters, each a
-        name in scope (a literal when nothing is)."""
-        name = self.rng.choice(self.names)
+    def call(self, scope: List[str], targets: List[str]) -> Call:
+        """A call to one of ``targets`` with as many arguments as its rule
+        has parameters, each a name in scope (a literal when nothing is)."""
+        name = self.rng.choice(targets)
         if not scope:
             return Call(name, (StrLit("k"),) * self.arity[name])
         return Call(name, tuple(VarRef(self.rng.choice(scope)) for _ in range(self.arity[name])))
@@ -460,8 +471,20 @@ def random_tree(rng: random.Random, depth: int = 0, max_depth: int = 3) -> XmlTr
             return TextNode(rng.choice(TEXTS))
         return Element(rng.choice(TAGS), _random_attrs(rng), ())
     width = rng.randrange(0, 4)
-    children = tuple(random_tree(rng, depth + 1, max_depth) for _ in range(width))
+    children = _merge_text(random_tree(rng, depth + 1, max_depth) for _ in range(width))
     return Element(rng.choice(TAGS), _random_attrs(rng), children)
+
+
+def _merge_text(nodes: Iterable[XmlTree]) -> Tuple[XmlTree, ...]:
+    """``nodes`` with each run of adjacent text nodes joined into one, since
+    XML text cannot keep them apart."""
+    out: List[XmlTree] = []
+    for node in nodes:
+        if out and isinstance(node, TextNode) and isinstance(out[-1], TextNode):
+            out[-1] = TextNode(out[-1].text + node.text)
+        else:
+            out.append(node)
+    return tuple(out)
 
 
 def _random_attrs(rng: random.Random) -> dict:
@@ -533,7 +556,7 @@ def _sample_item(
             attrs[attr] = rng.choice(["on", "off", "1"])
         branches = [b for _, b in item.guarded] + [item.else_body]
         children = _sample_seq(grammar, rng.choice(branches), rng, budget, depth + 1, max_depth)
-        return [Element(item.tag, attrs, tuple(children))]
+        return [Element(item.tag, attrs, _merge_text(children))]
     if isinstance(item, Call):
         defs = grammar.definitions_of(item.name)
         if not defs:

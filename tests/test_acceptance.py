@@ -241,14 +241,14 @@ def _enumerate_trees(tags, attr_values):
 
 def _oracle_startable(grammar, start, singles, pairs_pool):
     """Tags (and text) that can begin input the start rule consumes."""
-    from xmlgram.oracle import satisfy
     from xmlgram.ast import Call
 
+    oracle = Oracle(grammar, max_steps=20_000)
     startable = set()
 
     def probe(seq):
         head = seq[0]
-        for remaining, _, _ in satisfy(grammar, (Call(start, ()),), seq, {}, max_steps=20_000):
+        for remaining, _, _ in oracle.satisfy((Call(start, ()),), seq, {}):
             if len(remaining) < len(seq):
                 if isinstance(head, TextNode):
                     startable.add("TEXT")
@@ -267,7 +267,6 @@ def _oracle_startable(grammar, start, singles, pairs_pool):
 @criterion(6, "nullability and first sets match exhaustive enumeration on the fixed suite")
 def test_criterion_6_first_sets():
     from xmlgram.ast import Call
-    from xmlgram.oracle import satisfy
 
     assert len(SMALL_SUITE) >= 20
     mismatches = []
@@ -280,7 +279,7 @@ def test_criterion_6_first_sets():
 
         # nullable: a derivation over no input exists
         for name in {c.name for c in grammar.clauses}:
-            oracle_null = any(True for _ in satisfy(normal, (Call(name, ()),), (), {}))
+            oracle_null = any(True for _ in Oracle(normal).satisfy((Call(name, ()),), (), {}))
             if analysis.nullable[name] != oracle_null:
                 mismatches.append((source, name, "nullable", analysis.nullable[name], oracle_null))
 

@@ -293,3 +293,36 @@ def test_text_rendering_has_rows_and_columns(test_tables):
     header = lines[0].split()
     assert header == ["A", "/A", "B", "C"]
     assert len(lines) == 1 + len({c.name for c in g.clauses})
+
+
+def _recursion_errors(source: str) -> list:
+    return [str(e) for e in compile_grammar(parse_grammar(source)).errors]
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "@Grammar G R ::= <a> R </a> {1}. end",  # a call inside an element is at a new position
+        "@Grammar G R ::= <a> x = R </a> {x}. R ::= <b/> {2}. end",
+        "@Grammar G R ::= <a/> R {1}. R ::= {2}. end",  # consumes before the call
+        "@Grammar G R ::= N x = (<i/> N)* {x}. N ::= OK. end",
+    ],
+)
+def test_recursion_after_consuming_input_is_legal(source):
+    assert _recursion_errors(source) == []
+
+
+def test_left_recursion_through_nullable_calls_is_an_error():
+    source = "@Grammar G\nA ::= N B <x/> {1}.\nB ::= N {2} A.\nN ::= OK.\nN ::= <n/>.\nend"
+    assert _recursion_errors(source) == [
+        "rule B: left recursion: call to A can recur before consuming input at 3:13"
+    ]
+
+
+@pytest.mark.parametrize("body", ["{1}", "N", "N | <a/>", "<a/> | OK"])
+def test_repetition_body_that_consumes_nothing_is_an_error(body):
+    source = f"@Grammar G\nR ::= <r> xs = ({body})* </r> {{xs}}.\nN ::= OK.\nN ::= <n/>.\nend"
+    star = f"2:{len(body) + 18}"
+    assert _recursion_errors(source) == [
+        f"rule R: repetition body can match without consuming input at {star}"
+    ]

@@ -349,6 +349,51 @@ def test_check_conflict_messages_golden(files, capsys):
     )
 
 
+# Two grammars that once drew from the test generator, pinned as text: the
+# oracle's answers on them depended on how far it let a rule re-enter itself.
+NULLABLE_REPETITION_BODY = """@Grammar Gen
+  R0 ::= <Ta u1=p> u2 = R1 </Ta> u3 = R2 { W(u3) }.
+  R1 ::= { null } { null }.
+  R2 ::= u4 = (R2 OK)* { W(u4) }.
+  R2 ::= u7 = <Tc u5=p u6=q/>* { null }.
+end
+"""
+LEFT_RECURSIVE_ALTERNATIVE = """@Grammar Gen
+  R0 ::= u2 = ({ 2 } u1 = <Td/>)* (R1 | u2 = R0) { W(u2) }.
+  R1 ::= { 3 } u3 = R2 { W(u3) }.
+  R1 ::= u4 = TEXT { W(u4) }.
+  R2 ::= u5 = R0() (u5 = TEXT | { W(u5) } { W(u5) }) { W(u5) }.
+  R2 ::= (OK | u6 = TEXT { 6 }) { "k" }.
+end
+"""
+
+
+@pytest.mark.parametrize(
+    "grammar, messages",
+    [
+        (
+            NULLABLE_REPETITION_BODY,
+            [
+                "rule R2: left recursion: call to R2 can recur before consuming input at 4:16",
+                "rule R2: repetition body can match without consuming input at 4:22",
+            ],
+        ),
+        (
+            LEFT_RECURSIVE_ALTERNATIVE,
+            [
+                "rule R2: left recursion: call to R0 can recur before consuming input at 5:15",
+                "rule R0: left recursion: call to R0 can recur before consuming input at 2:46",
+            ],
+        ),
+    ],
+    ids=["nullable-repetition-body", "left-recursive-alternative"],
+)
+def test_check_rejects_recursion_without_consuming_input(files, capsys, grammar, messages):
+    path = files("rec.xg", grammar)
+    assert main(["check", path]) == 1
+    assert capsys.readouterr().err == "".join(f"{path}: {m}\n" for m in messages)
+
+
 @pytest.mark.parametrize(
     "grammar, document, message",
     [

@@ -18,6 +18,7 @@ from xmlgram.ast import (
     ListLit,
     Ok,
     Or,
+    SourceSpan,
     Star,
     StrLit,
     Text,
@@ -338,3 +339,17 @@ def test_round_trip_of_generated_grammars():
         g = random_grammar(seed)
         printed = pretty_grammar(g)
         assert parse_grammar(printed) == g, f"seed {seed}:\n{printed}"
+
+
+def test_star_spans_its_operator():
+    g = parse_grammar("@Grammar G\nR ::= x = (<a/> B)* <c/>* {x}.\nend")
+    bind, star = g.clauses[0].body[:2]
+    assert isinstance(star, Star)
+    assert (bind.body[0].span, star.span) == (SourceSpan(2, 19, 1), SourceSpan(2, 25, 1))
+
+
+@pytest.mark.parametrize("body", ["A | <b/> (C | D) | E", "(A | <b/> (C | D)) | E"])
+def test_alternation_spans_its_first_bar(body):
+    (alternation,) = parse_grammar(f"@Grammar G\nR ::= {body}.\nend").clauses[0].body
+    assert isinstance(alternation, Or) and len(alternation.branches) == 3
+    assert alternation.span == SourceSpan(2, body.index("|") + 7, 1)

@@ -12,7 +12,8 @@ from helpers import (
     random_grammar,
     sample_document,
 )
-from xmlgram.ast import Bind, Call, ElementSpec, Grammar, Or, Star
+from xmlgram.ast import Bind, Call, ElementSpec, Grammar, Or, Star, walk
+from xmlgram.engine import compile_grammar
 from xmlgram.frontend import parse_grammar
 from xmlgram.normalize import is_normal_form, normalize_grammar
 from xmlgram.oracle import Oracle, OracleLimitExceeded
@@ -161,13 +162,13 @@ def test_models_normal_form_shape():
     assert len(fresh_names) == 3
 
 
-@pytest.mark.parametrize("seed", range(25))
+@pytest.mark.parametrize("seed", range(300))
 def test_language_preserved_on_random_grammars(seed):
     """accepts(g) and accepts(normalize(g)) agree on value sets."""
     g = random_grammar(seed)
-    if check_grammar(g):
-        return
-    normal = normalize_grammar(g)
+    compiled = compile_grammar(g)
+    assert compiled.errors == [], f"seed {seed}"
+    normal = compiled.normal
     assert is_normal_form(normal)
     assert check_grammar(normal) == []
     start = g.clauses[0].name
@@ -187,3 +188,18 @@ def test_language_preserved_on_random_grammars(seed):
         assert before.accepted == after.accepted, f"seed {seed}"
         if before.accepted:
             assert set(map(repr, before.values)) == set(map(repr, after.values)), f"seed {seed}"
+
+
+def test_calls_made_by_normalization_span_their_operator():
+    # the repetition's body rebinds k, so it gets a rule of its own (R$2)
+    g = parse_grammar(
+        "@Grammar G\nR ::= <R> k = TEXT xs = (<I/> p = {k} k = TEXT {p})* (<A/> | <B/>) </R> {xs}.\nend"
+    )
+    calls = [
+        (item.name, str(item.span))
+        for clause in normalize_grammar(g).clauses
+        for item in walk(clause.body)
+        if isinstance(item, Call)
+    ]
+    star, bar = "2:52", "2:60"
+    assert calls == [("R$1", star), ("R$3", bar), ("R$2", star), ("R$1", star)]

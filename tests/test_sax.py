@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from helpers import flatten_tree, next_event, serialize_tree
+from helpers import documents_for, flatten_tree, next_event, random_grammar, serialize_tree
 from xmlgram.events import (
     Element,
     EndTag,
@@ -305,3 +305,12 @@ def test_unencodable_string_is_malformed_where_it_occurs():
     with pytest.raises(MalformedXml) as exc:
         events("<A>\n<B/>x\ud800</A>")
     assert (exc.value.line, exc.value.column) == (2, 6)
+
+
+def test_generated_documents_read_back_from_their_text():
+    """The test generators never put two text nodes side by side, which
+    XML text could not encode."""
+    for seed in range(300):
+        grammar = random_grammar(seed)
+        for doc in documents_for(grammar, grammar.clauses[0].name, seed):
+            assert build_tree(read_events(serialize_tree(doc), keep_whitespace=True)) == doc
