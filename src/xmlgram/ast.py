@@ -20,7 +20,7 @@ from typing import FrozenSet, Iterator, NamedTuple, Optional, Tuple, Union
 class SourceSpan(NamedTuple):
     """1-based line/column position plus the length of the offending text.
 
-    A tuple, not a dataclass: the lexer builds one per token."""
+    A tuple, not a dataclass: the parser builds one per AST node."""
 
     line: int
     column: int

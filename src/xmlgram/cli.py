@@ -39,14 +39,18 @@ def _compile(
     exit code is non-zero when the file cannot be read or parsed (the grammar
     is then None) or the grammar has errors."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            source = handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         print(f"error: cannot read {path}: {exc.strerror}", file=sys.stderr)
         return None, None, IO_ERROR
+    try:
+        source = data.decode("utf-8-sig")  # a leading BOM is skipped, as XML readers do
     except UnicodeDecodeError as exc:
-        print(f"{path}: error: invalid UTF-8 at byte {exc.start}", file=sys.stderr)
+        at = exc.start + len(data) - len(exc.object)  # exc.object lacks the BOM
+        print(f"{path}: error: invalid UTF-8 at byte {at}", file=sys.stderr)
         return None, None, LANGUAGE_ERROR
+    source = source.replace("\r\n", "\n").replace("\r", "\n")  # line ends as text mode reads them
     grammar, diagnostics = try_parse_grammar(source)
     for diag in diagnostics:
         print(f"{path}:{diag}", file=sys.stderr)
@@ -177,7 +181,14 @@ def main(argv=None) -> int:
     p_parse.set_defaults(func=cmd_parse)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except BrokenPipeError:
+        # The reader of stdout has gone (``| head``).  What is still buffered,
+        # and the flush at exit, go to the null device instead of raising again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: cannot write output: broken pipe", file=sys.stderr)
+        return IO_ERROR
 
 
 if __name__ == "__main__":

@@ -1,11 +1,13 @@
 """Shared fixtures: canonical grammar sources, alpha-equivalence on grammars,
 seeded random generators for grammars and documents, conversions between
-trees, events and XML text, and reference renderers for values."""
+trees, events and XML text, and reference implementations of the lexer and
+the value renderers."""
 
 from __future__ import annotations
 
 import json
 import random
+import re
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from xmlgram.ast import (
@@ -30,6 +32,7 @@ from xmlgram.ast import (
     NullLit,
     Ok,
     Or,
+    SourceSpan,
     Star,
     StrLit,
     Text,
@@ -38,6 +41,7 @@ from xmlgram.ast import (
 from xmlgram.analysis import PredictTable
 from xmlgram.engine import Machine
 from xmlgram.events import EndTag, Element, SaxEvent, StartTag, TextEvt, TextNode, XmlTree
+from xmlgram.frontend import _KEYWORDS, _PUNCT, ParseDiagnostic
 from xmlgram.sax import SaxReader
 from xmlgram.values import BoolVal, IntVal, ListVal, NullVal, StrVal, TermVal, TupleVal, Value
 
@@ -686,3 +690,73 @@ def reference_render_term(value: Value) -> str:
     if isinstance(value, TupleVal):
         return "(" + ",".join(map(reference_render_term, value.items)) + ")"
     raise TypeError(f"not a value: {value!r}")
+
+
+# --------------------------------------------------------------------------
+# Reference lexer: one match per token class, blanks and newlines included,
+# counting lines as it goes.  ``xmlgram.frontend.lex`` must give the same
+# tokens, spans and diagnostics.
+# --------------------------------------------------------------------------
+
+# One alternative per token class, tried in this order at each position.
+# Longer punctuation comes first, so "::=" wins over ":".
+_TOKEN = re.compile(
+    r"""
+      (?P<NEWLINE> \n )
+    | (?P<BLANK> [ \t\r]+ )
+    | (?P<COMMENT> //[^\n]* )
+    | (?P<MARKER> @[\w$]* )
+    | (?P<WORD> [^\W\d][\w$]* )
+    | (?P<INT> -?\d+ )
+    | (?P<STRING> " (?P<CHARS> (?: \\. | [^"\n] )* ) (?P<CLOSE> "? ) )
+    | (?P<PUNCT> %s )
+    | (?P<OTHER> . )
+    """
+    % "|".join(re.escape(text) for text in sorted(_PUNCT, key=len, reverse=True)),
+    re.VERBOSE,
+)
+
+_ESCAPE = re.compile(r"\\(.)")
+_ESCAPED = {"n": "\n", "t": "\t"}  # any other escaped character stands for itself
+
+
+def reference_tokens(
+    source: str, diagnostics: List[ParseDiagnostic]
+) -> List[Tuple[str, str, SourceSpan]]:
+    """The ``(kind, text, span)`` of each token of ``source``, ending in two
+    EOF tokens."""
+    toks: List[Tuple[str, str, SourceSpan]] = []
+    pos, line, line_start = 0, 1, 0
+    while pos < len(source):
+        m = _TOKEN.match(source, pos)
+        kind, text = m.lastgroup, m.group()
+        if kind == "WORD" and not (text[0].isalpha() or text[0] == "_"):
+            # [^\W\d] also matches numerals such as '½'; they start no word.
+            kind, text = "OTHER", text[0]
+        start, pos = pos, pos + len(text)
+        if kind == "BLANK" or kind == "COMMENT":
+            continue
+        if kind == "NEWLINE":
+            line, line_start = line + 1, pos
+            continue
+        span = SourceSpan(line, start - line_start + 1, len(text))
+        if kind == "WORD":
+            toks.append((text if text in _KEYWORDS else "IDENT", text, span))
+        elif kind == "PUNCT":
+            toks.append((_PUNCT[text], text, span))
+        elif kind == "INT":
+            toks.append(("INT", text, span))
+        elif kind == "STRING":
+            if not m["CLOSE"]:
+                diagnostics.append(ParseDiagnostic(span, "unterminated string literal"))
+            text = _ESCAPE.sub(lambda e: _ESCAPED.get(e[1], e[1]), m["CHARS"])
+            toks.append(("STRING", text, span))
+        elif kind == "MARKER":
+            if text == "@Grammar":
+                toks.append(("ATGRAMMAR", text, span))
+            else:
+                diagnostics.append(ParseDiagnostic(span, f"unknown marker {text!r}"))
+        elif kind == "OTHER":
+            diagnostics.append(ParseDiagnostic(span, f"unknown character {text!r}"))
+    eof = ("EOF", "", SourceSpan(line, pos - line_start + 1, 0))
+    return toks + [eof, eof]

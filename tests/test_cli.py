@@ -4,7 +4,10 @@ import collections
 import contextlib
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -55,6 +58,31 @@ def test_check_invalid_utf8_grammar_is_a_language_error(files, capsys):
     pathlib.Path(path).write_bytes(b'@Grammar G R ::= <a/> {"\xff"}. end')
     assert main(["check", path]) == 1
     assert capsys.readouterr().err == f"{path}: error: invalid UTF-8 at byte 24\n"
+
+
+def test_grammar_file_may_start_with_a_bom(files, capsys):
+    path = files("bom.xg", "\ufeff" + TEST_GRAMMAR)
+    assert main(["check", path]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_invalid_utf8_offset_counts_the_bom(files, capsys):
+    path = files("bad.xg", "")
+    pathlib.Path(path).write_bytes(b'\xef\xbb\xbf@Grammar G R ::= <a/> {"\xff"}. end')
+    assert main(["check", path]) == 1
+    assert capsys.readouterr().err == f"{path}: error: invalid UTF-8 at byte 27\n"
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_grammar_line_ends_are_counted_alike(files, capsys, newline):
+    path = files("g.xg", "")
+    pathlib.Path(path).write_bytes(newline.join(["@Grammar G", 'R ::= <a/> {"x', "; .", "end"]).encode())
+    assert main(["check", path]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"{path}:2:13: error: unterminated string literal",
+        f"{path}:3:1: error: unknown character ';'",
+        f"{path}:3:3: error: expected '}}', found '.'",
+    ]
 
 
 def _nth_column(text: str, sub: str, n: int) -> int:
@@ -572,3 +600,26 @@ def test_parse_never_tracebacks_on_generated_pairs(tmp_path_factory, seed, pick,
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["parse", str(base / "generated.xg"), str(base / "generated.xml")] + extra)
     assert code in (0, 1, 2), err.getvalue()
+
+
+def test_closed_stdout_is_an_io_error_not_a_traceback(files):
+    """``xmlgram parse … | head -c 100``: the reader closes the pipe while the
+    value is being printed."""
+    grammar = files("g.xg", "@Grammar G R ::= <r> xs = S* </r> {xs}. S ::= <s v=v/> {v}. end")
+    doc = files("big.xml", "<r>" + '<s v="0123456789"/>' * 20_000 + "</r>")
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "xmlgram.cli", "parse", grammar, doc, "--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    try:
+        assert proc.stdout.read(100).startswith(b'{"args": ["0123456789"')
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 2, err
+    finally:
+        proc.kill()
+        proc.wait()
+    assert err == "error: cannot write output: broken pipe\n"

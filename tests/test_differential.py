@@ -17,7 +17,7 @@ import pytest
 
 from helpers import documents_for, flatten_tree, random_grammar
 from xmlgram.analysis import build_predict_table, check_ll1, compute_sets
-from xmlgram.engine import Machine, MachineInvariantError, ParseFailure
+from xmlgram.engine import Machine, MachineInvariantError, ParseFailure, compile_grammar
 from xmlgram.frontend import parse_grammar
 from xmlgram.normalize import is_normal_form, normalize_grammar
 from xmlgram.oracle import Oracle, OracleLimitExceeded
@@ -50,19 +50,30 @@ def oracle_outcome(grammar, start, doc) -> Optional[Outcome]:
 
 
 def build_pipeline(seed):
-    """Returns (grammar, normalized, table, start) or None when unusable."""
+    """Returns (grammar, normalized, table, start), or None when the CLI
+    would refuse the grammar: a compile error or an LL(1) conflict."""
     grammar = random_grammar(seed)
-    if check_grammar(grammar):
+    compiled = compile_grammar(grammar)
+    if compiled.errors or compiled.table.conflicts:
         return None
-    normal = normalize_grammar(grammar)
-    assert is_normal_form(normal)
-    start = grammar.clauses[0].name
-    analysis = compute_sets(normal, start)
-    table = build_predict_table(normal, analysis)
-    ok, _ = check_ll1(table)
-    if not ok:
-        return None
-    return grammar, normal, table, start
+    assert is_normal_form(compiled.normal)
+    return grammar, compiled.normal, compiled.table, compiled.start
+
+
+def test_compile_filter_keeps_the_same_seeds():
+    """``build_pipeline`` filters with ``compile_grammar``, which also rejects
+    left recursion.  The generator draws none, so it keeps exactly the seeds
+    that well-formedness and LL(1) alone keep, and the differential tests run
+    the same pairs as with those two checks (criterion 5 filters the same
+    way, from seed 10,001)."""
+    for seed in [*range(1, 151), *range(10_001, 10_091)]:
+        grammar = random_grammar(seed)
+        kept = not check_grammar(grammar)
+        if kept:
+            normal = normalize_grammar(grammar)
+            start = grammar.clauses[0].name
+            kept = check_ll1(build_predict_table(normal, compute_sets(normal, start)))[0]
+        assert (build_pipeline(seed) is not None) == kept, seed
 
 
 def check_pair(grammar, normal, table, start, doc) -> Optional[bool]:

@@ -1,8 +1,16 @@
 """Grammar language: lexing, parsing, diagnostics, printing round trips."""
 
-import pytest
+import gc
+import importlib.util
+import string
+import sys
+from pathlib import Path
 
-from helpers import MODELS_GRAMMAR, TEST_GRAMMAR, TEST_GRAMMAR_NORMALIZED
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from helpers import MODELS_GRAMMAR, TEST_GRAMMAR, TEST_GRAMMAR_NORMALIZED, random_grammar
+from helpers import reference_tokens
 from xmlgram.ast import (
     Actions,
     Any,
@@ -24,7 +32,7 @@ from xmlgram.ast import (
     Text,
     VarRef,
 )
-from xmlgram.frontend import GrammarParseError, parse_grammar, tokenize, try_parse_grammar
+from xmlgram.frontend import GrammarParseError, lex, parse_grammar, try_parse_grammar
 from xmlgram.pretty import pretty_grammar
 
 
@@ -290,8 +298,9 @@ GOLDEN_LEXER_DIAGNOSTICS = [
 
 def test_token_stream_golden():
     diagnostics = []
-    tokens = tokenize(GOLDEN_SOURCE, diagnostics)
-    assert [(t.kind, t.text, t.span.line, t.span.column, t.span.length) for t in tokens] == (
+    toks = lex(GOLDEN_SOURCE, diagnostics)
+    spans = map(toks.span, range(len(toks.kinds)))
+    assert [(k, t, s.line, s.column, s.length) for k, t, s in zip(toks.kinds, toks.texts, spans)] == (
         GOLDEN_TOKENS
     )
     assert [str(d) for d in diagnostics] == GOLDEN_LEXER_DIAGNOSTICS
@@ -300,6 +309,55 @@ def test_token_stream_golden():
         "2:8: error: identifier 'q$1' uses reserved character '$'",
         "3:27: error: expected '.' at end of rule, found '</'",
     ] + GOLDEN_LEXER_DIAGNOSTICS
+
+
+# Characters that start, end or break a token, or that the lexer reports.
+MUTATION_CHARS = '"\\@½ñ$\r\t\n/-<>:=|*' + string.digits + string.ascii_letters
+# (position, delete the character there, or else insert this one)
+lexer_edits = st.tuples(st.integers(0, 10**6), st.booleans(), st.sampled_from(MUTATION_CHARS))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(0, 2999), st.lists(lexer_edits, max_size=8))
+def test_lexer_matches_reference_lexer(seed, edit_list):
+    text = pretty_grammar(random_grammar(seed))
+    for where, delete, char in edit_list:
+        at = where % (len(text) + 1)
+        text = text[:at] + text[at + 1 :] if delete else text[:at] + char + text[at:]
+    expected_diagnostics = []
+    expected = reference_tokens(text, expected_diagnostics)
+    diagnostics = []
+    toks = lex(text, diagnostics)
+    spans = map(toks.span, range(len(toks.kinds)))
+    assert list(zip(toks.kinds, toks.texts, spans)) == expected
+    assert diagnostics == expected_diagnostics
+
+
+def _bench_grammar_source(seed: int) -> str:
+    """The grammar of the benchmark's ``grammar`` workload for ``seed``."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.generate("grammar", seed, path.parent.parent).grammar
+
+
+def test_lexer_allocates_no_object_per_token():
+    """Tokens are entries in lists of strings and integers, which the garbage
+    collector does not track, so lexing allocates a handful of tracked
+    objects however many tokens there are."""
+    source = _bench_grammar_source(1)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = gc.get_count()[0]
+        toks = lex(source, [])
+        allocated = gc.get_count()[0] - before
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(toks.kinds) > 9000
+    assert allocated < 50
 
 
 def test_empty_body_clause():
