@@ -37,7 +37,6 @@ from .values import (
     IntVal,
     ListVal,
     NullVal,
-    StrVal,
     TermVal,
     TupleVal,
     render_json,
@@ -70,7 +69,6 @@ __all__ = [
     "PredictTable",
     "SaxReader",
     "StartTag",
-    "StrVal",
     "TermVal",
     "TextEvt",
     "TextNode",

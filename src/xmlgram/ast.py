@@ -6,9 +6,15 @@ conjunction is juxtaposition, there is no explicit "and" node.  Wherever a
 single syntactic slot can hold a conjunction (an ``Or`` branch, a ``Bind``
 or ``Star`` body, an element branch) the slot holds a ``BodySeq`` tuple.
 
-All nodes are frozen dataclasses.  Source spans are carried for diagnostics
-but never participate in equality, so structural comparison of two parses
-(or of a rewritten grammar against a reference parse) just uses ``==``.
+All nodes are slotted dataclasses: the parser and the normalizer build
+thousands, and a slotted class with a plain ``__init__`` builds in under
+half the time of a frozen one and keeps no ``__dict__``.  Nodes are
+immutable by convention, as values and events are: nothing assigns a field
+after construction, so equal nodes hash alike and can key a memo (see
+``evaluate.compile_expr``).  Source spans are carried for diagnostics but
+never participate in equality or hashing, so structural comparison of two
+parses (or of a rewritten grammar against a reference parse) just uses
+``==``.
 """
 
 from __future__ import annotations
@@ -39,36 +45,36 @@ def _span_field():
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class VarRef:
     name: str
     span: Optional[SourceSpan] = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class StrLit:
     value: str
     span: Optional[SourceSpan] = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class IntLit:
     value: int
     span: Optional[SourceSpan] = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class BoolLit:
     value: bool
     span: Optional[SourceSpan] = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class NullLit:
     span: Optional[SourceSpan] = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Construct:
     """Constructor application ``Name(e, ...)`` building a term value.
 
@@ -81,13 +87,13 @@ class Construct:
     span: Optional[SourceSpan] = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ListLit:
     items: Tuple["Expr", ...]
     span: Optional[SourceSpan] = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ConsExpr:
     """``head : tail`` — sugar for the ``Cons`` term constructor."""
 
@@ -96,7 +102,7 @@ class ConsExpr:
     span: Optional[SourceSpan] = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Fold:
     """Left fold ``over->iterate(elem acc = init | step)``.
 
@@ -112,7 +118,7 @@ class Fold:
     span: Optional[SourceSpan] = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Compare:
     """Structural (in)equality test; ``op`` is ``"="`` or ``"<>"``."""
 
@@ -132,7 +138,7 @@ Expr = Union[
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Or:
     """Disjunction of two or more body sequences, tried in source order.
 
@@ -144,7 +150,7 @@ class Or:
     span: Optional[SourceSpan] = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Bind:
     """``names = body``; ``[a,b] = body`` splits a pair across two names."""
 
@@ -153,7 +159,7 @@ class Bind:
     span: Optional[SourceSpan] = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Star:
     """Repetition; the value is a Cons/Nil chain of the iteration values."""
 
@@ -161,42 +167,42 @@ class Star:
     span: Optional[SourceSpan] = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Empty:
     """Asserts there are no further sibling nodes; yields null."""
 
     span: Optional[SourceSpan] = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Any:
     """Consumes one subtree (element or text) without inspecting it."""
 
     span: Optional[SourceSpan] = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Ok:
     """No-op; consumes nothing and yields null."""
 
     span: Optional[SourceSpan] = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Text:
     """Consumes one text node and yields its string."""
 
     span: Optional[SourceSpan] = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Call:
     name: str
     args: Tuple[Expr, ...] = ()
     span: Optional[SourceSpan] = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Actions:
     """Synthesizing action; one expression yields its value, several a tuple."""
 
@@ -204,7 +210,7 @@ class Actions:
     span: Optional[SourceSpan] = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ElementSpec:
     """Pattern matching one XML element.
 
@@ -248,7 +254,7 @@ def walk(seq: BodySeq) -> Iterator[Body]:
             stack.extend(reversed(body))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Clause:
     """One definition ``name(params) ::= body.`` of a rule."""
 
@@ -258,7 +264,7 @@ class Clause:
     span: Optional[SourceSpan] = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Grammar:
     """``loops`` names the rules that normalization lifted from a repetition
     (see ``normalize``); the machine runs a call to one as a loop.  It is a

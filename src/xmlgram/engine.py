@@ -76,7 +76,7 @@ from .evaluate import shorten, truth
 from .events import ANY_TOKEN, EndTag, SaxEvent, StartTag, TextEvt, Token, token_label
 from .events import token_of_event
 from .normalize import normalize_grammar
-from .values import NULL, Env, StrVal, TermVal, TupleVal, Value
+from .values import NULL, Env, TermVal, TupleVal, Value
 from .wellformed import WfError, check_grammar
 
 # Failure reasons
@@ -386,7 +386,7 @@ class Machine:
                             if attr not in event.attrs:
                                 message = f"element <{tag}> lacks attribute {attr!r}"
                                 raise ParseFailure(MISSING_ATTRIBUTE, message, position)
-                            env[var] = StrVal(event.attrs[attr])
+                            env[var] = event.attrs[attr]
                     if item[3]:
                         branch = item[4]
                         for guard, ops in item[3]:
@@ -475,7 +475,7 @@ class Machine:
                     event = next(events, None) if event is unread else event
                     if type(event) is not TextEvt:
                         raise _unexpected(UNEXPECTED_EVENT, "text", event, position)
-                    values.append(StrVal(event.text))
+                    values.append(event.text)
                     position += 1
                     event = unread
                 elif op == ANY:

@@ -34,7 +34,6 @@ from .values import (
     Env,
     IntVal,
     ListVal,
-    StrVal,
     TermVal,
     TupleVal,
     Value,
@@ -70,7 +69,7 @@ def eval_expr(expr: Expr, env: Env) -> Value:
         except KeyError:
             raise UnboundVariable(expr.name) from None
     if isinstance(expr, StrLit):
-        return StrVal(expr.value)
+        return expr.value
     if isinstance(expr, IntLit):
         return IntVal(expr.value)
     if isinstance(expr, BoolLit):

@@ -53,7 +53,7 @@ from .ast import (
 )
 from .evaluate import eval_actions, eval_expr, eval_guard
 from .events import Element, TextNode, XmlTree
-from .values import NULL, Env, StrVal, TermVal, TupleVal, Value, env_merge
+from .values import NULL, Env, TermVal, TupleVal, Value, env_merge
 
 DEFAULT_MAX_STEPS = 10_000
 
@@ -150,7 +150,7 @@ class Oracle:
             yield at, env, NULL
         elif isinstance(item, Text):
             if isinstance(tree, TextNode):
-                yield (parent, i + 1), env, StrVal(tree.text)
+                yield (parent, i + 1), env, tree.text
         elif isinstance(item, Call):
             yield from self._call(item, at, env)
         elif isinstance(item, Actions):
@@ -191,7 +191,7 @@ class Oracle:
         for var, attr in el.attrs:
             if attr not in head.attrs:
                 return
-            attr_env[var] = StrVal(head.attrs[attr])
+            attr_env[var] = head.attrs[attr]
         inner = env_merge(env, attr_env)
         taken = (body for guard, body in el.guarded if eval_guard(guard, inner))
         for (_, i), env_c, value in self._seq(next(taken, el.else_body), (head, 0), inner):

@@ -1,13 +1,18 @@
 """Synthesized values and variable environments.
 
-Values are slotted dataclasses: a parse builds one or two per event, and a
-slotted class with a plain ``__init__`` builds in a third to a half of the
-time of a frozen one (which assigns each field through
+A string value is the plain ``str`` that the reader hands over: the machine
+pushes text and binds attributes without copying or wrapping them, and a
+``str`` holds no references, so the garbage collector never tracks or walks
+it.  Integers and booleans keep wrapper classes, because Python's own
+``True == 1`` and ``hash(True) == hash(1)`` would merge the two kinds:
+``BoolVal(True) != IntVal(1)``, and neither equals a string.
+
+The other values are slotted dataclasses: a parse builds one or two per
+event, and a slotted class with a plain ``__init__`` builds in a third to a
+half of the time of a frozen one (which assigns each field through
 ``object.__setattr__``) and keeps no ``__dict__``.  They are immutable by
 convention, like environments: nothing assigns a field after construction,
-so equal values hash alike and can sit in sets.  Equality is structural, and wrapper classes (rather than
-raw ``str``/``int``) keep the kinds distinct: ``BoolVal(True) != IntVal(1)``
-even though ``True == 1`` in Python.
+so equal values hash alike and can sit in sets.  Equality is structural.
 
 Environments are plain ``dict[str, Value]`` used immutably by convention:
 every extension builds a new dict (``env_merge``), nothing mutates in place.
@@ -18,11 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Dict, List, Tuple, Union
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class StrVal:
-    value: str
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -85,9 +85,9 @@ class TupleVal:
     items: Tuple["Value", ...]
 
 
-Value = Union[StrVal, IntVal, BoolVal, NullVal, TermVal, ListVal, TupleVal]
+Value = Union[str, IntVal, BoolVal, NullVal, TermVal, ListVal, TupleVal]
 
-_VALUE_TYPES = (StrVal, IntVal, BoolVal, NullVal, TermVal, ListVal, TupleVal)
+_VALUE_TYPES = (str, IntVal, BoolVal, NullVal, TermVal, ListVal, TupleVal)
 
 NULL = NullVal()
 
@@ -105,96 +105,111 @@ def env_merge(a: Env, b: Env) -> Env:
     return merged
 
 
-# Both renderers walk the value with an explicit work stack, so arbitrarily
-# deep values render.  The stack holds the values still to render and the
-# text due between and after them (separators and closing brackets).  A
+# Both renderers are one walk over the value with an explicit work stack, so
+# arbitrarily deep values render; they differ only in the texts they emit.
+# The stack holds the values still to render and the text due between and
+# after them (separators and closing brackets), which is wrapped in a
+# ``_Text`` so that one ``type`` test tells it from a string value.  A
 # compound value emits its opening text, then falls through to push its
 # closing text and its items.  Strings are quoted by the C function that
-# ``json.dumps`` itself calls for a ``str``.
+# ``json.dumps`` itself calls for a ``str``.  The texts of a constructor are
+# built once per render, not once per term.  The pieces are joined into one
+# string whenever ``_CHUNK`` of them have piled up, so the output is never
+# held as many small objects and the peak stays near twice its length.  The
+# check is skipped after a ``_Text``, whose text is shared: a run of them is
+# no longer than the work stack that held them.
+
+_CHUNK = 4096
+
+
+class _Text:
+    """Literal text on a renderer's work stack."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+
+
+_COMMA, _COMMA_SPACE = _Text(","), _Text(", ")
+_CLOSE_PAREN, _CLOSE_BRACKET, _CLOSE_TUPLE = _Text(")"), _Text("]"), _Text("]}")
 
 
 def render_term(value: Value) -> str:
     """Canonical textual form: ``Ctor(arg,...)``, ``[a,b]``, ``(a,b)``, ``null``."""
-    out: List[str] = []
-    emit = out.append
-    stack: list = [value]
-    push, pop = stack.append, stack.pop
-    while stack:
-        v = pop()
-        kind = type(v)
-        if kind is str:
-            emit(v)
-            continue
-        if kind is StrVal:
-            emit(_quote(v.value))
-            continue
-        if kind is TermVal:
-            items = v.args
-            if not items:
-                emit(v.ctor)
-                continue
-            emit(v.ctor + "(")
-            push(")")
-        elif kind is ListVal:
-            items = v.items
-            emit("[")
-            push("]")
-        elif kind is TupleVal:
-            items = v.items
-            emit("(")
-            push(")")
-        else:
-            emit(_leaf(v))
-            continue
-        if items:
-            i = len(items) - 1
-            while i:
-                push(items[i])
-                push(",")
-                i -= 1
-            push(items[0])
-    return "".join(out)
+    return _render(value, _term_texts, _COMMA, "(", _CLOSE_PAREN)
 
 
 def render_json(value: Value) -> str:
     """JSON text: terms are ``{"args": [...], "ctor": ...}``, tuples are
     ``{"tuple": [...]}``; the same text as ``json.dumps(..., sort_keys=True)``."""
+    return _render(value, _json_texts, _COMMA_SPACE, '{"tuple": [', _CLOSE_TUPLE)
+
+
+def _term_texts(ctor: str) -> Tuple[str, _Text, str]:
+    """A term's opening and closing text, and its text without arguments."""
+    return ctor + "(", _CLOSE_PAREN, ctor
+
+
+def _json_texts(ctor: str) -> Tuple[str, _Text, str]:
+    closing = '], "ctor": ' + _quote(ctor) + "}"
+    return '{"args": [', _Text(closing), '{"args": [' + closing
+
+
+def _render(value: Value, term_texts, separator: _Text, tuple_open: str, tuple_close: _Text) -> str:
+    chunks: List[str] = []
     out: List[str] = []
     emit = out.append
+    terms: Dict[str, Tuple[str, _Text, str]] = {}  # ``term_texts`` by constructor
     stack: list = [value]
     push, pop = stack.append, stack.pop
     while stack:
         v = pop()
         kind = type(v)
-        if kind is str:
-            emit(v)
+        if kind is _Text:
+            emit(v.text)
             continue
-        if kind is StrVal:
-            emit(_quote(v.value))
+        if len(out) >= _CHUNK:
+            chunks.append("".join(out))
+            out.clear()
+        if kind is str:
+            emit(_quote(v))
             continue
         if kind is TermVal:
             items = v.args
-            emit('{"args": [')
-            push('], "ctor": ' + _quote(v.ctor) + "}")
+            texts = terms.get(v.ctor)
+            if texts is None:
+                texts = terms[v.ctor] = term_texts(v.ctor)
+            if not items:
+                emit(texts[2])
+                continue
+            emit(texts[0])
+            push(texts[1])
         elif kind is ListVal:
             items = v.items
             emit("[")
-            push("]")
+            push(_CLOSE_BRACKET)
         elif kind is TupleVal:
             items = v.items
-            emit('{"tuple": [')
-            push("]}")
+            emit(tuple_open)
+            push(tuple_close)
         else:
             emit(_leaf(v))
             continue
-        if items:
+        if len(items) == 2:  # a Cons cell, and most terms
+            push(items[1])
+            push(separator)
+            push(items[0])
+        elif items:
             i = len(items) - 1
             while i:
                 push(items[i])
-                push(", ")
+                push(separator)
                 i -= 1
             push(items[0])
-    return "".join(out)
+    chunks.append("".join(out))
+    out.clear()  # its pieces need not outlive the final join
+    return "".join(chunks)
 
 
 def _leaf(v: Value) -> str:

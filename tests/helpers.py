@@ -43,7 +43,7 @@ from xmlgram.engine import Machine
 from xmlgram.events import EndTag, Element, SaxEvent, StartTag, TextEvt, TextNode, XmlTree
 from xmlgram.frontend import _KEYWORDS, _PUNCT, ParseDiagnostic
 from xmlgram.sax import SaxReader
-from xmlgram.values import BoolVal, IntVal, ListVal, NullVal, StrVal, TermVal, TupleVal, Value
+from xmlgram.values import BoolVal, IntVal, ListVal, NullVal, TermVal, TupleVal, Value
 
 # The worked example grammar: one rule with repetition over an alternation.
 TEST_GRAMMAR = """\
@@ -660,7 +660,9 @@ def next_event(reader: SaxReader) -> Optional[SaxEvent]:
 
 def plain(value: Value):
     """The nested Python data that ``render_json``'s text encodes."""
-    if isinstance(value, (StrVal, IntVal, BoolVal)):
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (IntVal, BoolVal)):
         return value.value
     if isinstance(value, NullVal):
         return None
@@ -673,8 +675,8 @@ def plain(value: Value):
 
 def reference_render_term(value: Value) -> str:
     """``Ctor(arg,...)``, ``[a,b]``, ``(a,b)``, ``null``; strings as JSON."""
-    if isinstance(value, StrVal):
-        return json.dumps(value.value)
+    if isinstance(value, str):
+        return json.dumps(value)
     if isinstance(value, IntVal):
         return str(value.value)
     if isinstance(value, BoolVal):

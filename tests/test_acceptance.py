@@ -34,7 +34,7 @@ from xmlgram.frontend import parse_grammar
 from xmlgram.normalize import is_normal_form, normalize_grammar
 from xmlgram.oracle import Oracle, OracleLimitExceeded
 from xmlgram.sax import SaxReader, read_events
-from xmlgram.values import StrVal, TermVal
+from xmlgram.values import TermVal
 from xmlgram.wellformed import check_grammar
 
 
@@ -329,7 +329,7 @@ def test_criterion_8_models_end_to_end():
     assert engine_value == reference.value
     # spot-check the shape: Package(name, Class(..2 attributes, 1 operation..), Association)
     assert engine_value.ctor == "Package"
-    assert engine_value.args[0] == StrVal("shop")
+    assert engine_value.args[0] == "shop"
     cls = engine_value.args[1]
     assert cls.ctor == "Class" and len(cls.args) == 5  # name, isAbstract, 2 attrs, 1 op
     assert [a.ctor for a in cls.args[2:]] == ["Attribute", "Attribute", "Operation"]

@@ -1,10 +1,16 @@
 """Core types: environments, tree/event conversion, value rendering."""
 
+import dataclasses
+import gc
 import json
+import tracemalloc
+
+import pytest
 
 from hypothesis import given, strategies as st
 
 from helpers import flatten_tree, plain, reference_render_term, serialize_tree
+from xmlgram import ast
 from xmlgram.events import (
     Element,
     EndTag,
@@ -20,7 +26,6 @@ from xmlgram.values import (
     IntVal,
     ListVal,
     NullVal,
-    StrVal,
     TermVal,
     TupleVal,
     env_merge,
@@ -41,7 +46,7 @@ def test_env_merge_identity():
     assert env_merge({}, {}) == {}
 
 
-small_values = st.sampled_from([IntVal(0), IntVal(1), StrVal("a"), NULL])
+small_values = st.sampled_from([IntVal(0), IntVal(1), "a", NULL])
 envs = st.dictionaries(st.sampled_from("vwxyz"), small_values, max_size=4)
 
 
@@ -141,21 +146,27 @@ def test_flatten_and_serialize_a_deep_chain():
 def test_value_kinds_are_distinct():
     assert BoolVal(True) != IntVal(1)
     assert NullVal() == NULL
-    assert StrVal("1") != IntVal(1)
+    # A string value is a plain ``str``; it equals no value of another kind,
+    # from either side, however alike their text.
+    for text, other in [("1", IntVal(1)), ("true", BoolVal(True)), ("Nil", TermVal("Nil", ()))]:
+        assert text != other and other != text
+        assert not (text == other) and not (other == text)
+        assert len({text, other}) == 2 and len({other: 0, text: 1}) == 2
+        assert {text: 0}.get(other) is None and {other: 0}.get(text) is None
 
 
 def test_equal_values_hash_alike_and_dedupe_in_a_set():
     # Equal values must collapse as set members and dict keys, distinct kinds not.
     def make():
         return [
-            StrVal("a"), IntVal(1), BoolVal(True), NullVal(), TermVal("Nil", ()),
-            TermVal("P", (StrVal("a"), IntVal(1))), ListVal((IntVal(1),)), TupleVal((NULL, NULL)),
+            "".join(("a", "b")), IntVal(1), BoolVal(True), NullVal(), TermVal("Nil", ()),
+            TermVal("P", ("a", IntVal(1))), ListVal((IntVal(1),)), TupleVal((NULL, NULL)),
         ]
 
     for a, b in zip(make(), make()):
         assert a == b and a is not b and hash(a) == hash(b)
     assert len(set(make() + make())) == len(make())
-    assert len({BoolVal(True), IntVal(1), StrVal("1")}) == 3
+    assert len({BoolVal(True), IntVal(1), "1"}) == 3
 
 
 def test_events_compare_structurally():
@@ -169,17 +180,34 @@ def test_events_compare_structurally():
 
 def test_values_and_events_keep_no_instance_dict():
     # Slotted classes: no per-instance __dict__, so each object is smaller.
-    instances = [
-        StrVal("a"), IntVal(1), BoolVal(True), NullVal(), TermVal("Nil", ()),
+    e = ast.VarRef("x")
+    nodes = [
+        e, ast.StrLit("s"), ast.IntLit(1), ast.BoolLit(True), ast.NullLit(),
+        ast.Construct("C", (e,)), ast.ListLit((e,)), ast.ConsExpr(e, e),
+        ast.Fold("a", "b", e, e, e), ast.Compare("=", e, e), ast.Or(((ast.Ok(),), ())),
+        ast.Bind(("x",), ()), ast.Star(()), ast.Empty(), ast.Any(), ast.Ok(), ast.Text(),
+        ast.Call("R"), ast.Actions((e,)), ast.ElementSpec("A", (), (), ()),
+        ast.Clause("R", (), ()), ast.Grammar("G", ()),
+    ]
+    node_classes = {c for c in vars(ast).values() if dataclasses.is_dataclass(c)}
+    assert {type(n) for n in nodes} == node_classes
+    instances = nodes + [
+        IntVal(1), BoolVal(True), NullVal(), TermVal("Nil", ()),
         ListVal(()), TupleVal((NULL, NULL)), StartTag("A", {}), EndTag("A"), TextEvt("x"),
     ]
     for instance in instances:
         assert not hasattr(instance, "__dict__"), type(instance).__name__
+    # Nodes key the closure memo of ``compile_expr``: equal nodes hash alike,
+    # spans aside.
+    span = ast.SourceSpan(3, 4)
+    assert ast.Call("R", (e,), span=span) == ast.Call("R", (e,))
+    assert hash(ast.Call("R", (e,), span=span)) == hash(ast.Call("R", (e,)))
+    assert len({ast.StrLit("s"), ast.StrLit("s", span=span), ast.StrLit("t")}) == 2
 
 
 def test_render_term_shapes():
     value = TermVal(
-        "Cons", (StrVal("a"), TermVal("Cons", (StrVal("b"), TermVal("Nil", ()))))
+        "Cons", ("a", TermVal("Cons", ("b", TermVal("Nil", ()))))
     )
     assert render_term(value) == 'Cons("a",Cons("b",Nil))'
     assert render_term(ListVal((IntVal(1), BoolVal(False)))) == "[1,false]"
@@ -209,7 +237,7 @@ def test_deep_chain_equality():
 
 
 def test_render_json():
-    value = TermVal("P", (StrVal("s"), ListVal((IntVal(1),)), NULL, BoolVal(True)))
+    value = TermVal("P", ("s", ListVal((IntVal(1),)), NULL, BoolVal(True)))
     assert json.loads(render_json(value)) == {
         "ctor": "P",
         "args": ["s", [1], None, True],
@@ -225,7 +253,7 @@ strings = st.text(st.characters(exclude_categories=()), max_size=4) | st.sampled
 
 values = st.recursive(
     st.one_of(
-        st.builds(StrVal, strings),
+        strings,
         st.builds(IntVal, st.integers()),
         st.builds(BoolVal, st.booleans()),
         st.just(NULL),
@@ -249,6 +277,35 @@ def test_render_json_text_equals_json_dumps(value):
 @given(values)
 def test_render_term_equals_the_recursive_reference(value):
     assert render_term(value) == reference_render_term(value)
+
+
+def test_strings_render_as_json_dumps_quotes_them():
+    texts = ['say "hi"', "back\\slash\\", "\x00\x01\x1f\x7f\t\n\r", "é ñ 中文 😀 \u2028", "\ud800", ""]
+    for text in texts:
+        quoted = json.dumps(text)
+        assert render_term(text) == quoted and render_json(text) == quoted
+        assert render_term(TermVal("P", (text, ListVal((text,))))) == f"P({quoted},[{quoted}])"
+        assert render_json(TermVal("P", (text, ListVal((text,))))) == json.dumps(
+            {"args": [text, [text]], "ctor": "P"}, sort_keys=True
+        )
+
+
+@pytest.mark.parametrize("render", [render_term, render_json])
+def test_render_peak_is_a_small_multiple_of_the_output(render):
+    # The value exists before tracing starts, so the peak is what rendering
+    # adds: the output itself, one chunk of pieces and the work stack.
+    value = TermVal("Nil", ())
+    for i in range(6_000):
+        value = TermVal("Cons", (f"item {i}", value))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        text = render(value)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.count('"item ') == 6_000 and len(text) > 100_000
+    assert peak < 3 * len(text)
 
 
 def test_render_json_deep_chain():

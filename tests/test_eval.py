@@ -36,7 +36,6 @@ from xmlgram.values import (
     IntVal,
     ListVal,
     NullVal,
-    StrVal,
     TermVal,
     TupleVal,
 )
@@ -54,7 +53,7 @@ def test_unbound_variable():
 
 def test_literals():
     env = {}
-    assert eval_expr(StrLit("s"), env) == StrVal("s")
+    assert eval_expr(StrLit("s"), env) == "s"
     assert eval_expr(IntLit(-2), env) == IntVal(-2)
     assert eval_expr(BoolLit(True), env) == BoolVal(True)
     assert eval_expr(NullLit(), env) == NULL
@@ -62,8 +61,8 @@ def test_literals():
 
 def test_cons_construction():
     expr = Construct("Cons", (VarRef("x"), Construct("Nil", ())))
-    result = eval_expr(expr, {"x": StrVal("a")})
-    assert result == TermVal("Cons", (StrVal("a"), TermVal("Nil", ())))
+    result = eval_expr(expr, {"x": "a"})
+    assert result == TermVal("Cons", ("a", TermVal("Nil", ())))
 
 
 def test_cons_expr_is_cons_term():
@@ -72,12 +71,12 @@ def test_cons_expr_is_cons_term():
 
 
 def test_add_child_appends():
-    term = TermVal("Class", (StrVal("c"),))
+    term = TermVal("Class", ("c",))
     expr = Construct("addChild", (VarRef("c"), VarRef("e")))
-    out = eval_expr(expr, {"c": term, "e": StrVal("kid")})
-    assert out == TermVal("Class", (StrVal("c"), StrVal("kid")))
+    out = eval_expr(expr, {"c": term, "e": "kid"})
+    assert out == TermVal("Class", ("c", "kid"))
     # the original term is untouched
-    assert term == TermVal("Class", (StrVal("c"),))
+    assert term == TermVal("Class", ("c",))
 
 
 def test_add_child_requires_term():
@@ -94,8 +93,8 @@ def _loop_fold(items, init, step):
 
 
 def test_fold_matches_loop_reference():
-    elems = [StrVal("e1"), StrVal("e2")]
-    env = {"name": StrVal("pkg"), "elements": ListVal(tuple(elems))}
+    elems = ["e1", "e2"]
+    env = {"name": "pkg", "elements": ListVal(tuple(elems))}
     fold = Fold(
         "e",
         "c",
@@ -105,10 +104,10 @@ def test_fold_matches_loop_reference():
     )
     expected = _loop_fold(
         elems,
-        TermVal("Package", (StrVal("pkg"),)),
+        TermVal("Package", ("pkg",)),
         lambda acc, e: TermVal(acc.ctor, acc.args + (e,)),
     )
-    assert expected == TermVal("Package", (StrVal("pkg"), StrVal("e1"), StrVal("e2")))
+    assert expected == TermVal("Package", ("pkg", "e1", "e2"))
     assert eval_expr(fold, env) == expected
 
 
@@ -130,7 +129,7 @@ def _outcome(evaluate):
 
 
 fold_items = st.lists(
-    st.sampled_from([IntVal(1), StrVal("a"), NULL, TermVal("T", (IntVal(2),)), ListVal(())]),
+    st.sampled_from([IntVal(1), "a", NULL, TermVal("T", (IntVal(2),)), ListVal(())]),
     max_size=8,
 )
 # Appended children that do and do not read the accumulator ``a``, or fail.
@@ -145,7 +144,7 @@ fold_children = st.sampled_from(
         Fold("z", "w", IntLit(0), VarRef("w"), VarRef("e")),  # fails unless e is a list
     ]
 )
-fold_inits = st.sampled_from([TermVal("P", ()), TermVal("P", (StrVal("x"),)), IntVal(3)])
+fold_inits = st.sampled_from([TermVal("P", ()), TermVal("P", ("x",)), IntVal(3)])
 
 
 @given(fold_items, fold_children, fold_inits, st.booleans())
@@ -194,10 +193,10 @@ def test_list_elements_shapes():
 
 
 def test_fold_variables_shadow_and_restore():
-    env = {"e": StrVal("outer"), "l": ListVal((IntVal(5),))}
+    env = {"e": "outer", "l": ListVal((IntVal(5),))}
     fold = Fold("e", "a", NullLit(), VarRef("e"), VarRef("l"))
     assert eval_expr(fold, env) == IntVal(5)
-    assert env["e"] == StrVal("outer")
+    assert env["e"] == "outer"
 
 
 def test_actions_pair_yields_tuple():
@@ -214,8 +213,8 @@ def test_actions_empty_is_null():
 
 def test_guard_equality():
     guard = Compare("=", VarRef("n"), StrLit("a"))
-    assert eval_guard(guard, {"n": StrVal("a")}) is True
-    assert eval_guard(Compare("<>", VarRef("n"), StrLit("a")), {"n": StrVal("a")}) is False
+    assert eval_guard(guard, {"n": "a"}) is True
+    assert eval_guard(Compare("<>", VarRef("n"), StrLit("a")), {"n": "a"}) is False
     assert eval_guard(BoolLit(True), {}) is True
 
 
@@ -252,7 +251,7 @@ exprs = st.sampled_from(
         Fold("e", "a", VarRef("y"), VarRef("a"), ListLit((VarRef("x"),))),
     ]
 )
-values = st.sampled_from([IntVal(1), StrVal("a"), ListVal(()), NULL])
+values = st.sampled_from([IntVal(1), "a", ListVal(()), NULL])
 
 
 @given(exprs, values, values, values)
@@ -321,7 +320,7 @@ def test_compiled_guard_and_actions_match_eval():
     with pytest.raises(NonBooleanGuard) as reference:
         eval_guard(IntLit(1), {})
     assert str(compiled.value) == str(reference.value)
-    guard, env = Compare("<>", VarRef("n"), StrLit("a")), {"n": StrVal("b")}
+    guard, env = Compare("<>", VarRef("n"), StrLit("a")), {"n": "b"}
     assert truth(compile_expr(guard, {})(env)) is eval_guard(guard, env)
     for exprs in ([], [IntLit(10)], [IntLit(10), VarRef("v")]):
         env = {"v": NULL}

@@ -8,7 +8,7 @@ from xmlgram.engine import compile_grammar
 from xmlgram.events import Element, TextNode
 from xmlgram.frontend import parse_grammar
 from xmlgram.oracle import Oracle, OracleLimitExceeded
-from xmlgram.values import NULL, IntVal, StrVal, TermVal, TupleVal
+from xmlgram.values import NULL, IntVal, TermVal, TupleVal
 
 
 def _g(source: str) -> Grammar:
@@ -34,7 +34,7 @@ def test_call_through_test_grammar():
     doc = Element("A", {}, (Element("B", {"name": "x"}, ()),))
     results = list(Oracle(g).satisfy((Call("A", ()),), (doc,), {}))
     values = [v for remaining, _, v in results if not remaining]
-    assert values == [TermVal("Cons", (StrVal("x"), TermVal("Nil", ())))]
+    assert values == [TermVal("Cons", ("x", TermVal("Nil", ())))]
 
 
 def test_accepts_empty_star_yields_nil():
@@ -93,7 +93,7 @@ def test_element_must_consume_all_children():
 
 def test_missing_declared_attribute_rejects():
     g = _g("@Grammar G R ::= <T n=name/> {n}. end")
-    assert Oracle(g).accepts("R", Element("T", {"name": "v"}, ())).value == StrVal("v")
+    assert Oracle(g).accepts("R", Element("T", {"name": "v"}, ())).value == "v"
     assert Oracle(g).accepts("R", Element("T", {"other": "v"}, ())).value is None
 
 
@@ -133,7 +133,7 @@ def test_bindings_thread_into_later_components():
     results = list(Oracle(g).satisfy(parse_grammar(
         "@Grammar H R ::= <T a/> <U b/> {Pair(a, b)}. end").clauses[0].body, doc_pair, {}))
     values = [v for remaining, _, v in results if not remaining]
-    assert values == [TermVal("Pair", (StrVal("1"), StrVal("2")))]
+    assert values == [TermVal("Pair", ("1", "2"))]
 
 
 def test_mismatched_bind_arity_fails_derivation():
