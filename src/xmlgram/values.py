@@ -196,11 +196,7 @@ def _render(value: Value, term_texts, separator: _Text, tuple_open: str, tuple_c
         else:
             emit(_leaf(v))
             continue
-        if len(items) == 2:  # a Cons cell, and most terms
-            push(items[1])
-            push(separator)
-            push(items[0])
-        elif items:
+        if items:
             i = len(items) - 1
             while i:
                 push(items[i])
