@@ -41,6 +41,7 @@ from .values import (
     TupleVal,
     render_json,
     render_term,
+    write_value,
 )
 from .wellformed import WfError, check_grammar, lint_grammar
 
@@ -91,4 +92,5 @@ __all__ = [
     "render_json",
     "render_term",
     "try_parse_grammar",
+    "write_value",
 ]

@@ -26,7 +26,7 @@ from .frontend import try_parse_grammar
 from .oracle import Oracle, OracleLimitExceeded
 from .pretty import pretty_grammar
 from .sax import SaxReader, XmlReadError
-from .values import render_json, render_term
+from .values import write_value
 from .wellformed import lint_grammar
 
 OK, LANGUAGE_ERROR, IO_ERROR = 0, 1, 2
@@ -116,7 +116,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
             if args.oracle:
                 value = _parse_with_oracle(grammar, compiled.start, reader)
                 if value is None:
-                    print("parse failed: no derivation", file=sys.stderr)
+                    print(f"{args.document}: parse failed: no derivation", file=sys.stderr)
                     return LANGUAGE_ERROR
             else:
                 if _report_conflicts(args.grammar, compiled.table):
@@ -135,7 +135,8 @@ def cmd_parse(args: argparse.Namespace) -> int:
             print(f"{args.document}: parse failed: OracleLimitExceeded: {exc}", file=sys.stderr)
             return LANGUAGE_ERROR
 
-    print(render_json(value) if args.format == "json" else render_term(value))
+    write_value(value, args.format, sys.stdout.write)  # never the whole text in memory
+    sys.stdout.write("\n")
     return OK
 
 

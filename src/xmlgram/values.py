@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Dict, List, Tuple, Union
+from typing import Callable, Dict, List, Tuple, Union
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -113,13 +113,19 @@ def env_merge(a: Env, b: Env) -> Env:
 # compound value emits its opening text, then falls through to push its
 # closing text and its items.  Strings are quoted by the C function that
 # ``json.dumps`` itself calls for a ``str``.  The texts of a constructor are
-# built once per render, not once per term.  The pieces are joined into one
-# string whenever ``_CHUNK`` of them have piled up, so the output is never
-# held as many small objects and the peak stays near twice its length.  The
-# check is skipped after a ``_Text``, whose text is shared: a run of them is
-# no longer than the work stack that held them.
+# built once per render, not once per term.  The text goes to a ``write``
+# callable in chunks: whenever ``_CHUNK`` pieces have piled up they are
+# joined, the list is emptied, and the chunk is written.  A writer that keeps
+# nothing, such as ``xmlgram parse`` writing to stdout, so holds about two
+# chunks at a time, not the output; ``render_term`` and ``render_json`` keep
+# the chunks and join them once, so their peak is about twice the output.
+# The limit counts pieces, not characters, so each piece costs one length
+# test: 256 pieces are about 0.25 MB in a list of 2 KB strings, and a few
+# kilobytes on short fields.  The check is skipped after a ``_Text``, whose
+# text is shared: a run of them is no longer than the work stack that held
+# them.
 
-_CHUNK = 4096
+_CHUNK = 256
 
 
 class _Text:
@@ -137,13 +143,13 @@ _CLOSE_PAREN, _CLOSE_BRACKET, _CLOSE_TUPLE = _Text(")"), _Text("]"), _Text("]}")
 
 def render_term(value: Value) -> str:
     """Canonical textual form: ``Ctor(arg,...)``, ``[a,b]``, ``(a,b)``, ``null``."""
-    return _render(value, _term_texts, _COMMA, "(", _CLOSE_PAREN)
+    return _joined(value, "term")
 
 
 def render_json(value: Value) -> str:
     """JSON text: terms are ``{"args": [...], "ctor": ...}``, tuples are
     ``{"tuple": [...]}``; the same text as ``json.dumps(..., sort_keys=True)``."""
-    return _render(value, _json_texts, _COMMA_SPACE, '{"tuple": [', _CLOSE_TUPLE)
+    return _joined(value, "json")
 
 
 def _term_texts(ctor: str) -> Tuple[str, _Text, str]:
@@ -156,8 +162,17 @@ def _json_texts(ctor: str) -> Tuple[str, _Text, str]:
     return '{"args": [', _Text(closing), '{"args": [' + closing
 
 
-def _render(value: Value, term_texts, separator: _Text, tuple_open: str, tuple_close: _Text) -> str:
-    chunks: List[str] = []
+# Per format: a constructor's texts, the separator, and a tuple's brackets.
+_FORMATS = {
+    "term": (_term_texts, _COMMA, "(", _CLOSE_PAREN),
+    "json": (_json_texts, _COMMA_SPACE, '{"tuple": [', _CLOSE_TUPLE),
+}
+
+
+def write_value(value: Value, fmt: str, write: Callable[[str], object]) -> None:
+    """Pass the text of ``render_term`` (``fmt`` "term") or ``render_json``
+    ("json") to ``write`` in consecutive chunks of about ``_CHUNK`` pieces."""
+    term_texts, separator, tuple_open, tuple_close = _FORMATS[fmt]
     out: List[str] = []
     emit = out.append
     terms: Dict[str, Tuple[str, _Text, str]] = {}  # ``term_texts`` by constructor
@@ -170,8 +185,7 @@ def _render(value: Value, term_texts, separator: _Text, tuple_open: str, tuple_c
             emit(v.text)
             continue
         if len(out) >= _CHUNK:
-            chunks.append("".join(out))
-            out.clear()
+            write(_take(out))
         if kind is str:
             emit(_quote(v))
             continue
@@ -203,9 +217,20 @@ def _render(value: Value, term_texts, separator: _Text, tuple_open: str, tuple_c
                 push(separator)
                 i -= 1
             push(items[0])
-    chunks.append("".join(out))
-    out.clear()  # its pieces need not outlive the final join
+    write(_take(out))
+
+
+def _joined(value: Value, fmt: str) -> str:
+    chunks: List[str] = []
+    write_value(value, fmt, chunks.append)
     return "".join(chunks)
+
+
+def _take(pieces: List[str]) -> str:
+    """The pieces joined, the list emptied: the caller then holds one copy."""
+    text = "".join(pieces)
+    pieces.clear()
+    return text
 
 
 def _leaf(v: Value) -> str:

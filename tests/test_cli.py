@@ -19,6 +19,7 @@ from xmlgram.cli import main
 from xmlgram.engine import compile_grammar
 from xmlgram.frontend import MAX_NESTING, parse_grammar
 from xmlgram.pretty import pretty_grammar
+from xmlgram.values import TermVal, render_json, render_term
 
 
 @pytest.fixture
@@ -489,6 +490,24 @@ def test_parse_json_output_of_long_repetition(files, capsys):
     assert out.endswith('{"args": [], "ctor": "Nil"}' + '], "ctor": "Cons"}' * n + "\n")
 
 
+@pytest.mark.parametrize("fmt", ["term", "json"])
+@pytest.mark.parametrize("oracle", [[], ["--oracle"]], ids=["engine", "oracle"])
+def test_parse_writes_its_output_in_chunks(files, monkeypatch, fmt, oracle):
+    """Both paths and both formats write the value chunk by chunk, never as
+    one string, and end with a newline of its own."""
+    n = 300  # the oracle recurses once per sibling
+    g = files("test.xg", TEST_GRAMMAR)
+    d = files("doc.xml", "<A>" + '<B name="x"/>' * n + "</A>")
+    writes = []
+    monkeypatch.setattr(sys, "stdout", collections.namedtuple("Out", "write")(writes.append))
+    assert main(["parse", g, d, "--format", fmt] + oracle) == 0
+    value = TermVal("Nil")
+    for _ in range(n):
+        value = TermVal("Cons", ("x", value))
+    assert "".join(writes) == (render_json if fmt == "json" else render_term)(value) + "\n"
+    assert len(writes) > 3 and writes[-1] == "\n"
+
+
 @pytest.mark.parametrize("command", ["check", "tables", "parse"])
 def test_undefined_start_rule_is_reported(files, capsys, command):
     g = files("test.xg", TEST_GRAMMAR)
@@ -602,20 +621,25 @@ def test_parse_never_tracebacks_on_generated_pairs(tmp_path_factory, seed, pick,
     assert code in (0, 1, 2), err.getvalue()
 
 
-def test_closed_stdout_is_an_io_error_not_a_traceback(files):
+@pytest.mark.parametrize(
+    "fmt, head",
+    [("term", b'Cons("0123456789",Cons('), ("json", b'{"args": ["0123456789"')],
+    ids=["term", "json"],
+)
+def test_closed_stdout_is_an_io_error_not_a_traceback(files, fmt, head):
     """``xmlgram parse … | head -c 100``: the reader closes the pipe while the
-    value is being printed."""
+    value is being written, between one chunk and the next."""
     grammar = files("g.xg", "@Grammar G R ::= <r> xs = S* </r> {xs}. S ::= <s v=v/> {v}. end")
     doc = files("big.xml", "<r>" + '<s v="0123456789"/>' * 20_000 + "</r>")
     env = {**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).resolve().parent.parent / "src")}
     proc = subprocess.Popen(
-        [sys.executable, "-m", "xmlgram.cli", "parse", grammar, doc, "--format", "json"],
+        [sys.executable, "-m", "xmlgram.cli", "parse", grammar, doc, "--format", fmt],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,
     )
     try:
-        assert proc.stdout.read(100).startswith(b'{"args": ["0123456789"')
+        assert proc.stdout.read(100).startswith(head)
         proc.stdout.close()
         err = proc.stderr.read().decode()
         assert proc.wait(timeout=60) == 2, err
@@ -623,3 +647,35 @@ def test_closed_stdout_is_an_io_error_not_a_traceback(files):
         proc.kill()
         proc.wait()
     assert err == "error: cannot write output: broken pipe\n"
+
+
+@pytest.mark.parametrize(
+    "grammar, document, argv, code, err, out",
+    [
+        pytest.param(
+            "@Grammar G R ::= <R/> {x}. end", None, ["normalize"], 1,
+            "{g}: rule R: variable x may be unbound at 1:24\n", "", id="normalize-bad-grammar",
+        ),
+        pytest.param(
+            "@Grammar G end", "<R/>", ["parse"], 1,
+            "{g}: grammar has no rules\n", "", id="parse-no-rules",
+        ),
+        pytest.param(
+            "@Grammar G R ::= <R/> {1}. end", "<S/>", ["parse", "--oracle"], 1,
+            "{d}: parse failed: no derivation\n", "", id="oracle-no-derivation",
+        ),
+        pytest.param(
+            "@Grammar G R ::= <R/> {1} | <R/> {2}. end", "<R/>", ["parse", "--oracle"], 0,
+            "warning: grammar is ambiguous for this document (2 distinct values)\n", "1\n",
+            id="oracle-ambiguity-warning",
+        ),
+    ],
+)
+def test_diagnostics_golden(files, capsys, grammar, document, argv, code, err, out):
+    """Exit code, the whole of stderr, and stdout: empty whenever the command fails."""
+    g = files("g.xg", grammar)
+    paths = [g] if document is None else [g, files("doc.xml", document)]
+    assert main(argv[:1] + paths + argv[1:]) == code
+    captured = capsys.readouterr()
+    assert captured.err == err.format(g=g, d=paths[-1])
+    assert captured.out == out

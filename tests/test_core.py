@@ -31,6 +31,7 @@ from xmlgram.values import (
     env_merge,
     render_json,
     render_term,
+    write_value,
 )
 
 
@@ -236,6 +237,20 @@ def test_deep_chain_equality():
     assert make(30_000) != make(30_001)
 
 
+def test_terms_differing_in_constructor_or_arity_are_unequal():
+    pairs = [
+        (TermVal("A", ("x",)), TermVal("B", ("x",))),
+        (TermVal("A", ("x",)), TermVal("A", ("x", "y"))),
+        (TermVal("A", ()), TermVal("A", ("x",))),
+        # the same, found along the last argument
+        (TermVal("Cons", ("x", TermVal("Nil"))), TermVal("Cons", ("x", TermVal("End")))),
+        (TermVal("Cons", ("x", TermVal("Nil"))), TermVal("Cons", ("x", TermVal("Nil", ("y",))))),
+    ]
+    for a, b in pairs:
+        assert a != b and b != a
+        assert not a == b
+
+
 def test_render_json():
     value = TermVal("P", ("s", ListVal((IntVal(1),)), NULL, BoolVal(True)))
     assert json.loads(render_json(value)) == {
@@ -306,6 +321,25 @@ def test_render_peak_is_a_small_multiple_of_the_output(render):
         tracemalloc.stop()
     assert text.count('"item ') == 6_000 and len(text) > 100_000
     assert peak < 4 * len(text)
+
+
+@pytest.mark.parametrize("fmt", ["term", "json"])
+def test_streamed_render_peak_is_well_below_the_output(fmt):
+    # 800 strings of about 2 KB in one list, like a document of long
+    # paragraphs: a chunk limit that counts pieces must still cut this into
+    # many chunks, so that a writer which keeps nothing holds a small part
+    # of the text at any time.
+    value = ListVal(tuple(f"{i:03d} " + "lorem ipsum " * 170 for i in range(800)))
+    sizes = []
+    gc.collect()
+    tracemalloc.start()
+    try:
+        write_value(value, fmt, lambda chunk: sizes.append(len(chunk)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(sizes) > 1_600_000 and len(sizes) > 4
+    assert peak < sum(sizes) / 2
 
 
 def test_render_json_deep_chain():

@@ -10,6 +10,7 @@ from helpers import MODELS_DOC, MODELS_GRAMMAR, TEST_GRAMMAR, flatten_tree, run
 from xmlgram.analysis import build_predict_table, check_ll1, compute_sets
 from xmlgram.engine import (
     BIND_ARITY_MISMATCH,
+    CALL_ARITY,
     GUARD_NON_BOOLEAN,
     MISSING_ATTRIBUTE,
     NO_PREDICT_ENTRY,
@@ -150,6 +151,27 @@ def test_bind_arity_mismatch():
     with pytest.raises(ParseFailure) as exc:
         run(table, "R", read_events("<S/>"))
     assert exc.value.reason == BIND_ARITY_MISMATCH
+
+
+def test_call_arity_mismatch_at_a_call():
+    # A rule that is not a repetition is entered by a CALL op, the start rule
+    # too; the grammar's own calls are checked before a table is built.
+    _, table = make_table("@Grammar G P(q) ::= <V/> {q}. end", "P")
+    with pytest.raises(ParseFailure) as exc:
+        run(table, "P", read_events("<V/>"))
+    assert exc.value.reason == CALL_ARITY
+    assert str(exc.value) == "CallArityMismatch at event 0: rule P takes 1 argument(s), got 0"
+
+
+@pytest.mark.parametrize(
+    "document, found", [("<R><X/></R>", "<X>"), ("<R>text</R>", "text 'text'")]
+)
+def test_empty_rejects_content(document, found):
+    _, table = make_table("@Grammar G R ::= <R> EMPTY </R> {1}. end", "R")
+    assert run(table, "R", read_events("<R></R>")) == IntVal(1)
+    with pytest.raises(ParseFailure) as exc:
+        run(table, "R", read_events(document))
+    assert str(exc.value) == f"UnexpectedEvent at event 1: expected no more content, found {found}"
 
 
 def test_rule_arguments():

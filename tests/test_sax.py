@@ -278,6 +278,8 @@ READER_DECISIONS = [
     ('<A k="1"m="2"/>', (MalformedXml, 1, 9), "attributes-without-space-rejected"),
     ('<A/><?xml version="1.0"?>', (MalformedXml, 1, 5), "xml-declaration-after-root-malformed"),
     ("<!DOCTYPE A><A/>", (UnsupportedFeature, 1, 12), "doctype-reported-at-its-end"),
+    ("<é/>", (MalformedXml, 1, 1), "element-name-outside-the-grammar-language-rejected"),
+    ('<A>\n <B é="1"/></A>', (MalformedXml, 2, 2), "attribute-name-outside-the-grammar-language-rejected"),
     (
         '<?xml version="1.0" encoding="ISO-8859-1"?><A>\xe9</A>'.encode("latin-1"),
         [StartTag("A", {}), TextEvt("\xe9"), EndTag("A")],
