@@ -4,6 +4,9 @@ All three sets are computed over normal-form grammars (no alternation or
 repetition nodes; an element branch may hold calls and nested elements,
 which are read in place) by the textbook construction (Aho, Lam, Sethi &
 Ullman, *Compilers*, section 4.4).
+One left-to-right walk, ``first_null``, gives a sequence's first set and
+its nullability together; any node outside normal form raises
+``NotNormalForm``.
 Nullable and first grow in rounds, each revisiting only the clauses that
 call a rule the round before changed, so a chain of rules settles in time
 linear in its length whichever way round it is written.  Follow comes from
@@ -34,7 +37,6 @@ from .ast import (
     Actions,
     Any,
     Bind,
-    Body,
     BodySeq,
     Call,
     Clause,
@@ -42,8 +44,6 @@ from .ast import (
     Empty,
     Grammar,
     Ok,
-    Or,
-    Star,
     Text,
 )
 from .events import (
@@ -79,50 +79,32 @@ class AnalysisResult:
     follow: Dict[str, FrozenSet[Token]]
 
 
-def body_null(item: Body, nullable: Set[str]) -> bool:
-    """Can this item succeed without consuming any input?"""
-    if isinstance(item, (Empty, Ok, Actions)):
-        return True
-    if isinstance(item, (Any, Text, ElementSpec)):
-        return False
-    if isinstance(item, Call):
-        return item.name in nullable
-    if isinstance(item, Bind):
-        return seq_null(item.body, nullable)
-    if isinstance(item, Or):
-        return any(seq_null(branch, nullable) for branch in item.branches)
-    if isinstance(item, Star):
-        return True
-    raise TypeError(f"not a body item: {item!r}")
-
-
-def seq_null(seq: BodySeq, nullable: Set[str]) -> bool:
-    return all(body_null(item, nullable) for item in seq)
-
-
-def first_of_item(item: Body, nullable: Set[str], first: TokenSets) -> Set[Token]:
-    if isinstance(item, ElementSpec):
-        return {item.tag}
-    if isinstance(item, Text):
-        return {TEXT_TOKEN}
-    if isinstance(item, Any):
-        return {ANY_TOKEN}
-    if isinstance(item, Call):
-        return set(first.get(item.name, ()))
-    if isinstance(item, Bind):
-        return first_of_seq(item.body, nullable, first)
-    if isinstance(item, (Actions, Ok, Empty)):
-        return set()
-    raise NotNormalForm(f"{type(item).__name__} node in supposedly normal grammar")
-
-
-def first_of_seq(seq: BodySeq, nullable: Set[str], first: TokenSets) -> Set[Token]:
+def first_null(
+    seq: BodySeq, nullable: AbstractSet[str], first: TokenSets
+) -> Tuple[Set[Token], bool]:
+    """The first set of a normal-form ``seq`` and whether it can succeed
+    without consuming input, from one left-to-right walk."""
     out: Set[Token] = set()
     for item in seq:
-        out |= first_of_item(item, nullable, first)
-        if not body_null(item, nullable):
-            break
-    return out
+        kind = type(item)
+        if kind is Call:
+            out.update(first.get(item.name, ()))
+            if item.name not in nullable:
+                return out, False
+        elif kind is Bind:
+            tokens, null = first_null(item.body, nullable, first)
+            out |= tokens
+            if not null:
+                return out, False
+        elif kind is ElementSpec:
+            out.add(item.tag)
+            return out, False
+        elif kind is Text or kind is Any:
+            out.add(TEXT_TOKEN if kind is Text else ANY_TOKEN)
+            return out, False
+        elif kind is not Actions and kind is not Ok and kind is not Empty:
+            raise NotNormalForm(f"{kind.__name__} node in supposedly normal grammar")
+    return out, True
 
 
 def compute_sets(grammar: Grammar, start_rule: str) -> AnalysisResult:
@@ -144,12 +126,13 @@ def compute_sets(grammar: Grammar, start_rule: str) -> AnalysisResult:
         changed: Set[int] = set()
         for i in todo:
             clause = clauses[i]
-            grew = clause.name not in nullable and seq_null(clause.body, nullable)
+            tokens, null = first_null(clause.body, nullable, first)
+            grew = null and clause.name not in nullable
             if grew:
                 nullable.add(clause.name)
             bucket = first[clause.name]
             before = len(bucket)
-            bucket |= first_of_seq(clause.body, nullable, first)
+            bucket |= tokens
             if grew or len(bucket) != before:
                 changed.update(callers.get(clause.name, ()))
         todo = sorted(changed)
@@ -184,7 +167,7 @@ def _calls(seq: BodySeq, nullable: Optional[Set[str]] = None) -> Iterator[Call]:
             yield item
         elif isinstance(item, Bind):
             yield from _calls(item.body, nullable)
-        if nullable is not None and not body_null(item, nullable):
+        if nullable is not None and not first_null((item,), nullable, {})[1]:
             return
 
 
@@ -224,7 +207,7 @@ def _walk_follow(
             _walk_follow(item.else_body, inside, None, sets)
             item_first, item_null = (item.tag,), False
         else:
-            item_first, item_null = first_of_item(item, nullable, first), body_null(item, nullable)
+            item_first, item_null = first_null((item,), nullable, first)
         if item_null:
             rest_first.update(item_first)
         else:
@@ -300,9 +283,10 @@ def build_predict_table(grammar: Grammar, analysis: AnalysisResult) -> PredictTa
     cells: Dict[Tuple[str, Token], List[Clause]] = {}
 
     for clause in grammar.clauses:
-        for token in first_of_seq(clause.body, nullable, analysis.first):
+        tokens, null = first_null(clause.body, nullable, analysis.first)
+        for token in tokens:
             cells.setdefault((clause.name, token), []).append(clause)
-        if seq_null(clause.body, nullable):
+        if null:
             for token in analysis.follow[clause.name]:
                 cells.setdefault((clause.name, token), []).append(clause)
 

@@ -534,9 +534,7 @@ def _unexpected(reason: str, expected: str, event, position: int) -> ParseFailur
     return ParseFailure(reason, f"expected {expected}, found {_describe(event)}", position)
 
 
-def _describe(event: Optional[SaxEvent]) -> str:
-    if event is None:
-        return "end of input"
+def _describe(event: SaxEvent) -> str:
     if isinstance(event, StartTag):
         return f"<{event.tag}>"
     if isinstance(event, EndTag):

@@ -121,9 +121,10 @@ def env_merge(a: Env, b: Env) -> Env:
 # the chunks and join them once, so their peak is about twice the output.
 # The limit counts pieces, not characters, so each piece costs one length
 # test: 256 pieces are about 0.25 MB in a list of 2 KB strings, and a few
-# kilobytes on short fields.  The check is skipped after a ``_Text``, whose
-# text is shared: a run of them is no longer than the work stack that held
-# them.
+# kilobytes on short fields.  The check follows each ``_Text``: every value
+# but the root is followed by one (its separator or its container's closing
+# text), so there are as many checks as values, and a run of closing texts,
+# such as the end of a long ``Cons`` chain, is cut into chunks as well.
 
 _CHUNK = 256
 
@@ -183,9 +184,9 @@ def write_value(value: Value, fmt: str, write: Callable[[str], object]) -> None:
         kind = type(v)
         if kind is _Text:
             emit(v.text)
+            if len(out) >= _CHUNK:
+                write(_take(out))
             continue
-        if len(out) >= _CHUNK:
-            write(_take(out))
         if kind is str:
             emit(_quote(v))
             continue

@@ -9,10 +9,10 @@ from xmlgram.analysis import (
     NotNormalForm,
     PredictTable,
     UndefinedClause,
-    body_null,
     build_predict_table,
     check_ll1,
     compute_sets,
+    first_null,
     render_table_kv,
     render_table_text,
 )
@@ -69,16 +69,20 @@ def _alt_name(grammar: Grammar) -> str:
 # -- null ---------------------------------------------------------------------
 
 
-def test_body_null_cases():
-    assert body_null(Ok(), set()) is True
-    assert body_null(Empty(), set()) is True
-    assert body_null(Actions((IntLit(1),)), set()) is True
-    assert body_null(Any(), set()) is False
-    assert body_null(Text(), set()) is False
-    assert body_null(Call("n", ()), {"n"}) is True
-    assert body_null(Call("n", ()), set()) is False
-    assert body_null(Bind(("x",), (Call("n", ()),)), {"n"}) is True
-    assert body_null(Star((Any(),)), set()) is True
+def test_first_null_cases():
+    first = {"n": {"a"}}
+    assert first_null((Ok(), Empty(), Actions((IntLit(1),))), set(), first) == (set(), True)
+    assert first_null((Any(), Text()), set(), first) == ({ANY_TOKEN}, False)
+    assert first_null((Text(),), set(), first) == ({TEXT_TOKEN}, False)
+    assert first_null((Call("n", ()), Text()), {"n"}, first) == ({"a", TEXT_TOKEN}, False)
+    assert first_null((Call("n", ()), Text()), set(), first) == ({"a"}, False)
+    assert first_null((Call("undefined", ()),), set(), first) == (set(), False)
+    bind = Bind(("x",), (Ok(), Call("n", ())))
+    assert first_null((bind,), {"n"}, first) == ({"a"}, True)
+    assert first_null((bind, ElementSpec("T", (), (), (Ok(),))), {"n"}, first) == ({"a", "T"}, False)
+    assert first_null((Text(), Star((Any(),))), set(), first) == ({TEXT_TOKEN}, False)
+    with pytest.raises(NotNormalForm):
+        first_null((Ok(), Star((Any(),))), set(), first)
 
 
 # -- first / follow -----------------------------------------------------------

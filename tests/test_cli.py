@@ -19,7 +19,7 @@ from xmlgram.cli import main
 from xmlgram.engine import compile_grammar
 from xmlgram.frontend import MAX_NESTING, parse_grammar
 from xmlgram.pretty import pretty_grammar
-from xmlgram.values import TermVal, render_json, render_term
+from xmlgram.values import _CHUNK, TermVal, render_json, render_term
 
 
 @pytest.fixture
@@ -506,6 +506,23 @@ def test_parse_writes_its_output_in_chunks(files, monkeypatch, fmt, oracle):
         value = TermVal("Cons", ("x", value))
     assert "".join(writes) == (render_json if fmt == "json" else render_term)(value) + "\n"
     assert len(writes) > 3 and writes[-1] == "\n"
+
+
+def test_parse_json_chunks_stay_bounded_to_the_end(files, monkeypatch):
+    """The closing texts at the end of a long list are chunked like the
+    rest, so no chunk, the last one included, outgrows the piece limit."""
+    n = 2_000
+    g = files("test.xg", TEST_GRAMMAR)
+    d = files("doc.xml", "<A>" + '<B name="x"/>' * n + "</A>")
+    writes = []
+    monkeypatch.setattr(sys, "stdout", collections.namedtuple("Out", "write")(writes.append))
+    assert main(["parse", g, d, "--format", "json"]) == 0
+    closing = '], "ctor": "Cons"}'
+    out = "".join(writes)
+    assert out.count(closing) == n and writes[-1] == "\n"
+    # a chunk holds at most _CHUNK + 1 pieces, none longer than ``closing``
+    bound = (_CHUNK + 1) * len(closing)
+    assert max(len(chunk) for chunk in writes) <= bound < len(out) / 10
 
 
 @pytest.mark.parametrize("command", ["check", "tables", "parse"])

@@ -108,6 +108,23 @@ def test_flatten_round_trips_through_build(tree):
     assert build_tree(flatten_tree(tree)) == tree
 
 
+@pytest.mark.parametrize(
+    "events, message",
+    [
+        ([EndTag("a")], "unexpected end tag a"),
+        ([StartTag("a", {}), EndTag("b")], "mismatched end tag /b inside a"),
+        ([TextEvt("x"), EndTag("a")], "trailing event after document: EndTag(tag='a')"),
+        ([StartTag("a", {}), StartTag("b", {}), EndTag("b")], "unterminated element a"),
+        ([], "empty event stream"),
+    ],
+    ids=["stray-end", "mismatch", "trailing", "unterminated", "empty"],
+)
+def test_build_tree_rejects_ill_nested_events(events, message):
+    with pytest.raises(ValueError) as exc:
+        build_tree(events)
+    assert str(exc.value) == message
+
+
 @given(trees)
 def test_flatten_is_balanced(tree):
     depth = 0

@@ -102,6 +102,23 @@ def test_any_skips_balanced_subtree():
     assert run(table, "R", events) == IntVal(7)
 
 
+@pytest.mark.parametrize(
+    "last, reason, message",
+    [
+        ([], UNEXPECTED_END_OF_EVENTS, "expected </A>"),
+        ([EndTag("B")], TAG_MISMATCH, "expected </A>, found </B>"),
+    ],
+    ids=["end-of-input", "mismatch"],
+)
+def test_any_skip_needs_the_skipped_end_tag(last, reason, message):
+    # expat rejects both streams, so only a hand-built event list reaches this
+    _, table = make_table("@Grammar G R ::= <T> ANY </T> {7}. end", "R")
+    events = [StartTag("T", {}), StartTag("A", {}), TextEvt("x")] + last
+    with pytest.raises(ParseFailure) as exc:
+        Machine(table, "R", iter(events)).run()
+    assert (exc.value.reason, exc.value.message, exc.value.position) == (reason, message, 3)
+
+
 def test_missing_attribute(test_lang):
     _, table = test_lang
     with pytest.raises(ParseFailure) as exc:

@@ -124,6 +124,21 @@ def test_resynchronization_skips_the_dots_of_method_calls():
     ]
 
 
+@pytest.mark.parametrize(
+    "body, diagnostic",
+    [
+        ("x = .", "2:11: error: expected a component after '=', found '.'"),
+        ("<a/> {C.foo(1)}.", "2:15: error: unknown method 'foo' (only .add is supported)"),
+        ("<a/> { , }.", "2:14: error: expected an expression, found ','"),
+        ("<a/> {l->fold(i a = 1 | a)}.", "2:16: error: expected 'iterate' after '->', found 'fold'"),
+    ],
+)
+def test_diagnostic_golden(body, diagnostic):
+    g, diagnostics = try_parse_grammar(f"@Grammar G\nR ::= {body}\nend")
+    assert g is None
+    assert [str(d) for d in diagnostics] == [diagnostic]
+
+
 def test_duplicate_parameters_rejected():
     g, diagnostics = try_parse_grammar("@Grammar X A(p, p) ::= OK. end")
     assert g is None
@@ -378,6 +393,8 @@ ROUND_TRIP_SOURCES = [
     "@Grammar G R ::= A | (B | C) | (D | E) F | x = (A | B) {x}. end",
     # a bare call before a group prints as S(), or it would read as S(...)
     "@Grammar G R ::= S() (TEXT | ANY) x = S() (T | S)* {x}. S ::= OK. T ::= OK. end",
+    # a boolean literal, a parenthesised operand, and comparisons and conses as operands
+    "@Grammar G R ::= <a/> {false, (1), (1 = 2) = true, (1 : Nil) = Nil}. end",
 ]
 
 

@@ -13,12 +13,15 @@ from helpers import (
     sample_document,
 )
 from xmlgram.ast import Bind, Call, ElementSpec, Grammar, Or, Star, walk
-from xmlgram.engine import compile_grammar
+from xmlgram.engine import Machine, compile_grammar
+from xmlgram.events import Element, build_tree
 from xmlgram.frontend import parse_grammar
 from xmlgram.normalize import is_normal_form, normalize_grammar
 from xmlgram.oracle import Oracle, OracleLimitExceeded
+from xmlgram.pretty import pretty_grammar
+from xmlgram.sax import read_events
+from xmlgram.values import TermVal
 from xmlgram.wellformed import check_grammar
-from xmlgram.events import Element
 
 
 def _contains_kind(grammar: Grammar, kind) -> bool:
@@ -115,6 +118,23 @@ def test_hoisted_binding_moves_out_of_element():
     assert isinstance(el, ElementSpec)
     assert el.else_body == (Call("S", ()),)
     assert len(out.clauses) == len(g.clauses)
+
+
+def test_repetition_item_variable_is_renamed_away_from_a_parameter():
+    # The lifted rule takes ``x`` as a parameter, so the cons definition
+    # cannot also bind its item as ``x``: fresh_var renames it ``x$2``.
+    g = parse_grammar("@Grammar G R ::= <R> x = TEXT xs = (<I/> {x})* </R> {xs}. end")
+    assert pretty_grammar(normalize_grammar(g)) == (
+        "@Grammar G\n"
+        "  R ::= <R> x = TEXT xs = R$1(x) </R> { xs }.\n"
+        "  R$1(x) ::= x$2 = (<I/> { x }) xs = R$1(x) { Cons(x$2, xs) }.\n"
+        "  R$1(x) ::= { Nil }.\n"
+        "end\n"
+    )
+    doc = "<R>a<I/><I/></R>"
+    value = Machine(compile_grammar(g).table, "R", read_events(doc)).run()
+    assert value == TermVal("Cons", ("a", TermVal("Cons", ("a", TermVal("Nil", ())))))
+    assert Oracle(g).accepts("R", build_tree(read_events(doc))).values == (value,)
 
 
 def test_normal_form_predicate():
