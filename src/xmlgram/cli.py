@@ -13,6 +13,7 @@ environment variable XMLGRAM_MAX_DERIVATIONS caps the oracle's search.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from typing import Optional, Tuple
@@ -182,6 +183,11 @@ def main(argv=None) -> int:
     p_parse.set_defaults(func=cmd_parse)
 
     args = parser.parse_args(argv)
+    # The reference cycles a command leaves do not grow with its input
+    # (the reader breaks its one cycle when the input ends), so automatic
+    # collection would only pause it.  The previous state comes back after.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except BrokenPipeError:
@@ -190,6 +196,9 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("error: cannot write output: broken pipe", file=sys.stderr)
         return IO_ERROR
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

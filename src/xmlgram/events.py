@@ -2,10 +2,12 @@
 
 ``build_tree`` rebuilds the tree an event sequence came from, for the
 tree-based reference interpreter.  The event classes are slotted
-dataclasses, as the values are: the reader builds one per event, and a
-slotted class with a plain ``__init__`` is cheaper to build than a frozen
-one and keeps no ``__dict__``.  Events are immutable by convention; nothing
-assigns a field after construction.  ``Token`` is the lookahead alphabet of
+dataclasses, as the values are: the reader builds one per start tag and
+text run, and a slotted class with a plain ``__init__`` is cheaper to build
+than a frozen one and keeps no ``__dict__``.  The reader makes one
+``EndTag`` per distinct tag name and hands out that same object for every
+end tag of the name, so events must stay immutable; nothing assigns a
+field after construction.  ``Token`` is the lookahead alphabet of
 the predict tables: start tags, end tags, text, and a wildcard for ``ANY``
 patterns; the string forms of tokens are defined here.
 """
@@ -70,14 +72,12 @@ def is_end_token(token: Token) -> bool:
     return token[0] == "/"
 
 
-def token_of_event(event: SaxEvent | None) -> Token:
-    """Lookahead token for the next event; exhausted input reads as /$ ."""
+def token_of_event(event: EndTag | TextEvt | None) -> Token:
+    """Lookahead token for an event other than a start tag, whose token is
+    its ``tag`` and which callers take inline; exhausted input reads as /$ ."""
     if event is None:
         return END_OF_INPUT
-    kind = type(event)
-    if kind is StartTag:
-        return event.tag
-    if kind is EndTag:
+    if type(event) is EndTag:
         return "/" + event.tag
     return TEXT_TOKEN
 

@@ -8,11 +8,22 @@ with the line and column expat reports.
 
 The source is a string or a file, read ``_CHUNK`` characters (text file) or
 bytes (binary file, whose declared encoding expat honours) at a time.  Each
-chunk is pushed through expat and its events are handed out before the next
-chunk is read, so reader state stays bounded by nesting depth and one chunk
-no matter how long the document is (``max_window`` records the largest
-chunk).  Whitespace-only text is dropped unless ``keep_whitespace`` is set;
-text runs separated by comments or chunk boundaries coalesce into one event.
+chunk is pushed through expat into a list of events, and iteration chains
+those lists (``itertools.chain.from_iterable``): the consumer's ``next``
+stays in C, and the reader's own code resumes once per chunk, not once per
+event.  A chunk's events are handed out before the next chunk is read, so
+reader state stays bounded by nesting depth and one chunk no matter how
+long the document is (``max_window`` records the largest chunk).  The one
+exception is a single token, such as a comment or a start tag, that expat
+must hold whole until it ends: past ``MAX_TOKEN`` characters fed without
+expat's position moving, the reader stops with MalformedXml.  Whitespace-only
+text is dropped unless ``keep_whitespace`` is set; text runs separated by
+comments or chunk boundaries coalesce into one event.
+
+Every end tag of one name is the same ``EndTag`` object, made when the name
+is first seen, so an element costs one new event object, not two.  When the
+input ends, the reader drops its parser and handlers, which refer to each
+other, so a finished parse leaves no reference cycle to collect.
 
 Where expat's rules are the XML 1.0 rules and differ from a bare tokenizer,
 they are kept and pinned in tests/test_sax.py: character references are
@@ -26,7 +37,8 @@ from __future__ import annotations
 
 import io
 import re
-from typing import IO, Iterator, List, Optional, Union
+from itertools import chain
+from typing import IO, Dict, Iterator, List, Optional, Tuple, Union
 from xml.parsers import expat
 
 from .events import EndTag, SaxEvent, StartTag, TextEvt
@@ -34,6 +46,12 @@ from .events import EndTag, SaxEvent, StartTag, TextEvt
 # Characters (or bytes) read and parsed per step.  Events are buffered per
 # chunk, so a larger chunk costs memory proportional to its size.
 _CHUNK = 1 << 13
+
+# Characters (or bytes) the reader feeds while expat's position stands still,
+# that is while expat holds one unfinished token, before it gives up.  It sits
+# well above one chunk, because expat 2.6 and later defer re-parsing a large
+# token until its buffer has about doubled.
+MAX_TOKEN = 1 << 20
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.\-]*")
 
@@ -73,7 +91,8 @@ class SaxReader:
         self._events: List[SaxEvent] = []
         emit = self._events.append
         text: List[str] = []
-        names = set()
+        end_tags: Dict[str, EndTag] = {}  # by tag name, for each name checked
+        names = set()  # attribute names checked
 
         def error(message: str, cls=MalformedXml) -> XmlReadError:
             return cls(message, parser.CurrentLineNumber, parser.CurrentColumnNumber + 1)
@@ -83,7 +102,6 @@ class SaxReader:
                 raise error(f"namespace-prefixed name {name!r} is not supported", UnsupportedFeature)
             if _NAME_RE.fullmatch(name) is None:
                 raise error(f"invalid name {name!r}")
-            names.add(name)
 
         def flush() -> None:
             joined = "".join(text)
@@ -94,17 +112,19 @@ class SaxReader:
         def start(tag: str, attrs: dict) -> None:
             if text:
                 flush()
-            if tag not in names:
+            if tag not in end_tags:
                 check_name(tag)
-            for name in attrs:
-                if name not in names:
+                end_tags[tag] = EndTag(tag)
+            if not names.issuperset(attrs):
+                for name in attrs:
                     check_name(name)
+                names.update(attrs)
             emit(StartTag(tag, attrs))
 
         def end(tag: str) -> None:
             if text:
                 flush()
-            emit(EndTag(tag))
+            emit(end_tags[tag])  # expat has already matched it with its start tag
 
         def unsupported(what: str):
             def handler(*_):
@@ -112,29 +132,54 @@ class SaxReader:
 
             return handler
 
-        parser.StartElementHandler = start
-        parser.EndElementHandler = end
-        parser.CharacterDataHandler = text.append
-        parser.StartDoctypeDeclHandler = unsupported("DOCTYPE declarations")
-        parser.StartCdataSectionHandler = unsupported("CDATA sections")
-        parser.ProcessingInstructionHandler = unsupported("processing instructions")
-        self._stream = self._read()
+        handlers = {
+            "StartElementHandler": start,
+            "EndElementHandler": end,
+            "CharacterDataHandler": text.append,
+            "StartDoctypeDeclHandler": unsupported("DOCTYPE declarations"),
+            "StartCdataSectionHandler": unsupported("CDATA sections"),
+            "ProcessingInstructionHandler": unsupported("processing instructions"),
+        }
+        for name, handler in handlers.items():
+            setattr(parser, name, handler)
+        self._stream = chain.from_iterable(self._chunks(tuple(handlers)))
 
-    def _read(self) -> Iterator[SaxEvent]:
-        read, events = self._source.read, self._events
+    def _chunks(self, handlers: Tuple[str, ...]) -> Iterator[List[SaxEvent]]:
+        """Each chunk's events, in one list that is refilled per chunk;
+        ``handlers`` names the parser's handlers, which are dropped at the end."""
+        read, events, parser = self._source.read, self._events, self._parser
         final = False
-        while not final:
-            chunk = read(_CHUNK)
-            final = not chunk
-            if len(chunk) > self.max_window:
-                self.max_window = len(chunk)
-            error = self._feed(chunk, final)
-            # Events before an error still reach the consumer first, so a
-            # grammar failure earlier in the document is reported as such.
-            yield from events
-            events.clear()
-            if error is not None:
-                raise error
+        stalled, at = 0, None  # characters fed since expat's position last moved
+        try:
+            while not final:
+                chunk = read(_CHUNK)
+                final = not chunk
+                if len(chunk) > self.max_window:
+                    self.max_window = len(chunk)
+                error = self._feed(chunk, final)
+                if parser.CurrentByteIndex != at:
+                    stalled, at = 0, parser.CurrentByteIndex
+                else:
+                    stalled += len(chunk)
+                    if stalled > MAX_TOKEN and error is None:
+                        error = MalformedXml(
+                            f"token longer than {MAX_TOKEN} characters",
+                            parser.CurrentLineNumber,
+                            parser.CurrentColumnNumber + 1,
+                        )
+                # The chain hands out the whole list before it resumes this
+                # generator, so events before an error still reach the
+                # consumer first, and a grammar failure earlier in the
+                # document is reported as such.
+                yield events
+                events.clear()
+                if error is not None:
+                    raise error
+        finally:
+            # The handlers refer to the parser and it to them: break the cycle.
+            for name in handlers:
+                setattr(parser, name, None)
+            self._parser = None
 
     def _feed(self, chunk: Union[str, bytes], final: bool) -> Optional[XmlReadError]:
         """Push one chunk through expat; the error it ended with, if any."""

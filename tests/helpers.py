@@ -441,13 +441,23 @@ class GrammarGen:
         return Call(name, tuple(VarRef(self.rng.choice(scope)) for _ in range(self.arity[name])))
 
     def make_actions(self, scope: List[str]) -> Actions:
+        if scope and self.rng.random() < 0.7:
+            return Actions((Construct("W", (VarRef(self.rng.choice(scope)),)),))
+        return Actions((self.expr(scope, 0),))
+
+    def expr(self, scope: List[str], depth: int) -> Expr:
+        """A literal or a name in scope, or a comparison or a cons whose
+        operands may be one themselves, which prints in parentheses."""
         rng = self.rng
-        exprs: List[Expr] = []
-        if scope and rng.random() < 0.7:
-            exprs.append(Construct("W", (VarRef(rng.choice(scope)),)))
-        else:
-            exprs.append(rng.choice([IntLit(rng.randrange(9)), StrLit("k"), NullLit()]))
-        return Actions(tuple(exprs))
+        if depth >= 2 or rng.random() < 0.6:
+            leaves: List[Expr] = [IntLit(rng.randrange(9)), StrLit("k"), NullLit(), BoolLit(rng.random() < 0.5)]
+            if scope:
+                leaves.append(VarRef(rng.choice(scope)))
+            return rng.choice(leaves)
+        left, right = self.expr(scope, depth + 1), self.expr(scope, depth + 1)
+        if rng.random() < 0.5:
+            return Compare(rng.choice(["=", "<>"]), left, right)
+        return ConsExpr(left, right)
 
 
 def _consumes(item: Body, calls: bool = True) -> bool:

@@ -2,6 +2,7 @@
 
 import collections
 import contextlib
+import gc
 import io
 import json
 import os
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import MODELS_DOC, MODELS_GRAMMAR, TEST_GRAMMAR, documents_for, random_grammar
 from helpers import serialize_tree
+from xmlgram import cli
 from xmlgram.cli import main
 from xmlgram.engine import compile_grammar
 from xmlgram.frontend import MAX_NESTING, parse_grammar
@@ -30,6 +32,32 @@ def files(tmp_path):
         return str(path)
 
     return write
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_main_restores_the_collector_state(files, capsys, collecting):
+    """Commands run with automatic collection off; ``main`` leaves it as it
+    found it, whether the command succeeds or fails."""
+    grammar = files("test.xg", TEST_GRAMMAR)
+    good = files("good.xml", '<A><B name="x"/></A>')
+    bad = files("bad.xml", "<A><D/></A>")
+    enabled = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        assert main(["parse", grammar, good, "--start", "A"]) == 0
+        after_success = gc.isenabled()
+        assert main(["parse", grammar, bad, "--start", "A"]) == 1
+        after_failure = gc.isenabled()
+    finally:
+        (gc.enable if enabled else gc.disable)()
+    assert after_success is after_failure is collecting
+
+
+def test_commands_run_with_automatic_collection_off(files, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "cmd_check", lambda args: seen.append(gc.isenabled()) or 0)
+    assert main(["check", files("test.xg", TEST_GRAMMAR)]) == 0
+    assert seen == [False]
 
 
 def test_check_ok(files, capsys):

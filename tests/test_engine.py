@@ -405,6 +405,28 @@ def test_a_sibling_leaves_two_tracked_objects_behind():
     assert value.args[0] == "b0"
 
 
+def test_a_parse_leaves_no_cyclic_garbage():
+    """With automatic collection off, as the CLI runs, a parse leaves the
+    collector nothing to find, however long the document: the reader drops
+    its expat parser and handlers, which refer to each other, at the end."""
+    _, table = make_table((SAMPLES / "seq.xg").read_text(), "A")
+
+    def garbage(n):
+        doc = "<A>" + '<B name="x"/>' * n + "</A>"
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            Machine(table, "A", iter(SaxReader(io.StringIO(doc)))).run()
+            return gc.collect()
+        finally:
+            if enabled:
+                gc.enable()
+
+    assert garbage(1_000) == 0
+    assert garbage(4_000) == 0
+
+
 def test_models_document_takes_at_most_4_3_steps_per_event():
     # 2.1 steps per event; the name keeps an older, looser figure.
     _, table = make_table((SAMPLES / "models.xg").read_text(), "Package")

@@ -1,6 +1,7 @@
 """Streaming XML reader: supported subset, errors, streaming bounds."""
 
 import io
+import itertools
 import tracemalloc
 
 import pytest
@@ -14,7 +15,8 @@ from xmlgram.events import (
     TextNode,
     build_tree,
 )
-from xmlgram.sax import _CHUNK, MalformedXml, SaxReader, UnsupportedFeature, XmlReadError, read_events
+from xmlgram.sax import MAX_TOKEN, _CHUNK, MalformedXml, SaxReader, UnsupportedFeature, XmlReadError
+from xmlgram.sax import read_events
 
 
 def events(text: str, **kw) -> list:
@@ -191,11 +193,13 @@ def test_reader_state_is_bounded_on_long_documents():
 
 
 class _LazyDocument:
-    """A file-like source that generates <A><B i=.../>...</A> as it is read."""
+    """A file-like source that joins ``parts`` as it is read; ``read_chars``
+    counts what it has handed out."""
 
-    def __init__(self, n: int):
-        self._parts = iter(["<A>"] + [f'<B i="{i}"/>' for i in range(n)] + ["</A>"])
+    def __init__(self, parts):
+        self._parts = iter(parts)
         self._pending = ""
+        self.read_chars = 0
 
     def read(self, size: int) -> str:
         while len(self._pending) < size:
@@ -204,13 +208,15 @@ class _LazyDocument:
                 break
             self._pending += part
         out, self._pending = self._pending[:size], self._pending[size:]
+        self.read_chars += len(out)
         return out
 
 
 def test_reader_memory_does_not_grow_with_document_length():
     peaks = []
     for n in (10_000, 40_000):
-        reader = SaxReader(_LazyDocument(n))
+        siblings = (f'<B i="{i}"/>' for i in range(n))
+        reader = SaxReader(_LazyDocument(itertools.chain(["<A>"], siblings, ["</A>"])))
         tracemalloc.start()
         try:
             count = sum(1 for _ in reader)
@@ -221,6 +227,51 @@ def test_reader_memory_does_not_grow_with_document_length():
         assert reader.max_window == _CHUNK
     # 4x the document (about 0.6 MB) leaves the peak within one chunk's events
     assert peaks[1] < peaks[0] + 64 * 1024, peaks
+
+
+@pytest.mark.parametrize("head", ["<A><!--", '<A><B k="'])
+def test_an_unclosed_token_stops_the_reader_past_its_cap(head):
+    """Expat keeps a token whole until it ends, so the reader gives up once
+    it has fed ``MAX_TOKEN`` characters without expat moving on.  The source
+    ends only after four times that, where expat would report the token.
+    The peak is about three times the cap: expat doubles its buffer by
+    copying it into a new one."""
+    source = _LazyDocument(itertools.chain([head], itertools.repeat("x" * 1000, 4 * MAX_TOKEN // 1000)))
+    reader = SaxReader(source)
+    assert next_event(reader) == StartTag("A", {})
+    tracemalloc.start()
+    try:
+        with pytest.raises(MalformedXml, match="longer than") as error:
+            next_event(reader)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (error.value.line, error.value.column) == (1, 4)  # where the token starts
+    assert source.read_chars <= MAX_TOKEN + 3 * _CHUNK
+    assert peak < 4 * MAX_TOKEN, peak
+
+
+def test_long_text_and_comment_runs_pass_the_token_cap():
+    """Text reaches the handlers once per expat buffer, and each comment ends
+    a token, so neither leaves expat standing still for ``MAX_TOKEN``."""
+    text = "y" * (MAX_TOKEN + 3 * _CHUNK)
+    assert list(SaxReader(_LazyDocument(["<A>", text, "</A>"]))) == [
+        StartTag("A", {}),
+        TextEvt(text),
+        EndTag("A"),
+    ]
+    comments = itertools.repeat("<!-- c -->", 2 * MAX_TOKEN // 10)
+    reader = SaxReader(_LazyDocument(itertools.chain(["<A>"], comments, ["<B/></A>"])))
+    assert list(reader) == [StartTag("A", {}), StartTag("B", {}), EndTag("B"), EndTag("A")]
+
+
+def test_every_end_tag_of_a_name_is_one_object():
+    got = events("<A><B/><B>x</B><C/><B k='1'/></A>")
+    ends = [event for event in got if type(event) is EndTag and event.tag == "B"]
+    assert len(ends) == 3
+    assert all(end is ends[0] for end in ends)
+    assert ends[0] == EndTag("B") and ends[0] != EndTag("C")
+    assert got[-1] == EndTag("A")
 
 
 def test_incremental_pull():
