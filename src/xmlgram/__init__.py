@@ -34,6 +34,7 @@ from .pretty import pretty_grammar
 from .sax import MalformedXml, SaxReader, UnsupportedFeature, read_events
 from .values import (
     BoolVal,
+    ConsList,
     IntVal,
     ListVal,
     NullVal,
@@ -53,6 +54,7 @@ __all__ = [
     "Clause",
     "Compiled",
     "ConflictReport",
+    "ConsList",
     "Element",
     "EndTag",
     "Grammar",

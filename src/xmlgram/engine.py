@@ -38,11 +38,12 @@ without arguments) or to ``END``.  A ``LOOP`` op enters it like a call and
 pushes an accumulator list and a ``NEXT`` op.  ``NEXT`` moves the last
 item's value into the accumulator, predicts from the lookahead, and either
 pushes itself and the item's ops, or on ``END`` replaces the accumulator
-with the Cons/Nil chain of its items.  Each item runs in the loop's own
-environment, which is what the cons clause would pass on: normalization
-makes sure its item cannot rebind one of the rule's parameters.  So an
-item costs one step on top of its own ops, and the program does not grow
-with the number of siblings.
+with a ``ConsList`` of its items: to every reader the Cons/Nil chain of
+the items, held as one tuple, so the end of a repetition builds no term
+per item.  Each item runs in the loop's own environment, which is what the
+cons clause would pass on: normalization makes sure its item cannot rebind
+one of the rule's parameters.  So an item costs one step on top of its own
+ops, and the program does not grow with the number of siblings.
 
 Environments grow monotonically inside a rule activation (attribute and
 binding names stay visible for the rest of the clause body) and are
@@ -69,14 +70,14 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .analysis import NotNormalForm, PredictTable, build_predict_table, compute_sets, left_recursion
-from .ast import CONS, NIL, Actions, Any, Bind, BodySeq, Call, Clause, ElementSpec, Empty
+from .ast import Actions, Any, Bind, BodySeq, Call, Clause, ElementSpec, Empty
 from .ast import Grammar, Ok, Text, VarRef
 from .evaluate import SHOWN, EvalError, NonBooleanGuard, compile_actions, compile_expr
 from .evaluate import shorten, truth
 from .events import ANY_TOKEN, EndTag, SaxEvent, StartTag, TextEvt, Token, token_label
 from .events import token_of_event
 from .normalize import normalize_grammar
-from .values import NULL, Env, TermVal, TupleVal, Value
+from .values import NULL, ConsList, Env, TupleVal, Value
 from .wellformed import WfError, check_grammar
 
 # Failure reasons
@@ -367,10 +368,7 @@ class Machine:
                         message = f"no prediction for rule {item[2]} on {token_label(token)}"
                         raise ParseFailure(NO_PREDICT_ENTRY, message, position)
                     if ops is END:
-                        value = TermVal(NIL, ())
-                        for head in reversed(values[-1]):
-                            value = TermVal(CONS, (head, value))
-                        values[-1] = value
+                        values[-1] = ConsList(tuple(values[-1]))
                     else:
                         program.append(item)
                         program.extend(ops)

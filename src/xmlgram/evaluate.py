@@ -11,7 +11,7 @@ for the machine; ``eval_expr`` is the reference evaluator the oracle uses.
 
 from __future__ import annotations
 
-from typing import Callable, List, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from .ast import (
     BoolLit,
@@ -31,6 +31,7 @@ from .wellformed import free_expr
 from .values import (
     NULL,
     BoolVal,
+    ConsList,
     Env,
     IntVal,
     ListVal,
@@ -93,11 +94,14 @@ def eval_expr(expr: Expr, env: Env) -> Value:
     raise TypeError(f"not an expression: {expr!r}")
 
 
-def list_elements(value: Value) -> List[Value]:
+def list_elements(value: Value) -> Sequence[Value]:
     """Elements of a ListVal or of a Cons/Nil term chain.
 
-    Repetition results are Cons/Nil chains, so folds must walk both shapes.
+    Repetition results are Cons/Nil chains, so folds must walk both shapes;
+    the machine's, a ``ConsList``, gives its tuple without a walk.
     """
+    if type(value) is ConsList:
+        return value.items[value.start :]
     if isinstance(value, ListVal):
         return list(value.items)
     items: List[Value] = []
@@ -131,7 +135,7 @@ def _add_child(args) -> Value:
     return TermVal(args[0].ctor, args[0].args + (args[1],))
 
 
-def _fold(expr: Fold, elements: List[Value], acc: Value, env: Env, appends: bool, step) -> Value:
+def _fold(expr: Fold, elements: Sequence[Value], acc: Value, env: Env, appends: bool, step) -> Value:
     """Fold ``elements`` into ``acc`` by calling ``step``, what ``_fold_step`` chose."""
     if appends:
         # Each step appends a child that does not depend on the accumulator:

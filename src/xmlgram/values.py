@@ -7,12 +7,18 @@ it.  Integers and booleans keep wrapper classes, because Python's own
 ``True == 1`` and ``hash(True) == hash(1)`` would merge the two kinds:
 ``BoolVal(True) != IntVal(1)``, and neither equals a string.
 
-The other values are slotted dataclasses: a parse builds one or two per
+The other values are slotted dataclasses: a parse can build one for each
 event, and a slotted class with a plain ``__init__`` builds in a third to a
 half of the time of a frozen one (which assigns each field through
 ``object.__setattr__``) and keeps no ``__dict__``.  They are immutable by
 convention, like environments: nothing assigns a field after construction,
 so equal values hash alike and can sit in sets.  Equality is structural.
+
+A repetition's value is a ``Cons``/``Nil`` chain of its items.  The machine
+holds it as one ``ConsList``, a tuple of the items that shows itself as the
+chain's first cell to every reader (CDR-coding: Hansen, "Compact list
+representation", CACM 1969), so a long list costs one tuple, not one term
+and one argument tuple per item.
 
 Environments are plain ``dict[str, Value]`` used immutably by convention:
 every extension builds a new dict (``env_merge``), nothing mutates in place.
@@ -21,8 +27,11 @@ every extension builds a new dict (``env_merge``), nothing mutates in place.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Dict, List, Tuple, Union
+
+from .ast import CONS, NIL
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -52,6 +61,8 @@ class TermVal:
             return True
         a, b = self, other
         while True:
+            if type(a) is ConsList and type(b) is ConsList:  # no cell to make
+                return a.items[a.start :] == b.items[b.start :]
             if not isinstance(b, TermVal):
                 return NotImplemented if b.__class__ not in _VALUE_TYPES else False
             if a.ctor != b.ctor or len(a.args) != len(b.args):
@@ -71,6 +82,35 @@ class TermVal:
     def __hash__(self) -> int:
         # Shallow on purpose: deep chains would recurse. Fine as a hash.
         return hash((self.ctor, len(self.args)))
+
+
+class ConsList(TermVal):
+    """The ``Cons``/``Nil`` chain of ``items[start:]``, held as one tuple.
+
+    To every reader it is the chain's first cell: ``ctor`` is ``"Cons"`` and
+    ``args`` is ``(items[start], ConsList(items, start + 1))``, or past the
+    last item ``"Nil"`` and ``()``.  Equality and hashing are ``TermVal``'s,
+    so it equals, and hashes like, the chain built one term per cell.
+    """
+
+    __slots__ = ("items", "start")
+
+    def __init__(self, items: Tuple["Value", ...], start: int = 0) -> None:
+        self.items = items
+        self.start = start
+
+    @property
+    def ctor(self) -> str:
+        return CONS if self.start < len(self.items) else NIL
+
+    @property
+    def args(self) -> Tuple["Value", ...]:
+        i = self.start
+        return (self.items[i], ConsList(self.items, i + 1)) if i < len(self.items) else ()
+
+    def __repr__(self) -> str:
+        # Flat: the dataclass ``repr`` would recurse once per cell.
+        return f"ConsList({self.items[self.start:]!r})"
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -174,6 +214,10 @@ def write_value(value: Value, fmt: str, write: Callable[[str], object]) -> None:
     """Pass the text of ``render_term`` (``fmt`` "term") or ``render_json``
     ("json") to ``write`` in consecutive chunks of about ``_CHUNK`` pieces."""
     term_texts, separator, tuple_open, tuple_close = _FORMATS[fmt]
+    # A ``ConsList``'s texts: between two items, and after the last one.
+    cons_open, cons_close, _ = term_texts(CONS)
+    nil = term_texts(NIL)[2]
+    cons_next, cons_last = _Text(separator.text + cons_open), _Text(separator.text + nil)
     out: List[str] = []
     emit = out.append
     terms: Dict[str, Tuple[str, _Text, str]] = {}  # ``term_texts`` by constructor
@@ -200,6 +244,19 @@ def write_value(value: Value, fmt: str, write: Callable[[str], object]) -> None:
                 continue
             emit(texts[0])
             push(texts[1])
+        elif kind is ConsList:
+            # Bottom to top: each cell's closing, the text after the last
+            # item, then each item under the text before it, the first on top.
+            items = v.items[v.start :]
+            if not items:
+                emit(nil)
+                continue
+            emit(cons_open)
+            stack.extend(repeat(cons_close, len(items)))
+            push(cons_last)
+            stack.extend(chain.from_iterable(zip(reversed(items), repeat(cons_next, len(items) - 1))))
+            push(items[0])
+            continue
         elif kind is ListVal:
             items = v.items
             emit("[")

@@ -668,6 +668,15 @@ def next_event(reader: SaxReader) -> Optional[SaxEvent]:
 # --------------------------------------------------------------------------
 
 
+def cons_chain(items) -> TermVal:
+    """The ``Cons``/``Nil`` chain of ``items``, one term per cell, as the
+    oracle builds a repetition's value."""
+    node = TermVal("Nil", ())
+    for item in reversed(items):
+        node = TermVal("Cons", (item, node))
+    return node
+
+
 def plain(value: Value):
     """The nested Python data that ``render_json``'s text encodes."""
     if isinstance(value, str):

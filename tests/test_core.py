@@ -9,7 +9,7 @@ import pytest
 
 from hypothesis import given, strategies as st
 
-from helpers import flatten_tree, plain, reference_render_term, serialize_tree
+from helpers import cons_chain, flatten_tree, plain, reference_render_term, serialize_tree
 from xmlgram import ast
 from xmlgram.events import (
     Element,
@@ -23,6 +23,7 @@ from xmlgram.sax import read_events
 from xmlgram.values import (
     NULL,
     BoolVal,
+    ConsList,
     IntVal,
     ListVal,
     NullVal,
@@ -210,7 +211,7 @@ def test_values_and_events_keep_no_instance_dict():
     node_classes = {c for c in vars(ast).values() if dataclasses.is_dataclass(c)}
     assert {type(n) for n in nodes} == node_classes
     instances = nodes + [
-        IntVal(1), BoolVal(True), NullVal(), TermVal("Nil", ()),
+        IntVal(1), BoolVal(True), NullVal(), TermVal("Nil", ()), ConsList(("a",)),
         ListVal(()), TupleVal((NULL, NULL)), StartTag("A", {}), EndTag("A"), TextEvt("x"),
     ]
     for instance in instances:
@@ -268,6 +269,57 @@ def test_terms_differing_in_constructor_or_arity_are_unequal():
         assert not a == b
 
 
+def test_a_compact_list_equals_its_cons_chain_both_ways():
+    items = ("a", IntVal(1), TermVal("P", ("b",)), ConsList(("c", NULL)))
+    for n in range(len(items) + 1):
+        compact, chain = ConsList(items[:n]), cons_chain(items[:n])
+        assert compact == chain and chain == compact
+        assert not compact != chain and not chain != compact
+        assert hash(compact) == hash(chain)
+        assert compact in {chain} and chain in {compact} and len({compact, chain}) == 1
+        assert {chain: 0}[compact] == 0 and {compact: 0}[chain] == 0
+        assert (compact.ctor, len(compact.args)) == (chain.ctor, len(chain.args))
+        assert render_term(compact) == render_term(chain)
+        assert render_json(compact) == render_json(chain)
+    # A tail is the same tuple from a later item.
+    assert ConsList(items).args[1] == ConsList(items, 1) == cons_chain(items[1:])
+    assert ConsList(items, 4) == TermVal("Nil", ()) == ConsList(())
+    unequal = [
+        (ConsList(("a",)), cons_chain(["b"])),
+        (ConsList(("a",)), cons_chain(["a", "b"])),
+        (ConsList(("a", "b")), ConsList(("a",))),
+        (ConsList(("a",)), TermVal("Cons", ("a", TermVal("End", ())))),
+        (ConsList(()), TermVal("Nil", ("y",))),
+        (ConsList(()), ListVal(())),
+        (ConsList(("a",)), "a"),
+    ]
+    for a, b in unequal:
+        assert a != b and b != a and not a == b and not b == a
+
+
+def test_a_chain_may_end_in_a_compact_list():
+    # ``Cons(x, xs)`` in a grammar, where ``xs`` is a repetition's result.
+    mixed = TermVal("Cons", ("x", ConsList(("y", "z"))))
+    for other in (cons_chain(["x", "y", "z"]), ConsList(("x", "y", "z"))):
+        assert mixed == other and other == mixed and hash(mixed) == hash(other)
+        assert len({mixed, other}) == 1
+        assert render_term(mixed) == render_term(other) == 'Cons("x",Cons("y",Cons("z",Nil)))'
+        assert render_json(mixed) == render_json(other)
+    assert mixed != cons_chain(["x", "y"]) and cons_chain(["x", "y", "z", "w"]) != mixed
+
+
+def test_a_long_compact_list_compares_and_prints_without_recursion():
+    items = tuple(f"b{i}" for i in range(30_000))
+    compact = ConsList(items)
+    assert compact == cons_chain(items) and cons_chain(items) == compact
+    assert compact != cons_chain(items[:-1] + ("x",))
+    # The dataclass ``repr`` of a term recursed once per cell.
+    text = repr(compact)
+    assert text.startswith("ConsList(('b0', 'b1',") and text.endswith("'b29999'))")
+    assert repr(ConsList(("a", IntVal(1)), 1)) == "ConsList((IntVal(value=1),))"
+    assert repr(TermVal("Cons", ("x", ConsList(())))) == "TermVal(ctor='Cons', args=('x', ConsList(())))"
+
+
 def test_render_json():
     value = TermVal("P", ("s", ListVal((IntVal(1),)), NULL, BoolVal(True)))
     assert json.loads(render_json(value)) == {
@@ -295,6 +347,9 @@ values = st.recursive(
             TermVal, st.sampled_from(["Nil", "Cons", "P", "é\"q"]), st.lists(kids, max_size=3).map(tuple)
         ),
         st.builds(ListVal, st.lists(kids, max_size=3).map(tuple)),
+        st.lists(kids, max_size=4).flatmap(
+            lambda items: st.builds(ConsList, st.just(tuple(items)), st.integers(0, len(items)))
+        ),
         st.builds(TupleVal, st.lists(kids, min_size=2, max_size=3).map(tuple)),
     ),
     max_leaves=12,
@@ -325,19 +380,19 @@ def test_strings_render_as_json_dumps_quotes_them():
 @pytest.mark.parametrize("render", [render_term, render_json])
 def test_render_peak_is_a_small_multiple_of_the_output(render):
     # The value exists before tracing starts, so the peak is what rendering
-    # adds: the output itself, one chunk of pieces and the work stack.
-    value = TermVal("Nil", ())
-    for i in range(6_000):
-        value = TermVal("Cons", (f"item {i}", value))
-    gc.collect()
-    tracemalloc.start()
-    try:
-        text = render(value)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert text.count('"item ') == 6_000 and len(text) > 100_000
-    assert peak < 4 * len(text)
+    # adds: the output itself, one chunk of pieces and the work stack.  A
+    # compact list puts all its items on the stack at once.
+    items = [f"item {i}" for i in range(6_000)]
+    for value in (cons_chain(items), ConsList(tuple(items))):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            text = render(value)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text.count('"item ') == 6_000 and len(text) > 100_000
+        assert peak < 4 * len(text), type(value).__name__
 
 
 @pytest.mark.parametrize("fmt", ["term", "json"])

@@ -6,7 +6,7 @@ import pathlib
 
 import pytest
 
-from helpers import MODELS_DOC, MODELS_GRAMMAR, TEST_GRAMMAR, flatten_tree, run
+from helpers import MODELS_DOC, MODELS_GRAMMAR, TEST_GRAMMAR, cons_chain, flatten_tree, run
 from xmlgram.analysis import build_predict_table, check_ll1, compute_sets
 from xmlgram.engine import (
     BIND_ARITY_MISMATCH,
@@ -26,7 +26,7 @@ from xmlgram.frontend import parse_grammar
 from xmlgram.normalize import normalize_grammar
 from xmlgram.oracle import Oracle
 from xmlgram.sax import SaxReader, read_events
-from xmlgram.values import IntVal, NullVal, TermVal
+from xmlgram.values import ConsList, IntVal, NullVal, TermVal
 
 
 def make_table(source: str, start: str):
@@ -379,11 +379,11 @@ def test_leaf_siblings_take_at_most_3_5_steps_per_event(n):
     assert machine.steps <= len(events) + 5
 
 
-def test_a_sibling_leaves_two_tracked_objects_behind():
+def test_a_sibling_leaves_no_tracked_object_behind():
     """A string value is the ``str`` the reader made, which the garbage
-    collector does not track, so each ``<B name=".."/>`` of a long list adds
-    only its ``Cons`` term and that term's argument tuple to what the
-    collector walks."""
+    collector does not track, and a repetition's value is one ``ConsList``
+    over one tuple, so a ``<B name=".."/>`` of a long list adds nothing to
+    what the collector walks."""
     _, table = make_table((SAMPLES / "seq.xg").read_text(), "A")
 
     def tracked(n):
@@ -401,8 +401,21 @@ def test_a_sibling_leaves_two_tracked_objects_behind():
 
     n = 1_000
     (small, _), (large, value) = tracked(n), tracked(4 * n)
-    assert (large - small) / (3 * n) < 2.5
+    assert (large - small) / (3 * n) < 0.1
     assert value.args[0] == "b0"
+
+
+@pytest.mark.parametrize("n", [0, 1, 4_000])
+def test_a_repetition_value_is_its_cons_chain(n):
+    _, table = make_table((SAMPLES / "seq.xg").read_text(), "A")
+    doc = "<A>" + "".join(f'<B name="b{i}"/>' for i in range(n)) + "</A>"
+    value = Machine(table, "A", iter(SaxReader(io.StringIO(doc)))).run()
+    chain = cons_chain([f"b{i}" for i in range(n)])
+    assert type(value) is ConsList
+    assert value == chain and chain == value and hash(value) == hash(chain)
+    assert value in {chain} and chain in {value}
+    # The dataclass ``repr`` of a Cons term recursed once per cell.
+    assert repr(value) == f"ConsList({tuple(f'b{i}' for i in range(n))!r})"
 
 
 def test_a_parse_leaves_no_cyclic_garbage():

@@ -5,6 +5,7 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import cons_chain
 from xmlgram.ast import (
     BoolLit,
     Compare,
@@ -33,6 +34,7 @@ from xmlgram.evaluate import (
 from xmlgram.values import (
     NULL,
     BoolVal,
+    ConsList,
     IntVal,
     ListVal,
     NullVal,
@@ -77,6 +79,28 @@ def test_add_child_appends():
     assert out == TermVal("Class", ("c", "kid"))
     # the original term is untouched
     assert term == TermVal("Class", ("c",))
+
+
+def test_a_compact_list_adds_and_iterates_as_its_chain():
+    items = (IntVal(1), "a", TermVal("T", ()))
+    add = Construct("addChild", (VarRef("l"), VarRef("x")))
+    appended = Fold("e", "a", Construct("Box", ()), Construct("addChild", (VarRef("a"), VarRef("e"))), VarRef("l"))
+    # A step that reads the accumulator: the list reversed onto ``x``.
+    reversed_onto = Fold("e", "a", VarRef("x"), ConsExpr(VarRef("e"), VarRef("a")), VarRef("l"))
+    for n in range(len(items) + 1):
+        for x in (cons_chain(items[n:]), ConsList(items[n:])):
+            results = []
+            for over in (cons_chain(items[:n]), ConsList(items[:n])):
+                env = {"l": over, "x": x}
+                for expr in (add, appended, reversed_onto):
+                    out = eval_expr(expr, env)
+                    assert compile_expr(expr, {})(env) == out
+                    results.append(out)
+            compact, chain = results[3:], results[:3]
+            assert compact == chain and chain == compact
+            assert [hash(v) for v in compact] == [hash(v) for v in chain]
+            assert results[0].args[-1] == x
+            assert results[2] == cons_chain(items[:n][::-1] + items[n:])
 
 
 def test_add_child_requires_term():
@@ -147,13 +171,13 @@ fold_children = st.sampled_from(
 fold_inits = st.sampled_from([TermVal("P", ()), TermVal("P", ("x",)), IntVal(3)])
 
 
-@given(fold_items, fold_children, fold_inits, st.booleans())
-def test_append_fold_equals_stepwise_evaluation(items, child, init, as_chain):
+@given(fold_items, fold_children, fold_inits, st.sampled_from(["list", "chain", "compact"]))
+def test_append_fold_equals_stepwise_evaluation(items, child, init, shape):
     over = ListVal(tuple(items))
-    if as_chain:
-        over = TermVal("Nil", ())
-        for item in reversed(items):
-            over = TermVal("Cons", (item, over))
+    if shape == "chain":
+        over = cons_chain(items)
+    elif shape == "compact":
+        over = ConsList(tuple(items))
     env = {"l": over, "i": init, "y": IntVal(7)}
     step = Construct("addChild", (VarRef("a"), child))
 
@@ -188,6 +212,9 @@ def test_list_elements_shapes():
     assert list_elements(ListVal((IntVal(1),))) == [IntVal(1)]
     chain = TermVal("Cons", (IntVal(1), TermVal("Nil", ())))
     assert list_elements(chain) == [IntVal(1)]
+    assert list(list_elements(ConsList((IntVal(1), IntVal(2))))) == [IntVal(1), IntVal(2)]
+    assert list(list_elements(ConsList((IntVal(1), IntVal(2)), 1))) == [IntVal(2)]
+    assert list(list_elements(TermVal("Cons", (IntVal(0), ConsList((IntVal(1),)))))) == [IntVal(0), IntVal(1)]
     with pytest.raises(NotAList):
         list_elements(TermVal("Cons", (IntVal(1),)))
 
