@@ -120,6 +120,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
                     print(f"{args.document}: parse failed: no derivation", file=sys.stderr)
                     return LANGUAGE_ERROR
             else:
+                grammar = None  # only the oracle reads the user's AST: free it before the run
                 if _report_conflicts(args.grammar, compiled.table):
                     return LANGUAGE_ERROR
                 value = Machine(compiled.table, compiled.start, iter(reader)).run()

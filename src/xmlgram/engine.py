@@ -40,7 +40,8 @@ item's value into the accumulator, predicts from the lookahead, and either
 pushes itself and the item's ops, or on ``END`` replaces the accumulator
 with a ``ConsList`` of its items: to every reader the Cons/Nil chain of
 the items, held as one tuple, so the end of a repetition builds no term
-per item.  Each item runs in the loop's own environment, which is what the
+per item.  Every empty repetition ends in the one shared ``EMPTY_CONS``,
+as every null is ``NULL``.  Each item runs in the loop's own environment, which is what the
 cons clause would pass on: normalization makes sure its item cannot rebind
 one of the rule's parameters.  So an item costs one step on top of its own
 ops, and the program does not grow with the number of siblings.
@@ -77,7 +78,7 @@ from .evaluate import shorten, truth
 from .events import ANY_TOKEN, EndTag, SaxEvent, StartTag, TextEvt, Token, token_label
 from .events import token_of_event
 from .normalize import normalize_grammar
-from .values import NULL, ConsList, Env, TupleVal, Value
+from .values import EMPTY_CONS, NULL, ConsList, Env, TupleVal, Value
 from .wellformed import WfError, check_grammar
 
 # Failure reasons
@@ -368,7 +369,8 @@ class Machine:
                         message = f"no prediction for rule {item[2]} on {token_label(token)}"
                         raise ParseFailure(NO_PREDICT_ENTRY, message, position)
                     if ops is END:
-                        values[-1] = ConsList(tuple(values[-1]))
+                        items = values[-1]
+                        values[-1] = ConsList(tuple(items)) if items else EMPTY_CONS
                     else:
                         program.append(item)
                         program.extend(ops)

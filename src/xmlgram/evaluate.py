@@ -136,7 +136,11 @@ def _add_child(args) -> Value:
 
 
 def _fold(expr: Fold, elements: Sequence[Value], acc: Value, env: Env, appends: bool, step) -> Value:
-    """Fold ``elements`` into ``acc`` by calling ``step``, what ``_fold_step`` chose."""
+    """Fold ``elements`` into ``acc`` by calling ``step``, what ``_fold_step`` chose.
+
+    This is the reference: one environment per element.  The machine's
+    closure for ``acc.add(e)``, ``e`` the element itself, takes
+    ``_adopt`` instead, which needs none."""
     if appends:
         # Each step appends a child that does not depend on the accumulator:
         # collect the children and build the term once, not once per step.
@@ -145,10 +149,20 @@ def _fold(expr: Fold, elements: Sequence[Value], acc: Value, env: Env, appends: 
             children.append(step({**env, expr.elem_var: elem}))
             if not isinstance(acc, TermVal):  # where the first step would fail
                 raise EvalError("addChild expects a term and a value")
-        return TermVal(acc.ctor, acc.args + tuple(children)) if children else acc
+        return _adopt(children, acc)
     for elem in elements:
         acc = step({**env, expr.elem_var: elem, expr.acc_var: acc})
     return acc
+
+
+def _adopt(children: Sequence[Value], acc: Value) -> Value:
+    """``acc`` with ``children`` appended as arguments: the fold ``acc.add(e)``
+    over ``children``, so an empty fold leaves ``acc`` as it is."""
+    if not children:
+        return acc
+    if not isinstance(acc, TermVal):
+        raise EvalError("addChild expects a term and a value")
+    return TermVal(acc.ctor, acc.args + tuple(children))
 
 
 def _fold_step(expr: Fold) -> Tuple[bool, Expr]:
@@ -220,6 +234,8 @@ def _compile(expr: Expr, memo: dict) -> Callable[[Env], Value]:
     if kind is Fold:
         over, init = compile_expr(expr.over, memo), compile_expr(expr.init, memo)
         appends, step = _fold_step(expr)
+        if appends and step == VarRef(expr.elem_var):  # ``acc.add(e)``: the elements are the children
+            return lambda env: _adopt(list_elements(over(env)), init(env))
         step = compile_expr(step, memo)
         return lambda env: _fold(expr, list_elements(over(env)), init(env), env, appends, step)
     value = eval_expr(expr, {})  # a literal; ``eval_expr`` rejects what is not an expression

@@ -27,7 +27,6 @@ every extension builds a new dict (``env_merge``), nothing mutates in place.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Dict, List, Tuple, Union
 
@@ -59,12 +58,12 @@ class TermVal:
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
+        if not isinstance(other, TermVal):
+            return NotImplemented if other.__class__ not in _VALUE_TYPES else False
         a, b = self, other
         while True:
-            if type(a) is ConsList and type(b) is ConsList:  # no cell to make
-                return a.items[a.start :] == b.items[b.start :]
-            if not isinstance(b, TermVal):
-                return NotImplemented if b.__class__ not in _VALUE_TYPES else False
+            if type(a) is ConsList or type(b) is ConsList:  # index its tuple, make no cell
+                return _holds(a, b) if type(a) is ConsList else _holds(b, a)
             if a.ctor != b.ctor or len(a.args) != len(b.args):
                 return False
             if not a.args:
@@ -113,6 +112,22 @@ class ConsList(TermVal):
         return f"ConsList({self.items[self.start:]!r})"
 
 
+def _holds(compact: ConsList, node: "Value") -> bool:
+    """Whether ``node`` is the ``Cons``/``Nil`` chain of ``compact``'s items:
+    its cells are walked while the tuple is indexed, so no tail is made."""
+    items, i = compact.items, compact.start
+    while type(node) is not ConsList:
+        if not isinstance(node, TermVal):
+            return False
+        if i == len(items):
+            return node.ctor == NIL and not node.args
+        args = node.args
+        if node.ctor != CONS or len(args) != 2 or args[0] != items[i]:
+            return False
+        node, i = args[1], i + 1
+    return items[i:] == node.items[node.start :]
+
+
 @dataclass(slots=True, unsafe_hash=True)
 class ListVal:
     items: Tuple["Value", ...] = ()
@@ -130,6 +145,7 @@ Value = Union[str, IntVal, BoolVal, NullVal, TermVal, ListVal, TupleVal]
 _VALUE_TYPES = (str, IntVal, BoolVal, NullVal, TermVal, ListVal, TupleVal)
 
 NULL = NullVal()
+EMPTY_CONS = ConsList(())  # the value of every empty repetition, shared as NULL is
 
 Env = Dict[str, Value]
 
@@ -147,24 +163,35 @@ def env_merge(a: Env, b: Env) -> Env:
 
 # Both renderers are one walk over the value with an explicit work stack, so
 # arbitrarily deep values render; they differ only in the texts they emit.
-# The stack holds the values still to render and the text due between and
-# after them (separators and closing brackets), which is wrapped in a
-# ``_Text`` so that one ``type`` test tells it from a string value.  A
-# compound value emits its opening text, then falls through to push its
-# closing text and its items.  Strings are quoted by the C function that
-# ``json.dumps`` itself calls for a ``str``.  The texts of a constructor are
-# built once per render, not once per term.  The text goes to a ``write``
-# callable in chunks: whenever ``_CHUNK`` pieces have piled up they are
-# joined, the list is emptied, and the chunk is written.  A writer that keeps
-# nothing, such as ``xmlgram parse`` writing to stdout, so holds about two
-# chunks at a time, not the output; ``render_term`` and ``render_json`` keep
-# the chunks and join them once, so their peak is about twice the output.
-# The limit counts pieces, not characters, so each piece costs one length
-# test: 256 pieces are about 0.25 MB in a list of 2 KB strings, and a few
-# kilobytes on short fields.  The check follows each ``_Text``: every value
-# but the root is followed by one (its separator or its container's closing
-# text), so there are as many checks as values, and a run of closing texts,
-# such as the end of a long ``Cons`` chain, is cut into chunks as well.
+# The stack holds the values still to render, the text due between and after
+# them (separators and closing brackets), which is wrapped in a ``_Text`` so
+# that one ``type`` test tells it from a string value, and a ``_Cursor`` for
+# each ``ConsList`` under way.  A compound value emits its opening text, then
+# falls through to push its closing text and its items.  A ``ConsList``
+# pushes only its cursor, so the stack grows with the value's nesting depth,
+# not with a list's length.  Each pop of the cursor emits the next run of
+# string items as one ``join`` and the text after the run, or pushes the next
+# other item with the text after it and the cursor under them; once the items
+# are done, it emits the closing texts of the list's cells in batches.
+# Strings are quoted by the C function that ``json.dumps`` itself calls for a
+# ``str``.  The texts of a constructor are built once per render, not once
+# per term.
+#
+# The text goes to a ``write`` callable in chunks: whenever ``_CHUNK`` pieces
+# have piled up they are joined, the list is emptied, and the chunk is
+# written.  A writer that keeps nothing, such as ``xmlgram parse`` writing to
+# stdout, so holds about two chunks at a time, not the output; ``render_term``
+# and ``render_json`` keep the chunks and join them once, so their peak is
+# about twice the output.  The limit counts pieces, not characters, so each
+# piece costs one length test: 256 pieces are about 0.25 MB in a list of
+# 2 KB strings, and a few kilobytes on short fields.  A run counts as the
+# pieces it stands for, two per item (the item and the text after it), and a
+# batch as one per closing text; both are cut to the room left in the chunk,
+# so a chunk holds as many items as if each were a piece of its own.  The
+# check follows each ``_Text`` and comes before each cursor step: every value
+# but the root is followed by one of them, so there are about as many checks
+# as values, and the closing texts at the end of a long list are cut into
+# chunks as well.
 
 _CHUNK = 256
 
@@ -176,6 +203,16 @@ class _Text:
 
     def __init__(self, text: str) -> None:
         self.text = text
+
+
+class _Cursor:
+    """A ``ConsList`` under way on a renderer's work stack: its items from
+    ``k`` on are still to render, then the closing texts of its ``cells``."""
+
+    __slots__ = ("items", "k", "cells")
+
+    def __init__(self, items: Tuple["Value", ...], k: int) -> None:
+        self.items, self.k, self.cells = items, k, len(items) - k
 
 
 _COMMA, _COMMA_SPACE = _Text(","), _Text(", ")
@@ -214,12 +251,15 @@ def write_value(value: Value, fmt: str, write: Callable[[str], object]) -> None:
     """Pass the text of ``render_term`` (``fmt`` "term") or ``render_json``
     ("json") to ``write`` in consecutive chunks of about ``_CHUNK`` pieces."""
     term_texts, separator, tuple_open, tuple_close = _FORMATS[fmt]
-    # A ``ConsList``'s texts: between two items, and after the last one.
-    cons_open, cons_close, _ = term_texts(CONS)
-    nil = term_texts(NIL)[2]
-    cons_next, cons_last = _Text(separator.text + cons_open), _Text(separator.text + nil)
+    # A ``ConsList``'s texts: its first cell's opening, the text between two
+    # items, the text after the last one, and the closing text of a cell.
+    cons_open, closing, _ = term_texts(CONS)
+    nil, cons_close = term_texts(NIL)[2], closing.text
+    cons_next, cons_last = separator.text + cons_open, separator.text + nil
+    after = (_Text(cons_next), _Text(cons_last))  # by whether the item is the last
     out: List[str] = []
     emit = out.append
+    counted = 0  # the pieces that runs and batches in ``out`` stand for beyond their own
     terms: Dict[str, Tuple[str, _Text, str]] = {}  # ``term_texts`` by constructor
     stack: list = [value]
     push, pop = stack.append, stack.pop
@@ -228,11 +268,40 @@ def write_value(value: Value, fmt: str, write: Callable[[str], object]) -> None:
         kind = type(v)
         if kind is _Text:
             emit(v.text)
-            if len(out) >= _CHUNK:
+            if len(out) + counted >= _CHUNK:
                 write(_take(out))
+                counted = 0
             continue
         if kind is str:
             emit(_quote(v))
+            continue
+        if kind is _Cursor:
+            room = _CHUNK - len(out) - counted
+            if room < 2:  # a run needs room for one item and the text after it
+                write(_take(out))
+                counted, room = 0, _CHUNK
+            items, k = v.items, v.k
+            if k == len(items):
+                batch = min(v.cells, room)
+                emit(cons_close * batch)
+                counted += batch - 1
+                v.cells -= batch
+                if v.cells:
+                    push(v)
+                continue
+            push(v)
+            if type(items[k]) is not str:
+                v.k = k + 1
+                push(after[v.k == len(items)])
+                push(items[k])
+                continue
+            j, end = k + 1, min(len(items), k + room // 2)
+            while j < end and type(items[j]) is str:
+                j += 1
+            emit(cons_next.join(map(_quote, items[k:j])))
+            emit(cons_last if j == len(items) else cons_next)
+            counted += 2 * (j - k) - 2
+            v.k = j
             continue
         if kind is TermVal:
             items = v.args
@@ -245,17 +314,11 @@ def write_value(value: Value, fmt: str, write: Callable[[str], object]) -> None:
             emit(texts[0])
             push(texts[1])
         elif kind is ConsList:
-            # Bottom to top: each cell's closing, the text after the last
-            # item, then each item under the text before it, the first on top.
-            items = v.items[v.start :]
-            if not items:
+            if v.start == len(v.items):
                 emit(nil)
-                continue
-            emit(cons_open)
-            stack.extend(repeat(cons_close, len(items)))
-            push(cons_last)
-            stack.extend(chain.from_iterable(zip(reversed(items), repeat(cons_next, len(items) - 1))))
-            push(items[0])
+            else:
+                emit(cons_open)
+                push(_Cursor(v.items, v.start))
             continue
         elif kind is ListVal:
             items = v.items

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import MODELS_DOC, MODELS_GRAMMAR, TEST_GRAMMAR, documents_for, random_grammar
 from helpers import serialize_tree
 from xmlgram import cli
+from xmlgram.ast import Grammar
 from xmlgram.cli import main
 from xmlgram.engine import compile_grammar
 from xmlgram.frontend import MAX_NESTING, parse_grammar
@@ -534,6 +535,24 @@ def test_parse_writes_its_output_in_chunks(files, monkeypatch, fmt, oracle):
         value = TermVal("Cons", ("x", value))
     assert "".join(writes) == (render_json if fmt == "json" else render_term)(value) + "\n"
     assert len(writes) > 3 and writes[-1] == "\n"
+
+
+def test_parse_lets_the_grammar_go_before_the_machine_runs(files, capsys, monkeypatch):
+    """Only the oracle reads the user's grammar; the machine needs its table,
+    so the parsed grammar is freed before the run and only the normal form
+    (the same name) is left."""
+    held = []
+
+    class Spy(cli.Machine):
+        def run(self):
+            held.extend(o for o in gc.get_objects() if type(o) is Grammar and o.name == "Held")
+            return super().run()
+
+    monkeypatch.setattr(cli, "Machine", Spy)
+    g = files("g.xg", TEST_GRAMMAR.replace("@Grammar Test", "@Grammar Held"))
+    assert main(["parse", g, files("doc.xml", '<A><B name="x"/></A>')]) == 0
+    assert capsys.readouterr().out == 'Cons("x",Nil)\n'
+    assert len(held) == 1 and held[0].loops  # the normal form names its loops
 
 
 def test_parse_json_chunks_stay_bounded_to_the_end(files, monkeypatch):

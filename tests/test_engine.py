@@ -26,7 +26,7 @@ from xmlgram.frontend import parse_grammar
 from xmlgram.normalize import normalize_grammar
 from xmlgram.oracle import Oracle
 from xmlgram.sax import SaxReader, read_events
-from xmlgram.values import ConsList, IntVal, NullVal, TermVal
+from xmlgram.values import EMPTY_CONS, ConsList, IntVal, NullVal, TermVal, render_term
 
 
 def make_table(source: str, start: str):
@@ -61,6 +61,19 @@ def test_full_document(test_lang):
 def test_empty_repetition_is_nil(test_lang):
     _, table = test_lang
     assert run(table, "A", read_events("<A></A>")) == TermVal("Nil", ())
+
+
+def test_empty_repetitions_share_one_value():
+    _, table = make_table(
+        "@Grammar G R ::= <R> xs = B* <S/> ys = B* </R> {P(xs, ys)}. B ::= <B/> {1}. end", "R"
+    )
+    xs, ys = run(table, "R", read_events("<R><S/></R>")).args
+    assert xs is ys is EMPTY_CONS
+    assert xs == TermVal("Nil", ()) and TermVal("Nil", ()) == xs
+    assert hash(xs) == hash(TermVal("Nil", ())) and render_term(xs) == "Nil"
+    # A repetition with items still gets a list of its own.
+    xs, ys = run(table, "R", read_events("<R><B/><S/></R>")).args
+    assert xs == ConsList((IntVal(1),)) and ys is EMPTY_CONS
 
 
 def test_tag_mismatch(test_lang):

@@ -42,6 +42,7 @@ from xmlgram.values import (
     TupleVal,
 )
 from xmlgram.wellformed import free_expr
+from xmlgram import evaluate as evaluate_module
 
 
 def test_var_lookup():
@@ -200,6 +201,28 @@ def test_append_fold_is_linear():
     value = eval_expr(fold, env)
     assert time.perf_counter() - t0 < 0.5
     assert value == TermVal("P", tuple(IntVal(i) for i in range(n)))
+
+
+ADOPT = Fold("e", "a", VarRef("i"), Construct("addChild", (VarRef("a"), VarRef("e"))), VarRef("l"))
+
+
+@pytest.mark.parametrize("path", ["engine", "oracle"])
+@pytest.mark.parametrize("shape", [ListVal, cons_chain, ConsList])
+def test_a_fold_that_adds_each_element_appends_the_elements(path, shape, monkeypatch):
+    # The machine's closure takes the elements as the children at once.
+    evaluate = compile_expr(ADOPT, {}) if path == "engine" else lambda env: eval_expr(ADOPT, env)
+    if path == "engine":
+        monkeypatch.setattr(evaluate_module, "_fold", None)  # no step per element
+    items = ("a", IntVal(1), TermVal("T", ("b",)), ConsList(("c",)))
+    init = TermVal("P", ("x",))
+    assert evaluate({"l": shape(items), "i": init}) == TermVal("P", ("x",) + items)
+    # An empty list leaves the accumulator as it is, a term or not.
+    for acc in (init, IntVal(3), ListVal(())):
+        assert evaluate({"l": shape(()), "i": acc}) is acc
+    with pytest.raises(EvalError, match="addChild expects a term and a value"):
+        evaluate({"l": shape(items), "i": IntVal(3)})
+    with pytest.raises(NotAList):
+        evaluate({"l": IntVal(3), "i": init})
 
 
 def test_fold_over_non_list():
