@@ -48,17 +48,16 @@ ops, and the program does not grow with the number of siblings.
 
 Environments grow monotonically inside a rule activation (attribute and
 binding names stay visible for the rest of the clause body) and are
-restored when the activation ends.  A call or loop whose continuation
-still needs input (an op that can consume an event follows it in its
-clause, counting an enclosing element's end tag) saves it as a dump frame.
-One in tail position modulo value plumbing, as in user-written recursion
-such as ``L ::= <a/> xs = L {xs}.``, instead leaves the continuation in the
-program behind an ``ENV_RESTORE`` op.  One that no op follows leaves it
-behind nothing, since what runs next sets its own environment: an
-``ENV_RESTORE``, a dump frame, or the ``NEXT`` of a loop whose item ends
-in the call.  The compiler fixes this choice per op.  That keeps the dump
-bounded by element nesting rather than by sibling count, which is what
-makes long flat documents stream.
+restored when the activation ends.  The program stack is the machine's
+only control stack: a call or loop that ops follow in its clause (counting
+an enclosing element's end tag) leaves its continuation there, behind an
+``ENV_RESTORE`` op that brings its environment back.  One that no op
+follows leaves nothing, since what runs next sets its own environment: an
+``ENV_RESTORE`` or the ``NEXT`` of a loop whose item ends in the call.
+The compiler fixes this choice per op.  So ``L ::= <a/> L.`` runs in
+constant space, and the stack grows with element nesting and with
+continuations still pending, as in ``L ::= <a/> xs = L {xs}.``, where each
+level has an action left to run.
 
 ``Machine.run`` is the one driver loop: the classic table-driven LL(1)
 driver (Aho, Lam, Sethi & Ullman, *Compilers*, section 4.4), one branch per
@@ -158,11 +157,10 @@ class MachineInvariantError(AssertionError):
 # A fused action is a closure or None; its value is pushed after the op.
 CALL, BIND, ACTIONS, START, TAG_END, ENV_RESTORE, POP, PUSH_NULL = range(8)
 TEXT, ANY, ANY_END, EMPTY, LOOP, NEXT = range(8, 14)
-# How a call keeps its continuation: in a dump frame, in the program behind
-# an ENV_RESTORE op, or in the program alone when no op follows the call.
-FRAME, TAIL, LAST = range(3)
+# A call's continuation mode: ops follow it, so it saves its environment
+# behind an ENV_RESTORE op, or none follows.
+SAVE, LAST = range(2)
 
-_CONSUMING = frozenset({CALL, LOOP, START, TAG_END, TEXT, ANY})  # ops that can take an event
 _POP, _PUSH_NULL = (POP,), (PUSH_NULL,)
 _LEAF_OPS = {Text: (TEXT,), Any: (ANY,), Empty: (EMPTY,), Ok: _PUSH_NULL}
 END = object()  # a loop row's entry where the repetition ends
@@ -224,17 +222,15 @@ class Program:
             return (LOOP, loop, name, args)
         return (CALL, self.row(name), name, args)
 
-    def _ops(self, seq: BodySeq, then_consumes: bool, memo: dict) -> tuple:
-        """The ops of a body in reverse execution order.  ``then_consumes``
-        says whether ops that can consume an event run after the body."""
+    def _ops(self, seq: BodySeq, followed: bool, memo: dict) -> tuple:
+        """The ops of a body in reverse execution order.  ``followed`` says
+        whether ops run after the body."""
         ops: List[tuple] = []
         self._seq(seq, ops, memo)
-        consumes = then_consumes
-        for i in range(len(ops) - 1, -1, -1):
-            op = ops[i]
-            if op[0] in (CALL, LOOP):
-                ops[i] = op + (FRAME if consumes else LAST if i == len(ops) - 1 else TAIL,)
-            consumes = consumes or op[0] in _CONSUMING
+        last = len(ops) - 1
+        for i, op in enumerate(ops):
+            if op[0] == CALL or op[0] == LOOP:
+                ops[i] = op + (LAST if i == last and not followed else SAVE,)
         return tuple(reversed(ops))
 
     def _seq(self, seq: BodySeq, ops: List[tuple], memo: dict) -> None:
@@ -307,7 +303,12 @@ _UNREAD = object()  # the lookahead before the next event is read
 
 
 class Machine:
-    """One parse in progress; construct, then ``run()``."""
+    """One parse in progress; construct, then ``run()``.
+
+    Its state is the program stack, the one control stack, which also holds
+    an ``ENV_RESTORE`` op for each continuation still pending; the current
+    environment; the value stack; and the lookahead event.
+    ``max_dump_depth`` is the most environments saved at one time."""
 
     def __init__(
         self,
@@ -326,7 +327,6 @@ class Machine:
         self.lookahead: object = _UNREAD  # the next event, None at end of input
         self.position = 0  # events consumed
         self.values: List[Value] = []
-        self.dump: List[Tuple[List[tuple], Env]] = []
         self.max_dump_depth = 0
         self.steps = 0
         # The start rule is entered like any call, from an environment that
@@ -343,17 +343,11 @@ class Machine:
         because a parse makes millions of transitions on large documents.
         The state lives in locals while the loop runs.
         """
-        program, env, values, dump = self.program, self.env, self.values, self.dump
+        program, env, values = self.program, self.env, self.values
         events, event, position, unread = self._events, self.lookahead, self.position, _UNREAD
-        steps, depth = 0, self.max_dump_depth
+        steps, saved, depth = 0, 0, self.max_dump_depth
         try:
-            while True:
-                if not program:
-                    if not dump:
-                        break
-                    program, env = dump.pop()
-                    steps += 1
-                    continue
+            while program:
                 item = program.pop()
                 steps += 1
                 op = item[0]
@@ -431,12 +425,11 @@ class Machine:
                     if len(params) != len(args):
                         message = f"rule {item[2]} takes {len(params)} argument(s), got {len(args)}"
                         raise ParseFailure(CALL_ARITY, message, position)
-                    if item[4] == FRAME:
-                        dump.append((program, env))
-                        depth = max(depth, len(dump))
-                        program = []
-                    elif item[4] == TAIL:
+                    if item[4] == SAVE:
                         program.append((ENV_RESTORE, env))
+                        saved += 1
+                        if saved > depth:
+                            depth = saved
                     env = dict(zip(params, args)) if args else {}
                     values.append([])  # the accumulator
                     program.append((NEXT, item[1].row, item[2], env))
@@ -456,17 +449,16 @@ class Machine:
                     if len(params) != len(args):
                         message = f"rule {item[2]} takes {len(params)} argument(s), got {len(args)}"
                         raise ParseFailure(CALL_ARITY, message, position)
-                    if item[4] == FRAME:
-                        dump.append((program, env))
-                        depth = max(depth, len(dump))
-                        program = list(body)
-                    else:
-                        if item[4] == TAIL:
-                            program.append((ENV_RESTORE, env))
-                        program.extend(body)
+                    if item[4] == SAVE:
+                        program.append((ENV_RESTORE, env))
+                        saved += 1
+                        if saved > depth:
+                            depth = saved
+                    program.extend(body)
                     env = dict(zip(params, args)) if args else {}
                 elif op == ENV_RESTORE:
                     env = item[1]
+                    saved -= 1
                 elif op == POP:
                     values.pop()
                 elif op == PUSH_NULL:

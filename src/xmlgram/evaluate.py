@@ -89,7 +89,7 @@ def eval_expr(expr: Expr, env: Env) -> Value:
         elements, acc = list_elements(eval_expr(expr.over, env)), eval_expr(expr.init, env)
         return _fold(expr, elements, acc, env, appends, lambda e: eval_expr(step, e))
     if isinstance(expr, Compare):
-        same = eval_expr(expr.left, env) == eval_expr(expr.right, env)
+        same = _equal(eval_expr(expr.left, env), eval_expr(expr.right, env))
         return BoolVal(same if expr.op == "=" else not same)
     raise TypeError(f"not an expression: {expr!r}")
 
@@ -127,6 +127,15 @@ def _show(value: Value) -> str:
     """A value for an error message, in the user's notation and cut to one
     short line (``repr`` would recurse down a long list)."""
     return shorten(render_term(value))
+
+
+def _equal(left: Value, right: Value) -> bool:
+    """``left == right``, where a value nested past the recursion limit is
+    an ``EvalError`` (equality recurses along all but a term's last argument)."""
+    try:
+        return left == right
+    except RecursionError:
+        raise EvalError("values nested too deeply to compare") from None
 
 
 def _add_child(args) -> Value:
@@ -230,7 +239,7 @@ def _compile(expr: Expr, memo: dict) -> Callable[[Env], Value]:
     if kind is Compare:
         left, right = compile_expr(expr.left, memo), compile_expr(expr.right, memo)
         equal = expr.op == "="
-        return lambda env: BoolVal((left(env) == right(env)) == equal)
+        return lambda env: BoolVal(_equal(left(env), right(env)) == equal)
     if kind is Fold:
         over, init = compile_expr(expr.over, memo), compile_expr(expr.init, memo)
         appends, step = _fold_step(expr)

@@ -53,7 +53,7 @@ from .ast import (
 )
 from .evaluate import eval_actions, eval_expr, eval_guard
 from .events import Element, TextNode, XmlTree
-from .values import NULL, Env, TermVal, TupleVal, Value, env_merge
+from .values import NULL, Env, TermVal, TupleVal, Value
 
 DEFAULT_MAX_STEPS = 10_000
 
@@ -137,7 +137,7 @@ class Oracle:
             for at1, env1, value in self._seq(item.body, at, env):
                 bound = self._bind_names(item.names, value)
                 if bound is not None:
-                    yield at1, env_merge(env1, bound), value
+                    yield at1, {**env1, **bound}, value
         elif isinstance(item, Star):
             yield from self._star(item.body, at, env)
         elif isinstance(item, Empty):
@@ -192,7 +192,7 @@ class Oracle:
             if attr not in head.attrs:
                 return
             attr_env[var] = head.attrs[attr]
-        inner = env_merge(env, attr_env)
+        inner = {**env, **attr_env}
         taken = (body for guard, body in el.guarded if eval_guard(guard, inner))
         for (_, i), env_c, value in self._seq(next(taken, el.else_body), (head, 0), inner):
             if i == len(head.children):

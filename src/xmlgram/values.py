@@ -21,7 +21,7 @@ representation", CACM 1969), so a long list costs one tuple, not one term
 and one argument tuple per item.
 
 Environments are plain ``dict[str, Value]`` used immutably by convention:
-every extension builds a new dict (``env_merge``), nothing mutates in place.
+every extension builds a new dict, nothing mutates in place.
 """
 
 from __future__ import annotations
@@ -148,17 +148,6 @@ NULL = NullVal()
 EMPTY_CONS = ConsList(())  # the value of every empty repetition, shared as NULL is
 
 Env = Dict[str, Value]
-
-
-def env_merge(a: Env, b: Env) -> Env:
-    """Union of two environments; names in both take ``b``'s value."""
-    if not a:
-        return dict(b)
-    if not b:
-        return dict(a)
-    merged = dict(a)
-    merged.update(b)
-    return merged
 
 
 # Both renderers are one walk over the value with an explicit work stack, so

@@ -57,8 +57,6 @@ class WfError:
 
     def __str__(self) -> str:
         where = f" at {self.span}" if self.span else ""
-        if self.variable is not None:
-            return f"rule {self.rule}: variable {self.variable} may be unbound{where}"
         return f"rule {self.rule}: {self.message}{where}"
 
 

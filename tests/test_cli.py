@@ -500,6 +500,25 @@ def test_parse_evaluation_error_on_a_long_list_is_one_short_line(files, capsys):
     assert capsys.readouterr().err == f"{d}: parse failed: {message}\n"
 
 
+def test_comparing_values_nested_too_deeply_is_a_parse_failure_not_a_traceback(files):
+    # From a flat document: each fold nests its 5,000 items along the first argument.
+    fold = "xs->iterate(e acc = Nil | Node(acc, e))"
+    g = files("g.xg", f"@Grammar G R ::= <R> xs = B* </R> {{ {fold} = {fold} }}. B ::= <B/> {{1}}. end")
+    d = files("doc.xml", "<R>" + "<B/>" * 5_000 + "</R>")
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "xmlgram.cli", "parse", g, d],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    message = "EvalError at event 10002: values nested too deeply to compare"
+    assert proc.stderr == f"{d}: parse failed: {message}\n"
+
+
 def test_parse_failure_on_long_text_is_one_short_line(files, capsys):
     g = files("g.xg", "@Grammar G A ::= <A> <B/> </A> {1}. end")
     d = files("doc.xml", "<A>" + "x" * 1_000_000 + "</A>")

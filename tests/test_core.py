@@ -1,4 +1,4 @@
-"""Core types: environments, tree/event conversion, value rendering."""
+"""Core types: tree/event conversion, value rendering."""
 
 import dataclasses
 import gc
@@ -32,38 +32,10 @@ from xmlgram.values import (
     NullVal,
     TermVal,
     TupleVal,
-    env_merge,
     render_json,
     render_term,
     write_value,
 )
-
-
-def test_env_merge_disjoint():
-    assert env_merge({"x": IntVal(1)}, {"y": IntVal(2)}) == {"x": IntVal(1), "y": IntVal(2)}
-
-
-def test_env_merge_right_shadows():
-    assert env_merge({"x": IntVal(1)}, {"x": IntVal(2)}) == {"x": IntVal(2)}
-
-
-def test_env_merge_identity():
-    assert env_merge({}, {}) == {}
-
-
-small_values = st.sampled_from([IntVal(0), IntVal(1), "a", NULL])
-envs = st.dictionaries(st.sampled_from("vwxyz"), small_values, max_size=4)
-
-
-@given(envs, envs, envs)
-def test_env_merge_associative(a, b, c):
-    assert env_merge(env_merge(a, b), c) == env_merge(a, env_merge(b, c))
-
-
-@given(envs)
-def test_env_merge_empty_is_identity(env):
-    assert env_merge(env, {}) == env
-    assert env_merge({}, env) == env
 
 
 # -- flatten / rebuild --------------------------------------------------------

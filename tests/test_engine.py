@@ -246,7 +246,6 @@ def test_terminal_state_shape(test_lang):
     machine = Machine(table, "A", read_events("<A></A>"))
     machine.run()
     assert machine.program == []
-    assert machine.dump == []
     assert len(machine.values) == 1
     assert machine.lookahead is None  # input exhausted
 
@@ -271,7 +270,27 @@ def test_dump_depth_tracks_nesting_not_siblings(test_lang):
     deep_doc = "<T>" * 40 + "</T>" * 40
     machine2 = Machine(deep_table, "R", read_events(deep_doc))
     machine2.run()
-    assert machine2.max_dump_depth >= 30  # frames for genuinely nested calls
+    assert machine2.max_dump_depth >= 30  # environments saved for genuinely nested calls
+
+
+SIBLINGS = "<R>" + "<a/>" * 20_000 + "</R>"
+
+
+def test_right_recursion_without_a_pending_op_runs_in_constant_space():
+    # The recursive call ends L's body, so it saves no environment.
+    _, table = make_table("@Grammar G R ::= <R> L </R> {1}. L ::= <a/> L. L ::= . end", "R")
+    machine = Machine(table, "R", read_events(SIBLINGS))
+    assert machine.run() == IntVal(1)
+    assert machine.max_dump_depth <= 1
+
+
+def test_right_recursion_with_a_pending_action_saves_an_environment_per_level():
+    # Each level's action runs after the level below it: one saved environment each.
+    source = "@Grammar G R ::= <R> x = L </R> {x}. L ::= <a/> xs = L {xs}. L ::= {Nil}. end"
+    _, table = make_table(source, "R")
+    machine = Machine(table, "R", read_events(SIBLINGS))
+    assert machine.run() == TermVal("Nil")
+    assert machine.max_dump_depth >= 20_000
 
 
 def test_engine_agrees_with_oracle_on_models():
@@ -511,7 +530,7 @@ def test_repetition_runs_as_a_loop_and_agrees_with_oracle(case):
         machine = Machine(table, "R", iter(events))
         assert machine.run() == expected, doc
         if case == "dump-frame":
-            assert machine.max_dump_depth == 2  # the loop's frame and A's
+            assert machine.max_dump_depth == 2  # the environments saved by the loop and by A
 
 
 def test_start_rule_can_be_a_repetition():

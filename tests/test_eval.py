@@ -1,5 +1,6 @@
 """Expression evaluation: literals, constructors, folds, guards."""
 
+import sys
 import time
 
 import pytest
@@ -291,6 +292,17 @@ def test_compare_is_structural():
     left = Construct("P", (IntLit(1), StrLit("s")))
     right = Construct("P", (IntLit(1), StrLit("s")))
     assert eval_guard(Compare("=", left, right), {}) is True
+
+
+@pytest.mark.parametrize("op", ["=", "<>"])
+@pytest.mark.parametrize("evaluate", [eval_expr, lambda e, env: compile_expr(e, {})(env)])
+def test_comparing_values_nested_too_deeply_is_an_eval_error(evaluate, op):
+    # Equality recurses along all but a term's last argument: nest the first.
+    left, right = NULL, NULL
+    for _ in range(sys.getrecursionlimit() * 2):
+        left, right = TermVal("Node", (left, IntVal(1))), TermVal("Node", (right, IntVal(1)))
+    with pytest.raises(EvalError, match="^values nested too deeply to compare$"):
+        evaluate(Compare(op, VarRef("x"), VarRef("y")), {"x": left, "y": right})
 
 
 exprs = st.sampled_from(
