@@ -13,15 +13,18 @@ in its row.  Values are synthesized onto a value stack; when the machine
 halts the parse result is the single remaining value.
 
 Actions, guards and call arguments become shared closures ``env -> Value``.
-Fused ops (Proebsting's superoperators): an unguarded empty element's ``START``
-reads its end tag too, and it or a popping ``BIND`` runs the action after it.
+Fused ops (Proebsting's superoperators): the ``START`` of an unguarded
+element whose body compiles to no ops reads its end tag too, and it or a
+popping ``BIND`` runs the action after it.
 
-Value discipline: the ops of every body item leave exactly one value.  A
-``POP`` between the items of a sequence discards all but the last one's
-value, and an empty sequence pushes null.  The compiler leaves out a null
-that would only be popped (``OK``, an element with an empty body), and a
-``BIND`` followed by ``POP`` pops as it binds.  So a ``BIND`` always finds
-its body's value on top, and success leaves exactly one value.
+Value discipline: each body item is compiled for whether its value is
+used.  Only the last item of a sequence inherits that; the others are
+unused.  A used item leaves exactly one value (an empty sequence or ``OK``
+pushes null), an unused one leaves none: an unused ``BIND`` pops as it
+binds, an unused ``OK`` or empty sequence emits nothing, an element passes
+the question on to its branches, and any other unused item is followed by
+``POP``.  So a ``BIND`` always finds its body's value on top, and success
+leaves exactly one value.
 
 Chain resolution: where R's row holds a clause ``R ::= X.`` (no params or
 arguments, nothing else) under a concrete token, and X's row holds a clause
@@ -149,20 +152,21 @@ class MachineInvariantError(AssertionError):
 #   (CALL, callee row, callee name, argument closures, continuation mode)
 #   (LOOP, callee Loop, callee name, argument closures, continuation mode)
 #   (NEXT, loop row, rule name, loop environment), pushed by LOOP
-#   (START, tag, attrs, guarded branches, else branch), the branches only when
-#   guarded (each branch ends in the element's TAG_END), else ((), None), or
-#   (None, action) when START reads the end tag too
+#   (START, tag, attrs, guarded branches, else branch) for an element with
+#   ops inside: each branch is ops ending in the element's TAG_END, and an
+#   unguarded element has no guarded branches, ()
+#   (START, tag, attrs, None, action) for one without: START reads the end tag too
 #   (BIND, names, pop the value too, action)  (ACTIONS, closure)
-#   (ENV_RESTORE, env)  (TAG_END, tag)  (ANY_END, tag), pushed while ANY skips
+#   (ENV_RESTORE, env)  (TAG_END, tag)
 # A fused action is a closure or None; its value is pushed after the op.
 CALL, BIND, ACTIONS, START, TAG_END, ENV_RESTORE, POP, PUSH_NULL = range(8)
-TEXT, ANY, ANY_END, EMPTY, LOOP, NEXT = range(8, 14)
+TEXT, ANY, EMPTY, LOOP, NEXT = range(8, 13)
 # A call's continuation mode: ops follow it, so it saves its environment
 # behind an ENV_RESTORE op, or none follows.
 SAVE, LAST = range(2)
 
 _POP, _PUSH_NULL = (POP,), (PUSH_NULL,)
-_LEAF_OPS = {Text: (TEXT,), Any: (ANY,), Empty: (EMPTY,), Ok: _PUSH_NULL}
+_LEAF_OPS = {Text: (TEXT,), Any: (ANY,), Empty: (EMPTY,)}
 END = object()  # a loop row's entry where the repetition ends
 
 Row = Dict[Token, Tuple[Tuple[str, ...], tuple]]
@@ -183,11 +187,13 @@ class Program:
     """A predict table compiled for the machine: ``rows[rule][token]`` is
     the compiled clause ``(params, ops)`` that the table predicts, and
     ``loops[rule]`` the ``Loop`` of a rule that a repetition lifted, which
-    has no row."""
+    has no row.  A call whose argument count its callee does not take is a
+    ``ParseFailure`` at event 0 as the program is built."""
 
     def __init__(self, table: PredictTable):
         self.rows: Dict[str, Row] = {}
         self.loops = {name: Loop() for name in table.loops}
+        self.arity = {name: len(clause.params) for (name, _), clause in table.entries.items()}
         memo: dict = {}  # one closure per distinct expression, see ``compile_expr``
         compiled: Dict[int, tuple] = {}  # by id of the table's clause objects
         items: Dict[str, Clause] = {}  # the item of each loop, as a clause
@@ -206,7 +212,8 @@ class Program:
                 clause = _resolve_chain(table, token, clause)
             entry = compiled.get(id(clause))
             if entry is None:
-                entry = compiled[id(clause)] = (clause.params, self._ops(clause.body, False, memo))
+                ops = self._ops(clause.body, False, memo, True)
+                entry = compiled[id(clause)] = (clause.params, ops)
             if loop is not None:
                 loop.row[token] = entry[1]
             else:
@@ -217,72 +224,67 @@ class Program:
 
     def call(self, name: str, args: tuple) -> tuple:
         """The op of a call, without its continuation mode."""
+        arity = self.arity.get(name, len(args))
+        if arity != len(args):
+            message = f"rule {name} takes {arity} argument(s), got {len(args)}"
+            raise ParseFailure(CALL_ARITY, message, 0)
         loop = self.loops.get(name)
         if loop is not None:
             return (LOOP, loop, name, args)
         return (CALL, self.row(name), name, args)
 
-    def _ops(self, seq: BodySeq, followed: bool, memo: dict) -> tuple:
+    def _ops(self, seq: BodySeq, followed: bool, memo: dict, used: bool) -> tuple:
         """The ops of a body in reverse execution order.  ``followed`` says
-        whether ops run after the body."""
+        whether ops run after the body, ``used`` whether its value is kept."""
         ops: List[tuple] = []
-        self._seq(seq, ops, memo)
+        self._seq(seq, ops, memo, used)
         last = len(ops) - 1
         for i, op in enumerate(ops):
             if op[0] == CALL or op[0] == LOOP:
                 ops[i] = op + (LAST if i == last and not followed else SAVE,)
         return tuple(reversed(ops))
 
-    def _seq(self, seq: BodySeq, ops: List[tuple], memo: dict) -> None:
-        if not seq:
+    def _seq(self, seq: BodySeq, ops: List[tuple], memo: dict, used: bool) -> None:
+        if used and not seq:
             ops.append(_PUSH_NULL)
         for i, item in enumerate(seq):
-            if i:
-                _discard_value(ops)
+            keep = used and i == len(seq) - 1
             kind = type(item)
             if kind is Call:
                 args = tuple([compile_expr(e, memo) for e in item.args])
                 ops.append(self.call(item.name, args))
             elif kind is Bind:
-                self._seq(item.body, ops, memo)
-                ops.append((BIND, item.names, False, None))
+                self._seq(item.body, ops, memo, True)
+                ops.append((BIND, item.names, not keep, None))
+                continue
             elif kind is Actions:
                 last = ops[-1] if ops else _POP
                 if (last[0] == BIND or last[0] == START and last[3] is None) and last[-1] is None:
                     ops[-1] = last[:-1] + (compile_actions(item.exprs, memo),)  # fused
                 else:
                     ops.append((ACTIONS, compile_actions(item.exprs, memo)))
-            elif kind is ElementSpec and item.guarded:
-                end = ((TAG_END, item.tag),)
-                guarded = tuple(
-                    (compile_expr(g, memo), end + self._ops(body, True, memo))
-                    for g, body in item.guarded
-                )
-                branch = end + self._ops(item.else_body, True, memo)
-                ops.append((START, item.tag, item.attrs, guarded, branch))
-            elif kind is ElementSpec:
-                ops.append((START, item.tag, item.attrs, (), None))
-                self._seq(item.else_body, ops, memo)
-                ops.append((TAG_END, item.tag))
+            elif kind is ElementSpec:  # its branches leave a value or none
+                branch = self._ops(item.else_body, True, memo, keep)
+                if not branch and not item.guarded:
+                    ops.append((START, item.tag, item.attrs, None, None))
+                else:
+                    end = ((TAG_END, item.tag),)
+                    guarded = tuple(
+                        (compile_expr(g, memo), end + self._ops(body, True, memo, keep))
+                        for g, body in item.guarded
+                    )
+                    ops.append((START, item.tag, item.attrs, guarded, end + branch))
+                continue
+            elif kind is Ok:
+                if keep:
+                    ops.append(_PUSH_NULL)
+                continue
             elif kind in _LEAF_OPS:
                 ops.append(_LEAF_OPS[kind])
             else:
                 raise NotNormalForm(f"{kind.__name__} node in supposedly normal grammar")
-
-
-def _discard_value(ops: List[tuple]) -> None:
-    """Discard the value of the ops so far (end tags leave the value stack alone)."""
-    i = len(ops) - 1
-    while ops[i][0] == TAG_END:
-        i -= 1
-    if ops[i] is _PUSH_NULL:
-        del ops[i]
-        if 0 < i < len(ops) and ops[i - 1][0] == START and ops[i - 1][3] == ():
-            ops[i - 1 : i + 1] = [ops[i - 1][:3] + (None, None)]  # an empty element
-    elif ops[i][0] == BIND and ops[i][3] is None:
-        ops[i] = (BIND, ops[i][1], True, None)
-    else:
-        ops.append(_POP)
+            if not keep:
+                ops.append(_POP)
 
 
 def _resolve_chain(table: PredictTable, token: Token, clause: Clause) -> Clause:
@@ -381,21 +383,22 @@ class Machine:
                                 message = f"element <{tag}> lacks attribute {attr!r}"
                                 raise ParseFailure(MISSING_ATTRIBUTE, message, position)
                             env[var] = event.attrs[attr]
-                    if item[3]:
-                        branch = item[4]
-                        for guard, ops in item[3]:
-                            if truth(guard(env)):
-                                branch = ops
-                                break
-                        program.extend(branch)
-                    position += 1
                     if item[3] is None:  # the end tag too, then the fused action
+                        position += 1
                         event = next(events, None)
                         if type(event) is not EndTag or event.tag != tag:
                             raise _unexpected(TAG_MISMATCH, f"</{tag}>", event, position)
                         position += 1
                         if item[4] is not None:
                             values.append(item[4](env))
+                    else:
+                        branch = item[4]
+                        for guard, ops in item[3]:
+                            if truth(guard(env)):
+                                branch = ops
+                                break
+                        program.extend(branch)
+                        position += 1
                     event = unread
                 elif op == TAG_END:
                     event = next(events, None) if event is unread else event
@@ -421,16 +424,12 @@ class Machine:
                     args = item[3]
                     if args:
                         args = tuple([f(env) for f in args])
-                    params = item[1].params
-                    if len(params) != len(args):
-                        message = f"rule {item[2]} takes {len(params)} argument(s), got {len(args)}"
-                        raise ParseFailure(CALL_ARITY, message, position)
                     if item[4] == SAVE:
                         program.append((ENV_RESTORE, env))
                         saved += 1
                         if saved > depth:
                             depth = saved
-                    env = dict(zip(params, args)) if args else {}
+                    env = dict(zip(item[1].params, args)) if args else {}
                     values.append([])  # the accumulator
                     program.append((NEXT, item[1].row, item[2], env))
                 elif op == ACTIONS:
@@ -446,9 +445,6 @@ class Machine:
                         message = f"no prediction for rule {item[2]} on {token_label(token)}"
                         raise ParseFailure(NO_PREDICT_ENTRY, message, position)
                     params, body = clause
-                    if len(params) != len(args):
-                        message = f"rule {item[2]} takes {len(params)} argument(s), got {len(args)}"
-                        raise ParseFailure(CALL_ARITY, message, position)
                     if item[4] == SAVE:
                         program.append((ENV_RESTORE, env))
                         saved += 1
@@ -472,28 +468,21 @@ class Machine:
                     event = unread
                 elif op == ANY:
                     event = next(events, None) if event is unread else event
-                    if type(event) is TextEvt:
-                        values.append(NULL)
-                    elif type(event) is StartTag:
-                        program.append((ANY_END, event.tag))
-                    else:
+                    if type(event) is StartTag:  # skip the subtree, down to its end tag
+                        opened = [event.tag]
+                        while opened:
+                            position += 1
+                            event = next(events, None)
+                            kind = type(event)
+                            if kind is StartTag:
+                                opened.append(event.tag)
+                            elif kind is EndTag and event.tag == opened[-1]:
+                                opened.pop()
+                            elif kind is not TextEvt:
+                                raise _unexpected(TAG_MISMATCH, f"</{opened[-1]}>", event, position)
+                    elif type(event) is not TextEvt:
                         raise _unexpected(UNEXPECTED_EVENT, "an element or text", event, position)
-                    position += 1
-                    event = unread
-                elif op == ANY_END:
-                    event = next(events, None) if event is unread else event
-                    kind = type(event)
-                    if kind is TextEvt or kind is StartTag:
-                        program.append(item)
-                        if kind is StartTag:
-                            program.append((ANY_END, event.tag))
-                    elif event is None or event.tag != item[1]:
-                        raise _unexpected(TAG_MISMATCH, f"</{item[1]}>", event, position)
-                    elif not (program and program[-1][0] == ANY_END):
-                        # The skipped subtree yields a single null once the
-                        # outermost ANY_END closes; inner closings are still
-                        # part of the skip.
-                        values.append(NULL)
+                    values.append(NULL)
                     position += 1
                     event = unread
                 elif op == EMPTY:

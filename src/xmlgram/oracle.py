@@ -94,8 +94,9 @@ class Oracle:
         try:
             for (_, i), env1, value in self._seq(body, (top, 0), dict(env)):
                 yield top.children[i:], env1, value
-        except RecursionError:  # the search recurses per nesting level
-            raise OracleLimitExceeded("derivation nests deeper than the recursion limit") from None
+        except RecursionError:  # the search recurses per element and per rule call it nests
+            message = "derivation nests elements or rule calls deeper than the recursion limit"
+            raise OracleLimitExceeded(message) from None
 
     def accepts(self, start_rule: str, doc: XmlTree, args: Tuple[Value, ...] = ()) -> OracleResult:
         """Distinct values of the derivations of the whole document by a
@@ -171,10 +172,19 @@ class Oracle:
 
     def _star(self, body: BodySeq, at: Position, env: Env) -> Iterator[Derivation]:
         # Iterations run in the repetition point's environment and export nothing.
-        for at1, _env1, value1 in self._seq(body, at, env):
-            for at2, _env2, chain in self._star(body, at1, env):
-                yield at2, env, TermVal(CONS, (value1, chain))
-        yield at, env, TermVal(NIL, ())
+        # A frame per iteration under way (its start, its untried derivations, its
+        # item), so the search does not recurse per item.  Once a frame has no
+        # derivation left, the match that ends at its start is yielded.
+        frames = [(at, self._seq(body, at, env), None)]
+        while frames:
+            step = next(frames[-1][1], None)
+            if step is None:
+                chain = TermVal(NIL, ())
+                for frame in reversed(frames[1:]):
+                    chain = TermVal(CONS, (frame[2], chain))
+                yield frames.pop()[0], env, chain
+            else:
+                frames.append((step[0], self._seq(body, step[0], env), step[2]))
 
     def _call(self, call: Call, at: Position, env: Env) -> Iterator[Derivation]:
         args = tuple(eval_expr(a, env) for a in call.args)

@@ -628,7 +628,7 @@ def test_parse_oracle_deep_document_is_a_parse_failure(files, capsys):
     g = files("g.xg", "@Grammar G R ::= <T> kids = R* </T> {Node(kids)}. end")
     d = files("doc.xml", "<T>" * 1000 + "</T>" * 1000)
     assert main(["parse", g, d, "--oracle"]) == 1
-    message = "OracleLimitExceeded: derivation nests deeper than the recursion limit"
+    message = "OracleLimitExceeded: derivation nests elements or rule calls deeper than the recursion limit"
     assert capsys.readouterr().err == f"{d}: parse failed: {message}\n"
     assert main(["parse", g, d]) == 0  # the engine streams it
 

@@ -116,20 +116,21 @@ def test_any_skips_balanced_subtree():
 
 
 @pytest.mark.parametrize(
-    "last, reason, message",
+    "last, reason, message, position",
     [
-        ([], UNEXPECTED_END_OF_EVENTS, "expected </A>"),
-        ([EndTag("B")], TAG_MISMATCH, "expected </A>, found </B>"),
+        ([], UNEXPECTED_END_OF_EVENTS, "expected </A>", 3),
+        ([EndTag("B")], TAG_MISMATCH, "expected </A>, found </B>", 3),
+        ([StartTag("B", {}), EndTag("A")], TAG_MISMATCH, "expected </B>, found </A>", 4),
     ],
-    ids=["end-of-input", "mismatch"],
+    ids=["end-of-input", "mismatch", "mismatch-two-levels-in"],
 )
-def test_any_skip_needs_the_skipped_end_tag(last, reason, message):
-    # expat rejects both streams, so only a hand-built event list reaches this
+def test_any_skip_needs_the_skipped_end_tag(last, reason, message, position):
+    # expat rejects these streams, so only a hand-built event list reaches this
     _, table = make_table("@Grammar G R ::= <T> ANY </T> {7}. end", "R")
     events = [StartTag("T", {}), StartTag("A", {}), TextEvt("x")] + last
     with pytest.raises(ParseFailure) as exc:
         Machine(table, "R", iter(events)).run()
-    assert (exc.value.reason, exc.value.message, exc.value.position) == (reason, message, 3)
+    assert (exc.value.reason, exc.value.message, exc.value.position) == (reason, message, position)
 
 
 def test_missing_attribute(test_lang):
@@ -184,13 +185,33 @@ def test_bind_arity_mismatch():
 
 
 def test_call_arity_mismatch_at_a_call():
-    # A rule that is not a repetition is entered by a CALL op, the start rule
-    # too; the grammar's own calls are checked before a table is built.
+    # The start call's argument count is checked as the machine is built;
+    # the grammar's own calls are checked before a table is built.
     _, table = make_table("@Grammar G P(q) ::= <V/> {q}. end", "P")
     with pytest.raises(ParseFailure) as exc:
         run(table, "P", read_events("<V/>"))
     assert exc.value.reason == CALL_ARITY
     assert str(exc.value) == "CallArityMismatch at event 0: rule P takes 1 argument(s), got 0"
+
+
+def test_call_arity_mismatch_in_an_unchecked_table_fails_before_any_event():
+    # build_predict_table does not check arities; the program does, for every
+    # call, whether or not the document would reach it.
+    g = normalize_grammar(parse_grammar("@Grammar G R ::= <a/> {1}. R ::= <b/> P. P(q) ::= <c/> {q}. end"))
+    table = build_predict_table(g, compute_sets(g, "R"))
+    with pytest.raises(ParseFailure) as exc:
+        Machine(table, "R", read_events("<a/>"))
+    assert str(exc.value) == "CallArityMismatch at event 0: rule P takes 1 argument(s), got 0"
+
+
+@pytest.mark.parametrize("document", ['<R><G k="a"/></R>', '<R><G k="b"></G></R>'])
+def test_discarded_guarded_element_pushes_no_value(document):
+    # CALL R, START R, START G, TAG_END G, ACTIONS, TAG_END R: no null is
+    # pushed for the discarded element and popped again
+    _, table = make_table('@Grammar G R ::= <R> <G k when k = "a" > OK else OK </G> {1} </R>. end', "R")
+    machine = Machine(table, "R", read_events(document))
+    assert machine.run() == IntVal(1)
+    assert machine.steps == 6
 
 
 @pytest.mark.parametrize(

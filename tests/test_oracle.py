@@ -1,14 +1,19 @@
 """Reference interpreter: derivation enumeration over materialized trees."""
 
+import pathlib
+
 import pytest
 
-from helpers import TEST_GRAMMAR
+from helpers import TEST_GRAMMAR, cons_chain
 from xmlgram.ast import Any, Call, Empty, Grammar
-from xmlgram.engine import compile_grammar
-from xmlgram.events import Element, TextNode
+from xmlgram.engine import Machine, compile_grammar
+from xmlgram.events import Element, TextNode, build_tree
 from xmlgram.frontend import parse_grammar
 from xmlgram.oracle import Oracle, OracleLimitExceeded
+from xmlgram.sax import read_events
 from xmlgram.values import NULL, IntVal, TermVal, TupleVal
+
+SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
 
 
 def _g(source: str) -> Grammar:
@@ -81,6 +86,24 @@ def test_star_yields_longest_match_first():
     two = TermVal("Cons", (IntVal(1), TermVal("Cons", (IntVal(1), TermVal("Nil", ())))))
     assert result.value == two
     assert not result.ambiguous  # shorter matches leave children unconsumed
+
+
+def test_star_yields_every_shorter_match_after_the_longest():
+    g = _g("@Grammar G R ::= xs = I* {xs}. I ::= <I/> {1}. end")
+    trees = (Element("I", {}, ()),) * 1_000  # more items than the recursion limit allows frames
+    results = list(Oracle(g, max_steps=100_000).satisfy((Call("R", ()),), trees, {}))
+    assert [len(rest) for rest, _, _ in results] == list(range(1_001))
+    assert results[0][2] == cons_chain([IntVal(1)] * 1_000)
+    assert results[-1][2] == TermVal("Nil", ())
+
+
+def test_long_repetition_agrees_with_the_engine():
+    grammar = _g((SAMPLES / "seq.xg").read_text())
+    events = list(read_events("<A>" + '<B name="x"/>' * 1_000 + "</A>"))
+    compiled = compile_grammar(grammar)
+    expected = Machine(compiled.table, compiled.start, iter(events)).run()
+    result = Oracle(grammar, max_steps=100_000).accepts(compiled.start, build_tree(events))
+    assert result.value == expected and not result.ambiguous
 
 
 def test_element_must_consume_all_children():
