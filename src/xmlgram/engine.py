@@ -26,28 +26,38 @@ the question on to its branches, and any other unused item is followed by
 ``POP``.  So a ``BIND`` always finds its body's value on top, and success
 leaves exactly one value.
 
-Chain resolution: where R's row holds a clause ``R ::= X.`` (no params or
-arguments, nothing else) under a concrete token, and X's row holds a clause
-without params under that token, R's row holds X's clause instead, so the
-chain costs no call at run time.  Chains of chains resolve alike; wildcard
-cells, parameterized chains and chains to a repetition rule stay ordinary
+Chain resolution: where R's row holds a clause ``R(ps) ::= X(ps).`` (one
+call that passes R's parameters on unchanged, nothing else) under a
+concrete token, and X's row holds a clause with the same parameters under
+that token, R's row holds X's clause instead, so the chain costs no call at
+run time.  Chains of chains resolve alike; wildcard cells, chains that
+change or reorder arguments and chains to a repetition rule stay ordinary
 calls.
 
 Repetitions run as loops, another superoperator.  Normalization lifts each
 ``X*`` into a cons-recursive rule and names it in ``Grammar.loops``; such a
 rule gets no row but a ``Loop``, whose loop row maps each token to the ops
-of one item ``X`` (chain-resolved like a row when ``X`` is one call
-without arguments) or to ``END``.  A ``LOOP`` op enters it like a call and
-pushes an accumulator list and a ``NEXT`` op.  ``NEXT`` moves the last
-item's value into the accumulator, predicts from the lookahead, and either
-pushes itself and the item's ops, or on ``END`` replaces the accumulator
-with a ``ConsList`` of its items: to every reader the Cons/Nil chain of
-the items, held as one tuple, so the end of a repetition builds no term
-per item.  Every empty repetition ends in the one shared ``EMPTY_CONS``,
-as every null is ``NULL``.  Each item runs in the loop's own environment, which is what the
-cons clause would pass on: normalization makes sure its item cannot rebind
-one of the rule's parameters.  So an item costs one step on top of its own
-ops, and the program does not grow with the number of siblings.
+of one item ``X`` (chain-resolved like a row of a rule with the loop's
+parameters when ``X`` is one call) or to ``END``.  A ``LOOP`` op enters it
+like a call and pushes an accumulator list and a ``NEXT`` op.  ``NEXT``
+moves the last item's value into the accumulator, predicts from the
+lookahead, and either pushes itself and the item's ops, or on ``END``
+replaces the accumulator with a ``ConsList`` of its items: to every reader
+the Cons/Nil chain of the items, held as one tuple, so the end of a
+repetition builds no term per item.  Every empty repetition ends in the one
+shared ``EMPTY_CONS``, as every null is ``NULL``.  Each item runs in the
+loop's own environment, which is what the cons clause would pass on:
+normalization makes sure its item cannot rebind one of the rule's
+parameters.  So an item costs one step on top of its own ops, and the
+program does not grow with the number of siblings.
+
+Leaf runs fuse the commonest pair, ``NEXT`` and a fused empty-element
+``START``.  Where an item's ops are that one op, with its action, under its
+own start tag, the loop row holds the op itself, a leaf, in place of the
+ops tuple.  ``NEXT`` runs consecutive leaf items in place, one step each:
+the prediction has already matched the start tag, so it binds the
+attributes, reads the end tag and appends the action's value straight to
+the accumulator, and pushes ops only for an item of another kind.
 
 Environments grow monotonically inside a rule activation (attribute and
 binding names stay visible for the rest of the clause body) and are
@@ -117,7 +127,7 @@ def compile_grammar(grammar: Grammar, start: Optional[str] = None) -> Compiled:
     if errors:
         return Compiled(errors, None, None, None)
     normal = normalize_grammar(grammar)
-    if not grammar.clauses:
+    if not (start or grammar.clauses):
         return Compiled([], normal, None, None)
     start_rule = start or grammar.clauses[0].name
     if not any(clause.name == start_rule for clause in normal.clauses):
@@ -151,7 +161,8 @@ class MachineInvariantError(AssertionError):
 # Opcodes, the first field of every op.  The operands of those that have any:
 #   (CALL, callee row, callee name, argument closures, continuation mode)
 #   (LOOP, callee Loop, callee name, argument closures, continuation mode)
-#   (NEXT, loop row, rule name, loop environment), pushed by LOOP
+#   (NEXT, loop row, rule name, loop environment), pushed by LOOP; a loop
+#   row's entry is END, an item's ops, or a leaf: the item's one fused START
 #   (START, tag, attrs, guarded branches, else branch) for an element with
 #   ops inside: each branch is ops ending in the element's TAG_END, and an
 #   unguarded element has no guarded branches, ()
@@ -174,7 +185,8 @@ Row = Dict[Token, Tuple[Tuple[str, ...], tuple]]
 
 class Loop:
     """A repetition rule compiled for the machine: its parameters, and a
-    loop row that maps each token to the ops of one item, or to ``END``."""
+    loop row that maps each token to the ops of one item, to a leaf item's
+    one op, or to ``END``."""
 
     __slots__ = ("params", "row")
 
@@ -205,8 +217,8 @@ class Program:
                     loop.row[token] = END
                     continue
                 item = items.get(name)
-                if item is None:  # the cons clause's ``x = item``
-                    item = items[name] = Clause(name, (), clause.body[0].body)
+                if item is None:  # the cons clause's ``x = item``, in the loop's environment
+                    item = items[name] = Clause(name, clause.params, clause.body[0].body)
                 clause = item
             if token != ANY_TOKEN:
                 clause = _resolve_chain(table, token, clause)
@@ -215,7 +227,10 @@ class Program:
                 ops = self._ops(clause.body, False, memo, True)
                 entry = compiled[id(clause)] = (clause.params, ops)
             if loop is not None:
-                loop.row[token] = entry[1]
+                ops = entry[1]
+                if len(ops) == 1 and _is_leaf(ops[0], token):
+                    ops = ops[0]  # NEXT runs it in place
+                loop.row[token] = ops
             else:
                 self.row(name)[token] = entry
 
@@ -287,13 +302,24 @@ class Program:
                 ops.append(_POP)
 
 
+def _is_leaf(op: tuple, token: Token) -> bool:
+    """Whether ``op`` is a fused empty element with an action, predicted
+    under its own start tag: NEXT may then take the start tag as read."""
+    return op[0] == START and op[3] is None and op[4] is not None and op[1] == token
+
+
 def _resolve_chain(table: PredictTable, token: Token, clause: Clause) -> Clause:
-    """Follow chain clauses ``R ::= X.`` through X's entry for ``token``; in
-    a table without conflicts they cannot cycle, since a cycle has no base."""
-    while not clause.params and len(clause.body) == 1 and type(clause.body[0]) is Call:
+    """Follow chain clauses ``R(ps) ::= X(ps).``, which pass their own
+    parameters on unchanged to an X with the same parameters, through X's
+    entry for ``token``: X's clause then runs in the environment the call
+    would have made.  In a table without conflicts they cannot cycle, since
+    a cycle has no base."""
+    while len(clause.body) == 1 and type(clause.body[0]) is Call:
         call = clause.body[0]
         target = table.entries.get((call.name, token))
-        if call.args or target is None or target.params:
+        if target is None or target.params != clause.params:
+            break
+        if tuple([a.name if type(a) is VarRef else None for a in call.args]) != clause.params:
             break
         if call.name in table.loops:  # a repetition runs as a loop
             break
@@ -354,23 +380,43 @@ class Machine:
                 steps += 1
                 op = item[0]
                 if op == NEXT:
-                    value = values[-1]
-                    if type(value) is not list:  # the last item's value, onto the accumulator
+                    row, scope, acc = item[1], item[3], values[-1]
+                    if type(acc) is not list:  # the last item's value, onto the accumulator
                         values.pop()
-                        values[-1].append(value)
+                        values[-1].append(acc)
+                        acc = values[-1]
                     event = next(events, None) if event is unread else event
-                    token = event.tag if type(event) is StartTag else token_of_event(event)
-                    ops = item[1].get(token) or item[1].get(ANY_TOKEN)
-                    if ops is None:
-                        message = f"no prediction for rule {item[2]} on {token_label(token)}"
-                        raise ParseFailure(NO_PREDICT_ENTRY, message, position)
+                    while True:
+                        token = event.tag if type(event) is StartTag else token_of_event(event)
+                        ops = row.get(token) or row.get(ANY_TOKEN)
+                        if ops is None:
+                            message = f"no prediction for rule {item[2]} on {token_label(token)}"
+                            raise ParseFailure(NO_PREDICT_ENTRY, message, position)
+                        if ops is END or type(ops[0]) is not int:
+                            break
+                        # A leaf item, run in place: its start tag is the lookahead.
+                        steps += 1
+                        env = scope
+                        if ops[2]:
+                            env = dict(env)
+                            for var, attr in ops[2]:
+                                if attr not in event.attrs:
+                                    message = f"element <{ops[1]}> lacks attribute {attr!r}"
+                                    raise ParseFailure(MISSING_ATTRIBUTE, message, position)
+                                env[var] = event.attrs[attr]
+                        position += 1
+                        event = next(events, None)
+                        if type(event) is not EndTag or event.tag != ops[1]:
+                            raise _unexpected(TAG_MISMATCH, f"</{ops[1]}>", event, position)
+                        position += 1
+                        acc.append(ops[4](env))
+                        event = next(events, None)
                     if ops is END:
-                        items = values[-1]
-                        values[-1] = ConsList(tuple(items)) if items else EMPTY_CONS
+                        values[-1] = ConsList(tuple(acc)) if acc else EMPTY_CONS
                     else:
                         program.append(item)
                         program.extend(ops)
-                        env = item[3]
+                        env = scope
                 elif op == START:
                     event = next(events, None) if event is unread else event
                     tag = item[1]

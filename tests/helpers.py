@@ -6,6 +6,7 @@ the value renderers."""
 from __future__ import annotations
 
 import json
+import pathlib
 import random
 import re
 from typing import Dict, Iterable, List, Optional, Tuple, Union
@@ -53,6 +54,34 @@ TEST_GRAMMAR = """\
   C ::= <C n=name/> {n}.
 end
 """
+
+SEQ_GRAMMAR = (pathlib.Path(__file__).resolve().parent.parent / "samples" / "seq.xg").read_text()
+
+# Failures inside a repetition's leaf items, which the machine runs inside
+# the loop's NEXT op: id -> (grammar, document, keep whitespace, the failure).
+LEAF_FAILURES = {
+    "missing-attribute": (
+        SEQ_GRAMMAR, '<A><B name="x"/><B/></A>', False,
+        "MissingAttribute at event 3: element <B> lacks attribute 'name'",
+    ),
+    "element-for-end-tag": (
+        SEQ_GRAMMAR, '<A><B name="x"><C name="y"/></B></A>', False,
+        "TagMismatch at event 2: expected </B>, found <C>",
+    ),
+    "text-between-leaves": (
+        SEQ_GRAMMAR, '<A><B name="x"/>hello<B name="y"/></A>', False,
+        "NoPredictEntry at event 3: no prediction for rule A$1 on TEXT",
+    ),
+    "kept-whitespace-for-end-tag": (
+        SEQ_GRAMMAR, '<A><B name="x">  </B></A>', True,
+        "TagMismatch at event 2: expected </B>, found text '  '",
+    ),
+    "action-error": (
+        "@Grammar G A ::= <A> b = B* </A> {b}. B ::= <B n=name/> {n.add(1)}. end",
+        '<A><B name="x"/></A>', False,
+        "EvalError at event 3: addChild expects a term and a value",
+    ),
+}
 
 # The same grammar after hand normalization (as published); parsing this and
 # normalizing TEST_GRAMMAR must give alpha-equivalent results.

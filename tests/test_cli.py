@@ -14,7 +14,8 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import MODELS_DOC, MODELS_GRAMMAR, TEST_GRAMMAR, documents_for, random_grammar
+from helpers import LEAF_FAILURES, MODELS_DOC, MODELS_GRAMMAR, TEST_GRAMMAR, documents_for
+from helpers import random_grammar
 from helpers import serialize_tree
 from xmlgram import cli
 from xmlgram.ast import Grammar
@@ -489,6 +490,16 @@ def test_parse_evaluation_error_is_a_parse_failure(files, capsys, grammar, docum
     assert capsys.readouterr().err == f"{d}: parse failed: {message}\n"
 
 
+@pytest.mark.parametrize("grammar, document, keep_whitespace, message", LEAF_FAILURES.values(), ids=list(LEAF_FAILURES))
+def test_parse_failure_in_a_leaf_item_golden(files, capsys, grammar, document, keep_whitespace, message):
+    g = files("g.xg", grammar)
+    d = files("doc.xml", document)
+    assert main(["parse", g, d] + ["--keep-whitespace"] * keep_whitespace) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"{d}: parse failed: {message}\n"
+    assert captured.out == ""
+
+
 def test_parse_evaluation_error_on_a_long_list_is_one_short_line(files, capsys):
     # The message shows the value as render_term text cut short; repr would
     # recurse down the 100,000 cells of the list and raise RecursionError.
@@ -593,10 +604,13 @@ def test_parse_json_chunks_stay_bounded_to_the_end(files, monkeypatch):
 
 @pytest.mark.parametrize("command", ["check", "tables", "parse"])
 def test_undefined_start_rule_is_reported(files, capsys, command):
-    g = files("test.xg", TEST_GRAMMAR)
-    argv = [command, g] + ([files("doc.xml", "<A></A>")] if command == "parse" else [])
-    assert main(argv + ["--start", "Nope"]) == 1
-    assert capsys.readouterr().err == f"{g}: rule Nope: start rule is not defined\n"
+    for grammar in [TEST_GRAMMAR, "@Grammar E end"]:  # a grammar without rules too
+        g = files("test.xg", grammar)
+        argv = [command, g] + ([files("doc.xml", "<A></A>")] if command == "parse" else [])
+        assert main(argv + ["--start", "Nope"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"{g}: rule Nope: start rule is not defined\n"
+        assert captured.out == ""
 
 
 @pytest.mark.parametrize("extra", [[], ["--oracle"]], ids=["engine", "oracle"])

@@ -6,7 +6,8 @@ import pathlib
 
 import pytest
 
-from helpers import MODELS_DOC, MODELS_GRAMMAR, TEST_GRAMMAR, cons_chain, flatten_tree, run
+from helpers import LEAF_FAILURES, MODELS_DOC, MODELS_GRAMMAR, TEST_GRAMMAR, cons_chain
+from helpers import flatten_tree, run
 from xmlgram.analysis import build_predict_table, check_ll1, compute_sets
 from xmlgram.engine import (
     BIND_ARITY_MISMATCH,
@@ -362,6 +363,20 @@ CHAINS = [
         id="parameterized-chain",
     ),
     pytest.param(
+        "@Grammar G S ::= <S k> v = N(k) </S> {v}. N(a) ::= X(a). X(a) ::= <x/> {a}. X(a) ::= <y/> {P(a)}. end",
+        "S", ['<S k="1"><x/></S>', '<S k="2"><y/></S>'],
+        [(("N", "x"), ("X", "x")), (("N", "y"), ("X", "y"))], [],
+        '<S k="1"></S>', "NoPredictEntry at event 1: no prediction for rule N on /S",
+        id="pass-through-chain",
+    ),
+    pytest.param(
+        "@Grammar G S ::= <S j k> v = N(j, k) </S> {v}. N(a, b) ::= X(b, a). X(a, b) ::= <x/> {P(a, b)}. end",
+        "S", ['<S j="1" k="2"><x/></S>'],
+        [], [(("N", "x"), ("X", "x"))],
+        '<S j="1" k="2"><y/></S>', "NoPredictEntry at event 1: no prediction for rule N on y",
+        id="chain-that-reorders-arguments",
+    ),
+    pytest.param(
         "@Grammar G S ::= <S> v = N </S> {v}. N ::= M. M ::= X. X ::= <x/> {1}. X ::= <y/> {2}. end",
         "S", ["<S><x/></S>", "<S><y/></S>"],
         [(("N", "x"), ("X", "x")), (("N", "y"), ("X", "y")), (("M", "y"), ("X", "y"))], [],
@@ -421,15 +436,48 @@ SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
 
 
 @pytest.mark.parametrize("n", [0, 1, 10, 1000])
-def test_leaf_siblings_take_at_most_3_5_steps_per_event(n):
-    # One step per event; the name keeps an older, looser figure.  A leaf
-    # element is one op with its action, and the loop's NEXT the other: 2
-    # steps per sibling, 2 events each.  The root and the loop's ends take 5.
+def test_leaf_siblings_take_one_step_each_plus_a_constant(n):
+    # The loop's NEXT runs each leaf item in place, in one step; the rest of
+    # the parse, around the repetition, takes 7 whatever its length.
     _, table = make_table((SAMPLES / "seq.xg").read_text(), "A")
     events = list(read_events("<A>" + '<B name="x"/>' * n + "</A>"))
     machine = Machine(table, "A", iter(events))
     machine.run()
-    assert machine.steps <= len(events) + 5
+    assert machine.steps == n + 7
+
+
+@pytest.mark.parametrize("grammar, document, keep_whitespace, message", LEAF_FAILURES.values(), ids=list(LEAF_FAILURES))
+def test_failure_in_a_leaf_item_golden(grammar, document, keep_whitespace, message):
+    _, table = make_table(grammar, "A")
+    with pytest.raises(ParseFailure) as exc:
+        run(table, "A", read_events(document, keep_whitespace))
+    assert str(exc.value) == message
+
+
+def test_a_loop_mixes_leaf_and_other_items_and_leaves_read_its_parameters():
+    from xmlgram.events import build_tree
+
+    source = """@Grammar G
+      R ::= <R p=k> xs = (<B n=name/> {P(p, n)} | <C> t = TEXT </C> {t})* </R> {xs}.
+    end"""
+    _, table = make_table(source, "R")
+    (loop,) = Program(table).loops.values()
+    assert type(loop.row["B"][0]) is int and type(loop.row["C"][0]) is tuple  # a leaf, then ops
+    oracle = Oracle(parse_grammar(source))
+    docs = [
+        '<R k="1"><B name="a"/><B name="b"/><C>hi</C><B name="c"/><C>x</C><C>y</C></R>',
+        '<R k="2"><C>x</C><B name="a"/></R>',
+        '<R k="3"></R>',
+    ]
+    for doc in docs:
+        events = list(read_events(doc))
+        expected = oracle.accepts("R", build_tree(events)).value
+        assert expected is not None and run(table, "R", iter(events)) == expected
+    assert render_term(run(table, "R", read_events(docs[1]))) == 'Cons("x",Cons(P("2","a"),Nil))'
+    events = list(read_events('<R k="1"><B name="a"/><C><B name="b"/></C></R>'))
+    assert not oracle.accepts("R", build_tree(events)).accepted
+    with pytest.raises(ParseFailure, match=r"^UnexpectedEvent at event 4: expected text, found <B>$"):
+        run(table, "R", iter(events))
 
 
 def test_a_sibling_leaves_no_tracked_object_behind():
@@ -613,7 +661,9 @@ def test_program_shares_closures_of_equal_expressions():
     # {x} after each element, fused into its bind
     assert last_closure("A", "A") is last_closure("B", "B")
     assert last_closure("S", "S") is not last_closure("A", "A")
-    # both repetitions run I's compiled clause as their item, with its {n}
+    # both repetitions run I's compiled clause as their item, with its {n}:
+    # one fused op, which each loop row holds itself as a leaf entry
     loops = program.loops
     assert sorted(loops) == ["A$1", "B$2"] and not set(loops) & set(rows)
-    assert loops["A$1"].row["I"] is loops["B$2"].row["I"] is rows["I"]["I"][1]
+    (leaf,) = rows["I"]["I"][1]
+    assert loops["A$1"].row["I"] is loops["B$2"].row["I"] is leaf
