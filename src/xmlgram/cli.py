@@ -6,8 +6,9 @@
     xmlgram parse <g.xg> <doc.xml> [--start RULE] [--format term|json]
                   [--oracle] [--keep-whitespace]
 
-Exit codes: 0 success, 1 grammar/document error, 2 I/O error.  The
-environment variable XMLGRAM_MAX_DERIVATIONS caps the oracle's search.
+Exit codes: 0 success, 1 grammar/document error, 2 I/O error or bad usage.
+The environment variable XMLGRAM_MAX_DERIVATIONS, an integer, caps the
+oracle's search.
 """
 
 from __future__ import annotations
@@ -24,13 +25,14 @@ from .engine import EVAL_ERROR, Compiled, Machine, ParseFailure, compile_grammar
 from .evaluate import EvalError
 from .events import build_tree
 from .frontend import try_parse_grammar
-from .oracle import Oracle, OracleLimitExceeded
+from .oracle import DEFAULT_MAX_STEPS, Oracle, OracleLimitExceeded
 from .pretty import pretty_grammar
 from .sax import SaxReader, XmlReadError
 from .values import write_value
 from .wellformed import lint_grammar
 
 OK, LANGUAGE_ERROR, IO_ERROR = 0, 1, 2
+USAGE_ERROR = 2  # the code argparse exits with on a bad command line
 
 
 def _compile(
@@ -98,6 +100,14 @@ def cmd_normalize(args: argparse.Namespace) -> int:
 
 
 def cmd_parse(args: argparse.Namespace) -> int:
+    max_steps = DEFAULT_MAX_STEPS
+    if args.oracle and "XMLGRAM_MAX_DERIVATIONS" in os.environ:
+        budget = os.environ["XMLGRAM_MAX_DERIVATIONS"]
+        try:
+            max_steps = int(budget)
+        except ValueError:
+            print(f"error: XMLGRAM_MAX_DERIVATIONS must be an integer, got {budget!r}", file=sys.stderr)
+            return USAGE_ERROR
     grammar, compiled, code = _compile(args.grammar, args.start)
     if code:
         return code
@@ -115,7 +125,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
         reader = SaxReader(doc_file, keep_whitespace=args.keep_whitespace)
         try:
             if args.oracle:
-                value = _parse_with_oracle(grammar, compiled.start, reader)
+                value = _parse_with_oracle(grammar, compiled.start, reader, max_steps)
                 if value is None:
                     print(f"{args.document}: parse failed: no derivation", file=sys.stderr)
                     return LANGUAGE_ERROR
@@ -142,10 +152,9 @@ def cmd_parse(args: argparse.Namespace) -> int:
     return OK
 
 
-def _parse_with_oracle(grammar: Grammar, start_rule: str, reader: SaxReader):
-    cap = int(os.environ.get("XMLGRAM_MAX_DERIVATIONS", "10000"))
+def _parse_with_oracle(grammar: Grammar, start_rule: str, reader: SaxReader, max_steps: int):
     doc = build_tree(iter(reader))
-    result = Oracle(grammar, max_steps=cap).accepts(start_rule, doc)
+    result = Oracle(grammar, max_steps=max_steps).accepts(start_rule, doc)
     if result.ambiguous:
         print(
             f"warning: grammar is ambiguous for this document "

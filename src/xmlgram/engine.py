@@ -20,11 +20,11 @@ popping ``BIND`` runs the action after it.
 Value discipline: each body item is compiled for whether its value is
 used.  Only the last item of a sequence inherits that; the others are
 unused.  A used item leaves exactly one value (an empty sequence or ``OK``
-pushes null), an unused one leaves none: an unused ``BIND`` pops as it
-binds, an unused ``OK`` or empty sequence emits nothing, an element passes
-the question on to its branches, and any other unused item is followed by
-``POP``.  So a ``BIND`` always finds its body's value on top, and success
-leaves exactly one value.
+runs one shared action that yields null), an unused one leaves none: an
+unused ``BIND`` pops as it binds, an unused ``OK`` or empty sequence emits
+nothing, an element passes the question on to its branches, and any other
+unused item is followed by ``POP``.  So a ``BIND`` always finds its body's
+value on top, and success leaves exactly one value.
 
 Chain resolution: where R's row holds a clause ``R(ps) ::= X(ps).`` (one
 call that passes R's parameters on unchanged, nothing else) under a
@@ -36,20 +36,20 @@ calls.
 
 Repetitions run as loops, another superoperator.  Normalization lifts each
 ``X*`` into a cons-recursive rule and names it in ``Grammar.loops``; such a
-rule gets no row but a ``Loop``, whose loop row maps each token to the ops
-of one item ``X`` (chain-resolved like a row of a rule with the loop's
-parameters when ``X`` is one call) or to ``END``.  A ``LOOP`` op enters it
-like a call and pushes an accumulator list and a ``NEXT`` op.  ``NEXT``
-moves the last item's value into the accumulator, predicts from the
-lookahead, and either pushes itself and the item's ops, or on ``END``
-replaces the accumulator with a ``ConsList`` of its items: to every reader
-the Cons/Nil chain of the items, held as one tuple, so the end of a
-repetition builds no term per item.  Every empty repetition ends in the one
-shared ``EMPTY_CONS``, as every null is ``NULL``.  Each item runs in the
-loop's own environment, which is what the cons clause would pass on:
-normalization makes sure its item cannot rebind one of the rule's
-parameters.  So an item costs one step on top of its own ops, and the
-program does not grow with the number of siblings.
+rule gets no row but a loop row, which maps each token to the ops of one
+item ``X`` (chain-resolved like a row of a rule with the loop's parameters
+when ``X`` is one call) or to ``END``.  A ``LOOP`` op enters it like a
+call, binding the parameters it carries, and pushes an accumulator list
+and a ``NEXT`` op.  ``NEXT`` moves the last item's value into the
+accumulator, predicts from the lookahead, and either pushes itself and the
+item's ops, or on ``END`` replaces the accumulator with a ``ConsList`` of
+its items: to every reader the Cons/Nil chain of the items, held as one
+tuple, so the end of a repetition builds no term per item.  Every empty
+repetition ends in the one shared ``EMPTY_CONS``, as every null is
+``NULL``.  Each item runs in the loop's own environment, which is what the
+cons clause would pass on: normalization makes sure its item cannot rebind
+one of the rule's parameters.  So an item costs one step on top of its own
+ops, and the program does not grow with the number of siblings.
 
 Leaf runs fuse the commonest pair, ``NEXT`` and a fused empty-element
 ``START``.  Where an item's ops are that one op, with its action, under its
@@ -65,12 +65,15 @@ restored when the activation ends.  The program stack is the machine's
 only control stack: a call or loop that ops follow in its clause (counting
 an enclosing element's end tag) leaves its continuation there, behind an
 ``ENV_RESTORE`` op that brings its environment back.  One that no op
-follows leaves nothing, since what runs next sets its own environment: an
-``ENV_RESTORE`` or the ``NEXT`` of a loop whose item ends in the call.
-The compiler fixes this choice per op.  So ``L ::= <a/> L.`` runs in
-constant space, and the stack grows with element nesting and with
-continuations still pending, as in ``L ::= <a/> xs = L {xs}.``, where each
-level has an action left to run.
+follows, a tail call, leaves nothing, since what runs next sets its own
+environment.  The machine sees which from the stack itself (Clinger,
+"Proper tail recursion and space efficiency", 1998): ``ENV_RESTORE`` and
+``NEXT`` are pushed only at run time, never compiled into a body, so the
+op under a call is one of them, or the stack is empty, exactly when
+nothing in its clause follows it.  So ``L ::= <a/> L.`` runs in constant
+space, and the stack grows with element nesting and with continuations
+still pending, as in ``L ::= <a/> xs = L {xs}.``, where each level has an
+action left to run.
 
 ``Machine.run`` is the one driver loop: the classic table-driven LL(1)
 driver (Aho, Lam, Sethi & Ullman, *Compilers*, section 4.4), one branch per
@@ -159,8 +162,8 @@ class MachineInvariantError(AssertionError):
 # -- the compiled program -----------------------------------------------------
 
 # Opcodes, the first field of every op.  The operands of those that have any:
-#   (CALL, callee row, callee name, argument closures, continuation mode)
-#   (LOOP, callee Loop, callee name, argument closures, continuation mode)
+#   (CALL, callee row, callee name, argument closures)
+#   (LOOP, callee loop row, callee name, argument closures, callee parameters)
 #   (NEXT, loop row, rule name, loop environment), pushed by LOOP; a loop
 #   row's entry is END, an item's ops, or a leaf: the item's one fused START
 #   (START, tag, attrs, guarded branches, else branch) for an element with
@@ -168,53 +171,40 @@ class MachineInvariantError(AssertionError):
 #   unguarded element has no guarded branches, ()
 #   (START, tag, attrs, None, action) for one without: START reads the end tag too
 #   (BIND, names, pop the value too, action)  (ACTIONS, closure)
-#   (ENV_RESTORE, env)  (TAG_END, tag)
+#   (ENV_RESTORE, env), pushed by CALL and LOOP  (TAG_END, tag)
 # A fused action is a closure or None; its value is pushed after the op.
-CALL, BIND, ACTIONS, START, TAG_END, ENV_RESTORE, POP, PUSH_NULL = range(8)
-TEXT, ANY, EMPTY, LOOP, NEXT = range(8, 13)
-# A call's continuation mode: ops follow it, so it saves its environment
-# behind an ENV_RESTORE op, or none follows.
-SAVE, LAST = range(2)
+CALL, BIND, ACTIONS, START, TAG_END, POP, TEXT, ANY, EMPTY, LOOP = range(10)
+ENV_RESTORE, NEXT = 10, 11  # pushed only at run time: numbered last, so one test finds a tail call
 
-_POP, _PUSH_NULL = (POP,), (PUSH_NULL,)
+_POP = (POP,)
+_NULL = (ACTIONS, compile_actions((), {}))  # the value of a used OK or empty sequence
 _LEAF_OPS = {Text: (TEXT,), Any: (ANY,), Empty: (EMPTY,)}
 END = object()  # a loop row's entry where the repetition ends
 
 Row = Dict[Token, Tuple[Tuple[str, ...], tuple]]
 
 
-class Loop:
-    """A repetition rule compiled for the machine: its parameters, and a
-    loop row that maps each token to the ops of one item, to a leaf item's
-    one op, or to ``END``."""
-
-    __slots__ = ("params", "row")
-
-    def __init__(self) -> None:
-        self.params: Tuple[str, ...] = ()
-        self.row: Dict[Token, object] = {}
-
-
 class Program:
     """A predict table compiled for the machine: ``rows[rule][token]`` is
     the compiled clause ``(params, ops)`` that the table predicts, and
-    ``loops[rule]`` the ``Loop`` of a rule that a repetition lifted, which
-    has no row.  A call whose argument count its callee does not take is a
+    ``loops[rule]`` the loop row of a rule that a repetition lifted, which
+    has no row: each token maps to the ops of one item, to a leaf item's
+    one op, or to ``END``.  ``params[rule]`` are a rule's parameters.  A
+    call whose argument count its callee does not take is a
     ``ParseFailure`` at event 0 as the program is built."""
 
     def __init__(self, table: PredictTable):
-        self.rows: Dict[str, Row] = {}
-        self.loops = {name: Loop() for name in table.loops}
-        self.arity = {name: len(clause.params) for (name, _), clause in table.entries.items()}
+        self.params = {name: clause.params for (name, _), clause in table.entries.items()}
+        self.loops: Dict[str, Dict[Token, object]] = {name: {} for name in table.loops}
+        self.rows: Dict[str, Row] = {name: {} for name in self.params if name not in self.loops}
         memo: dict = {}  # one closure per distinct expression, see ``compile_expr``
         compiled: Dict[int, tuple] = {}  # by id of the table's clause objects
         items: Dict[str, Clause] = {}  # the item of each loop, as a clause
         for (name, token), clause in table.entries.items():
             loop = self.loops.get(name)
             if loop is not None:
-                loop.params = clause.params
                 if len(clause.body) == 1:  # the Nil clause
-                    loop.row[token] = END
+                    loop[token] = END
                     continue
                 item = items.get(name)
                 if item is None:  # the cons clause's ``x = item``, in the loop's environment
@@ -224,44 +214,36 @@ class Program:
                 clause = _resolve_chain(table, token, clause)
             entry = compiled.get(id(clause))
             if entry is None:
-                ops = self._ops(clause.body, False, memo, True)
+                ops = self._ops(clause.body, memo, True)
                 entry = compiled[id(clause)] = (clause.params, ops)
             if loop is not None:
                 ops = entry[1]
                 if len(ops) == 1 and _is_leaf(ops[0], token):
                     ops = ops[0]  # NEXT runs it in place
-                loop.row[token] = ops
+                loop[token] = ops
             else:
-                self.row(name)[token] = entry
-
-    def row(self, name: str) -> Row:
-        return self.rows.setdefault(name, {})
+                self.rows[name][token] = entry
 
     def call(self, name: str, args: tuple) -> tuple:
-        """The op of a call, without its continuation mode."""
-        arity = self.arity.get(name, len(args))
-        if arity != len(args):
-            message = f"rule {name} takes {arity} argument(s), got {len(args)}"
+        """The op of a call.  A rule without entries gets an empty row."""
+        params = self.params.get(name)
+        if params is not None and len(params) != len(args):
+            message = f"rule {name} takes {len(params)} argument(s), got {len(args)}"
             raise ParseFailure(CALL_ARITY, message, 0)
-        loop = self.loops.get(name)
-        if loop is not None:
-            return (LOOP, loop, name, args)
-        return (CALL, self.row(name), name, args)
+        if name in self.loops:
+            return (LOOP, self.loops[name], name, args, params)
+        return (CALL, self.rows.get(name, {}), name, args)
 
-    def _ops(self, seq: BodySeq, followed: bool, memo: dict, used: bool) -> tuple:
-        """The ops of a body in reverse execution order.  ``followed`` says
-        whether ops run after the body, ``used`` whether its value is kept."""
+    def _ops(self, seq: BodySeq, memo: dict, used: bool) -> tuple:
+        """The ops of a body in reverse execution order; ``used`` says
+        whether its value is kept."""
         ops: List[tuple] = []
         self._seq(seq, ops, memo, used)
-        last = len(ops) - 1
-        for i, op in enumerate(ops):
-            if op[0] == CALL or op[0] == LOOP:
-                ops[i] = op + (LAST if i == last and not followed else SAVE,)
         return tuple(reversed(ops))
 
     def _seq(self, seq: BodySeq, ops: List[tuple], memo: dict, used: bool) -> None:
         if used and not seq:
-            ops.append(_PUSH_NULL)
+            ops.append(_NULL)
         for i, item in enumerate(seq):
             keep = used and i == len(seq) - 1
             kind = type(item)
@@ -279,20 +261,20 @@ class Program:
                 else:
                     ops.append((ACTIONS, compile_actions(item.exprs, memo)))
             elif kind is ElementSpec:  # its branches leave a value or none
-                branch = self._ops(item.else_body, True, memo, keep)
+                branch = self._ops(item.else_body, memo, keep)
                 if not branch and not item.guarded:
                     ops.append((START, item.tag, item.attrs, None, None))
                 else:
                     end = ((TAG_END, item.tag),)
                     guarded = tuple(
-                        (compile_expr(g, memo), end + self._ops(body, True, memo, keep))
+                        (compile_expr(g, memo), end + self._ops(body, memo, keep))
                         for g, body in item.guarded
                     )
                     ops.append((START, item.tag, item.attrs, guarded, end + branch))
                 continue
             elif kind is Ok:
                 if keep:
-                    ops.append(_PUSH_NULL)
+                    ops.append(_NULL)
                 continue
             elif kind in _LEAF_OPS:
                 ops.append(_LEAF_OPS[kind])
@@ -361,7 +343,7 @@ class Machine:
         # holds the start arguments under names no grammar can bind.
         self.env: Env = {f"${i}": value for i, value in enumerate(args)}
         args = tuple([compile_expr(VarRef(name), {}) for name in self.env])
-        self.program: List[tuple] = [table.program.call(start_rule, args) + (LAST,)]
+        self.program: List[tuple] = [table.program.call(start_rule, args)]
 
     def run(self) -> Value:
         """Drive the machine to completion and return the synthesized value.
@@ -470,14 +452,14 @@ class Machine:
                     args = item[3]
                     if args:
                         args = tuple([f(env) for f in args])
-                    if item[4] == SAVE:
+                    if program and program[-1][0] < ENV_RESTORE:  # ops of its clause follow
                         program.append((ENV_RESTORE, env))
                         saved += 1
                         if saved > depth:
                             depth = saved
-                    env = dict(zip(item[1].params, args)) if args else {}
+                    env = dict(zip(item[4], args)) if args else {}
                     values.append([])  # the accumulator
-                    program.append((NEXT, item[1].row, item[2], env))
+                    program.append((NEXT, item[1], item[2], env))
                 elif op == ACTIONS:
                     values.append(item[1](env))
                 elif op == CALL:
@@ -491,7 +473,7 @@ class Machine:
                         message = f"no prediction for rule {item[2]} on {token_label(token)}"
                         raise ParseFailure(NO_PREDICT_ENTRY, message, position)
                     params, body = clause
-                    if item[4] == SAVE:
+                    if program and program[-1][0] < ENV_RESTORE:  # ops of its clause follow
                         program.append((ENV_RESTORE, env))
                         saved += 1
                         if saved > depth:
@@ -503,8 +485,6 @@ class Machine:
                     saved -= 1
                 elif op == POP:
                     values.pop()
-                elif op == PUSH_NULL:
-                    values.append(NULL)
                 elif op == TEXT:
                     event = next(events, None) if event is unread else event
                     if type(event) is not TextEvt:

@@ -78,10 +78,9 @@ from .ast import (
 class ParseDiagnostic:
     span: SourceSpan
     message: str
-    severity: str = "error"
 
     def __str__(self) -> str:
-        return f"{self.span}: {self.severity}: {self.message}"
+        return f"{self.span}: error: {self.message}"
 
 
 class GrammarParseError(Exception):
@@ -592,7 +591,7 @@ def try_parse_grammar(
 ) -> Tuple[Optional[Grammar], List[ParseDiagnostic]]:
     """Parse; returns (grammar-or-None, diagnostics in source order).
 
-    The grammar is None exactly when an error-severity diagnostic was issued.
+    The grammar is None exactly when a diagnostic was issued.
     """
     diagnostics: List[ParseDiagnostic] = []
     parser = _Parser(lex(source, diagnostics), diagnostics, allow_internal_names)
@@ -603,7 +602,7 @@ def try_parse_grammar(
         pass
     # The lexer reports before the parser runs; interleave the two by position.
     diagnostics.sort(key=lambda d: (d.span.line, d.span.column))
-    if any(d.severity == "error" for d in diagnostics):
+    if diagnostics:
         return None, diagnostics
     return grammar, diagnostics
 

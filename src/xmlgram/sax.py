@@ -2,9 +2,10 @@
 
 Supported: elements, attributes, character data, character and the five
 predefined entity references, comments (skipped) and an XML declaration
-(skipped).  DOCTYPE, CDATA, processing instructions and namespace-prefixed
-names raise UnsupportedFeature; anything expat rejects raises MalformedXml
-with the line and column expat reports.
+(skipped).  DOCTYPE, CDATA, processing instructions, namespace-prefixed
+names and a declared encoding that expat cannot use (unknown, or
+multi-byte other than UTF-8 and UTF-16) raise UnsupportedFeature; anything
+expat rejects raises MalformedXml with the line and column expat reports.
 
 The source is a string or a file, read ``_CHUNK`` characters (text file) or
 bytes (binary file, whose declared encoding expat honours) at a time.  Each
@@ -86,6 +87,7 @@ class SaxReader:
             source = io.StringIO(source)
         self._source = source
         self.max_window = 0
+        self._encoding: Optional[str] = None  # the one the XML declaration names
         self._parser = parser = expat.ParserCreate()
         parser.buffer_text = True
         self._events: List[SaxEvent] = []
@@ -126,6 +128,9 @@ class SaxReader:
                 flush()
             emit(end_tags[tag])  # expat has already matched it with its start tag
 
+        def declaration(version: str, encoding: Optional[str], standalone: int) -> None:
+            self._encoding = encoding
+
         def unsupported(what: str):
             def handler(*_):
                 raise error(f"{what} are not supported", UnsupportedFeature)
@@ -136,6 +141,7 @@ class SaxReader:
             "StartElementHandler": start,
             "EndElementHandler": end,
             "CharacterDataHandler": text.append,
+            "XmlDeclHandler": declaration,
             "StartDoctypeDeclHandler": unsupported("DOCTYPE declarations"),
             "StartCdataSectionHandler": unsupported("CDATA sections"),
             "ProcessingInstructionHandler": unsupported("processing instructions"),
@@ -198,6 +204,9 @@ class SaxReader:
                 parser.CurrentLineNumber,
                 parser.CurrentColumnNumber + 1,
             )
+        except (LookupError, ValueError):  # expat asked Python for the declared encoding
+            message = f"encoding {self._encoding!r} is not supported"  # unknown, or multi-byte
+            return UnsupportedFeature(message, parser.CurrentLineNumber, parser.CurrentColumnNumber + 1)
         return None
 
     def __iter__(self) -> Iterator[SaxEvent]:

@@ -413,6 +413,10 @@ class GrammarGen:
             # repetition's cons rule.
             if not any(_consumes(i, calls=False) for i in inner):
                 inner = (self.element(depth + 1, scope, budget),)
+            draw = rng.random()
+            if draw < 0.3:  # an item the machine runs as a leaf, alone or as one alternative
+                leaf = self.leaf(scope)
+                inner = leaf if draw < 0.2 else (Or((leaf, inner)),)
             var = self.bind_var(scope)
             return Bind((var,), (Star(inner),)), [var], False
         if kind == "or":
@@ -460,6 +464,13 @@ class GrammarGen:
         else:
             else_body, _ = self.seq(depth + 1, inner_scope, allow_or=False, budget=budget)
         return ElementSpec(tag, tuple(attrs), guarded, else_body)
+
+    def leaf(self, scope: List[str]) -> BodySeq:
+        """An empty element with attributes, then an action that may read them."""
+        attrs = [(self.fresh_var(), attr) for attr in ATTRS if self.rng.random() < 0.5]
+        attrs = attrs or [(self.fresh_var(), self.rng.choice(ATTRS))]
+        element = ElementSpec(self.rng.choice(TAGS), tuple(attrs), (), (Ok(),))
+        return (element, self.make_actions(scope + [var for var, _ in attrs]))
 
     def call(self, scope: List[str], targets: List[str]) -> Call:
         """A call to one of ``targets`` with as many arguments as its rule

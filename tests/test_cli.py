@@ -622,6 +622,31 @@ def test_parse_invalid_utf8_is_malformed_xml(files, tmp_path, capsys, extra):
     assert capsys.readouterr().err == f"{d}:1:13: not well-formed (invalid token)\n"
 
 
+@pytest.mark.parametrize("extra", [[], ["--oracle"]], ids=["engine", "oracle"])
+@pytest.mark.parametrize("encoding", ["bogus-enc", "shift_jis", "utf-32"])
+def test_parse_unusable_declared_encoding_is_unsupported(files, tmp_path, capsys, extra, encoding):
+    # expat asks Python for an encoding it does not know: an unknown one, or
+    # a multi-byte one other than UTF-8 and UTF-16.
+    g = files("test.xg", TEST_GRAMMAR)
+    d = tmp_path / "doc.xml"
+    d.write_bytes(f'<?xml version="1.0" encoding="{encoding}"?><A><B name="x"/></A>'.encode())
+    assert main(["parse", g, str(d)] + extra) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"{d}:1:31: encoding {encoding!r} is not supported\n"
+    assert captured.out == ""
+
+
+def test_parse_oracle_budget_must_be_an_integer(files, capsys, monkeypatch):
+    monkeypatch.setenv("XMLGRAM_MAX_DERIVATIONS", "abc")
+    g = files("test.xg", TEST_GRAMMAR)
+    d = files("doc.xml", '<A><B name="x"/></A>')
+    assert main(["parse", g, d, "--oracle"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: XMLGRAM_MAX_DERIVATIONS must be an integer, got 'abc'\n"
+    assert captured.out == ""
+    assert main(["parse", g, d]) == 0  # the engine does not read it
+
+
 def test_parse_oracle_evaluation_error_is_a_parse_failure(files, capsys):
     g = files("g.xg", "@Grammar G R ::= <T/> {addChild(1, 2)}. end")
     d = files("doc.xml", "<T/>")

@@ -315,6 +315,29 @@ def test_right_recursion_with_a_pending_action_saves_an_environment_per_level():
     assert machine.max_dump_depth >= 20_000
 
 
+@pytest.mark.parametrize(
+    "rules, document, value, steps, depth",
+    [
+        pytest.param("R ::= <r/> S. S ::= <s/> {1}.", "<x><r/><s/></x>", "1", 9, 1, id="call-ends-clause"),
+        pytest.param("R ::= <r> S </r>. S ::= <s/> {1}.", "<x><r><s/></r></x>", "1", 11, 2, id="call-before-end-tag"),
+        pytest.param("R ::= S {2}. S ::= <s/> {1}.", "<x><s/></x>", "2", 11, 2, id="call-then-action"),
+        pytest.param("R ::= v = S {v}. S ::= <s/> {1}.", "<x><s/></x>", "1", 10, 2, id="call-then-fused-bind"),
+        pytest.param("R ::= I*. I ::= <i/> {1}.", "<x><i/><i/></x>", "Cons(1,Cons(1,Nil))", 10, 1, id="loop-ends-clause"),
+        pytest.param(
+            "R ::= xs = I* {xs}. I ::= <i/> {1}.", "<x><i/><i/></x>", "Cons(1,Cons(1,Nil))", 12, 2,
+            id="loop-then-fused-bind",
+        ),
+    ],
+)
+def test_a_call_saves_its_environment_unless_nothing_in_its_clause_follows(rules, document, value, steps, depth):
+    # X's call to R is followed by its end tag, so it saves one environment;
+    # R's own call or loop saves another only when its clause goes on after it.
+    _, table = make_table(f"@Grammar G X ::= <x> v = R </x> {{v}}. {rules} end", "X")
+    machine = Machine(table, "X", read_events(document))
+    assert render_term(machine.run()) == value
+    assert (machine.steps, machine.max_dump_depth) == (steps, depth)
+
+
 def test_engine_agrees_with_oracle_on_models():
     g = parse_grammar(MODELS_GRAMMAR)
     normal = normalize_grammar(g)
@@ -462,7 +485,7 @@ def test_a_loop_mixes_leaf_and_other_items_and_leaves_read_its_parameters():
     end"""
     _, table = make_table(source, "R")
     (loop,) = Program(table).loops.values()
-    assert type(loop.row["B"][0]) is int and type(loop.row["C"][0]) is tuple  # a leaf, then ops
+    assert type(loop["B"][0]) is int and type(loop["C"][0]) is tuple  # a leaf, then ops
     oracle = Oracle(parse_grammar(source))
     docs = [
         '<R k="1"><B name="a"/><B name="b"/><C>hi</C><B name="c"/><C>x</C><C>y</C></R>',
@@ -666,4 +689,4 @@ def test_program_shares_closures_of_equal_expressions():
     loops = program.loops
     assert sorted(loops) == ["A$1", "B$2"] and not set(loops) & set(rows)
     (leaf,) = rows["I"]["I"][1]
-    assert loops["A$1"].row["I"] is loops["B$2"].row["I"] is leaf
+    assert loops["A$1"]["I"] is loops["B$2"]["I"] is leaf
