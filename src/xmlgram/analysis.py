@@ -31,7 +31,7 @@ cell are recorded as conflicts, never overwritten.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import AbstractSet, Dict, FrozenSet, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import AbstractSet, Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
 from .ast import (
     Actions,
@@ -159,16 +159,19 @@ def compute_sets(grammar: Grammar, start_rule: str) -> AnalysisResult:
     )
 
 
-def _calls(seq: BodySeq, nullable: Optional[Set[str]] = None) -> Iterator[Call]:
+def _calls(seq: BodySeq, nullable: Optional[Set[str]] = None) -> List[Call]:
     """The calls outside elements, whose first sets feed ``seq``'s; given
     ``nullable``, only those that can come before ``seq`` consumes input."""
+    out: List[Call] = []
     for item in seq:
-        if isinstance(item, Call):
-            yield item
-        elif isinstance(item, Bind):
-            yield from _calls(item.body, nullable)
+        kind = type(item)
+        if kind is Call:
+            out.append(item)
+        elif kind is Bind:
+            out += _calls(item.body, nullable)
         if nullable is not None and not first_null((item,), nullable, {})[1]:
-            return
+            break
+    return out
 
 
 def _walk_follow(
@@ -187,7 +190,10 @@ def _walk_follow(
     rest_first: Set[Token] = set()
     rest_null = True
     for item in reversed(seq):
-        if isinstance(item, Call):
+        kind = type(item)
+        if kind is Actions:  # consumes nothing and calls nothing
+            continue
+        if kind is Call:
             tokens = follow.setdefault(item.name, set())
             tokens |= rest_first
             if rest_null:
@@ -195,12 +201,12 @@ def _walk_follow(
                 if caller is not None:
                     edges[caller].add(item.name)
             item_first, item_null = first.get(item.name, ()), item.name in nullable
-        elif isinstance(item, Bind):
+        elif kind is Bind:
             if rest_null:
                 item_first, item_null = _walk_follow(item.body, rest_first | after, caller, sets)
             else:
                 item_first, item_null = _walk_follow(item.body, rest_first, None, sets)
-        elif isinstance(item, ElementSpec):
+        elif kind is ElementSpec:
             inside = {end_token(item.tag)}
             for _, body in item.guarded:
                 _walk_follow(body, inside, None, sets)

@@ -20,7 +20,7 @@ parses (or of a rewritten grammar against a reference parse) just uses
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, Iterator, NamedTuple, Optional, Tuple, Union
+from typing import FrozenSet, List, NamedTuple, Optional, Tuple, Union
 
 
 class SourceSpan(NamedTuple):
@@ -232,26 +232,27 @@ Body = Union[Or, Bind, Star, Empty, Any, Ok, Text, Call, Actions, ElementSpec]
 BodySeq = Tuple[Body, ...]
 
 
-def bodies(item: Body) -> Tuple[BodySeq, ...]:
-    """The body sequences directly inside a node, in source order."""
-    if isinstance(item, Or):
-        return item.branches
-    if isinstance(item, (Bind, Star)):
-        return (item.body,)
-    if isinstance(item, ElementSpec):
-        return tuple(body for _, body in item.guarded) + (item.else_body,)
-    return ()
-
-
-def walk(seq: BodySeq) -> Iterator[Body]:
+def walk(seq: BodySeq) -> List[Body]:
     """Every item of ``seq`` and of the bodies nested in it, in source order
-    (each item before the items inside it)."""
+    (each item before the items inside it).  A plain loop over one stack of
+    pending items, not a generator: the checks call it on every clause."""
+    out: List[Body] = []
     stack = list(reversed(seq))
+    pop, extend = stack.pop, stack.extend
     while stack:
-        item = stack.pop()
-        yield item
-        for body in reversed(bodies(item)):
-            stack.extend(reversed(body))
+        item = pop()
+        out.append(item)
+        kind = type(item)
+        if kind is Bind or kind is Star:
+            extend(reversed(item.body))
+        elif kind is ElementSpec:
+            extend(reversed(item.else_body))
+            for _, body in reversed(item.guarded):
+                extend(reversed(body))
+        elif kind is Or:
+            for body in reversed(item.branches):
+                extend(reversed(body))
+    return out
 
 
 @dataclass(slots=True, unsafe_hash=True)

@@ -7,8 +7,8 @@
                   [--oracle] [--keep-whitespace]
 
 Exit codes: 0 success, 1 grammar/document error, 2 I/O error or bad usage.
-The environment variable XMLGRAM_MAX_DERIVATIONS, an integer, caps the
-oracle's search.
+The environment variable XMLGRAM_MAX_DERIVATIONS, a positive integer, caps
+the oracle's search.
 """
 
 from __future__ import annotations
@@ -106,7 +106,10 @@ def cmd_parse(args: argparse.Namespace) -> int:
         try:
             max_steps = int(budget)
         except ValueError:
-            print(f"error: XMLGRAM_MAX_DERIVATIONS must be an integer, got {budget!r}", file=sys.stderr)
+            max_steps = 0
+        if max_steps < 1:
+            message = f"XMLGRAM_MAX_DERIVATIONS must be a positive integer, got {budget!r}"
+            print(f"error: {message}", file=sys.stderr)
             return USAGE_ERROR
     grammar, compiled, code = _compile(args.grammar, args.start)
     if code:

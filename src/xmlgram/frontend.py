@@ -31,18 +31,26 @@ that character.  A string ends at its line: one still open there is an error.
 Identifiers containing ``$`` are reserved for generated names and rejected
 unless ``allow_internal_names`` is set (the normalizer's output uses them).
 
-The lexer matches one regular expression once per token, the blanks and
-comments before the token included, and fills flat lists of token kinds,
-texts and source offsets (``Tokens``); it makes no object per token.  The
-parser reads those lists by index and computes a ``SourceSpan`` from the
-offsets only for the AST nodes and diagnostics that carry one.
+The lexer splits the source with one ``findall`` into chunks, each a token
+with the blanks and comments before it, and fills flat lists of token kinds,
+texts, start offsets and lengths (``Tokens``) with maps over those lists, so
+no Python code runs per token; only a chunk that neither its whole text nor
+its first character classify (a string, a negative integer, a token after a
+comment, a word that starts outside ASCII, or an error) is matched again on
+its own.  It makes no object per token.  The parser reads those lists by
+index, tests and consumes tokens in place on its hot paths, and computes a
+``SourceSpan`` from the offsets only for the AST nodes and diagnostics that
+carry one.
 """
 
 from __future__ import annotations
 
 import re
+import string
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate, repeat
+from operator import itemgetter, sub
 from typing import List, NoReturn, Optional, Tuple
 
 from .ast import (
@@ -124,10 +132,12 @@ _PUNCT = {
 # alternative per token class.  The classes are told apart by their first
 # character, except that "->" is PUNCT and "-1" is INT, and OTHER takes any
 # character no other class does.  Longer punctuation comes first, so "::="
-# wins over ":".  After the last token only EOF matches.
+# wins over ":".  After the last token only EOF matches.  The blanks are one
+# character class and each comment takes the blanks after it, so the prefix
+# never backtracks.
 _TOKEN = re.compile(
     r"""
-    (?: [ \t\r\n]+ | //[^\n]* )*
+    [ \t\r\n]* (?: //[^\n]* [ \t\r\n]* )*
     (?: (?P<PUNCT> %s )
       | (?P<IDENT> [^\W\d][\w$]* )
       | (?P<INT> -?\d+ )
@@ -140,82 +150,124 @@ _TOKEN = re.compile(
     % "|".join(re.escape(text) for text in sorted(_PUNCT, key=len, reverse=True)),
     re.VERBOSE,
 )
+# The same matches without groups, so that ``findall`` lists their texts.
+_CHUNK = re.compile(re.sub(r"\(\?P<\w+>", "(?:", _TOKEN.pattern), re.VERBOSE)
+
+# The kind of a token from its whole text, else from its first character;
+# any other token (a string, a negative integer, one after a comment, an
+# identifier that starts outside ASCII, or an error) is lexed again alone.
+_BY_TEXT = {**_PUNCT, **_KEYWORDS, "@Grammar": "ATGRAMMAR"}
+_BY_FIRST = dict.fromkeys(string.ascii_letters + "_", "IDENT") | dict.fromkeys(string.digits, "INT")
+_BY_FIRST[""] = "EOF"
+_first = itemgetter(slice(1))  # a text's first character, "" for EOF
 
 _ESCAPE = re.compile(r"\\(.)")
 _ESCAPED = {"n": "\n", "t": "\t"}  # any other escaped character stands for itself
 
 _NEWLINE = re.compile("\n")
+_new_span = tuple.__new__  # builds a SourceSpan without its Python-level __new__
 
 
 class Tokens:
     """A lexed grammar as parallel lists, one entry per token: its kind
     (IDENT, INT, STRING, ATGRAMMAR, EOF, a keyword or a ``_PUNCT`` name), its
-    text (a string's characters with escapes resolved) and its start and end
-    offsets in the source.  They end in two EOF tokens, so the parser can look
-    one token past the end.  A token's ``SourceSpan`` is built only when asked
-    for, from the offsets at which lines start."""
+    text (a string's characters with escapes resolved) and its start offset
+    and length in the source.  They end in two EOF tokens, so the parser can
+    look one token past the end.  A token's ``SourceSpan`` is built only when
+    asked for, from the offsets at which lines start."""
 
-    __slots__ = ("kinds", "texts", "starts", "ends", "line_starts")
+    __slots__ = ("kinds", "texts", "starts", "lengths", "line_starts")
 
     def __init__(self, source: str) -> None:
         self.kinds: List[str] = []
         self.texts: List[str] = []
         self.starts: List[int] = []
-        self.ends: List[int] = []
+        self.lengths: List[int] = []
         self.line_starts = [0] + [m.end() for m in _NEWLINE.finditer(source)]
 
     def span(self, i: int) -> SourceSpan:
-        return self.span_at(self.starts[i], self.ends[i])
+        start = self.starts[i]
+        line = bisect_right(self.line_starts, start)
+        return _new_span(SourceSpan, (line, start - self.line_starts[line - 1] + 1, self.lengths[i]))
 
     def span_at(self, start: int, end: int) -> SourceSpan:
         line = bisect_right(self.line_starts, start)
-        return SourceSpan(line, start - self.line_starts[line - 1] + 1, end - start)
+        return _new_span(SourceSpan, (line, start - self.line_starts[line - 1] + 1, end - start))
 
 
 def lex(source: str, diagnostics: List[ParseDiagnostic]) -> Tokens:
     """The tokens of ``source``; unknown characters and markers and
-    unterminated strings are diagnostics, and an unknown one is no token."""
+    unterminated strings are diagnostics, and an unknown one is no token.
+
+    One ``findall`` splits the source into chunks, each a token with the
+    blanks and comments before it, and maps over those lists give the
+    kinds, texts and offsets, with no Python code per token.  A rare chunk,
+    which neither its text nor its first character classify, is lexed again
+    alone; it is one token unless it holds an error."""
     toks = Tokens(source)
-    kinds, texts, starts, ends = toks.kinds, toks.texts, toks.starts, toks.ends
-    match = _TOKEN.match
-    pos = 0
-    while True:
-        m = match(source, pos)
-        group = m.lastgroup
-        text = m[group]
-        start = m.start(group)
+    chunks = _CHUNK.findall(source)
+    texts = list(map(str.lstrip, chunks, repeat(" \t\r\n")))
+    lengths = list(map(len, texts))
+    starts = list(map(sub, accumulate(map(len, chunks)), lengths))  # each token ends its chunk
+    del chunks  # the blanks and comments they hold are not kept
+    kinds = list(map(_BY_TEXT.get, texts, map(_BY_FIRST.get, map(_first, texts), repeat("?"))))
+    # A rare chunk that is one token, ending where the chunk ends, takes its
+    # place; the others are spliced in after.  So each entry still ends
+    # where its chunk ends, and the next chunk starts there.
+    spliced, i = [], -1
+    for _ in range(kinds.count("?")):
+        i = kinds.index("?", i + 1)
+        end = starts[i] + lengths[i]
+        tokens = _relex(source, starts[i - 1] + lengths[i - 1] if i else 0, end, toks, diagnostics)
+        if len(tokens) == 1 and sum(tokens[0][2:]) == end:
+            kinds[i], texts[i], starts[i], lengths[i] = tokens[0]
+        else:
+            spliced.append((i, tokens))
+    if spliced:
+        rows = list(zip(kinds, texts, starts, lengths))
+        kept, done = [], 0
+        for i, tokens in spliced:
+            kept += rows[done:i]
+            kept += tokens
+            done = i + 1
+        kept += rows[done:]
+        kinds, texts, starts, lengths = map(list, zip(*kept))
+    # The last chunk is an EOF; so is the one before it when the source ends
+    # in blanks or a comment.  The lists end in exactly two.
+    if len(kinds) == 1 or kinds[-2] != "EOF":
+        for tokens, last in zip((kinds, texts, starts, lengths), ("EOF", "", len(source), 0)):
+            tokens.append(last)
+    toks.kinds, toks.texts, toks.starts, toks.lengths = kinds, texts, starts, lengths
+    return toks
+
+
+def _relex(
+    source: str, pos: int, end: int, toks: Tokens, diagnostics: List[ParseDiagnostic]
+) -> List[Tuple[str, str, int, int]]:
+    """The ``(kind, text, start, length)`` of each token of one chunk,
+    ``source[pos:end]``, one match at a time."""
+    tokens = []
+    while pos < end:
+        m = _TOKEN.match(source, pos)
+        kind = m.lastgroup
+        text = m[kind]
+        start = m.start(kind)
         pos = m.end()
-        if group == "PUNCT":
-            kind = _PUNCT[text]
-        elif group == "IDENT" and (text[0].isalpha() or text[0] == "_"):
-            kind = _KEYWORDS.get(text, "IDENT")
-        elif group == "INT":
-            kind = "INT"
-        elif group == "STRING":
+        if kind == "IDENT" and not (text[0].isalpha() or text[0] == "_"):
+            # [^\W\d] also matches numerals such as '½'; they start no word
+            kind, text, pos = "OTHER", text[0], start + 1
+        kind = _BY_TEXT.get(text, kind)  # IDENT, INT, STRING and EOF are named by their group
+        span = toks.span_at(start, pos)
+        if kind == "STRING":
             if not m["CLOSE"]:
-                span = toks.span_at(start, pos)
                 diagnostics.append(ParseDiagnostic(span, "unterminated string literal"))
-            kind, text = "STRING", _ESCAPE.sub(lambda e: _ESCAPED.get(e[1], e[1]), m["CHARS"])
-        elif group == "MARKER" and text == "@Grammar":
-            kind = "ATGRAMMAR"
-        elif group == "EOF":
-            break
-        else:  # an unknown marker or character
-            if group == "IDENT":  # [^\W\d] also matches numerals such as '½'; they start no word
-                text, pos = text[0], start + 1
-            what = "marker" if group == "MARKER" else "character"
-            span = toks.span_at(start, pos)
+            text = _ESCAPE.sub(lambda e: _ESCAPED.get(e[1], e[1]), m["CHARS"])
+        elif kind == "MARKER" or kind == "OTHER":
+            what = "marker" if kind == "MARKER" else "character"
             diagnostics.append(ParseDiagnostic(span, f"unknown {what} {text!r}"))
             continue
-        kinds.append(kind)
-        texts.append(text)
-        starts.append(start)
-        ends.append(pos)
-    kinds += ("EOF", "EOF")
-    texts += ("", "")
-    starts += (pos, pos)
-    ends += (pos, pos)
-    return toks
+        tokens.append((kind, text, start, pos - start))
+    return tokens
 
 
 # --------------------------------------------------------------------------
@@ -242,12 +294,15 @@ _LITERALS = {
 # once per level, so a grammar within the bound stays well inside Python's
 # recursion limit, and a deeper one is a diagnostic, not a RecursionError.
 MAX_NESTING = 100
+_TOO_DEEP = f"nesting deeper than {MAX_NESTING} levels"
 
 
 class _Parser:
     """Recursive descent over ``Tokens``.  A token is its index into the
     lists; the token helpers return indices, and ``span`` builds a token's
-    ``SourceSpan`` for the AST node or diagnostic that needs one."""
+    ``SourceSpan`` for the AST node or diagnostic that needs one.  The
+    methods run once per component or expression test and consume tokens
+    in place, and count their nesting level, without calling a helper."""
 
     def __init__(self, toks: Tokens, diagnostics: List[ParseDiagnostic], allow_internal: bool):
         self.kinds = toks.kinds
@@ -292,7 +347,7 @@ class _Parser:
         """Enter one nesting level at the current token; the caller leaves
         it with ``self.depth -= 1``."""
         if self.depth == MAX_NESTING:
-            self.error(f"nesting deeper than {MAX_NESTING} levels")
+            self.error(_TOO_DEEP)
         self.depth += 1
 
     def expect(self, kind: str, what: str) -> int:
@@ -304,9 +359,13 @@ class _Parser:
 
     def ident(self, what: str) -> str:
         """The text of an IDENT token, which is ``self.pos - 1`` after it."""
-        text = self.texts[self.expect("IDENT", what)]
+        pos = self.pos
+        if self.kinds[pos] != "IDENT":
+            self.unexpected(what)
+        self.pos = pos + 1
+        text = self.texts[pos]
         if "$" in text and not self.allow_internal:
-            self.note(self.pos - 1, f"identifier {text!r} uses reserved character '$'")
+            self.note(pos, f"identifier {text!r} uses reserved character '$'")
         return text
 
     def names(self, what: str, repeated: str, close: str, closing: str) -> Tuple[str, ...]:
@@ -323,10 +382,12 @@ class _Parser:
 
     def exprs(self, close: str, what: str) -> Tuple[Expr, ...]:
         """Zero or more comma-separated expressions, then ``close``."""
+        kinds = self.kinds
         items: List[Expr] = []
-        if not self.at(close):
+        if kinds[self.pos] != close:
             items.append(self.parse_expr())
-            while self.accept("COMMA") is not None:
+            while kinds[self.pos] == "COMMA":
+                self.pos += 1
                 items.append(self.parse_expr())
         self.expect(close, what)
         return tuple(items)
@@ -404,46 +465,48 @@ class _Parser:
         return (Or(tuple(flat), span=first[0].span if nested else self.span(pipe)),)
 
     def parse_sequence(self) -> BodySeq:
+        kinds = self.kinds
         items: List[Body] = []
-        while self.kinds[self.pos] in _ITEM_START:
+        while kinds[self.pos] in _ITEM_START:
             items.extend(self.parse_component())
         return tuple(items)
 
     def parse_component(self) -> BodySeq:
-        """One component, spliced into the surrounding sequence.
+        """One component, which the caller has seen starts with an
+        ``_ITEM_START`` token, spliced into the surrounding sequence.
 
         Groups ``( ... )`` without a ``*`` flatten into the sequence; starred
         groups become a single ``Star`` item spanning the ``*``.  Each
         component is one nesting level.
         """
-        self.nest()
-        seq = self.parse_primary()
+        if self.depth == MAX_NESTING:
+            self.error(_TOO_DEEP)
+        self.depth += 1
+        kinds = self.kinds
+        pos = self.pos
+        kind = kinds[pos]
+        if kind == "IDENT" and kinds[pos + 1] != "EQ":
+            seq: BodySeq = (self.parse_call(),)
+        elif kind == "IDENT" or kind == "LBRACK":
+            seq = (self.parse_bind(),)
+        elif kind == "LT":
+            seq = (self.parse_element(),)
+        elif kind == "LBRACE":
+            self.pos = pos + 1
+            seq = (Actions(self.exprs("RBRACE", "'}'"), span=self.span(pos)),)
+        elif kind == "LPAREN":
+            self.pos = pos + 1
+            seq = self.parse_alternation()
+            self.expect("RPAREN", "')'")
+        else:  # a keyword body
+            self.pos = pos + 1
+            seq = (_KEYWORD_BODIES[kind](span=self.span(pos)),)
         self.depth -= 1
-        star = self.accept("STAR")
-        if star is not None:
+        star = self.pos
+        if kinds[star] == "STAR":
+            self.pos = star + 1
             return (Star(seq, span=self.span(star)),)
         return seq
-
-    def parse_primary(self) -> BodySeq:
-        kind = self.kinds[self.pos]
-        if kind == "IDENT":
-            if self.kinds[self.pos + 1] == "EQ":
-                return (self.parse_bind(),)
-            return (self.parse_call(),)
-        if kind == "LBRACK":
-            return (self.parse_bind(),)
-        if kind == "LT":
-            return (self.parse_element(),)
-        if kind == "LBRACE":
-            return (self.parse_actions(),)
-        if kind == "LPAREN":
-            self.next()
-            inner = self.parse_alternation()
-            self.expect("RPAREN", "')'")
-            return inner
-        if kind in _KEYWORD_BODIES:
-            return (_KEYWORD_BODIES[kind](span=self.span(self.next())),)
-        self.unexpected("a rule body component")
 
     def parse_bind(self) -> Bind:
         span = self.span(self.pos)
@@ -462,30 +525,29 @@ class _Parser:
         args = self.exprs("RPAREN", "')'") if self.accept("LPAREN") is not None else ()
         return Call(name, args, span=span)
 
-    def parse_actions(self) -> Actions:
-        span = self.span(self.expect("LBRACE", "'{'"))
-        return Actions(self.exprs("RBRACE", "'}'"), span=span)
-
     def parse_element(self) -> ElementSpec:
-        span = self.span(self.expect("LT", "'<'"))
+        kinds = self.kinds
+        span = self.span(self.next())
         tag = self.ident("element tag")
         attrs: List[Tuple[str, str]] = []
-        while self.at("IDENT"):
-            var = self.ident("attribute name")
-            var_tok = self.pos - 1
-            attr_name = var
-            if self.accept("EQ") is not None:
+        while kinds[self.pos] == "IDENT":
+            var_tok = self.pos
+            var = attr_name = self.ident("attribute name")
+            if kinds[self.pos] == "EQ":
+                self.pos += 1
                 attr_name = self.ident("attribute name")
-            if any(var == seen for seen, _ in attrs):
+            if attrs and any(var == seen for seen, _ in attrs):
                 self.note(var_tok, f"duplicate attribute variable {var!r}")
             attrs.append((var, attr_name))
 
         guarded: List[Tuple[Expr, BodySeq]] = []
         else_body: BodySeq = ()
-        if self.accept("SLASHGT") is not None:
+        kind = kinds[self.pos]
+        if kind == "SLASHGT":
             # <Tag attrs/> is shorthand for <Tag attrs> OK </Tag>.
+            self.pos += 1
             return ElementSpec(tag, tuple(attrs), (), (Ok(),), span=span)
-        if self.at("when"):
+        if kind == "when":
             while self.accept("when") is not None:
                 guard = self.parse_expr()
                 self.expect("GT", "'>' after guard")
@@ -506,13 +568,17 @@ class _Parser:
 
     def parse_expr(self) -> Expr:
         """A postfix expression, or a comparison of two, then ``: tail``."""
-        self.nest()
+        if self.depth == MAX_NESTING:
+            self.error(_TOO_DEEP)
+        self.depth += 1
+        kinds = self.kinds
         expr = self.parse_postfix_expr()
-        kind = self.kinds[self.pos]
+        kind = kinds[self.pos]
         if kind == "EQ" or kind == "NEQ":
-            self.next()
+            self.pos += 1
             expr = Compare("=" if kind == "EQ" else "<>", expr, self.parse_postfix_expr())
-        if self.accept("COLON") is not None:
+        if kinds[self.pos] == "COLON":
+            self.pos += 1
             expr = ConsExpr(expr, self.parse_expr())
         self.depth -= 1
         return expr
@@ -557,28 +623,30 @@ class _Parser:
         return Fold(elem, acc, init, step, over, span=self.span(kw_tok))
 
     def parse_atom(self) -> Expr:
+        kinds = self.kinds
         tok = self.pos
-        kind = self.kinds[tok]
-        if kind in _LITERALS:
-            self.next()
-            return _LITERALS[kind](self.texts[tok], self.span(tok))
-        if kind == "LPAREN":
-            self.next()
-            inner = self.parse_expr()
-            self.expect("RPAREN", "')'")
-            return inner
+        kind = kinds[tok]
         if kind == "IDENT":
-            if self.texts[tok] == "Seq" and self.kinds[self.pos + 1] == "LBRACE":
-                self.pos += 2
+            if kinds[tok + 1] == "LBRACE" and self.texts[tok] == "Seq":
+                self.pos = tok + 2
                 return ListLit(self.exprs("RBRACE", "'}'"), span=self.span(tok))
             name = self.ident("name")
-            if self.accept("LPAREN") is not None:
+            if kinds[tok + 1] == "LPAREN":
+                self.pos = tok + 2
                 return Construct(name, self.exprs("RPAREN", "')'"), span=self.span(tok))
             # Bare names: uppercase initial means a zero-argument constructor
             # (the usual style for term names), lowercase a variable.
             if name[0].isupper():
                 return Construct(name, (), span=self.span(tok))
             return VarRef(name, span=self.span(tok))
+        if kind in _LITERALS:
+            self.pos = tok + 1
+            return _LITERALS[kind](self.texts[tok], self.span(tok))
+        if kind == "LPAREN":
+            self.pos = tok + 1
+            inner = self.parse_expr()
+            self.expect("RPAREN", "')'")
+            return inner
         self.unexpected("an expression")
 
 

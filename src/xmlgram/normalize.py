@@ -145,6 +145,10 @@ def _may_bind(seqs) -> set:
 # --------------------------------------------------------------------------
 
 
+# The nodes that hold body sequences; the walk keeps every other node as it is.
+_NESTING = {Bind, ElementSpec, Star, Or}
+
+
 class _Rewrite:
     """The one walk.  ``item`` returns the items that replace a node and the
     names in scope after them.  It rewrites the node's body sequences first
@@ -161,17 +165,22 @@ class _Rewrite:
     def seq(self, seq: BodySeq, ctx: FrozenSet[str]) -> Tuple[BodySeq, FrozenSet[str]]:
         items: List[Body] = []
         for item in seq:
-            new, ctx = self.item(item, ctx)
-            items.extend(new)
+            if type(item) in _NESTING:
+                new, ctx = self.item(item, ctx)
+                items.extend(new)
+            else:  # a leaf stays as it is
+                items.append(item)
         return tuple(items), ctx
 
     def item(self, item: Body, ctx: FrozenSet[str]) -> Tuple[BodySeq, FrozenSet[str]]:
+        """A node that holds body sequences, rewritten."""
         fresh = self.fresh
-        if isinstance(item, Bind):
+        kind = type(item)
+        if kind is Bind:
             body, ctx = self.seq(item.body, ctx)
             return (Bind(item.names, body, span=item.span),), ctx | frozenset(item.names)
 
-        if isinstance(item, ElementSpec):
+        if kind is ElementSpec:
             inner = ctx | {var for var, _ in item.attrs}
             guarded, after = [], []
             for guard, body in item.guarded:
@@ -189,7 +198,7 @@ class _Rewrite:
             el = ElementSpec(item.tag, item.attrs, tuple(guarded), else_body, span=item.span)
             return (el,), ctx
 
-        if isinstance(item, Star):
+        if kind is Star:
             name, at = fresh.fresh(self.origin), len(self.acc)
             body, _ = self.seq(item.body, ctx)
             params = tuple(sorted(_interface((body,))[0]))
@@ -213,20 +222,18 @@ class _Rewrite:
             self.loops.add(name)
             return (call,), ctx
 
-        if isinstance(item, Or):
-            name, at = fresh.fresh(self.origin), len(self.acc)
-            branches = [self.seq(branch, ctx)[0] for branch in item.branches]
-            free, bound = _interface(branches)
-            rebound = ctx.intersection(_may_bind(branches)) if ctx else frozenset()
-            params = tuple(sorted(free | rebound))
-            exported = tuple(sorted(bound | rebound))
-            self.acc[at:at] = [
-                Clause(name, params, _returning(branch, exported, fresh)) for branch in branches
-            ]
-            call = Call(name, _var_refs(params), span=item.span)
-            return _call_site(call, exported, fresh), ctx | bound
-
-        return (item,), ctx
+        # an Or
+        name, at = fresh.fresh(self.origin), len(self.acc)
+        branches = [self.seq(branch, ctx)[0] for branch in item.branches]
+        free, bound = _interface(branches)
+        rebound = ctx.intersection(_may_bind(branches)) if ctx else frozenset()
+        params = tuple(sorted(free | rebound))
+        exported = tuple(sorted(bound | rebound))
+        self.acc[at:at] = [
+            Clause(name, params, _returning(branch, exported, fresh)) for branch in branches
+        ]
+        call = Call(name, _var_refs(params), span=item.span)
+        return _call_site(call, exported, fresh), ctx | bound
 
 
 def _rewrite(grammar: Grammar) -> Grammar:
@@ -249,9 +256,19 @@ def _rewrite(grammar: Grammar) -> Grammar:
 
 def is_normal_form(grammar: Grammar) -> bool:
     """No alternation and no repetition anywhere."""
-    return not any(
-        isinstance(item, (Or, Star)) for clause in grammar.clauses for item in walk(clause.body)
-    )
+    seqs = [clause.body for clause in grammar.clauses]
+    while seqs:
+        for item in seqs.pop():
+            kind = type(item)
+            if kind is Bind:
+                seqs.append(item.body)
+            elif kind is ElementSpec:
+                seqs.append(item.else_body)
+                for _, body in item.guarded:
+                    seqs.append(body)
+            elif kind is Or or kind is Star:
+                return False
+    return True
 
 
 def normalize_grammar(grammar: Grammar) -> Grammar:

@@ -34,8 +34,6 @@ from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
 from .ast import (
-    CONS,
-    NIL,
     Actions,
     Any,
     Bind,
@@ -53,7 +51,7 @@ from .ast import (
 )
 from .evaluate import eval_actions, eval_expr, eval_guard
 from .events import Element, TextNode, XmlTree
-from .values import NULL, Env, TermVal, TupleVal, Value
+from .values import NULL, ConsList, Env, TupleVal, Value
 
 DEFAULT_MAX_STEPS = 10_000
 
@@ -82,6 +80,8 @@ class OracleResult:
 
 class Oracle:
     def __init__(self, grammar: Grammar, *, max_steps: int = DEFAULT_MAX_STEPS):
+        if max_steps < 1:
+            raise ValueError(f"max_steps must be at least 1, got {max_steps}")
         self.grammar = grammar
         self.max_steps = max_steps
         self._steps = 0
@@ -172,19 +172,23 @@ class Oracle:
 
     def _star(self, body: BodySeq, at: Position, env: Env) -> Iterator[Derivation]:
         # Iterations run in the repetition point's environment and export nothing.
-        # A frame per iteration under way (its start, its untried derivations, its
-        # item), so the search does not recurse per item.  Once a frame has no
-        # derivation left, the match that ends at its start is yielded.
-        frames = [(at, self._seq(body, at, env), None)]
+        # A frame per iteration under way (its start and its untried derivations),
+        # so the search does not recurse per item, and beside them the item of each
+        # frame but the first.  Once a frame has no derivation left, the match that
+        # ends at its start is yielded.  Its value is those items as one ConsList,
+        # which equals and hashes like their Cons/Nil chain and takes one tuple copy
+        # to make, not a term per item.
+        frames = [(at, self._seq(body, at, env))]
+        items: List[Value] = []
         while frames:
             step = next(frames[-1][1], None)
             if step is None:
-                chain = TermVal(NIL, ())
-                for frame in reversed(frames[1:]):
-                    chain = TermVal(CONS, (frame[2], chain))
-                yield frames.pop()[0], env, chain
+                yield frames.pop()[0], env, ConsList(tuple(items))
+                if frames:
+                    items.pop()
             else:
-                frames.append((step[0], self._seq(body, step[0], env), step[2]))
+                frames.append((step[0], self._seq(body, step[0], env)))
+                items.append(step[2])
 
     def _call(self, call: Call, at: Position, env: Env) -> Iterator[Derivation]:
         args = tuple(eval_expr(a, env) for a in call.args)

@@ -24,7 +24,7 @@ simply never match anything, which can be deliberate in a grammar fragment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Union
+from typing import Dict, FrozenSet, List, Optional, Union
 
 from .ast import (
     Actions,
@@ -88,34 +88,41 @@ def expr_vars(expr: Expr) -> List[VarRef]:
     return []
 
 
+def _unbound(exprs, names: FrozenSet[str], uses: List[Union[Call, VarRef]]) -> None:
+    """Appends to ``uses`` each variable reference of ``exprs`` that is not
+    in ``names``, in evaluation order."""
+    for expr in exprs:
+        for ref in expr_vars(expr):
+            if ref.name not in names:
+                uses.append(ref)
+
+
 def scope(seq: BodySeq, ctx: FrozenSet[str], uses: List[Union[Call, VarRef]]) -> FrozenSet[str]:
     """The names in scope after ``seq`` runs with ``ctx`` in scope.
 
     Appends to ``uses``, in source order, each rule call and each variable
     reference that is not in scope where it occurs; a call comes before the
     references in its arguments."""
-
-    def refs(exprs, names) -> None:
-        uses.extend(ref for expr in exprs for ref in expr_vars(expr) if ref.name not in names)
-
     for item in seq:
-        if isinstance(item, Call):
+        kind = type(item)
+        if kind is Call:
             uses.append(item)
-            refs(item.args, ctx)
-        elif isinstance(item, Actions):
-            refs(item.exprs, ctx)
-        elif isinstance(item, Bind):
+            if item.args:
+                _unbound(item.args, ctx, uses)
+        elif kind is Actions:
+            _unbound(item.exprs, ctx, uses)
+        elif kind is Bind:
             ctx = scope(item.body, ctx, uses) | frozenset(item.names)
-        elif isinstance(item, Star):
+        elif kind is Star:
             # Star may iterate zero times, so nothing it binds can be relied on.
             scope(item.body, ctx, uses)
-        elif isinstance(item, Or):
-            ctx = frozenset.intersection(*(scope(b, ctx, uses) for b in item.branches))
-        elif isinstance(item, ElementSpec):
-            inner = ctx | {var for var, _ in item.attrs}
+        elif kind is Or:
+            ctx = frozenset.intersection(*[scope(b, ctx, uses) for b in item.branches])
+        elif kind is ElementSpec:
+            inner = (ctx | {var for var, _ in item.attrs}) if item.attrs else ctx
             bound = []
             for guard, body in item.guarded:
-                refs((guard,), inner)
+                _unbound((guard,), inner, uses)
                 bound.append(scope(body, inner, uses))
             bound.append(scope(item.else_body, inner, uses))
             ctx = frozenset.intersection(*bound)
@@ -128,56 +135,33 @@ def scope(seq: BodySeq, ctx: FrozenSet[str], uses: List[Union[Call, VarRef]]) ->
 def check_grammar(grammar: Grammar) -> List[WfError]:
     """All well-formedness errors; empty means every clause is well formed."""
     errors: List[WfError] = []
-    arities = {}
+    arities: Dict[str, int] = {}
     for clause in grammar.clauses:
-        if clause.name in arities:
-            if arities[clause.name] != len(clause.params):
-                errors.append(
-                    WfError(
-                        clause.name,
-                        f"definitions of {clause.name} disagree on parameter count",
-                        span=clause.span,
-                    )
-                )
-        else:
-            arities[clause.name] = len(clause.params)
+        if arities.setdefault(clause.name, len(clause.params)) != len(clause.params):
+            message = f"definitions of {clause.name} disagree on parameter count"
+            errors.append(WfError(clause.name, message, clause.span))
 
     for clause in grammar.clauses:
         uses: List[Union[Call, VarRef]] = []
         scope(clause.body, frozenset(clause.params), uses)
         for use in uses:
-            if isinstance(use, VarRef):
-                errors.append(
-                    WfError(
-                        clause.name,
-                        f"variable {use.name} may be unbound",
-                        span=use.span,
-                        variable=use.name,
-                    )
-                )
+            if type(use) is VarRef:
+                message = f"variable {use.name} may be unbound"
+                errors.append(WfError(clause.name, message, use.span, variable=use.name))
             elif arities.get(use.name, len(use.args)) != len(use.args):
-                errors.append(
-                    WfError(
-                        clause.name,
-                        f"call to {use.name} with {len(use.args)} argument(s), "
-                        f"expected {arities[use.name]}",
-                        span=use.span,
-                    )
-                )
+                got, expected = len(use.args), arities[use.name]
+                message = f"call to {use.name} with {got} argument(s), expected {expected}"
+                errors.append(WfError(clause.name, message, use.span))
     return errors
 
 
 def lint_grammar(grammar: Grammar) -> List[WfError]:
     """Warnings: calls whose target has no definition (they never match)."""
     defined = {c.name for c in grammar.clauses}
-    return [
-        WfError(
-            clause.name,
-            f"call to undefined rule {item.name!r} (never matches)",
-            span=item.span,
-            severity="warning",
-        )
-        for clause in grammar.clauses
-        for item in walk(clause.body)
-        if isinstance(item, Call) and item.name not in defined
-    ]
+    warnings: List[WfError] = []
+    for clause in grammar.clauses:
+        for item in walk(clause.body):
+            if type(item) is Call and item.name not in defined:
+                message = f"call to undefined rule {item.name!r} (never matches)"
+                warnings.append(WfError(clause.name, message, item.span, severity="warning"))
+    return warnings

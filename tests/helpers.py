@@ -1,7 +1,7 @@
 """Shared fixtures: canonical grammar sources, alpha-equivalence on grammars,
 seeded random generators for grammars and documents, conversions between
-trees, events and XML text, and reference implementations of the lexer and
-the value renderers."""
+trees, events and XML text, and reference implementations of the lexer, the
+value renderers and the AST walks."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import json
 import pathlib
 import random
 import re
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from xmlgram.ast import (
     Actions,
@@ -709,8 +709,8 @@ def next_event(reader: SaxReader) -> Optional[SaxEvent]:
 
 
 def cons_chain(items) -> TermVal:
-    """The ``Cons``/``Nil`` chain of ``items``, one term per cell, as the
-    oracle builds a repetition's value."""
+    """The ``Cons``/``Nil`` chain of ``items``, one term per cell, which a
+    repetition's value equals."""
     node = TermVal("Nil", ())
     for item in reversed(items):
         node = TermVal("Cons", (item, node))
@@ -821,3 +821,40 @@ def reference_tokens(
             diagnostics.append(ParseDiagnostic(span, f"unknown character {text!r}"))
     eof = ("EOF", "", SourceSpan(line, pos - line_start + 1, 0))
     return toks + [eof, eof]
+
+
+# --------------------------------------------------------------------------
+# Reference AST walks: generators in the plain form that ``xmlgram.ast.walk``
+# and ``xmlgram.normalize.is_normal_form`` must agree with.
+# --------------------------------------------------------------------------
+
+
+def _bodies(item: Body) -> Tuple[BodySeq, ...]:
+    """The body sequences directly inside a node, in source order."""
+    if isinstance(item, Or):
+        return item.branches
+    if isinstance(item, (Bind, Star)):
+        return (item.body,)
+    if isinstance(item, ElementSpec):
+        return tuple(body for _, body in item.guarded) + (item.else_body,)
+    return ()
+
+
+def reference_walk(seq: BodySeq) -> Iterator[Body]:
+    """Every item of ``seq`` and of the bodies nested in it, in source order
+    (each item before the items inside it)."""
+    stack = list(reversed(seq))
+    while stack:
+        item = stack.pop()
+        yield item
+        for body in reversed(_bodies(item)):
+            stack.extend(reversed(body))
+
+
+def reference_is_normal_form(grammar: Grammar) -> bool:
+    """No alternation and no repetition anywhere."""
+    return not any(
+        isinstance(item, (Or, Star))
+        for clause in grammar.clauses
+        for item in reference_walk(clause.body)
+    )

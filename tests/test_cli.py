@@ -161,6 +161,20 @@ def test_nesting_at_the_bound_compiles_and_round_trips(files, capsys, kind):
     assert parse_grammar(pretty_grammar(grammar)) == grammar
 
 
+@pytest.mark.parametrize("method", [".add(1)", "->iterate(e a = 1 | a)"], ids=["add", "iterate"])
+def test_method_on_an_expression_at_the_bound_is_a_diagnostic(files, capsys, method):
+    # the innermost argument is an expression MAX_NESTING levels deep; a
+    # method applied to it would nest one level more
+    levels = MAX_NESTING - 2
+    source = f"@Grammar G R ::= <a/> {{{'C(' * levels}x{method}{')' * levels}}}. end"
+    path = files("deep.xg", source)
+    assert main(["check", path]) == 1
+    column = source.index(method[:2]) + 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"{path}:1:{column}: error: nesting deeper than {MAX_NESTING} levels"
+    ]
+
+
 @pytest.mark.parametrize("action", ["{²}", "{-²}", "{1²}"])
 def test_non_decimal_digit_is_an_unknown_character(files, capsys, action):
     path = files("sup.xg", f"@Grammar G R ::= <a/> {action}. end")
@@ -642,9 +656,18 @@ def test_parse_oracle_budget_must_be_an_integer(files, capsys, monkeypatch):
     d = files("doc.xml", '<A><B name="x"/></A>')
     assert main(["parse", g, d, "--oracle"]) == 2
     captured = capsys.readouterr()
-    assert captured.err == "error: XMLGRAM_MAX_DERIVATIONS must be an integer, got 'abc'\n"
+    assert captured.err == "error: XMLGRAM_MAX_DERIVATIONS must be a positive integer, got 'abc'\n"
     assert captured.out == ""
     assert main(["parse", g, d]) == 0  # the engine does not read it
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_parse_oracle_budget_below_one_is_a_usage_error(capsys, monkeypatch, budget):
+    monkeypatch.setenv("XMLGRAM_MAX_DERIVATIONS", budget)
+    assert main(["parse", str(SAMPLES / "seq.xg"), str(SAMPLES / "seq.xml"), "--oracle"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: XMLGRAM_MAX_DERIVATIONS must be a positive integer, got '{budget}'\n"
+    assert captured.out == ""
 
 
 def test_parse_oracle_evaluation_error_is_a_parse_failure(files, capsys):

@@ -348,6 +348,37 @@ def test_lexer_matches_reference_lexer(seed, edit_list):
     assert diagnostics == expected_diagnostics
 
 
+@pytest.mark.parametrize(
+    "source",
+    [
+        "",
+        "R",
+        "R  \n",
+        "R // a comment at the end",
+        "// a comment\n@Grammar G end",
+        "x = -5 -> - y",
+        '"a\\"b" "" "open',
+        "@Bogus @Grammar",
+        "½½ ½x Ⅷ12Ⅷ -1 ٣ é",  # numerals start no word, and a word may start after one
+        "a$b $ ; #",
+    ],
+    ids=[
+        "empty", "one-token", "trailing-blanks", "trailing-comment", "leading-comment",
+        "negative-int", "strings", "markers", "numerals", "unknown-characters",
+    ],
+)
+def test_lexer_rare_chunks_match_reference_lexer(source):
+    """Chunks that their text or first character do not classify are lexed
+    again alone; some hold an error and no token, or a token short of the
+    chunk's end, and the tokens after them must keep their offsets."""
+    expected_diagnostics = []
+    expected = reference_tokens(source, expected_diagnostics)
+    diagnostics = []
+    toks = lex(source, diagnostics)
+    assert list(zip(toks.kinds, toks.texts, map(toks.span, range(len(toks.kinds))))) == expected
+    assert diagnostics == expected_diagnostics
+
+
 def _bench_grammar_source(seed: int) -> str:
     """The grammar of the benchmark's ``grammar`` workload for ``seed``."""
     path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"

@@ -97,6 +97,21 @@ def test_star_yields_every_shorter_match_after_the_longest():
     assert results[-1][2] == TermVal("Nil", ())
 
 
+def test_star_value_equals_and_hashes_like_its_chain():
+    g = _g("@Grammar G R ::= xs = I* {xs}. I ::= <I n/> {n}. end")
+    trees = tuple(Element("I", {"n": str(i)}, ()) for i in range(300))
+    results = list(Oracle(g, max_steps=100_000).satisfy((Call("R", ()),), trees, {}))
+    for rest, _, value in results[::37]:
+        chain = cons_chain([str(i) for i in range(300 - len(rest))])
+        assert value == chain and hash(value) == hash(chain)
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_step_budget_below_one_is_rejected(budget):
+    with pytest.raises(ValueError, match=f"max_steps must be at least 1, got {budget}"):
+        Oracle(_g("@Grammar G R ::= OK. end"), max_steps=budget)
+
+
 def test_long_repetition_agrees_with_the_engine():
     grammar = _g((SAMPLES / "seq.xg").read_text())
     events = list(read_events("<A>" + '<B name="x"/>' * 1_000 + "</A>"))
