@@ -21,8 +21,6 @@ from .ast import Clause, Grammar
 from .engine import Compiled, IncompleteParse, Machine, ParseFailure, compile_grammar
 from .events import (
     Element,
-    EndTag,
-    StartTag,
     TextEvt,
     TextNode,
     build_tree,
@@ -56,7 +54,6 @@ __all__ = [
     "ConflictReport",
     "ConsList",
     "Element",
-    "EndTag",
     "Grammar",
     "GrammarParseError",
     "IncompleteParse",
@@ -71,7 +68,6 @@ __all__ = [
     "ParseFailure",
     "PredictTable",
     "SaxReader",
-    "StartTag",
     "TermVal",
     "TextEvt",
     "TextNode",

@@ -90,7 +90,7 @@ from .ast import Actions, Any, Bind, BodySeq, Call, Clause, ElementSpec, Empty
 from .ast import Grammar, Ok, Text, VarRef
 from .evaluate import SHOWN, EvalError, NonBooleanGuard, compile_actions, compile_expr
 from .evaluate import shorten, truth
-from .events import ANY_TOKEN, EndTag, SaxEvent, StartTag, TextEvt, Token, token_label
+from .events import ANY_TOKEN, SaxEvent, TextEvt, Token, token_label
 from .events import token_of_event
 from .normalize import normalize_grammar
 from .values import EMPTY_CONS, NULL, ConsList, Env, TupleVal, Value
@@ -369,7 +369,7 @@ class Machine:
                         acc = values[-1]
                     event = next(events, None) if event is unread else event
                     while True:
-                        token = event.tag if type(event) is StartTag else token_of_event(event)
+                        token = event[0] if type(event) is tuple else token_of_event(event)
                         ops = row.get(token) or row.get(ANY_TOKEN)
                         if ops is None:
                             message = f"no prediction for rule {item[2]} on {token_label(token)}"
@@ -382,13 +382,13 @@ class Machine:
                         if ops[2]:
                             env = dict(env)
                             for var, attr in ops[2]:
-                                if attr not in event.attrs:
+                                if attr not in event[1]:
                                     message = f"element <{ops[1]}> lacks attribute {attr!r}"
                                     raise ParseFailure(MISSING_ATTRIBUTE, message, position)
-                                env[var] = event.attrs[attr]
+                                env[var] = event[1][attr]
                         position += 1
                         event = next(events, None)
-                        if type(event) is not EndTag or event.tag != ops[1]:
+                        if event != ops[1]:  # an end tag is its name, a str
                             raise _unexpected(TAG_MISMATCH, f"</{ops[1]}>", event, position)
                         position += 1
                         acc.append(ops[4](env))
@@ -402,19 +402,19 @@ class Machine:
                 elif op == START:
                     event = next(events, None) if event is unread else event
                     tag = item[1]
-                    if type(event) is not StartTag or event.tag != tag:
+                    if type(event) is not tuple or event[0] != tag:
                         raise _unexpected(TAG_MISMATCH, f"<{tag}>", event, position)
                     if item[2]:
                         env = dict(env)
                         for var, attr in item[2]:
-                            if attr not in event.attrs:
+                            if attr not in event[1]:
                                 message = f"element <{tag}> lacks attribute {attr!r}"
                                 raise ParseFailure(MISSING_ATTRIBUTE, message, position)
-                            env[var] = event.attrs[attr]
+                            env[var] = event[1][attr]
                     if item[3] is None:  # the end tag too, then the fused action
                         position += 1
                         event = next(events, None)
-                        if type(event) is not EndTag or event.tag != tag:
+                        if event != tag:
                             raise _unexpected(TAG_MISMATCH, f"</{tag}>", event, position)
                         position += 1
                         if item[4] is not None:
@@ -430,7 +430,7 @@ class Machine:
                     event = unread
                 elif op == TAG_END:
                     event = next(events, None) if event is unread else event
-                    if type(event) is not EndTag or event.tag != item[1]:
+                    if event != item[1]:
                         raise _unexpected(TAG_MISMATCH, f"</{item[1]}>", event, position)
                     position += 1
                     event = unread
@@ -467,7 +467,7 @@ class Machine:
                     if args:
                         args = tuple([f(env) for f in args])
                     event = next(events, None) if event is unread else event
-                    token = event.tag if type(event) is StartTag else token_of_event(event)
+                    token = event[0] if type(event) is tuple else token_of_event(event)
                     clause = item[1].get(token) or item[1].get(ANY_TOKEN)
                     if clause is None:
                         message = f"no prediction for rule {item[2]} on {token_label(token)}"
@@ -494,15 +494,15 @@ class Machine:
                     event = unread
                 elif op == ANY:
                     event = next(events, None) if event is unread else event
-                    if type(event) is StartTag:  # skip the subtree, down to its end tag
-                        opened = [event.tag]
+                    if type(event) is tuple:  # skip the subtree, down to its end tag
+                        opened = [event[0]]
                         while opened:
                             position += 1
                             event = next(events, None)
                             kind = type(event)
-                            if kind is StartTag:
-                                opened.append(event.tag)
-                            elif kind is EndTag and event.tag == opened[-1]:
+                            if kind is tuple:
+                                opened.append(event[0])
+                            elif kind is str and event == opened[-1]:
                                 opened.pop()
                             elif kind is not TextEvt:
                                 raise _unexpected(TAG_MISMATCH, f"</{opened[-1]}>", event, position)
@@ -513,7 +513,7 @@ class Machine:
                     event = unread
                 elif op == EMPTY:
                     event = next(events, None) if event is unread else event
-                    if event is not None and type(event) is not EndTag:
+                    if event is not None and type(event) is not str:
                         message = f"expected no more content, found {_describe(event)}"
                         raise ParseFailure(UNEXPECTED_EVENT, message, position)
                     values.append(NULL)
@@ -542,8 +542,8 @@ def _unexpected(reason: str, expected: str, event, position: int) -> ParseFailur
 
 
 def _describe(event: SaxEvent) -> str:
-    if isinstance(event, StartTag):
-        return f"<{event.tag}>"
-    if isinstance(event, EndTag):
-        return f"</{event.tag}>"
+    if type(event) is tuple:
+        return f"<{event[0]}>"
+    if type(event) is str:
+        return f"</{event}>"
     return f"text {shorten(repr(event.text[:SHOWN]))}"

@@ -1,15 +1,15 @@
 """XML trees, SAX events, and lookahead tokens.
 
 ``build_tree`` rebuilds the tree an event sequence came from, for the
-tree-based reference interpreter.  The event classes are slotted
-dataclasses, as the values are: the reader builds one per start tag and
-text run, and a slotted class with a plain ``__init__`` is cheaper to build
-than a frozen one and keeps no ``__dict__``.  The reader makes one
-``EndTag`` per distinct tag name and hands out that same object for every
-end tag of the name, so events must stay immutable; nothing assigns a
-field after construction.  ``Token`` is the lookahead alphabet of
-the predict tables: start tags, end tags, text, and a wildcard for ``ANY``
-patterns; the string forms of tokens are defined here.
+tree-based reference interpreter.  An event takes one of three forms, as
+cheap as the reader can make them: a start tag is the plain pair ``(tag,
+attrs)``, an end tag is the tag's name, a ``str``, and a text run is a
+``TextEvt``, a slotted dataclass as the values are.  Consumers tell them
+apart with ``type(event) is tuple`` or ``str``.  The reader hands out one
+``str`` for every end tag of a name, so events must stay immutable.
+``Token`` is the lookahead alphabet of the predict tables: start tags, end
+tags, text, and a wildcard for ``ANY`` patterns; the string forms of tokens
+are defined here.
 """
 
 from __future__ import annotations
@@ -34,22 +34,12 @@ XmlTree = Union[Element, TextNode]
 
 
 @dataclass(slots=True)
-class StartTag:
-    tag: str
-    attrs: Dict[str, str] = field(default_factory=dict)
-
-
-@dataclass(slots=True)
-class EndTag:
-    tag: str
-
-
-@dataclass(slots=True)
 class TextEvt:
     text: str
 
 
-SaxEvent = Union[StartTag, EndTag, TextEvt]
+StartEvent = Tuple[str, Dict[str, str]]  # (tag, attrs)
+SaxEvent = Union[StartEvent, str, TextEvt]  # a str is an end tag
 
 
 # Lookahead tokens are strings that no XML name can take: a start tag is its
@@ -72,13 +62,13 @@ def is_end_token(token: Token) -> bool:
     return token[0] == "/"
 
 
-def token_of_event(event: EndTag | TextEvt | None) -> Token:
+def token_of_event(event: str | TextEvt | None) -> Token:
     """Lookahead token for an event other than a start tag, whose token is
-    its ``tag`` and which callers take inline; exhausted input reads as /$ ."""
+    its tag and which callers take inline; exhausted input reads as /$ ."""
     if event is None:
         return END_OF_INPUT
-    if type(event) is EndTag:
-        return "/" + event.tag
+    if type(event) is str:
+        return "/" + event
     return TEXT_TOKEN
 
 
@@ -107,20 +97,21 @@ def build_tree(events: Iterable[SaxEvent]) -> XmlTree:
 
     Iterative, with the open elements on a stack, so any depth builds."""
     it = iter(events)
-    open_elements: List[Tuple[StartTag, List[XmlTree]]] = []
+    open_elements: List[Tuple[StartEvent, List[XmlTree]]] = []
     for event in it:
-        if isinstance(event, StartTag):
+        kind = type(event)
+        if kind is tuple:
             open_elements.append((event, []))
             continue
-        if isinstance(event, TextEvt):
+        if kind is TextEvt:
             node: XmlTree = TextNode(event.text)
         elif not open_elements:
-            raise ValueError(f"unexpected end tag {event.tag}")
+            raise ValueError(f"unexpected end tag {event}")
         else:
-            start, children = open_elements.pop()
-            if event.tag != start.tag:
-                raise ValueError(f"mismatched end tag /{event.tag} inside {start.tag}")
-            node = Element(start.tag, dict(start.attrs), tuple(children))
+            (tag, attrs), children = open_elements.pop()
+            if event != tag:
+                raise ValueError(f"mismatched end tag /{event} inside {tag}")
+            node = Element(tag, dict(attrs), tuple(children))
         if not open_elements:
             leftover = next(it, None)
             if leftover is not None:
@@ -128,5 +119,5 @@ def build_tree(events: Iterable[SaxEvent]) -> XmlTree:
             return node
         open_elements[-1][1].append(node)
     if open_elements:
-        raise ValueError(f"unterminated element {open_elements[-1][0].tag}")
+        raise ValueError(f"unterminated element {open_elements[-1][0][0]}")
     raise ValueError("empty event stream")

@@ -21,10 +21,14 @@ expat's position moving, the reader stops with MalformedXml.  Whitespace-only
 text is dropped unless ``keep_whitespace`` is set; text runs separated by
 comments or chunk boundaries coalesce into one event.
 
-Every end tag of one name is the same ``EndTag`` object, made when the name
-is first seen, so an element costs one new event object, not two.  When the
-input ends, the reader drops its parser and handlers, which refer to each
-other, so a finished parse leaves no reference cycle to collect.
+Events take three forms (see ``events``): a start tag is the pair
+``(tag, attrs)``, an end tag is its name, a ``str``, and a text run is a
+``TextEvt``.  While no text is pending, the end-tag handler is the event
+list's own ``append``, a C method, so an end tag runs no Python frame and
+is the name expat interned, one ``str`` per name.  Pending text installs a
+flushing end handler, and the flush puts ``append`` back.  When the input
+ends, the reader drops its parser and handlers, which refer to each other,
+so no parse, finished or failed, leaves a reference cycle to collect.
 
 Where expat's rules are the XML 1.0 rules and differ from a bare tokenizer,
 they are kept and pinned in tests/test_sax.py: character references are
@@ -39,10 +43,10 @@ from __future__ import annotations
 import io
 import re
 from itertools import chain
-from typing import IO, Dict, Iterator, List, Optional, Tuple, Union
+from typing import IO, Iterator, List, Optional, Tuple, Union
 from xml.parsers import expat
 
-from .events import EndTag, SaxEvent, StartTag, TextEvt
+from .events import SaxEvent, TextEvt
 
 # Characters (or bytes) read and parsed per step.  Events are buffered per
 # chunk, so a larger chunk costs memory proportional to its size.
@@ -93,8 +97,8 @@ class SaxReader:
         self._events: List[SaxEvent] = []
         emit = self._events.append
         text: List[str] = []
-        end_tags: Dict[str, EndTag] = {}  # by tag name, for each name checked
-        names = set()  # attribute names checked
+        interned = parser.intern  # every element and attribute name expat has reported
+        checked = 0  # how many of those names start tags have checked
 
         def error(message: str, cls=MalformedXml) -> XmlReadError:
             return cls(message, parser.CurrentLineNumber, parser.CurrentColumnNumber + 1)
@@ -105,28 +109,31 @@ class SaxReader:
             if _NAME_RE.fullmatch(name) is None:
                 raise error(f"invalid name {name!r}")
 
-        def flush() -> None:
+        def characters(data: str) -> None:
+            if not text:
+                parser.EndElementHandler = flush
+            text.append(data)
+
+        def flush(end: Optional[str] = None) -> None:
+            """Emit the pending text, then, as the end handler, the end tag."""
+            parser.EndElementHandler = emit
             joined = "".join(text)
             text.clear()
             if keep_whitespace or not joined.isspace():
                 emit(TextEvt(joined))
+            if end is not None:
+                emit(end)  # expat has already matched it with its start tag
 
         def start(tag: str, attrs: dict) -> None:
+            nonlocal checked
             if text:
                 flush()
-            if tag not in end_tags:
+            if len(interned) != checked:  # a name new to expat, in this start tag
                 check_name(tag)
-                end_tags[tag] = EndTag(tag)
-            if not names.issuperset(attrs):
                 for name in attrs:
                     check_name(name)
-                names.update(attrs)
-            emit(StartTag(tag, attrs))
-
-        def end(tag: str) -> None:
-            if text:
-                flush()
-            emit(end_tags[tag])  # expat has already matched it with its start tag
+                checked = len(interned)
+            emit((tag, attrs))
 
         def declaration(version: str, encoding: Optional[str], standalone: int) -> None:
             self._encoding = encoding
@@ -137,10 +144,12 @@ class SaxReader:
 
             return handler
 
+        # Character data comes first: dropping its handler at the end hands
+        # expat's buffered text to it, which may install ``flush``.
         handlers = {
+            "CharacterDataHandler": characters,
             "StartElementHandler": start,
-            "EndElementHandler": end,
-            "CharacterDataHandler": text.append,
+            "EndElementHandler": emit,
             "XmlDeclHandler": declaration,
             "StartDoctypeDeclHandler": unsupported("DOCTYPE declarations"),
             "StartCdataSectionHandler": unsupported("CDATA sections"),
@@ -180,7 +189,10 @@ class SaxReader:
                 yield events
                 events.clear()
                 if error is not None:
-                    raise error
+                    try:
+                        raise error
+                    finally:
+                        error = None  # the error's traceback holds this frame: no cycle
         finally:
             # The handlers refer to the parser and it to them: break the cycle.
             for name in handlers:

@@ -1,15 +1,19 @@
 """Shared fixtures: canonical grammar sources, alpha-equivalence on grammars,
 seeded random generators for grammars and documents, conversions between
 trees, events and XML text, and reference implementations of the lexer, the
-value renderers and the AST walks."""
+reader, the value renderers and the AST walks."""
 
 from __future__ import annotations
 
+import io
 import json
 import pathlib
 import random
 import re
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from dataclasses import dataclass, field
+from itertools import chain
+from typing import IO, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from xml.parsers import expat
 
 from xmlgram.ast import (
     Actions,
@@ -41,9 +45,10 @@ from xmlgram.ast import (
 )
 from xmlgram.analysis import PredictTable
 from xmlgram.engine import Machine
-from xmlgram.events import EndTag, Element, SaxEvent, StartTag, TextEvt, TextNode, XmlTree
+from xmlgram import sax
+from xmlgram.events import Element, SaxEvent, TextEvt, TextNode, XmlTree
 from xmlgram.frontend import _KEYWORDS, _PUNCT, ParseDiagnostic
-from xmlgram.sax import SaxReader
+from xmlgram.sax import _MESSAGES, _NAME_RE, MalformedXml, SaxReader, UnsupportedFeature, XmlReadError
 from xmlgram.values import BoolVal, IntVal, ListVal, NullVal, TermVal, TupleVal, Value
 
 # The worked example grammar: one rule with repetition over an alternation.
@@ -644,14 +649,14 @@ def _sample_item(
 
 def flatten_tree(tree: XmlTree) -> List[SaxEvent]:
     """Pre-order event linearization of a tree.  The stack holds the nodes
-    still to visit and the end tags of the open elements."""
+    still to visit and the end tags (names) of the open elements."""
     out: List[SaxEvent] = []
-    stack: List[Union[XmlTree, EndTag]] = [tree]
+    stack: List[Union[XmlTree, str]] = [tree]
     while stack:
         node = stack.pop()
         if isinstance(node, Element):
-            out.append(StartTag(node.tag, dict(node.attrs)))
-            stack.append(EndTag(node.tag))
+            out.append((node.tag, dict(node.attrs)))
+            stack.append(node.tag)
             stack.extend(reversed(node.children))
         elif isinstance(node, TextNode):
             out.append(TextEvt(node.text))
@@ -700,6 +705,170 @@ def run(
 def next_event(reader: SaxReader) -> Optional[SaxEvent]:
     """The reader's next event, or None once it is exhausted."""
     return next(iter(reader), None)
+
+
+# --------------------------------------------------------------------------
+# Reference reader: the expat reader as it was before its events became
+# plain pairs and names, with a Python handler per start and end tag and one
+# slotted event object per event.  ``xmlgram.sax.SaxReader`` must give the
+# same events, mapped by ``reference_form``, and the same errors.  It reads
+# ``sax._CHUNK`` and ``sax.MAX_TOKEN`` as the reader does, so a test that
+# sets them sets both.
+# --------------------------------------------------------------------------
+
+
+@dataclass(slots=True)
+class StartTag:
+    tag: str
+    attrs: Dict[str, str] = field(default_factory=dict)
+
+
+@dataclass(slots=True)
+class EndTag:
+    tag: str
+
+
+def reference_form(event):
+    """The reference reader's form of one of the reader's events."""
+    if type(event) is tuple:
+        return StartTag(*event)
+    if type(event) is str:
+        return EndTag(event)
+    return event
+
+
+class ReferenceSaxReader:
+    """Pull events one at a time from a string or file source."""
+
+    def __init__(self, source: Union[str, IO], keep_whitespace: bool = False):
+        if isinstance(source, str):
+            source = io.StringIO(source)
+        self._source = source
+        self.max_window = 0
+        self._encoding: Optional[str] = None  # the one the XML declaration names
+        self._parser = parser = expat.ParserCreate()
+        parser.buffer_text = True
+        self._events: list = []
+        emit = self._events.append
+        text: List[str] = []
+        end_tags: Dict[str, EndTag] = {}  # by tag name, for each name checked
+        names = set()  # attribute names checked
+
+        def error(message: str, cls=MalformedXml) -> XmlReadError:
+            return cls(message, parser.CurrentLineNumber, parser.CurrentColumnNumber + 1)
+
+        def check_name(name: str) -> None:
+            if ":" in name:
+                raise error(f"namespace-prefixed name {name!r} is not supported", UnsupportedFeature)
+            if _NAME_RE.fullmatch(name) is None:
+                raise error(f"invalid name {name!r}")
+
+        def flush() -> None:
+            joined = "".join(text)
+            text.clear()
+            if keep_whitespace or not joined.isspace():
+                emit(TextEvt(joined))
+
+        def start(tag: str, attrs: dict) -> None:
+            if text:
+                flush()
+            if tag not in end_tags:
+                check_name(tag)
+                end_tags[tag] = EndTag(tag)
+            if not names.issuperset(attrs):
+                for name in attrs:
+                    check_name(name)
+                names.update(attrs)
+            emit(StartTag(tag, attrs))
+
+        def end(tag: str) -> None:
+            if text:
+                flush()
+            emit(end_tags[tag])  # expat has already matched it with its start tag
+
+        def declaration(version: str, encoding: Optional[str], standalone: int) -> None:
+            self._encoding = encoding
+
+        def unsupported(what: str):
+            def handler(*_):
+                raise error(f"{what} are not supported", UnsupportedFeature)
+
+            return handler
+
+        handlers = {
+            "StartElementHandler": start,
+            "EndElementHandler": end,
+            "CharacterDataHandler": text.append,
+            "XmlDeclHandler": declaration,
+            "StartDoctypeDeclHandler": unsupported("DOCTYPE declarations"),
+            "StartCdataSectionHandler": unsupported("CDATA sections"),
+            "ProcessingInstructionHandler": unsupported("processing instructions"),
+        }
+        for name, handler in handlers.items():
+            setattr(parser, name, handler)
+        self._stream = chain.from_iterable(self._chunks(tuple(handlers)))
+
+    def _chunks(self, handlers: Tuple[str, ...]) -> Iterator[list]:
+        """Each chunk's events, in one list that is refilled per chunk;
+        ``handlers`` names the parser's handlers, which are dropped at the end."""
+        read, events, parser = self._source.read, self._events, self._parser
+        final = False
+        stalled, at = 0, None  # characters fed since expat's position last moved
+        try:
+            while not final:
+                chunk = read(sax._CHUNK)
+                final = not chunk
+                if len(chunk) > self.max_window:
+                    self.max_window = len(chunk)
+                error = self._feed(chunk, final)
+                if parser.CurrentByteIndex != at:
+                    stalled, at = 0, parser.CurrentByteIndex
+                else:
+                    stalled += len(chunk)
+                    if stalled > sax.MAX_TOKEN and error is None:
+                        error = MalformedXml(
+                            f"token longer than {sax.MAX_TOKEN} characters",
+                            parser.CurrentLineNumber,
+                            parser.CurrentColumnNumber + 1,
+                        )
+                # The chain hands out the whole list before it resumes this
+                # generator, so events before an error still reach the
+                # consumer first, and a grammar failure earlier in the
+                # document is reported as such.
+                yield events
+                events.clear()
+                if error is not None:
+                    raise error
+        finally:
+            # The handlers refer to the parser and it to them: break the cycle.
+            for name in handlers:
+                setattr(parser, name, None)
+            self._parser = None
+
+    def _feed(self, chunk: Union[str, bytes], final: bool) -> Optional[XmlReadError]:
+        """Push one chunk through expat; the error it ended with, if any."""
+        parser = self._parser
+        try:
+            parser.Parse(chunk, final)
+        except expat.ExpatError as exc:
+            message = _MESSAGES.get(exc.code) or expat.ErrorString(exc.code)
+            return MalformedXml(message, exc.lineno, exc.offset + 1)
+        except XmlReadError as exc:
+            return exc
+        except UnicodeEncodeError as exc:
+            # A lone surrogate in a string source: parse up to it, report it there.
+            return self._feed(chunk[: exc.start], False) or MalformedXml(
+                f"character {exc.object[exc.start]!r} cannot be encoded",
+                parser.CurrentLineNumber,
+                parser.CurrentColumnNumber + 1,
+            )
+        except (LookupError, ValueError):  # expat asked Python for the declared encoding
+            message = f"encoding {self._encoding!r} is not supported"  # unknown, or multi-byte
+            return UnsupportedFeature(message, parser.CurrentLineNumber, parser.CurrentColumnNumber + 1)
+        return None
+
+    def __iter__(self) -> Iterator:
+        return self._stream
 
 
 # --------------------------------------------------------------------------

@@ -14,8 +14,6 @@ from helpers import cons_chain, flatten_tree, plain, reference_render_term, seri
 from xmlgram import ast
 from xmlgram.events import (
     Element,
-    EndTag,
-    StartTag,
     TextEvt,
     TextNode,
     build_tree,
@@ -44,10 +42,10 @@ from xmlgram.values import (
 def test_flatten_nested_element():
     tree = Element("A", {"x": "1"}, (Element("B", {}, ()),))
     assert flatten_tree(tree) == [
-        StartTag("A", {"x": "1"}),
-        StartTag("B", {}),
-        EndTag("B"),
-        EndTag("A"),
+        ("A", {"x": "1"}),
+        ("B", {}),
+        "B",
+        "A",
     ]
 
 
@@ -56,7 +54,7 @@ def test_flatten_text_leaf():
 
 
 def test_flatten_empty_element():
-    assert flatten_tree(Element("A", {}, ())) == [StartTag("A", {}), EndTag("A")]
+    assert flatten_tree(Element("A", {}, ())) == [("A", {}), "A"]
 
 
 trees = st.recursive(
@@ -87,10 +85,10 @@ def test_flatten_round_trips_through_build(tree):
 @pytest.mark.parametrize(
     "events, message",
     [
-        ([EndTag("a")], "unexpected end tag a"),
-        ([StartTag("a", {}), EndTag("b")], "mismatched end tag /b inside a"),
-        ([TextEvt("x"), EndTag("a")], "trailing event after document: EndTag(tag='a')"),
-        ([StartTag("a", {}), StartTag("b", {}), EndTag("b")], "unterminated element a"),
+        (["a"], "unexpected end tag a"),
+        ([("a", {}), "b"], "mismatched end tag /b inside a"),
+        ([TextEvt("x"), "a"], "trailing event after document: 'a'"),
+        ([("a", {}), ("b", {}), "b"], "unterminated element a"),
         ([], "empty event stream"),
     ],
     ids=["stray-end", "mismatch", "trailing", "unterminated", "empty"],
@@ -105,9 +103,9 @@ def test_build_tree_rejects_ill_nested_events(events, message):
 def test_flatten_is_balanced(tree):
     depth = 0
     for event in flatten_tree(tree):
-        if isinstance(event, StartTag):
+        if type(event) is tuple:
             depth += 1
-        elif isinstance(event, EndTag):
+        elif type(event) is str:
             depth -= 1
         assert depth >= 0
     assert depth == 0
@@ -126,8 +124,8 @@ def test_flatten_and_serialize_a_deep_chain():
     tree = TextNode("x")
     for tag in reversed(tags):
         tree = Element(tag, {}, (tree,))
-    opening = [StartTag(tag, {}) for tag in tags]
-    closing = [EndTag(tag) for tag in reversed(tags)]
+    opening = [(tag, {}) for tag in tags]
+    closing = list(reversed(tags))
     assert flatten_tree(tree) == opening + [TextEvt("x")] + closing
     text = serialize_tree(tree)
     assert text == "".join(f"<{t}>" for t in tags) + "x" + "".join(f"</{t}>" for t in reversed(tags))
@@ -164,12 +162,12 @@ def test_equal_values_hash_alike_and_dedupe_in_a_set():
 
 
 def test_events_compare_structurally():
-    assert StartTag("A", {"k": "v"}) == StartTag("A", {"k": "v"})
-    assert StartTag("A") == StartTag("A", {})
-    assert StartTag("A", {"k": "v"}) != StartTag("A", {"k": "w"})
-    assert EndTag("A") == EndTag("A") and EndTag("A") != EndTag("B")
+    # A start tag is a (tag, attrs) pair, an end tag its name, text a TextEvt:
+    # no two forms are equal, however alike their text.
+    assert ("A", {"k": "v"}) == ("A", {"k": "v"}) and ("A", {"k": "v"}) != ("A", {"k": "w"})
     assert TextEvt("x") == TextEvt("x") and TextEvt("x") != TextEvt("y")
-    assert StartTag("A") != EndTag("A") and TextEvt("A") != EndTag("A")
+    assert ("A", {}) != "A" and TextEvt("A") != "A" and "A" != TextEvt("A")
+    assert TextEvt("A") != ("A", {}) and ("A", {}) != TextEvt("A")
 
 
 def test_values_and_events_keep_no_instance_dict():
@@ -187,7 +185,7 @@ def test_values_and_events_keep_no_instance_dict():
     assert {type(n) for n in nodes} == node_classes
     instances = nodes + [
         IntVal(1), BoolVal(True), NullVal(), TermVal("Nil", ()), ConsList(("a",)),
-        ListVal(()), TupleVal((NULL, NULL)), StartTag("A", {}), EndTag("A"), TextEvt("x"),
+        ListVal(()), TupleVal((NULL, NULL)), TextEvt("x"),
     ]
     for instance in instances:
         assert not hasattr(instance, "__dict__"), type(instance).__name__

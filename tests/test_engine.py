@@ -22,7 +22,7 @@ from xmlgram.engine import (
     ParseFailure,
     Program,
 )
-from xmlgram.events import EndTag, StartTag, TextEvt
+from xmlgram.events import TextEvt
 from xmlgram.frontend import parse_grammar
 from xmlgram.normalize import normalize_grammar
 from xmlgram.oracle import Oracle
@@ -46,7 +46,7 @@ def test_lang():
 
 def test_single_rule_call_synthesizes_attribute(test_lang):
     _, table = test_lang
-    events = [StartTag("B", {"name": "foo"}), EndTag("B")]
+    events = [("B", {"name": "foo"}), "B"]
     assert run(table, "B", events) == "foo"
 
 
@@ -79,7 +79,7 @@ def test_empty_repetitions_share_one_value():
 
 def test_tag_mismatch(test_lang):
     _, table = test_lang
-    events = [StartTag("B", {"name": "x"}), EndTag("B")]
+    events = [("B", {"name": "x"}), "B"]
     with pytest.raises(ParseFailure) as exc:
         run(table, "A", events)
     # predicting A on token B finds no entry
@@ -100,13 +100,13 @@ def test_element_head_mismatch():
         run(table, "R", read_events("<T><X/></T>"))
     assert exc.value.reason == NO_PREDICT_ENTRY  # S predicted on X fails first
     with pytest.raises(ParseFailure) as exc2:
-        run(table, "R", [StartTag("T", {}), StartTag("S", {}), EndTag("S"), EndTag("S")])
+        run(table, "R", [("T", {}), ("S", {}), "S", "S"])
     assert exc2.value.reason == TAG_MISMATCH
 
 
 def test_any_consumes_text(test_lang):
     _, table = make_table("@Grammar G R ::= <T> x = ANY </T> {x}. end", "R")
-    value = run(table, "R", [StartTag("T", {}), TextEvt("junk"), EndTag("T")])
+    value = run(table, "R", [("T", {}), TextEvt("junk"), "T"])
     assert value == NullVal()
 
 
@@ -120,15 +120,15 @@ def test_any_skips_balanced_subtree():
     "last, reason, message, position",
     [
         ([], UNEXPECTED_END_OF_EVENTS, "expected </A>", 3),
-        ([EndTag("B")], TAG_MISMATCH, "expected </A>, found </B>", 3),
-        ([StartTag("B", {}), EndTag("A")], TAG_MISMATCH, "expected </B>, found </A>", 4),
+        (["B"], TAG_MISMATCH, "expected </A>, found </B>", 3),
+        ([("B", {}), "A"], TAG_MISMATCH, "expected </B>, found </A>", 4),
     ],
     ids=["end-of-input", "mismatch", "mismatch-two-levels-in"],
 )
 def test_any_skip_needs_the_skipped_end_tag(last, reason, message, position):
     # expat rejects these streams, so only a hand-built event list reaches this
     _, table = make_table("@Grammar G R ::= <T> ANY </T> {7}. end", "R")
-    events = [StartTag("T", {}), StartTag("A", {}), TextEvt("x")] + last
+    events = [("T", {}), ("A", {}), TextEvt("x")] + last
     with pytest.raises(ParseFailure) as exc:
         Machine(table, "R", iter(events)).run()
     assert (exc.value.reason, exc.value.message, exc.value.position) == (reason, message, position)
@@ -137,19 +137,19 @@ def test_any_skip_needs_the_skipped_end_tag(last, reason, message, position):
 def test_missing_attribute(test_lang):
     _, table = test_lang
     with pytest.raises(ParseFailure) as exc:
-        run(table, "B", [StartTag("B", {"nom": "x"}), EndTag("B")])
+        run(table, "B", [("B", {"nom": "x"}), "B"])
     assert exc.value.reason == MISSING_ATTRIBUTE
 
 
 def test_undeclared_attributes_ignored(test_lang):
     _, table = test_lang
-    events = [StartTag("B", {"name": "x", "extra": "1"}), EndTag("B")]
+    events = [("B", {"name": "x", "extra": "1"}), "B"]
     assert run(table, "B", events) == "x"
 
 
 def test_incomplete_parse(test_lang):
     _, table = test_lang
-    events = list(read_events('<B name="x"/>')) + [StartTag("B", {"name": "y"}), EndTag("B")]
+    events = list(read_events('<B name="x"/>')) + [("B", {"name": "y"}), "B"]
     with pytest.raises(IncompleteParse):
         run(table, "B", events)
 
@@ -157,7 +157,7 @@ def test_incomplete_parse(test_lang):
 def test_unexpected_end_of_events(test_lang):
     _, table = test_lang
     with pytest.raises(ParseFailure) as exc:
-        run(table, "B", [StartTag("B", {"name": "x"})])
+        run(table, "B", [("B", {"name": "x"})])
     assert exc.value.reason == UNEXPECTED_END_OF_EVENTS
 
 
@@ -659,7 +659,7 @@ def test_evaluation_error_in_an_item_matches_the_oracle():
 
 def test_failure_on_text_shows_a_short_prefix_of_it():
     _, table = make_table("@Grammar G A ::= <A> <B/> </A> {1}. end", "A")
-    events = [StartTag("A", {}), TextEvt("x" * 1_000_000), EndTag("A")]
+    events = [("A", {}), TextEvt("x" * 1_000_000), "A"]
     with pytest.raises(ParseFailure) as exc:
         Machine(table, "A", iter(events)).run()
     shown = "'" + "x" * 78 + "…"

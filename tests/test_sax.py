@@ -1,16 +1,23 @@
 """Streaming XML reader: supported subset, errors, streaming bounds."""
 
+import contextlib
+import gc
 import io
 import itertools
+import pathlib
+import random
 import tracemalloc
+from xml.parsers import expat
 
 import pytest
 
-from helpers import documents_for, flatten_tree, next_event, random_grammar, serialize_tree
+from hypothesis import given, settings, strategies as st
+
+from helpers import ReferenceSaxReader, documents_for, flatten_tree, next_event, random_grammar
+from helpers import random_tree, reference_form, serialize_tree
+from xmlgram import sax
 from xmlgram.events import (
     Element,
-    EndTag,
-    StartTag,
     TextEvt,
     TextNode,
     build_tree,
@@ -23,28 +30,38 @@ def events(text: str, **kw) -> list:
     return list(read_events(text, **kw))
 
 
+@contextlib.contextmanager
+def chunk_size(size: int):
+    """Read ``size`` characters or bytes at a time, in both readers."""
+    saved, sax._CHUNK = sax._CHUNK, size
+    try:
+        yield
+    finally:
+        sax._CHUNK = saved
+
+
 def test_self_closing_expands_to_start_end():
-    assert events('<B n="foo"/>') == [StartTag("B", {"n": "foo"}), EndTag("B")]
+    assert events('<B n="foo"/>') == [("B", {"n": "foo"}), "B"]
 
 
 def test_sibling_elements():
     assert events("<A><B/><C/></A>") == [
-        StartTag("A", {}),
-        StartTag("B", {}),
-        EndTag("B"),
-        StartTag("C", {}),
-        EndTag("C"),
-        EndTag("A"),
+        ("A", {}),
+        ("B", {}),
+        "B",
+        ("C", {}),
+        "C",
+        "A",
     ]
 
 
 def test_text_content():
-    assert events("<A>hi</A>") == [StartTag("A", {}), TextEvt("hi"), EndTag("A")]
+    assert events("<A>hi</A>") == [("A", {}), TextEvt("hi"), "A"]
 
 
 def test_entity_decoding_in_text_and_attrs():
     got = events('<A k="a&amp;b&quot;c">x &lt; y &gt; z &apos;</A>')
-    assert got[0] == StartTag("A", {"k": 'a&b"c'})
+    assert got[0] == ("A", {"k": 'a&b"c'})
     assert got[1] == TextEvt("x < y > z '")
 
 
@@ -55,35 +72,36 @@ def test_unknown_entity_rejected():
 
 def test_whitespace_only_text_dropped_by_default():
     assert events("<A>\n  <B/>\n</A>") == [
-        StartTag("A", {}),
-        StartTag("B", {}),
-        EndTag("B"),
-        EndTag("A"),
+        ("A", {}),
+        ("B", {}),
+        "B",
+        "A",
     ]
 
 
 def test_keep_whitespace_flag():
-    got = events("<A> <B/></A>", keep_whitespace=True)
-    assert got[1] == TextEvt(" ")
+    got = events("<A> <B/> \n </A>", keep_whitespace=True)
+    assert got == [("A", {}), TextEvt(" "), ("B", {}), "B", TextEvt(" \n "), "A"]
 
 
 def test_comments_skipped_and_text_coalesces():
-    assert events("<A>hi<!-- note -->there</A>") == [
-        StartTag("A", {}),
-        TextEvt("hithere"),
-        EndTag("A"),
-    ]
+    """Text before an end tag is flushed whole, across comments and, one
+    character per chunk, across chunk boundaries."""
+    for size in (_CHUNK, 1):
+        with chunk_size(size):
+            got = events("<A>hi<!-- note -->the<!---->re</A>")
+        assert got == [("A", {}), TextEvt("hithere"), "A"]
 
 
 def test_xml_declaration_skipped():
     assert events('<?xml version="1.0" encoding="UTF-8"?>\n<A/>') == [
-        StartTag("A", {}),
-        EndTag("A"),
+        ("A", {}),
+        "A",
     ]
 
 
 def test_single_quoted_attributes():
-    assert events("<A k='v'/>")[0] == StartTag("A", {"k": "v"})
+    assert events("<A k='v'/>")[0] == ("A", {"k": "v"})
 
 
 def test_mismatched_end_tag():
@@ -159,7 +177,7 @@ def test_error_position_line_column():
 
 
 def test_attr_value_may_contain_gt():
-    assert events('<A k="x>y"/>')[0] == StartTag("A", {"k": "x>y"})
+    assert events('<A k="x>y"/>')[0] == ("A", {"k": "x>y"})
 
 
 _corpus = [
@@ -238,7 +256,7 @@ def test_an_unclosed_token_stops_the_reader_past_its_cap(head):
     copying it into a new one."""
     source = _LazyDocument(itertools.chain([head], itertools.repeat("x" * 1000, 4 * MAX_TOKEN // 1000)))
     reader = SaxReader(source)
-    assert next_event(reader) == StartTag("A", {})
+    assert next_event(reader) == ("A", {})
     tracemalloc.start()
     try:
         with pytest.raises(MalformedXml, match="longer than") as error:
@@ -256,30 +274,32 @@ def test_long_text_and_comment_runs_pass_the_token_cap():
     a token, so neither leaves expat standing still for ``MAX_TOKEN``."""
     text = "y" * (MAX_TOKEN + 3 * _CHUNK)
     assert list(SaxReader(_LazyDocument(["<A>", text, "</A>"]))) == [
-        StartTag("A", {}),
+        ("A", {}),
         TextEvt(text),
-        EndTag("A"),
+        "A",
     ]
     comments = itertools.repeat("<!-- c -->", 2 * MAX_TOKEN // 10)
     reader = SaxReader(_LazyDocument(itertools.chain(["<A>"], comments, ["<B/></A>"])))
-    assert list(reader) == [StartTag("A", {}), StartTag("B", {}), EndTag("B"), EndTag("A")]
+    assert list(reader) == [("A", {}), ("B", {}), "B", "A"]
 
 
 def test_every_end_tag_of_a_name_is_one_object():
+    """An end tag is its name, the one ``str`` expat interns per name, so an
+    element costs one new event object, its start tag's pair."""
     got = events("<A><B/><B>x</B><C/><B k='1'/></A>")
-    ends = [event for event in got if type(event) is EndTag and event.tag == "B"]
+    ends = [event for event in got if type(event) is str and event == "B"]
     assert len(ends) == 3
     assert all(end is ends[0] for end in ends)
-    assert ends[0] == EndTag("B") and ends[0] != EndTag("C")
-    assert got[-1] == EndTag("A")
+    assert [event for event in got if type(event) is tuple and event[0] == "B"][0][0] is ends[0]
+    assert got[-1] == "A"
 
 
 def test_incremental_pull():
     reader = SaxReader("<A><B/></A>")
-    assert next_event(reader) == StartTag("A", {})
-    assert next_event(reader) == StartTag("B", {})
-    assert next_event(reader) == EndTag("B")
-    assert next_event(reader) == EndTag("A")
+    assert next_event(reader) == ("A", {})
+    assert next_event(reader) == ("B", {})
+    assert next_event(reader) == "B"
+    assert next_event(reader) == "A"
     assert next_event(reader) is None
     assert next_event(reader) is None
 
@@ -299,10 +319,10 @@ def test_build_tree_from_reader_round_trip():
 def test_events_before_an_error_are_delivered_first():
     reader = SaxReader("<A><B/><C></A>")
     assert [next_event(reader) for _ in range(4)] == [
-        StartTag("A", {}),
-        StartTag("B", {}),
-        EndTag("B"),
-        StartTag("C", {}),
+        ("A", {}),
+        ("B", {}),
+        "B",
+        ("C", {}),
     ]
     with pytest.raises(MalformedXml):
         next_event(reader)
@@ -310,20 +330,20 @@ def test_events_before_an_error_are_delivered_first():
 
 def test_text_coalesces_across_chunk_boundaries():
     body = "x" * (3 * _CHUNK)
-    assert events(f"<A>{body}<!-- c -->{body}</A>") == [StartTag("A", {}), TextEvt(2 * body), EndTag("A")]
+    assert events(f"<A>{body}<!-- c -->{body}</A>") == [("A", {}), TextEvt(2 * body), "A"]
 
 
 # Where the expat reader departs from the earlier hand-written tokenizer, on
 # purpose: expat follows XML 1.0.  One row per difference; CHANGES.md lists
 # the same rows.  An outcome is the event list or (error class, line, column).
 READER_DECISIONS = [
-    ("<A>&#65;&#x42;</A>", [StartTag("A", {}), TextEvt("AB"), EndTag("A")], "character-references-decoded"),
-    ('<A k="a\nb\tc\rd"/>', [StartTag("A", {"k": "a b c d"}), EndTag("A")], "attribute-whitespace-normalised"),
-    ("<A>a\r\nb</A>", [StartTag("A", {}), TextEvt("a\nb"), EndTag("A")], "crlf-in-text-reads-as-lf"),
+    ("<A>&#65;&#x42;</A>", [("A", {}), TextEvt("AB"), "A"], "character-references-decoded"),
+    ('<A k="a\nb\tc\rd"/>', [("A", {"k": "a b c d"}), "A"], "attribute-whitespace-normalised"),
+    ("<A>a\r\nb</A>", [("A", {}), TextEvt("a\nb"), "A"], "crlf-in-text-reads-as-lf"),
     ("<A>\x01</A>", (MalformedXml, 1, 4), "control-character-rejected"),
     ("<A>]]></A>", (MalformedXml, 1, 6), "cdata-end-in-text-rejected"),
     ("<A><!-- a -- b --></A>", (MalformedXml, 1, 13), "double-hyphen-in-comment-rejected"),
-    ("\ufeff<A/>", [StartTag("A", {}), EndTag("A")], "leading-bom-accepted"),
+    ("\ufeff<A/>", [("A", {}), "A"], "leading-bom-accepted"),
     (' <?xml version="1.0"?><A/>', (MalformedXml, 1, 2), "xml-declaration-after-whitespace-rejected"),
     ("<?xml?><A/>", (MalformedXml, 1, 6), "empty-xml-declaration-rejected"),
     ('<A k="1"m="2"/>', (MalformedXml, 1, 9), "attributes-without-space-rejected"),
@@ -333,7 +353,7 @@ READER_DECISIONS = [
     ('<A>\n <B é="1"/></A>', (MalformedXml, 2, 2), "attribute-name-outside-the-grammar-language-rejected"),
     (
         '<?xml version="1.0" encoding="ISO-8859-1"?><A>\xe9</A>'.encode("latin-1"),
-        [StartTag("A", {}), TextEvt("\xe9"), EndTag("A")],
+        [("A", {}), TextEvt("\xe9"), "A"],
         "bytes-honour-declared-encoding",
     ),
 ]
@@ -367,3 +387,139 @@ def test_generated_documents_read_back_from_their_text():
         grammar = random_grammar(seed)
         for doc in documents_for(grammar, grammar.clauses[0].name, seed):
             assert build_tree(read_events(serialize_tree(doc), keep_whitespace=True)) == doc
+
+
+# -- the handler swap: end tags through ``list.append`` until text pends ------
+
+
+def test_end_tags_after_a_flush_go_straight_to_the_list():
+    """A flush puts ``append`` back as the end handler: a flushing handler
+    left in place would emit an empty text run before the second ``</B>``."""
+    assert events("<A>x<B/><B/></A>") == [("A", {}), TextEvt("x"), ("B", {}), "B", ("B", {}), "B", "A"]
+    assert events("<A><B>x</B></A>") == [("A", {}), ("B", {}), TextEvt("x"), "B", "A"]
+    reader = SaxReader(io.StringIO("<A>x<B/></A>"))
+    parser = reader._parser
+    assert parser.EndElementHandler == reader._events.append
+    next_event(reader)  # the whole document is one chunk: all of it has been parsed
+    assert parser.EndElementHandler == reader._events.append
+
+
+def _parser_garbage(read) -> list:
+    """Parsers and reader handlers among the objects that only the cycle
+    collector would free after ``read()``."""
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        read()
+        gc.collect()
+        return [
+            o
+            for o in gc.garbage
+            if type(o) is expat.XMLParserType or getattr(o, "__module__", None) == "xmlgram.sax"
+        ]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+
+
+@pytest.mark.parametrize(
+    "doc",
+    ["<A>x<B/></A>", "<A>text</B>", "<A>x<a:b/></A>", "<A>x<!DOCTYPE A></A>", "<A>x\ud800</A>", "<A>x"],
+    ids=["finished", "mismatch-with-text-pending", "namespace", "doctype", "unencodable", "unclosed"],
+)
+def test_a_parse_leaves_no_reference_cycle(doc):
+    def read():
+        try:
+            list(SaxReader(doc))
+        except XmlReadError:
+            pass
+
+    assert _parser_garbage(read) == []
+
+
+# -- differential against the reference reader -------------------------------
+
+
+def reader_outcome(reader_class, source, keep_whitespace=False):
+    """The events a reader yields, in the reference form, and the error it
+    ends with as (class, message, line, column)."""
+    got = []
+    try:
+        for event in reader_class(source, keep_whitespace=keep_whitespace):
+            got.append(reference_form(event))
+    except XmlReadError as exc:
+        return got, (type(exc), exc.message, exc.line, exc.column)
+    return got, None
+
+
+def assert_readers_agree(make_source, keep_whitespace=False):
+    new = reader_outcome(SaxReader, make_source(), keep_whitespace)
+    assert new == reader_outcome(ReferenceSaxReader, make_source(), keep_whitespace)
+    return new
+
+
+_PADDING = ["", "", "", " ", "\n  ", "<!-- c -->", " <!--x-->\n"]
+
+
+def decorated_document(rng: random.Random) -> str:
+    """A random tree's XML, with comments and whitespace before some tags."""
+    parts = serialize_tree(random_tree(rng, max_depth=4)).split("<")
+    out = [parts[0]]
+    for part in parts[1:]:
+        out += [rng.choice(_PADDING), "<", part]
+    return "".join(out) + rng.choice(_PADDING)
+
+
+@pytest.mark.parametrize("size", [1, 7, 8192])
+def test_reader_matches_the_reference_on_random_documents(size):
+    rng = random.Random(size)
+    failed = 0
+    with chunk_size(size):
+        for _ in range(150):
+            doc = decorated_document(rng)
+            for keep in (False, True):
+                _, error = assert_readers_agree(lambda: io.StringIO(doc), keep)
+                assert_readers_agree(lambda: io.BytesIO(doc.encode()), keep)
+            failed += error is not None
+    assert 0 < failed < 30  # a text root is no document; every other one reads
+
+
+_ERROR_DOCS = [
+    "<A>text</B>",
+    "<A>x<a:b/></A>",
+    '<A>x<B a:k="1"/></A>',
+    "<A>x<!DOCTYPE A></A>",
+    "<A>x<![CDATA[y]]></A>",
+    "<A> <?pi x?></A>",
+    "<A>x<\u00e9/></A>",
+    "<A>x&bogus;</A>",
+    "<A>x\ud800</A>",
+    "<A>x",
+    "<A>x</A>y",
+    '<?xml version="1.0" encoding="UTF-32"?><A/>',
+]
+
+
+@pytest.mark.parametrize("size", [1, 7, 8192])
+@pytest.mark.parametrize("doc", _ERROR_DOCS)
+def test_reader_matches_the_reference_on_errors(size, doc):
+    data = doc.encode("utf-8", "surrogatepass")
+    with chunk_size(size):
+        assert_readers_agree(lambda: io.StringIO(doc))  # which ignores the declared encoding
+        _, error = assert_readers_agree(lambda: io.BytesIO(data))
+    assert error is not None
+
+
+SEQ_DOC = (pathlib.Path(__file__).resolve().parent.parent / "samples" / "seq.xml").read_bytes()
+# (position, bytes to cut there, bytes to insert there)
+edits = st.tuples(st.integers(0, len(SEQ_DOC)), st.integers(0, 3), st.binary(max_size=4))
+
+
+@settings(deadline=None)
+@given(st.lists(edits, min_size=1, max_size=4), st.sampled_from([1, 7, 8192]))
+def test_reader_matches_the_reference_on_mutated_bytes(edit_list, size):
+    doc = bytearray(SEQ_DOC)
+    for pos, cut, insert in edit_list:
+        doc[pos : pos + cut] = insert
+    with chunk_size(size):
+        assert_readers_agree(lambda: io.BytesIO(bytes(doc)))
