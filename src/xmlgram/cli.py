@@ -21,7 +21,7 @@ from typing import Optional, Tuple
 
 from .analysis import PredictTable, render_table_kv, render_table_text
 from .ast import Grammar
-from .engine import EVAL_ERROR, Compiled, Machine, ParseFailure, compile_grammar
+from .engine import Compiled, Machine, ParseFailure, compile_grammar, eval_reason
 from .evaluate import EvalError
 from .events import build_tree
 from .frontend import try_parse_grammar
@@ -144,7 +144,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
             print(f"{args.document}: parse failed: {exc}", file=sys.stderr)
             return LANGUAGE_ERROR
         except EvalError as exc:  # only the oracle lets these out
-            print(f"{args.document}: parse failed: {EVAL_ERROR}: {exc}", file=sys.stderr)
+            print(f"{args.document}: parse failed: {eval_reason(exc)}: {exc}", file=sys.stderr)
             return LANGUAGE_ERROR
         except OracleLimitExceeded as exc:
             print(f"{args.document}: parse failed: OracleLimitExceeded: {exc}", file=sys.stderr)

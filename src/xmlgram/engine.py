@@ -150,6 +150,11 @@ class ParseFailure(Exception):
         self.position = position
 
 
+def eval_reason(exc: EvalError) -> str:
+    """The failure reason for ``exc``, the same when the oracle lets it out."""
+    return GUARD_NON_BOOLEAN if isinstance(exc, NonBooleanGuard) else EVAL_ERROR
+
+
 class IncompleteParse(ParseFailure):
     def __init__(self, message: str, position: int):
         super().__init__(INCOMPLETE_PARSE, message, position)
@@ -332,7 +337,6 @@ class Machine:
             raise ValueError(f"the predict table is not LL(1): {table.conflicts[0]}")
         if table.program is None:
             table.program = Program(table)
-        self.table = table
         self._events = iter(events)
         self.lookahead: object = _UNREAD  # the next event, None at end of input
         self.position = 0  # events consumed
@@ -521,8 +525,7 @@ class Machine:
                     raise MachineInvariantError(f"unexpected program item {item!r}")
             event = next(events, None) if event is unread else event
         except EvalError as exc:
-            reason = GUARD_NON_BOOLEAN if isinstance(exc, NonBooleanGuard) else EVAL_ERROR
-            raise ParseFailure(reason, str(exc), position) from exc
+            raise ParseFailure(eval_reason(exc), str(exc), position) from exc
         finally:
             self.program, self.env, self.lookahead, self.position = program, env, event, position
             self.steps += steps

@@ -5,8 +5,8 @@ yields the same value, and nothing is mutated.  ``addChild`` is the one
 built-in constructor form — it returns a copy of a term with one more
 argument appended, which is how fold steps grow container terms.
 
-``compile_expr`` turns an expression once into a closure ``env -> Value``
-for the machine; ``eval_expr`` is the reference evaluator the oracle uses.
+``compile_expr``, the one evaluator, turns an expression once into a closure
+``env -> Value``; the oracle's ``eval_*`` entry points run it through a memo.
 """
 
 from __future__ import annotations
@@ -63,37 +63,6 @@ class NonBooleanGuard(EvalError):
 ADD_CHILD = "addChild"
 
 
-def eval_expr(expr: Expr, env: Env) -> Value:
-    if isinstance(expr, VarRef):
-        try:
-            return env[expr.name]
-        except KeyError:
-            raise UnboundVariable(expr.name) from None
-    if isinstance(expr, StrLit):
-        return expr.value
-    if isinstance(expr, IntLit):
-        return IntVal(expr.value)
-    if isinstance(expr, BoolLit):
-        return BoolVal(expr.value)
-    if isinstance(expr, NullLit):
-        return NULL
-    if isinstance(expr, Construct):
-        args = tuple(eval_expr(a, env) for a in expr.args)
-        return _add_child(args) if expr.ctor == ADD_CHILD else TermVal(expr.ctor, args)
-    if isinstance(expr, ListLit):
-        return ListVal(tuple(eval_expr(i, env) for i in expr.items))
-    if isinstance(expr, ConsExpr):
-        return TermVal(ast.CONS, (eval_expr(expr.head, env), eval_expr(expr.tail, env)))
-    if isinstance(expr, Fold):
-        appends, step = _fold_step(expr)
-        elements, acc = list_elements(eval_expr(expr.over, env)), eval_expr(expr.init, env)
-        return _fold(expr, elements, acc, env, appends, lambda e: eval_expr(step, e))
-    if isinstance(expr, Compare):
-        same = _equal(eval_expr(expr.left, env), eval_expr(expr.right, env))
-        return BoolVal(same if expr.op == "=" else not same)
-    raise TypeError(f"not an expression: {expr!r}")
-
-
 def list_elements(value: Value) -> Sequence[Value]:
     """Elements of a ListVal or of a Cons/Nil term chain.
 
@@ -145,11 +114,9 @@ def _add_child(args) -> Value:
 
 
 def _fold(expr: Fold, elements: Sequence[Value], acc: Value, env: Env, appends: bool, step) -> Value:
-    """Fold ``elements`` into ``acc`` by calling ``step``, what ``_fold_step`` chose.
-
-    This is the reference: one environment per element.  The machine's
-    closure for ``acc.add(e)``, ``e`` the element itself, takes
-    ``_adopt`` instead, which needs none."""
+    """Fold ``elements`` into ``acc`` by calling ``step``, what ``_fold_step`` chose,
+    in one environment per element.  The closure for ``acc.add(e)``, ``e`` the
+    element itself, takes ``_adopt`` instead, which needs none."""
     if appends:
         # Each step appends a child that does not depend on the accumulator:
         # collect the children and build the term once, not once per step.
@@ -188,20 +155,6 @@ def _fold_step(expr: Fold) -> Tuple[bool, Expr]:
     return False, step
 
 
-def eval_actions(exprs, env: Env) -> Value:
-    """One expression yields its value; several yield a tuple; none yields null."""
-    values = [eval_expr(e, env) for e in exprs]
-    if not values:
-        return NULL
-    if len(values) == 1:
-        return values[0]
-    return TupleVal(tuple(values))
-
-
-def eval_guard(expr: Expr, env: Env) -> bool:
-    return truth(eval_expr(expr, env))
-
-
 def truth(value: Value) -> bool:
     if not isinstance(value, BoolVal):
         raise NonBooleanGuard(f"guard evaluated to non-boolean {_show(value)}")
@@ -209,8 +162,8 @@ def truth(value: Value) -> bool:
 
 
 def compile_expr(expr: Expr, memo: dict) -> Callable[[Env], Value]:
-    """``expr`` as a closure that agrees with ``eval_expr``.  Equal expressions share
-    one closure in ``memo``, keyed by the node (a variable by its name: cheaper)."""
+    """``expr`` as a closure ``env -> Value``.  Equal expressions share one
+    closure in ``memo``, keyed by the node (a variable by its name: cheaper)."""
     key = expr.name if type(expr) is VarRef else expr
     compiled = memo.get(key)
     if compiled is None:
@@ -220,9 +173,16 @@ def compile_expr(expr: Expr, memo: dict) -> Callable[[Env], Value]:
 
 def _compile(expr: Expr, memo: dict) -> Callable[[Env], Value]:
     kind = type(expr)
-    if kind is VarRef:  # on a miss, ``eval_expr`` raises ``UnboundVariable``
+    if kind is VarRef:
         name = expr.name
-        return lambda env: env[name] if name in env else eval_expr(expr, env)
+
+        def lookup(env: Env) -> Value:
+            try:
+                return env[name]
+            except KeyError:
+                raise UnboundVariable(name) from None
+
+        return lookup
     if kind is ConsExpr:  # the same term as ``Cons(head, tail)``
         return compile_expr(Construct(ast.CONS, (expr.head, expr.tail)), memo)
     if kind is Construct:
@@ -247,13 +207,37 @@ def _compile(expr: Expr, memo: dict) -> Callable[[Env], Value]:
             return lambda env: _adopt(list_elements(over(env)), init(env))
         step = compile_expr(step, memo)
         return lambda env: _fold(expr, list_elements(over(env)), init(env), env, appends, step)
-    value = eval_expr(expr, {})  # a literal; ``eval_expr`` rejects what is not an expression
+    if kind is StrLit:
+        value = expr.value
+    elif kind is IntLit:
+        value = IntVal(expr.value)
+    elif kind is BoolLit:
+        value = BoolVal(expr.value)
+    elif kind is NullLit:
+        value = NULL
+    else:
+        raise TypeError(f"not an expression: {expr!r}")
     return lambda env: value
 
 
 def compile_actions(exprs, memo: dict) -> Callable[[Env], Value]:
-    """The closure form of ``eval_actions``."""
+    """One expression yields its value; several yield a tuple; none yields null."""
     if len(exprs) == 1:
         return compile_expr(exprs[0], memo)
     parts = tuple([compile_expr(e, memo) for e in exprs])
     return lambda env: TupleVal(tuple([f(env) for f in parts])) if parts else NULL
+
+
+# The oracle's entry points: each compiles once into ``memo``, then runs.
+
+
+def eval_expr(expr: Expr, env: Env, memo: dict) -> Value:
+    return compile_expr(expr, memo)(env)
+
+
+def eval_actions(exprs, env: Env, memo: dict) -> Value:
+    return compile_actions(exprs, memo)(env)
+
+
+def eval_guard(expr: Expr, env: Env, memo: dict) -> bool:
+    return truth(compile_expr(expr, memo)(env))

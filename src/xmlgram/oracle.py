@@ -5,7 +5,7 @@ relation: it enumerates every derivation of a body over a sequence of
 trees, threading environments left to right.  It handles alternation and
 repetition directly (no normalization required) and is deliberately naive —
 its job is to be obviously correct so the table-driven engine can be tested
-against it.
+against it.  Expressions run as the machine's closures (``compile_expr``).
 
 A derivation yields ``(position, env, value)``, where a position is an
 element and the index of its next child to match (the document itself is
@@ -85,6 +85,7 @@ class Oracle:
         self.grammar = grammar
         self.max_steps = max_steps
         self._steps = 0
+        self._memo: dict = {}  # one closure per distinct expression, see ``compile_expr``
 
     def satisfy(self, body: BodySeq, trees: Trees, env: Env) -> Iterator[Tuple[Trees, Env, Value]]:
         """Each derivation of ``body`` over a prefix of ``trees``, with the
@@ -155,7 +156,7 @@ class Oracle:
         elif isinstance(item, Call):
             yield from self._call(item, at, env)
         elif isinstance(item, Actions):
-            yield at, env, eval_actions(item.exprs, env)
+            yield at, env, eval_actions(item.exprs, env, self._memo)
         elif isinstance(item, ElementSpec):
             if isinstance(tree, Element) and tree.tag == item.tag:
                 yield from self._element(item, tree, (parent, i + 1), env)
@@ -191,7 +192,7 @@ class Oracle:
                 items.append(step[2])
 
     def _call(self, call: Call, at: Position, env: Env) -> Iterator[Derivation]:
-        args = tuple(eval_expr(a, env) for a in call.args)
+        args = tuple(eval_expr(a, env, self._memo) for a in call.args)
         for clause in self.grammar.definitions_of(call.name):
             if len(clause.params) == len(args):
                 callee_env = dict(zip(clause.params, args))
@@ -207,7 +208,7 @@ class Oracle:
                 return
             attr_env[var] = head.attrs[attr]
         inner = {**env, **attr_env}
-        taken = (body for guard, body in el.guarded if eval_guard(guard, inner))
+        taken = (body for guard, body in el.guarded if eval_guard(guard, inner, self._memo))
         for (_, i), env_c, value in self._seq(next(taken, el.else_body), (head, 0), inner):
             if i == len(head.children):
                 yield rest, env_c, value

@@ -1,7 +1,7 @@
 """Shared fixtures: canonical grammar sources, alpha-equivalence on grammars,
 seeded random generators for grammars and documents, conversions between
 trees, events and XML text, and reference implementations of the lexer, the
-reader, the value renderers and the AST walks."""
+reader, the expression evaluator, the value renderers and the AST walks."""
 
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ from typing import IO, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 from xml.parsers import expat
 
 from xmlgram.ast import (
+    CONS,
     Actions,
     Any,
     Bind,
@@ -45,11 +46,12 @@ from xmlgram.ast import (
 )
 from xmlgram.analysis import PredictTable
 from xmlgram.engine import Machine
+from xmlgram.evaluate import ADD_CHILD, UnboundVariable, _add_child, _equal, _fold, _fold_step, list_elements, truth
 from xmlgram import sax
 from xmlgram.events import Element, SaxEvent, TextEvt, TextNode, XmlTree
 from xmlgram.frontend import _KEYWORDS, _PUNCT, ParseDiagnostic
 from xmlgram.sax import _MESSAGES, _NAME_RE, MalformedXml, SaxReader, UnsupportedFeature, XmlReadError
-from xmlgram.values import BoolVal, IntVal, ListVal, NullVal, TermVal, TupleVal, Value
+from xmlgram.values import NULL, BoolVal, Env, IntVal, ListVal, NullVal, TermVal, TupleVal, Value
 
 # The worked example grammar: one rule with repetition over an alternation.
 TEST_GRAMMAR = """\
@@ -869,6 +871,58 @@ class ReferenceSaxReader:
 
     def __iter__(self) -> Iterator:
         return self._stream
+
+
+# --------------------------------------------------------------------------
+# Reference evaluator: a walk over the expression tree, per call.
+# ``xmlgram.evaluate.compile_expr`` must give the same values and the same
+# errors.  It shares the fold, ``addChild`` and equality helpers.
+# --------------------------------------------------------------------------
+
+
+def reference_eval(expr: Expr, env: Env) -> Value:
+    if isinstance(expr, VarRef):
+        try:
+            return env[expr.name]
+        except KeyError:
+            raise UnboundVariable(expr.name) from None
+    if isinstance(expr, StrLit):
+        return expr.value
+    if isinstance(expr, IntLit):
+        return IntVal(expr.value)
+    if isinstance(expr, BoolLit):
+        return BoolVal(expr.value)
+    if isinstance(expr, NullLit):
+        return NULL
+    if isinstance(expr, Construct):
+        args = tuple(reference_eval(a, env) for a in expr.args)
+        return _add_child(args) if expr.ctor == ADD_CHILD else TermVal(expr.ctor, args)
+    if isinstance(expr, ListLit):
+        return ListVal(tuple(reference_eval(i, env) for i in expr.items))
+    if isinstance(expr, ConsExpr):
+        return TermVal(CONS, (reference_eval(expr.head, env), reference_eval(expr.tail, env)))
+    if isinstance(expr, Fold):
+        appends, step = _fold_step(expr)
+        elements, acc = list_elements(reference_eval(expr.over, env)), reference_eval(expr.init, env)
+        return _fold(expr, elements, acc, env, appends, lambda e: reference_eval(step, e))
+    if isinstance(expr, Compare):
+        same = _equal(reference_eval(expr.left, env), reference_eval(expr.right, env))
+        return BoolVal(same if expr.op == "=" else not same)
+    raise TypeError(f"not an expression: {expr!r}")
+
+
+def reference_eval_actions(exprs, env: Env) -> Value:
+    """One expression yields its value; several yield a tuple; none yields null."""
+    values = [reference_eval(e, env) for e in exprs]
+    if not values:
+        return NULL
+    if len(values) == 1:
+        return values[0]
+    return TupleVal(tuple(values))
+
+
+def reference_eval_guard(expr: Expr, env: Env) -> bool:
+    return truth(reference_eval(expr, env))
 
 
 # --------------------------------------------------------------------------

@@ -677,6 +677,24 @@ def test_parse_oracle_evaluation_error_is_a_parse_failure(files, capsys):
     assert capsys.readouterr().err == f"{d}: parse failed: EvalError: addChild expects a term and a value\n"
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        ([], "GuardNonBoolean at event 0: guard evaluated to non-boolean 1"),
+        (["--oracle"], "GuardNonBoolean: guard evaluated to non-boolean 1"),
+    ],
+    ids=["engine", "oracle"],
+)
+def test_parse_non_boolean_guard_golden(files, capsys, flags, message):
+    # Both paths name the failure alike; only the engine knows the event.
+    g = files("g.xg", "@Grammar G R ::= <R when 1 > OK else OK </R>. end")
+    d = files("doc.xml", "<R/>")
+    assert main(["parse", g, d] + flags) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"{d}: parse failed: {message}\n"
+    assert captured.out == ""
+
+
 def test_parse_oracle_step_limit_is_a_parse_failure(files, capsys, monkeypatch):
     monkeypatch.setenv("XMLGRAM_MAX_DERIVATIONS", "1")
     g = files("test.xg", TEST_GRAMMAR)
