@@ -1,6 +1,6 @@
 """Command-line interface.
 
-    xmlgram check <g.xg>
+    xmlgram check <g.xg> [--start RULE]
     xmlgram tables <g.xg> [--format text|kv] [--start RULE]
     xmlgram normalize <g.xg>
     xmlgram parse <g.xg> <doc.xml> [--start RULE] [--format term|json]

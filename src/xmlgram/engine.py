@@ -122,9 +122,10 @@ class Compiled(NamedTuple):
 def compile_grammar(grammar: Grammar, start: Optional[str] = None) -> Compiled:
     """Check, normalize and tabulate ``grammar`` for the machine.
 
-    ``start`` defaults to the first rule.  Left recursion is an error (see
-    ``analysis.left_recursion``).  The table is built even when the grammar
-    is not LL(1); its ``conflicts`` list the ambiguous cells.
+    ``start`` names a rule of ``grammar`` and defaults to its first rule.
+    Left recursion is an error (see ``analysis.left_recursion``).  The table
+    is built even when the grammar is not LL(1); its ``conflicts`` list the
+    ambiguous cells.
     """
     errors = check_grammar(grammar)
     if errors:
@@ -133,7 +134,7 @@ def compile_grammar(grammar: Grammar, start: Optional[str] = None) -> Compiled:
     if not (start or grammar.clauses):
         return Compiled([], normal, None, None)
     start_rule = start or grammar.clauses[0].name
-    if not any(clause.name == start_rule for clause in normal.clauses):
+    if not any(clause.name == start_rule for clause in grammar.clauses):
         return Compiled([WfError(start_rule, "start rule is not defined")], None, None, None)
     analysis = compute_sets(normal, start_rule)
     errors = left_recursion(normal, analysis)

@@ -31,16 +31,19 @@ that character.  A string ends at its line: one still open there is an error.
 Identifiers containing ``$`` are reserved for generated names and rejected
 unless ``allow_internal_names`` is set (the normalizer's output uses them).
 
-The lexer splits the source with one ``findall`` into chunks, each a token
-with the blanks and comments before it, and fills flat lists of token kinds,
+A fixed token (a keyword, a punctuation mark or ``@Grammar``) is of the kind
+named by its own text; the other kinds are IDENT, INT, STRING and EOF.  The
+lexer splits the source with one ``findall`` into chunks, each a token with
+the blanks and comments before it, and fills flat lists of token kinds,
 texts, start offsets and lengths (``Tokens``) with maps over those lists, so
 no Python code runs per token; only a chunk that neither its whole text nor
 its first character classify (a string, a negative integer, a token after a
 comment, a word that starts outside ASCII, or an error) is matched again on
-its own.  It makes no object per token.  The parser reads those lists by
-index, tests and consumes tokens in place on its hot paths, and computes a
-``SourceSpan`` from the offsets only for the AST nodes and diagnostics that
-carry one.
+its own.  A chunk that is not then one token holds an error, and the whole
+source is lexed again one match at a time.  It makes no object per token.
+The parser reads those lists by index, tests and consumes tokens in place on
+its hot paths, and computes a ``SourceSpan`` from the offsets only for the
+AST nodes and diagnostics that carry one.
 """
 
 from __future__ import annotations
@@ -101,40 +104,18 @@ class GrammarParseError(Exception):
 # Lexer
 # --------------------------------------------------------------------------
 
-# Each keyword is its own kind.
-_KEYWORDS = {
-    kw: kw for kw in ("end", "when", "else", "OK", "ANY", "EMPTY", "TEXT", "true", "false", "null")
-}
-
-_PUNCT = {
-    "::=": "COLONEQ",
-    "</": "LTSLASH",
-    "/>": "SLASHGT",
-    "<>": "NEQ",
-    "->": "ARROW",
-    "<": "LT",
-    ">": "GT",
-    "=": "EQ",
-    "|": "PIPE",
-    "*": "STAR",
-    "(": "LPAREN",
-    ")": "RPAREN",
-    "{": "LBRACE",
-    "}": "RBRACE",
-    "[": "LBRACK",
-    "]": "RBRACK",
-    ",": "COMMA",
-    ".": "DOT",
-    ":": "COLON",
-}
+# The fixed tokens, each of the kind named by its text.  Longer punctuation
+# comes first, so "::=" wins over ":".
+_KEYWORDS = ("end", "when", "else", "OK", "ANY", "EMPTY", "TEXT", "true", "false", "null")
+_PUNCT = ("::=", "</", "/>", "<>", "->")
+_PUNCT += ("<", ">", "=", "|", "*", "(", ")", "{", "}", "[", "]", ",", ".", ":")
 
 # One match per token: the blanks, newlines and comments before it, then one
 # alternative per token class.  The classes are told apart by their first
 # character, except that "->" is PUNCT and "-1" is INT, and OTHER takes any
-# character no other class does.  Longer punctuation comes first, so "::="
-# wins over ":".  After the last token only EOF matches.  The blanks are one
-# character class and each comment takes the blanks after it, so the prefix
-# never backtracks.
+# character no other class does.  After the last token only EOF matches.  The
+# blanks are one character class and each comment takes the blanks after it,
+# so the prefix never backtracks.
 _TOKEN = re.compile(
     r"""
     [ \t\r\n]* (?: //[^\n]* [ \t\r\n]* )*
@@ -147,7 +128,7 @@ _TOKEN = re.compile(
       | (?P<EOF> \Z )
     )
     """
-    % "|".join(re.escape(text) for text in sorted(_PUNCT, key=len, reverse=True)),
+    % "|".join(map(re.escape, _PUNCT)),
     re.VERBOSE,
 )
 # The same matches without groups, so that ``findall`` lists their texts.
@@ -156,7 +137,7 @@ _CHUNK = re.compile(re.sub(r"\(\?P<\w+>", "(?:", _TOKEN.pattern), re.VERBOSE)
 # The kind of a token from its whole text, else from its first character;
 # any other token (a string, a negative integer, one after a comment, an
 # identifier that starts outside ASCII, or an error) is lexed again alone.
-_BY_TEXT = {**_PUNCT, **_KEYWORDS, "@Grammar": "ATGRAMMAR"}
+_BY_TEXT = {text: text for text in (*_PUNCT, *_KEYWORDS, "@Grammar")}
 _BY_FIRST = dict.fromkeys(string.ascii_letters + "_", "IDENT") | dict.fromkeys(string.digits, "INT")
 _BY_FIRST[""] = "EOF"
 _first = itemgetter(slice(1))  # a text's first character, "" for EOF
@@ -170,11 +151,11 @@ _new_span = tuple.__new__  # builds a SourceSpan without its Python-level __new_
 
 class Tokens:
     """A lexed grammar as parallel lists, one entry per token: its kind
-    (IDENT, INT, STRING, ATGRAMMAR, EOF, a keyword or a ``_PUNCT`` name), its
-    text (a string's characters with escapes resolved) and its start offset
-    and length in the source.  They end in two EOF tokens, so the parser can
-    look one token past the end.  A token's ``SourceSpan`` is built only when
-    asked for, from the offsets at which lines start."""
+    (IDENT, INT, STRING, EOF, or the text of a keyword, a punctuation mark or
+    ``@Grammar``), its text (a string's characters with escapes resolved) and
+    its start offset and length in the source.  They end in two EOF tokens,
+    so the parser can look one token past the end.  A token's ``SourceSpan``
+    is built only when asked for, from the offsets at which lines start."""
 
     __slots__ = ("kinds", "texts", "starts", "lengths", "line_starts")
 
@@ -187,8 +168,7 @@ class Tokens:
 
     def span(self, i: int) -> SourceSpan:
         start = self.starts[i]
-        line = bisect_right(self.line_starts, start)
-        return _new_span(SourceSpan, (line, start - self.line_starts[line - 1] + 1, self.lengths[i]))
+        return self.span_at(start, start + self.lengths[i])
 
     def span_at(self, start: int, end: int) -> SourceSpan:
         line = bisect_right(self.line_starts, start)
@@ -203,39 +183,33 @@ def lex(source: str, diagnostics: List[ParseDiagnostic]) -> Tokens:
     blanks and comments before it, and maps over those lists give the
     kinds, texts and offsets, with no Python code per token.  A rare chunk,
     which neither its text nor its first character classify, is lexed again
-    alone; it is one token unless it holds an error."""
+    alone.  It is one token ending where the chunk ends unless it holds an
+    error; then the diagnostics reported so far are dropped and the whole
+    source is lexed again, one match at a time."""
     toks = Tokens(source)
+    reported = len(diagnostics)
+    eof = ("EOF", "", len(source), 0)
     chunks = _CHUNK.findall(source)
     texts = list(map(str.lstrip, chunks, repeat(" \t\r\n")))
     lengths = list(map(len, texts))
     starts = list(map(sub, accumulate(map(len, chunks)), lengths))  # each token ends its chunk
     del chunks  # the blanks and comments they hold are not kept
     kinds = list(map(_BY_TEXT.get, texts, map(_BY_FIRST.get, map(_first, texts), repeat("?"))))
-    # A rare chunk that is one token, ending where the chunk ends, takes its
-    # place; the others are spliced in after.  So each entry still ends
-    # where its chunk ends, and the next chunk starts there.
-    spliced, i = [], -1
+    i = -1
     for _ in range(kinds.count("?")):
         i = kinds.index("?", i + 1)
-        end = starts[i] + lengths[i]
+        end = starts[i] + lengths[i]  # the chunk starts where the token before it ends
         tokens = _relex(source, starts[i - 1] + lengths[i - 1] if i else 0, end, toks, diagnostics)
-        if len(tokens) == 1 and sum(tokens[0][2:]) == end:
-            kinds[i], texts[i], starts[i], lengths[i] = tokens[0]
-        else:
-            spliced.append((i, tokens))
-    if spliced:
-        rows = list(zip(kinds, texts, starts, lengths))
-        kept, done = [], 0
-        for i, tokens in spliced:
-            kept += rows[done:i]
-            kept += tokens
-            done = i + 1
-        kept += rows[done:]
-        kinds, texts, starts, lengths = map(list, zip(*kept))
-    # The last chunk is an EOF; so is the one before it when the source ends
+        if len(tokens) != 1 or sum(tokens[0][2:]) != end:
+            del diagnostics[reported:]
+            tokens = _relex(source, 0, len(source), toks, diagnostics)
+            kinds, texts, starts, lengths = map(list, zip(*tokens, eof))
+            break
+        kinds[i], texts[i], starts[i], lengths[i] = tokens[0]
+    # The last token is an EOF; so is the one before it when the source ends
     # in blanks or a comment.  The lists end in exactly two.
     if len(kinds) == 1 or kinds[-2] != "EOF":
-        for tokens, last in zip((kinds, texts, starts, lengths), ("EOF", "", len(source), 0)):
+        for tokens, last in zip((kinds, texts, starts, lengths), eof):
             tokens.append(last)
     toks.kinds, toks.texts, toks.starts, toks.lengths = kinds, texts, starts, lengths
     return toks
@@ -244,8 +218,8 @@ def lex(source: str, diagnostics: List[ParseDiagnostic]) -> Tokens:
 def _relex(
     source: str, pos: int, end: int, toks: Tokens, diagnostics: List[ParseDiagnostic]
 ) -> List[Tuple[str, str, int, int]]:
-    """The ``(kind, text, start, length)`` of each token of one chunk,
-    ``source[pos:end]``, one match at a time."""
+    """The ``(kind, text, start, length)`` of each token of
+    ``source[pos:end]``, which ends where a chunk ends, one match at a time."""
     tokens = []
     while pos < end:
         m = _TOKEN.match(source, pos)
@@ -275,10 +249,10 @@ def _relex(
 # --------------------------------------------------------------------------
 
 # Keywords that are a whole rule body component.
-_KEYWORD_BODIES = {"OK": Ok, "ANY": Any, "EMPTY": Empty, "TEXT": Text}
+KEYWORD_BODIES = {"OK": Ok, "ANY": Any, "EMPTY": Empty, "TEXT": Text}
 
 # Tokens that may begin a body component.
-_ITEM_START = {"LT", "IDENT", "LBRACK", "LPAREN", "LBRACE", *_KEYWORD_BODIES}
+_ITEM_START = {"<", "IDENT", "[", "(", "{", *KEYWORD_BODIES}
 
 # Tokens that are a whole literal expression, built from text and span.
 _LITERALS = {
@@ -350,10 +324,12 @@ class _Parser:
             self.error(_TOO_DEEP)
         self.depth += 1
 
-    def expect(self, kind: str, what: str) -> int:
+    def expect(self, kind: str, what: Optional[str] = None) -> int:
+        """Consume a ``kind`` token, else report that ``what`` (the kind's
+        own text, quoted, by default) was expected."""
         pos = self.pos
         if self.kinds[pos] != kind:
-            self.unexpected(what)
+            self.unexpected(what or f"'{kind}'")
         self.pos = pos + 1
         return pos
 
@@ -368,34 +344,34 @@ class _Parser:
             self.note(pos, f"identifier {text!r} uses reserved character '$'")
         return text
 
-    def names(self, what: str, repeated: str, close: str, closing: str) -> Tuple[str, ...]:
+    def names(self, what: str, repeated: str, close: str) -> Tuple[str, ...]:
         """One or more comma-separated ``what`` identifiers, then ``close``;
         a name given twice is the diagnostic ``repeated``."""
         names: List[str] = []
-        while not names or self.accept("COMMA") is not None:
+        while not names or self.accept(",") is not None:
             name = self.ident(what)
             if name in names:
                 self.note(self.pos - 1, f"{repeated} {name!r}")
             names.append(name)
-        self.expect(close, closing)
+        self.expect(close)
         return tuple(names)
 
-    def exprs(self, close: str, what: str) -> Tuple[Expr, ...]:
+    def exprs(self, close: str) -> Tuple[Expr, ...]:
         """Zero or more comma-separated expressions, then ``close``."""
         kinds = self.kinds
         items: List[Expr] = []
         if kinds[self.pos] != close:
             items.append(self.parse_expr())
-            while kinds[self.pos] == "COMMA":
+            while kinds[self.pos] == ",":
                 self.pos += 1
                 items.append(self.parse_expr())
-        self.expect(close, what)
+        self.expect(close)
         return tuple(items)
 
     # -- grammar ------------------------------------------------------------
 
     def parse_grammar(self) -> Grammar:
-        self.expect("ATGRAMMAR", "'@Grammar'")
+        self.expect("@Grammar")
         name = self.ident("grammar name")
         clauses: List[Clause] = []
         while self.accept("end") is None:
@@ -415,7 +391,7 @@ class _Parser:
         get checked.  That is the next '.' followed by 'end', EOF or a rule
         head; the '.' of a ``.add(...)`` call is not one."""
         while not self.at("EOF") and not self.at("end"):
-            if self.kinds[self.next()] == "DOT" and self.at_rule_head():
+            if self.kinds[self.next()] == "." and self.at_rule_head():
                 return
 
     def at_rule_head(self) -> bool:
@@ -424,24 +400,24 @@ class _Parser:
         if kinds[i] != "IDENT":
             return False
         i += 1
-        if kinds[i] == "LPAREN":
+        if kinds[i] == "(":
             i += 1
-            while kinds[i] in ("IDENT", "COMMA"):
+            while kinds[i] in ("IDENT", ","):
                 i += 1
-            if kinds[i] != "RPAREN":
+            if kinds[i] != ")":
                 return False
             i += 1
-        return kinds[i] == "COLONEQ"
+        return kinds[i] == "::="
 
     def parse_clause(self) -> Clause:
         name = self.ident("rule name")
         span = self.span(self.pos - 1)
         params: Tuple[str, ...] = ()
-        if self.accept("LPAREN") is not None and self.accept("RPAREN") is None:  # "()": no names
-            params = self.names("parameter name", "duplicate parameter", "RPAREN", "')'")
-        self.expect("COLONEQ", "'::='")
+        if self.accept("(") is not None and self.accept(")") is None:  # "()": no names
+            params = self.names("parameter name", "duplicate parameter", ")")
+        self.expect("::=")
         body = self.parse_alternation()
-        self.expect("DOT", "'.' at end of rule")
+        self.expect(".", "'.' at end of rule")
         return Clause(name, params, body, span=span)
 
     # -- bodies ---------------------------------------------------------------
@@ -452,7 +428,7 @@ class _Parser:
         in, so ``a | (b | c)`` and ``a | b | c`` parse to the same node."""
         branches = [self.parse_sequence()]
         pipe = self.pos
-        while self.accept("PIPE") is not None:
+        while self.accept("|") is not None:
             branches.append(self.parse_sequence())
         if len(branches) == 1:
             return branches[0]
@@ -485,36 +461,36 @@ class _Parser:
         kinds = self.kinds
         pos = self.pos
         kind = kinds[pos]
-        if kind == "IDENT" and kinds[pos + 1] != "EQ":
+        if kind == "IDENT" and kinds[pos + 1] != "=":
             seq: BodySeq = (self.parse_call(),)
-        elif kind == "IDENT" or kind == "LBRACK":
+        elif kind == "IDENT" or kind == "[":
             seq = (self.parse_bind(),)
-        elif kind == "LT":
+        elif kind == "<":
             seq = (self.parse_element(),)
-        elif kind == "LBRACE":
+        elif kind == "{":
             self.pos = pos + 1
-            seq = (Actions(self.exprs("RBRACE", "'}'"), span=self.span(pos)),)
-        elif kind == "LPAREN":
+            seq = (Actions(self.exprs("}"), span=self.span(pos)),)
+        elif kind == "(":
             self.pos = pos + 1
             seq = self.parse_alternation()
-            self.expect("RPAREN", "')'")
+            self.expect(")")
         else:  # a keyword body
             self.pos = pos + 1
-            seq = (_KEYWORD_BODIES[kind](span=self.span(pos)),)
+            seq = (KEYWORD_BODIES[kind](span=self.span(pos)),)
         self.depth -= 1
         star = self.pos
-        if kinds[star] == "STAR":
+        if kinds[star] == "*":
             self.pos = star + 1
             return (Star(seq, span=self.span(star)),)
         return seq
 
     def parse_bind(self) -> Bind:
         span = self.span(self.pos)
-        if self.accept("LBRACK") is not None:
-            names = self.names("binding name", "duplicate binding name", "RBRACK", "']'")
+        if self.accept("[") is not None:
+            names = self.names("binding name", "duplicate binding name", "]")
         else:
             names = (self.ident("binding name"),)
-        self.expect("EQ", "'='")
+        self.expect("=")
         if self.kinds[self.pos] not in _ITEM_START:
             self.unexpected("a component after '='")
         return Bind(names, self.parse_component(), span=span)
@@ -522,7 +498,7 @@ class _Parser:
     def parse_call(self) -> Call:
         name = self.ident("rule name")
         span = self.span(self.pos - 1)
-        args = self.exprs("RPAREN", "')'") if self.accept("LPAREN") is not None else ()
+        args = self.exprs(")") if self.accept("(") is not None else ()
         return Call(name, args, span=span)
 
     def parse_element(self) -> ElementSpec:
@@ -533,7 +509,7 @@ class _Parser:
         while kinds[self.pos] == "IDENT":
             var_tok = self.pos
             var = attr_name = self.ident("attribute name")
-            if kinds[self.pos] == "EQ":
+            if kinds[self.pos] == "=":
                 self.pos += 1
                 attr_name = self.ident("attribute name")
             if attrs and any(var == seen for seen, _ in attrs):
@@ -543,25 +519,25 @@ class _Parser:
         guarded: List[Tuple[Expr, BodySeq]] = []
         else_body: BodySeq = ()
         kind = kinds[self.pos]
-        if kind == "SLASHGT":
+        if kind == "/>":
             # <Tag attrs/> is shorthand for <Tag attrs> OK </Tag>.
             self.pos += 1
             return ElementSpec(tag, tuple(attrs), (), (Ok(),), span=span)
         if kind == "when":
             while self.accept("when") is not None:
                 guard = self.parse_expr()
-                self.expect("GT", "'>' after guard")
+                self.expect(">", "'>' after guard")
                 guarded.append((guard, self.parse_alternation()))
             if self.accept("else") is not None:
                 else_body = self.parse_alternation()
         else:
-            self.expect("GT", "'>' or '/>'")
+            self.expect(">", "'>' or '/>'")
             else_body = self.parse_alternation()
-        self.expect("LTSLASH", "'</'")
+        self.expect("</")
         close = self.ident("closing tag")
         if close != tag:
             self.note(self.pos - 1, f"mismatched closing tag </{close}> for <{tag}>")
-        self.expect("GT", "'>'")
+        self.expect(">")
         return ElementSpec(tag, tuple(attrs), tuple(guarded), else_body, span=span)
 
     # -- expressions ----------------------------------------------------------
@@ -574,10 +550,10 @@ class _Parser:
         kinds = self.kinds
         expr = self.parse_postfix_expr()
         kind = kinds[self.pos]
-        if kind == "EQ" or kind == "NEQ":
+        if kind == "=" or kind == "<>":
             self.pos += 1
-            expr = Compare("=" if kind == "EQ" else "<>", expr, self.parse_postfix_expr())
-        if kinds[self.pos] == "COLON":
+            expr = Compare(kind, expr, self.parse_postfix_expr())
+        if kinds[self.pos] == ":":
             self.pos += 1
             expr = ConsExpr(expr, self.parse_expr())
         self.depth -= 1
@@ -588,20 +564,20 @@ class _Parser:
         depth = self.depth  # each method application nests the expression a level
         while True:
             kind = self.kinds[self.pos]
-            if kind == "ARROW":
+            if kind == "->":
                 self.nest()
                 self.next()
                 expr = self.parse_iterate(expr)
-            elif kind == "DOT" and self.kinds[self.pos + 1] == "IDENT":
+            elif kind == "." and self.kinds[self.pos + 1] == "IDENT":
                 self.nest()
                 self.next()
                 method = self.ident("method name")
                 method_tok = self.pos - 1
                 if method != "add":
                     self.error(f"unknown method {method!r} (only .add is supported)", method_tok)
-                self.expect("LPAREN", "'('")
+                self.expect("(")
                 arg = self.parse_expr()
-                self.expect("RPAREN", "')'")
+                self.expect(")")
                 expr = Construct("addChild", (expr, arg), span=self.span(method_tok))
             else:
                 self.depth = depth
@@ -612,14 +588,14 @@ class _Parser:
         kw_tok = self.pos - 1
         if kw != "iterate":
             self.error(f"expected 'iterate' after '->', found {kw!r}", kw_tok)
-        self.expect("LPAREN", "'('")
+        self.expect("(")
         elem = self.ident("element variable")
         acc = self.ident("accumulator variable")
-        self.expect("EQ", "'='")
+        self.expect("=")
         init = self.parse_expr()
-        self.expect("PIPE", "'|'")
+        self.expect("|")
         step = self.parse_expr()
-        self.expect("RPAREN", "')'")
+        self.expect(")")
         return Fold(elem, acc, init, step, over, span=self.span(kw_tok))
 
     def parse_atom(self) -> Expr:
@@ -627,13 +603,13 @@ class _Parser:
         tok = self.pos
         kind = kinds[tok]
         if kind == "IDENT":
-            if kinds[tok + 1] == "LBRACE" and self.texts[tok] == "Seq":
+            if kinds[tok + 1] == "{" and self.texts[tok] == "Seq":
                 self.pos = tok + 2
-                return ListLit(self.exprs("RBRACE", "'}'"), span=self.span(tok))
+                return ListLit(self.exprs("}"), span=self.span(tok))
             name = self.ident("name")
-            if kinds[tok + 1] == "LPAREN":
+            if kinds[tok + 1] == "(":
                 self.pos = tok + 2
-                return Construct(name, self.exprs("RPAREN", "')'"), span=self.span(tok))
+                return Construct(name, self.exprs(")"), span=self.span(tok))
             # Bare names: uppercase initial means a zero-argument constructor
             # (the usual style for term names), lowercase a variable.
             if name[0].isupper():
@@ -641,11 +617,14 @@ class _Parser:
             return VarRef(name, span=self.span(tok))
         if kind in _LITERALS:
             self.pos = tok + 1
-            return _LITERALS[kind](self.texts[tok], self.span(tok))
-        if kind == "LPAREN":
+            try:
+                return _LITERALS[kind](self.texts[tok], self.span(tok))
+            except ValueError:  # int() takes at most sys.get_int_max_str_digits() digits
+                self.error("integer literal has too many digits", tok)
+        if kind == "(":
             self.pos = tok + 1
             inner = self.parse_expr()
-            self.expect("RPAREN", "')'")
+            self.expect(")")
             return inner
         self.unexpected("an expression")
 

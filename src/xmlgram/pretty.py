@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from .ast import (
     Actions,
-    Any,
     Bind,
     Body,
     BodySeq,
@@ -19,7 +18,6 @@ from .ast import (
     ConsExpr,
     Construct,
     ElementSpec,
-    Empty,
     Expr,
     Fold,
     Grammar,
@@ -30,10 +28,12 @@ from .ast import (
     Or,
     Star,
     StrLit,
-    Text,
     VarRef,
 )
 from .evaluate import ADD_CHILD
+from .frontend import KEYWORD_BODIES
+
+_KEYWORD_OF = {body: keyword for keyword, body in KEYWORD_BODIES.items()}
 
 
 def pretty_grammar(grammar: Grammar) -> str:
@@ -97,14 +97,8 @@ def pretty_item(item: Body) -> str:
         return f"{names} = {_pretty_operand(item.body)}"
     if isinstance(item, Star):
         return _pretty_star_operand(item.body) + "*"
-    if isinstance(item, Empty):
-        return "EMPTY"
-    if isinstance(item, Any):
-        return "ANY"
-    if isinstance(item, Ok):
-        return "OK"
-    if isinstance(item, Text):
-        return "TEXT"
+    if type(item) in _KEYWORD_OF:
+        return _KEYWORD_OF[type(item)]
     if isinstance(item, Call):
         if item.args:
             return f"{item.name}({', '.join(pretty_expr(a) for a in item.args)})"

@@ -58,7 +58,7 @@ _CHUNK = 1 << 13
 # token until its buffer has about doubled.
 MAX_TOKEN = 1 << 20
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.\-]*")
+NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.\-]*")
 
 # Our wording for expat errors that tests and users match on.
 _MESSAGES = {
@@ -106,7 +106,7 @@ class SaxReader:
         def check_name(name: str) -> None:
             if ":" in name:
                 raise error(f"namespace-prefixed name {name!r} is not supported", UnsupportedFeature)
-            if _NAME_RE.fullmatch(name) is None:
+            if NAME_RE.fullmatch(name) is None:
                 raise error(f"invalid name {name!r}")
 
         def characters(data: str) -> None:

@@ -17,8 +17,10 @@ body's parameters and exports from it.
 Besides variable scoping, ``check_grammar`` rejects arity inconsistencies
 (calls whose argument count disagrees with the callee, and same-named
 definitions with different parameter lists).  Calls to names with no
-definition at all are reported by ``lint_grammar`` as warnings: such rules
-simply never match anything, which can be deliberate in a grammar fragment.
+definition at all, and element and attribute names that the XML reader
+rejects (grammar identifiers may be non-ASCII, its names may not), are
+reported by ``lint_grammar`` as warnings: they simply never match anything,
+which can be deliberate in a grammar fragment.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from .ast import (
     VarRef,
     walk,
 )
+from .sax import NAME_RE
 
 
 @dataclass(frozen=True)
@@ -156,12 +159,21 @@ def check_grammar(grammar: Grammar) -> List[WfError]:
 
 
 def lint_grammar(grammar: Grammar) -> List[WfError]:
-    """Warnings: calls whose target has no definition (they never match)."""
+    """Warnings about what never matches: calls whose target has no
+    definition, and element and attribute names the XML reader rejects."""
     defined = {c.name for c in grammar.clauses}
     warnings: List[WfError] = []
     for clause in grammar.clauses:
+        found = []
         for item in walk(clause.body):
             if type(item) is Call and item.name not in defined:
-                message = f"call to undefined rule {item.name!r} (never matches)"
-                warnings.append(WfError(clause.name, message, item.span, severity="warning"))
+                found.append((item, f"call to undefined rule {item.name!r}"))
+            elif type(item) is ElementSpec:
+                names = [("tag", item.tag)] + [("attribute", attr) for _, attr in item.attrs]
+                for what, name in names:
+                    if NAME_RE.fullmatch(name) is None:
+                        found.append((item, f"{what} {name!r} is a name the XML reader rejects"))
+        for item, problem in found:
+            message = f"{problem} (never matches)"
+            warnings.append(WfError(clause.name, message, item.span, severity="warning"))
     return warnings

@@ -50,7 +50,7 @@ from xmlgram.evaluate import ADD_CHILD, UnboundVariable, _add_child, _equal, _fo
 from xmlgram import sax
 from xmlgram.events import Element, SaxEvent, TextEvt, TextNode, XmlTree
 from xmlgram.frontend import _KEYWORDS, _PUNCT, ParseDiagnostic
-from xmlgram.sax import _MESSAGES, _NAME_RE, MalformedXml, SaxReader, UnsupportedFeature, XmlReadError
+from xmlgram.sax import _MESSAGES, NAME_RE, MalformedXml, SaxReader, UnsupportedFeature, XmlReadError
 from xmlgram.values import NULL, BoolVal, Env, IntVal, ListVal, NullVal, TermVal, TupleVal, Value
 
 # The worked example grammar: one rule with repetition over an alternation.
@@ -762,7 +762,7 @@ class ReferenceSaxReader:
         def check_name(name: str) -> None:
             if ":" in name:
                 raise error(f"namespace-prefixed name {name!r} is not supported", UnsupportedFeature)
-            if _NAME_RE.fullmatch(name) is None:
+            if NAME_RE.fullmatch(name) is None:
                 raise error(f"invalid name {name!r}")
 
         def flush() -> None:
@@ -1027,7 +1027,7 @@ def reference_tokens(
         if kind == "WORD":
             toks.append((text if text in _KEYWORDS else "IDENT", text, span))
         elif kind == "PUNCT":
-            toks.append((_PUNCT[text], text, span))
+            toks.append((text, text, span))
         elif kind == "INT":
             toks.append(("INT", text, span))
         elif kind == "STRING":
@@ -1037,7 +1037,7 @@ def reference_tokens(
             toks.append(("STRING", text, span))
         elif kind == "MARKER":
             if text == "@Grammar":
-                toks.append(("ATGRAMMAR", text, span))
+                toks.append((text, text, span))
             else:
                 diagnostics.append(ParseDiagnostic(span, f"unknown marker {text!r}"))
         elif kind == "OTHER":

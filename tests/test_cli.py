@@ -84,6 +84,112 @@ def test_check_reports_syntax_errors(files, capsys):
     assert "expected" in capsys.readouterr().err
 
 
+# One malformed grammar per expectation of the parser and per kind of lexical
+# error, with the diagnostics ``check`` prints for it, one per line.
+SYNTAX_ERRORS = [
+    pytest.param("Grammar G end", "1:1: error: expected '@Grammar', found 'Grammar'", id="marker"),
+    pytest.param("@Grammar G R(a b) ::= OK. end", "1:16: error: expected ')', found 'b'", id="params"),
+    pytest.param("@Grammar G R(a, a) ::= OK. end", "1:17: error: duplicate parameter 'a'", id="param-twice"),
+    pytest.param("@Grammar G R = OK. end", "1:14: error: expected '::=', found '='", id="rule-head"),
+    pytest.param(
+        "@Grammar G R ::= OK end", "1:21: error: expected '.' at end of rule, found 'end'", id="rule-end"
+    ),
+    pytest.param(
+        "@Grammar G R ::= OK",
+        "1:20: error: expected '.' at end of rule, found 'EOF'\n1:20: error: unterminated grammar: expected 'end'",
+        id="rule-at-eof",
+    ),
+    pytest.param("@Grammar G R ::= OK.", "1:21: error: unterminated grammar: expected 'end'", id="no-end"),
+    pytest.param("@Grammar G R ::= {1 2}. end", "1:21: error: expected '}', found '2'", id="actions"),
+    pytest.param(
+        '@Grammar G R ::= {"" ""}. end', "1:22: error: expected '}', found 'STRING'", id="empty-string"
+    ),
+    pytest.param("@Grammar G R ::= (OK. end", "1:21: error: expected ')', found '.'", id="group"),
+    pytest.param("@Grammar G R ::= [a b] = OK. end", "1:21: error: expected ']', found 'b'", id="bind-names"),
+    pytest.param(
+        "@Grammar G R ::= [a, a] = OK. end", "1:22: error: duplicate binding name 'a'", id="bind-twice"
+    ),
+    pytest.param("@Grammar G R ::= [a] OK. end", "1:22: error: expected '=', found 'OK'", id="bind"),
+    pytest.param(
+        "@Grammar G R ::= x = . end",
+        "1:22: error: expected a component after '=', found '.'",
+        id="bind-target",
+    ),
+    pytest.param("@Grammar G R ::= S(1 2). end", "1:22: error: expected ')', found '2'", id="call-args"),
+    pytest.param(
+        "@Grammar G R ::= <a when true OK </a>. end",
+        "1:31: error: expected '>' after guard, found 'OK'",
+        id="guard",
+    ),
+    pytest.param(
+        "@Grammar G R ::= <a OK </a>. end", "1:21: error: expected '>' or '/>', found 'OK'", id="start-tag"
+    ),
+    pytest.param("@Grammar G R ::= <a> OK. end", "1:24: error: expected '</', found '.'", id="end-tag"),
+    pytest.param(
+        "@Grammar G R ::= <a> OK </a . end", "1:29: error: expected '>', found '.'", id="end-tag-close"
+    ),
+    pytest.param(
+        "@Grammar G R ::= <a> OK </b>. end",
+        "1:27: error: mismatched closing tag </b> for <a>",
+        id="end-tag-name",
+    ),
+    pytest.param("@Grammar G R ::= {Seq{}.add 1}. end", "1:29: error: expected '(', found '1'", id="add"),
+    pytest.param("@Grammar G R ::= {Seq{}.add(1 2)}. end", "1:31: error: expected ')', found '2'", id="add-arg"),
+    pytest.param(
+        "@Grammar G R ::= {Seq{}.put(1)}. end",
+        "1:25: error: unknown method 'put' (only .add is supported)",
+        id="method",
+    ),
+    pytest.param(
+        "@Grammar G R ::= {Seq{}->fold(x a = 1 | 2)}. end",
+        "1:26: error: expected 'iterate' after '->', found 'fold'",
+        id="iterate-name",
+    ),
+    pytest.param(
+        "@Grammar G R ::= {Seq{}->iterate x}. end", "1:34: error: expected '(', found 'x'", id="iterate"
+    ),
+    pytest.param(
+        "@Grammar G R ::= {Seq{}->iterate(x a 1 | 2)}. end",
+        "1:38: error: expected '=', found '1'",
+        id="iterate-init",
+    ),
+    pytest.param(
+        "@Grammar G R ::= {Seq{}->iterate(x a = 1 2)}. end",
+        "1:42: error: expected '|', found '2'",
+        id="iterate-step",
+    ),
+    pytest.param(
+        "@Grammar G R ::= {Seq{}->iterate(x a = 1 | 2 3)}. end",
+        "1:46: error: expected ')', found '3'",
+        id="iterate-end",
+    ),
+    pytest.param("@Grammar G R ::= {Seq{1 2}}. end", "1:25: error: expected '}', found '2'", id="list"),
+    pytest.param("@Grammar G R ::= {C(1 2)}. end", "1:23: error: expected ')', found '2'", id="construct"),
+    pytest.param("@Grammar G R ::= {(1 2)}. end", "1:22: error: expected ')', found '2'", id="parens"),
+    pytest.param("@Grammar G R ::= {)}. end", "1:19: error: expected an expression, found ')'", id="expr"),
+    pytest.param(
+        "@Grammar G R ::= OK. end R", "1:26: error: trailing input after 'end'", id="trailing-input"
+    ),
+    pytest.param("@Grammar G R ::= OK; . end", "1:20: error: unknown character ';'", id="character"),
+    pytest.param("@Grammar G R ::= @x OK. end", "1:18: error: unknown marker '@x'", id="unknown-marker"),
+    pytest.param(
+        '@Grammar G\nR ::= <a/> {"ab}.\nend',
+        "2:13: error: unterminated string literal\n3:1: error: expected '}', found 'end'",
+        id="string",
+    ),
+    pytest.param("@Grammar G R ::= ½x. end", "1:18: error: unknown character '½'", id="numeral"),
+]
+
+
+@pytest.mark.parametrize("grammar, errors", SYNTAX_ERRORS)
+def test_syntax_errors_golden(files, capsys, grammar, errors):
+    path = files("bad.xg", grammar)
+    assert main(["check", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "".join(f"{path}:{line}\n" for line in errors.splitlines())
+    assert captured.out == ""
+
+
 def test_check_invalid_utf8_grammar_is_a_language_error(files, capsys):
     path = files("bad.xg", "")
     pathlib.Path(path).write_bytes(b'@Grammar G R ::= <a/> {"\xff"}. end')
@@ -734,24 +840,30 @@ def test_parse_never_tracebacks_on_mutated_bytes(tmp_path_factory, edit_list):
 
 
 GRAMMARS = [(SAMPLES / name).read_bytes() for name in ("seq.xg", "models.xg")]
+SEQ_GRAMMAR = GRAMMARS[0].decode()
 # (position, bytes to cut there, bytes to insert there, times to repeat them)
 grammar_edits = st.tuples(
     st.integers(0, max(map(len, GRAMMARS))),
     st.integers(0, 3),
     st.one_of(
         st.sampled_from(
-            [b"(", b"<", b"|", b"{", b"<e>", b"C(", b"x = ", b")", b"."]
+            [b"(", b"<", b"|", b"{", b"<e>", b"C(", b"x = ", b")", b".", b"7"]
             + [c.encode() for c in "²½Ⅷé٣"]
         ),
         st.binary(max_size=3),
     ),
-    st.sampled_from([1, 2, 3, 400]),
+    # 4,400 digits in a row are past CPython's limit for converting a string to an int
+    st.sampled_from([1, 2, 3, 400, 4400]),
 )
 
 
 @settings(deadline=None)
-@given(st.sampled_from(GRAMMARS), st.lists(grammar_edits, min_size=1, max_size=4))
-def test_check_never_tracebacks_on_mutated_grammars(tmp_path_factory, grammar, edit_list):
+@given(
+    st.sampled_from(GRAMMARS),
+    st.lists(grammar_edits, min_size=1, max_size=4),
+    st.sampled_from(["check", "tables"]),
+)
+def test_check_never_tracebacks_on_mutated_grammars(tmp_path_factory, grammar, edit_list, command):
     text = bytearray(grammar)
     for pos, cut, insert, times in edit_list:
         text[pos : pos + cut] = insert * times
@@ -759,7 +871,7 @@ def test_check_never_tracebacks_on_mutated_grammars(tmp_path_factory, grammar, e
     path.write_bytes(bytes(text))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["check", str(path)])
+        code = main([command, str(path)])
     assert code in (0, 1, 2), err.getvalue()
 
 
@@ -832,6 +944,29 @@ def test_closed_stdout_is_an_io_error_not_a_traceback(files, fmt, head):
             "warning: grammar is ambiguous for this document (2 distinct values)\n", "1\n",
             id="oracle-ambiguity-warning",
         ),
+        pytest.param(
+            "@Grammar G R ::= <R/> {" + "9" * 5000 + "}. end", "<R/>", ["parse"], 1,
+            "{g}:1:24: error: integer literal has too many digits\n", "", id="integer-past-digit-limit",
+        ),
+        pytest.param(
+            "@Grammar G R ::= <Gé n=name/> {n} | <G n=né/> {n}. end", None, ["check"], 0,
+            "{g}: warning: rule R: tag 'Gé' is a name the XML reader rejects (never matches) at 1:18\n"
+            "{g}: warning: rule R: attribute 'né' is a name the XML reader rejects (never matches) at 1:37\n",
+            "", id="lint-reader-names",
+        ),
+    ]
+    + [
+        # ``A$2`` is a rule that normalization makes, not one of the grammar's
+        pytest.param(
+            SEQ_GRAMMAR, document, argv + ["--start", "A$2"], 1,
+            "{g}: rule A$2: start rule is not defined\n", "", id="generated-start-" + "-".join(argv),
+        )
+        for argv, document in [
+            (["check"], None),
+            (["tables"], None),
+            (["parse"], '<B name="x"/>'),
+            (["parse", "--oracle"], '<B name="x"/>'),
+        ]
     ],
 )
 def test_diagnostics_golden(files, capsys, grammar, document, argv, code, err, out):

@@ -32,7 +32,7 @@ from xmlgram.ast import (
     Text,
     VarRef,
 )
-from xmlgram.frontend import GrammarParseError, lex, parse_grammar, try_parse_grammar
+from xmlgram.frontend import GrammarParseError, ParseDiagnostic, lex, parse_grammar, try_parse_grammar
 from xmlgram.pretty import pretty_grammar
 
 
@@ -276,26 +276,26 @@ GOLDEN_SOURCE = (
 
 # (kind, text, line, column, length) per token.
 GOLDEN_TOKENS = [
-    ("ATGRAMMAR", "@Grammar", 1, 1, 8), ("IDENT", "Gé", 1, 10, 2),
-    ("IDENT", "R", 2, 3, 1), ("LPAREN", "(", 2, 4, 1), ("IDENT", "p", 2, 5, 1),
-    ("COMMA", ",", 2, 6, 1), ("IDENT", "q$1", 2, 8, 3), ("RPAREN", ")", 2, 11, 1),
-    ("COLONEQ", "::=", 2, 13, 3), ("LT", "<", 2, 17, 1), ("IDENT", "a", 2, 18, 1),
-    ("IDENT", "x", 2, 20, 1), ("EQ", "=", 2, 21, 1), ("IDENT", "y", 2, 22, 1),
-    ("SLASHGT", "/>", 2, 23, 2), ("LBRACK", "[", 2, 26, 1), ("IDENT", "u", 2, 27, 1),
-    ("COMMA", ",", 2, 28, 1), ("IDENT", "v", 2, 30, 1), ("RBRACK", "]", 2, 31, 1),
-    ("EQ", "=", 2, 33, 1), ("IDENT", "S", 2, 35, 1), ("STAR", "*", 2, 36, 1),
-    ("PIPE", "|", 2, 38, 1), ("LPAREN", "(", 2, 40, 1), ("IDENT", "T", 2, 41, 1),
-    ("RPAREN", ")", 2, 42, 1), ("LBRACE", "{", 2, 44, 1), ("IDENT", "u", 2, 45, 1),
-    ("COLON", ":", 2, 47, 1), ("IDENT", "v", 2, 49, 1), ("COMMA", ",", 2, 50, 1),
-    ("IDENT", "p", 2, 52, 1), ("EQ", "=", 2, 54, 1), ("IDENT", "q", 2, 56, 1),
-    ("COMMA", ",", 2, 57, 1), ("IDENT", "p", 2, 59, 1), ("NEQ", "<>", 2, 61, 2),
-    ("IDENT", "q", 2, 64, 1), ("COMMA", ",", 2, 65, 1), ("IDENT", "Seq", 2, 67, 3),
-    ("LBRACE", "{", 2, 70, 1), ("INT", "-12", 2, 71, 3), ("COMMA", ",", 2, 74, 1),
-    ("STRING", 'a\n\t"\\b', 2, 76, 12), ("RBRACE", "}", 2, 88, 1), ("RBRACE", "}", 2, 89, 1),
-    ("DOT", ".", 2, 90, 1),
-    ("IDENT", "S", 3, 3, 1), ("COLONEQ", "::=", 3, 5, 3), ("EMPTY", "EMPTY", 3, 9, 5),
+    ("@Grammar", "@Grammar", 1, 1, 8), ("IDENT", "Gé", 1, 10, 2),
+    ("IDENT", "R", 2, 3, 1), ("(", "(", 2, 4, 1), ("IDENT", "p", 2, 5, 1),
+    (",", ",", 2, 6, 1), ("IDENT", "q$1", 2, 8, 3), (")", ")", 2, 11, 1),
+    ("::=", "::=", 2, 13, 3), ("<", "<", 2, 17, 1), ("IDENT", "a", 2, 18, 1),
+    ("IDENT", "x", 2, 20, 1), ("=", "=", 2, 21, 1), ("IDENT", "y", 2, 22, 1),
+    ("/>", "/>", 2, 23, 2), ("[", "[", 2, 26, 1), ("IDENT", "u", 2, 27, 1),
+    (",", ",", 2, 28, 1), ("IDENT", "v", 2, 30, 1), ("]", "]", 2, 31, 1),
+    ("=", "=", 2, 33, 1), ("IDENT", "S", 2, 35, 1), ("*", "*", 2, 36, 1),
+    ("|", "|", 2, 38, 1), ("(", "(", 2, 40, 1), ("IDENT", "T", 2, 41, 1),
+    (")", ")", 2, 42, 1), ("{", "{", 2, 44, 1), ("IDENT", "u", 2, 45, 1),
+    (":", ":", 2, 47, 1), ("IDENT", "v", 2, 49, 1), (",", ",", 2, 50, 1),
+    ("IDENT", "p", 2, 52, 1), ("=", "=", 2, 54, 1), ("IDENT", "q", 2, 56, 1),
+    (",", ",", 2, 57, 1), ("IDENT", "p", 2, 59, 1), ("<>", "<>", 2, 61, 2),
+    ("IDENT", "q", 2, 64, 1), (",", ",", 2, 65, 1), ("IDENT", "Seq", 2, 67, 3),
+    ("{", "{", 2, 70, 1), ("INT", "-12", 2, 71, 3), (",", ",", 2, 74, 1),
+    ("STRING", 'a\n\t"\\b', 2, 76, 12), ("}", "}", 2, 88, 1), ("}", "}", 2, 89, 1),
+    (".", ".", 2, 90, 1),
+    ("IDENT", "S", 3, 3, 1), ("::=", "::=", 3, 5, 3), ("EMPTY", "EMPTY", 3, 9, 5),
     ("ANY", "ANY", 3, 15, 3), ("TEXT", "TEXT", 3, 19, 4), ("OK", "OK", 3, 24, 2),
-    ("LTSLASH", "</", 3, 27, 2), ("GT", ">", 3, 30, 1), ("ARROW", "->", 3, 32, 2),
+    ("</", "</", 3, 27, 2), (">", ">", 3, 30, 1), ("->", "->", 3, 32, 2),
     ("IDENT", "iterate", 3, 35, 7), ("when", "when", 3, 43, 4), ("else", "else", 3, 48, 4),
     ("true", "true", 3, 53, 4), ("false", "false", 3, 58, 5), ("null", "null", 3, 64, 4),
     ("IDENT", "ñame_2", 3, 69, 6), ("STRING", "open\r", 3, 85, 6),
@@ -361,22 +361,35 @@ def test_lexer_matches_reference_lexer(seed, edit_list):
         "@Bogus @Grammar",
         "½½ ½x Ⅷ12Ⅷ -1 ٣ é",  # numerals start no word, and a word may start after one
         "a$b $ ; #",
+        '"open\n-1 "a" ; ½ -2',  # rare chunks before and after the first error
     ],
     ids=[
         "empty", "one-token", "trailing-blanks", "trailing-comment", "leading-comment",
-        "negative-int", "strings", "markers", "numerals", "unknown-characters",
+        "negative-int", "strings", "markers", "numerals", "unknown-characters", "errors-among-rare",
     ],
 )
 def test_lexer_rare_chunks_match_reference_lexer(source):
     """Chunks that their text or first character do not classify are lexed
-    again alone; some hold an error and no token, or a token short of the
-    chunk's end, and the tokens after them must keep their offsets."""
+    again alone; one that holds an error and so is not one token sends the
+    whole source through the slow path, which must report each diagnostic
+    once and give every token its offsets."""
     expected_diagnostics = []
     expected = reference_tokens(source, expected_diagnostics)
     diagnostics = []
     toks = lex(source, diagnostics)
     assert list(zip(toks.kinds, toks.texts, map(toks.span, range(len(toks.kinds))))) == expected
     assert diagnostics == expected_diagnostics
+
+
+def test_lexer_keeps_the_diagnostics_it_was_given():
+    """The slow path drops only the diagnostics that this call reported."""
+    diagnostics = [ParseDiagnostic(SourceSpan(9, 9), "earlier")]
+    lex('"open\n;', diagnostics)
+    assert [str(d) for d in diagnostics] == [
+        "9:9: error: earlier",
+        "1:1: error: unterminated string literal",
+        "2:1: error: unknown character ';'",
+    ]
 
 
 def _bench_grammar_source(seed: int) -> str:

@@ -154,6 +154,20 @@ def test_models_grammar_is_well_formed():
     assert warnings[0].severity == "warning"
 
 
+def test_lint_warns_about_names_the_reader_rejects():
+    """Grammar identifiers may be non-ASCII; the XML reader's names may not,
+    so an element or attribute with such a name never matches."""
+    g = parse_grammar(
+        "@Grammar G R ::= <a x=y> (<Gé/>)* <b when true > <c٣ v=n٣/> else OK </b> </a> {x}. end"
+    )
+    rejects = "is a name the XML reader rejects (never matches)"
+    assert [(w.rule, w.message, w.severity) for w in lint_grammar(g)] == [
+        ("R", f"tag 'Gé' {rejects}", "warning"),
+        ("R", f"tag 'c٣' {rejects}", "warning"),
+        ("R", f"attribute 'n٣' {rejects}", "warning"),
+    ]
+
+
 def test_test_grammar_is_well_formed():
     assert check_grammar(parse_grammar(TEST_GRAMMAR)) == []
 
