@@ -38,18 +38,20 @@ Repetitions run as loops, another superoperator.  Normalization lifts each
 ``X*`` into a cons-recursive rule and names it in ``Grammar.loops``; such a
 rule gets no row but a loop row, which maps each token to the ops of one
 item ``X`` (chain-resolved like a row of a rule with the loop's parameters
-when ``X`` is one call) or to ``END``.  A ``LOOP`` op enters it like a
-call, binding the parameters it carries, and pushes an accumulator list
-and a ``NEXT`` op.  ``NEXT`` moves the last item's value into the
-accumulator, predicts from the lookahead, and either pushes itself and the
-item's ops, or on ``END`` replaces the accumulator with a ``ConsList`` of
-its items: to every reader the Cons/Nil chain of the items, held as one
-tuple, so the end of a repetition builds no term per item.  Every empty
-repetition ends in the one shared ``EMPTY_CONS``, as every null is
-``NULL``.  Each item runs in the loop's own environment, which is what the
-cons clause would pass on: normalization makes sure its item cannot rebind
-one of the rule's parameters.  So an item costs one step on top of its own
-ops, and the program does not grow with the number of siblings.
+when ``X`` is one call) or to ``END``.  Normalization calls such a rule
+with its own parameters, as ``Program`` checks; an item reads only those,
+cannot rebind one, and no op changes an environment in place.  So each
+item, and what follows the repetition, runs in the environment where it
+starts.  A ``LOOP`` op evaluates nothing: it pushes an accumulator list
+and a ``NEXT`` op that holds that environment.  ``NEXT`` moves the last
+item's value into the accumulator, predicts from the lookahead, sets the
+environment back, and either pushes itself and the item's ops, or on
+``END`` replaces the accumulator with a ``ConsList`` of its items: to
+every reader the Cons/Nil chain of the items, held as one tuple, so the
+end of a repetition builds no term per item.  Every empty repetition ends
+in the one shared ``EMPTY_CONS``, as every null is ``NULL``.  So an item
+costs one step on top of its own ops, and the program does not grow with
+the number of siblings.
 
 Leaf runs fuse the commonest pair, ``NEXT`` and a fused empty-element
 ``START``.  Where an item's ops are that one op, with its action, under its
@@ -62,11 +64,12 @@ the accumulator, and pushes ops only for an item of another kind.
 Environments grow monotonically inside a rule activation (attribute and
 binding names stay visible for the rest of the clause body) and are
 restored when the activation ends.  The program stack is the machine's
-only control stack: a call or loop that ops follow in its clause (counting
-an enclosing element's end tag) leaves its continuation there, behind an
+only control stack: a call that ops follow in its clause (counting an
+enclosing element's end tag) leaves its continuation there, behind an
 ``ENV_RESTORE`` op that brings its environment back.  One that no op
 follows, a tail call, leaves nothing, since what runs next sets its own
-environment.  The machine sees which from the stack itself (Clinger,
+environment, and a loop leaves none, since its ``NEXT`` sets its
+environment back.  The machine sees which from the stack itself (Clinger,
 "Proper tail recursion and space efficiency", 1998): ``ENV_RESTORE`` and
 ``NEXT`` are pushed only at run time, never compiled into a body, so the
 op under a call is one of them, or the stack is empty, exactly when
@@ -77,8 +80,9 @@ action left to run.
 
 ``Machine.run`` is the one driver loop: the classic table-driven LL(1)
 driver (Aho, Lam, Sethi & Ullman, *Compilers*, section 4.4), one branch per
-opcode, the lookahead event in a local.  An evaluation error in a guard,
-argument or action surfaces as a ``ParseFailure`` at the current event.
+opcode, the lookahead event in a local, read as soon as the event before
+it is consumed.  An evaluation error in a guard, argument or action
+surfaces as a ``ParseFailure`` at the current event.
 """
 
 from __future__ import annotations
@@ -87,7 +91,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .analysis import NotNormalForm, PredictTable, build_predict_table, compute_sets, left_recursion
 from .ast import Actions, Any, Bind, BodySeq, Call, Clause, ElementSpec, Empty
-from .ast import Grammar, Ok, Text, VarRef
+from .ast import Expr, Grammar, Ok, Text, VarRef
 from .evaluate import SHOWN, EvalError, NonBooleanGuard, compile_actions, compile_expr
 from .evaluate import shorten, truth
 from .events import ANY_TOKEN, SaxEvent, TextEvt, Token, token_label
@@ -169,15 +173,15 @@ class MachineInvariantError(AssertionError):
 
 # Opcodes, the first field of every op.  The operands of those that have any:
 #   (CALL, callee row, callee name, argument closures)
-#   (LOOP, callee loop row, callee name, argument closures, callee parameters)
-#   (NEXT, loop row, rule name, loop environment), pushed by LOOP; a loop
-#   row's entry is END, an item's ops, or a leaf: the item's one fused START
+#   (LOOP, callee loop row, callee name), its call passing its own parameters
+#   (NEXT, loop row, rule name, the environment it started in), pushed by LOOP;
+#   a loop row's entry is END, an item's ops, or a leaf: the item's one fused START
 #   (START, tag, attrs, guarded branches, else branch) for an element with
 #   ops inside: each branch is ops ending in the element's TAG_END, and an
 #   unguarded element has no guarded branches, ()
 #   (START, tag, attrs, None, action) for one without: START reads the end tag too
 #   (BIND, names, pop the value too, action)  (ACTIONS, closure)
-#   (ENV_RESTORE, env), pushed by CALL and LOOP  (TAG_END, tag)
+#   (ENV_RESTORE, env), pushed by CALL  (TAG_END, tag)
 # A fused action is a closure or None; its value is pushed after the op.
 CALL, BIND, ACTIONS, START, TAG_END, POP, TEXT, ANY, EMPTY, LOOP = range(10)
 ENV_RESTORE, NEXT = 10, 11  # pushed only at run time: numbered last, so one test finds a tail call
@@ -230,15 +234,22 @@ class Program:
             else:
                 self.rows[name][token] = entry
 
-    def call(self, name: str, args: tuple) -> tuple:
-        """The op of a call.  A rule without entries gets an empty row."""
-        params = self.params.get(name)
-        if params is not None and len(params) != len(args):
-            message = f"rule {name} takes {len(params)} argument(s), got {len(args)}"
-            raise ParseFailure(CALL_ARITY, message, 0)
+    def call(self, name: str, args: Tuple[Expr, ...], memo: dict) -> tuple:
+        """The op of a call.  A rule without entries gets an empty row.  A
+        loop's items run in the caller's environment, so a loop must be
+        passed its own parameters."""
+        self.check_arity(name, len(args))
         if name in self.loops:
-            return (LOOP, self.loops[name], name, args, params)
-        return (CALL, self.rows.get(name, {}), name, args)
+            if args != tuple(map(VarRef, self.params[name])):
+                raise NotNormalForm(f"loop {name} is not called with its own parameters")
+            return (LOOP, self.loops[name], name)
+        return (CALL, self.rows.get(name, {}), name, tuple([compile_expr(e, memo) for e in args]))
+
+    def check_arity(self, name: str, count: int) -> None:
+        params = self.params.get(name)
+        if params is not None and len(params) != count:
+            message = f"rule {name} takes {len(params)} argument(s), got {count}"
+            raise ParseFailure(CALL_ARITY, message, 0)
 
     def _ops(self, seq: BodySeq, memo: dict, used: bool) -> tuple:
         """The ops of a body in reverse execution order; ``used`` says
@@ -254,8 +265,7 @@ class Program:
             keep = used and i == len(seq) - 1
             kind = type(item)
             if kind is Call:
-                args = tuple([compile_expr(e, memo) for e in item.args])
-                ops.append(self.call(item.name, args))
+                ops.append(self.call(item.name, item.args, memo))
             elif kind is Bind:
                 self._seq(item.body, ops, memo, True)
                 ops.append((BIND, item.names, not keep, None))
@@ -315,16 +325,17 @@ def _resolve_chain(table: PredictTable, token: Token, clause: Clause) -> Clause:
     return clause
 
 
-_UNREAD = object()  # the lookahead before the next event is read
+_UNREAD = object()  # the lookahead before the first event is read
 
 
 class Machine:
     """One parse in progress; construct, then ``run()``.
 
     Its state is the program stack, the one control stack, which also holds
-    an ``ENV_RESTORE`` op for each continuation still pending; the current
-    environment; the value stack; and the lookahead event.
-    ``max_dump_depth`` is the most environments saved at one time."""
+    an ``ENV_RESTORE`` op for each continuation still pending and a ``NEXT``
+    op for each loop running; the current environment; the value stack; and
+    the lookahead event.  ``max_dump_depth`` is the most environments saved
+    at one time, by those ``ENV_RESTORE`` and ``NEXT`` ops together."""
 
     def __init__(
         self,
@@ -338,17 +349,17 @@ class Machine:
             raise ValueError(f"the predict table is not LL(1): {table.conflicts[0]}")
         if table.program is None:
             table.program = Program(table)
+        program = table.program
         self._events = iter(events)
         self.lookahead: object = _UNREAD  # the next event, None at end of input
         self.position = 0  # events consumed
         self.values: List[Value] = []
         self.max_dump_depth = 0
         self.steps = 0
-        # The start rule is entered like any call, from an environment that
-        # holds the start arguments under names no grammar can bind.
-        self.env: Env = {f"${i}": value for i, value in enumerate(args)}
-        args = tuple([compile_expr(VarRef(name), {}) for name in self.env])
-        self.program: List[tuple] = [table.program.call(start_rule, args)]
+        # The start rule is entered like any call, from its parameters bound to ``args``.
+        program.check_arity(start_rule, len(args))
+        self.env: Env = dict(zip(program.params.get(start_rule, ()), args))
+        self.program: List[tuple] = [program.call(start_rule, tuple(map(VarRef, self.env)), {})]
 
     def run(self) -> Value:
         """Drive the machine to completion and return the synthesized value.
@@ -359,7 +370,9 @@ class Machine:
         The state lives in locals while the loop runs.
         """
         program, env, values = self.program, self.env, self.values
-        events, event, position, unread = self._events, self.lookahead, self.position, _UNREAD
+        events, event, position = self._events, self.lookahead, self.position
+        if event is _UNREAD:
+            event = next(events, None)
         steps, saved, depth = 0, 0, self.max_dump_depth
         try:
             while program:
@@ -367,12 +380,11 @@ class Machine:
                 steps += 1
                 op = item[0]
                 if op == NEXT:
-                    row, scope, acc = item[1], item[3], values[-1]
+                    row, acc = item[1], values[-1]
                     if type(acc) is not list:  # the last item's value, onto the accumulator
                         values.pop()
                         values[-1].append(acc)
                         acc = values[-1]
-                    event = next(events, None) if event is unread else event
                     while True:
                         token = event[0] if type(event) is tuple else token_of_event(event)
                         ops = row.get(token) or row.get(ANY_TOKEN)
@@ -383,7 +395,7 @@ class Machine:
                             break
                         # A leaf item, run in place: its start tag is the lookahead.
                         steps += 1
-                        env = scope
+                        env = item[3]
                         if ops[2]:
                             env = dict(env)
                             for var, attr in ops[2]:
@@ -396,16 +408,16 @@ class Machine:
                         if event != ops[1]:  # an end tag is its name, a str
                             raise _unexpected(TAG_MISMATCH, f"</{ops[1]}>", event, position)
                         position += 1
-                        acc.append(ops[4](env))
                         event = next(events, None)
+                        acc.append(ops[4](env))
+                    env = item[3]
                     if ops is END:
                         values[-1] = ConsList(tuple(acc)) if acc else EMPTY_CONS
+                        saved -= 1
                     else:
                         program.append(item)
                         program.extend(ops)
-                        env = scope
                 elif op == START:
-                    event = next(events, None) if event is unread else event
                     tag = item[1]
                     if type(event) is not tuple or event[0] != tag:
                         raise _unexpected(TAG_MISMATCH, f"<{tag}>", event, position)
@@ -421,9 +433,6 @@ class Machine:
                         event = next(events, None)
                         if event != tag:
                             raise _unexpected(TAG_MISMATCH, f"</{tag}>", event, position)
-                        position += 1
-                        if item[4] is not None:
-                            values.append(item[4](env))
                     else:
                         branch = item[4]
                         for guard, ops in item[3]:
@@ -431,14 +440,15 @@ class Machine:
                                 branch = ops
                                 break
                         program.extend(branch)
-                        position += 1
-                    event = unread
+                    position += 1
+                    event = next(events, None)
+                    if item[3] is None and item[4] is not None:
+                        values.append(item[4](env))
                 elif op == TAG_END:
-                    event = next(events, None) if event is unread else event
                     if event != item[1]:
                         raise _unexpected(TAG_MISMATCH, f"</{item[1]}>", event, position)
                     position += 1
-                    event = unread
+                    event = next(events, None)
                 elif op == BIND:
                     if not values:
                         raise MachineInvariantError("binding with empty value stack")
@@ -453,25 +463,18 @@ class Machine:
                         raise ParseFailure(BIND_ARITY_MISMATCH, message, position)
                     if item[3] is not None:
                         values.append(item[3](env))
-                elif op == LOOP:
-                    args = item[3]
-                    if args:
-                        args = tuple([f(env) for f in args])
-                    if program and program[-1][0] < ENV_RESTORE:  # ops of its clause follow
-                        program.append((ENV_RESTORE, env))
-                        saved += 1
-                        if saved > depth:
-                            depth = saved
-                    env = dict(zip(item[4], args)) if args else {}
+                elif op == LOOP:  # its items and what follows it run in this environment
                     values.append([])  # the accumulator
                     program.append((NEXT, item[1], item[2], env))
+                    saved += 1
+                    if saved > depth:
+                        depth = saved
                 elif op == ACTIONS:
                     values.append(item[1](env))
                 elif op == CALL:
                     args = item[3]
                     if args:
                         args = tuple([f(env) for f in args])
-                    event = next(events, None) if event is unread else event
                     token = event[0] if type(event) is tuple else token_of_event(event)
                     clause = item[1].get(token) or item[1].get(ANY_TOKEN)
                     if clause is None:
@@ -491,14 +494,12 @@ class Machine:
                 elif op == POP:
                     values.pop()
                 elif op == TEXT:
-                    event = next(events, None) if event is unread else event
                     if type(event) is not TextEvt:
                         raise _unexpected(UNEXPECTED_EVENT, "text", event, position)
                     values.append(event.text)
                     position += 1
-                    event = unread
+                    event = next(events, None)
                 elif op == ANY:
-                    event = next(events, None) if event is unread else event
                     if type(event) is tuple:  # skip the subtree, down to its end tag
                         opened = [event[0]]
                         while opened:
@@ -515,16 +516,14 @@ class Machine:
                         raise _unexpected(UNEXPECTED_EVENT, "an element or text", event, position)
                     values.append(NULL)
                     position += 1
-                    event = unread
+                    event = next(events, None)
                 elif op == EMPTY:
-                    event = next(events, None) if event is unread else event
                     if event is not None and type(event) is not str:
                         message = f"expected no more content, found {_describe(event)}"
                         raise ParseFailure(UNEXPECTED_EVENT, message, position)
                     values.append(NULL)
                 else:
                     raise MachineInvariantError(f"unexpected program item {item!r}")
-            event = next(events, None) if event is unread else event
         except EvalError as exc:
             raise ParseFailure(eval_reason(exc), str(exc), position) from exc
         finally:

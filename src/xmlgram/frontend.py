@@ -145,6 +145,13 @@ _first = itemgetter(slice(1))  # a text's first character, "" for EOF
 _ESCAPE = re.compile(r"\\(.)")
 _ESCAPED = {"n": "\n", "t": "\t"}  # any other escaped character stands for itself
 
+
+def string_literal(text: str) -> str:
+    """``text`` as a string literal that lexes back to it."""
+    escaped = text.replace("\\", "\\\\").replace('"', '\\"')
+    return '"' + escaped.replace("\n", "\\n").replace("\t", "\\t") + '"'
+
+
 _NEWLINE = re.compile("\n")
 _new_span = tuple.__new__  # builds a SourceSpan without its Python-level __new__
 
@@ -314,8 +321,9 @@ class _Parser:
         raise _Bail()
 
     def unexpected(self, what: str) -> NoReturn:
-        got = self.texts[self.pos] or self.kinds[self.pos]
-        self.error(f"expected {what}, found {got!r}")
+        kind, text = self.kinds[self.pos], self.texts[self.pos]
+        got = string_literal(text) if kind == "STRING" else repr(text or kind)
+        self.error(f"expected {what}, found {got}")
 
     def nest(self) -> None:
         """Enter one nesting level at the current token; the caller leaves

@@ -31,7 +31,7 @@ On an unchecked grammar it may recurse without end, and raises
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .ast import (
     Actions,
@@ -40,6 +40,7 @@ from .ast import (
     Body,
     BodySeq,
     Call,
+    Clause,
     ElementSpec,
     Empty,
     Grammar,
@@ -49,7 +50,7 @@ from .ast import (
     Text,
     VarRef,
 )
-from .evaluate import eval_actions, eval_expr, eval_guard
+from .evaluate import _equal, eval_actions, eval_expr, eval_guard
 from .events import Element, TextNode, XmlTree
 from .values import NULL, ConsList, Env, TupleVal, Value
 
@@ -86,6 +87,9 @@ class Oracle:
         self.max_steps = max_steps
         self._steps = 0
         self._memo: dict = {}  # one closure per distinct expression, see ``compile_expr``
+        self._definitions: Dict[str, List[Clause]] = {}  # each rule's clauses, in source order
+        for clause in grammar.clauses:
+            self._definitions.setdefault(clause.name, []).append(clause)
 
     def satisfy(self, body: BodySeq, trees: Trees, env: Env) -> Iterator[Tuple[Trees, Env, Value]]:
         """Each derivation of ``body`` over a prefix of ``trees``, with the
@@ -101,12 +105,14 @@ class Oracle:
 
     def accepts(self, start_rule: str, doc: XmlTree, args: Tuple[Value, ...] = ()) -> OracleResult:
         """Distinct values of the derivations of the whole document by a
-        call of the start rule with ``args``; the first found is canonical."""
+        call of the start rule with ``args``; the first found is canonical.
+        Values are told apart as ``==`` in an action does, so two nested past
+        the recursion limit are an ``EvalError``."""
         env = {f"${i}": arg for i, arg in enumerate(args)}  # names for the call to read
         call = Call(start_rule, tuple(map(VarRef, env)))
         values: List[Value] = []
         for rest, _env, value in self.satisfy((call,), (doc,), env):
-            if not rest and value not in values:
+            if not rest and not any(_equal(value, seen) for seen in values):
                 values.append(value)
         return OracleResult(values[0] if values else None, tuple(values))
 
@@ -193,7 +199,7 @@ class Oracle:
 
     def _call(self, call: Call, at: Position, env: Env) -> Iterator[Derivation]:
         args = tuple(eval_expr(a, env, self._memo) for a in call.args)
-        for clause in self.grammar.definitions_of(call.name):
+        for clause in self._definitions.get(call.name, ()):
             if len(clause.params) == len(args):
                 callee_env = dict(zip(clause.params, args))
                 for at1, _callee_env, value in self._seq(clause.body, at, callee_env):

@@ -31,7 +31,7 @@ from .ast import (
     VarRef,
 )
 from .evaluate import ADD_CHILD
-from .frontend import KEYWORD_BODIES
+from .frontend import KEYWORD_BODIES, string_literal
 
 _KEYWORD_OF = {body: keyword for keyword, body in KEYWORD_BODIES.items()}
 
@@ -133,9 +133,7 @@ def pretty_expr(expr: Expr) -> str:
     if isinstance(expr, VarRef):
         return expr.name
     if isinstance(expr, StrLit):
-        escaped = expr.value.replace("\\", "\\\\").replace('"', '\\"')
-        escaped = escaped.replace("\n", "\\n").replace("\t", "\\t")
-        return f'"{escaped}"'
+        return string_literal(expr.value)
     if isinstance(expr, IntLit):
         return str(expr.value)
     if isinstance(expr, BoolLit):

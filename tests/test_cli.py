@@ -102,8 +102,9 @@ SYNTAX_ERRORS = [
     pytest.param("@Grammar G R ::= OK.", "1:21: error: unterminated grammar: expected 'end'", id="no-end"),
     pytest.param("@Grammar G R ::= {1 2}. end", "1:21: error: expected '}', found '2'", id="actions"),
     pytest.param(
-        '@Grammar G R ::= {"" ""}. end', "1:22: error: expected '}', found 'STRING'", id="empty-string"
+        '@Grammar G R ::= {"" ""}. end', "1:22: error: expected '}', found \"\"", id="empty-string"
     ),
+    pytest.param('@Grammar G R ::= {1 "x"}. end', "1:21: error: expected '}', found \"x\"", id="string-token"),
     pytest.param("@Grammar G R ::= (OK. end", "1:21: error: expected ')', found '.'", id="group"),
     pytest.param("@Grammar G R ::= [a b] = OK. end", "1:21: error: expected ']', found 'b'", id="bind-names"),
     pytest.param(
@@ -810,6 +811,31 @@ def test_parse_oracle_step_limit_is_a_parse_failure(files, capsys, monkeypatch):
     assert err == f"{d}: parse failed: OracleLimitExceeded: more than 1 derivation steps\n"
 
 
+def test_parse_oracle_values_too_deep_to_compare_are_a_parse_failure(files, capsys):
+    # Two derivations whose values nest 1,200 deep, down all but their last argument.
+    g = files("g.xg", """@Grammar G
+      R ::= <A> xs = B* </A> { xs->iterate(e acc = Z | W(acc, e)) }
+          | <A> xs = B* </A> { xs->iterate(e acc = Z | W(acc, "y")) }.
+      B ::= <B/> {"x"}.
+    end""")
+    d = files("doc.xml", "<A>" + "<B/>" * 1200 + "</A>")
+    assert main(["parse", g, d, "--oracle"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"{d}: parse failed: EvalError: values nested too deeply to compare\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flags", [[], ["--oracle"]])
+def test_parse_reports_a_read_error_before_an_action_that_fails_after_it(files, capsys, flags):
+    # The engine reads the event after </R> as it consumes </R>, before the action runs.
+    g = files("g.xg", '@Grammar G R ::= <R> x = TEXT </R> { "s".add(x) }. end')
+    d = files("doc.xml", "<R>t</R><junk/>")
+    assert main(["parse", g, d] + flags) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"{d}:1:9: junk after document element\n"
+    assert captured.out == ""
+
+
 def test_parse_oracle_deep_document_is_a_parse_failure(files, capsys):
     g = files("g.xg", "@Grammar G R ::= <T> kids = R* </T> {Node(kids)}. end")
     d = files("doc.xml", "<T>" * 1000 + "</T>" * 1000)
@@ -842,18 +868,22 @@ def test_parse_never_tracebacks_on_mutated_bytes(tmp_path_factory, edit_list):
 GRAMMARS = [(SAMPLES / name).read_bytes() for name in ("seq.xg", "models.xg")]
 SEQ_GRAMMAR = GRAMMARS[0].decode()
 # (position, bytes to cut there, bytes to insert there, times to repeat them)
-grammar_edits = st.tuples(
-    st.integers(0, max(map(len, GRAMMARS))),
-    st.integers(0, 3),
-    st.one_of(
-        st.sampled_from(
-            [b"(", b"<", b"|", b"{", b"<e>", b"C(", b"x = ", b")", b".", b"7"]
-            + [c.encode() for c in "²½Ⅷé٣"]
+edit_at = (st.integers(0, max(map(len, GRAMMARS))), st.integers(0, 3))
+grammar_edits = st.one_of(
+    st.tuples(
+        *edit_at,
+        st.one_of(
+            st.sampled_from(
+                [b"(", b"<", b"|", b"{", b"<e>", b"C(", b"x = ", b")", b".", b"7"]
+                + [c.encode() for c in "²½Ⅷé٣"]
+            ),
+            st.binary(max_size=3),
         ),
-        st.binary(max_size=3),
+        # 4,400 digits in a row are past CPython's limit for converting a string to an int
+        st.sampled_from([1, 2, 3, 400, 4400]),
     ),
-    # 4,400 digits in a row are past CPython's limit for converting a string to an int
-    st.sampled_from([1, 2, 3, 400, 4400]),
+    # the same as an action, where an integer literal is parsed
+    st.tuples(*edit_at, st.just(b"{" + b"7" * 4400 + b"}"), st.just(1)),
 )
 
 

@@ -322,16 +322,17 @@ def test_right_recursion_with_a_pending_action_saves_an_environment_per_level():
         pytest.param("R ::= <r> S </r>. S ::= <s/> {1}.", "<x><r><s/></r></x>", "1", 11, 2, id="call-before-end-tag"),
         pytest.param("R ::= S {2}. S ::= <s/> {1}.", "<x><s/></x>", "2", 11, 2, id="call-then-action"),
         pytest.param("R ::= v = S {v}. S ::= <s/> {1}.", "<x><s/></x>", "1", 10, 2, id="call-then-fused-bind"),
-        pytest.param("R ::= I*. I ::= <i/> {1}.", "<x><i/><i/></x>", "Cons(1,Cons(1,Nil))", 10, 1, id="loop-ends-clause"),
+        pytest.param("R ::= I*. I ::= <i/> {1}.", "<x><i/><i/></x>", "Cons(1,Cons(1,Nil))", 10, 2, id="loop-ends-clause"),
         pytest.param(
-            "R ::= xs = I* {xs}. I ::= <i/> {1}.", "<x><i/><i/></x>", "Cons(1,Cons(1,Nil))", 12, 2,
+            "R ::= xs = I* {xs}. I ::= <i/> {1}.", "<x><i/><i/></x>", "Cons(1,Cons(1,Nil))", 11, 2,
             id="loop-then-fused-bind",
         ),
     ],
 )
 def test_a_call_saves_its_environment_unless_nothing_in_its_clause_follows(rules, document, value, steps, depth):
     # X's call to R is followed by its end tag, so it saves one environment;
-    # R's own call or loop saves another only when its clause goes on after it.
+    # R's own call saves another only when its clause goes on after it, and
+    # a loop's NEXT holds one for as long as the loop runs.
     _, table = make_table(f"@Grammar G X ::= <x> v = R </x> {{v}}. {rules} end", "X")
     machine = Machine(table, "X", read_events(document))
     assert render_term(machine.run()) == value
@@ -461,12 +462,12 @@ SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
 @pytest.mark.parametrize("n", [0, 1, 10, 1000])
 def test_leaf_siblings_take_one_step_each_plus_a_constant(n):
     # The loop's NEXT runs each leaf item in place, in one step; the rest of
-    # the parse, around the repetition, takes 7 whatever its length.
+    # the parse, around the repetition, takes 6 whatever its length.
     _, table = make_table((SAMPLES / "seq.xg").read_text(), "A")
     events = list(read_events("<A>" + '<B name="x"/>' * n + "</A>"))
     machine = Machine(table, "A", iter(events))
     machine.run()
-    assert machine.steps == n + 7
+    assert machine.steps == n + 6
 
 
 @pytest.mark.parametrize("grammar, document, keep_whitespace, message", LEAF_FAILURES.values(), ids=list(LEAF_FAILURES))
@@ -640,6 +641,24 @@ def test_start_rule_can_be_a_repetition():
     with pytest.raises(ParseFailure) as exc:
         Machine(table, "R$1", iter(events)).run()
     assert str(exc.value) == "CallArityMismatch at event 0: rule R$1 takes 1 argument(s), got 0"
+
+
+def test_a_loop_must_be_called_with_its_own_parameters():
+    # Its items run in the caller's environment, where the loop's parameters
+    # must hold the arguments; a hand-built Grammar.loops can break that.
+    from xmlgram.analysis import NotNormalForm
+    from xmlgram.ast import Grammar
+
+    source = """@Grammar G
+      R ::= <R k> xs = L(k, k) </R> {xs}.
+      L(a, b) ::= x = <I/> {a} xs = L(a, b) {Cons(x, xs)}.
+      L(a, b) ::= {Nil}.
+    end"""
+    g = parse_grammar(source)
+    g = Grammar(g.name, g.clauses, loops=frozenset({"L"}))
+    table = build_predict_table(g, compute_sets(g, "R"))
+    with pytest.raises(NotNormalForm, match="loop L is not called with its own parameters"):
+        Program(table)
 
 
 def test_evaluation_error_in_an_item_matches_the_oracle():

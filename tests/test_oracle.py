@@ -11,7 +11,7 @@ from xmlgram.events import Element, TextNode, build_tree
 from xmlgram.frontend import parse_grammar
 from xmlgram.oracle import Oracle, OracleLimitExceeded
 from xmlgram.sax import read_events
-from xmlgram.values import NULL, IntVal, TermVal, TupleVal
+from xmlgram.values import NULL, IntVal, TermVal, TupleVal, render_term
 
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
 
@@ -212,3 +212,21 @@ def test_reentry_counts_per_sibling_list():
     doc = build_tree(list(read_events("<Ta><Ta><Ta/>hello</Ta>hello</Ta>")))
     assert Oracle(g).accepts("R0", doc).accepted
     assert Oracle(normalize_grammar(g)).accepts("R0", doc).accepted
+
+
+def test_accepts_compares_values_as_an_action_does():
+    # Two derivations whose values nest 1,200 deep, down all but their last
+    # argument: comparing them passes the recursion limit.
+    from xmlgram.evaluate import EvalError
+
+    g = _g("""@Grammar G
+      R ::= <A> xs = B* </A> { xs->iterate(e acc = Z | W(acc, e)) }
+          | <A> xs = B* </A> { xs->iterate(e acc = Z | W(acc, "y")) }.
+      B ::= <B/> {"x"}.
+    end""")
+    doc = Element("A", {}, (Element("B", {}, ()),) * 1200)
+    with pytest.raises(EvalError) as exc:
+        Oracle(g).accepts("R", doc)
+    assert str(exc.value) == "values nested too deeply to compare"
+    shallow = Oracle(g).accepts("R", Element("A", {}, (Element("B", {}, ()),) * 2))
+    assert [render_term(v) for v in shallow.values] == ['W(W(Z,"x"),"x")', 'W(W(Z,"y"),"y")']
