@@ -11,10 +11,11 @@ thousands, and a slotted class with a plain ``__init__`` builds in under
 half the time of a frozen one and keeps no ``__dict__``.  Nodes are
 immutable by convention, as values and events are: nothing assigns a field
 after construction, so equal nodes hash alike and can key a memo (see
-``evaluate.compile_expr``).  Source spans are carried for diagnostics but
-never participate in equality or hashing, so structural comparison of two
-parses (or of a rewritten grammar against a reference parse) just uses
-``==``.
+``evaluate.compile_expr``).  Every node but ``Grammar`` derives from
+``_Node``, which declares the one field they share: a source span for
+diagnostics, passed by keyword (``span=``), that never participates in
+equality, hashing or ``repr``, so structural comparison of two parses (or
+of a rewritten grammar against a reference parse) just uses ``==``.
 """
 
 from __future__ import annotations
@@ -36,8 +37,12 @@ class SourceSpan(NamedTuple):
         return f"{self.line}:{self.column}"
 
 
-def _span_field():
-    return field(default=None, compare=False, repr=False)
+@dataclass(slots=True, unsafe_hash=True)
+class _Node:
+    """The base of every node but ``Grammar``: a source span, for
+    diagnostics, that takes no part in ``==``, ``hash`` or ``repr``."""
+
+    span: Optional[SourceSpan] = field(default=None, compare=False, repr=False, kw_only=True)
 
 
 # --------------------------------------------------------------------------
@@ -46,36 +51,32 @@ def _span_field():
 
 
 @dataclass(slots=True, unsafe_hash=True)
-class VarRef:
+class VarRef(_Node):
     name: str
-    span: Optional[SourceSpan] = _span_field()
 
 
 @dataclass(slots=True, unsafe_hash=True)
-class StrLit:
+class StrLit(_Node):
     value: str
-    span: Optional[SourceSpan] = _span_field()
 
 
 @dataclass(slots=True, unsafe_hash=True)
-class IntLit:
+class IntLit(_Node):
     value: int
-    span: Optional[SourceSpan] = _span_field()
 
 
 @dataclass(slots=True, unsafe_hash=True)
-class BoolLit:
+class BoolLit(_Node):
     value: bool
-    span: Optional[SourceSpan] = _span_field()
 
 
 @dataclass(slots=True, unsafe_hash=True)
-class NullLit:
-    span: Optional[SourceSpan] = _span_field()
+class NullLit(_Node):
+    pass
 
 
 @dataclass(slots=True, unsafe_hash=True)
-class Construct:
+class Construct(_Node):
     """Constructor application ``Name(e, ...)`` building a term value.
 
     The constructor name ``addChild`` is reserved: it appends a value to an
@@ -84,26 +85,23 @@ class Construct:
 
     ctor: str
     args: Tuple["Expr", ...]
-    span: Optional[SourceSpan] = _span_field()
 
 
 @dataclass(slots=True, unsafe_hash=True)
-class ListLit:
+class ListLit(_Node):
     items: Tuple["Expr", ...]
-    span: Optional[SourceSpan] = _span_field()
 
 
 @dataclass(slots=True, unsafe_hash=True)
-class ConsExpr:
+class ConsExpr(_Node):
     """``head : tail`` — sugar for the ``Cons`` term constructor."""
 
     head: "Expr"
     tail: "Expr"
-    span: Optional[SourceSpan] = _span_field()
 
 
 @dataclass(slots=True, unsafe_hash=True)
-class Fold:
+class Fold(_Node):
     """Left fold ``over->iterate(elem acc = init | step)``.
 
     ``step`` is evaluated with ``elem`` bound to the current element and
@@ -115,17 +113,15 @@ class Fold:
     init: "Expr"
     step: "Expr"
     over: "Expr"
-    span: Optional[SourceSpan] = _span_field()
 
 
 @dataclass(slots=True, unsafe_hash=True)
-class Compare:
+class Compare(_Node):
     """Structural (in)equality test; ``op`` is ``"="`` or ``"<>"``."""
 
     op: str
     left: "Expr"
     right: "Expr"
-    span: Optional[SourceSpan] = _span_field()
 
 
 Expr = Union[
@@ -139,7 +135,7 @@ Expr = Union[
 
 
 @dataclass(slots=True, unsafe_hash=True)
-class Or:
+class Or(_Node):
     """Disjunction of two or more body sequences, tried in source order.
 
     No branch is exactly one ``Or``: the parser splices ``a | (b | c)`` into
@@ -147,71 +143,58 @@ class Or:
     """
 
     branches: Tuple["BodySeq", ...]
-    span: Optional[SourceSpan] = _span_field()
 
 
 @dataclass(slots=True, unsafe_hash=True)
-class Bind:
+class Bind(_Node):
     """``names = body``; ``[a,b] = body`` splits a pair across two names."""
 
     names: Tuple[str, ...]
     body: "BodySeq"
-    span: Optional[SourceSpan] = _span_field()
 
 
 @dataclass(slots=True, unsafe_hash=True)
-class Star:
+class Star(_Node):
     """Repetition; the value is a Cons/Nil chain of the iteration values."""
 
     body: "BodySeq"
-    span: Optional[SourceSpan] = _span_field()
 
 
 @dataclass(slots=True, unsafe_hash=True)
-class Empty:
+class Empty(_Node):
     """Asserts there are no further sibling nodes; yields null."""
 
-    span: Optional[SourceSpan] = _span_field()
-
 
 @dataclass(slots=True, unsafe_hash=True)
-class Any:
+class Any(_Node):
     """Consumes one subtree (element or text) without inspecting it."""
 
-    span: Optional[SourceSpan] = _span_field()
-
 
 @dataclass(slots=True, unsafe_hash=True)
-class Ok:
+class Ok(_Node):
     """No-op; consumes nothing and yields null."""
 
-    span: Optional[SourceSpan] = _span_field()
-
 
 @dataclass(slots=True, unsafe_hash=True)
-class Text:
+class Text(_Node):
     """Consumes one text node and yields its string."""
 
-    span: Optional[SourceSpan] = _span_field()
-
 
 @dataclass(slots=True, unsafe_hash=True)
-class Call:
+class Call(_Node):
     name: str
     args: Tuple[Expr, ...] = ()
-    span: Optional[SourceSpan] = _span_field()
 
 
 @dataclass(slots=True, unsafe_hash=True)
-class Actions:
+class Actions(_Node):
     """Synthesizing action; one expression yields its value, several a tuple."""
 
     exprs: Tuple[Expr, ...]
-    span: Optional[SourceSpan] = _span_field()
 
 
 @dataclass(slots=True, unsafe_hash=True)
-class ElementSpec:
+class ElementSpec(_Node):
     """Pattern matching one XML element.
 
     ``attrs`` is a sequence of ``(var_name, attr_name)`` pairs; the variables
@@ -225,7 +208,6 @@ class ElementSpec:
     attrs: Tuple[Tuple[str, str], ...]
     guarded: Tuple[Tuple[Expr, "BodySeq"], ...]
     else_body: "BodySeq"
-    span: Optional[SourceSpan] = _span_field()
 
 
 Body = Union[Or, Bind, Star, Empty, Any, Ok, Text, Call, Actions, ElementSpec]
@@ -256,13 +238,12 @@ def walk(seq: BodySeq) -> List[Body]:
 
 
 @dataclass(slots=True, unsafe_hash=True)
-class Clause:
+class Clause(_Node):
     """One definition ``name(params) ::= body.`` of a rule."""
 
     name: str
     params: Tuple[str, ...]
     body: BodySeq
-    span: Optional[SourceSpan] = _span_field()
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -274,9 +255,6 @@ class Grammar:
     name: str
     clauses: Tuple[Clause, ...]
     loops: FrozenSet[str] = field(default=frozenset(), compare=False, repr=False)
-
-    def definitions_of(self, name: str) -> Tuple[Clause, ...]:
-        return tuple(c for c in self.clauses if c.name == name)
 
 
 # Constructor names used by the star rewrite and by the oracle's repetition

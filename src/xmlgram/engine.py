@@ -155,6 +155,14 @@ class ParseFailure(Exception):
         self.position = position
 
 
+def check_arity(name: str, params: Optional[Tuple[str, ...]], count: int) -> None:
+    """A ``ParseFailure`` at event 0 when rule ``name``, whose parameters are
+    ``params`` (None when it has no clauses), does not take ``count`` arguments."""
+    if params is not None and len(params) != count:
+        message = f"rule {name} takes {len(params)} argument(s), got {count}"
+        raise ParseFailure(CALL_ARITY, message, 0)
+
+
 def eval_reason(exc: EvalError) -> str:
     """The failure reason for ``exc``, the same when the oracle lets it out."""
     return GUARD_NON_BOOLEAN if isinstance(exc, NonBooleanGuard) else EVAL_ERROR
@@ -238,18 +246,12 @@ class Program:
         """The op of a call.  A rule without entries gets an empty row.  A
         loop's items run in the caller's environment, so a loop must be
         passed its own parameters."""
-        self.check_arity(name, len(args))
+        check_arity(name, self.params.get(name), len(args))
         if name in self.loops:
             if args != tuple(map(VarRef, self.params[name])):
                 raise NotNormalForm(f"loop {name} is not called with its own parameters")
             return (LOOP, self.loops[name], name)
         return (CALL, self.rows.get(name, {}), name, tuple([compile_expr(e, memo) for e in args]))
-
-    def check_arity(self, name: str, count: int) -> None:
-        params = self.params.get(name)
-        if params is not None and len(params) != count:
-            message = f"rule {name} takes {len(params)} argument(s), got {count}"
-            raise ParseFailure(CALL_ARITY, message, 0)
 
     def _ops(self, seq: BodySeq, memo: dict, used: bool) -> tuple:
         """The ops of a body in reverse execution order; ``used`` says
@@ -357,8 +359,9 @@ class Machine:
         self.max_dump_depth = 0
         self.steps = 0
         # The start rule is entered like any call, from its parameters bound to ``args``.
-        program.check_arity(start_rule, len(args))
-        self.env: Env = dict(zip(program.params.get(start_rule, ()), args))
+        params = program.params.get(start_rule)
+        check_arity(start_rule, params, len(args))
+        self.env: Env = dict(zip(params or (), args))
         self.program: List[tuple] = [program.call(start_rule, tuple(map(VarRef, self.env)), {})]
 
     def run(self) -> Value:

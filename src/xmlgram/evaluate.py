@@ -38,7 +38,7 @@ from .values import (
     TermVal,
     TupleVal,
     Value,
-    render_term,
+    write_value,
 )
 
 
@@ -92,10 +92,26 @@ def shorten(text: str) -> str:
     return text if len(text) <= SHOWN else text[: SHOWN - 1] + "…"
 
 
+class _Shown(Exception):
+    """Raised by ``_show``'s writer once it holds enough text."""
+
+
 def _show(value: Value) -> str:
     """A value for an error message, in the user's notation and cut to one
-    short line (``repr`` would recurse down a long list)."""
-    return shorten(render_term(value))
+    short line (``repr`` would recurse down a long list).  Rendering stops
+    once more than ``SHOWN`` characters have arrived: the value may be long."""
+    chunks: List[str] = []
+
+    def write(chunk: str) -> None:
+        chunks.append(chunk)
+        if sum(map(len, chunks)) > SHOWN:  # at most SHOWN + 1 writes: none is empty
+            raise _Shown
+
+    try:
+        write_value(value, "term", write)
+    except _Shown:
+        pass
+    return shorten("".join(chunks))
 
 
 def _equal(left: Value, right: Value) -> bool:

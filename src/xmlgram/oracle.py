@@ -50,6 +50,7 @@ from .ast import (
     Text,
     VarRef,
 )
+from .engine import check_arity
 from .evaluate import _equal, eval_actions, eval_expr, eval_guard
 from .events import Element, TextNode, XmlTree
 from .values import NULL, ConsList, Env, TupleVal, Value
@@ -106,9 +107,14 @@ class Oracle:
     def accepts(self, start_rule: str, doc: XmlTree, args: Tuple[Value, ...] = ()) -> OracleResult:
         """Distinct values of the derivations of the whole document by a
         call of the start rule with ``args``; the first found is canonical.
-        Values are told apart as ``==`` in an action does, so two nested past
-        the recursion limit are an ``EvalError``."""
-        env = {f"${i}": arg for i, arg in enumerate(args)}  # names for the call to read
+        As in the machine, the call is made from the rule's own parameters
+        bound to ``args``, and a count it does not take is the engine's
+        ``ParseFailure`` at event 0.  Values are told apart as ``==`` in an
+        action does, so two nested past the recursion limit are an ``EvalError``."""
+        clauses = self._definitions.get(start_rule)
+        params = clauses[0].params if clauses else None
+        check_arity(start_rule, params, len(args))
+        env = dict(zip(params or (), args))
         call = Call(start_rule, tuple(map(VarRef, env)))
         values: List[Value] = []
         for rest, _env, value in self.satisfy((call,), (doc,), env):

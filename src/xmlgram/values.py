@@ -153,34 +153,17 @@ Env = Dict[str, Value]
 # Both renderers are one walk over the value with an explicit work stack, so
 # arbitrarily deep values render; they differ only in the texts they emit.
 # The stack holds the values still to render, the text due between and after
-# them (separators and closing brackets), which is wrapped in a ``_Text`` so
-# that one ``type`` test tells it from a string value, and a ``_Cursor`` for
-# each ``ConsList`` under way.  A compound value emits its opening text, then
-# falls through to push its closing text and its items.  A ``ConsList``
-# pushes only its cursor, so the stack grows with the value's nesting depth,
-# not with a list's length.  Each pop of the cursor emits the next run of
-# string items as one ``join`` and the text after the run, or pushes the next
-# other item with the text after it and the cursor under them; once the items
-# are done, it emits the closing texts of the list's cells in batches.
-# Strings are quoted by the C function that ``json.dumps`` itself calls for a
-# ``str``.  The texts of a constructor are built once per render, not once
-# per term.
+# them, wrapped in a ``_Text`` so that one ``type`` test tells it from a
+# string value, and a ``_Cursor`` for each ``ConsList`` under way, so the
+# stack grows with the value's nesting depth, not with a list's length.
+# Strings are quoted by the C function that ``json.dumps`` itself calls.
 #
-# The text goes to a ``write`` callable in chunks: whenever ``_CHUNK`` pieces
-# have piled up they are joined, the list is emptied, and the chunk is
-# written.  A writer that keeps nothing, such as ``xmlgram parse`` writing to
-# stdout, so holds about two chunks at a time, not the output; ``render_term``
-# and ``render_json`` keep the chunks and join them once, so their peak is
-# about twice the output.  The limit counts pieces, not characters, so each
-# piece costs one length test: 256 pieces are about 0.25 MB in a list of
-# 2 KB strings, and a few kilobytes on short fields.  A run counts as the
-# pieces it stands for, two per item (the item and the text after it), and a
-# batch as one per closing text; both are cut to the room left in the chunk,
-# so a chunk holds as many items as if each were a piece of its own.  The
-# check follows each ``_Text`` and comes before each cursor step: every value
-# but the root is followed by one of them, so there are about as many checks
-# as values, and the closing texts at the end of a long list are cut into
-# chunks as well.
+# The text goes to ``write`` by one rule: the pieces go whenever ``_CHUNK``
+# have piled up; a run of at most ``_CHUNK // 2`` string items of a
+# ``ConsList`` goes as soon as it is joined, and a finished ``ConsList``'s
+# closing texts in batches of at most ``_CHUNK``, each after the pieces piled
+# up before it; no empty string goes.  A writer that keeps nothing, such as
+# ``xmlgram parse`` writing to stdout, so holds about one chunk at a time.
 
 _CHUNK = 256
 
@@ -238,7 +221,7 @@ _FORMATS = {
 
 def write_value(value: Value, fmt: str, write: Callable[[str], object]) -> None:
     """Pass the text of ``render_term`` (``fmt`` "term") or ``render_json``
-    ("json") to ``write`` in consecutive chunks of about ``_CHUNK`` pieces."""
+    ("json") to ``write`` in consecutive chunks, by the rule above."""
     term_texts, separator, tuple_open, tuple_close = _FORMATS[fmt]
     # A ``ConsList``'s texts: its first cell's opening, the text between two
     # items, the text after the last one, and the closing text of a cell.
@@ -248,7 +231,6 @@ def write_value(value: Value, fmt: str, write: Callable[[str], object]) -> None:
     after = (_Text(cons_next), _Text(cons_last))  # by whether the item is the last
     out: List[str] = []
     emit = out.append
-    counted = 0  # the pieces that runs and batches in ``out`` stand for beyond their own
     terms: Dict[str, Tuple[str, _Text, str]] = {}  # ``term_texts`` by constructor
     stack: list = [value]
     push, pop = stack.append, stack.pop
@@ -257,39 +239,32 @@ def write_value(value: Value, fmt: str, write: Callable[[str], object]) -> None:
         kind = type(v)
         if kind is _Text:
             emit(v.text)
-            if len(out) + counted >= _CHUNK:
+            if len(out) >= _CHUNK:
                 write(_take(out))
-                counted = 0
             continue
         if kind is str:
             emit(_quote(v))
             continue
         if kind is _Cursor:
-            room = _CHUNK - len(out) - counted
-            if room < 2:  # a run needs room for one item and the text after it
-                write(_take(out))
-                counted, room = 0, _CHUNK
             items, k = v.items, v.k
-            if k == len(items):
-                batch = min(v.cells, room)
-                emit(cons_close * batch)
-                counted += batch - 1
-                v.cells -= batch
-                if v.cells:
-                    push(v)
-                continue
-            push(v)
-            if type(items[k]) is not str:
+            if k < len(items) and type(items[k]) is not str:
+                push(v)
                 v.k = k + 1
                 push(after[v.k == len(items)])
                 push(items[k])
                 continue
-            j, end = k + 1, min(len(items), k + room // 2)
+            if out:
+                write(_take(out))
+            if k == len(items):
+                for n in range(v.cells, 0, -_CHUNK):
+                    write(cons_close * min(n, _CHUNK))
+                continue
+            push(v)
+            j, end = k + 1, min(len(items), k + _CHUNK // 2)
             while j < end and type(items[j]) is str:
                 j += 1
-            emit(cons_next.join(map(_quote, items[k:j])))
+            write(cons_next.join(map(_quote, items[k:j])))
             emit(cons_last if j == len(items) else cons_next)
-            counted += 2 * (j - k) - 2
             v.k = j
             continue
         if kind is TermVal:
@@ -327,7 +302,8 @@ def write_value(value: Value, fmt: str, write: Callable[[str], object]) -> None:
                 push(separator)
                 i -= 1
             push(items[0])
-    write(_take(out))
+    if out:
+        write(_take(out))
 
 
 def _joined(value: Value, fmt: str) -> str:

@@ -585,8 +585,9 @@ def sample_document(
     nesting beyond max_depth); callers just try another seed.
     """
     budget = [60]
+    rules = _group(grammar)  # each rule's clauses, in source order
     try:
-        trees = _sample_seq(grammar, (Call(start, ()),), rng, budget, 1, max_depth)
+        trees = _sample_seq(rules, (Call(start, ()),), rng, budget, 1, max_depth)
     except SampleFailed:
         return None
     if len(trees) == 1 and isinstance(trees[0], Element):
@@ -595,16 +596,16 @@ def sample_document(
 
 
 def _sample_seq(
-    grammar: Grammar, seq: BodySeq, rng: random.Random, budget, depth: int, max_depth: int
+    rules: dict, seq: BodySeq, rng: random.Random, budget, depth: int, max_depth: int
 ) -> List[XmlTree]:
     out: List[XmlTree] = []
     for item in seq:
-        out.extend(_sample_item(grammar, item, rng, budget, depth, max_depth))
+        out.extend(_sample_item(rules, item, rng, budget, depth, max_depth))
     return out
 
 
 def _sample_item(
-    grammar: Grammar, item: Body, rng: random.Random, budget, depth: int, max_depth: int
+    rules: dict, item: Body, rng: random.Random, budget, depth: int, max_depth: int
 ) -> List[XmlTree]:
     budget[0] -= 1
     if budget[0] <= 0:
@@ -616,24 +617,24 @@ def _sample_item(
         for _, attr in item.attrs:
             attrs[attr] = rng.choice(["on", "off", "1"])
         branches = [b for _, b in item.guarded] + [item.else_body]
-        children = _sample_seq(grammar, rng.choice(branches), rng, budget, depth + 1, max_depth)
+        children = _sample_seq(rules, rng.choice(branches), rng, budget, depth + 1, max_depth)
         return [Element(item.tag, attrs, _merge_text(children))]
     if isinstance(item, Call):
-        defs = grammar.definitions_of(item.name)
+        defs = rules.get(item.name)
         if not defs:
             raise SampleFailed()
         clause = rng.choice(defs)
-        return _sample_seq(grammar, clause.body, rng, budget, depth, max_depth)
+        return _sample_seq(rules, clause.body, rng, budget, depth, max_depth)
     if isinstance(item, Bind):
-        return _sample_seq(grammar, item.body, rng, budget, depth, max_depth)
+        return _sample_seq(rules, item.body, rng, budget, depth, max_depth)
     if isinstance(item, Star):
         out: List[XmlTree] = []
         for _ in range(rng.randrange(0, 3)):
-            out.extend(_sample_seq(grammar, item.body, rng, budget, depth, max_depth))
+            out.extend(_sample_seq(rules, item.body, rng, budget, depth, max_depth))
         return out
     if isinstance(item, Or):
         branch = rng.choice(item.branches)
-        return _sample_seq(grammar, branch, rng, budget, depth, max_depth)
+        return _sample_seq(rules, branch, rng, budget, depth, max_depth)
     if isinstance(item, Text):
         return [TextNode(rng.choice(TEXTS))]
     if isinstance(item, Any):

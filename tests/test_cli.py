@@ -744,6 +744,19 @@ def test_parse_invalid_utf8_is_malformed_xml(files, tmp_path, capsys, extra):
 
 
 @pytest.mark.parametrize("extra", [[], ["--oracle"]], ids=["engine", "oracle"])
+def test_parse_start_rule_with_parameters_fails_alike_on_both_paths(files, capsys, extra):
+    # The command line passes the start rule no arguments; the grammar is fine.
+    g = files("r.xg", "@Grammar G R(a) ::= <R/> {a}. end")
+    d = files("r.xml", "<R/>")
+    assert main(["check", g]) == 0
+    capsys.readouterr()
+    assert main(["parse", g, d] + extra) == 1
+    captured = capsys.readouterr()
+    message = "CallArityMismatch at event 0: rule R takes 1 argument(s), got 0"
+    assert captured.err == f"{d}: parse failed: {message}\n" and captured.out == ""
+
+
+@pytest.mark.parametrize("extra", [[], ["--oracle"]], ids=["engine", "oracle"])
 @pytest.mark.parametrize("encoding", ["bogus-enc", "shift_jis", "utf-32"])
 def test_parse_unusable_declared_encoding_is_unsupported(files, tmp_path, capsys, extra, encoding):
     # expat asks Python for an encoding it does not know: an unknown one, or
@@ -851,7 +864,6 @@ SEQ_DOC = (SAMPLES / "seq.xml").read_bytes()
 edits = st.tuples(st.integers(0, len(SEQ_DOC)), st.integers(0, 3), st.binary(max_size=4))
 
 
-@settings(deadline=None)
 @given(st.lists(edits, min_size=1, max_size=4))
 def test_parse_never_tracebacks_on_mutated_bytes(tmp_path_factory, edit_list):
     doc = bytearray(SEQ_DOC)
@@ -887,7 +899,6 @@ grammar_edits = st.one_of(
 )
 
 
-@settings(deadline=None)
 @given(
     st.sampled_from(GRAMMARS),
     st.lists(grammar_edits, min_size=1, max_size=4),
@@ -905,7 +916,7 @@ def test_check_never_tracebacks_on_mutated_grammars(tmp_path_factory, grammar, e
     assert code in (0, 1, 2), err.getvalue()
 
 
-@settings(deadline=None, max_examples=60)
+@settings(max_examples=60)
 @given(
     st.integers(0, 2999),
     st.integers(0, 6),

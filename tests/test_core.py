@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import json
+import sys
 import tracemalloc
 from itertools import chain
 
@@ -181,7 +182,9 @@ def test_values_and_events_keep_no_instance_dict():
         ast.Call("R"), ast.Actions((e,)), ast.ElementSpec("A", (), (), ()),
         ast.Clause("R", (), ()), ast.Grammar("G", ()),
     ]
-    node_classes = {c for c in vars(ast).values() if dataclasses.is_dataclass(c)}
+    node_classes = {
+        c for c in vars(ast).values() if dataclasses.is_dataclass(c) and c is not ast._Node
+    }
     assert {type(n) for n in nodes} == node_classes
     instances = nodes + [
         IntVal(1), BoolVal(True), NullVal(), TermVal("Nil", ()), ConsList(("a",)),
@@ -453,6 +456,34 @@ def test_a_long_mixed_compact_list_renders_as_its_chain():
     short = ConsList(tuple(items[: 2 * _CHUNK + 100]), 2 * _CHUNK - 100)
     assert render_term(short) == reference_render_term(short)
     assert render_json(short) == json.dumps(plain(short), sort_keys=True)
+
+
+@pytest.mark.parametrize("fmt", ["term", "json"])
+def test_lists_that_end_back_to_back_render_in_bounded_chunks(fmt):
+    # The last item of each list is a list, so the closing texts of two lists
+    # follow each other; every write is one chunk, one run or one batch.
+    inner = ConsList(tuple(f"s{j}" for j in range(300)))
+    value = ConsList((inner,) * 300)
+    chunks = []
+    write_value(value, fmt, chunks.append)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(10_000)  # the references recurse once per cell
+    try:
+        if fmt == "term":
+            expected = reference_render_term(value)
+        else:
+            expected = json.dumps(plain(value), sort_keys=True)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert "".join(chunks) == expected
+    # The longest text the renderer emits here, the quoted strings included.
+    longest = len(",Cons(" if fmt == "term" else ', {"args": [], "ctor": "Nil"}')
+    assert "" not in chunks
+    assert max(map(len, chunks)) <= (_CHUNK + 1) * longest
+    # Here a chunk fills up at the last closing text, so nothing is left.
+    chunks = []
+    write_value(ListVal((ListVal(("a",) * 126), "b")), fmt, chunks.append)
+    assert len(chunks) == 1 and chunks[0]
 
 
 def test_render_json_deep_chain():

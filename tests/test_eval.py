@@ -304,6 +304,36 @@ def test_error_messages_show_a_long_value_cut_short():
     assert str(fold.value) == "cannot iterate over " + ("W(" + "Cons(null," * 8)[:79] + "…"
 
 
+@pytest.mark.parametrize("shape", ["chain", "compact"])
+def test_error_messages_render_at_most_one_chunk(monkeypatch, shape):
+    # A guard on a 200,000-item repetition: the message is the whole text cut
+    # short, but rendering stops soon after its first SHOWN characters.
+    from xmlgram import evaluate
+    from xmlgram.values import _CHUNK, render_term, write_value
+
+    items = ("x",) * 200_000
+    value = cons_chain(items) if shape == "chain" else ConsList(items)
+    shown = render_term(value)[: evaluate.SHOWN - 1] + "…"
+    sizes = []
+
+    def spy(value, fmt, write):
+        def counted(chunk):
+            sizes.append(len(chunk))
+            write(chunk)
+
+        write_value(value, fmt, counted)
+
+    monkeypatch.setattr(evaluate, "write_value", spy)
+    with pytest.raises(NonBooleanGuard) as guard:
+        guard_of(VarRef("v"), {"v": value})
+    assert str(guard.value) == f"guard evaluated to non-boolean {shown}"
+    with pytest.raises(NotAList) as fold:
+        value_of(Fold("e", "a", NullLit(), VarRef("a"), Construct("W", (VarRef("v"),))), {"v": value})
+    assert str(fold.value) == "cannot iterate over " + ("W(" + shown)[: evaluate.SHOWN - 1] + "…"
+    # Two renders, each at most SHOWN characters and the chunk that passed them.
+    assert 0 < sum(sizes) <= 2 * (evaluate.SHOWN + (_CHUNK + 1) * len(",Cons("))
+
+
 def test_compare_is_structural():
     left = Construct("P", (IntLit(1), StrLit("s")))
     right = Construct("P", (IntLit(1), StrLit("s")))

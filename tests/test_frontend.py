@@ -332,7 +332,7 @@ MUTATION_CHARS = '"\\@½ñ$\r\t\n/-<>:=|*' + string.digits + string.ascii_letter
 lexer_edits = st.tuples(st.integers(0, 10**6), st.booleans(), st.sampled_from(MUTATION_CHARS))
 
 
-@settings(deadline=None, max_examples=300)
+@settings(max_examples=300)
 @given(st.integers(0, 2999), st.lists(lexer_edits, max_size=8))
 def test_lexer_matches_reference_lexer(seed, edit_list):
     text = pretty_grammar(random_grammar(seed))

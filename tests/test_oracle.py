@@ -6,7 +6,7 @@ import pytest
 
 from helpers import TEST_GRAMMAR, cons_chain
 from xmlgram.ast import Any, Call, Empty, Grammar
-from xmlgram.engine import Machine, compile_grammar
+from xmlgram.engine import Machine, ParseFailure, compile_grammar
 from xmlgram.events import Element, TextNode, build_tree
 from xmlgram.frontend import parse_grammar
 from xmlgram.oracle import Oracle, OracleLimitExceeded
@@ -40,6 +40,18 @@ def test_call_through_test_grammar():
     results = list(Oracle(g).satisfy((Call("A", ()),), (doc,), {}))
     values = [v for remaining, _, v in results if not remaining]
     assert values == [TermVal("Cons", ("x", TermVal("Nil", ())))]
+
+
+def test_accepts_binds_the_start_rule_parameters_to_args():
+    g = _g("@Grammar G R(a, b) ::= <R/> {P(b, a)}. end")
+    doc = Element("R", {}, ())
+    assert Oracle(g).accepts("R", doc, ("x", "y")).values == (TermVal("P", ("y", "x")),)
+    for args in [(), ("x",), ("x", "y", "z")]:
+        with pytest.raises(ParseFailure) as exc:
+            Oracle(g).accepts("R", doc, args)
+        assert (exc.value.reason, exc.value.position) == ("CallArityMismatch", 0)
+        assert exc.value.message == f"rule R takes 2 argument(s), got {len(args)}"
+    assert Oracle(g).accepts("Undefined", doc).value is None
 
 
 def test_accepts_empty_star_yields_nil():

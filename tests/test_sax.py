@@ -11,7 +11,7 @@ from xml.parsers import expat
 
 import pytest
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from helpers import ReferenceSaxReader, documents_for, flatten_tree, next_event, random_grammar
 from helpers import random_tree, reference_form, serialize_tree
@@ -515,7 +515,6 @@ SEQ_DOC = (pathlib.Path(__file__).resolve().parent.parent / "samples" / "seq.xml
 edits = st.tuples(st.integers(0, len(SEQ_DOC)), st.integers(0, 3), st.binary(max_size=4))
 
 
-@settings(deadline=None)
 @given(st.lists(edits, min_size=1, max_size=4), st.sampled_from([1, 7, 8192]))
 def test_reader_matches_the_reference_on_mutated_bytes(edit_list, size):
     doc = bytearray(SEQ_DOC)
