@@ -2,87 +2,61 @@
 
 ``compile_grammar`` takes a parsed grammar through the well-formedness
 check, normalization, nullable/first/follow and the predict table.  The
-first machine on a table compiles it, once, into a ``Program``: one row per
-rule, mapping each lookahead token to a compiled clause ``(params, ops)``,
-or a loop row for a repetition rule (below).
-Ops are small tuples ``(opcode, operands...)``, held in reverse execution
-order so that entering a clause is one ``extend`` of the machine's program
-stack; a call op holds the callee's row itself.  The machine pops ops
-against a stream of SAX events, and a call looks the next event's token up
-in its row.  Values are synthesized onto a value stack; when the machine
-halts the parse result is the single remaining value.
+first machine on a table turns it, once, into a ``Program``: Python source
+generated from the table, compiled and run, as ``dataclasses`` and
+``collections.namedtuple`` build their methods.  This specializes the
+table-driven LL(1) machine to its table, the first Futamura projection
+(Futamura 1971; Jones, Gomard & Sestoft, *Partial Evaluation and
+Automatic Program Generation*, 1993).
 
-Actions, guards and call arguments become shared closures ``env -> Value``.
-Fused ops (Proebsting's superoperators): the ``START`` of an unguarded
-element whose body compiles to no ops reads its end tag too, and it or a
-popping ``BIND`` runs the action after it.
+The table still makes every decision.  Where a rule is called, its row
+becomes one test of the lookahead's token per predicted clause, with the
+wildcard entry, if any, as the fallback.  A token known at generation time
+(one a test has just matched, until an event is consumed) picks its clause
+without a test: that resolves chain rules, and an element predicted on its
+own start tag skips its start-tag check.  A repetition rule
+(``Grammar.loops``, lifted from an ``X*``) becomes a ``while`` over its
+loop row, whose items append to a list that ends as one ``ConsList``.
+Normalization calls such a rule with its own parameters, as ``Program``
+checks, so its items read the caller's locals.  Attributes and bindings are
+Python locals with numbered names, one per name in each inlined clause;
+actions, guards and call arguments are inlined as Python expressions, except
+one nested more than ``MAX_EXPR`` deep, which runs as
+``evaluate.compile_expr``'s closure on a dict of the variables it reads.
 
-Value discipline: each body item is compiled for whether its value is
-used.  Only the last item of a sequence inherits that; the others are
-unused.  A used item leaves exactly one value (an empty sequence or ``OK``
-runs one shared action that yields null), an unused one leaves none: an
-unused ``BIND`` pops as it binds, an unused ``OK`` or empty sequence emits
-nothing, an element passes the question on to its branches, and any other
-unused item is followed by ``POP``.  So a ``BIND`` always finds its body's
-value on top, and success leaves exactly one value.
+The code comes in units: one Python function per rule entered from outside
+generated code, that is the start rule and each callee that is not
+inlined.  A unit inlines the clauses of the rules it calls, except a callee
+already being inlined there (a call round a cycle of the call graph, such
+as ``Package`` → ``PackageElement`` → ``Package``), one whose component of
+the call graph expands to more than ``INLINE_SIZE`` clauses or that has
+several call sites (see ``Program.inline_size``), one that would take the
+unit past ``UNIT_SIZE`` clauses, and one that would nest the code past
+``MAX_LOOPS`` loops or ``MAX_INDENT`` levels (CPython refuses 20 nested
+loops and 100 levels).  A guarded element that would nest too deeply
+becomes a unit of its own, which returns the names it binds with its value.
 
-Chain resolution: where R's row holds a clause ``R(ps) ::= X(ps).`` (one
-call that passes R's parameters on unchanged, nothing else) under a
-concrete token, and X's row holds a clause with the same parameters under
-that token, R's row holds X's clause instead, so the chain costs no call at
-run time.  Chains of chains resolve alike; wildcard cells, chains that
-change or reorder arguments and chains to a repetition rule stay ordinary
-calls.
+A unit that calls a unit is a generator.  The call yields the callee and
+its arguments to the one driver loop in ``Machine.run``, and the suspended
+generator is the continuation, held on the driver's explicit stack until
+the callee returns.  So no document nesting and no chain of rules turns
+into Python recursion.  A call that ends the unit's root clause, a tail
+call, returns the callee to the driver instead and holds nothing (Clinger,
+"Proper tail recursion and space efficiency", 1998), so ``L ::= <a/> L.``
+runs in constant space.  ``steps`` counts the driver's transitions: the
+start unit's entry, each call into a unit, each tail call and each return
+into a suspended caller.  ``max_dump_depth`` is the most continuations held
+at once.  An evaluation error in a guard, argument or action surfaces as a
+``ParseFailure`` at the current event.
 
-Repetitions run as loops, another superoperator.  Normalization lifts each
-``X*`` into a cons-recursive rule and names it in ``Grammar.loops``; such a
-rule gets no row but a loop row, which maps each token to the ops of one
-item ``X`` (chain-resolved like a row of a rule with the loop's parameters
-when ``X`` is one call) or to ``END``.  Normalization calls such a rule
-with its own parameters, as ``Program`` checks; an item reads only those,
-cannot rebind one, and no op changes an environment in place.  So each
-item, and what follows the repetition, runs in the environment where it
-starts.  A ``LOOP`` op evaluates nothing: it pushes an accumulator list
-and a ``NEXT`` op that holds that environment.  ``NEXT`` moves the last
-item's value into the accumulator, predicts from the lookahead, sets the
-environment back, and either pushes itself and the item's ops, or on
-``END`` replaces the accumulator with a ``ConsList`` of its items: to
-every reader the Cons/Nil chain of the items, held as one tuple, so the
-end of a repetition builds no term per item.  Every empty repetition ends
-in the one shared ``EMPTY_CONS``, as every null is ``NULL``.  So an item
-costs one step on top of its own ops, and the program does not grow with
-the number of siblings.
-
-Leaf runs fuse the commonest pair, ``NEXT`` and a fused empty-element
-``START``.  Where an item's ops are that one op, with its action, under its
-own start tag, the loop row holds the op itself, a leaf, in place of the
-ops tuple.  ``NEXT`` runs consecutive leaf items in place, one step each:
-the prediction has already matched the start tag, so it binds the
-attributes, reads the end tag and appends the action's value straight to
-the accumulator, and pushes ops only for an item of another kind.
-
-Environments grow monotonically inside a rule activation (attribute and
-binding names stay visible for the rest of the clause body) and are
-restored when the activation ends.  The program stack is the machine's
-only control stack: a call that ops follow in its clause (counting an
-enclosing element's end tag) leaves its continuation there, behind an
-``ENV_RESTORE`` op that brings its environment back.  One that no op
-follows, a tail call, leaves nothing, since what runs next sets its own
-environment, and a loop leaves none, since its ``NEXT`` sets its
-environment back.  The machine sees which from the stack itself (Clinger,
-"Proper tail recursion and space efficiency", 1998): ``ENV_RESTORE`` and
-``NEXT`` are pushed only at run time, never compiled into a body, so the
-op under a call is one of them, or the stack is empty, exactly when
-nothing in its clause follows it.  So ``L ::= <a/> L.`` runs in constant
-space, and the stack grows with element nesting and with continuations
-still pending, as in ``L ::= <a/> xs = L {xs}.``, where each level has an
-action left to run.
-
-``Machine.run`` is the one driver loop: the classic table-driven LL(1)
-driver (Aho, Lam, Sethi & Ullman, *Compilers*, section 4.4), one branch per
-opcode, the lookahead event in a local, read as soon as the event before
-it is consumed.  An evaluation error in a guard, argument or action
-surfaces as a ``ParseFailure`` at the current event.
+Code is generated and compiled once per unit *shape*.  Every tag,
+attribute name, constructor name, literal and callee is a numbered
+constant, bound as a default argument, so two units whose rows and
+clauses differ only in their strings have one text.  ``_Shape`` finds a
+unit's shape without generating it, and the memo maps each shape to the
+factory compiled for its first unit.  The memo lives for one build of the
+units that a start rule needs, so a fresh process pays for what it
+compiles, and the source texts are dropped once compiled.
 """
 
 from __future__ import annotations
@@ -90,15 +64,16 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .analysis import NotNormalForm, PredictTable, build_predict_table, compute_sets, left_recursion
-from .ast import Actions, Any, Bind, BodySeq, Call, Clause, ElementSpec, Empty
-from .ast import Expr, Grammar, Ok, Text, VarRef
-from .evaluate import SHOWN, EvalError, NonBooleanGuard, compile_actions, compile_expr
-from .evaluate import shorten, truth
-from .events import ANY_TOKEN, SaxEvent, TextEvt, Token, token_label
+from .ast import CONS, Actions, Any, Bind, BodySeq, BoolLit, Call, Clause, Compare, ConsExpr
+from .ast import Construct, ElementSpec, Empty, Expr, Fold, Grammar, IntLit, ListLit, NullLit, Ok
+from .ast import StrLit, Text, VarRef, walk
+from .evaluate import ADD_CHILD, SHOWN, EvalError, NonBooleanGuard, UnboundVariable, _add_child
+from .evaluate import _adopt, _equal, _fold_step, compile_expr, list_elements, shorten, truth
+from .events import ANY_TOKEN, END_OF_INPUT, TEXT_TOKEN, SaxEvent, TextEvt, token_label
 from .events import token_of_event
 from .normalize import normalize_grammar
-from .values import EMPTY_CONS, NULL, ConsList, Env, TupleVal, Value
-from .wellformed import WfError, check_grammar
+from .values import EMPTY_CONS, NULL, BoolVal, ConsList, IntVal, ListVal, TermVal, TupleVal, Value
+from .wellformed import WfError, check_grammar, expr_vars
 
 # Failure reasons
 NO_PREDICT_ENTRY = "NoPredictEntry"
@@ -173,372 +148,7 @@ class IncompleteParse(ParseFailure):
         super().__init__(INCOMPLETE_PARSE, message, position)
 
 
-class MachineInvariantError(AssertionError):
-    """The machine reached a state its invariants forbid; a bug, not input error."""
-
-
-# -- the compiled program -----------------------------------------------------
-
-# Opcodes, the first field of every op.  The operands of those that have any:
-#   (CALL, callee row, callee name, argument closures)
-#   (LOOP, callee loop row, callee name), its call passing its own parameters
-#   (NEXT, loop row, rule name, the environment it started in), pushed by LOOP;
-#   a loop row's entry is END, an item's ops, or a leaf: the item's one fused START
-#   (START, tag, attrs, guarded branches, else branch) for an element with
-#   ops inside: each branch is ops ending in the element's TAG_END, and an
-#   unguarded element has no guarded branches, ()
-#   (START, tag, attrs, None, action) for one without: START reads the end tag too
-#   (BIND, names, pop the value too, action)  (ACTIONS, closure)
-#   (ENV_RESTORE, env), pushed by CALL  (TAG_END, tag)
-# A fused action is a closure or None; its value is pushed after the op.
-CALL, BIND, ACTIONS, START, TAG_END, POP, TEXT, ANY, EMPTY, LOOP = range(10)
-ENV_RESTORE, NEXT = 10, 11  # pushed only at run time: numbered last, so one test finds a tail call
-
-_POP = (POP,)
-_NULL = (ACTIONS, compile_actions((), {}))  # the value of a used OK or empty sequence
-_LEAF_OPS = {Text: (TEXT,), Any: (ANY,), Empty: (EMPTY,)}
-END = object()  # a loop row's entry where the repetition ends
-
-Row = Dict[Token, Tuple[Tuple[str, ...], tuple]]
-
-
-class Program:
-    """A predict table compiled for the machine: ``rows[rule][token]`` is
-    the compiled clause ``(params, ops)`` that the table predicts, and
-    ``loops[rule]`` the loop row of a rule that a repetition lifted, which
-    has no row: each token maps to the ops of one item, to a leaf item's
-    one op, or to ``END``.  ``params[rule]`` are a rule's parameters.  A
-    call whose argument count its callee does not take is a
-    ``ParseFailure`` at event 0 as the program is built."""
-
-    def __init__(self, table: PredictTable):
-        self.params = {name: clause.params for (name, _), clause in table.entries.items()}
-        self.loops: Dict[str, Dict[Token, object]] = {name: {} for name in table.loops}
-        self.rows: Dict[str, Row] = {name: {} for name in self.params if name not in self.loops}
-        memo: dict = {}  # one closure per distinct expression, see ``compile_expr``
-        compiled: Dict[int, tuple] = {}  # by id of the table's clause objects
-        items: Dict[str, Clause] = {}  # the item of each loop, as a clause
-        for (name, token), clause in table.entries.items():
-            loop = self.loops.get(name)
-            if loop is not None:
-                if len(clause.body) == 1:  # the Nil clause
-                    loop[token] = END
-                    continue
-                item = items.get(name)
-                if item is None:  # the cons clause's ``x = item``, in the loop's environment
-                    item = items[name] = Clause(name, clause.params, clause.body[0].body)
-                clause = item
-            if token != ANY_TOKEN:
-                clause = _resolve_chain(table, token, clause)
-            entry = compiled.get(id(clause))
-            if entry is None:
-                ops = self._ops(clause.body, memo, True)
-                entry = compiled[id(clause)] = (clause.params, ops)
-            if loop is not None:
-                ops = entry[1]
-                if len(ops) == 1 and _is_leaf(ops[0], token):
-                    ops = ops[0]  # NEXT runs it in place
-                loop[token] = ops
-            else:
-                self.rows[name][token] = entry
-
-    def call(self, name: str, args: Tuple[Expr, ...], memo: dict) -> tuple:
-        """The op of a call.  A rule without entries gets an empty row.  A
-        loop's items run in the caller's environment, so a loop must be
-        passed its own parameters."""
-        check_arity(name, self.params.get(name), len(args))
-        if name in self.loops:
-            if args != tuple(map(VarRef, self.params[name])):
-                raise NotNormalForm(f"loop {name} is not called with its own parameters")
-            return (LOOP, self.loops[name], name)
-        return (CALL, self.rows.get(name, {}), name, tuple([compile_expr(e, memo) for e in args]))
-
-    def _ops(self, seq: BodySeq, memo: dict, used: bool) -> tuple:
-        """The ops of a body in reverse execution order; ``used`` says
-        whether its value is kept."""
-        ops: List[tuple] = []
-        self._seq(seq, ops, memo, used)
-        return tuple(reversed(ops))
-
-    def _seq(self, seq: BodySeq, ops: List[tuple], memo: dict, used: bool) -> None:
-        if used and not seq:
-            ops.append(_NULL)
-        for i, item in enumerate(seq):
-            keep = used and i == len(seq) - 1
-            kind = type(item)
-            if kind is Call:
-                ops.append(self.call(item.name, item.args, memo))
-            elif kind is Bind:
-                self._seq(item.body, ops, memo, True)
-                ops.append((BIND, item.names, not keep, None))
-                continue
-            elif kind is Actions:
-                last = ops[-1] if ops else _POP
-                if (last[0] == BIND or last[0] == START and last[3] is None) and last[-1] is None:
-                    ops[-1] = last[:-1] + (compile_actions(item.exprs, memo),)  # fused
-                else:
-                    ops.append((ACTIONS, compile_actions(item.exprs, memo)))
-            elif kind is ElementSpec:  # its branches leave a value or none
-                branch = self._ops(item.else_body, memo, keep)
-                if not branch and not item.guarded:
-                    ops.append((START, item.tag, item.attrs, None, None))
-                else:
-                    end = ((TAG_END, item.tag),)
-                    guarded = tuple(
-                        (compile_expr(g, memo), end + self._ops(body, memo, keep))
-                        for g, body in item.guarded
-                    )
-                    ops.append((START, item.tag, item.attrs, guarded, end + branch))
-                continue
-            elif kind is Ok:
-                if keep:
-                    ops.append(_NULL)
-                continue
-            elif kind in _LEAF_OPS:
-                ops.append(_LEAF_OPS[kind])
-            else:
-                raise NotNormalForm(f"{kind.__name__} node in supposedly normal grammar")
-            if not keep:
-                ops.append(_POP)
-
-
-def _is_leaf(op: tuple, token: Token) -> bool:
-    """Whether ``op`` is a fused empty element with an action, predicted
-    under its own start tag: NEXT may then take the start tag as read."""
-    return op[0] == START and op[3] is None and op[4] is not None and op[1] == token
-
-
-def _resolve_chain(table: PredictTable, token: Token, clause: Clause) -> Clause:
-    """Follow chain clauses ``R(ps) ::= X(ps).``, which pass their own
-    parameters on unchanged to an X with the same parameters, through X's
-    entry for ``token``: X's clause then runs in the environment the call
-    would have made.  In a table without conflicts they cannot cycle, since
-    a cycle has no base."""
-    while len(clause.body) == 1 and type(clause.body[0]) is Call:
-        call = clause.body[0]
-        target = table.entries.get((call.name, token))
-        if target is None or target.params != clause.params:
-            break
-        if tuple([a.name if type(a) is VarRef else None for a in call.args]) != clause.params:
-            break
-        if call.name in table.loops:  # a repetition runs as a loop
-            break
-        clause = target
-    return clause
-
-
-_UNREAD = object()  # the lookahead before the first event is read
-
-
-class Machine:
-    """One parse in progress; construct, then ``run()``.
-
-    Its state is the program stack, the one control stack, which also holds
-    an ``ENV_RESTORE`` op for each continuation still pending and a ``NEXT``
-    op for each loop running; the current environment; the value stack; and
-    the lookahead event.  ``max_dump_depth`` is the most environments saved
-    at one time, by those ``ENV_RESTORE`` and ``NEXT`` ops together."""
-
-    def __init__(
-        self,
-        table: PredictTable,
-        start_rule: str,
-        events: Iterable[SaxEvent],
-        args: Tuple[Value, ...] = (),
-    ):
-        if table.conflicts:
-            # On a conflicted table the machine can loop round a cycle of chain rules.
-            raise ValueError(f"the predict table is not LL(1): {table.conflicts[0]}")
-        if table.program is None:
-            table.program = Program(table)
-        program = table.program
-        self._events = iter(events)
-        self.lookahead: object = _UNREAD  # the next event, None at end of input
-        self.position = 0  # events consumed
-        self.values: List[Value] = []
-        self.max_dump_depth = 0
-        self.steps = 0
-        # The start rule is entered like any call, from its parameters bound to ``args``.
-        params = program.params.get(start_rule)
-        check_arity(start_rule, params, len(args))
-        self.env: Env = dict(zip(params or (), args))
-        self.program: List[tuple] = [program.call(start_rule, tuple(map(VarRef, self.env)), {})]
-
-    def run(self) -> Value:
-        """Drive the machine to completion and return the synthesized value.
-
-        This loop is the machine's only transition dispatch.  It tests the
-        opcode in a plain ``if``/``elif`` chain, frequent kinds first,
-        because a parse makes millions of transitions on large documents.
-        The state lives in locals while the loop runs.
-        """
-        program, env, values = self.program, self.env, self.values
-        events, event, position = self._events, self.lookahead, self.position
-        if event is _UNREAD:
-            event = next(events, None)
-        steps, saved, depth = 0, 0, self.max_dump_depth
-        try:
-            while program:
-                item = program.pop()
-                steps += 1
-                op = item[0]
-                if op == NEXT:
-                    row, acc = item[1], values[-1]
-                    if type(acc) is not list:  # the last item's value, onto the accumulator
-                        values.pop()
-                        values[-1].append(acc)
-                        acc = values[-1]
-                    while True:
-                        token = event[0] if type(event) is tuple else token_of_event(event)
-                        ops = row.get(token) or row.get(ANY_TOKEN)
-                        if ops is None:
-                            message = f"no prediction for rule {item[2]} on {token_label(token)}"
-                            raise ParseFailure(NO_PREDICT_ENTRY, message, position)
-                        if ops is END or type(ops[0]) is not int:
-                            break
-                        # A leaf item, run in place: its start tag is the lookahead.
-                        steps += 1
-                        env = item[3]
-                        if ops[2]:
-                            env = dict(env)
-                            for var, attr in ops[2]:
-                                if attr not in event[1]:
-                                    message = f"element <{ops[1]}> lacks attribute {attr!r}"
-                                    raise ParseFailure(MISSING_ATTRIBUTE, message, position)
-                                env[var] = event[1][attr]
-                        position += 1
-                        event = next(events, None)
-                        if event != ops[1]:  # an end tag is its name, a str
-                            raise _unexpected(TAG_MISMATCH, f"</{ops[1]}>", event, position)
-                        position += 1
-                        event = next(events, None)
-                        acc.append(ops[4](env))
-                    env = item[3]
-                    if ops is END:
-                        values[-1] = ConsList(tuple(acc)) if acc else EMPTY_CONS
-                        saved -= 1
-                    else:
-                        program.append(item)
-                        program.extend(ops)
-                elif op == START:
-                    tag = item[1]
-                    if type(event) is not tuple or event[0] != tag:
-                        raise _unexpected(TAG_MISMATCH, f"<{tag}>", event, position)
-                    if item[2]:
-                        env = dict(env)
-                        for var, attr in item[2]:
-                            if attr not in event[1]:
-                                message = f"element <{tag}> lacks attribute {attr!r}"
-                                raise ParseFailure(MISSING_ATTRIBUTE, message, position)
-                            env[var] = event[1][attr]
-                    if item[3] is None:  # the end tag too, then the fused action
-                        position += 1
-                        event = next(events, None)
-                        if event != tag:
-                            raise _unexpected(TAG_MISMATCH, f"</{tag}>", event, position)
-                    else:
-                        branch = item[4]
-                        for guard, ops in item[3]:
-                            if truth(guard(env)):
-                                branch = ops
-                                break
-                        program.extend(branch)
-                    position += 1
-                    event = next(events, None)
-                    if item[3] is None and item[4] is not None:
-                        values.append(item[4](env))
-                elif op == TAG_END:
-                    if event != item[1]:
-                        raise _unexpected(TAG_MISMATCH, f"</{item[1]}>", event, position)
-                    position += 1
-                    event = next(events, None)
-                elif op == BIND:
-                    if not values:
-                        raise MachineInvariantError("binding with empty value stack")
-                    names = item[1]
-                    value = values.pop() if item[2] else values[-1]
-                    if len(names) == 1:
-                        env = {**env, names[0]: value}
-                    elif isinstance(value, TupleVal) and len(value.items) == len(names):
-                        env = {**env, **dict(zip(names, value.items))}
-                    else:
-                        message = f"cannot bind {len(names)} names to {type(value).__name__}"
-                        raise ParseFailure(BIND_ARITY_MISMATCH, message, position)
-                    if item[3] is not None:
-                        values.append(item[3](env))
-                elif op == LOOP:  # its items and what follows it run in this environment
-                    values.append([])  # the accumulator
-                    program.append((NEXT, item[1], item[2], env))
-                    saved += 1
-                    if saved > depth:
-                        depth = saved
-                elif op == ACTIONS:
-                    values.append(item[1](env))
-                elif op == CALL:
-                    args = item[3]
-                    if args:
-                        args = tuple([f(env) for f in args])
-                    token = event[0] if type(event) is tuple else token_of_event(event)
-                    clause = item[1].get(token) or item[1].get(ANY_TOKEN)
-                    if clause is None:
-                        message = f"no prediction for rule {item[2]} on {token_label(token)}"
-                        raise ParseFailure(NO_PREDICT_ENTRY, message, position)
-                    params, body = clause
-                    if program and program[-1][0] < ENV_RESTORE:  # ops of its clause follow
-                        program.append((ENV_RESTORE, env))
-                        saved += 1
-                        if saved > depth:
-                            depth = saved
-                    program.extend(body)
-                    env = dict(zip(params, args)) if args else {}
-                elif op == ENV_RESTORE:
-                    env = item[1]
-                    saved -= 1
-                elif op == POP:
-                    values.pop()
-                elif op == TEXT:
-                    if type(event) is not TextEvt:
-                        raise _unexpected(UNEXPECTED_EVENT, "text", event, position)
-                    values.append(event.text)
-                    position += 1
-                    event = next(events, None)
-                elif op == ANY:
-                    if type(event) is tuple:  # skip the subtree, down to its end tag
-                        opened = [event[0]]
-                        while opened:
-                            position += 1
-                            event = next(events, None)
-                            kind = type(event)
-                            if kind is tuple:
-                                opened.append(event[0])
-                            elif kind is str and event == opened[-1]:
-                                opened.pop()
-                            elif kind is not TextEvt:
-                                raise _unexpected(TAG_MISMATCH, f"</{opened[-1]}>", event, position)
-                    elif type(event) is not TextEvt:
-                        raise _unexpected(UNEXPECTED_EVENT, "an element or text", event, position)
-                    values.append(NULL)
-                    position += 1
-                    event = next(events, None)
-                elif op == EMPTY:
-                    if event is not None and type(event) is not str:
-                        message = f"expected no more content, found {_describe(event)}"
-                        raise ParseFailure(UNEXPECTED_EVENT, message, position)
-                    values.append(NULL)
-                else:
-                    raise MachineInvariantError(f"unexpected program item {item!r}")
-        except EvalError as exc:
-            raise ParseFailure(eval_reason(exc), str(exc), position) from exc
-        finally:
-            self.program, self.env, self.lookahead, self.position = program, env, event, position
-            self.steps += steps
-            self.max_dump_depth = depth
-        if event is not None:
-            message = f"parse finished with input remaining ({_describe(event)})"
-            raise IncompleteParse(message, position)
-        if len(values) != 1:
-            raise MachineInvariantError(f"terminal state with {len(values)} values on the stack")
-        return values[0]
+# -- what the generated code calls ---------------------------------------------
 
 
 def _unexpected(reason: str, expected: str, event, position: int) -> ParseFailure:
@@ -553,3 +163,1065 @@ def _describe(event: SaxEvent) -> str:
     if type(event) is str:
         return f"</{event}>"
     return f"text {shorten(repr(event.text[:SHOWN]))}"
+
+
+def _open(tag: str, event, position: int) -> ParseFailure:
+    return _unexpected(TAG_MISMATCH, f"<{tag}>", event, position)
+
+
+def _close(tag: str, event, position: int) -> ParseFailure:
+    return _unexpected(TAG_MISMATCH, f"</{tag}>", event, position)
+
+
+def _no_text(event, position: int) -> ParseFailure:
+    return _unexpected(UNEXPECTED_EVENT, "text", event, position)
+
+
+def _not_empty(event, position: int) -> ParseFailure:
+    message = f"expected no more content, found {_describe(event)}"
+    return ParseFailure(UNEXPECTED_EVENT, message, position)
+
+
+def _no_attr(tag: str, attr: str, position: int) -> ParseFailure:
+    return ParseFailure(MISSING_ATTRIBUTE, f"element <{tag}> lacks attribute {attr!r}", position)
+
+
+def _no_predict(rule: str, event, position: int) -> ParseFailure:
+    token = event[0] if type(event) is tuple else token_of_event(event)
+    message = f"no prediction for rule {rule} on {token_label(token)}"
+    return ParseFailure(NO_PREDICT_ENTRY, message, position)
+
+
+def _eval_failure(exc: EvalError, position: int) -> ParseFailure:
+    return ParseFailure(eval_reason(exc), str(exc), position)
+
+
+def _unpack(value: Value, count: int, position: int) -> tuple:
+    if isinstance(value, TupleVal) and len(value.items) == count:
+        return value.items
+    message = f"cannot bind {count} names to {type(value).__name__}"
+    raise ParseFailure(BIND_ARITY_MISMATCH, message, position)
+
+
+def _any(events, event, position: int):
+    """Skip one subtree or text: the lookahead and position after it."""
+    if type(event) is tuple:  # down to its end tag
+        opened = [event[0]]
+        while opened:
+            position += 1
+            event = next(events, None)
+            kind = type(event)
+            if kind is tuple:
+                opened.append(event[0])
+            elif kind is str and event == opened[-1]:
+                opened.pop()
+            elif kind is not TextEvt:
+                raise _close(opened[-1], event, position)
+    elif type(event) is not TextEvt:
+        raise _unexpected(UNEXPECTED_EVENT, "an element or text", event, position)
+    position += 1
+    return next(events, None), position
+
+
+class _Unbound:
+    """The value of a local whose name only some guarded branches bind."""
+
+
+_UNBOUND = _Unbound()
+
+
+def _unbound(name: str):
+    raise UnboundVariable(name)
+
+
+def _maybe(value, name: str):
+    if value is _UNBOUND:
+        raise UnboundVariable(name)
+    return value
+
+
+def _env(names: Tuple[str, ...], values: tuple) -> dict:
+    """The environment of a closure: ``names`` bound to ``values``, but none to ``_UNBOUND``."""
+    return {name: value for name, value in zip(names, values) if value is not _UNBOUND}
+
+
+_TAIL = object()  # first of what a unit returns for a tail call: (_TAIL, callee, arguments)
+
+# The globals of generated code.
+_GLOBALS = {
+    "TextEvt": TextEvt, "TermVal": TermVal, "ListVal": ListVal, "TupleVal": TupleVal,
+    "BoolVal": BoolVal, "ConsList": ConsList, "NULL": NULL, "EMPTY_CONS": EMPTY_CONS,
+    "_U": _UNBOUND, "_TAIL": _TAIL, "_EvalError": EvalError, "_eval_failure": _eval_failure,
+    "_tok": token_of_event, "_equal": _equal, "_add_child": _add_child, "_adopt": _adopt,
+    "list_elements": list_elements, "truth": truth, "_unbound": _unbound, "_maybe": _maybe,
+    "_env": _env, "_unpack": _unpack, "_any": _any, "_open": _open, "_close": _close,
+    "_no_text": _no_text, "_not_empty": _not_empty, "_no_attr": _no_attr,
+    "_no_predict": _no_predict,
+}  # fmt: skip
+
+# -- the program ------------------------------------------------------------------
+
+INLINE_SIZE = 6  # clauses a callee may expand to and still be inlined
+UNIT_SIZE = 96  # clauses one unit may inline in all
+MAX_LOOPS = 12  # loops open at once in a unit
+MAX_INDENT = 60  # indentation levels in a unit
+MAX_EXPR = 40  # expression nesting inlined
+
+END = "END"  # a loop row's entry where the repetition ends
+
+
+class Program:
+    """A predict table turned into generated code, one unit at a time.
+
+    ``rows[rule][token]`` is the clause the table predicts, and for a rule
+    a repetition lifted, the clause of one item, or ``END``.  ``params[rule]``
+    are a rule's parameters.  ``units`` holds the unit functions, numbered
+    as ``entry`` hands them out.  A call whose argument count its callee
+    does not take is a ``ParseFailure`` at event 0 as the program is built."""
+
+    def __init__(self, table: PredictTable):
+        self.params = {name: clause.params for (name, _), clause in table.entries.items()}
+        self.loops = table.loops
+        self.rows: Dict[str, Dict[str, object]] = {}
+        items: Dict[str, Clause] = {}  # the item of each loop, as a clause
+        for (name, token), clause in table.entries.items():
+            if name in self.loops:
+                if len(clause.body) == 1:  # the Nil clause
+                    clause = END
+                else:  # the cons clause's ``x = item``, in the loop's environment
+                    item = items.get(name)
+                    if item is None:
+                        item = items[name] = Clause(name, clause.params, clause.body[0].body)
+                    clause = item
+            self.rows.setdefault(name, {})[token] = clause
+        # Each rule's callees, once per call site, for the sizes below.
+        self.callees: Dict[str, List[str]] = {}
+        self.sites: Dict[str, int] = {}
+        seen = set()
+        for name, row in self.rows.items():
+            callees = self.callees[name] = []
+            for clause in row.values():
+                if clause is not END and id(clause) not in seen:
+                    seen.add(id(clause))
+                    self._check_calls(clause.body, callees)
+        for callees in self.callees.values():
+            for callee in callees:
+                self.sites[callee] = self.sites.get(callee, 0) + 1
+        # The clauses of each rule that cost code: a chain clause, one call, costs none.
+        self.own = {
+            name: len({id(c) for c in row.values() if c is not END and not _chain(c)})
+            for name, row in self.rows.items()
+        }
+        self.component = _components(self.callees)
+        self.sizes = self._sizes()
+        del self.callees
+        self.units: list = []
+        self.index: Dict[str, int] = {}
+        self._pending: List[object] = []
+        self.memo: dict = {}  # one closure per distinct expression, see ``compile_expr``
+        self.namespace = dict(_GLOBALS)  # the globals of its units
+        self._groups: dict = {}
+        self._binds: Dict[int, frozenset] = {}
+
+    def _check_calls(self, seq: BodySeq, callees: List[str]) -> None:
+        """Check every call in ``seq`` as it would run, and list its callees.
+        A loop's items run in the caller's environment, so a loop must be
+        passed its own parameters."""
+        for item in seq:
+            kind = type(item)
+            if kind is Call:
+                name = item.name
+                check_arity(name, self.params.get(name), len(item.args))
+                if name in self.loops and item.args != tuple(map(VarRef, self.params[name])):
+                    raise NotNormalForm(f"loop {name} is not called with its own parameters")
+                callees.append(name)
+            elif kind is Bind:
+                self._check_calls(item.body, callees)
+            elif kind is ElementSpec:
+                self._check_calls(item.else_body, callees)
+                for _, body in item.guarded:
+                    self._check_calls(body, callees)
+
+    def _sizes(self) -> List[int]:
+        """The clauses each component of the call graph expands to when
+        inlined: its own, and for each call site of a callee in a component
+        below it, that component's size if it is inlined, else one."""
+        sizes: List[int] = []
+        members: Dict[int, List[str]] = {}
+        for name, number in self.component.items():
+            members.setdefault(number, []).append(name)
+        for number in range(len(members)):
+            size = 0
+            for name in members[number]:
+                size += self.own[name]
+                for callee in self.callees[name]:
+                    below = self.component.get(callee)
+                    if below is not None and below != number:
+                        size += sizes[below] if self._inlined(callee, sizes[below]) else 1
+            sizes.append(size)
+        return sizes
+
+    def inline_size(self, callee: str, caller: str) -> Optional[int]:
+        """The clauses a call from ``caller`` inlines, or None when it is not
+        inlined: a callee in the caller's component only when this is its one
+        call site, one in a component below as ``_inlined`` says."""
+        number = self.component.get(callee)
+        if number is None:  # no clauses
+            return 0
+        if number == self.component.get(caller):
+            return self.own[callee] if self.sites.get(callee) == 1 else None
+        size = self.sizes[number]
+        return size if self._inlined(callee, size) else None
+
+    def _inlined(self, callee: str, size: int) -> bool:
+        """Whether a callee in another component, which expands to ``size``
+        clauses, is inlined: a body that normalization lifted out of its one
+        call site (a fresh name holds a ``$``) always, since that copies no
+        code; another with one call site when small, and one with more only
+        when it is one clause that inlines nothing."""
+        sites = self.sites.get(callee)
+        if sites == 1 and "$" in callee:
+            return True
+        return size <= INLINE_SIZE and (sites == 1 or size <= 1)
+
+    def groups(self, rule: str):
+        """``rule``'s row as ``(tokens, clause)`` groups, one per clause that
+        a concrete token predicts (one per token for a chain clause), and
+        the wildcard's clause or None."""
+        found = self._groups.get(rule)
+        if found is None:
+            row = self.rows.get(rule, {})
+            by_clause: Dict[int, tuple] = {}
+            for token, clause in row.items():
+                if token != ANY_TOKEN:
+                    # A chain clause gets a test per token, which resolves its call.
+                    key = (id(clause), token) if _chain(clause) else id(clause)
+                    tokens, _ = by_clause.get(key, ((), clause))
+                    by_clause[key] = (tokens + (token,), clause)
+            found = self._groups[rule] = (list(by_clause.values()), row.get(ANY_TOKEN))
+        return found
+
+    def binds(self, clause: Clause) -> frozenset:
+        """The names ``clause``'s body may bind."""
+        names = self._binds.get(id(clause))
+        if names is None:
+            found = set()
+            for item in walk(clause.body):
+                if type(item) is Bind:
+                    found.update(item.names)
+                elif type(item) is ElementSpec:
+                    found.update(var for var, _ in item.attrs)
+            names = self._binds[id(clause)] = frozenset(found)
+        return names
+
+    def entry(self, rule: str) -> int:
+        """The number of the unit for ``rule``, built with every unit it
+        calls that is not built yet."""
+        index = self.index.get(rule)
+        if index is None:
+            index = self.unit(rule)
+            memo: dict = {}  # factory and constants' recipes by shape, for this build only
+            while self._pending:
+                rule = self._pending.pop()
+                shape = _Shape(self, rule)
+                found = memo.get(shape.key)
+                if found is None:
+                    unit = _Unit(self, shape)
+                    factory = unit.rule(rule)
+                    memo[shape.key] = factory, unit.recipes
+                    consts = unit.consts
+                else:
+                    factory, recipes = found
+                    values, resolve = shape.values, shape.resolve
+                    consts = [values[r[1]] if r[0] == "s" else resolve(r) for r in recipes]
+                self.units[self.index[rule]] = factory(*consts)
+        return index
+
+    def unit(self, rule: str) -> int:
+        """The number of the unit for ``rule``, queued to be built when new."""
+        index = self.index.get(rule)
+        if index is None:
+            index = self.index[rule] = self.add(None)
+            self._pending.append(rule)
+        return index
+
+    def add(self, unit) -> int:
+        self.units.append(unit)
+        return len(self.units) - 1
+
+
+
+def _chain(clause) -> bool:
+    """Whether ``clause`` (not a loop's ``END``) is a chain clause: one call."""
+    return clause is not END and len(clause.body) == 1 and type(clause.body[0]) is Call
+
+
+def _components(graph: Dict[str, List[str]]) -> Dict[str, int]:
+    """Tarjan's strongly connected components of ``graph``, iteratively:
+    each node's component, numbered so that a component's callees come first."""
+    index: Dict[str, int] = {}
+    low: Dict[str, int] = {}
+    component: Dict[str, int] = {}
+    stack: List[str] = []
+    count = 0
+    for root in graph:
+        if root in index:
+            continue
+        work = [(root, 0)]
+        while work:
+            node, i = work.pop()
+            if i == 0:
+                index[node] = low[node] = len(index)
+                stack.append(node)
+            edges = graph[node]
+            while i < len(edges):
+                target = edges[i]
+                i += 1
+                if target not in graph:
+                    continue
+                if target not in index:
+                    work.append((node, i))
+                    work.append((target, 0))
+                    break
+                if target not in component:  # on the stack
+                    low[node] = min(low[node], index[target])
+            else:
+                if low[node] == index[node]:
+                    while True:
+                        member = stack.pop()
+                        component[member] = count
+                        if member == node:
+                            break
+                    count += 1
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+    return component
+
+
+class _Shape:
+    """What the code of the unit for a rule depends on, as ``key``: the rows
+    and clauses of each rule the unit may inline, with each call's inline
+    size, in a flat sequence of markers and counts, and the strings and
+    integer literals among them, each replaced by its number in order of
+    first occurrence.  The generator tests strings only for equality, so two
+    units with one key have one text.  The key picks the factory compiled
+    for the first unit of the shape, and ``resolve`` makes another unit's
+    constants from the recipes recorded for the first."""
+
+    def __init__(self, program: Program, rule: str):
+        self.program = program
+        self.out: list = []  # the markers and counts
+        self.strings: list = []
+        self.closures: List[Expr] = []  # the expressions ``_Unit.expr`` may run as closures
+        self.rules, self.seen = [rule], {rule}
+        out, strings = self.out, self.strings
+        for name in self.rules:  # grows as inlined callees are found
+            params = program.params.get(name, ())
+            row = program.rows.get(name, {})
+            strings.append(name)
+            strings.extend(params)
+            strings.extend(row)
+            strings.extend([token[1:] for token in row if token[0] == "/"])
+            out.append(name in program.loops)
+            out.append(len(params))
+            out.append(len(row))
+            index: Dict[int, int] = {}
+            for token, clause in row.items():
+                out.append(token if token in _SPECIAL_TOKENS else token[0] == "/")
+                number = index.get(id(clause))
+                if number is None:
+                    number = index[id(clause)] = len(index)
+                    out.append(number)
+                    if clause is not END:
+                        strings.append(clause.name)
+                        strings.extend(clause.params)
+                        out.append(len(clause.params))
+                        self.seq(clause.body, clause.name)
+                    else:
+                        out.append(END)
+                else:
+                    out.append(number)
+        numbers = dict.fromkeys(strings)
+        for number, text in enumerate(numbers):
+            numbers[text] = number
+        self.key = tuple(out), tuple(map(numbers.__getitem__, strings))
+        self.numbers = numbers
+        self.values = list(numbers)
+        self.exprs: Dict[int, int] = {}  # the number of each closure's expression
+        for number, expr in enumerate(self.closures):
+            self.exprs.setdefault(id(expr), number)
+        del self.out, self.strings, self.rules, self.seen
+
+    def seq(self, seq: BodySeq, caller: str) -> None:
+        program, out, strings, expr = self.program, self.out, self.strings, self.expr
+        out.append(len(seq))
+        for item in seq:
+            kind = type(item)
+            out.append(kind)
+            if kind is ElementSpec:
+                strings.append(item.tag)
+                for pair in item.attrs:
+                    strings.extend(pair)
+                out.append(len(item.attrs))
+                self.seq(item.else_body, caller)
+                out.append(len(item.guarded))
+                for guard, body in item.guarded:
+                    expr(guard, 0)
+                    self.seq(body, caller)
+            elif kind is Actions:
+                out.append(len(item.exprs))
+                for e in item.exprs:
+                    expr(e, 0)
+            elif kind is Call:
+                name = item.name
+                size = program.inline_size(name, caller)
+                loop = name in program.loops
+                strings.append(name)
+                if loop:
+                    strings.extend(program.params[name])
+                out.append(size)
+                out.append(loop)
+                out.append(len(item.args))
+                for arg in item.args:
+                    expr(arg, 0)
+                if size is not None and name not in self.seen:
+                    self.seen.add(name)
+                    self.rules.append(name)
+            elif kind is Bind:
+                strings.extend(item.names)
+                out.append(len(item.names))
+                self.seq(item.body, caller)
+
+    def expr(self, expr: Expr, depth: int) -> None:
+        """As ``_Unit.expr`` reads ``expr``."""
+        kind = type(expr)
+        self.out.append(kind)
+        if kind is VarRef:
+            self.strings.append(expr.name)
+        elif kind is StrLit:
+            self.strings.append(expr.value)
+        elif kind is IntLit:
+            self.strings.append((int, expr.value))
+        elif kind is BoolLit:
+            self.out.append(expr.value)
+        elif kind is not NullLit:
+            if depth >= MAX_EXPR or kind is Fold:
+                self.closures.append(expr)
+            depth += 1
+            if kind is Construct:
+                self.strings.append(expr.ctor)
+                self.out.append(expr.ctor == ADD_CHILD)
+                self.out.append(len(expr.args))
+                for arg in expr.args:
+                    self.expr(arg, depth)
+            elif kind is ConsExpr:
+                self.strings.append(CONS)
+                self.expr(expr.head, depth)
+                self.expr(expr.tail, depth)
+            elif kind is ListLit:
+                self.out.append(len(expr.items))
+                for item in expr.items:
+                    self.expr(item, depth)
+            elif kind is Compare:
+                self.out.append(expr.op == "=")
+                self.expr(expr.left, depth)
+                self.expr(expr.right, depth)
+            elif kind is Fold:
+                self.strings.extend((expr.elem_var, expr.acc_var))
+                for part in (expr.init, expr.step, expr.over):
+                    self.expr(part, depth)
+            else:
+                raise TypeError(f"not an expression: {expr!r}")
+
+    def recipe(self, value) -> tuple:
+        kind, numbers = type(value), self.numbers
+        if kind is str:
+            return "s", numbers[value]
+        if kind is IntVal:
+            return "i", numbers[(int, value.value)]
+        if kind is BoolVal:
+            return "v", value
+        if kind is frozenset:
+            return "f", tuple([numbers[token] for token in value])
+        return "t", tuple([numbers[name] for name in value])  # a tuple of names
+
+    def resolve(self, recipe: tuple):
+        kind, arg, values = recipe[0], recipe[1], self.values
+        if kind == "s":
+            return values[arg]
+        if kind == "i":
+            return IntVal(values[arg][1])
+        if kind == "v":
+            return arg
+        if kind == "f":
+            return frozenset([values[number] for number in arg])
+        if kind == "t":
+            return tuple([values[number] for number in arg])
+        if kind == "u":
+            return self.program.unit(values[arg])
+        if kind == "x":
+            return compile_expr(self.closures[arg], self.program.memo)
+        factory, recipes = arg, recipe[2]  # "n": a nested unit
+        return self.program.add(factory(*[self.resolve(r) for r in recipes]))
+
+
+_SPECIAL_TOKENS = (TEXT_TOKEN, ANY_TOKEN, END_OF_INPUT)
+
+
+class _Scope:
+    """The locals of one inlined clause: ``slots`` maps each name to its
+    local, shared by the branches of a guarded element, and ``bound`` says
+    whether the name is bound for certain (True) or by some branches only
+    (False); a name it lacks is unbound."""
+
+    __slots__ = ("slots", "bound")
+
+    def __init__(self, slots: Dict[str, str], bound: Dict[str, bool]):
+        self.slots = slots
+        self.bound = bound
+
+    def branch(self) -> "_Scope":
+        return _Scope(self.slots, dict(self.bound))
+
+
+_INDENT = [" " * i for i in range(MAX_INDENT + 8)]
+_READ = "pos += 1; ev = next(it, None)"  # consume the lookahead and read the next event
+_TOKEN = "tok = ev[0] if type(ev) is tuple else _tok(ev)"
+
+
+class _Unit:
+    """The source of one unit, emitted line by line.  Constants (``k0``…)
+    and locals (``v0``…) are numbered in order of first use, so that units
+    of one shape have one text.  Each ``ind`` argument is an indentation
+    level; each ``used`` says whether a value is kept, and a value is
+    returned as an atom: a local, a constant or ``NULL``."""
+
+    def __init__(self, program: Program, shape: "_Shape"):
+        self.program = program
+        self.shape = shape
+        self.lines: List[str] = []
+        self.consts: list = []
+        self.recipes: list = []  # how ``shape.resolve`` makes each constant for a unit of this shape
+        self.names: dict = {}
+        self.count = 0
+        self.temps: set = set()  # locals that hold a value and no name
+        self.lists: set = set()  # locals that hold a repetition's value, a ``ConsList`` from its start
+        self.stack: List[str] = []  # the rules being inlined, the outermost first
+        self.loops = 0
+        self.size = 0
+
+    # -- a whole unit ------------------------------------------------------------
+
+    def rule(self, rule: str):
+        """The factory of the unit that enters ``rule``.  A loop's arguments may be unbound."""
+        program = self.program
+        params = program.params.get(rule, ())
+        certain = rule not in program.loops
+        values = [(self.local(), certain) for _ in params]
+        if rule in program.loops:
+            value = self.loop(rule, values, True, 3)
+        else:
+            value = self.dispatch(rule, values, True, 3, None, True)
+        self.emit(3, f"return {value}, ev, pos")
+        return self.compile(len(params))
+
+    def compile(self, params: int):
+        consts = [f"k{i}" for i in range(len(self.consts))]
+        args = "".join(f", v{i}" for i in range(params)) + "".join(f", {k}={k}" for k in consts)
+        text = (
+            f"def _f({', '.join(consts)}):\n def u(it, ev, pos{args}):\n  try:\n"
+            + "\n".join(self.lines)
+            + "\n  except _EvalError as exc:\n   raise _eval_failure(exc, pos) from exc\n return u\n"
+        )
+        namespace = self.program.namespace
+        exec(compile(text, "<xmlgram>", "exec"), namespace)
+        return namespace.pop("_f")
+
+    # -- names -------------------------------------------------------------------
+
+    def emit(self, ind: int, line: str) -> None:
+        self.lines.append(_INDENT[ind] + line)
+
+    def const(self, value, recipe: Optional[tuple] = None) -> str:
+        """The name of constant ``value``.  Its recipe is derived from the
+        shape unless given: a unit number or a closure needs one."""
+        key = value if type(value) is str else (type(value), value)
+        name = self.names.get(key)
+        if name is None:
+            name = self.names[key] = f"k{len(self.consts)}"
+            self.consts.append(value)
+            self.recipes.append(recipe or self.shape.recipe(value))
+        return name
+
+    def local(self) -> str:
+        self.count += 1
+        return f"v{self.count - 1}"
+
+    def read(self, scope: _Scope, name: str) -> str:
+        bound = scope.bound.get(name)
+        if bound:
+            return scope.slots[name]
+        if bound is None:
+            return f"_unbound({self.const(name)})"
+        return f"_maybe({scope.slots[name]}, {self.const(name)})"
+
+    def bind(self, scope: _Scope, name: str, certain: bool = True) -> str:
+        slot = scope.slots.get(name)
+        if slot is None:
+            slot = scope.slots[name] = self.local()
+        scope.bound[name] = certain
+        self.lists.discard(slot)  # it takes another value
+        return slot
+
+    def temp(self) -> str:
+        local = self.local()
+        self.temps.add(local)
+        return local
+
+    def atom(self, code: str, ind: int) -> str:
+        if code.isidentifier():
+            return code
+        local = self.temp()
+        self.emit(ind, f"{local} = {code}")
+        return local
+
+    # -- expressions -------------------------------------------------------------
+
+    def expr(self, expr: Expr, scope: _Scope, depth: int = 0) -> str:
+        """``expr`` as Python source: it raises what ``compile_expr``'s closure raises."""
+        kind = type(expr)
+        if kind is VarRef:
+            return self.read(scope, expr.name)
+        if kind is StrLit:
+            return self.const(expr.value)
+        if kind is IntLit:
+            return self.const(IntVal(expr.value))
+        if kind is BoolLit:
+            return self.const(BoolVal(expr.value))
+        if kind is NullLit:
+            return "NULL"
+        if depth >= MAX_EXPR:
+            return self.closure(expr, scope)
+        depth += 1
+        if kind is ConsExpr:
+            expr, kind = Construct(CONS, (expr.head, expr.tail)), Construct
+        if kind is Construct:
+            args = _tuple([self.expr(arg, scope, depth) for arg in expr.args])
+            if expr.ctor == ADD_CHILD:
+                return f"_add_child({args})"
+            return f"TermVal({self.const(expr.ctor)}, {args})"
+        if kind is ListLit:
+            return f"ListVal({_tuple([self.expr(item, scope, depth) for item in expr.items])})"
+        if kind is Compare:
+            left, right = self.expr(expr.left, scope, depth), self.expr(expr.right, scope, depth)
+            return f"BoolVal({'' if expr.op == '=' else 'not '}_equal({left}, {right}))"
+        if kind is Fold:
+            appends, step = _fold_step(expr)
+            if appends and step == VarRef(expr.elem_var):  # ``acc.add(e)``: the elements are the children
+                over, init = self.expr(expr.over, scope, depth), expr.init
+                if over in self.lists and type(init) is Construct and init.ctor != ADD_CHILD:
+                    # a repetition's fresh ``ConsList``, added to a new term: join the tuples
+                    args = _tuple([self.expr(arg, scope, depth) for arg in init.args])
+                    return f"TermVal({self.const(init.ctor)}, {args} + {over}.items)"
+                return f"_adopt(list_elements({over}), {self.expr(init, scope, depth)})"
+            return self.closure(expr, scope)
+        raise TypeError(f"not an expression: {expr!r}")
+
+    def closure(self, expr: Expr, scope: _Scope) -> str:
+        """``expr`` as its closure, called on the variables it reads."""
+        names = tuple(dict.fromkeys(r.name for r in expr_vars(expr) if r.name in scope.bound))
+        values = _tuple([scope.slots[name] for name in names])
+        recipe = ("x", self.shape.exprs[id(expr)])
+        function = self.const(compile_expr(expr, self.program.memo), recipe)
+        return f"{function}(_env({self.const(names)}, {values}))"
+
+    def actions(self, exprs: Tuple[Expr, ...], scope: _Scope) -> str:
+        if len(exprs) == 1:
+            return self.expr(exprs[0], scope)
+        if exprs:
+            return f"TupleVal({_tuple([self.expr(e, scope) for e in exprs])})"
+        return "NULL"
+
+    # -- bodies ------------------------------------------------------------------
+
+    def seq(self, seq: BodySeq, scope: _Scope, used: bool, ind: int, known, tail: bool):
+        """Emit ``seq``; return its value and the token known to be next.
+        ``known`` is the lookahead's token when a test has matched it."""
+        value = "NULL" if used else None
+        last = len(seq) - 1
+        for i, item in enumerate(seq):
+            keep = used and i == last
+            kind = type(item)
+            if kind is Call:
+                value = self.call(item, scope, keep, ind, known, tail and i == last)
+                known = None
+            elif kind is Bind:
+                value, _ = self.seq(item.body, scope, True, ind, known, False)
+                name = item.names[0]
+                if len(item.names) == 1 and value in self.temps and name not in scope.slots:
+                    self.temps.discard(value)  # the name takes the value's local
+                    scope.slots[name], scope.bound[name] = value, True
+                elif len(item.names) == 1:
+                    slot = self.bind(scope, name)
+                    if value != slot:
+                        self.emit(ind, f"{slot} = {value}")
+                    value = slot
+                else:
+                    slots = ", ".join([self.bind(scope, name) for name in item.names])
+                    self.emit(ind, f"{slots}, = _unpack({value}, {len(item.names)}, pos)")
+                known = None
+            elif kind is Actions:
+                code = self.actions(item.exprs, scope)
+                if keep:
+                    value = self.atom(code, ind)
+                elif not code.isidentifier():  # it may fail
+                    self.emit(ind, code)
+            elif kind is ElementSpec:
+                value = self.element(item, scope, keep, ind, known)
+                known = None
+            elif kind is Text:
+                if known != TEXT_TOKEN:
+                    self.emit(ind, "if type(ev) is not TextEvt: raise _no_text(ev, pos)")
+                if keep:
+                    value = self.temp()
+                    self.emit(ind, f"{value} = ev.text")
+                self.emit(ind, _READ)
+                known = None
+            elif kind is Any:
+                self.emit(ind, "ev, pos = _any(it, ev, pos)")
+                known = None
+            elif kind is Empty:
+                self.emit(ind, "if ev is not None and type(ev) is not str: raise _not_empty(ev, pos)")
+            elif kind is not Ok:
+                raise NotNormalForm(f"{kind.__name__} node in supposedly normal grammar")
+            if keep and kind in _NULL_ITEMS:
+                value = "NULL"
+        return (value if used else None), known
+
+    def element(self, item: ElementSpec, scope: _Scope, used: bool, ind: int, known) -> Optional[str]:
+        if item.guarded and ind >= MAX_INDENT:
+            return self.nested(item, scope, used, ind)
+        tag = self.const(item.tag)
+        if known != item.tag:
+            self.emit(ind, f"if type(ev) is not tuple or ev[0] != {tag}: raise _open({tag}, ev, pos)")
+        source = "ev[1]"
+        if len(item.attrs) > 1:
+            source = self.local()
+            self.emit(ind, f"{source} = ev[1]")
+        for var, attr in item.attrs:
+            name = self.const(attr)
+            slot = self.bind(scope, var)
+            self.emit(ind, f"if ({slot} := {source}.get({name})) is None: raise _no_attr({tag}, {name}, pos)")
+        if not item.guarded:
+            self.emit(ind, _READ)
+            value, _ = self.seq(item.else_body, scope, used, ind, None, False)
+        else:
+            mark, outer = len(self.lines), set(scope.bound)
+            value = self.temp() if used else None
+            branches = []
+            for i, (guard, body) in enumerate(item.guarded + ((None, item.else_body),)):
+                if guard is None:
+                    self.emit(ind, "else:")
+                elif type(guard) is Compare:  # a bool already
+                    left, right = self.expr(guard.left, scope, 1), self.expr(guard.right, scope, 1)
+                    test = f"{'' if guard.op == '=' else 'not '}_equal({left}, {right})"
+                    self.emit(ind, f"{'elif' if i else 'if'} {test}:")
+                else:
+                    self.emit(ind, f"{'elif' if i else 'if'} truth({self.expr(guard, scope)}):")
+                inner = scope.branch()
+                self.emit(ind + 1, _READ)
+                result, _ = self.seq(body, inner, used, ind + 1, None, False)
+                if used and result != value:
+                    self.emit(ind + 1, f"{value} = {result}")
+                branches.append(inner.bound)
+            for name in dict.fromkeys(name for bound in branches for name in bound):
+                certain = all(bound.get(name) for bound in branches)
+                if not certain and name not in outer:  # bound by some branches only
+                    self.lines.insert(mark, " " * ind + f"{scope.slots[name]} = _U")
+                scope.bound[name] = certain
+        self.emit(ind, f"if ev != {tag}: raise _close({tag}, ev, pos)")
+        self.emit(ind, _READ)
+        return value
+
+    def nested(self, item: ElementSpec, scope: _Scope, used: bool, ind: int) -> Optional[str]:
+        """A guarded element nested too deeply, called as a unit of its own.
+        It takes the locals in scope and returns its value and theirs."""
+        names = list(scope.bound)
+        unit = _Unit(self.program, self.shape)
+        unit.stack = list(self.stack)
+        inner = _Scope({}, {})
+        for name in names:
+            unit.bind(inner, name, scope.bound[name])
+        value = unit.element(item, inner, True, 3, None)
+        after = list(inner.bound)
+        unit.emit(3, f"return ({_tuple([value] + [inner.slots[n] for n in after])}), ev, pos")
+        factory = unit.compile(len(names))
+        index = self.const(self.program.add(factory(*unit.consts)), ("n", factory, unit.recipes))
+        args = ", ".join(["ev", "pos"] + [scope.slots[name] for name in names])
+        targets = [self.temp()] + [self.bind(scope, n, inner.bound[n]) for n in after]
+        self.emit(ind, f"({', '.join(targets)},), ev, pos = yield {index}, ({args})")
+        return targets[0] if used else None
+
+    # -- calls -------------------------------------------------------------------
+
+    def call(self, item: Call, scope: _Scope, used: bool, ind: int, known, tail: bool) -> Optional[str]:
+        """Inline the callee's clauses, or call its unit."""
+        program, name = self.program, item.name
+        size = None if name in self.stack else program.inline_size(name, self.stack[-1])
+        inline = size is not None and self.size + size <= UNIT_SIZE and ind + 3 <= MAX_INDENT
+        if name in program.loops:
+            inline = inline and self.loops < MAX_LOOPS
+            bound = scope.bound
+            values = [(scope.slots[p], bound[p]) if p in bound else None for p in program.params[name]]
+            if inline:
+                return self.loop(name, values, used, ind)
+            args = [value[0] if value else "_U" for value in values]
+        else:
+            values = [(self.atom(self.expr(arg, scope), ind), True) for arg in item.args]
+            if inline:
+                return self.dispatch(name, values, used, ind, known, tail)
+            args = [value for value, _ in values]
+        index = self.const(program.unit(name), ("u", self.shape.numbers[name]))
+        call = f"{index}, ({', '.join(['ev', 'pos'] + args)})"
+        if tail:
+            self.emit(ind, f"return _TAIL, {call}")
+            return "NULL" if used else None
+        value = self.temp()
+        self.emit(ind, f"{value}, ev, pos = yield {call}")
+        return value if used else None
+
+    def dispatch(self, rule: str, values: list, used: bool, ind: int, known, tail: bool) -> Optional[str]:
+        """The clause ``rule``'s row predicts, inlined: one test per clause."""
+        groups, wild = self.program.groups(rule)
+        if known is not None:
+            clause = self.program.rows.get(rule, {}).get(known) or wild
+            if clause is not None:
+                return self.clause(clause, values, used, ind, known, tail)
+        elif groups:
+            if len(groups) == 1 and wild is None:
+                tokens, clause = groups[0]
+                self.emit(ind, f"if {self.mismatch(tokens, ind)}: raise _no_predict({self.const(rule)}, ev, pos)")
+                return self.clause(clause, values, used, ind, _single(tokens), tail)
+            self.emit(ind, _TOKEN)
+            value = self.temp() if used else None
+            for i, (tokens, clause) in enumerate(groups):
+                self.emit(ind, f"{'elif' if i else 'if'} {self.test(tokens)}:")
+                self.branch(clause, values, value, ind + 1, _single(tokens), tail)
+            self.emit(ind, "else:")
+            if wild is not None:
+                self.branch(wild, values, value, ind + 1, None, tail)
+            else:
+                self.emit(ind + 1, f"raise _no_predict({self.const(rule)}, ev, pos)")
+            return value
+        elif wild is not None:
+            return self.clause(wild, values, used, ind, None, tail)
+        self.emit(ind, f"raise _no_predict({self.const(rule)}, ev, pos)")
+        return "NULL" if used else None
+
+    def branch(self, clause: Clause, values: list, value: Optional[str], ind: int, known, tail: bool) -> None:
+        mark = len(self.lines)
+        result = self.clause(clause, values, value is not None, ind, known, tail)
+        if value is not None and result != value:
+            self.emit(ind, f"{value} = {result}")
+        if len(self.lines) == mark:
+            self.emit(ind, "pass")
+
+    def clause(self, clause: Clause, values: list, used: bool, ind: int, known, tail: bool) -> Optional[str]:
+        """``clause``, its parameters bound to ``values``: a local and
+        whether it is bound for certain, or None where it is unbound.  A
+        parameter the body may bind again gets a local of its own."""
+        self.size += 1
+        scope = _Scope({}, {})
+        rebound = self.program.binds(clause) if clause.params else ()
+        for param, value in zip(clause.params, values):
+            if value is not None:
+                code, certain = value
+                if param in rebound:
+                    local = self.local()
+                    self.emit(ind, f"{local} = {code}")
+                    code = local
+                self.temps.discard(code)  # it has a name now
+                scope.slots[param], scope.bound[param] = code, certain
+        self.stack.append(clause.name)
+        value, _ = self.seq(clause.body, scope, used, ind, known, tail)
+        self.stack.pop()
+        return value
+
+    def loop(self, rule: str, values: list, used: bool, ind: int) -> Optional[str]:
+        """A repetition as a ``while`` over its loop row."""
+        groups, wild = self.program.groups(rule)
+        items = [(tokens, clause) for tokens, clause in groups if clause is not END]
+        ends = next((tokens for tokens, clause in groups if clause is END), ())
+        no_predict = f"raise _no_predict({self.const(rule)}, ev, pos)"
+        if not items and wild in (None, END):  # no item can start: the repetition is empty
+            if wild is None:
+                self.emit(ind, f"if {self.mismatch(ends, ind)}: {no_predict}")
+            return "EMPTY_CONS" if used else None
+        acc = self.local() if used else None
+        if used:
+            self.emit(ind, f"{acc} = []")
+        self.emit(ind, "while True:")
+        self.emit(ind + 1, _TOKEN)
+        self.loops += 1
+        tests = [(self.test(tokens), clause, _single(tokens)) for tokens, clause in items]
+        if ends:
+            tests.append((self.test(ends), END, None))
+        for i, (test, clause, known) in enumerate(tests):
+            self.emit(ind + 1, f"{'elif' if i else 'if'} {test}:")
+            self.item(clause, values, acc, ind + 2, known)
+        if tests:
+            self.emit(ind + 1, "else:")
+        if wild is None:
+            self.emit(ind + 2, no_predict)
+        else:
+            self.item(wild, values, acc, ind + 2 if tests else ind + 1, None)
+        self.loops -= 1
+        if not used:
+            return None
+        value = self.temp()
+        self.lists.add(value)
+        self.emit(ind, f"{value} = ConsList(tuple({acc})) if {acc} else EMPTY_CONS")
+        return value
+
+    def item(self, clause, values: list, acc: Optional[str], ind: int, known) -> None:
+        if clause is END:
+            self.emit(ind, "break")
+            return
+        mark = len(self.lines)
+        value = self.clause(clause, values, acc is not None, ind, known, False)
+        if acc is not None:
+            self.emit(ind, f"{acc}.append({value})")
+        elif len(self.lines) == mark:
+            self.emit(ind, "pass")
+
+    def test(self, tokens: tuple) -> str:
+        if len(tokens) == 1:
+            return f"tok == {self.const(tokens[0])}"
+        return f"tok in {self.const(frozenset(tokens))}"
+
+    def mismatch(self, tokens: tuple, ind: int) -> str:
+        """A test that the lookahead's token is none of ``tokens``; for one
+        token, of the event itself."""
+        if len(tokens) > 1:
+            self.emit(ind, _TOKEN)
+            return f"tok not in {self.const(frozenset(tokens))}"
+        token = tokens[0]
+        if token == END_OF_INPUT:
+            return "ev is not None"
+        if token == TEXT_TOKEN:
+            return "type(ev) is not TextEvt"
+        if token[0] == "/":  # an end tag is its name
+            return f"ev != {self.const(token[1:])}"
+        return f"type(ev) is not tuple or ev[0] != {self.const(token)}"
+
+
+_NULL_ITEMS = (Ok, Any, Empty)  # items whose value is null
+
+
+def _single(tokens: tuple):
+    """The token a test of ``tokens`` leaves known, if it is one."""
+    return tokens[0] if len(tokens) == 1 else None
+
+
+def _tuple(items: List[str]) -> str:
+    return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
+
+
+def _position(trace, position: int) -> int:
+    """The events consumed where the innermost generated code, or ``_any``
+    called from it, was when the exception of ``trace`` passed."""
+    while trace is not None:
+        frame = trace.tb_frame
+        if frame.f_code.co_filename == "<xmlgram>":
+            position = frame.f_locals["pos"]
+        elif frame.f_code is _any.__code__:
+            position = frame.f_locals["position"]
+        trace = trace.tb_next
+    return position
+
+
+_UNREAD = object()  # the lookahead before the first event is read
+
+
+class Machine:
+    """One parse in progress; construct, then ``run()``.
+
+    ``steps`` counts the driver's transitions and ``max_dump_depth`` the
+    most continuations it held at once; ``position`` is the events consumed
+    and ``lookahead`` the next one, None at end of input."""
+
+    def __init__(
+        self,
+        table: PredictTable,
+        start_rule: str,
+        events: Iterable[SaxEvent],
+        args: Tuple[Value, ...] = (),
+    ):
+        if table.conflicts:
+            # On a conflicted table the machine can loop round a cycle of chain rules.
+            raise ValueError(f"the predict table is not LL(1): {table.conflicts[0]}")
+        if table.program is None:
+            table.program = Program(table)
+        program = table.program
+        check_arity(start_rule, program.params.get(start_rule), len(args))
+        self._start = program.units[program.entry(start_rule)]
+        self._units = program.units
+        self._events = iter(events)
+        self._args = tuple(args)
+        self.lookahead: object = _UNREAD
+        self.position = 0
+        self.steps = 0
+        self.max_dump_depth = 0
+
+    def run(self) -> Value:
+        """Drive the units to completion and return the synthesized value.
+
+        A unit returns its value, the lookahead and the position, or asks
+        for a tail call; a generator unit yields a call and is resumed with
+        the callee's return.  This loop is the only place where one unit
+        hands control to another.
+        """
+        units, events, event = self._units, self._events, self.lookahead
+        if event is _UNREAD:
+            event = next(events, None)
+        stack: list = []  # the suspended callers
+        steps, depth = 1, 0
+        try:
+            done = self._start(events, event, self.position, *self._args)
+            while True:
+                if type(done) is tuple:
+                    if done[0] is _TAIL:
+                        steps += 1
+                        done = units[done[1]](events, *done[2])
+                        continue
+                    if not stack:
+                        break
+                    steps += 1
+                    unit, sent = stack.pop(), done
+                else:  # a generator unit, entered
+                    unit, sent = done, None
+                try:
+                    call = unit.send(sent)
+                except StopIteration as stop:
+                    done = stop.value
+                    continue
+                stack.append(unit)
+                if len(stack) > depth:
+                    depth = len(stack)
+                steps += 1
+                done = units[call[0]](events, *call[1])
+        except ParseFailure as exc:
+            self.position = exc.position
+            raise
+        except Exception as exc:  # reading an event failed
+            self.position = _position(exc.__traceback__, self.position)
+            raise
+        finally:
+            self.steps += steps
+            self.max_dump_depth = max(self.max_dump_depth, depth)
+        value, self.lookahead, self.position = done
+        if self.lookahead is not None:
+            message = f"parse finished with input remaining ({_describe(self.lookahead)})"
+            raise IncompleteParse(message, self.position)
+        return value

@@ -1,7 +1,8 @@
 """Shared fixtures: canonical grammar sources, alpha-equivalence on grammars,
 seeded random generators for grammars and documents, conversions between
 trees, events and XML text, and reference implementations of the lexer, the
-reader, the expression evaluator, the value renderers and the AST walks."""
+reader, the expression evaluator, the value renderers, the AST walks and the
+table-driven machine."""
 
 from __future__ import annotations
 
@@ -44,14 +45,30 @@ from xmlgram.ast import (
     Text,
     VarRef,
 )
-from xmlgram.analysis import PredictTable
-from xmlgram.engine import Machine
-from xmlgram.evaluate import ADD_CHILD, UnboundVariable, _add_child, _equal, _fold, _fold_step, list_elements, truth
+from xmlgram.analysis import NotNormalForm, PredictTable
+from xmlgram.engine import (
+    BIND_ARITY_MISMATCH,
+    MISSING_ATTRIBUTE,
+    NO_PREDICT_ENTRY,
+    TAG_MISMATCH,
+    UNEXPECTED_EVENT,
+    IncompleteParse,
+    Machine,
+    ParseFailure,
+    _describe,
+    _unexpected,
+    check_arity,
+    eval_reason,
+)
+from xmlgram.evaluate import ADD_CHILD, EvalError, UnboundVariable, _add_child, _equal, _fold, _fold_step
+from xmlgram.evaluate import compile_actions, compile_expr, list_elements, truth
 from xmlgram import sax
-from xmlgram.events import Element, SaxEvent, TextEvt, TextNode, XmlTree
+from xmlgram.events import ANY_TOKEN, Element, SaxEvent, TextEvt, TextNode, Token, XmlTree, token_label
+from xmlgram.events import token_of_event
 from xmlgram.frontend import _KEYWORDS, _PUNCT, ParseDiagnostic
 from xmlgram.sax import _MESSAGES, NAME_RE, MalformedXml, SaxReader, UnsupportedFeature, XmlReadError
-from xmlgram.values import NULL, BoolVal, Env, IntVal, ListVal, NullVal, TermVal, TupleVal, Value
+from xmlgram.values import EMPTY_CONS, NULL, BoolVal, ConsList, Env, IntVal, ListVal, NullVal, TermVal, TupleVal
+from xmlgram.values import Value
 
 # The worked example grammar: one rule with repetition over an alternation.
 TEST_GRAMMAR = """\
@@ -1082,3 +1099,379 @@ def reference_is_normal_form(grammar: Grammar) -> bool:
         for clause in grammar.clauses
         for item in reference_walk(clause.body)
     )
+
+
+# --------------------------------------------------------------------------
+# Reference machine: the op interpreter that ran the predict table before
+# ``xmlgram.engine`` generated code for it.  ``ReferenceProgram`` compiles
+# each predicted clause to ops (small tuples, in reverse execution order),
+# with the fused ops, leaf runs and chain resolution it had; its ``rows`` and
+# ``loops`` are the table as the interpreter saw it.  ``ReferenceMachine`` pops
+# ops against the events in one driver loop, and counts a step per op.
+# The engine must give the same values, failures and positions.
+# --------------------------------------------------------------------------
+
+
+class MachineInvariantError(AssertionError):
+    """The reference machine reached a state its invariants forbid; a bug, not input error."""
+
+
+
+# Opcodes, the first field of every op.  The operands of those that have any:
+#   (CALL, callee row, callee name, argument closures)
+#   (LOOP, callee loop row, callee name), its call passing its own parameters
+#   (NEXT, loop row, rule name, the environment it started in), pushed by LOOP;
+#   a loop row's entry is END, an item's ops, or a leaf: the item's one fused START
+#   (START, tag, attrs, guarded branches, else branch) for an element with
+#   ops inside: each branch is ops ending in the element's TAG_END, and an
+#   unguarded element has no guarded branches, ()
+#   (START, tag, attrs, None, action) for one without: START reads the end tag too
+#   (BIND, names, pop the value too, action)  (ACTIONS, closure)
+#   (ENV_RESTORE, env), pushed by CALL  (TAG_END, tag)
+# A fused action is a closure or None; its value is pushed after the op.
+CALL, BIND, ACTIONS, START, TAG_END, POP, TEXT, ANY, EMPTY, LOOP = range(10)
+ENV_RESTORE, NEXT = 10, 11  # pushed only at run time: numbered last, so one test finds a tail call
+
+_POP = (POP,)
+_NULL = (ACTIONS, compile_actions((), {}))  # the value of a used OK or empty sequence
+_LEAF_OPS = {Text: (TEXT,), Any: (ANY,), Empty: (EMPTY,)}
+END = object()  # a loop row's entry where the repetition ends
+
+Row = Dict[Token, Tuple[Tuple[str, ...], tuple]]
+
+
+class ReferenceProgram:
+    """A predict table compiled for the reference machine: ``rows[rule][token]`` is
+    the compiled clause ``(params, ops)`` that the table predicts, and
+    ``loops[rule]`` the loop row of a rule that a repetition lifted, which
+    has no row: each token maps to the ops of one item, to a leaf item's
+    one op, or to ``END``.  ``params[rule]`` are a rule's parameters.  A
+    call whose argument count its callee does not take is a
+    ``ParseFailure`` at event 0 as the program is built."""
+
+    def __init__(self, table: PredictTable):
+        self.params = {name: clause.params for (name, _), clause in table.entries.items()}
+        self.loops: Dict[str, Dict[Token, object]] = {name: {} for name in table.loops}
+        self.rows: Dict[str, Row] = {name: {} for name in self.params if name not in self.loops}
+        memo: dict = {}  # one closure per distinct expression, see ``compile_expr``
+        compiled: Dict[int, tuple] = {}  # by id of the table's clause objects
+        items: Dict[str, Clause] = {}  # the item of each loop, as a clause
+        for (name, token), clause in table.entries.items():
+            loop = self.loops.get(name)
+            if loop is not None:
+                if len(clause.body) == 1:  # the Nil clause
+                    loop[token] = END
+                    continue
+                item = items.get(name)
+                if item is None:  # the cons clause's ``x = item``, in the loop's environment
+                    item = items[name] = Clause(name, clause.params, clause.body[0].body)
+                clause = item
+            if token != ANY_TOKEN:
+                clause = _resolve_chain(table, token, clause)
+            entry = compiled.get(id(clause))
+            if entry is None:
+                ops = self._ops(clause.body, memo, True)
+                entry = compiled[id(clause)] = (clause.params, ops)
+            if loop is not None:
+                ops = entry[1]
+                if len(ops) == 1 and _is_leaf(ops[0], token):
+                    ops = ops[0]  # NEXT runs it in place
+                loop[token] = ops
+            else:
+                self.rows[name][token] = entry
+
+    def call(self, name: str, args: Tuple[Expr, ...], memo: dict) -> tuple:
+        """The op of a call.  A rule without entries gets an empty row.  A
+        loop's items run in the caller's environment, so a loop must be
+        passed its own parameters."""
+        check_arity(name, self.params.get(name), len(args))
+        if name in self.loops:
+            if args != tuple(map(VarRef, self.params[name])):
+                raise NotNormalForm(f"loop {name} is not called with its own parameters")
+            return (LOOP, self.loops[name], name)
+        return (CALL, self.rows.get(name, {}), name, tuple([compile_expr(e, memo) for e in args]))
+
+    def _ops(self, seq: BodySeq, memo: dict, used: bool) -> tuple:
+        """The ops of a body in reverse execution order; ``used`` says
+        whether its value is kept."""
+        ops: List[tuple] = []
+        self._seq(seq, ops, memo, used)
+        return tuple(reversed(ops))
+
+    def _seq(self, seq: BodySeq, ops: List[tuple], memo: dict, used: bool) -> None:
+        if used and not seq:
+            ops.append(_NULL)
+        for i, item in enumerate(seq):
+            keep = used and i == len(seq) - 1
+            kind = type(item)
+            if kind is Call:
+                ops.append(self.call(item.name, item.args, memo))
+            elif kind is Bind:
+                self._seq(item.body, ops, memo, True)
+                ops.append((BIND, item.names, not keep, None))
+                continue
+            elif kind is Actions:
+                last = ops[-1] if ops else _POP
+                if (last[0] == BIND or last[0] == START and last[3] is None) and last[-1] is None:
+                    ops[-1] = last[:-1] + (compile_actions(item.exprs, memo),)  # fused
+                else:
+                    ops.append((ACTIONS, compile_actions(item.exprs, memo)))
+            elif kind is ElementSpec:  # its branches leave a value or none
+                branch = self._ops(item.else_body, memo, keep)
+                if not branch and not item.guarded:
+                    ops.append((START, item.tag, item.attrs, None, None))
+                else:
+                    end = ((TAG_END, item.tag),)
+                    guarded = tuple(
+                        (compile_expr(g, memo), end + self._ops(body, memo, keep))
+                        for g, body in item.guarded
+                    )
+                    ops.append((START, item.tag, item.attrs, guarded, end + branch))
+                continue
+            elif kind is Ok:
+                if keep:
+                    ops.append(_NULL)
+                continue
+            elif kind in _LEAF_OPS:
+                ops.append(_LEAF_OPS[kind])
+            else:
+                raise NotNormalForm(f"{kind.__name__} node in supposedly normal grammar")
+            if not keep:
+                ops.append(_POP)
+
+
+def _is_leaf(op: tuple, token: Token) -> bool:
+    """Whether ``op`` is a fused empty element with an action, predicted
+    under its own start tag: NEXT may then take the start tag as read."""
+    return op[0] == START and op[3] is None and op[4] is not None and op[1] == token
+
+
+def _resolve_chain(table: PredictTable, token: Token, clause: Clause) -> Clause:
+    """Follow chain clauses ``R(ps) ::= X(ps).``, which pass their own
+    parameters on unchanged to an X with the same parameters, through X's
+    entry for ``token``: X's clause then runs in the environment the call
+    would have made.  In a table without conflicts they cannot cycle, since
+    a cycle has no base."""
+    while len(clause.body) == 1 and type(clause.body[0]) is Call:
+        call = clause.body[0]
+        target = table.entries.get((call.name, token))
+        if target is None or target.params != clause.params:
+            break
+        if tuple([a.name if type(a) is VarRef else None for a in call.args]) != clause.params:
+            break
+        if call.name in table.loops:  # a repetition runs as a loop
+            break
+        clause = target
+    return clause
+
+
+_UNREAD = object()  # the lookahead before the first event is read
+
+
+class ReferenceMachine:
+    """One parse in progress; construct, then ``run()``.
+
+    Its state is the program stack, the one control stack, which also holds
+    an ``ENV_RESTORE`` op for each continuation still pending and a ``NEXT``
+    op for each loop running; the current environment; the value stack; and
+    the lookahead event.  ``max_dump_depth`` is the most environments saved
+    at one time, by those ``ENV_RESTORE`` and ``NEXT`` ops together."""
+
+    def __init__(
+        self,
+        table: PredictTable,
+        start_rule: str,
+        events: Iterable[SaxEvent],
+        args: Tuple[Value, ...] = (),
+    ):
+        if table.conflicts:
+            # On a conflicted table the machine can loop round a cycle of chain rules.
+            raise ValueError(f"the predict table is not LL(1): {table.conflicts[0]}")
+        program = ReferenceProgram(table)  # not kept on the table, which holds the engine's
+        self._events = iter(events)
+        self.lookahead: object = _UNREAD  # the next event, None at end of input
+        self.position = 0  # events consumed
+        self.values: List[Value] = []
+        self.max_dump_depth = 0
+        self.steps = 0
+        # The start rule is entered like any call, from its parameters bound to ``args``.
+        params = program.params.get(start_rule)
+        check_arity(start_rule, params, len(args))
+        self.env: Env = dict(zip(params or (), args))
+        self.program: List[tuple] = [program.call(start_rule, tuple(map(VarRef, self.env)), {})]
+
+    def run(self) -> Value:
+        """Drive the machine to completion and return the synthesized value.
+
+        This loop is the machine's only transition dispatch.  It tests the
+        opcode in a plain ``if``/``elif`` chain, frequent kinds first,
+        because a parse makes millions of transitions on large documents.
+        The state lives in locals while the loop runs.
+        """
+        program, env, values = self.program, self.env, self.values
+        events, event, position = self._events, self.lookahead, self.position
+        if event is _UNREAD:
+            event = next(events, None)
+        steps, saved, depth = 0, 0, self.max_dump_depth
+        try:
+            while program:
+                item = program.pop()
+                steps += 1
+                op = item[0]
+                if op == NEXT:
+                    row, acc = item[1], values[-1]
+                    if type(acc) is not list:  # the last item's value, onto the accumulator
+                        values.pop()
+                        values[-1].append(acc)
+                        acc = values[-1]
+                    while True:
+                        token = event[0] if type(event) is tuple else token_of_event(event)
+                        ops = row.get(token) or row.get(ANY_TOKEN)
+                        if ops is None:
+                            message = f"no prediction for rule {item[2]} on {token_label(token)}"
+                            raise ParseFailure(NO_PREDICT_ENTRY, message, position)
+                        if ops is END or type(ops[0]) is not int:
+                            break
+                        # A leaf item, run in place: its start tag is the lookahead.
+                        steps += 1
+                        env = item[3]
+                        if ops[2]:
+                            env = dict(env)
+                            for var, attr in ops[2]:
+                                if attr not in event[1]:
+                                    message = f"element <{ops[1]}> lacks attribute {attr!r}"
+                                    raise ParseFailure(MISSING_ATTRIBUTE, message, position)
+                                env[var] = event[1][attr]
+                        position += 1
+                        event = next(events, None)
+                        if event != ops[1]:  # an end tag is its name, a str
+                            raise _unexpected(TAG_MISMATCH, f"</{ops[1]}>", event, position)
+                        position += 1
+                        event = next(events, None)
+                        acc.append(ops[4](env))
+                    env = item[3]
+                    if ops is END:
+                        values[-1] = ConsList(tuple(acc)) if acc else EMPTY_CONS
+                        saved -= 1
+                    else:
+                        program.append(item)
+                        program.extend(ops)
+                elif op == START:
+                    tag = item[1]
+                    if type(event) is not tuple or event[0] != tag:
+                        raise _unexpected(TAG_MISMATCH, f"<{tag}>", event, position)
+                    if item[2]:
+                        env = dict(env)
+                        for var, attr in item[2]:
+                            if attr not in event[1]:
+                                message = f"element <{tag}> lacks attribute {attr!r}"
+                                raise ParseFailure(MISSING_ATTRIBUTE, message, position)
+                            env[var] = event[1][attr]
+                    if item[3] is None:  # the end tag too, then the fused action
+                        position += 1
+                        event = next(events, None)
+                        if event != tag:
+                            raise _unexpected(TAG_MISMATCH, f"</{tag}>", event, position)
+                    else:
+                        branch = item[4]
+                        for guard, ops in item[3]:
+                            if truth(guard(env)):
+                                branch = ops
+                                break
+                        program.extend(branch)
+                    position += 1
+                    event = next(events, None)
+                    if item[3] is None and item[4] is not None:
+                        values.append(item[4](env))
+                elif op == TAG_END:
+                    if event != item[1]:
+                        raise _unexpected(TAG_MISMATCH, f"</{item[1]}>", event, position)
+                    position += 1
+                    event = next(events, None)
+                elif op == BIND:
+                    if not values:
+                        raise MachineInvariantError("binding with empty value stack")
+                    names = item[1]
+                    value = values.pop() if item[2] else values[-1]
+                    if len(names) == 1:
+                        env = {**env, names[0]: value}
+                    elif isinstance(value, TupleVal) and len(value.items) == len(names):
+                        env = {**env, **dict(zip(names, value.items))}
+                    else:
+                        message = f"cannot bind {len(names)} names to {type(value).__name__}"
+                        raise ParseFailure(BIND_ARITY_MISMATCH, message, position)
+                    if item[3] is not None:
+                        values.append(item[3](env))
+                elif op == LOOP:  # its items and what follows it run in this environment
+                    values.append([])  # the accumulator
+                    program.append((NEXT, item[1], item[2], env))
+                    saved += 1
+                    if saved > depth:
+                        depth = saved
+                elif op == ACTIONS:
+                    values.append(item[1](env))
+                elif op == CALL:
+                    args = item[3]
+                    if args:
+                        args = tuple([f(env) for f in args])
+                    token = event[0] if type(event) is tuple else token_of_event(event)
+                    clause = item[1].get(token) or item[1].get(ANY_TOKEN)
+                    if clause is None:
+                        message = f"no prediction for rule {item[2]} on {token_label(token)}"
+                        raise ParseFailure(NO_PREDICT_ENTRY, message, position)
+                    params, body = clause
+                    if program and program[-1][0] < ENV_RESTORE:  # ops of its clause follow
+                        program.append((ENV_RESTORE, env))
+                        saved += 1
+                        if saved > depth:
+                            depth = saved
+                    program.extend(body)
+                    env = dict(zip(params, args)) if args else {}
+                elif op == ENV_RESTORE:
+                    env = item[1]
+                    saved -= 1
+                elif op == POP:
+                    values.pop()
+                elif op == TEXT:
+                    if type(event) is not TextEvt:
+                        raise _unexpected(UNEXPECTED_EVENT, "text", event, position)
+                    values.append(event.text)
+                    position += 1
+                    event = next(events, None)
+                elif op == ANY:
+                    if type(event) is tuple:  # skip the subtree, down to its end tag
+                        opened = [event[0]]
+                        while opened:
+                            position += 1
+                            event = next(events, None)
+                            kind = type(event)
+                            if kind is tuple:
+                                opened.append(event[0])
+                            elif kind is str and event == opened[-1]:
+                                opened.pop()
+                            elif kind is not TextEvt:
+                                raise _unexpected(TAG_MISMATCH, f"</{opened[-1]}>", event, position)
+                    elif type(event) is not TextEvt:
+                        raise _unexpected(UNEXPECTED_EVENT, "an element or text", event, position)
+                    values.append(NULL)
+                    position += 1
+                    event = next(events, None)
+                elif op == EMPTY:
+                    if event is not None and type(event) is not str:
+                        message = f"expected no more content, found {_describe(event)}"
+                        raise ParseFailure(UNEXPECTED_EVENT, message, position)
+                    values.append(NULL)
+                else:
+                    raise MachineInvariantError(f"unexpected program item {item!r}")
+        except EvalError as exc:
+            raise ParseFailure(eval_reason(exc), str(exc), position) from exc
+        finally:
+            self.program, self.env, self.lookahead, self.position = program, env, event, position
+            self.steps += steps
+            self.max_dump_depth = depth
+        if event is not None:
+            message = f"parse finished with input remaining ({_describe(event)})"
+            raise IncompleteParse(message, position)
+        if len(values) != 1:
+            raise MachineInvariantError(f"terminal state with {len(values)} values on the stack")
+        return values[0]

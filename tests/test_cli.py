@@ -88,6 +88,7 @@ def test_check_reports_syntax_errors(files, capsys):
 # error, with the diagnostics ``check`` prints for it, one per line.
 SYNTAX_ERRORS = [
     pytest.param("Grammar G end", "1:1: error: expected '@Grammar', found 'Grammar'", id="marker"),
+    pytest.param("@Grammar 5 end", "1:10: error: expected grammar name, found '5'", id="grammar-name"),
     pytest.param("@Grammar G R(a b) ::= OK. end", "1:16: error: expected ')', found 'b'", id="params"),
     pytest.param("@Grammar G R(a, a) ::= OK. end", "1:17: error: duplicate parameter 'a'", id="param-twice"),
     pytest.param("@Grammar G R = OK. end", "1:14: error: expected '::=', found '='", id="rule-head"),
@@ -962,6 +963,8 @@ def test_closed_stdout_is_an_io_error_not_a_traceback(files, fmt, head):
     finally:
         proc.kill()
         proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
     assert err == "error: cannot write output: broken pipe\n"
 
 

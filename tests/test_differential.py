@@ -1,26 +1,34 @@
 """Differential testing: the table-driven engine against the reference
-interpreter on generated grammars and documents.
+interpreter on generated grammars and documents, and against the reference
+machine, the op interpreter it replaced.
 
 For every conflict-free generated grammar, the engine (running the
 normalized grammar) and the reference interpreter (running the original)
-must agree on accept/reject, and on accepted documents the engine's value
-must be among the reference derivation values (the reference enumerates all
-of them; the engine is its deterministic refinement).  The interpreter run
-on the normalized grammar must agree exactly as well.
+must agree on accept/reject, and on accepted documents the reference must
+find exactly one derivation value, the engine's (the reference enumerates
+them all; an LL(1) grammar leaves one).  The interpreter run on the
+normalized grammar must agree exactly as well.  The engine and the reference
+machine must give the same value or the same failure, message and position
+on every document, whole or with a random insert that the reader rejects.
 """
 
 import collections
+import io
+import random
 from dataclasses import dataclass
 from typing import Optional
 
 import pytest
 
-from helpers import documents_for, flatten_tree, random_grammar
+from helpers import MachineInvariantError, ReferenceMachine, documents_for, flatten_tree, random_grammar
+from helpers import serialize_tree
 from xmlgram.analysis import build_predict_table, check_ll1, compute_sets
-from xmlgram.engine import Machine, MachineInvariantError, ParseFailure, compile_grammar
+from xmlgram.engine import Machine, ParseFailure, compile_grammar
 from xmlgram.frontend import parse_grammar
 from xmlgram.normalize import is_normal_form, normalize_grammar
 from xmlgram.oracle import Oracle, OracleLimitExceeded
+from xmlgram.sax import SaxReader, XmlReadError
+from xmlgram.values import render_term
 from xmlgram.wellformed import check_grammar
 
 ORACLE_BUDGET = 40_000
@@ -84,11 +92,11 @@ def check_pair(grammar, normal, table, start, doc) -> Optional[bool]:
     engine = engine_outcome(table, start, doc)
     assert engine.accepted == reference.accepted, (grammar, doc)
     if engine.accepted:
-        assert engine.value in reference.values, (grammar, doc, engine.value, reference.values)
+        assert reference.values == (engine.value,), (grammar, doc, engine.value, reference.values)
         on_normal = oracle_outcome(normal, start, doc)
         if on_normal is not None:
             assert on_normal.accepted
-            assert engine.value in on_normal.values, (normal, doc)
+            assert on_normal.values == (engine.value,), (normal, doc)
     return engine.accepted
 
 
@@ -114,8 +122,10 @@ def test_engine_matches_oracle_on_generated_pairs(block):
 
 
 def test_machine_invariant_never_trips_on_corpus():
-    """The one-value terminal invariant holds across the corpus (it would
-    raise MachineInvariantError, distinct from an input-rejecting failure)."""
+    """The reference machine's one-value terminal invariant holds across the
+    corpus (it would raise MachineInvariantError, distinct from an
+    input-rejecting failure), and the engine's generated code raises nothing
+    but a ``ParseFailure``."""
     tested = 0
     for seed in range(200, 320):
         built = build_pipeline(seed)
@@ -123,12 +133,13 @@ def test_machine_invariant_never_trips_on_corpus():
             continue
         grammar, normal, table, start = built
         for doc in documents_for(grammar, start, seed, n_sampled=2, n_random=1):
-            try:
-                Machine(table, start, iter(flatten_tree(doc))).run()
-            except ParseFailure:
-                pass
-            except MachineInvariantError as exc:  # pragma: no cover
-                raise AssertionError(f"seed {seed}: {exc}") from exc
+            for machine in (Machine, ReferenceMachine):
+                try:
+                    machine(table, start, iter(flatten_tree(doc))).run()
+                except ParseFailure:
+                    pass
+                except MachineInvariantError as exc:  # pragma: no cover
+                    raise AssertionError(f"seed {seed}: {exc}") from exc
             tested += 1
     assert tested > 30
 
@@ -274,3 +285,37 @@ def test_rebinding_a_name_in_scope_matches_oracle(case):
         assert reference.accepted and len(reference.values) == 1, text
         assert engine_outcome(table, "R", doc).value == reference.value, text
         assert oracle_outcome(normal, "R", doc).values == reference.values, text
+
+
+def _machine_outcome(machine, table, start, text):
+    """The rendered value, or the failure's class and message (which holds
+    its reason and position) and the events the machine consumed."""
+    run = machine(table, start, iter(SaxReader(io.StringIO(text))))
+    try:
+        return render_term(run.run())
+    except (ParseFailure, XmlReadError) as exc:
+        return type(exc).__name__, str(exc), run.position
+
+
+@pytest.mark.parametrize("block", range(6))
+def test_engine_matches_the_reference_machine_byte_for_byte(block):
+    """``random_grammar`` seeds 0–2999 with their ``documents_for`` documents,
+    each as it is and with one random insert of ``<``, ``&``, ``</x>`` or
+    ``junk``: the same rendered value, or the same failure."""
+    runs = values = 0
+    for seed in range(block * 500, block * 500 + 500):
+        grammar = random_grammar(seed)
+        compiled = compile_grammar(grammar)
+        if compiled.errors or compiled.table is None or compiled.table.conflicts:
+            continue
+        rng = random.Random(seed)
+        for doc in documents_for(grammar, compiled.start, seed):
+            text = serialize_tree(doc)
+            at = rng.randrange(len(text) + 1)
+            for variant in (text, text[:at] + rng.choice(["<", "&", "</x>", "junk"]) + text[at:]):
+                engine = _machine_outcome(Machine, compiled.table, compiled.start, variant)
+                reference = _machine_outcome(ReferenceMachine, compiled.table, compiled.start, variant)
+                assert engine == reference, (seed, variant)
+                runs += 1
+                values += type(engine) is str
+    assert values > 100 and runs - values > 100  # both outcomes well represented

@@ -7,7 +7,7 @@ import pathlib
 import pytest
 
 from helpers import LEAF_FAILURES, MODELS_DOC, MODELS_GRAMMAR, TEST_GRAMMAR, cons_chain
-from helpers import flatten_tree, run
+from helpers import ReferenceMachine, ReferenceProgram, flatten_tree, run
 from xmlgram.analysis import build_predict_table, check_ll1, compute_sets
 from xmlgram.engine import (
     BIND_ARITY_MISMATCH,
@@ -207,12 +207,13 @@ def test_call_arity_mismatch_in_an_unchecked_table_fails_before_any_event():
 
 @pytest.mark.parametrize("document", ['<R><G k="a"/></R>', '<R><G k="b"></G></R>'])
 def test_discarded_guarded_element_pushes_no_value(document):
-    # CALL R, START R, START G, TAG_END G, ACTIONS, TAG_END R: no null is
-    # pushed for the discarded element and popped again
+    # CALL R, START R, START G, TAG_END G, ACTIONS, TAG_END R on the reference
+    # machine: no null is pushed for the discarded element and popped again
     _, table = make_table('@Grammar G R ::= <R> <G k when k = "a" > OK else OK </G> {1} </R>. end', "R")
-    machine = Machine(table, "R", read_events(document))
+    machine = ReferenceMachine(table, "R", read_events(document))
     assert machine.run() == IntVal(1)
     assert machine.steps == 6
+    assert run(table, "R", read_events(document)) == IntVal(1)
 
 
 @pytest.mark.parametrize(
@@ -265,11 +266,14 @@ def test_every_instruction_kind_agrees_with_oracle():
 
 def test_terminal_state_shape(test_lang):
     _, table = test_lang
-    machine = Machine(table, "A", read_events("<A></A>"))
+    machine = ReferenceMachine(table, "A", read_events("<A></A>"))
     machine.run()
     assert machine.program == []
     assert len(machine.values) == 1
     assert machine.lookahead is None  # input exhausted
+    machine = Machine(table, "A", read_events("<A></A>"))
+    machine.run()
+    assert (machine.lookahead, machine.position) == (None, 2)
 
 
 def test_event_conservation(test_lang):
@@ -330,11 +334,12 @@ def test_right_recursion_with_a_pending_action_saves_an_environment_per_level():
     ],
 )
 def test_a_call_saves_its_environment_unless_nothing_in_its_clause_follows(rules, document, value, steps, depth):
-    # X's call to R is followed by its end tag, so it saves one environment;
-    # R's own call saves another only when its clause goes on after it, and
-    # a loop's NEXT holds one for as long as the loop runs.
+    # On the reference machine, X's call to R is followed by its end tag, so
+    # it saves one environment; R's own call saves another only when its
+    # clause goes on after it, and a loop's NEXT holds one while the loop runs.
     _, table = make_table(f"@Grammar G X ::= <x> v = R </x> {{v}}. {rules} end", "X")
-    machine = Machine(table, "X", read_events(document))
+    assert render_term(run(table, "X", read_events(document))) == value
+    machine = ReferenceMachine(table, "X", read_events(document))
     assert render_term(machine.run()) == value
     assert (machine.steps, machine.max_dump_depth) == (steps, depth)
 
@@ -423,7 +428,7 @@ def test_chain_rules_resolve_and_agree_with_oracle(source, start, docs, shared, 
 
     grammar = parse_grammar(source)
     _, table = make_table(source, start)
-    rows = Program(table).rows
+    rows = ReferenceProgram(table).rows
     for (rule, token), (target, target_token) in shared:
         assert rows[rule][token] is rows[target][target_token]
     for (rule, token), (target, target_token) in kept:
@@ -461,13 +466,17 @@ SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
 
 @pytest.mark.parametrize("n", [0, 1, 10, 1000])
 def test_leaf_siblings_take_one_step_each_plus_a_constant(n):
-    # The loop's NEXT runs each leaf item in place, in one step; the rest of
-    # the parse, around the repetition, takes 6 whatever its length.
+    # The reference machine's NEXT runs each leaf item in place, in one step;
+    # the rest of the parse, around the repetition, takes 6 whatever its
+    # length.  The engine runs the whole parse in one unit: one step.
     _, table = make_table((SAMPLES / "seq.xg").read_text(), "A")
     events = list(read_events("<A>" + '<B name="x"/>' * n + "</A>"))
-    machine = Machine(table, "A", iter(events))
+    machine = ReferenceMachine(table, "A", iter(events))
     machine.run()
     assert machine.steps == n + 6
+    machine = Machine(table, "A", iter(events))
+    machine.run()
+    assert machine.steps == 1
 
 
 @pytest.mark.parametrize("grammar, document, keep_whitespace, message", LEAF_FAILURES.values(), ids=list(LEAF_FAILURES))
@@ -485,7 +494,7 @@ def test_a_loop_mixes_leaf_and_other_items_and_leaves_read_its_parameters():
       R ::= <R p=k> xs = (<B n=name/> {P(p, n)} | <C> t = TEXT </C> {t})* </R> {xs}.
     end"""
     _, table = make_table(source, "R")
-    (loop,) = Program(table).loops.values()
+    (loop,) = ReferenceProgram(table).loops.values()
     assert type(loop["B"][0]) is int and type(loop["C"][0]) is tuple  # a leaf, then ops
     oracle = Oracle(parse_grammar(source))
     docs = [
@@ -566,12 +575,16 @@ def test_a_parse_leaves_no_cyclic_garbage():
 
 
 def test_models_document_takes_at_most_4_3_steps_per_event():
-    # 2.1 steps per event; the name keeps an older, looser figure.
+    # 2.1 steps per event on the reference machine; the name keeps an older,
+    # looser figure.  The engine enters one unit, for the one Package.
     _, table = make_table((SAMPLES / "models.xg").read_text(), "Package")
     events = list(read_events(MODELS_DOC))
-    machine = Machine(table, "Package", iter(events))
+    machine = ReferenceMachine(table, "Package", iter(events))
     machine.run()
     assert machine.steps <= 2.1 * len(events)
+    machine = Machine(table, "Package", iter(events))
+    machine.run()
+    assert machine.steps == 1
 
 
 # (rules with the start rule R, documents) for the shapes a loop handles
@@ -612,7 +625,7 @@ def test_repetition_runs_as_a_loop_and_agrees_with_oracle(case):
     rules, docs = LOOPS[case]
     source = f"@Grammar G {rules} end"
     normal, table = make_table(source, "R")
-    program = Program(table)
+    program = ReferenceProgram(table)
     assert normal.loops and set(program.loops) == normal.loops
     assert normal.loops.isdisjoint(program.rows)  # a loop row and no other
     oracle = Oracle(parse_grammar(source), max_steps=100_000)
@@ -620,9 +633,10 @@ def test_repetition_runs_as_a_loop_and_agrees_with_oracle(case):
         events = list(read_events(doc))
         expected = oracle.accepts("R", build_tree(events)).value
         assert expected is not None
-        machine = Machine(table, "R", iter(events))
-        assert machine.run() == expected, doc
+        assert Machine(table, "R", iter(events)).run() == expected, doc
         if case == "dump-frame":
+            machine = ReferenceMachine(table, "R", iter(events))
+            assert machine.run() == expected
             assert machine.max_dump_depth == 2  # the environments saved by the loop and by A
 
 
@@ -657,8 +671,9 @@ def test_a_loop_must_be_called_with_its_own_parameters():
     g = parse_grammar(source)
     g = Grammar(g.name, g.clauses, loops=frozenset({"L"}))
     table = build_predict_table(g, compute_sets(g, "R"))
-    with pytest.raises(NotNormalForm, match="loop L is not called with its own parameters"):
-        Program(table)
+    for program in (Program, ReferenceProgram):
+        with pytest.raises(NotNormalForm, match="loop L is not called with its own parameters"):
+            program(table)
 
 
 def test_evaluation_error_in_an_item_matches_the_oracle():
@@ -693,7 +708,7 @@ def test_program_shares_closures_of_equal_expressions():
       I ::= <I n=name/> {n}.
     end"""
     _, table = make_table(source, "S")
-    program = Program(table)
+    program = ReferenceProgram(table)
     rows = program.rows
 
     def last_closure(rule, token):
@@ -709,3 +724,315 @@ def test_program_shares_closures_of_equal_expressions():
     assert sorted(loops) == ["A$1", "B$2"] and not set(loops) & set(rows)
     (leaf,) = rows["I"]["I"][1]
     assert loops["A$1"]["I"] is loops["B$2"]["I"] is leaf
+
+
+# -- depth: no document nesting and no chain of rules turns into Python recursion
+
+DEEP = 100_000
+
+
+def _parse_cli(tmp_path, grammar, document, fmt="term"):
+    from xmlgram.cli import main
+
+    (tmp_path / "g.xg").write_text(grammar)
+    (tmp_path / "d.xml").write_text(document)
+    return main(["parse", str(tmp_path / "g.xg"), str(tmp_path / "d.xml"), "--format", fmt])
+
+
+@pytest.mark.parametrize("fmt", ["term", "json"])
+def test_a_document_nested_100_000_deep_parses_at_the_default_recursion_limit(tmp_path, capsys, fmt):
+    import sys
+
+    limit = sys.getrecursionlimit()
+    grammar = "@Grammar G R ::= <A> xs = R* </A> {N(xs)}. end"
+    assert _parse_cli(tmp_path, grammar, "<A>" * DEEP + "</A>" * DEEP, fmt) == 0
+    assert sys.getrecursionlimit() == limit
+    out = capsys.readouterr().out
+    n = DEEP - 1
+    if fmt == "term":
+        assert out == "N(Cons(" * n + "N(Nil)" + ",Nil))" * n + "\n"
+    else:
+        nil = '{"args": [], "ctor": "Nil"}'
+        tail = f', {nil}], "ctor": "Cons"}}], "ctor": "N"}}'
+        assert out == '{"args": [{"args": [' * n + f'{{"args": [{nil}], "ctor": "N"}}' + tail * n + "\n"
+
+
+def test_a_document_nested_100_000_deep_through_a_cycle_of_two_rules(tmp_path, capsys):
+    grammar = "@Grammar G R ::= <A> xs = S* </A> {N(xs)}. S ::= <B> y = R </B> {M(y)}. end"
+    k = DEEP // 2
+    assert _parse_cli(tmp_path, grammar, "<A><B>" * k + "<A></A>" + "</B></A>" * k) == 0
+    assert capsys.readouterr().out == "N(Cons(M(" * k + "N(Nil)" + "),Nil))" * k + "\n"
+
+
+def test_no_module_raises_the_recursion_limit():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    assert not [p for p in src.rglob("*.py") if "setrecursionlimit" in p.read_text()]
+
+
+def _both_machines(source, start, documents):
+    """The engine's outcome on each document, after checking that the
+    reference machine's is the same: a rendered value or a failure."""
+    _, table = make_table(source, start)
+    outcomes = []
+    for document in documents:
+        pair = []
+        for machine in (Machine, ReferenceMachine):
+            try:
+                pair.append(render_term(machine(table, start, read_events(document)).run()))
+            except ParseFailure as exc:
+                pair.append(str(exc))
+        assert pair[0] == pair[1], document
+        outcomes.append(pair[0])
+    return outcomes
+
+
+def _deepest(make):
+    """``make(n)`` for the largest ``n`` that the front end accepts."""
+    from xmlgram.frontend import MAX_NESTING, try_parse_grammar
+
+    n = MAX_NESTING
+    while try_parse_grammar(make(n))[1]:
+        n -= 1
+    return n, make(n)
+
+
+@pytest.mark.parametrize("guarded", [False, True], ids=["plain", "guarded"])
+def test_a_clause_nesting_as_many_elements_as_the_front_end_allows(guarded):
+    def make(n):
+        if guarded:
+            opens = "".join(f'<E{i} k when k = "a" > ' for i in range(n))
+            closes = "".join(f' else {{"no{i}"}} </E{i}>' for i in reversed(range(n)))
+        else:
+            opens = "".join(f"<E{i} k> " for i in range(n))
+            closes = "".join(f" </E{i}>" for i in reversed(range(n)))
+        return f"@Grammar G R ::= {opens} x = TEXT {{Pair(x, k)}} {closes}. end"
+
+    n, source = _deepest(make)
+    assert n >= 95
+    inside = "".join(f'<E{i} k="a">' for i in range(n)) + "hi" + "".join(f"</E{i}>" for i in reversed(range(n)))
+    cut = "".join(f'<E{i} k="a">' for i in range(60)) + '<E60 k="b">' + "".join(f"</E{i}>" for i in reversed(range(61)))
+    outcomes = _both_machines(source, "R", [inside, cut])
+    assert outcomes[0] == 'Pair("hi","a")'
+    assert outcomes[1] == ('"no60"' if guarded else "TagMismatch at event 61: expected <E61>, found </E60>")
+
+
+def test_an_action_nesting_as_many_expressions_as_the_front_end_allows():
+    def make(n):
+        expr, failing = "x", "x.add(1)"
+        for _ in range(n):
+            expr, failing = f"F({expr})", f"F({failing})"
+        return f"@Grammar G R ::= <A> x = TEXT </A> {{{expr}}}. S ::= <A> x = TEXT </A> {{{failing}}}. end"
+
+    n, source = _deepest(make)
+    assert n >= 95
+    assert _both_machines(source, "R", ["<A>t</A>"]) == ["F(" * n + '"t"' + ")" * n]
+    assert _both_machines(source, "S", ["<A>t</A>"]) == ["EvalError at event 3: addChild expects a term and a value"]
+
+
+def _chain(size):
+    """A chain of ``size`` rules cycling four shapes, as ``bench/workloads.grammar``
+    builds it: a repetition of an alternation, a guard, ``ANY`` and ``TEXT``;
+    a document that nests once per rule, and the value the parse must give."""
+    rules, opens, closes, heads = [], [], [], []
+    for i in range(size):
+        tag, nxt = f"T{i}", f"R{i + 1}"
+        if i % 4 == 0:
+            alts = " | ".join(f"<{tag}v{j} v=val/> {{v}}" for j in range(6))
+            rules.append(f"R{i} ::= <{tag} k=key> xs = ({alts} | <{tag}m/> {{M}})* n = {nxt} </{tag}> {{{tag}(k, xs, n)}}.")
+            opens.append(f'<{tag} key="k{i}"><{tag}v{i % 6} val="a"/><{tag}m/>')
+            heads.append(f'{tag}("k{i}",Cons("a",Cons(M,Nil)),')
+        elif i % 4 == 1:
+            rules.append(f'R{i} ::= <{tag} k=key when k = "g" > a = {nxt} {{G(a)}} else a = {nxt} {{H(a)}} </{tag}>.')
+            opens.append(f'<{tag} key="{"g" if i % 8 == 1 else "h"}">')
+            heads.append("G(" if i % 8 == 1 else "H(")
+        elif i % 4 == 2:
+            rules.append(f"R{i} ::= <{tag} k=key> ANY n = {nxt} </{tag}> {{{tag}(k, n)}}.")
+            opens.append(f'<{tag} key="k{i}"><S><x/>s</S>')
+            heads.append(f'{tag}("k{i}",')
+        else:
+            rules.append(f"R{i} ::= <{tag} k=key> t = TEXT n = {nxt} </{tag}> {{{tag}(k, t, n)}}.")
+            opens.append(f'<{tag} key="k{i}">w{i}')
+            heads.append(f'{tag}("k{i}","w{i}",')
+        closes.append(f"</{tag}>")
+    rules.append(f"R{size} ::= <Leaf/> {{Leaf}}.")
+    source = "@Grammar Chain " + " ".join(rules) + " end"
+    document = "".join(opens) + "<Leaf/>" + "".join(reversed(closes))
+    return source, document, "".join(heads) + "Leaf" + ")" * size
+
+
+def test_a_chain_of_1600_rules_parses_and_compiles_each_shape_once(monkeypatch):
+    import builtins
+
+    from xmlgram import engine
+
+    source, document, expected = _chain(1600)
+    texts = []
+
+    def counting(text, *args):
+        texts.append(text)
+        return builtins.compile(text, *args)
+
+    monkeypatch.setattr(engine, "compile", counting, raising=False)
+    assert _both_machines(source, "R0", [document]) == [expected]
+    assert len(texts) <= 6  # a few unit shapes, however long the chain
+    bad = document.replace('<T803 key="k803">', '<T803 key="k803"><X/>', 1)
+    assert _both_machines(source, "R0", [bad])[0].startswith("UnexpectedEvent")
+
+
+def test_steps_count_the_driver_transitions_and_depth_the_continuations():
+    # Each nested R is a call round a cycle: one step into it and one back.
+    _, table = make_table("@Grammar G R ::= <A> xs = R* </A> {N(xs)}. end", "R")
+    for n in (1, 2, 50):
+        machine = Machine(table, "R", read_events("<A>" * n + "</A>" * n))
+        machine.run()
+        assert (machine.steps, machine.max_dump_depth) == (2 * n - 1, n - 1)
+
+
+def test_repetitions_nested_past_the_loop_cap_agree_with_the_reference_machine():
+    # Loops nested deeper than a unit may hold run as units of their own,
+    # entered with the parameters of their items.
+    depth = 16
+    body = "<I/> {Leaf(k)}"
+    for i in reversed(range(depth)):
+        body = f"<L{i}> xs = ({body})* </L{i}> {{xs}}"
+    source = f"@Grammar G R ::= <R k> x = {body} </R> {{Pair(k, x)}}. end"
+    inner = "".join(f"<L{i}>" for i in range(depth)) + "<I/><I/>" + "".join(f"</L{i}>" for i in reversed(range(depth)))
+    empty = "<L0></L0>"
+    documents = [f'<R k="a">{inner}</R>', f'<R k="a">{empty}</R>', f'<R k="a">{inner}<X/></R>']
+    outcomes = _both_machines(source, "R", documents)
+    assert outcomes[1] == 'Pair("a",Nil)'
+    assert outcomes[2] == "TagMismatch at event 37: expected </R>, found <X>"
+
+
+def test_an_alternation_wider_than_a_unit_agrees_with_the_reference_machine():
+    # Its lifted rule is too large to inline, so it runs as a unit of its own.
+    n = 120
+    alternation = " | ".join(f"<T{i} v/> {{I{i}(v)}}" for i in range(n))
+    source = f"@Grammar G R ::= <R> xs = ({alternation})* </R> {{xs}}. end"
+    document = "<R>" + "".join(f'<T{i} v="{i}"/>' for i in range(0, n, 7)) + "</R>"
+    outcomes = _both_machines(source, "R", [document, "<R><T3/></R>", "<R><U/></R>"])
+    assert outcomes[0].startswith('Cons(I0("0"),Cons(I7("7"),')
+    assert outcomes[1] == "MissingAttribute at event 1: element <T3> lacks attribute 'v'"
+
+
+@pytest.mark.parametrize(
+    "rules, documents, outcomes",
+    [
+        pytest.param(
+            "R ::= <A/> {x}.", ["<A/>"], ["EvalError at event 2: unbound variable: x"], id="unbound"
+        ),
+        pytest.param(
+            'R ::= <A k when k = "a" > x = TEXT else OK </A> {x}.',
+            ['<A k="a">t</A>', '<A k="b"></A>'],
+            ['"t"', "EvalError at event 2: unbound variable: x"],
+            id="bound-by-one-branch",
+        ),
+        pytest.param(
+            "R ::= <A> X </A> {1}.", ["<A></A>"], ["NoPredictEntry at event 1: no prediction for rule X on /A"],
+            id="undefined-rule",
+        ),
+        pytest.param(
+            "R ::= <A v/> {Seq{v, 1, true, Seq{}}}.", ['<A v="x"/>'], ['["x",1,true,[]]'], id="list"
+        ),
+        pytest.param("R ::= <A/> {}.", ["<A/>"], ["null"], id="no-action-value"),
+    ],
+)
+def test_unchecked_grammars_fail_as_on_the_reference_machine(rules, documents, outcomes):
+    # ``make_table`` skips the well-formedness check, so a name can be unbound.
+    assert _both_machines(f"@Grammar G {rules} end", "R", documents) == outcomes
+
+
+def test_units_of_one_shape_get_their_own_constants_of_every_kind(monkeypatch):
+    """Four rules of one shape, each a unit of its own (it is called from two
+    branches), holding every kind of constant a shape's recipes make again:
+    strings, integers, booleans, token sets, closures, the names a closure
+    reads, callees and nested units."""
+    import builtins
+
+    from xmlgram import engine
+
+    deep = 61  # guarded elements: the innermost ones become a nested unit
+    rules = []
+    for i in range(4):
+        nxt = f"R{i + 1}"
+        deepest = "F(" * 45 + "Pair(w, y)" + ")" * 45  # past MAX_EXPR: a closure
+        opens = "".join(f'<G{i}x{j} g when g = "y{i}" > ' for j in range(deep))
+        closes = "".join(f' else {{N{i}}} </G{i}x{j}>' for j in reversed(range(deep)))
+        rules += [
+            f'R{i} ::= <T{i} k=key when k = "g{i}" > w = W{i} v = {opens} {{Pair(w, k)}} {closes}'
+            f" y = {nxt} {{P{i}({i}, true, v, {deepest})}} else y = {nxt} {{Q{i}(false, y)}} </T{i}>.",
+            f"W{i} ::= z = V{i} {{z}}.",
+            f'V{i} ::= <A{i}/> {{{i + 10}}} | <B{i}/> {{"b{i}"}}.',
+        ]
+    rules.append("R4 ::= <Leaf/> {Leaf}.")
+    source = "@Grammar G " + " ".join(rules) + " end"
+
+    def document(taken):
+        parts = []
+        for i in range(4):
+            if i in taken:
+                inner = "".join(f'<G{i}x{j} g="y{i}">' for j in range(deep))
+                inner += "".join(f"</G{i}x{j}>" for j in reversed(range(deep)))
+                parts.append(f'<T{i} key="g{i}"><{"A" if i % 2 else "B"}{i}/>{inner}')
+            else:
+                parts.append(f'<T{i} key="h">')
+        return "".join(parts) + "<Leaf/>" + "".join(f"</T{i}>" for i in reversed(range(4)))
+
+    texts = []
+    def counting(text, *args):
+        texts.append(text)
+        return builtins.compile(text, *args)
+
+    monkeypatch.setattr(engine, "compile", counting, raising=False)
+    outcomes = _both_machines(source, "R0", [document({0, 1, 2, 3}), document({1, 3}), document(set())])
+    assert outcomes[2] == "Q0(false,Q1(false,Q2(false,Q3(false,Leaf))))"
+    assert outcomes[0].startswith('P0(0,true,Pair("b0","g0"),' + "F(" * 45 + 'Pair("b0",P1(1,true,Pair(11,"g1"),')
+    assert outcomes[1].startswith('Q0(false,P1(1,true,Pair(11,"g1"),') and "Q2(false,P3(3,true," in outcomes[1]
+    assert len(texts) < 2 * 4  # a unit and its nested unit per shape, not per rule
+
+
+@pytest.mark.parametrize(
+    "action, documents, outcomes",
+    [
+        pytest.param(
+            "{xs->iterate(e p = P(k) | p.add(e))}",
+            ['<R k="a"><I n="1"/><I n="2"/></R>', '<R k="a"></R>'],
+            ['P("a","1","2")', 'P("a")'],
+            id="adds-a-repetition",
+        ),
+        pytest.param(
+            "xs = {Seq{k}} {xs->iterate(e p = P(k) | p.add(e))}",
+            ['<R k="a"><I n="1"/></R>'],
+            ['P("a","a")'],
+            id="adds-a-rebound-name",
+        ),
+        pytest.param(
+            "{xs->iterate(e p = k | p.add(e))}",
+            ['<R k="a"><I n="1"/></R>', '<R k="a"></R>'],
+            ["EvalError at event 4: addChild expects a term and a value", '"a"'],
+            id="adds-to-a-string",
+        ),
+    ],
+)
+def test_a_fold_that_adds_a_repetition_agrees_with_the_reference_machine(action, documents, outcomes):
+    source = f"@Grammar G R ::= <R k> xs = (<I n/> {{n}})* </R> {action}. end"
+    assert _both_machines(source, "R", documents) == outcomes
+
+
+@pytest.mark.parametrize(
+    "document",
+    ['<A><B name="x"/><B name="y"/>&</A>', '<A><B name="x"/><B', "<A>junk<", "<A><C><x/>&</C></A>"],
+    ids=["after-leaves", "inside-a-tag", "after-text", "inside-any"],
+)
+def test_a_read_error_leaves_the_position_where_the_reference_machine_does(document):
+    from xmlgram.sax import XmlReadError
+
+    rules = "A ::= <A> xs = (B | C | t = TEXT)* </A> {xs}. B ::= <B n=name/> {n}. C ::= <C> ANY </C> {0}."
+    _, table = make_table(f"@Grammar G {rules} end", "A")
+    positions = []
+    for make in (Machine, ReferenceMachine):
+        machine = make(table, "A", iter(SaxReader(io.StringIO(document))))
+        with pytest.raises(XmlReadError):
+            machine.run()
+        positions.append(machine.position)
+    assert positions[0] == positions[1] > 0
