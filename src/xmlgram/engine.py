@@ -26,15 +26,19 @@ one nested more than ``MAX_EXPR`` deep, which runs as
 
 The code comes in units: one Python function per rule entered from outside
 generated code, that is the start rule and each callee that is not
-inlined.  A unit inlines the clauses of the rules it calls, except a callee
-already being inlined there (a call round a cycle of the call graph, such
-as ``Package`` → ``PackageElement`` → ``Package``), one whose component of
-the call graph expands to more than ``INLINE_SIZE`` clauses or that has
-several call sites (see ``Program.inline_size``), one that would take the
-unit past ``UNIT_SIZE`` clauses, and one that would nest the code past
-``MAX_LOOPS`` loops or ``MAX_INDENT`` levels (CPython refuses 20 nested
-loops and 100 levels).  A guarded element that would nest too deeply
-becomes a unit of its own, which returns the names it binds with its value.
+inlined.  A unit inlines a callee only at its one call site, so that no
+code is copied (see ``Program.inlines``), and not a callee already being
+inlined there (a call round a cycle of the call graph, such as ``Package``
+→ ``PackageElement`` → ``Package``), one outside the caller's component of
+the call graph that expands to more than ``INLINE_SIZE`` clauses, unless
+normalization lifted it, or one that would nest the code past ``MAX_LOOPS``
+loops or ``MAX_INDENT`` levels (CPython refuses 20 nested loops and 100
+levels).  Generating a unit recurses once per element and inlined clause,
+so a call where ``MAX_DEPTH`` of them are open is not inlined either: that
+keeps the recursion to about what one rule within the front end's
+``MAX_NESTING`` needs, however long a chain of rules is.  A guarded element
+that would nest too deeply becomes a unit of its own, which returns the
+names it binds with its value.
 
 A unit that calls a unit is a generator.  The call yields the callee and
 its arguments to the one driver loop in ``Machine.run``, and the suspended
@@ -261,8 +265,8 @@ _GLOBALS = {
 
 # -- the program ------------------------------------------------------------------
 
-INLINE_SIZE = 6  # clauses a callee may expand to and still be inlined
-UNIT_SIZE = 96  # clauses one unit may inline in all
+INLINE_SIZE = 6  # clauses a callee may expand to and still be inlined: compile()'s memory grows with a unit
+MAX_DEPTH = 32  # elements and inlined clauses open at once where a unit inlines a call
 MAX_LOOPS = 12  # loops open at once in a unit
 MAX_INDENT = 60  # indentation levels in a unit
 MAX_EXPR = 40  # expression nesting inlined
@@ -361,28 +365,23 @@ class Program:
             sizes.append(size)
         return sizes
 
-    def inline_size(self, callee: str, caller: str) -> Optional[int]:
-        """The clauses a call from ``caller`` inlines, or None when it is not
-        inlined: a callee in the caller's component only when this is its one
-        call site, one in a component below as ``_inlined`` says."""
+    def inlines(self, callee: str, caller: str) -> bool:
+        """Whether a call from ``caller`` may inline ``callee``: a rule
+        without clauses always, one in the caller's component only at its
+        one call site, and one in a component below as ``_inlined`` says."""
         number = self.component.get(callee)
-        if number is None:  # no clauses
-            return 0
+        if number is None:
+            return True
         if number == self.component.get(caller):
-            return self.own[callee] if self.sites.get(callee) == 1 else None
-        size = self.sizes[number]
-        return size if self._inlined(callee, size) else None
+            return self.sites.get(callee) == 1
+        return self._inlined(callee, self.sizes[number])
 
     def _inlined(self, callee: str, size: int) -> bool:
         """Whether a callee in another component, which expands to ``size``
-        clauses, is inlined: a body that normalization lifted out of its one
-        call site (a fresh name holds a ``$``) always, since that copies no
-        code; another with one call site when small, and one with more only
-        when it is one clause that inlines nothing."""
-        sites = self.sites.get(callee)
-        if sites == 1 and "$" in callee:
-            return True
-        return size <= INLINE_SIZE and (sites == 1 or size <= 1)
+        clauses, is inlined: only at its one call site, so that no code is
+        copied; a body that normalization lifted (a fresh name holds a
+        ``$``) always, and another rule when it is small."""
+        return self.sites.get(callee) == 1 and ("$" in callee or size <= INLINE_SIZE)
 
     def groups(self, rule: str):
         """``rule``'s row as ``(tokens, clause)`` groups, one per clause that
@@ -501,22 +500,26 @@ def _components(graph: Dict[str, List[str]]) -> Dict[str, int]:
 
 class _Shape:
     """What the code of the unit for a rule depends on, as ``key``: the rows
-    and clauses of each rule the unit may inline, with each call's inline
-    size, in a flat sequence of markers and counts, and the strings and
-    integer literals among them, each replaced by its number in order of
-    first occurrence.  The generator tests strings only for equality, so two
-    units with one key have one text.  The key picks the factory compiled
-    for the first unit of the shape, and ``resolve`` makes another unit's
-    constants from the recipes recorded for the first."""
+    and clauses of each rule the unit may inline, in a flat sequence of
+    markers and counts, and the strings and integer literals among them,
+    each replaced by its number in order of first occurrence.  The generator
+    tests strings only for equality, and inlines only the rules in
+    ``walked``, so two units with one key have one text.  The key picks the
+    factory compiled for the first unit of the shape, and ``resolve`` makes
+    another unit's constants from the recipes recorded for the first.
+
+    A callee is walked where ``_Unit.call`` may inline it: where
+    ``Program.inlines`` allows, and where fewer than ``MAX_DEPTH``
+    elements and inlined clauses are open, counted as ``_Unit`` counts them."""
 
     def __init__(self, program: Program, rule: str):
         self.program = program
         self.out: list = []  # the markers and counts
         self.strings: list = []
         self.closures: List[Expr] = []  # the expressions ``_Unit.expr`` may run as closures
-        self.rules, self.seen = [rule], {rule}
+        self.rules, self.walked = [(rule, 1)], {rule}
         out, strings = self.out, self.strings
-        for name in self.rules:  # grows as inlined callees are found
+        for name, depth in self.rules:  # grows as inlined callees are found
             params = program.params.get(name, ())
             row = program.rows.get(name, {})
             strings.append(name)
@@ -537,7 +540,7 @@ class _Shape:
                         strings.append(clause.name)
                         strings.extend(clause.params)
                         out.append(len(clause.params))
-                        self.seq(clause.body, clause.name)
+                        self.seq(clause.body, clause.name, depth)
                     else:
                         out.append(END)
                 else:
@@ -551,9 +554,9 @@ class _Shape:
         self.exprs: Dict[int, int] = {}  # the number of each closure's expression
         for number, expr in enumerate(self.closures):
             self.exprs.setdefault(id(expr), number)
-        del self.out, self.strings, self.rules, self.seen
+        del self.out, self.strings, self.rules
 
-    def seq(self, seq: BodySeq, caller: str) -> None:
+    def seq(self, seq: BodySeq, caller: str, depth: int) -> None:
         program, out, strings, expr = self.program, self.out, self.strings, self.expr
         out.append(len(seq))
         for item in seq:
@@ -564,34 +567,32 @@ class _Shape:
                 for pair in item.attrs:
                     strings.extend(pair)
                 out.append(len(item.attrs))
-                self.seq(item.else_body, caller)
+                self.seq(item.else_body, caller, depth + 1)
                 out.append(len(item.guarded))
                 for guard, body in item.guarded:
                     expr(guard, 0)
-                    self.seq(body, caller)
+                    self.seq(body, caller, depth + 1)
             elif kind is Actions:
                 out.append(len(item.exprs))
                 for e in item.exprs:
                     expr(e, 0)
             elif kind is Call:
                 name = item.name
-                size = program.inline_size(name, caller)
                 loop = name in program.loops
                 strings.append(name)
                 if loop:
                     strings.extend(program.params[name])
-                out.append(size)
                 out.append(loop)
                 out.append(len(item.args))
                 for arg in item.args:
                     expr(arg, 0)
-                if size is not None and name not in self.seen:
-                    self.seen.add(name)
-                    self.rules.append(name)
+                if depth < MAX_DEPTH and name not in self.walked and program.inlines(name, caller):
+                    self.walked.add(name)
+                    self.rules.append((name, depth + 1))
             elif kind is Bind:
                 strings.extend(item.names)
                 out.append(len(item.names))
-                self.seq(item.body, caller)
+                self.seq(item.body, caller, depth)
 
     def expr(self, expr: Expr, depth: int) -> None:
         """As ``_Unit.expr`` reads ``expr``."""
@@ -709,7 +710,7 @@ class _Unit:
         self.lists: set = set()  # locals that hold a repetition's value, a ``ConsList`` from its start
         self.stack: List[str] = []  # the rules being inlined, the outermost first
         self.loops = 0
-        self.size = 0
+        self.depth = 0  # elements and inlined clauses open
 
     # -- a whole unit ------------------------------------------------------------
 
@@ -902,6 +903,7 @@ class _Unit:
     def element(self, item: ElementSpec, scope: _Scope, used: bool, ind: int, known) -> Optional[str]:
         if item.guarded and ind >= MAX_INDENT:
             return self.nested(item, scope, used, ind)
+        self.depth += 1
         tag = self.const(item.tag)
         if known != item.tag:
             self.emit(ind, f"if type(ev) is not tuple or ev[0] != {tag}: raise _open({tag}, ev, pos)")
@@ -942,6 +944,7 @@ class _Unit:
                 scope.bound[name] = certain
         self.emit(ind, f"if ev != {tag}: raise _close({tag}, ev, pos)")
         self.emit(ind, _READ)
+        self.depth -= 1
         return value
 
     def nested(self, item: ElementSpec, scope: _Scope, used: bool, ind: int) -> Optional[str]:
@@ -949,7 +952,7 @@ class _Unit:
         It takes the locals in scope and returns its value and theirs."""
         names = list(scope.bound)
         unit = _Unit(self.program, self.shape)
-        unit.stack = list(self.stack)
+        unit.stack, unit.depth = list(self.stack), self.depth
         inner = _Scope({}, {})
         for name in names:
             unit.bind(inner, name, scope.bound[name])
@@ -968,8 +971,8 @@ class _Unit:
     def call(self, item: Call, scope: _Scope, used: bool, ind: int, known, tail: bool) -> Optional[str]:
         """Inline the callee's clauses, or call its unit."""
         program, name = self.program, item.name
-        size = None if name in self.stack else program.inline_size(name, self.stack[-1])
-        inline = size is not None and self.size + size <= UNIT_SIZE and ind + 3 <= MAX_INDENT
+        inline = name in self.shape.walked and name not in self.stack
+        inline = inline and self.depth < MAX_DEPTH and ind + 3 <= MAX_INDENT
         if name in program.loops:
             inline = inline and self.loops < MAX_LOOPS
             bound = scope.bound
@@ -1031,7 +1034,6 @@ class _Unit:
         """``clause``, its parameters bound to ``values``: a local and
         whether it is bound for certain, or None where it is unbound.  A
         parameter the body may bind again gets a local of its own."""
-        self.size += 1
         scope = _Scope({}, {})
         rebound = self.program.binds(clause) if clause.params else ()
         for param, value in zip(clause.params, values):
@@ -1044,7 +1046,9 @@ class _Unit:
                 self.temps.discard(code)  # it has a name now
                 scope.slots[param], scope.bound[param] = code, certain
         self.stack.append(clause.name)
+        self.depth += 1
         value, _ = self.seq(clause.body, scope, used, ind, known, tail)
+        self.depth -= 1
         self.stack.pop()
         return value
 
@@ -1128,17 +1132,18 @@ def _tuple(items: List[str]) -> str:
     return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
 
 
-def _position(trace, position: int) -> int:
-    """The events consumed where the innermost generated code, or ``_any``
-    called from it, was when the exception of ``trace`` passed."""
+def _where(trace, position: int, event) -> tuple:
+    """The events consumed and the lookahead where the innermost generated
+    code, or ``_any`` called from it, was when the exception of ``trace``
+    passed; ``position`` and ``event`` if it passed none."""
     while trace is not None:
         frame = trace.tb_frame
         if frame.f_code.co_filename == "<xmlgram>":
-            position = frame.f_locals["pos"]
+            position, event = frame.f_locals["pos"], frame.f_locals["ev"]
         elif frame.f_code is _any.__code__:
-            position = frame.f_locals["position"]
+            position, event = frame.f_locals["position"], frame.f_locals["event"]
         trace = trace.tb_next
-    return position
+    return position, event
 
 
 _UNREAD = object()  # the lookahead before the first event is read
@@ -1149,7 +1154,8 @@ class Machine:
 
     ``steps`` counts the driver's transitions and ``max_dump_depth`` the
     most continuations it held at once; ``position`` is the events consumed
-    and ``lookahead`` the next one, None at end of input."""
+    and ``lookahead`` the next one, None at end of input, after a failure
+    too."""
 
     def __init__(
         self,
@@ -1211,11 +1217,8 @@ class Machine:
                     depth = len(stack)
                 steps += 1
                 done = units[call[0]](events, *call[1])
-        except ParseFailure as exc:
-            self.position = exc.position
-            raise
-        except Exception as exc:  # reading an event failed
-            self.position = _position(exc.__traceback__, self.position)
+        except Exception as exc:  # a parse failure, or reading an event failed
+            self.position, self.lookahead = _where(exc.__traceback__, self.position, event)
             raise
         finally:
             self.steps += steps

@@ -14,6 +14,7 @@ on every document, whole or with a random insert that the reader rejects.
 
 import collections
 import io
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Optional
@@ -289,12 +290,14 @@ def test_rebinding_a_name_in_scope_matches_oracle(case):
 
 def _machine_outcome(machine, table, start, text):
     """The rendered value, or the failure's class and message (which holds
-    its reason and position) and the events the machine consumed."""
+    its reason and position), the events the machine consumed and its
+    lookahead (each machine's own marker while the first event is unread)."""
     run = machine(table, start, iter(SaxReader(io.StringIO(text))))
     try:
         return render_term(run.run())
     except (ParseFailure, XmlReadError) as exc:
-        return type(exc).__name__, str(exc), run.position
+        lookahead = "unread" if type(run.lookahead) is object else run.lookahead
+        return type(exc).__name__, str(exc), run.position, lookahead
 
 
 @pytest.mark.parametrize("block", range(6))
@@ -319,3 +322,141 @@ def test_engine_matches_the_reference_machine_byte_for_byte(block):
                 runs += 1
                 values += type(engine) is str
     assert values > 100 and runs - values > 100  # both outcomes well represented
+
+
+def _renamed_copies(seed):
+    """Three copies of ``random_grammar(seed)`` under one start rule, each
+    with its rules and tags renamed, so that units of one shape hold other
+    strings; and four documents, each of three of the seed's documents,
+    renamed to match and wrapped in the start rule's element.  None when
+    the seed's grammar is rejected."""
+    import re
+
+    from helpers import TAGS
+    from xmlgram.pretty import pretty_grammar
+
+    grammar = random_grammar(seed)
+    compiled = compile_grammar(grammar)
+    if compiled.errors or compiled.table is None or compiled.table.conflicts:
+        return None
+    text = pretty_grammar(grammar)
+    body = text[text.index("\n") + 1 : text.rindex("end")]
+    names = sorted({clause.name for clause in grammar.clauses}, key=len, reverse=True)
+    tags = [[f"{tag}{'x' * (k % 2)}{k}" for tag in TAGS] for k in range(3)]
+    copies = []
+    for k in range(3):
+        copy = body
+        for name in names:
+            copy = re.sub(rf"\b{re.escape(name)}\b", f"{name}_{k}", copy)
+        for tag, renamed in zip(TAGS, tags[k]):
+            copy = re.sub(rf"\b{tag}\b", renamed, copy)
+        copies.append(copy)
+    start = compiled.start
+    top = f"Top ::= <Top> a = {start}_0 b = {start}_1 c = {start}_2 </Top> {{T(a, b, c)}}.\n"
+    built = compile_grammar(parse_grammar("@Grammar M\n" + top + "".join(copies) + "end\n"), "Top")
+    if built.errors or built.table is None or built.table.conflicts:
+        return None
+    texts = [serialize_tree(doc) for doc in documents_for(grammar, start, seed)]
+    rng = random.Random(seed)
+    documents = []
+    for _ in range(4):
+        parts = []
+        for k in range(3):
+            part = rng.choice(texts)
+            for tag, renamed in zip(TAGS, tags[k]):
+                part = re.sub(rf"(</?){tag}\b", rf"\g<1>{renamed}", part)
+            parts.append(part)
+        documents.append("<Top>" + "".join(parts) + "</Top>")
+    return built.table, documents
+
+
+@pytest.mark.parametrize("block", range(3))
+def test_units_that_share_a_compiled_shape_match_the_reference_machine(block):
+    """The engine compiles one factory per unit shape and gives each unit of
+    the shape its own constants.  Grammars of three renamed copies of
+    ``random_grammar`` seeds 0–1499 make units of one shape with other
+    strings: they must parse as the reference machine does."""
+    runs = units = 0
+    for seed in range(block * 500, block * 500 + 500):
+        built = _renamed_copies(seed)
+        if built is None:
+            continue
+        table, documents = built
+        for document in documents:
+            engine = _machine_outcome(Machine, table, "Top", document)
+            assert engine == _machine_outcome(ReferenceMachine, table, "Top", document), (seed, document)
+            runs += 1
+        units += len(table.program.units)
+    assert runs > 500 and units > 200
+
+
+# Pairs of rules alike but for one fact that their code depends on and
+# that is no string: a boolean, a comparison, ``.add``, and which strings are
+# equal.  Each has two clauses and two call sites, so it is a unit.
+PAIRED_RULES = {
+    "bool": ("<A v/> {F(v, true)}", "<A v/> {F(v, false)}"),
+    "compare": ('<A v when v = "x" > OK else OK </A> {v}', '<A v when v <> "x" > OK else OK </A> {v}'),
+    "add": ("<A v/> {G(v).add(v)}", "<A v/> {H(G(v), v)}"),
+    "equal-strings": ('<A v/> {F(v, "A")}', '<A v/> {F(v, "B")}'),
+}
+
+
+def _paired_table():
+    rules, calls = [], []
+    for i, (first, second) in enumerate(PAIRED_RULES.values()):
+        for j, body in enumerate((first, second)):
+            name = f"P{i}x{j}"
+            rules.append(f"{name} ::= {body} | <Z{i}x{j}/> {{0}}.")
+            calls += [f"a{i}x{j} = {name}", f"b{i}x{j} = {name}"]
+    source = "@Grammar P Top ::= <Top> " + " ".join(calls) + " </Top> {0}. " + " ".join(rules) + " end"
+    compiled = compile_grammar(parse_grammar(source), "Top")
+    assert not compiled.errors and not compiled.table.conflicts
+    return compiled.table
+
+
+def test_each_unit_made_from_a_shared_factory_is_the_unit_generated_for_it(monkeypatch):
+    """Every unit of renamed-copy grammars (``random_grammar`` seeds 0–1499)
+    and of ``PAIRED_RULES``, generated again without the shape memo, has the
+    text of the factory the memo gave it, and the constants the memo made
+    from recipes: so a shape's key holds everything its code depends on."""
+    import builtins
+    import types
+
+    from xmlgram import engine
+
+    source = {}  # each compiled code object, nested ones too: the text it came from
+
+    def recording(text, *args):
+        code = builtins.compile(text, *args)
+        codes = [code]
+        while codes:
+            inner = codes.pop()
+            source[inner] = text
+            codes.extend(k for k in inner.co_consts if isinstance(k, types.CodeType))
+        return code
+
+    monkeypatch.setattr(engine, "compile", recording, raising=False)
+
+    def same(program, made, consts, recipes, text):
+        assert source[made.__code__] == text
+        assert len(made.__defaults__) == len(consts) == len(recipes)
+        for value, fresh, recipe in zip(made.__defaults__, consts, recipes):
+            if recipe[0] == "n":  # a nested unit, with its own factory and constants
+                nested = program.units[fresh]
+                same(program, program.units[value], nested.__defaults__, recipe[2], source[nested.__code__])
+            else:
+                assert value == fresh, recipe
+
+    tables = (built[0] for built in map(_renamed_copies, range(1500)) if built is not None)
+    units = compiles = 0
+    for table in itertools.chain([_paired_table()], tables):
+        before = len(source)
+        Machine(table, "Top", iter(()))  # builds every unit the start rule needs
+        program = table.program
+        compiles += len({text for code, text in list(source.items())[before:]})
+        units += len(program.units)
+        for rule, index in list(program.index.items()):
+            unit = engine._Unit(program, engine._Shape(program, rule))
+            factory = unit.rule(rule)
+            same(program, program.units[index], unit.consts, unit.recipes, source[factory.__code__])
+    assert units - compiles > 500  # units that reuse a factory

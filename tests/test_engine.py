@@ -771,18 +771,20 @@ def test_no_module_raises_the_recursion_limit():
 
 def _both_machines(source, start, documents):
     """The engine's outcome on each document, after checking that the
-    reference machine's is the same: a rendered value or a failure."""
+    reference machine's is the same: a rendered value, or a failure with
+    the machine's position and lookahead."""
     _, table = make_table(source, start)
     outcomes = []
     for document in documents:
         pair = []
-        for machine in (Machine, ReferenceMachine):
+        for make in (Machine, ReferenceMachine):
+            machine = make(table, start, read_events(document))
             try:
-                pair.append(render_term(machine(table, start, read_events(document)).run()))
+                pair.append(render_term(machine.run()))
             except ParseFailure as exc:
-                pair.append(str(exc))
+                pair.append((str(exc), machine.position, machine.lookahead))
         assert pair[0] == pair[1], document
-        outcomes.append(pair[0])
+        outcomes.append(pair[0] if type(pair[0]) is str else pair[0][0])
     return outcomes
 
 
@@ -814,6 +816,90 @@ def test_a_clause_nesting_as_many_elements_as_the_front_end_allows(guarded):
     outcomes = _both_machines(source, "R", [inside, cut])
     assert outcomes[0] == 'Pair("hi","a")'
     assert outcomes[1] == ('"no60"' if guarded else "TagMismatch at event 61: expected <E61>, found </E60>")
+
+
+def _nesting_chain(rules, n, guarded):
+    """``rules`` rules, each nesting ``n`` elements round a call of the next,
+    which has no other call site, so that a unit may inline it; and a
+    document that opens every element."""
+    text = []
+    for r in range(rules):
+        if guarded:
+            opens = "".join(f'<E{r}x{i} k when k = "a" > ' for i in range(n))
+            closes = "".join(f' else {{"no{r}"}} </E{r}x{i}>' for i in reversed(range(n)))
+        else:
+            opens = "".join(f"<E{r}x{i} k> " for i in range(n))
+            closes = "".join(f" </E{r}x{i}>" for i in reversed(range(n)))
+        text.append(f"R{r} ::= {opens} x = R{r + 1} {{Pair(x, k)}} {closes}.")
+    source = "@Grammar G " + " ".join(text) + f" R{rules} ::= <Leaf/> {{Leaf}}. end"
+    tags = [f"E{r}x{i}" for r in range(rules) for i in range(n)]
+    document = "".join(f'<{t} k="a">' for t in tags) + "<Leaf/>" + "".join(f"</{t}>" for t in reversed(tags))
+    return source, document
+
+
+@pytest.mark.parametrize("guarded", [False, True], ids=["plain", "guarded"])
+def test_a_chain_of_rules_each_nesting_as_many_elements_as_the_front_end_allows(guarded):
+    # The levels a unit inlines add up across rules; past MAX_DEPTH the next
+    # rule is called as a unit, so no grammar within the front end's bound
+    # makes building the code recurse past the default limit.
+    from xmlgram.frontend import MAX_NESTING
+
+    rules = 7
+    n, source = _deepest(lambda n: _nesting_chain(rules, n, guarded)[0])
+    assert n >= MAX_NESTING - 5
+    document = _nesting_chain(rules, n, guarded)[1]
+    if guarded:  # the guard fails at E5x40, which is empty
+        start, end = document.index('<E5x40 k="a">'), document.index("</E5x39>")
+        cut = document[:start] + '<E5x40 k="b"></E5x40>' + document[end:]
+    else:
+        cut = document.replace('<E5x40 k="a">', "<E5x40>")
+    outcomes = _both_machines(source, "R0", [document, cut])
+    assert outcomes[0] == "Pair(" * rules + "Leaf" + ',"a")' * rules
+    if guarded:
+        assert outcomes[1] == "Pair(" * 5 + '"no5"' + ',"a")' * 5
+    else:
+        assert outcomes[1] == f"MissingAttribute at event {5 * n + 40}: element <E5x40> lacks attribute 'k'"
+
+
+def _frames() -> int:
+    import sys
+
+    frame, count = sys._getframe(), 0
+    while frame is not None:
+        frame, count = frame.f_back, count + 1
+    return count
+
+
+def _lifted_chain(inner):
+    """A rule of 48 nested groups, each lifted into a rule that a unit always
+    inlines, the innermost calling ``D ::= inner``."""
+    body = "z = D {z}"
+    for i in reversed(range(48)):
+        body = f"(<a{i}/> {{{i}}} | y{i} = {body} {{y{i}}})"
+    return f"R0 ::= x = {body} {{x}}. D ::= {inner}."
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        _lifted_chain("<E> " * 60 + "x = TEXT {" + "F(" * 38 + "x" + ")" * 38 + "}" + " </E>" * 60),
+        _lifted_chain("<E> x = TEXT </E> {" + "F(" * 98 + "x" + ")" * 98 + "}"),
+        _deepest(lambda n: _nesting_chain(7, n, False)[0])[1][len("@Grammar G ") : -len(" end")],
+        _deepest(lambda n: _nesting_chain(7, n, True)[0])[1][len("@Grammar G ") : -len(" end")],
+    ],
+    ids=["lifted-then-elements", "lifted-then-expression", "elements", "guarded"],
+)
+def test_building_the_code_recurses_no_deeper_than_a_few_hundred_frames(body):
+    import sys
+
+    _, table = make_table(f"@Grammar G {body} end", "R0")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frames() + 500)
+    try:
+        Machine(table, "R0", iter(()))  # builds every unit
+    finally:
+        sys.setrecursionlimit(limit)
+    assert table.program.units
 
 
 def test_an_action_nesting_as_many_expressions_as_the_front_end_allows():
@@ -904,8 +990,8 @@ def test_repetitions_nested_past_the_loop_cap_agree_with_the_reference_machine()
     assert outcomes[2] == "TagMismatch at event 37: expected </R>, found <X>"
 
 
-def test_an_alternation_wider_than_a_unit_agrees_with_the_reference_machine():
-    # Its lifted rule is too large to inline, so it runs as a unit of its own.
+def test_an_alternation_of_120_elements_agrees_with_the_reference_machine():
+    # A lifted rule is inlined at its one call site however large it is.
     n = 120
     alternation = " | ".join(f"<T{i} v/> {{I{i}(v)}}" for i in range(n))
     source = f"@Grammar G R ::= <R> xs = ({alternation})* </R> {{xs}}. end"
@@ -1024,15 +1110,15 @@ def test_a_fold_that_adds_a_repetition_agrees_with_the_reference_machine(action,
     ['<A><B name="x"/><B name="y"/>&</A>', '<A><B name="x"/><B', "<A>junk<", "<A><C><x/>&</C></A>"],
     ids=["after-leaves", "inside-a-tag", "after-text", "inside-any"],
 )
-def test_a_read_error_leaves_the_position_where_the_reference_machine_does(document):
+def test_a_read_error_leaves_the_position_and_lookahead_where_the_reference_machine_does(document):
     from xmlgram.sax import XmlReadError
 
     rules = "A ::= <A> xs = (B | C | t = TEXT)* </A> {xs}. B ::= <B n=name/> {n}. C ::= <C> ANY </C> {0}."
     _, table = make_table(f"@Grammar G {rules} end", "A")
-    positions = []
+    states = []
     for make in (Machine, ReferenceMachine):
         machine = make(table, "A", iter(SaxReader(io.StringIO(document))))
         with pytest.raises(XmlReadError):
             machine.run()
-        positions.append(machine.position)
-    assert positions[0] == positions[1] > 0
+        states.append((machine.position, machine.lookahead))
+    assert states[0] == states[1] and states[0][0] > 0
