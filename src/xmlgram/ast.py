@@ -21,7 +21,8 @@ of a rewritten grammar against a reference parse) just uses ``==``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, List, NamedTuple, Optional, Tuple, Union
+from itertools import chain
+from typing import FrozenSet, Iterable, List, NamedTuple, Optional, Set, Tuple, Union
 
 
 class SourceSpan(NamedTuple):
@@ -214,27 +215,43 @@ Body = Union[Or, Bind, Star, Empty, Any, Ok, Text, Call, Actions, ElementSpec]
 BodySeq = Tuple[Body, ...]
 
 
-def walk(seq: BodySeq) -> List[Body]:
+def walk(seq: Iterable[Body]) -> List[Body]:
     """Every item of ``seq`` and of the bodies nested in it, in source order
-    (each item before the items inside it).  A plain loop over one stack of
-    pending items, not a generator: the checks call it on every clause."""
+    (each item before the items inside it).  A plain loop over a stack of
+    iterators, one per body being read, not a generator or a recursion:
+    the checks, the normalizer and the engine call it on every clause, and
+    each body is read by one C-level ``for``."""
     out: List[Body] = []
-    stack = list(reversed(seq))
-    pop, extend = stack.pop, stack.extend
+    stack = [iter(seq)]
     while stack:
-        item = pop()
-        out.append(item)
-        kind = type(item)
-        if kind is Bind or kind is Star:
-            extend(reversed(item.body))
-        elif kind is ElementSpec:
-            extend(reversed(item.else_body))
-            for _, body in reversed(item.guarded):
-                extend(reversed(body))
-        elif kind is Or:
-            for body in reversed(item.branches):
-                extend(reversed(body))
+        for item in stack[-1]:
+            out.append(item)
+            kind = type(item)
+            if kind is ElementSpec:
+                bodies = [body for _, body in item.guarded]
+                stack.append(chain(*bodies, item.else_body) if bodies else iter(item.else_body))
+                break
+            if kind is Bind or kind is Star:
+                stack.append(iter(item.body))
+                break
+            if kind is Or:
+                stack.append(chain(*item.branches))
+                break
+        else:  # the body on top is read to its end
+            stack.pop()
     return out
+
+
+def may_bind(seqs: Iterable[BodySeq]) -> Set[str]:
+    """Every name that a binding or an attribute in ``seqs`` can set."""
+    names: Set[str] = set()
+    for seq in seqs:
+        for item in walk(seq):
+            if type(item) is Bind:
+                names.update(item.names)
+            elif type(item) is ElementSpec:
+                names.update(var for var, _ in item.attrs)
+    return names
 
 
 @dataclass(slots=True, unsafe_hash=True)

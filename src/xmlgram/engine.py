@@ -26,19 +26,23 @@ one nested more than ``MAX_EXPR`` deep, which runs as
 
 The code comes in units: one Python function per rule entered from outside
 generated code, that is the start rule and each callee that is not
-inlined.  A unit inlines a callee only at its one call site, so that no
-code is copied (see ``Program.inlines``), and not a callee already being
-inlined there (a call round a cycle of the call graph, such as ``Package``
-→ ``PackageElement`` → ``Package``), one outside the caller's component of
-the call graph that expands to more than ``INLINE_SIZE`` clauses, unless
-normalization lifted it, or one that would nest the code past ``MAX_LOOPS``
-loops or ``MAX_INDENT`` levels (CPython refuses 20 nested loops and 100
-levels).  Generating a unit recurses once per element and inlined clause,
-so a call where ``MAX_DEPTH`` of them are open is not inlined either: that
-keeps the recursion to about what one rule within the front end's
-``MAX_NESTING`` needs, however long a chain of rules is.  A guarded element
-that would nest too deeply becomes a unit of its own, which returns the
-names it binds with its value.
+inlined.  ``_Shape`` alone decides which callees a unit may inline: only
+one with one call site, so that no code is copied, and not one outside the
+caller's component of the call graph that expands to more than
+``INLINE_SIZE`` clauses, unless normalization lifted it (see
+``Program.inlines``).  Generating a unit recurses once per element and
+inlined clause, so the walk does not go into a callee where ``MAX_DEPTH``
+of them are open: that keeps the recursion to about what one rule within
+the front end's ``MAX_NESTING`` needs, however long a chain of rules is.
+The generator then inlines what the shape walked, but not a callee already
+being inlined there (a call round a cycle of the call graph, such as
+``Package`` → ``PackageElement`` → ``Package``), and not one that would
+nest the code past ``MAX_LOOPS`` loops or ``MAX_INDENT`` levels (CPython
+refuses 20 nested loops and 100 levels).  A guarded element that would
+nest too deeply becomes a unit of its own, which returns the names it binds
+with its value.  CPython also compiles each ``elif`` a level deeper than
+the one before, so a row of more than ``MAX_TESTS`` tests is split into
+blocks, each under one test of all its tokens.
 
 A unit that calls a unit is a generator.  The call yields the callee and
 its arguments to the one driver loop in ``Machine.run``, and the suspended
@@ -50,8 +54,9 @@ call, returns the callee to the driver instead and holds nothing (Clinger,
 runs in constant space.  ``steps`` counts the driver's transitions: the
 start unit's entry, each call into a unit, each tail call and each return
 into a suspended caller.  ``max_dump_depth`` is the most continuations held
-at once.  An evaluation error in a guard, argument or action surfaces as a
-``ParseFailure`` at the current event.
+at once.  The driver also turns an evaluation error in a guard, argument or
+action into a ``ParseFailure`` at the event where the innermost unit stood,
+as it finds the position of every other failure; no unit handles one.
 
 Code is generated and compiled once per unit *shape*.  Every tag,
 attribute name, constructor name, literal and callee is a numbered
@@ -70,7 +75,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 from .analysis import NotNormalForm, PredictTable, build_predict_table, compute_sets, left_recursion
 from .ast import CONS, Actions, Any, Bind, BodySeq, BoolLit, Call, Clause, Compare, ConsExpr
 from .ast import Construct, ElementSpec, Empty, Expr, Fold, Grammar, IntLit, ListLit, NullLit, Ok
-from .ast import StrLit, Text, VarRef, walk
+from .ast import StrLit, Text, VarRef, may_bind, walk
 from .evaluate import ADD_CHILD, SHOWN, EvalError, NonBooleanGuard, UnboundVariable, _add_child
 from .evaluate import _adopt, _equal, _fold_step, compile_expr, list_elements, shorten, truth
 from .events import ANY_TOKEN, END_OF_INPUT, TEXT_TOKEN, SaxEvent, TextEvt, token_label
@@ -196,10 +201,6 @@ def _no_predict(rule: str, event, position: int) -> ParseFailure:
     return ParseFailure(NO_PREDICT_ENTRY, message, position)
 
 
-def _eval_failure(exc: EvalError, position: int) -> ParseFailure:
-    return ParseFailure(eval_reason(exc), str(exc), position)
-
-
 def _unpack(value: Value, count: int, position: int) -> tuple:
     if isinstance(value, TupleVal) and len(value.items) == count:
         return value.items
@@ -255,12 +256,11 @@ _TAIL = object()  # first of what a unit returns for a tail call: (_TAIL, callee
 _GLOBALS = {
     "TextEvt": TextEvt, "TermVal": TermVal, "ListVal": ListVal, "TupleVal": TupleVal,
     "BoolVal": BoolVal, "ConsList": ConsList, "NULL": NULL, "EMPTY_CONS": EMPTY_CONS,
-    "_U": _UNBOUND, "_TAIL": _TAIL, "_EvalError": EvalError, "_eval_failure": _eval_failure,
-    "_tok": token_of_event, "_equal": _equal, "_add_child": _add_child, "_adopt": _adopt,
-    "list_elements": list_elements, "truth": truth, "_unbound": _unbound, "_maybe": _maybe,
-    "_env": _env, "_unpack": _unpack, "_any": _any, "_open": _open, "_close": _close,
-    "_no_text": _no_text, "_not_empty": _not_empty, "_no_attr": _no_attr,
-    "_no_predict": _no_predict,
+    "_U": _UNBOUND, "_TAIL": _TAIL, "_tok": token_of_event, "_equal": _equal,
+    "_add_child": _add_child, "_adopt": _adopt, "list_elements": list_elements, "truth": truth,
+    "_unbound": _unbound, "_maybe": _maybe, "_env": _env, "_unpack": _unpack, "_any": _any,
+    "_open": _open, "_close": _close, "_no_text": _no_text, "_not_empty": _not_empty,
+    "_no_attr": _no_attr, "_no_predict": _no_predict,
 }  # fmt: skip
 
 # -- the program ------------------------------------------------------------------
@@ -268,6 +268,7 @@ _GLOBALS = {
 INLINE_SIZE = 6  # clauses a callee may expand to and still be inlined: compile()'s memory grows with a unit
 MAX_DEPTH = 32  # elements and inlined clauses open at once where a unit inlines a call
 MAX_LOOPS = 12  # loops open at once in a unit
+MAX_TESTS = 256  # tests in one if/elif chain
 MAX_INDENT = 60  # indentation levels in a unit
 MAX_EXPR = 40  # expression nesting inlined
 
@@ -280,8 +281,10 @@ class Program:
     ``rows[rule][token]`` is the clause the table predicts, and for a rule
     a repetition lifted, the clause of one item, or ``END``.  ``params[rule]``
     are a rule's parameters.  ``units`` holds the unit functions, numbered
-    as ``entry`` hands them out.  A call whose argument count its callee
-    does not take is a ``ParseFailure`` at event 0 as the program is built."""
+    as ``entry`` hands them out.  ``inlines`` says from the call graph alone
+    whether a call may inline its callee, and ``_Shape`` applies it.  A call
+    whose argument count its callee does not take is a ``ParseFailure`` at
+    event 0 as the program is built."""
 
     def __init__(self, table: PredictTable):
         self.params = {name: clause.params for (name, _), clause in table.entries.items()}
@@ -325,26 +328,18 @@ class Program:
         self.memo: dict = {}  # one closure per distinct expression, see ``compile_expr``
         self.namespace = dict(_GLOBALS)  # the globals of its units
         self._groups: dict = {}
-        self._binds: Dict[int, frozenset] = {}
 
     def _check_calls(self, seq: BodySeq, callees: List[str]) -> None:
         """Check every call in ``seq`` as it would run, and list its callees.
         A loop's items run in the caller's environment, so a loop must be
         passed its own parameters."""
-        for item in seq:
-            kind = type(item)
-            if kind is Call:
+        for item in walk(seq):
+            if type(item) is Call:
                 name = item.name
                 check_arity(name, self.params.get(name), len(item.args))
                 if name in self.loops and item.args != tuple(map(VarRef, self.params[name])):
                     raise NotNormalForm(f"loop {name} is not called with its own parameters")
                 callees.append(name)
-            elif kind is Bind:
-                self._check_calls(item.body, callees)
-            elif kind is ElementSpec:
-                self._check_calls(item.else_body, callees)
-                for _, body in item.guarded:
-                    self._check_calls(body, callees)
 
     def _sizes(self) -> List[int]:
         """The clauses each component of the call graph expands to when
@@ -399,19 +394,6 @@ class Program:
                     by_clause[key] = (tokens + (token,), clause)
             found = self._groups[rule] = (list(by_clause.values()), row.get(ANY_TOKEN))
         return found
-
-    def binds(self, clause: Clause) -> frozenset:
-        """The names ``clause``'s body may bind."""
-        names = self._binds.get(id(clause))
-        if names is None:
-            found = set()
-            for item in walk(clause.body):
-                if type(item) is Bind:
-                    found.update(item.names)
-                elif type(item) is ElementSpec:
-                    found.update(var for var, _ in item.attrs)
-            names = self._binds[id(clause)] = frozenset(found)
-        return names
 
     def entry(self, rule: str) -> int:
         """The number of the unit for ``rule``, built with every unit it
@@ -508,9 +490,10 @@ class _Shape:
     factory compiled for the first unit of the shape, and ``resolve`` makes
     another unit's constants from the recipes recorded for the first.
 
-    A callee is walked where ``_Unit.call`` may inline it: where
-    ``Program.inlines`` allows, and where fewer than ``MAX_DEPTH``
-    elements and inlined clauses are open, counted as ``_Unit`` counts them."""
+    The walk is the one place that decides how far a unit inlines: it walks
+    a callee where ``Program.inlines`` allows and fewer than ``MAX_DEPTH``
+    elements and inlined clauses are open, and ``_Unit.call`` inlines only
+    the callees it walked."""
 
     def __init__(self, program: Program, rule: str):
         self.program = program
@@ -696,7 +679,10 @@ class _Unit:
     and locals (``v0``…) are numbered in order of first use, so that units
     of one shape have one text.  Each ``ind`` argument is an indentation
     level; each ``used`` says whether a value is kept, and a value is
-    returned as an atom: a local, a constant or ``NULL``."""
+    returned as an atom: a local, a constant or ``NULL``.  It inlines the
+    callees that ``shape`` walked, and checks only what the code it has
+    emitted knows: the rules being inlined (``stack``), the indentation and
+    the loops open."""
 
     def __init__(self, program: Program, shape: "_Shape"):
         self.program = program
@@ -710,7 +696,6 @@ class _Unit:
         self.lists: set = set()  # locals that hold a repetition's value, a ``ConsList`` from its start
         self.stack: List[str] = []  # the rules being inlined, the outermost first
         self.loops = 0
-        self.depth = 0  # elements and inlined clauses open
 
     # -- a whole unit ------------------------------------------------------------
 
@@ -721,20 +706,17 @@ class _Unit:
         certain = rule not in program.loops
         values = [(self.local(), certain) for _ in params]
         if rule in program.loops:
-            value = self.loop(rule, values, True, 3)
+            value = self.loop(rule, values, True, 2)
         else:
-            value = self.dispatch(rule, values, True, 3, None, True)
-        self.emit(3, f"return {value}, ev, pos")
+            value = self.dispatch(rule, values, True, 2, None, True)
+        self.emit(2, f"return {value}, ev, pos")
         return self.compile(len(params))
 
     def compile(self, params: int):
         consts = [f"k{i}" for i in range(len(self.consts))]
         args = "".join(f", v{i}" for i in range(params)) + "".join(f", {k}={k}" for k in consts)
-        text = (
-            f"def _f({', '.join(consts)}):\n def u(it, ev, pos{args}):\n  try:\n"
-            + "\n".join(self.lines)
-            + "\n  except _EvalError as exc:\n   raise _eval_failure(exc, pos) from exc\n return u\n"
-        )
+        head = f"def _f({', '.join(consts)}):\n def u(it, ev, pos{args}):\n"
+        text = head + "\n".join(self.lines) + "\n return u\n"
         namespace = self.program.namespace
         exec(compile(text, "<xmlgram>", "exec"), namespace)
         return namespace.pop("_f")
@@ -903,7 +885,6 @@ class _Unit:
     def element(self, item: ElementSpec, scope: _Scope, used: bool, ind: int, known) -> Optional[str]:
         if item.guarded and ind >= MAX_INDENT:
             return self.nested(item, scope, used, ind)
-        self.depth += 1
         tag = self.const(item.tag)
         if known != item.tag:
             self.emit(ind, f"if type(ev) is not tuple or ev[0] != {tag}: raise _open({tag}, ev, pos)")
@@ -944,7 +925,6 @@ class _Unit:
                 scope.bound[name] = certain
         self.emit(ind, f"if ev != {tag}: raise _close({tag}, ev, pos)")
         self.emit(ind, _READ)
-        self.depth -= 1
         return value
 
     def nested(self, item: ElementSpec, scope: _Scope, used: bool, ind: int) -> Optional[str]:
@@ -952,13 +932,13 @@ class _Unit:
         It takes the locals in scope and returns its value and theirs."""
         names = list(scope.bound)
         unit = _Unit(self.program, self.shape)
-        unit.stack, unit.depth = list(self.stack), self.depth
+        unit.stack = list(self.stack)
         inner = _Scope({}, {})
         for name in names:
             unit.bind(inner, name, scope.bound[name])
-        value = unit.element(item, inner, True, 3, None)
+        value = unit.element(item, inner, True, 2, None)
         after = list(inner.bound)
-        unit.emit(3, f"return ({_tuple([value] + [inner.slots[n] for n in after])}), ev, pos")
+        unit.emit(2, f"return ({_tuple([value] + [inner.slots[n] for n in after])}), ev, pos")
         factory = unit.compile(len(names))
         index = self.const(self.program.add(factory(*unit.consts)), ("n", factory, unit.recipes))
         args = ", ".join(["ev", "pos"] + [scope.slots[name] for name in names])
@@ -971,8 +951,7 @@ class _Unit:
     def call(self, item: Call, scope: _Scope, used: bool, ind: int, known, tail: bool) -> Optional[str]:
         """Inline the callee's clauses, or call its unit."""
         program, name = self.program, item.name
-        inline = name in self.shape.walked and name not in self.stack
-        inline = inline and self.depth < MAX_DEPTH and ind + 3 <= MAX_INDENT
+        inline = name in self.shape.walked and name not in self.stack and ind + 3 <= MAX_INDENT
         if name in program.loops:
             inline = inline and self.loops < MAX_LOOPS
             bound = scope.bound
@@ -1006,23 +985,15 @@ class _Unit:
                 tokens, clause = groups[0]
                 self.emit(ind, f"if {self.mismatch(tokens, ind)}: raise _no_predict({self.const(rule)}, ev, pos)")
                 return self.clause(clause, values, used, ind, _single(tokens), tail)
-            self.emit(ind, _TOKEN)
             value = self.temp() if used else None
-            for i, (tokens, clause) in enumerate(groups):
-                self.emit(ind, f"{'elif' if i else 'if'} {self.test(tokens)}:")
-                self.branch(clause, values, value, ind + 1, _single(tokens), tail)
-            self.emit(ind, "else:")
-            if wild is not None:
-                self.branch(wild, values, value, ind + 1, None, tail)
-            else:
-                self.emit(ind + 1, f"raise _no_predict({self.const(rule)}, ev, pos)")
+            self.chain(rule, groups, wild, ind, self.branch, values, value, tail)
             return value
         elif wild is not None:
             return self.clause(wild, values, used, ind, None, tail)
         self.emit(ind, f"raise _no_predict({self.const(rule)}, ev, pos)")
         return "NULL" if used else None
 
-    def branch(self, clause: Clause, values: list, value: Optional[str], ind: int, known, tail: bool) -> None:
+    def branch(self, clause: Clause, ind: int, known, values: list, value: Optional[str], tail: bool) -> None:
         mark = len(self.lines)
         result = self.clause(clause, values, value is not None, ind, known, tail)
         if value is not None and result != value:
@@ -1035,7 +1006,7 @@ class _Unit:
         whether it is bound for certain, or None where it is unbound.  A
         parameter the body may bind again gets a local of its own."""
         scope = _Scope({}, {})
-        rebound = self.program.binds(clause) if clause.params else ()
+        rebound = may_bind((clause.body,)) if clause.params else ()
         for param, value in zip(clause.params, values):
             if value is not None:
                 code, certain = value
@@ -1046,40 +1017,21 @@ class _Unit:
                 self.temps.discard(code)  # it has a name now
                 scope.slots[param], scope.bound[param] = code, certain
         self.stack.append(clause.name)
-        self.depth += 1
         value, _ = self.seq(clause.body, scope, used, ind, known, tail)
-        self.depth -= 1
         self.stack.pop()
         return value
 
     def loop(self, rule: str, values: list, used: bool, ind: int) -> Optional[str]:
-        """A repetition as a ``while`` over its loop row."""
+        """A repetition as a ``while`` over its loop row, which tests for an
+        item before the end."""
         groups, wild = self.program.groups(rule)
-        items = [(tokens, clause) for tokens, clause in groups if clause is not END]
-        ends = next((tokens for tokens, clause in groups if clause is END), ())
-        no_predict = f"raise _no_predict({self.const(rule)}, ev, pos)"
-        if not items and wild in (None, END):  # no item can start: the repetition is empty
-            if wild is None:
-                self.emit(ind, f"if {self.mismatch(ends, ind)}: {no_predict}")
-            return "EMPTY_CONS" if used else None
         acc = self.local() if used else None
         if used:
             self.emit(ind, f"{acc} = []")
         self.emit(ind, "while True:")
-        self.emit(ind + 1, _TOKEN)
         self.loops += 1
-        tests = [(self.test(tokens), clause, _single(tokens)) for tokens, clause in items]
-        if ends:
-            tests.append((self.test(ends), END, None))
-        for i, (test, clause, known) in enumerate(tests):
-            self.emit(ind + 1, f"{'elif' if i else 'if'} {test}:")
-            self.item(clause, values, acc, ind + 2, known)
-        if tests:
-            self.emit(ind + 1, "else:")
-        if wild is None:
-            self.emit(ind + 2, no_predict)
-        else:
-            self.item(wild, values, acc, ind + 2 if tests else ind + 1, None)
+        groups = sorted(groups, key=lambda group: group[1] is END)
+        self.chain(rule, groups, wild, ind + 1, self.item, values, acc)
         self.loops -= 1
         if not used:
             return None
@@ -1088,7 +1040,37 @@ class _Unit:
         self.emit(ind, f"{value} = ConsList(tuple({acc})) if {acc} else EMPTY_CONS")
         return value
 
-    def item(self, clause, values: list, acc: Optional[str], ind: int, known) -> None:
+    def chain(self, rule: str, groups: list, wild, ind: int, body, *args) -> None:
+        """A test of the lookahead's token for each ``(tokens, clause)`` of
+        ``groups``, with ``body(clause, ind, known, *args)`` under it, and
+        then the wildcard's clause, or a ``NoPredictEntry`` when the row has
+        none.  ``dispatch`` and ``loop`` share it."""
+        if groups:
+            self.emit(ind, _TOKEN)
+            self.tests(groups, ind, body, args)
+            self.emit(ind, "else:")
+            ind += 1
+        if wild is None:
+            self.emit(ind, f"raise _no_predict({self.const(rule)}, ev, pos)")
+        else:
+            body(wild, ind, None, *args)
+
+    def tests(self, groups: list, ind: int, body, args: tuple) -> None:
+        """An ``if``/``elif`` chain over ``groups``.  CPython compiles each
+        ``elif`` a level deeper than the one before, so a chain longer than
+        ``MAX_TESTS`` is split into blocks, each under one test of all its
+        tokens; a block is a list of groups."""
+        while len(groups) > MAX_TESTS:
+            blocks = [groups[i : i + MAX_TESTS] for i in range(0, len(groups), MAX_TESTS)]
+            groups = [(tuple(t for tokens, _ in block for t in tokens), block) for block in blocks]
+        for i, (tokens, clause) in enumerate(groups):
+            self.emit(ind, f"{'elif' if i else 'if'} {self.test(tokens)}:")
+            if type(clause) is list:
+                self.tests(clause, ind + 1, body, args)
+            else:
+                body(clause, ind + 1, _single(tokens), *args)
+
+    def item(self, clause, ind: int, known, values: list, acc: Optional[str]) -> None:
         if clause is END:
             self.emit(ind, "break")
             return
@@ -1217,8 +1199,10 @@ class Machine:
                     depth = len(stack)
                 steps += 1
                 done = units[call[0]](events, *call[1])
-        except Exception as exc:  # a parse failure, or reading an event failed
+        except Exception as exc:  # a parse failure, an evaluation error, or reading an event failed
             self.position, self.lookahead = _where(exc.__traceback__, self.position, event)
+            if isinstance(exc, EvalError):
+                raise ParseFailure(eval_reason(exc), str(exc), self.position) from exc
             raise
         finally:
             self.steps += steps

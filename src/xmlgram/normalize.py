@@ -62,6 +62,7 @@ from .ast import (
     Or,
     Star,
     VarRef,
+    may_bind,
     walk,
 )
 from .wellformed import scope
@@ -126,18 +127,6 @@ def _call_site(call: Call, exported: Tuple[str, ...], fresh: FreshNameSource) ->
         return (call,)
     result = fresh.internal_var("v")
     return (Bind((result,) + exported, (call,)), Actions((VarRef(result),)))
-
-
-def _may_bind(seqs) -> set:
-    """Every name a binding or an attribute of ``seqs`` can set."""
-    names = set()
-    for seq in seqs:
-        for item in walk(seq):
-            if isinstance(item, Bind):
-                names.update(item.names)
-            elif isinstance(item, ElementSpec):
-                names.update(var for var, _ in item.attrs)
-    return names
 
 
 # --------------------------------------------------------------------------
@@ -205,7 +194,7 @@ class _Rewrite:
             args = _var_refs(params)
             call = Call(name, args, span=item.span)
             lifted = []  # a body that rebinds a name it reads, in a rule of its own
-            if not _may_bind((body,)).isdisjoint(params):
+            if not may_bind((body,)).isdisjoint(params):
                 own = fresh.fresh(self.origin)
                 lifted.append(Clause(own, params, body))
                 body = (Call(own, args, span=item.span),)
@@ -226,7 +215,7 @@ class _Rewrite:
         name, at = fresh.fresh(self.origin), len(self.acc)
         branches = [self.seq(branch, ctx)[0] for branch in item.branches]
         free, bound = _interface(branches)
-        rebound = ctx.intersection(_may_bind(branches)) if ctx else frozenset()
+        rebound = ctx.intersection(may_bind(branches)) if ctx else frozenset()
         params = tuple(sorted(free | rebound))
         exported = tuple(sorted(bound | rebound))
         self.acc[at:at] = [
@@ -256,19 +245,8 @@ def _rewrite(grammar: Grammar) -> Grammar:
 
 def is_normal_form(grammar: Grammar) -> bool:
     """No alternation and no repetition anywhere."""
-    seqs = [clause.body for clause in grammar.clauses]
-    while seqs:
-        for item in seqs.pop():
-            kind = type(item)
-            if kind is Bind:
-                seqs.append(item.body)
-            elif kind is ElementSpec:
-                seqs.append(item.else_body)
-                for _, body in item.guarded:
-                    seqs.append(body)
-            elif kind is Or or kind is Star:
-                return False
-    return True
+    items = walk(item for clause in grammar.clauses for item in clause.body)
+    return {Or, Star}.isdisjoint(map(type, items))
 
 
 def normalize_grammar(grammar: Grammar) -> Grammar:

@@ -53,9 +53,11 @@ from .events import SaxEvent, TextEvt
 _CHUNK = 1 << 13
 
 # Characters (or bytes) the reader feeds while expat's position stands still,
-# that is while expat holds one unfinished token, before it gives up.  It sits
-# well above one chunk, because expat 2.6 and later defer re-parsing a large
-# token until its buffer has about doubled.
+# that is while expat holds one unfinished token, before it gives up.  Expat
+# 2.6 and later would defer re-parsing a large token until its buffer had
+# about doubled, so the reader turns that deferral off: expat re-parses a
+# held token at each chunk, as earlier versions do, and its position moves
+# once the token ends.
 MAX_TOKEN = 1 << 20
 
 NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.\-]*")
@@ -94,6 +96,8 @@ class SaxReader:
         self._encoding: Optional[str] = None  # the one the XML declaration names
         self._parser = parser = expat.ParserCreate()
         parser.buffer_text = True
+        if hasattr(parser, "SetReparseDeferralEnabled"):  # expat 2.6 and later
+            parser.SetReparseDeferralEnabled(False)  # so its position moves once a token ends
         self._events: List[SaxEvent] = []
         emit = self._events.append
         text: List[str] = []

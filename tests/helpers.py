@@ -986,11 +986,11 @@ def reference_render_term(value: Value) -> str:
     if isinstance(value, TermVal):
         if not value.args:
             return value.ctor
-        return value.ctor + "(" + ",".join(map(reference_render_term, value.args)) + ")"
+        return value.ctor + "(" + ",".join([reference_render_term(a) for a in value.args]) + ")"
     if isinstance(value, ListVal):
-        return "[" + ",".join(map(reference_render_term, value.items)) + "]"
+        return "[" + ",".join([reference_render_term(v) for v in value.items]) + "]"
     if isinstance(value, TupleVal):
-        return "(" + ",".join(map(reference_render_term, value.items)) + ")"
+        return "(" + ",".join([reference_render_term(v) for v in value.items]) + ")"
     raise TypeError(f"not a value: {value!r}")
 
 

@@ -1001,6 +1001,30 @@ def test_an_alternation_of_120_elements_agrees_with_the_reference_machine():
     assert outcomes[1] == "MissingAttribute at event 1: element <T3> lacks attribute 'v'"
 
 
+WIDE = 3_100  # alternatives: one ``if``/``elif`` chain this long is past CPython's compiler recursion
+
+
+@pytest.mark.parametrize("form", ["repetition", "clauses"])
+def test_a_row_of_3_100_alternatives_parses_as_the_reference_machine_does(tmp_path, capsys, form):
+    alternation = " | ".join(f"<T{i} v/> {{I{i}(v)}}" for i in range(WIDE))
+    last = WIDE - 1
+    if form == "repetition":
+        grammar = f"@Grammar G R ::= <R> xs = ({alternation})* </R> {{xs}}. end"
+        document = f'<R><T0 v="a"/><T1000 v="b"/><T{last} v="c"/></R>'
+        value = f'Cons(I0("a"),Cons(I1000("b"),Cons(I{last}("c"),Nil)))'
+    else:
+        grammar = f"@Grammar G R ::= <R> x = S </R> {{x}}. S ::= {alternation}. end"
+        document = f'<R><T{last} v="c"/></R>'
+        value = f'I{last}("c")'
+    failing = f"<R><T{last}/></R>"
+    failure = f"MissingAttribute at event 1: element <T{last}> lacks attribute 'v'"
+    outcomes = _both_machines(grammar, "R", [document, failing, "<R><U/></R>"])
+    assert outcomes[:2] == [value, failure]
+    assert outcomes[2].startswith("NoPredictEntry at event 1: no prediction for rule ")
+    assert _parse_cli(tmp_path, grammar, document) == 0
+    assert capsys.readouterr().out == value + "\n"
+
+
 @pytest.mark.parametrize(
     "rules, documents, outcomes",
     [
