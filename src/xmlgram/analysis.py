@@ -285,33 +285,41 @@ class PredictTable:
 
 
 def build_predict_table(grammar: Grammar, analysis: AnalysisResult) -> PredictTable:
+    """Each cell's first candidate in ``entries``, in the order of rule and
+    token; ``more`` holds the other candidates of the cells that have some."""
     nullable = {n for n, flag in analysis.nullable.items() if flag}
-    cells: Dict[Tuple[str, Token], List[Clause]] = {}
+    entries: Dict[Tuple[str, Token], Clause] = {}
+    more: Dict[Tuple[str, Token], List[Clause]] = {}
 
     for clause in grammar.clauses:
         tokens, null = first_null(clause.body, nullable, analysis.first)
-        for token in tokens:
-            cells.setdefault((clause.name, token), []).append(clause)
         if null:
-            for token in analysis.follow[clause.name]:
-                cells.setdefault((clause.name, token), []).append(clause)
+            tokens = [*tokens, *analysis.follow[clause.name]]
+        for token in tokens:
+            key = (clause.name, token)
+            if key in entries:
+                more.setdefault(key, []).append(clause)
+            else:
+                entries[key] = clause
 
-    entries: Dict[Tuple[str, Token], Clause] = {}
+    entries = {key: entries[key] for key in sorted(entries, key=lambda k: (k[0], token_sort_key(k[1])))}
     conflicts: List[ConflictReport] = []
-    for key in sorted(cells, key=lambda k: (k[0], token_sort_key(k[1]))):
+    for key, clause in entries.items():
         name, token = key
-        candidates = list(cells[key])
-        if token != ANY_TOKEN and not is_end_token(token):
+        others = more.get(key, [])
+        default = (name, ANY_TOKEN)
+        if token != ANY_TOKEN and not is_end_token(token) and default in entries:
             # A wildcard definition could consume this token as well, so a
             # default from a different definition makes the cell ambiguous.
             # (End-tag cells coexist with a default: ANY never consumes an
             # end tag — that is exactly how a wildcard repetition stops.)
-            for default in cells.get((name, ANY_TOKEN), ()):
-                if all(default is not c for c in candidates):
-                    candidates.append(default)
-        entries[key] = candidates[0]
-        if len(candidates) > 1:
-            conflicts.append(ConflictReport(name, token, tuple(candidates)))
+            candidates = [clause, *others]
+            for c in (entries[default], *more.get(default, ())):
+                if all(c is not d for d in candidates):
+                    candidates.append(c)
+            others = candidates[1:]
+        if others:
+            conflicts.append(ConflictReport(name, token, (clause, *others)))
     return PredictTable(entries, conflicts, grammar.loops)
 
 

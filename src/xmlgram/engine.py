@@ -11,12 +11,19 @@ Automatic Program Generation*, 1993).
 
 The table still makes every decision.  Where a rule is called, its row
 becomes one test of the lookahead's token per predicted clause, with the
-wildcard entry, if any, as the fallback.  A token known at generation time
-(one a test has just matched, until an event is consumed) picks its clause
-without a test: that resolves chain rules, and an element predicted on its
-own start tag skips its start-tag check.  A repetition rule
-(``Grammar.loops``, lifted from an ``X*``) becomes a ``while`` over its
-loop row, whose items append to a list that ends as one ``ConsList``.
+wildcard entry, if any, as the fallback.  Clauses whose code differs only
+in its constants (tags, attribute, constructor and rule names, literals)
+share one branch under one test of all their tokens: the tag is the token
+matched, and any other constant that differs is read from a dict keyed by
+the token.  This is procedural abstraction and cross-jumping (Fraser, Myers
+& Wendt, "Analyzing and compressing assembly code", 1984), so a row of
+thousands of alternatives of one form costs the code of one.  A token known
+at generation time (one a test has just matched, until an event is
+consumed) picks its clause without a test: that resolves chain rules, and
+an element predicted on its own start tag skips its start-tag check.  A
+repetition rule (``Grammar.loops``, lifted from an ``X*``) becomes a
+``while`` over its loop row, whose items append to a list that ends as one
+``ConsList``.
 Normalization calls such a rule with its own parameters, as ``Program``
 checks, so its items read the caller's locals.  Attributes and bindings are
 Python locals with numbered names, one per name in each inlined clause;
@@ -44,6 +51,18 @@ with its value.  CPython also compiles each ``elif`` a level deeper than
 the one before, so a row of more than ``MAX_TESTS`` tests is split into
 blocks, each under one test of all its tokens.
 
+Source costs ``compile()`` time and about 160 bytes of memory per
+character, so a unit does not grow past ``MAX_SOURCE`` characters: once it
+has, the rest of the sequence being emitted, from its next element or call
+of a unit, becomes a nested unit, and a nested unit that passes the cap in
+its own sequence tail-calls the unit for the rest of it.  So one clause of
+10,000 siblings is a chain of units of a few kilobytes, most of them of one
+text.  A branch that several clauses share is not cut: it costs the code of
+one clause.  A row of thousands of alternatives that differ in structure,
+not only in strings, is out of reach of the cap: past it, each branch is
+cut down to the call of a nested unit of its own, so the unit still grows
+with the row.
+
 A unit that calls a unit is a generator.  The call yields the callee and
 its arguments to the one driver loop in ``Machine.run``, and the suspended
 generator is the continuation, held on the driver's explicit stack until
@@ -51,10 +70,11 @@ the callee returns.  So no document nesting and no chain of rules turns
 into Python recursion.  A call that ends the unit's root clause, a tail
 call, returns the callee to the driver instead and holds nothing (Clinger,
 "Proper tail recursion and space efficiency", 1998), so ``L ::= <a/> L.``
-runs in constant space.  ``steps`` counts the driver's transitions: the
-start unit's entry, each call into a unit, each tail call and each return
-into a suspended caller.  ``max_dump_depth`` is the most continuations held
-at once.  The driver also turns an evaluation error in a guard, argument or
+runs in constant space, also when ``MAX_SOURCE`` cuts its clause: the rest
+of a sequence in tail position is tail-called.  ``steps`` counts the
+driver's transitions: the start unit's entry, each call into a unit, each
+tail call and each return into a suspended caller.  ``max_dump_depth`` is
+the most continuations held at once.  The driver also turns an evaluation error in a guard, argument or
 action into a ``ParseFailure`` at the event where the innermost unit stood,
 as it finds the position of every other failure; no unit handles one.
 
@@ -63,13 +83,16 @@ attribute name, constructor name, literal and callee is a numbered
 constant, bound as a default argument, so two units whose rows and
 clauses differ only in their strings have one text.  ``_Shape`` finds a
 unit's shape without generating it, and the memo maps each shape to the
-factory compiled for its first unit.  The memo lives for one build of the
-units that a start rule needs, so a fresh process pays for what it
-compiles, and the source texts are dropped once compiled.
+factory compiled for its first unit.  Nested units are generated, and a
+second memo, keyed by source text, compiles each text once.  Both memos
+live for one build of the units that a start rule needs, so a fresh
+process pays for what it compiles, and the source texts are dropped once
+the build ends.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .analysis import NotNormalForm, PredictTable, build_predict_table, compute_sets, left_recursion
@@ -269,6 +292,7 @@ INLINE_SIZE = 6  # clauses a callee may expand to and still be inlined: compile(
 MAX_DEPTH = 32  # elements and inlined clauses open at once where a unit inlines a call
 MAX_LOOPS = 12  # loops open at once in a unit
 MAX_TESTS = 256  # tests in one if/elif chain
+MAX_SOURCE = 4_000  # characters of source in a unit before the rest of a sequence becomes a unit
 MAX_INDENT = 60  # indentation levels in a unit
 MAX_EXPR = 40  # expression nesting inlined
 
@@ -326,6 +350,7 @@ class Program:
         self.index: Dict[str, int] = {}
         self._pending: List[object] = []
         self.memo: dict = {}  # one closure per distinct expression, see ``compile_expr``
+        self.texts: dict = {}  # factory by source text, for one build only
         self.namespace = dict(_GLOBALS)  # the globals of its units
         self._groups: dict = {}
 
@@ -385,14 +410,14 @@ class Program:
         found = self._groups.get(rule)
         if found is None:
             row = self.rows.get(rule, {})
-            by_clause: Dict[int, tuple] = {}
+            by_clause: Dict[object, tuple] = {}
             for token, clause in row.items():
                 if token != ANY_TOKEN:
                     # A chain clause gets a test per token, which resolves its call.
                     key = (id(clause), token) if _chain(clause) else id(clause)
-                    tokens, _ = by_clause.get(key, ((), clause))
-                    by_clause[key] = (tokens + (token,), clause)
-            found = self._groups[rule] = (list(by_clause.values()), row.get(ANY_TOKEN))
+                    by_clause.setdefault(key, ([], clause))[0].append(token)
+            groups = [(tuple(tokens), clause) for tokens, clause in by_clause.values()]
+            found = self._groups[rule] = (groups, row.get(ANY_TOKEN))
         return found
 
     def entry(self, rule: str) -> int:
@@ -404,6 +429,10 @@ class Program:
             memo: dict = {}  # factory and constants' recipes by shape, for this build only
             while self._pending:
                 rule = self._pending.pop()
+                if type(rule) is tuple:  # a nested unit of a unit made from the memo
+                    number, factory, recipes, shape = rule
+                    self.units[number] = factory(*[shape.resolve(r) for r in recipes])
+                    continue
                 shape = _Shape(self, rule)
                 found = memo.get(shape.key)
                 if found is None:
@@ -416,10 +445,12 @@ class Program:
                     values, resolve = shape.values, shape.resolve
                     consts = [values[r[1]] if r[0] == "s" else resolve(r) for r in recipes]
                 self.units[self.index[rule]] = factory(*consts)
+            self.texts = {}
         return index
 
     def unit(self, rule: str) -> int:
-        """The number of the unit for ``rule``, queued to be built when new."""
+        """The number of the unit for ``rule``, queued to be built when new.
+        ``_pending`` also holds the nested units that ``_Shape.resolve`` numbers."""
         index = self.index.get(rule)
         if index is None:
             index = self.index[rule] = self.add(None)
@@ -493,7 +524,9 @@ class _Shape:
     The walk is the one place that decides how far a unit inlines: it walks
     a callee where ``Program.inlines`` allows and fewer than ``MAX_DEPTH``
     elements and inlined clauses are open, and ``_Unit.call`` inlines only
-    the callees it walked."""
+    the callees it walked.  The key also fixes which branches of a row
+    share one form, and where ``MAX_SOURCE`` cuts a sequence: both follow
+    from the text generated, which the key fixes up to its constants."""
 
     def __init__(self, program: Program, rule: str):
         self.program = program
@@ -646,11 +679,31 @@ class _Shape:
             return self.program.unit(values[arg])
         if kind == "x":
             return compile_expr(self.closures[arg], self.program.memo)
-        factory, recipes = arg, recipe[2]  # "n": a nested unit
-        return self.program.add(factory(*[self.resolve(r) for r in recipes]))
+        if kind == "d":
+            return {self.resolve(token): self.resolve(r) for token, r in arg}
+        # "n": a nested unit, numbered now and built after this one, so that
+        # a chain of them is built in a loop (see ``_Unit.nested``)
+        index = self.program.add(None)
+        self.program._pending.append((index, arg, recipe[2], self))
+        return index
 
 
 _SPECIAL_TOKENS = (TEXT_TOKEN, ANY_TOKEN, END_OF_INPUT)
+
+
+class _Frame:
+    """The placeholders of a branch that ``_Unit.forms`` generates, named
+    ``_K{depth}_{n}_`` for constants and ``_L{depth}_{n}_`` for locals, in
+    order of first use; ``depth`` counts the frames open outside it."""
+
+    __slots__ = ("depth", "names", "values", "count", "cuts")
+
+    def __init__(self, depth: int, cuts: bool = False):
+        self.depth = depth
+        self.cuts = cuts  # whether ``MAX_SOURCE`` may cut a sequence in the branch
+        self.names: dict = {}  # a constant's key in ``_Unit.const``: its placeholder
+        self.values: List[tuple] = []  # each constant's value and recipe, None if derived
+        self.count = 0  # locals
 
 
 class _Scope:
@@ -681,8 +734,13 @@ class _Unit:
     level; each ``used`` says whether a value is kept, and a value is
     returned as an atom: a local, a constant or ``NULL``.  It inlines the
     callees that ``shape`` walked, and checks only what the code it has
-    emitted knows: the rules being inlined (``stack``), the indentation and
-    the loops open."""
+    emitted knows: the rules being inlined (``stack``), the indentation, the
+    loops open and the characters emitted (``size``).
+
+    The branches of a row are generated first with placeholders for their
+    constants and locals (``frame``, see ``forms``), so that branches of one
+    form read the same; ``share`` then emits one branch per form.  A row
+    without two branches of one form comes out as if generated directly."""
 
     def __init__(self, program: Program, shape: "_Shape"):
         self.program = program
@@ -696,6 +754,10 @@ class _Unit:
         self.lists: set = set()  # locals that hold a repetition's value, a ``ConsList`` from its start
         self.stack: List[str] = []  # the rules being inlined, the outermost first
         self.loops = 0
+        self.size = 0  # characters of source emitted, the constants' parameters included
+        self.frame: Optional[_Frame] = None  # the branch being generated with placeholders, if any
+        self.whole: Optional[BodySeq] = None  # a nested unit's sequence, which it cuts with a tail call
+        self.rest: Optional[tuple] = None  # what follows that cut: see ``nested``
 
     # -- a whole unit ------------------------------------------------------------
 
@@ -717,27 +779,46 @@ class _Unit:
         args = "".join(f", v{i}" for i in range(params)) + "".join(f", {k}={k}" for k in consts)
         head = f"def _f({', '.join(consts)}):\n def u(it, ev, pos{args}):\n"
         text = head + "\n".join(self.lines) + "\n return u\n"
-        namespace = self.program.namespace
-        exec(compile(text, "<xmlgram>", "exec"), namespace)
-        return namespace.pop("_f")
+        texts = self.program.texts
+        factory = texts.get(text)
+        if factory is None:
+            namespace = self.program.namespace
+            exec(compile(text, "<xmlgram>", "exec"), namespace)
+            factory = texts[text] = namespace.pop("_f")
+        return factory
 
     # -- names -------------------------------------------------------------------
 
     def emit(self, ind: int, line: str) -> None:
-        self.lines.append(_INDENT[ind] + line)
+        line = _INDENT[ind] + line
+        self.lines.append(line)
+        self.size += len(line) + 1
 
     def const(self, value, recipe: Optional[tuple] = None) -> str:
-        """The name of constant ``value``.  Its recipe is derived from the
-        shape unless given: a unit number or a closure needs one."""
-        key = value if type(value) is str else (type(value), value)
-        name = self.names.get(key)
+        """The name of constant ``value``, or in a branch generated with
+        placeholders, its placeholder.  Its recipe is derived from the shape
+        unless given: a unit number, a closure or a dict needs one."""
+        kind, frame = type(value), self.frame
+        key = value if kind is str else id(value) if kind is dict else (kind, value)
+        names = self.names if frame is None else frame.names
+        name = names.get(key)
         if name is None:
-            name = self.names[key] = f"k{len(self.consts)}"
-            self.consts.append(value)
-            self.recipes.append(recipe or self.shape.recipe(value))
+            if frame is not None:
+                name = f"_K{frame.depth}_{len(frame.values)}_"
+                frame.values.append((value, recipe))
+            else:
+                name = f"k{len(self.consts)}"
+                self.consts.append(value)
+                self.recipes.append(recipe or self.shape.recipe(value))
+                self.size += 2 * len(name) + 4  # ``, k0`` and ``, k0=k0`` in the parameters
+            names[key] = name
         return name
 
     def local(self) -> str:
+        frame = self.frame
+        if frame is not None:
+            frame.count += 1
+            return f"_L{frame.depth}_{frame.count - 1}_"
         self.count += 1
         return f"v{self.count - 1}"
 
@@ -828,14 +909,19 @@ class _Unit:
 
     # -- bodies ------------------------------------------------------------------
 
-    def seq(self, seq: BodySeq, scope: _Scope, used: bool, ind: int, known, tail: bool):
-        """Emit ``seq``; return its value and the token known to be next.
-        ``known`` is the lookahead's token when a test has matched it."""
+    def seq(self, seq: BodySeq, scope: _Scope, used: bool, ind: int, known, tail: bool, start: int = 0):
+        """Emit ``seq`` from item ``start`` on; return its value and the token
+        known to be next.  ``known`` is the lookahead's token when a test has
+        matched it."""
         value = "NULL" if used else None
         last = len(seq) - 1
-        for i, item in enumerate(seq):
-            keep = used and i == last
+        for i in range(start, len(seq)):
+            item = seq[i]
             kind = type(item)
+            if self.size > MAX_SOURCE and (self.frame is None or self.frame.cuts) and self.costs(item):
+                value, known = self.cut(seq, i, scope, used, ind, tail), None
+                break
+            keep = used and i == last
             if kind is Call:
                 value = self.call(item, scope, keep, ind, known, tail and i == last)
                 known = None
@@ -884,7 +970,7 @@ class _Unit:
 
     def element(self, item: ElementSpec, scope: _Scope, used: bool, ind: int, known) -> Optional[str]:
         if item.guarded and ind >= MAX_INDENT:
-            return self.nested(item, scope, used, ind)
+            return self.nested((item,), 0, scope, used, ind)
         tag = self.const(item.tag)
         if known != item.tag:
             self.emit(ind, f"if type(ev) is not tuple or ev[0] != {tag}: raise _open({tag}, ev, pos)")
@@ -921,29 +1007,72 @@ class _Unit:
             for name in dict.fromkeys(name for bound in branches for name in bound):
                 certain = all(bound.get(name) for bound in branches)
                 if not certain and name not in outer:  # bound by some branches only
-                    self.lines.insert(mark, " " * ind + f"{scope.slots[name]} = _U")
+                    line = _INDENT[ind] + f"{scope.slots[name]} = _U"
+                    self.lines.insert(mark, line)
+                    self.size += len(line) + 1
                 scope.bound[name] = certain
         self.emit(ind, f"if ev != {tag}: raise _close({tag}, ev, pos)")
         self.emit(ind, _READ)
         return value
 
-    def nested(self, item: ElementSpec, scope: _Scope, used: bool, ind: int) -> Optional[str]:
-        """A guarded element nested too deeply, called as a unit of its own.
-        It takes the locals in scope and returns its value and theirs."""
-        names = list(scope.bound)
-        unit = _Unit(self.program, self.shape)
-        unit.stack = list(self.stack)
-        inner = _Scope({}, {})
-        for name in names:
-            unit.bind(inner, name, scope.bound[name])
-        value = unit.element(item, inner, True, 2, None)
-        after = list(inner.bound)
-        unit.emit(2, f"return ({_tuple([value] + [inner.slots[n] for n in after])}), ev, pos")
-        factory = unit.compile(len(names))
-        index = self.const(self.program.add(factory(*unit.consts)), ("n", factory, unit.recipes))
-        args = ", ".join(["ev", "pos"] + [scope.slots[name] for name in names])
-        targets = [self.temp()] + [self.bind(scope, n, inner.bound[n]) for n in after]
-        self.emit(ind, f"({', '.join(targets)},), ev, pos = yield {index}, ({args})")
+    def costs(self, item) -> bool:
+        """Whether ``item`` is an element or a call of a unit: a sequence is
+        cut before one, so that a nested unit holds the code it costs."""
+        return type(item) is ElementSpec or type(item) is Call and not self.inlines(item.name)
+
+    def cut(self, seq: BodySeq, i: int, scope: _Scope, used: bool, ind: int, tail: bool) -> Optional[str]:
+        """``seq`` from item ``i`` on, where the unit's source has passed
+        ``MAX_SOURCE``: a nested unit, called with the locals in scope.  In a
+        nested unit's own sequence, a tail call to the unit for the rest,
+        which ``nested`` generates next."""
+        if seq is not self.whole:
+            return self.nested(seq, i, scope, used, ind, tail)
+        index = self.program.add(None)
+        self.rest = i, index, dict(scope.bound), len(self.recipes)
+        name = self.const(index, ("n",))  # ``nested`` gives the recipe once that unit is compiled
+        self.emit(ind, f"return _TAIL, {name}, ({_args(scope)})")
+        return None
+
+    def nested(self, seq: BodySeq, start: int, scope: _Scope, used: bool, ind: int, tail: bool = False):
+        """``seq`` from item ``start`` on, called as a unit of its own: the
+        rest of a sequence past ``MAX_SOURCE``, or a guarded element nested too
+        deeply.  It takes the locals in scope and returns its value and
+        theirs, or, where the rest is in tail position, is tail-called and
+        returns its value alone, so that a tail call in it stays one.  A
+        nested unit that passes ``MAX_SOURCE`` in its own sequence tail-calls
+        a unit for the rest, and so on: the loop below generates that chain
+        one unit after another, and the last returns."""
+        program, bound, args = self.program, dict(scope.bound), _args(scope)
+        index = first = program.add(None)
+        link = recipe = None
+        while True:
+            unit = _Unit(program, self.shape)
+            unit.stack, unit.whole = list(self.stack), seq
+            inner = _Scope({}, {})
+            for name, certain in bound.items():
+                unit.bind(inner, name, certain)
+            value, _ = unit.seq(seq, inner, True, 2, None, tail, start)
+            if unit.rest is None:
+                if not tail:
+                    value = f"({_tuple([value] + [inner.slots[n] for n in inner.bound])})"
+                unit.emit(2, f"return {value}, ev, pos")
+            factory = unit.compile(len(bound))
+            program.units[index] = factory(*unit.consts)
+            made = ("n", factory, unit.recipes)
+            if link is None:
+                recipe = made
+            else:
+                link.recipes[link.rest[3]] = made
+            if unit.rest is None:
+                break
+            link = unit
+            start, index, bound, _ = unit.rest
+        call = f"{self.const(first, recipe)}, ({args})"
+        if tail:
+            self.emit(ind, f"return _TAIL, {call}")
+            return "NULL" if used else None
+        targets = [self.temp()] + [self.bind(scope, n, inner.bound[n]) for n in inner.bound]
+        self.emit(ind, f"({', '.join(targets)},), ev, pos = yield {call}")
         return targets[0] if used else None
 
     # -- calls -------------------------------------------------------------------
@@ -951,7 +1080,7 @@ class _Unit:
     def call(self, item: Call, scope: _Scope, used: bool, ind: int, known, tail: bool) -> Optional[str]:
         """Inline the callee's clauses, or call its unit."""
         program, name = self.program, item.name
-        inline = name in self.shape.walked and name not in self.stack and ind + 3 <= MAX_INDENT
+        inline = self.inlines(name) and ind + 3 <= MAX_INDENT
         if name in program.loops:
             inline = inline and self.loops < MAX_LOOPS
             bound = scope.bound
@@ -972,6 +1101,10 @@ class _Unit:
         value = self.temp()
         self.emit(ind, f"{value}, ev, pos = yield {call}")
         return value if used else None
+
+    def inlines(self, name: str) -> bool:
+        """Whether a call of ``name`` may be inlined here, as far as the rules go."""
+        return name in self.shape.walked and name not in self.stack
 
     def dispatch(self, rule: str, values: list, used: bool, ind: int, known, tail: bool) -> Optional[str]:
         """The clause ``rule``'s row predicts, inlined: one test per clause."""
@@ -1056,19 +1189,100 @@ class _Unit:
             body(wild, ind, None, *args)
 
     def tests(self, groups: list, ind: int, body, args: tuple) -> None:
-        """An ``if``/``elif`` chain over ``groups``.  CPython compiles each
-        ``elif`` a level deeper than the one before, so a chain longer than
-        ``MAX_TESTS`` is split into blocks, each under one test of all its
-        tokens; a block is a list of groups."""
-        while len(groups) > MAX_TESTS:
-            blocks = [groups[i : i + MAX_TESTS] for i in range(0, len(groups), MAX_TESTS)]
-            groups = [(tuple(t for tokens, _ in block for t in tokens), block) for block in blocks]
-        for i, (tokens, clause) in enumerate(groups):
+        """An ``if``/``elif`` chain over ``groups``, one test per form (see
+        ``forms``).  CPython compiles each ``elif`` a level deeper than the one
+        before, so a chain of more than ``MAX_TESTS`` forms is split into
+        blocks, each under one test of all its tokens; a block is a list of
+        forms, and the branches in it move one level in per level of blocks."""
+        forms = self.forms(groups, ind + 1, body, args)
+        levels = 0
+        while len(forms) > MAX_TESTS:
+            blocks = [forms[i : i + MAX_TESTS] for i in range(0, len(forms), MAX_TESTS)]
+            forms = [(tuple(t for tokens, _ in block for t in tokens), block) for block in blocks]
+            levels += 1
+        self.blocks(forms, ind, levels)
+
+    def blocks(self, forms: list, ind: int, levels: int) -> None:
+        for i, (tokens, form) in enumerate(forms):
             self.emit(ind, f"{'elif' if i else 'if'} {self.test(tokens)}:")
-            if type(clause) is list:
-                self.tests(clause, ind + 1, body, args)
+            if type(form) is list:
+                self.blocks(form, ind + 1, levels)
             else:
-                body(clause, ind + 1, _single(tokens), *args)
+                self.share(form, ind + 1, levels)
+
+    def forms(self, groups: list, ind: int, body, args: tuple) -> list:
+        """``body(clause, ind, known, *args)`` for each ``(tokens, clause)`` of
+        ``groups``, generated with each constant and local a placeholder, so
+        that the groups whose branches differ only in their constants read
+        the same: each form is one such branch and its groups, in the order of
+        the first, as ``(tokens, (members, lines))``.  A member is a group's
+        tokens and the ``_Frame`` of its placeholders.
+
+        ``MAX_SOURCE`` cuts no branch that several groups share, which costs
+        the code of one; a form of one group that takes the unit past it is
+        generated again, where it may cut as outside a row."""
+        outer, lines, start = self.frame, self.lines, self.size
+        depth = 0 if outer is None else outer.depth + 1
+        found: dict = {}  # each form's tokens, members, lines and first clause
+        for tokens, clause in groups:
+            self.frame, self.lines, self.size = _Frame(depth), [], start
+            body(clause, ind, _single(tokens), *args)
+            key = "\n".join(self.lines), self.frame.count
+            if any(recipe and recipe[0] == "n" for _, recipe in self.frame.values):
+                key = id(self.frame)  # a nested unit is no constant to share
+            form = found.setdefault(key, [[], [], self.lines, clause])
+            form[0].extend(tokens)
+            form[1].append((tokens, self.frame))
+        size = start  # with the branches before, for ``MAX_SOURCE``
+        for form in found.values():
+            tokens, members, branch, clause = form
+            length = sum(map(len, branch)) + len(branch)
+            if size + length > MAX_SOURCE and len(members) == 1 and (outer is None or outer.cuts):
+                self.frame, self.lines, self.size = _Frame(depth, True), [], size
+                body(clause, ind, _single(tokens), *args)
+                members[0], form[2], length = (members[0][0], self.frame), self.lines, self.size - size
+            size += length
+        self.frame, self.lines, self.size = outer, lines, start
+        return [(tuple(tokens), (members, branch)) for tokens, members, branch, _ in found.values()]
+
+    def share(self, form: tuple, ind: int, levels: int) -> None:
+        """Emit a form's branch with its placeholders named: each local a
+        local, and each constant as ``shared`` names it.  ``tok`` holds the
+        token unless the branch tests another, which takes a local."""
+        members, lines = form
+        first = members[0][1]
+        depth, token = first.depth, "tok"
+        if len(members) > 1 and any(_TOKEN in line for line in lines):
+            token = self.local()
+            self.emit(ind, f"{token} = tok")
+        names = {f"_L{depth}_{i}_": self.local() for i in range(first.count)}
+        for j, (value, recipe) in enumerate(first.values):
+            name = self.const(value, recipe) if len(members) == 1 else self.shared(members, j, token)
+            names[f"_K{depth}_{j}_"] = name
+        parts = re.split(rf"(_[KL]{depth}_\d+_)", "\n".join(lines))
+        parts[1::2] = map(names.__getitem__, parts[1::2])
+        lines = "".join(parts).split("\n")
+        if levels:
+            lines = [" " * levels + line for line in lines]
+        self.lines += lines
+        self.size += sum(map(len, lines)) + len(lines)
+
+    def shared(self, members: list, j: int, token: str) -> str:
+        """Constant ``j`` of a form's members: the constant they all agree
+        on, or else the token where it is each member's one token, or else a
+        dict from each member's tokens to its constant, read at the token."""
+        values = [frame.values[j] for _, frame in members]
+        value, recipe = values[0]
+        if all(v == value for v, _ in values):
+            return self.const(value, recipe)
+        if all(len(tokens) == 1 and v == tokens[0] for (tokens, _), (v, _) in zip(members, values)):
+            return token
+        table, recipes = {}, []
+        for (tokens, _), (v, r) in zip(members, values):
+            for t in tokens:
+                table[t] = v
+                recipes.append((self.shape.recipe(t), r or self.shape.recipe(v)))
+        return f"{self.const(table, ('d', tuple(recipes)))}[{token}]"
 
     def item(self, clause, ind: int, known, values: list, acc: Optional[str]) -> None:
         if clause is END:
@@ -1112,6 +1326,11 @@ def _single(tokens: tuple):
 
 def _tuple(items: List[str]) -> str:
     return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
+
+
+def _args(scope: _Scope) -> str:
+    """The arguments of a nested unit: the lookahead, the position and the locals in scope."""
+    return ", ".join(["ev", "pos"] + [scope.slots[name] for name in scope.bound])
 
 
 def _where(trace, position: int, event) -> tuple:

@@ -14,10 +14,13 @@ those lists (``itertools.chain.from_iterable``): the consumer's ``next``
 stays in C, and the reader's own code resumes once per chunk, not once per
 event.  A chunk's events are handed out before the next chunk is read, so
 reader state stays bounded by nesting depth and one chunk no matter how
-long the document is (``max_window`` records the largest chunk).  The one
-exception is a single token, such as a comment or a start tag, that expat
-must hold whole until it ends: past ``MAX_TOKEN`` characters fed without
-expat's position moving, the reader stops with MalformedXml.  Whitespace-only
+long the document is.  The one exception is a single token, such as a
+comment or a start tag, that expat must hold whole until it ends: past
+``MAX_TOKEN`` characters fed without expat's position moving, the reader
+stops with MalformedXml.  Expat scans such a token again at each chunk, so
+while its position stands still each read is twice the one before, and a
+token of n characters costs O(n), not O(n²/_CHUNK); ``max_window`` records
+the largest chunk, ``_CHUNK`` unless a token spanned chunks.  Whitespace-only
 text is dropped unless ``keep_whitespace`` is set; text runs separated by
 comments or chunk boundaries coalesce into one event.
 
@@ -169,17 +172,21 @@ class SaxReader:
         read, events, parser = self._source.read, self._events, self._parser
         final = False
         stalled, at = 0, None  # characters fed since expat's position last moved
+        size = _CHUNK  # of the next read
         try:
             while not final:
-                chunk = read(_CHUNK)
+                chunk = read(size)
                 final = not chunk
                 if len(chunk) > self.max_window:
                     self.max_window = len(chunk)
                 error = self._feed(chunk, final)
                 if parser.CurrentByteIndex != at:
-                    stalled, at = 0, parser.CurrentByteIndex
+                    stalled, at, size = 0, parser.CurrentByteIndex, _CHUNK
                 else:
+                    # Expat scans the token it holds again at each read, so
+                    # each read doubles while it stands still: linear time.
                     stalled += len(chunk)
+                    size = max(_CHUNK, min(2 * size, MAX_TOKEN + _CHUNK - stalled))
                     if stalled > MAX_TOKEN and error is None:
                         error = MalformedXml(
                             f"token longer than {MAX_TOKEN} characters",

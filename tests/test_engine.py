@@ -310,6 +310,22 @@ def test_right_recursion_without_a_pending_op_runs_in_constant_space():
     assert machine.max_dump_depth <= 1
 
 
+def test_right_recursion_through_a_clause_past_the_source_cap_runs_in_constant_space(compiled):
+    # The clause is cut into units; the rest, in tail position, is tail-called.
+    from xmlgram.engine import MAX_SOURCE
+
+    body = " ".join(f"<a{i}/>" for i in range(40))
+    source = f"@Grammar G R ::= <R> L </R> {{1}}. L ::= {body} L. L ::= . end"
+    one = "".join(f"<a{i}/>" for i in range(40))
+    _, table = make_table(source, "R")
+    machine = Machine(table, "R", read_events("<R>" + one * 500 + "</R>"))
+    assert machine.run() == IntVal(1)
+    assert machine.max_dump_depth <= 1
+    assert len(compiled) >= 2 and max(map(len, compiled)) <= MAX_SOURCE + 500
+    failing = "<R>" + one * 2 + one.replace("<a30/>", "") + "</R>"
+    assert _both_machines(source, "R", [failing]) == ["TagMismatch at event 221: expected <a30>, found <a31>"]
+
+
 def test_right_recursion_with_a_pending_action_saves_an_environment_per_level():
     # Each level's action runs after the level below it: one saved environment each.
     source = "@Grammar G R ::= <R> x = L </R> {x}. L ::= <a/> xs = L {xs}. L ::= {Nil}. end"
@@ -769,11 +785,13 @@ def test_no_module_raises_the_recursion_limit():
     assert not [p for p in src.rglob("*.py") if "setrecursionlimit" in p.read_text()]
 
 
-def _both_machines(source, start, documents):
+def _both_machines(source, start, documents, table=None):
     """The engine's outcome on each document, after checking that the
     reference machine's is the same: a rendered value, or a failure with
-    the machine's position and lookahead."""
-    _, table = make_table(source, start)
+    the machine's position and lookahead.  ``table`` is ``source``'s, if
+    it is built already."""
+    if table is None:
+        _, table = make_table(source, start)
     outcomes = []
     for document in documents:
         pair = []
@@ -946,12 +964,13 @@ def _chain(size):
     return source, document, "".join(heads) + "Leaf" + ")" * size
 
 
-def test_a_chain_of_1600_rules_parses_and_compiles_each_shape_once(monkeypatch):
+@pytest.fixture
+def compiled(monkeypatch):
+    """The source texts the engine compiles while a test runs."""
     import builtins
 
     from xmlgram import engine
 
-    source, document, expected = _chain(1600)
     texts = []
 
     def counting(text, *args):
@@ -959,6 +978,12 @@ def test_a_chain_of_1600_rules_parses_and_compiles_each_shape_once(monkeypatch):
         return builtins.compile(text, *args)
 
     monkeypatch.setattr(engine, "compile", counting, raising=False)
+    return texts
+
+
+def test_a_chain_of_1600_rules_parses_and_compiles_each_shape_once(compiled):
+    source, document, expected = _chain(1600)
+    texts = compiled
     assert _both_machines(source, "R0", [document]) == [expected]
     assert len(texts) <= 6  # a few unit shapes, however long the chain
     bad = document.replace('<T803 key="k803">', '<T803 key="k803"><X/>', 1)
@@ -1052,15 +1077,11 @@ def test_unchecked_grammars_fail_as_on_the_reference_machine(rules, documents, o
     assert _both_machines(f"@Grammar G {rules} end", "R", documents) == outcomes
 
 
-def test_units_of_one_shape_get_their_own_constants_of_every_kind(monkeypatch):
+def test_units_of_one_shape_get_their_own_constants_of_every_kind(compiled):
     """Four rules of one shape, each a unit of its own (it is called from two
     branches), holding every kind of constant a shape's recipes make again:
     strings, integers, booleans, token sets, closures, the names a closure
     reads, callees and nested units."""
-    import builtins
-
-    from xmlgram import engine
-
     deep = 61  # guarded elements: the innermost ones become a nested unit
     rules = []
     for i in range(4):
@@ -1088,12 +1109,7 @@ def test_units_of_one_shape_get_their_own_constants_of_every_kind(monkeypatch):
                 parts.append(f'<T{i} key="h">')
         return "".join(parts) + "<Leaf/>" + "".join(f"</T{i}>" for i in reversed(range(4)))
 
-    texts = []
-    def counting(text, *args):
-        texts.append(text)
-        return builtins.compile(text, *args)
-
-    monkeypatch.setattr(engine, "compile", counting, raising=False)
+    texts = compiled
     outcomes = _both_machines(source, "R0", [document({0, 1, 2, 3}), document({1, 3}), document(set())])
     assert outcomes[2] == "Q0(false,Q1(false,Q2(false,Q3(false,Leaf))))"
     assert outcomes[0].startswith('P0(0,true,Pair("b0","g0"),' + "F(" * 45 + 'Pair("b0",P1(1,true,Pair(11,"g1"),')
@@ -1146,3 +1162,146 @@ def test_a_read_error_leaves_the_position_and_lookahead_where_the_reference_mach
             machine.run()
         states.append((machine.position, machine.lookahead))
     assert states[0] == states[1] and states[0][0] > 0
+
+
+# -- one branch per form, and a cap on each unit's source ----------------------------
+
+
+def _one_form_rows(n):
+    """A grammar whose rows each hold ``n`` alternatives of one form, which
+    differ in their tags, attribute and variable names, constructors,
+    literals, guards' strings and the rules they call."""
+    rules = []
+    loop = " | ".join(f"<L{i} a{i}=val{i}/> {{C{i}(a{i})}}" for i in range(n))
+    rules.append(f"R ::= <R> xs = ({loop})* ys = (A0 | {' | '.join(f'A{i}' for i in range(1, n))})* z = S </R> {{Top(xs, ys, z)}}.")
+    for i in range(n):
+        # A nested repetition reads each token into ``tok``; B is inlined and
+        # names itself when it predicts nothing; U is a unit of its own.
+        rules.append(f"A{i} ::= <T{i} k> zs = (<x/> {{X{i}}} | <y/> {{Y{i}}})* b = B{i} u = U{i} </T{i}> {{P{i}(k, zs, b, u)}}.")
+        rules.append(f'B{i} ::= <b/> {{{i}}} | <c/> {{"c{i}"}}.')
+        rules.append(f"U{i} ::= <u/> {{U{i}}} | <w/> {{W{i}}}.")
+        rules.append(f"V{i} ::= U{i}.")  # U's other call site
+    alternatives = " | ".join(f'<S{i} v when v = "g{i}" > {{G{i}(v)}} else {{"h{i}"}} </S{i}>' for i in range(n))
+    rules.append(f"S ::= {alternatives}.")
+    return "@Grammar G " + " ".join(rules) + " end"
+
+
+def test_rows_of_one_form_share_one_branch_and_match_the_reference_machine(compiled):
+    source = _one_form_rows(12)
+    part = '<T7 k="q"><y/><x/><c/><w/></T7>'
+    documents = [
+        f'<R><L3 val3="a"/><L11 val11="b"/>{part}<T0 k="r"><b/><u/></T0><S5 v="g5"/></R>',
+        '<R><S9 v="no"/></R>',
+        "<R><L4/></R>",  # a missing attribute
+        '<R><L4 val4="a"><x/></L4></R>',  # a wrong end tag
+        '<R><T6 k="q"><y/><b/><u/><x/></T6></R>',  # after the nested repetition
+        '<R><T2 k="q"><x/><d/></T2></R>',  # no prediction inside the shared branch
+        '<R><T9 k="q"><c/><d/></T9></R>',  # the unit it calls fails
+    ]
+    outcomes = _both_machines(source, "R", documents)
+    assert outcomes[0] == 'Top(Cons(C3("a"),Cons(C11("b"),Nil)),Cons(P7("q",Cons(Y7,Cons(X7,Nil)),"c7",W7),Cons(P0("r",Nil,0,U0),Nil)),G5("g5"))'
+    assert outcomes[1] == 'Top(Nil,Nil,"h9")'
+    assert outcomes[2] == "MissingAttribute at event 1: element <L4> lacks attribute 'val4'"
+    assert outcomes[3] == "TagMismatch at event 2: expected </L4>, found <x>"
+    assert outcomes[4] == "TagMismatch at event 8: expected </T6>, found <x>"
+    assert outcomes[5] == "NoPredictEntry at event 4: no prediction for rule A2$9 on d"  # the nested repetition's
+    assert outcomes[6] == "NoPredictEntry at event 4: no prediction for rule U9 on d"
+    # The code does not grow with the rows' width.
+    wide = []
+    for n in (12, 48):
+        compiled.clear()
+        Machine(make_table(_one_form_rows(n), "R")[1], "R", iter(()))  # builds every unit
+        wide.append(sum(map(len, compiled)))
+    assert wide[1] - wide[0] < 500, wide  # the longer token sets, and numbers of more digits
+
+
+def test_a_row_of_more_forms_than_one_chain_holds_matches_the_reference_machine(compiled):
+    from xmlgram.engine import MAX_TESTS
+
+    # Each alternative has a form of its own: how deep its action nests and
+    # how many arguments it has.  The forms are tested in two blocks.
+    n = MAX_TESTS + 40
+
+    def action(i):
+        return f"C({'D(' * (i // 16)}k{')' * (i // 16)}{', 1' * (i % 16)})"
+
+    alternatives = " | ".join(f"<T{i} k/> {{{action(i)}}}" for i in range(n))
+    source = f"@Grammar G R ::= <R> xs = ({alternatives})* </R> {{xs}}. end"
+    last = n - 1
+    documents = [f'<R><T3 k="x"/><T{last} k="y"/></R>', f"<R><T{last}/></R>"]
+    outcomes = _both_machines(source, "R", documents)
+    value = action(last).replace("k", '"y"').replace(" ", "")
+    assert outcomes[0] == f'Cons(C("x",1,1,1),Cons({value},Nil))'
+    assert outcomes[1] == f"MissingAttribute at event 1: element <T{last}> lacks attribute 'k'"
+    assert compiled[-1].count("if tok ") > n  # the unit's tests: one per form and one per block
+
+
+LARGE = 5_000  # siblings or alternatives: as one unit, 1 to 1.5 MB of source
+
+
+def _large(kind, n):
+    """A grammar of one clause of ``n`` sibling elements (the first of two
+    clauses, for ``alternative``), of a repetition of ``n`` alternatives, or
+    of a rule of ``n`` clauses; a document and its value, and a failing one
+    and its failure."""
+    if kind in ("siblings", "alternative"):
+        elements = " ".join(f"<E{i}/>" for i in range(n))
+        other = " | <Other/> {Other}" if kind == "alternative" else ""
+        grammar = f"@Grammar G R ::= <R> {elements} </R> {{Done}}{other}. end"
+        document = "<R>" + "".join(f"<E{i}/>" for i in range(n)) + "</R>"
+        failing = document.replace(f"<E{n // 2}/>", "")
+        failure = f"TagMismatch at event {n + 1}: expected <E{n // 2}>, found <E{n // 2 + 1}>"
+        return grammar, document, "Done", failing, failure
+    if kind == "repetition":
+        alternatives = " | ".join(f"<E{i} v=val/> {{v}}" for i in range(n))
+        grammar = f"@Grammar G R ::= <R> xs = ({alternatives})* </R> {{xs}}. end"
+        document = f'<R><E0 val="a"/><E{n - 1} val="b"/></R>'
+        failing = f'<R><E5 val="a"/><E{n // 2}/></R>'
+        failure = f"MissingAttribute at event 3: element <E{n // 2}> lacks attribute 'val'"
+        return grammar, document, 'Cons("a",Cons("b",Nil))', failing, failure
+    alternatives = " | ".join(f"<E{i} v=val/> {{C{i}(v)}}" for i in range(n))
+    grammar = f"@Grammar G R ::= <R> x = S </R> {{x}}. S ::= {alternatives}. end"
+    document = f'<R><E{n - 1} val="b"/></R>'
+    failing = f'<R><E{n // 3} val="b"><x/></E{n // 3}></R>'
+    failure = f"TagMismatch at event 2: expected </E{n // 3}>, found <x>"
+    return grammar, document, f'C{n - 1}("b")', failing, failure
+
+
+@pytest.mark.parametrize("kind", ["siblings", "alternative", "repetition", "clauses"])
+def test_a_large_clause_or_row_compiles_in_units_of_bounded_source(tmp_path, capsys, monkeypatch, compiled, kind):
+    from xmlgram import cli
+    from xmlgram.engine import MAX_SOURCE
+
+    tables, compile_grammar = [], cli.compile_grammar
+
+    def keeping(*args):  # the table the CLI builds, for the reference machine
+        result = compile_grammar(*args)
+        tables.append(result.table)
+        return result
+
+    monkeypatch.setattr(cli, "compile_grammar", keeping)
+    grammar, document, value, failing, failure = _large(kind, LARGE)
+    assert _parse_cli(tmp_path, grammar, document) == 0
+    assert capsys.readouterr().out == value + "\n"
+    assert len(compiled) <= 3  # for the siblings: the clause's unit, and one text for each unit of the rest but the last
+    assert max(map(len, compiled)) <= MAX_SOURCE + 500  # the cap, one element and the head
+    assert _both_machines(grammar, "R", [document, failing], tables[0]) == [value, failure]
+
+
+@pytest.mark.parametrize("kind", ["siblings", "repetition", "clauses"])
+def test_building_a_large_clause_or_row_takes_linear_memory(kind):
+    import tracemalloc
+
+    peaks = []
+    for n in (50, 400):
+        _, table = make_table(_large(kind, n)[0], "R")
+        tracemalloc.start()
+        try:
+            Machine(table, "R", iter(()))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # Linear code reads about 8 and quadratic code about 64.  One unit of all
+    # 400 items, as one compile() of it, took about 30 KB per item.
+    assert peaks[1] < 16 * peaks[0], peaks
+    assert peaks[1] < 4_000 * 400, peaks

@@ -269,6 +269,30 @@ def test_an_unclosed_token_stops_the_reader_past_its_cap(head):
     assert peak < 4 * MAX_TOKEN, peak
 
 
+class _CountingSource(io.StringIO):
+    """A string source that counts its reads."""
+
+    reads = 0
+
+    def read(self, size: int = -1) -> str:
+        self.reads += 1
+        return super().read(size)
+
+
+@pytest.mark.parametrize("head, tail", [("<A><!--", "--></A>"), ('<A><B k="', '"/></A>')], ids=["comment", "attribute"])
+def test_a_long_token_is_read_in_a_few_reads(head, tail):
+    """Expat scans a token it holds again at each read, so reads double
+    while its position stands still: a 1 MB token took 128 reads of a chunk."""
+    token = head + "x" * (MAX_TOKEN - 100)
+    source = _CountingSource(token + tail)
+    assert len(list(SaxReader(source))) == (2 if "!" in head else 4)
+    assert source.reads <= 12
+    # Once the token ends, each read is one chunk again: 16 chunks of leaves.
+    longer = _CountingSource(token + tail.replace("</A>", "<C/>" * (4 * _CHUNK) + "</A>"))
+    assert sum(1 for _ in SaxReader(longer)) > 8 * _CHUNK
+    assert longer.reads - source.reads >= 16
+
+
 def test_long_text_and_comment_runs_pass_the_token_cap():
     """Text reaches the handlers once per expat buffer, and each comment ends
     a token, so neither leaves expat standing still for ``MAX_TOKEN``."""
