@@ -324,12 +324,11 @@ def test_engine_matches_the_reference_machine_byte_for_byte(block):
     assert values > 100 and runs - values > 100  # both outcomes well represented
 
 
-def _renamed_copies(seed):
-    """Three copies of ``random_grammar(seed)`` under one start rule, each
-    with its rules and tags renamed, so that units of one shape hold other
-    strings; and four documents, each of three of the seed's documents,
-    renamed to match and wrapped in the start rule's element.  None when
-    the seed's grammar is rejected."""
+def _copies(seed, count):
+    """``count`` copies of the body of ``random_grammar(seed)``, each with
+    its rules and tags renamed; the start rule, the seed's documents and a
+    function that renames a document for copy ``k``.  None when the seed's
+    grammar is rejected."""
     import re
 
     from helpers import TAGS
@@ -342,30 +341,43 @@ def _renamed_copies(seed):
     text = pretty_grammar(grammar)
     body = text[text.index("\n") + 1 : text.rindex("end")]
     names = sorted({clause.name for clause in grammar.clauses}, key=len, reverse=True)
-    tags = [[f"{tag}{'x' * (k % 2)}{k}" for tag in TAGS] for k in range(3)]
+    tags = [[f"{tag}{'x' * (k % 2)}{k}" for tag in TAGS] for k in range(count)]
     copies = []
-    for k in range(3):
+    for k in range(count):
         copy = body
         for name in names:
             copy = re.sub(rf"\b{re.escape(name)}\b", f"{name}_{k}", copy)
         for tag, renamed in zip(TAGS, tags[k]):
             copy = re.sub(rf"\b{tag}\b", renamed, copy)
         copies.append(copy)
-    start = compiled.start
+
+    def rename(document, k):
+        for tag, renamed in zip(TAGS, tags[k]):
+            document = re.sub(rf"(</?){tag}\b", rf"\g<1>{renamed}", document)
+        return document
+
+    texts = [serialize_tree(doc) for doc in documents_for(grammar, compiled.start, seed)]
+    return copies, compiled.start, texts, rename
+
+
+def _renamed_copies(seed):
+    """Three copies of ``random_grammar(seed)`` under one start rule, each
+    with its rules and tags renamed, so that units of one shape hold other
+    strings; and four documents, each of three of the seed's documents,
+    renamed to match and wrapped in the start rule's element.  None when
+    the seed's grammar is rejected."""
+    made = _copies(seed, 3)
+    if made is None:
+        return None
+    copies, start, texts, rename = made
     top = f"Top ::= <Top> a = {start}_0 b = {start}_1 c = {start}_2 </Top> {{T(a, b, c)}}.\n"
     built = compile_grammar(parse_grammar("@Grammar M\n" + top + "".join(copies) + "end\n"), "Top")
     if built.errors or built.table is None or built.table.conflicts:
         return None
-    texts = [serialize_tree(doc) for doc in documents_for(grammar, start, seed)]
     rng = random.Random(seed)
     documents = []
     for _ in range(4):
-        parts = []
-        for k in range(3):
-            part = rng.choice(texts)
-            for tag, renamed in zip(TAGS, tags[k]):
-                part = re.sub(rf"(</?){tag}\b", rf"\g<1>{renamed}", part)
-            parts.append(part)
+        parts = [rename(rng.choice(texts), k) for k in range(3)]
         documents.append("<Top>" + "".join(parts) + "</Top>")
     return built.table, documents
 
@@ -388,6 +400,41 @@ def test_units_that_share_a_compiled_shape_match_the_reference_machine(block):
             runs += 1
         units += len(table.program.units)
     assert runs > 500 and units > 200
+
+
+@pytest.mark.parametrize("form", ["repetition", "rule"])
+def test_alternatives_of_one_form_share_a_branch_and_match_the_reference_machine(form):
+    """Four renamed copies of ``random_grammar`` seeds 0–149, each inside an
+    element of its own, as the alternatives of one repetition or of one
+    rule: their branches have one form and differ in their strings, so the
+    engine shares them.  Documents pick copies, as they are and with one
+    random insert."""
+    runs = shared = 0
+    for seed in range(150):
+        made = _copies(seed, 4)
+        if made is None:
+            continue
+        copies, start, texts, rename = made
+        alternatives = " | ".join(f"<W{k}> x = {start}_{k} </W{k}> {{C{k}(x)}}" for k in range(4))
+        if form == "repetition":
+            top = f"Top ::= <Top> xs = ({alternatives})* </Top> {{xs}}.\n"
+        else:
+            top = f"Top ::= <Top> x = Alt </Top> {{x}}.\nAlt ::= {alternatives}.\n"
+        built = compile_grammar(parse_grammar("@Grammar M\n" + top + "".join(copies) + "end\n"), "Top")
+        if built.errors or built.table is None or built.table.conflicts:
+            continue
+        rng = random.Random(seed)
+        for _ in range(2):
+            picked = rng.sample(range(4), 2 if form == "repetition" else 1)
+            document = "<Top>" + "".join(f"<W{k}>{rename(rng.choice(texts), k)}</W{k}>" for k in picked) + "</Top>"
+            at = rng.randrange(len(document) + 1)
+            for variant in (document, document[:at] + rng.choice(["<", "</x>", "junk"]) + document[at:]):
+                engine = _machine_outcome(Machine, built.table, "Top", variant)
+                assert engine == _machine_outcome(ReferenceMachine, built.table, "Top", variant), (seed, variant)
+                runs += 1
+        defaults = (k for unit in built.table.program.units for k in unit.__defaults__ or ())
+        shared += any(type(k) is dict for k in defaults)  # a constant read at the token
+    assert runs > 250 and shared > 50
 
 
 # Pairs of rules alike but for one fact that their code depends on and
