@@ -694,9 +694,12 @@ _SPECIAL_TOKENS = (TEXT_TOKEN, ANY_TOKEN, END_OF_INPUT)
 class _Frame:
     """The placeholders of a branch that ``_Unit.forms`` generates, named
     ``_K{depth}_{n}_`` for constants and ``_L{depth}_{n}_`` for locals, in
-    order of first use; ``depth`` counts the frames open outside it."""
+    order of first use; ``depth`` counts the frames open outside it.  The
+    branches of a row number their placeholders alike, so ``forms`` drops
+    the ``temps`` a branch made from ``_Unit.temps`` and ``_Unit.lists``
+    once it is generated: no code after a branch reads its locals."""
 
-    __slots__ = ("depth", "names", "values", "count", "cuts")
+    __slots__ = ("depth", "names", "values", "count", "cuts", "temps")
 
     def __init__(self, depth: int, cuts: bool = False):
         self.depth = depth
@@ -704,6 +707,7 @@ class _Frame:
         self.names: dict = {}  # a constant's key in ``_Unit.const``: its placeholder
         self.values: List[tuple] = []  # each constant's value and recipe, None if derived
         self.count = 0  # locals
+        self.temps: List[str] = []  # the placeholders ``_Unit.temp`` made
 
 
 class _Scope:
@@ -841,6 +845,8 @@ class _Unit:
     def temp(self) -> str:
         local = self.local()
         self.temps.add(local)
+        if self.frame is not None:
+            self.frame.temps.append(local)
         return local
 
     def atom(self, code: str, ind: int) -> str:
@@ -1227,6 +1233,7 @@ class _Unit:
         for tokens, clause in groups:
             self.frame, self.lines, self.size = _Frame(depth), [], start
             body(clause, ind, _single(tokens), *args)
+            self.drop(self.frame)
             key = "\n".join(self.lines), self.frame.count
             if any(recipe and recipe[0] == "n" for _, recipe in self.frame.values):
                 key = id(self.frame)  # a nested unit is no constant to share
@@ -1240,10 +1247,17 @@ class _Unit:
             if size + length > MAX_SOURCE and len(members) == 1 and (outer is None or outer.cuts):
                 self.frame, self.lines, self.size = _Frame(depth, True), [], size
                 body(clause, ind, _single(tokens), *args)
+                self.drop(self.frame)
                 members[0], form[2], length = (members[0][0], self.frame), self.lines, self.size - size
             size += length
         self.frame, self.lines, self.size = outer, lines, start
         return [(tuple(tokens), (members, branch)) for tokens, members, branch, _ in found.values()]
+
+    def drop(self, frame: _Frame) -> None:
+        """Forget the temps and lists in ``frame``'s placeholders, which the
+        next branch of the row numbers again."""
+        self.temps.difference_update(frame.temps)
+        self.lists.difference_update(frame.temps)
 
     def share(self, form: tuple, ind: int, levels: int) -> None:
         """Emit a form's branch with its placeholders named: each local a
@@ -1259,9 +1273,10 @@ class _Unit:
         for j, (value, recipe) in enumerate(first.values):
             name = self.const(value, recipe) if len(members) == 1 else self.shared(members, j, token)
             names[f"_K{depth}_{j}_"] = name
-        parts = re.split(rf"(_[KL]{depth}_\d+_)", "\n".join(lines))
-        parts[1::2] = map(names.__getitem__, parts[1::2])
-        lines = "".join(parts).split("\n")
+        if names:
+            parts = re.split(rf"(_[KL]{depth}_\d+_)", "\n".join(lines))
+            parts[1::2] = map(names.__getitem__, parts[1::2])
+            lines = "".join(parts).split("\n")
         if levels:
             lines = [" " * levels + line for line in lines]
         self.lines += lines

@@ -1305,3 +1305,27 @@ def test_building_a_large_clause_or_row_takes_linear_memory(kind):
     # 400 items, as one compile() of it, took about 30 KB per item.
     assert peaks[1] < 16 * peaks[0], peaks
     assert peaks[1] < 4_000 * 400, peaks
+
+
+@pytest.mark.parametrize(
+    "rules, documents, outcomes",
+    [
+        pytest.param(
+            "S ::= <a/> {A(1)} | x = <b j> {j} </b> <c j/> {P(x, j)}.",
+            ['<R><b j="1"></b><c j="2"/></R>', "<R><a/></R>", "<R><b/></R>"],
+            ['P("1","2")', "A(1)", "MissingAttribute at event 1: element <b> lacks attribute 'j'"],
+            id="a-temp",
+        ),
+        pytest.param(
+            "S ::= <a> xs = (<i/> {1})* </a> {xs} | <b> z = {G(1)} y = {G(2)} </b> {y->iterate(e p = P(z) | p.add(e))}.",
+            ["<R><b></b></R>", "<R><a><i/><i/></a></R>"],
+            ["EvalError at event 3: cannot iterate over G(2)", "Cons(1,Cons(1,Nil))"],
+            id="a-repetition",
+        ),
+    ],
+)
+def test_a_branch_reads_no_local_that_an_earlier_branch_of_its_row_left(rules, documents, outcomes):
+    # Each branch of a row numbers its placeholders from 0, so the second
+    # branch here reuses the local that the first kept a temp or a list in.
+    source = f"@Grammar G R ::= <R> s = S </R> {{s}}. {rules} end"
+    assert _both_machines(source, "R", documents) == outcomes
